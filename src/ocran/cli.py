@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -50,7 +49,7 @@ from .optimize import (
     optimize_discrete_aux,
     optimize_gaussian_quantizers,
 )
-from .sumrate import extreme_point, jd_sum_rate, swz_equals_jd
+from .sumrate import extreme_points, jd_sum_rate, swz_equals_jd
 from .verify import SUITE_NAMES, run_suites
 from .core import _complex_matrix_from_json, _complex_matrix_to_json
 
@@ -81,6 +80,8 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
         return _jsonable(x.tolist())
+    if isinstance(x, np.bool_):
+        return bool(x)
     if isinstance(x, (np.integer,)):
         return int(x)
     if isinstance(x, (float, np.floating)):
@@ -325,19 +326,15 @@ def cmd_sumrate(args) -> int:
 
 
 def cmd_extreme_points(args) -> int:
-    from itertools import permutations
-
     sc = load_scenario(args.scenario)
     if not isinstance(sc, DiscreteScenario):
         raise ScenarioError("extreme-points needs a discrete scenario")
-    emit = _Emitter(args, sc)
-    aux = _load_aux(args, sc)
-    r_sum = args.rsum if args.rsum is not None else jd_sum_rate(sc, aux)
     if sc.num_relays > 6:
         raise CapacityError("extreme-points enumerates K! orderings; K <= 6 required")
+    emit = _Emitter(args, sc)
+    aux = _load_aux(args, sc)
     lines = ["ordering,k,relay,C_tilde_bits"]
-    for pi in permutations(range(1, sc.num_relays + 1)):
-        point = extreme_point(sc, aux, r_sum, pi)
+    for pi, point in extreme_points(sc, aux, args.rsum):
         label = "-".join(str(k) for k in pi)
         for pos, relay in enumerate(pi, start=1):
             lines.append(f"{label},{pos},{relay},{fmt_bits(point[relay - 1])}")
@@ -467,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=scenario_required, help="scenario JSON path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (manifest lands next to it)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("region", help="evaluate every (T, S) constraint bound")

@@ -44,7 +44,11 @@ ALPHA_DENOM_TOL = 1e-12
 
 
 class _JointInfo:
-    """Cached information terms of one (scenario, aux) joint."""
+    """Cached information terms of one (scenario, aux) joint.
+
+    Each public ``(sc, aux)`` entry point builds one and hands it to the
+    private helpers, so the dense joint and its entropy cache are shared by
+    every subset bound and chain ordering of that call."""
 
     def __init__(self, sc: DiscreteScenario, aux: AuxChannels):
         self.sc = sc
@@ -73,8 +77,11 @@ def jd_subset_bounds(sc: DiscreteScenario, aux: AuxChannels) -> np.ndarray:
     """Per-relay-subset sum-rate bounds of joint decompression-decoding,
     indexed by subset bitmask:
     sum_{s in S} C_s - I(Y_S;U_S|X_all,U_{S^c},Q) + I(U_{S^c};X_all|Q)."""
-    info = _JointInfo(sc, aux)
-    j = info.joint
+    return _jd_subset_bounds(_JointInfo(sc, aux))
+
+
+def _jd_subset_bounds(info: _JointInfo) -> np.ndarray:
+    sc, j = info.sc, info.joint
     bounds = np.empty(1 << sc.num_relays)
     for s_mask in range(bounds.size):
         s = indices_of(s_mask)
@@ -89,7 +96,11 @@ def jd_subset_bounds(sc: DiscreteScenario, aux: AuxChannels) -> np.ndarray:
 def jd_sum_rate(sc: DiscreteScenario, aux: AuxChannels) -> float:
     """Largest sum-rate allowed by the joint-decompression-decoding bounds
     (the smallest subset bound), floored at 0."""
-    return max(0.0, float(jd_subset_bounds(sc, aux).min()))
+    return _jd_sum_rate(_JointInfo(sc, aux))
+
+
+def _jd_sum_rate(info: _JointInfo) -> float:
+    return max(0.0, float(_jd_subset_bounds(info).min()))
 
 
 def sd_achievable(
@@ -160,6 +171,22 @@ def extreme_point(
     and telescopes to g+(all relays)."""
     info = _JointInfo(sc, aux)
     return _extreme_point(info, r_sum, _check_ordering(ordering, sc.num_relays))
+
+
+def extreme_points(
+    sc: DiscreteScenario, aux: AuxChannels, r_sum: float | None = None
+) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """``(ordering, extreme_point(sc, aux, r_sum, ordering))`` for every
+    chain ordering, in lexicographic order, from one joint.
+
+    ``r_sum`` defaults to the joint-decoding sum-rate."""
+    info = _JointInfo(sc, aux)
+    if r_sum is None:
+        r_sum = _jd_sum_rate(info)
+    return [
+        (pi, _extreme_point(info, r_sum, pi))
+        for pi in permutations(range(1, sc.num_relays + 1))
+    ]
 
 
 def _check_ordering(ordering, num_relays: int) -> tuple[int, ...]:
@@ -243,8 +270,11 @@ def swz_dominating_point(
     through the chain in reverse.
     """
     pi = _check_ordering(ordering, sc.num_relays)
-    info = _JointInfo(sc, aux)
-    kk = sc.num_relays
+    return _swz_dominating_point(_JointInfo(sc, aux), r_sum, pi)
+
+
+def _swz_dominating_point(info: _JointInfo, r_sum: float, pi: tuple[int, ...]) -> OrderingResult:
+    kk = info.sc.num_relays
     chain = _chain_g(info, r_sum, pi)
     c_tilde = _extreme_point(info, r_sum, pi)
 
@@ -312,7 +342,7 @@ class SumRateComparison:
 
     @property
     def equal(self) -> bool:
-        return self.gap <= INVARIANT_TOL
+        return bool(self.gap <= INVARIANT_TOL)
 
 
 def swz_equals_jd(sc: DiscreteScenario, aux: AuxChannels) -> SumRateComparison:
@@ -323,12 +353,13 @@ def swz_equals_jd(sc: DiscreteScenario, aux: AuxChannels) -> SumRateComparison:
     ties between orderings resolve to the lexicographically smallest."""
     if sc.num_relays > 8:
         raise ValueError("all-orderings comparison is factorial; K <= 8 required")
-    target = jd_sum_rate(sc, aux)
+    info = _JointInfo(sc, aux)
+    target = _jd_sum_rate(info)
     results = []
     best = -math.inf
     best_pi = None
     for pi in permutations(range(1, sc.num_relays + 1)):
-        res = swz_dominating_point(sc, aux, target, pi)
+        res = _swz_dominating_point(info, target, pi)
         results.append(res)
         if res.scheme_sum_rate > best + INVARIANT_TOL:
             best = res.scheme_sum_rate
@@ -337,6 +368,6 @@ def swz_equals_jd(sc: DiscreteScenario, aux: AuxChannels) -> SumRateComparison:
         jd_sum_rate=target,
         best_sum_rate=best,
         best_ordering=best_pi,
-        gap=target - best,
+        gap=float(target - best),
         results=tuple(results),
     )

@@ -3,9 +3,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ocran.cli import main
+from ocran.cli import build_parser, main
+from ocran.core import save_scenario
+from ocran.verify import random_aux, random_factorizing_scenario
 
 
 def write_json(path, doc):
@@ -275,6 +278,19 @@ class TestSumRateCommands:
         assert payload["equal"] is True
         assert payload["best_ordering"] in ([1, 2], [2, 1])
 
+    def test_swz_check_out_with_numpy_scalars(self, tmp_path):
+        # on this instance the best ordering has a fractional idle share, so
+        # the gap is computed from numpy scalars
+        rng = np.random.default_rng(0)
+        sc = random_factorizing_scenario(rng, 1, 2)
+        scenario = tmp_path / "sc.json"
+        save_scenario(sc, scenario, random_aux(rng, sc))
+        out = tmp_path / "swz.json"
+        assert main(["swz-check", "--scenario", str(scenario), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["equal"] is True
+        assert payload["gap"] <= 1e-9
+
     def test_extreme_points_csv(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "sc.json", discrete_doc())
         rc = main(["extreme-points", "--scenario", scenario])
@@ -356,6 +372,9 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert payload["suites"][0]["cases"] == 4
+
+    def test_threads_default_to_one(self):
+        assert build_parser().parse_args(["verify"]).threads == 1
 
     def test_injected_fault_fails_with_named_suite(self, tmp_path, capsys):
         rc = main(

@@ -7,6 +7,7 @@ from ocran.discrete import AuxChannels, DiscreteScenario, build_joint, cmi, iden
 from ocran.sumrate import (
     check_supermodular,
     extreme_point,
+    extreme_points,
     g_function,
     jd_subset_bounds,
     jd_sum_rate,
@@ -15,6 +16,9 @@ from ocran.sumrate import (
     swz_equals_jd,
     swz_required_fronthaul,
 )
+from ocran import sumrate
+from ocran.cli import main
+from ocran.core import save_scenario
 from ocran.discrete import region_discrete
 from ocran.verify import random_aux, random_correlated_scenario, random_factorizing_scenario
 
@@ -366,3 +370,64 @@ class TestSumRateEquivalence:
         )
         cmp_res = swz_equals_jd(sc, identity_aux(sc))
         assert cmp_res.best_ordering == (1, 2)
+
+
+class TestSharedEvaluator:
+    """Every ordering is evaluated on one joint, with the same numbers as the
+    per-ordering entry points."""
+
+    @staticmethod
+    def instance():
+        # K = 3 with pivots at chain positions 1 and 2 and fractional idle shares
+        rng = np.random.default_rng(32)
+        sc = random_factorizing_scenario(rng, 1, 3)
+        return sc, random_aux(rng, sc)
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        calls = []
+        original = sumrate.build_joint
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sumrate, "build_joint", counting)
+        return calls
+
+    def test_swz_equals_jd_builds_one_joint(self, monkeypatch):
+        sc, aux = self.instance()
+        calls = self.count_builds(monkeypatch)
+        swz_equals_jd(sc, aux)
+        assert len(calls) == 1
+
+    def test_extreme_points_command_builds_one_joint(self, monkeypatch, tmp_path, capsys):
+        sc, aux = self.instance()
+        path = tmp_path / "sc.json"
+        save_scenario(sc, path, aux)
+        calls = self.count_builds(monkeypatch)
+        assert main(["extreme-points", "--scenario", str(path)]) == 0
+        assert len(calls) == 1
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 6 * 3
+
+    def test_extreme_points_match_extreme_point(self):
+        sc, aux = self.instance()
+        r_sum = jd_sum_rate(sc, aux)
+        points = extreme_points(sc, aux, r_sum)
+        assert [pi for pi, _ in points] == list(itertools.permutations((1, 2, 3)))
+        for pi, point in points:
+            np.testing.assert_array_equal(point, extreme_point(sc, aux, r_sum, pi))
+        default = extreme_points(sc, aux)
+        for (_, a), (_, b) in zip(default, points):
+            np.testing.assert_array_equal(a, b)
+
+    def test_swz_results_match_dominating_point(self):
+        sc, aux = self.instance()
+        cmp_res = swz_equals_jd(sc, aux)
+        assert cmp_res.jd_sum_rate == jd_sum_rate(sc, aux)
+        for res in cmp_res.results:
+            alone = swz_dominating_point(sc, aux, cmp_res.jd_sum_rate, res.ordering)
+            np.testing.assert_array_equal(res.extreme_point, alone.extreme_point)
+            np.testing.assert_array_equal(res.scheme_fronthaul, alone.scheme_fronthaul)
+            assert (res.ordering, res.pivot_index, res.idle_fraction, res.scheme_sum_rate) == (
+                alone.ordering, alone.pivot_index, alone.idle_fraction, alone.scheme_sum_rate)
