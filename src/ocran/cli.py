@@ -5,8 +5,9 @@ codebook-check, verify, boundary.  Data goes to stdout or to the --out path;
 warnings and the run manifest (when not written next to --out) go to stderr.
 
 Exit codes: 0 success, 1 failed verification property, 2 validation error,
-3 numeric failure.  Emitted rate values are finite or the literal ``-inf``;
-a NaN anywhere is treated as a numeric failure.
+3 numeric failure or any other internal error.  Emitted rate values are
+finite or the literal ``-inf``; a NaN anywhere is treated as a numeric
+failure.
 """
 
 from __future__ import annotations
@@ -35,14 +36,7 @@ from .core import (
     scenario_sha256,
 )
 from .discrete import AuxChannels, DiscreteScenario, region_discrete
-from .gaussian import (
-    GaussianScenario,
-    QuantizerSetGaussian,
-    point_in_region,
-    rate_constraint_gaussian,
-    fronthaul_mi,
-    region_gaussian,
-)
+from .gaussian import GaussianEvaluator, GaussianScenario, QuantizerSetGaussian, region_gaussian
 from .optimize import (
     OptimizerConfig,
     mc_mutual_information,
@@ -235,13 +229,13 @@ def cmd_boundary(args) -> int:
     emit = _Emitter(args, sc)
     region = _scenario_region(args, sc, emit)
     lines = ["w1,w2,R1_bits,R2_bits"]
-    if point_in_region(region, np.zeros(2)):
+    if region.contains(np.zeros(2)):
         for t in np.linspace(0.0, 1.0, args.points):
             w = np.array([1.0 - t, t])
             _, rates = max_weighted_rate(region, w)
             rates = np.clip(rates, 0.0, None)
             rates[rates < 1e-9] = 0.0  # scrub LP epsilon dust
-            if not point_in_region(region, rates):
+            if not region.contains(rates):
                 raise NumericFailure("boundary point fell outside the region")
             lines.append(
                 f"{fmt_bits(w[0])},{fmt_bits(w[1])},{fmt_bits(rates[0])},{fmt_bits(rates[1])}"
@@ -307,16 +301,9 @@ def cmd_sumrate(args) -> int:
         if not args.quantizers:
             raise ScenarioError("gaussian sum-rate needs --quantizers")
         q = _load_gaussian_quantizers(args.quantizers, sc)
-        users = tuple(range(1, sc.num_users + 1))
-        rows = []
-        best = math.inf
-        for s_mask in range(1 << sc.num_relays):
-            bound = rate_constraint_gaussian(
-                sc, q, SubsetPair(users=users, relays=indices_of(s_mask))
-            )
-            rows.append({"S_mask": s_mask, "bound_bits": bound})
-            best = min(best, bound)
-        payload = {"sum_rate_bits": max(0.0, best), "subset_bounds": rows}
+        bounds = GaussianEvaluator.from_quantizers(sc, q).subset_bounds()
+        rows = [{"S_mask": s, "bound_bits": float(b)} for s, b in enumerate(bounds)]
+        payload = {"sum_rate_bits": max(0.0, float(bounds.min())), "subset_bounds": rows}
     else:
         aux = _load_aux(args, sc)
         payload = {"sum_rate_bits": jd_sum_rate(sc, aux)}
@@ -371,11 +358,11 @@ def cmd_mc_check(args) -> int:
         raise ScenarioError("mc-check needs --quantizers")
     q = _load_gaussian_quantizers(args.quantizers, sc)
     t_mask = args.t_mask if args.t_mask is not None else (1 << sc.num_users) - 1
+    if not (0 < t_mask < 1 << sc.num_users and 0 <= args.s_mask < 1 << sc.num_relays):
+        raise ScenarioError("--t-mask must name a nonempty user set, --s-mask a relay set")
     pair = SubsetPair(users=indices_of(t_mask), relays=indices_of(args.s_mask))
     est = mc_mutual_information(sc, q, pair, samples=args.samples, seed=args.seed)
-    analytic = rate_constraint_gaussian(sc, q, pair) - sum(
-        sc.fronthaul[k - 1] - fronthaul_mi(sc.Sigma[k - 1], q.B[k - 1]) for k in pair.relays
-    )
+    analytic = GaussianEvaluator.from_quantizers(sc, q).info_term(pair)
     z = abs(est.estimate - analytic) / max(est.std_error, 1e-300)
     payload = {
         "estimate_bits": est.estimate,
@@ -559,6 +546,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:  # any other error is internal: exit 3, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -17,6 +17,8 @@ Three constraint families are evaluated:
 * ``thm3_constraint`` - the general inner bound (no independence needed),
 * ``thm4_constraint`` - the outer bound, whose auxiliaries are deterministic
   functions of (W, Y_k, Q) for a shared randomizer W.
+
+All three are one formula, ``DiscreteEvaluator.bound``, on one joint.
 """
 
 from __future__ import annotations
@@ -394,26 +396,60 @@ def witness_induced_aux(sc: DiscreteScenario, witness: OuterBoundWitness) -> Aux
     return AuxChannels(tables=tuple(tables))
 
 
-def _constraint_from_joint(
-    j: JointPmf, fronthaul, pair: SubsetPair, num_users: int, num_relays: int, which: str
-) -> float:
-    x_all = {user_axis(i) for i in range(1, num_users + 1)}
-    x_t = {user_axis(i) for i in pair.users}
-    x_tc = x_all - x_t
-    u_s = {aux_axis(i) for i in pair.relays}
-    y_s = {relay_axis(i) for i in pair.relays}
-    u_sc = {aux_axis(i) for i in pair.relays_complement(num_relays)}
-    common = cmi(j, x_t, u_sc, x_tc | {"Q"})
-    if which == "thm1":
-        s_term = sum(
-            fronthaul[k - 1] - cmi(j, {relay_axis(k)}, {aux_axis(k)}, x_all | {"Q"})
-            for k in pair.relays
+class DiscreteEvaluator:
+    """Every information term and rate bound of one joint p(q, x, y, u): the
+    product joint of an AuxChannels or the joint a witness induces.  Built
+    once per (scenario, quantizer) pair and shared, with its entropy cache,
+    by every bound and chain ordering evaluated on it."""
+
+    def __init__(self, sc: DiscreteScenario, joint: JointPmf):
+        self.sc = sc
+        self.joint = joint
+        self.x_all = frozenset(user_axis(l) for l in range(1, sc.num_users + 1))
+        self.u_all = frozenset(aux_axis(k) for k in range(1, sc.num_relays + 1))
+        self.i_ux: float = cmi(self.joint, self.u_all, self.x_all, {"Q"})  # I(U_all; X_all | Q)
+
+    def u(self, relays) -> frozenset:
+        return frozenset(aux_axis(k) for k in relays)
+
+    def y(self, relays) -> frozenset:
+        return frozenset(relay_axis(k) for k in relays)
+
+    def i_uy_given_uc(self, relays) -> float:
+        """I(U_S; Y_S | U_{S^c}, Q)."""
+        u_s = self.u(relays)
+        return cmi(self.joint, u_s, self.y(relays), (self.u_all - u_s) | {"Q"})
+
+    def g(self, r_sum: float, relays) -> float:
+        """g(S) = R_sum + I(U_S; Y_S | U_{S^c}, Q) - I(U_all; X_all | Q)."""
+        return r_sum + self.i_uy_given_uc(relays) - self.i_ux
+
+    def bound(self, pair: SubsetPair, family: str = "thm3") -> float:
+        """Bound of one (T, S) pair in the 'thm1' or 'thm3' family (the
+        outer bound is 'thm3' on a witness joint)."""
+        j, fronthaul = self.joint, self.sc.fronthaul
+        x_t = frozenset(user_axis(l) for l in pair.users)
+        u_sc = self.u(pair.relays_complement(self.sc.num_relays))
+        common = cmi(j, x_t, u_sc, (self.x_all - x_t) | {"Q"})
+        if family == "thm1":
+            s_term = sum(
+                fronthaul[k - 1] - cmi(j, {relay_axis(k)}, {aux_axis(k)}, self.x_all | {"Q"})
+                for k in pair.relays
+            )
+            return s_term + common
+        if family == "thm3":
+            c_sum = sum(fronthaul[k - 1] for k in pair.relays)
+            leak = cmi(j, self.y(pair.relays), self.u(pair.relays), self.x_all | u_sc | {"Q"})
+            return c_sum - leak + common
+        raise ValueError(f"unknown constraint family {family!r}")
+
+    def region(self, family: str = "thm3") -> RateRegion:
+        """All (T, S) bounds of one family."""
+        pairs = enumerate_constraint_pairs(self.sc.num_users, self.sc.num_relays)
+        return RateRegion(
+            num_users=self.sc.num_users,
+            constraints=tuple((p, self.bound(p, family)) for p in pairs),
         )
-        return s_term + common
-    if which == "thm3":
-        c_sum = sum(fronthaul[k - 1] for k in pair.relays)
-        return c_sum - cmi(j, y_s, u_s, x_all | u_sc | {"Q"}) + common
-    raise ValueError(f"unknown constraint family {which!r}")
 
 
 def _warn_if_not_factorizing(sc: DiscreteScenario) -> None:
@@ -436,7 +472,7 @@ def thm1_constraint(
     if _warn:
         _warn_if_not_factorizing(sc)
     j = _joint if _joint is not None else build_joint(sc, aux)
-    return _constraint_from_joint(j, sc.fronthaul, pair, sc.num_users, sc.num_relays, "thm1")
+    return DiscreteEvaluator(sc, j).bound(pair, "thm1")
 
 
 def thm3_constraint(
@@ -445,7 +481,7 @@ def thm3_constraint(
     """General inner-bound constraint:
     sum_{s in S} C_s - I(Y_S;U_S|X_all,U_{S^c},Q) + I(X_T;U_{S^c}|X_{T^c},Q)."""
     j = _joint if _joint is not None else build_joint(sc, aux)
-    return _constraint_from_joint(j, sc.fronthaul, pair, sc.num_users, sc.num_relays, "thm3")
+    return DiscreteEvaluator(sc, j).bound(pair, "thm3")
 
 
 def thm4_constraint(
@@ -454,7 +490,7 @@ def thm4_constraint(
     """Outer-bound constraint: the inner-bound expression evaluated on the
     joint induced by u_k = f_k(w, y_k, q), with W marginalized out."""
     j = _joint if _joint is not None else build_joint_from_witness(sc, witness)
-    return _constraint_from_joint(j, sc.fronthaul, pair, sc.num_users, sc.num_relays, "thm3")
+    return DiscreteEvaluator(sc, j).bound(pair, "thm3")
 
 
 def region_discrete(sc: DiscreteScenario, aux: AuxChannels, which: str = "thm1") -> RateRegion:
@@ -463,21 +499,9 @@ def region_discrete(sc: DiscreteScenario, aux: AuxChannels, which: str = "thm1")
         raise ValueError("which must be 'thm1' or 'thm3'")
     if which == "thm1":
         _warn_if_not_factorizing(sc)
-    j = build_joint(sc, aux)
-    pairs = enumerate_constraint_pairs(sc.num_users, sc.num_relays)
-    constraints = tuple(
-        (p, _constraint_from_joint(j, sc.fronthaul, p, sc.num_users, sc.num_relays, which))
-        for p in pairs
-    )
-    return RateRegion(num_users=sc.num_users, constraints=constraints)
+    return DiscreteEvaluator(sc, build_joint(sc, aux)).region(which)
 
 
 def region_outer(sc: DiscreteScenario, witness: OuterBoundWitness) -> RateRegion:
     """All outer-bound constraints for one witness."""
-    j = build_joint_from_witness(sc, witness)
-    pairs = enumerate_constraint_pairs(sc.num_users, sc.num_relays)
-    constraints = tuple(
-        (p, _constraint_from_joint(j, sc.fronthaul, p, sc.num_users, sc.num_relays, "thm3"))
-        for p in pairs
-    )
-    return RateRegion(num_users=sc.num_users, constraints=constraints)
+    return DiscreteEvaluator(sc, build_joint_from_witness(sc, witness)).region("thm3")

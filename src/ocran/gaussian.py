@@ -10,6 +10,7 @@ covariance of the users in T, and fronthaul_mi the rate spent describing
 relay k's observation to the processor.  Each B_k is Hermitian with
 0 <= B_k <= Sigma_k^{-1}; B_k = (Sigma_k + Q_k)^{-1} corresponds to an
 additive Gaussian test channel with noise covariance Q_k.
+``GaussianEvaluator`` is the one implementation of this bound.
 
 Everything here is over complex matrices; real inputs are embedded with zero
 imaginary part.  Time-sharing is intentionally not exposed: with Gaussian
@@ -32,6 +33,7 @@ from .core import (
     _complex_matrix_from_json,
     _complex_matrix_to_json,
     enumerate_constraint_pairs,
+    indices_of,
 )
 
 # feasibility margin: eigenvalues of Sigma^{1/2} B Sigma^{1/2} live in [0, 1];
@@ -229,40 +231,80 @@ def b_from_test_channel(sigma, qn) -> tuple[np.ndarray, np.ndarray]:
     return b, mmse
 
 
+class GaussianEvaluator:
+    """Every bound of the Gaussian region for one quantizer set, from the
+    B_k and each relay's fronthaul_mi: H_k^H B_k H_k is formed once per
+    relay and K_T^{1/2} once per user set.  ``h_full`` (each relay's channel
+    to all users) and the ``user_terms`` cache may be shared by evaluators
+    of one scenario."""
+
+    def __init__(self, sc: GaussianScenario, b, mi, *, h_full=None, user_terms=None):
+        self.sc = sc
+        self.mi = tuple(float(v) for v in mi)
+        self.full_users = tuple(range(1, sc.num_users + 1))
+        if h_full is None:
+            h_full = [sc.channel_to_users(k, self.full_users) for k in range(1, sc.num_relays + 1)]
+        self.gfull = [la.hermitian_part(h.conj().T @ bk @ h) for h, bk in zip(h_full, b)]
+        self.user_terms = {} if user_terms is None else user_terms
+
+    @classmethod
+    def from_quantizers(cls, sc: GaussianScenario, q: QuantizerSetGaussian) -> "GaussianEvaluator":
+        return cls(sc, q.B, [fronthaul_mi(s, b) for s, b in zip(sc.Sigma, q.B)])
+
+    def _users(self, users: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the users' antennas among all users', and K_T^{1/2}."""
+        if users not in self.user_terms:
+            offsets = np.cumsum((0,) + self.sc.user_antennas)
+            idx = np.concatenate([np.arange(offsets[l - 1], offsets[l]) for l in users])
+            self.user_terms[users] = (idx, la.psd_sqrt(self.sc.input_covariance(users)))
+        return self.user_terms[users]
+
+    def info_term(self, pair: SubsetPair) -> float:
+        """I(X_T; U_{S^c} | X_{T^c}) = log2 det(I + K_T^{1/2} A K_T^{1/2}),
+        A = sum_{k not in S} H_{k,T}^H B_k H_{k,T}; finite even when a relay
+        in S sits on the boundary B_k = Sigma_k^{-1}."""
+        relays_c = pair.relays_complement(self.sc.num_relays)
+        if not relays_c:
+            return 0.0
+        idx, k_root = self._users(pair.users)
+        a = sum(self.gfull[k - 1][np.ix_(idx, idx)] for k in relays_c)
+        m = np.eye(len(idx), dtype=np.complex128) + k_root @ a @ k_root
+        return la.logdet2(m)
+
+    def bound(self, pair: SubsetPair) -> float:
+        """One constraint bound, in bits (-inf when a relay in S has an
+        infinite fronthaul rate)."""
+        s_term = sum(self.sc.fronthaul[k - 1] - self.mi[k - 1] for k in pair.relays)
+        return s_term + self.info_term(pair)
+
+    def subset_bounds(self) -> np.ndarray:
+        """Sum-rate bound (T = all users) of every relay subset, indexed by
+        subset bitmask."""
+        vals = np.empty(1 << self.sc.num_relays)
+        for s_mask in range(vals.size):
+            vals[s_mask] = self.bound(SubsetPair(users=self.full_users, relays=indices_of(s_mask)))
+        return vals
+
+    def region(self) -> RateRegion:
+        """Every (T, S) bound; negative bounds are kept as-is."""
+        pairs = enumerate_constraint_pairs(self.sc.num_users, self.sc.num_relays)
+        return RateRegion(
+            num_users=self.sc.num_users,
+            constraints=tuple((p, self.bound(p)) for p in pairs),
+        )
+
+
 def rate_constraint_gaussian(
     sc: GaussianScenario, q: QuantizerSetGaussian, pair: SubsetPair
 ) -> float:
     """One constraint bound of the Gaussian region, in bits (may be -inf)."""
-    s_term = 0.0
-    for k in pair.relays:
-        mi = fronthaul_mi(sc.Sigma[k - 1], q.B[k - 1])
-        if math.isinf(mi):
-            return -math.inf
-        s_term += sc.fronthaul[k - 1] - mi
-    relays_c = pair.relays_complement(sc.num_relays)
-    if not relays_c:
-        return s_term
-    n_t = sum(sc.user_antennas[l - 1] for l in pair.users)
-    a = np.zeros((n_t, n_t), dtype=np.complex128)
-    for k in relays_c:
-        h = sc.channel_to_users(k, pair.users)
-        a += h.conj().T @ q.B[k - 1] @ h
-    k_root = la.psd_sqrt(sc.input_covariance(pair.users))
-    m = np.eye(n_t, dtype=np.complex128) + k_root @ la.hermitian_part(a) @ k_root
-    return s_term + la.logdet2(m)
+    return GaussianEvaluator.from_quantizers(sc, q).bound(pair)
 
 
 def region_gaussian(sc: GaussianScenario, q: QuantizerSetGaussian) -> RateRegion:
     """Evaluate every (T, S) constraint; negative bounds are kept as-is."""
     q.validate(sc)
-    pairs = enumerate_constraint_pairs(sc.num_users, sc.num_relays)
-    constraints = tuple((p, rate_constraint_gaussian(sc, q, p)) for p in pairs)
-    return RateRegion(num_users=sc.num_users, constraints=constraints)
-
-
-def point_in_region(region: RateRegion, rates) -> bool:
-    """True iff the rate vector satisfies every constraint (tolerance 1e-9)."""
-    return region.contains(rates)
+    return GaussianEvaluator.from_quantizers(sc, q).region()
 
 
 def matrix_lemma_check(a, b, c, tol: float = 1e-10) -> bool:

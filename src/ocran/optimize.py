@@ -25,9 +25,14 @@ from typing import Callable
 import numpy as np
 
 from . import _linalg as la
-from .core import RateRegion, SubsetPair, indices_of, mask_of, max_weighted_rate, spawn_seeds
+from .core import SubsetPair, indices_of, mask_of, max_weighted_rate, spawn_seeds
 from .discrete import AuxChannels, DiscreteScenario
-from .gaussian import QUANT_CAP_MARGIN, GaussianScenario, QuantizerSetGaussian
+from .gaussian import (
+    QUANT_CAP_MARGIN,
+    GaussianEvaluator,
+    GaussianScenario,
+    QuantizerSetGaussian,
+)
 
 TIE_TOL = 1e-6
 ACTIVE_TOL = 1e-9
@@ -107,15 +112,9 @@ class _GaussianObjective:
         self.sig_root_inv = [la.psd_inv_sqrt(s) for s in sc.Sigma]
         self.h_full = [sc.channel_to_users(k, range(1, sc.num_users + 1))
                        for k in range(1, sc.num_relays + 1)]
-        # user block offsets inside the full concatenated input vector
-        sizes = sc.user_antennas
-        self.block = []
-        pos = 0
-        for n in sizes:
-            self.block.append(slice(pos, pos + n))
-            pos += n
         self.full_users = tuple(range(1, sc.num_users + 1))
         self.k_full_root = la.psd_sqrt(sc.input_covariance(self.full_users))
+        self.user_terms = {}  # shared by the evaluators of every x
 
     def project(self, ws) -> list[np.ndarray]:
         return [la.clip_eigenvalues(w, 0.0, 1.0 - QUANT_CAP_MARGIN) for w in ws]
@@ -125,62 +124,31 @@ class _GaussianObjective:
         subsequent steps move the projected point directly."""
         return _pack_hermitian(self.project(_unpack_hermitian(x, self.dims)))
 
+    def _b(self, ws) -> list[np.ndarray]:
+        return [la.hermitian_part(ri @ w @ ri) for ri, w in zip(self.sig_root_inv, ws)]
+
     def quantizers(self, x: np.ndarray) -> QuantizerSetGaussian:
-        ws = self.project(_unpack_hermitian(x, self.dims))
-        bs = [la.hermitian_part(ri @ w @ ri) for ri, w in zip(self.sig_root_inv, ws)]
-        return QuantizerSetGaussian(B=tuple(bs))
+        return QuantizerSetGaussian(B=tuple(self._b(self.project(_unpack_hermitian(x, self.dims)))))
 
-    def _prepared(self, x: np.ndarray):
+    def evaluator(self, x: np.ndarray) -> GaussianEvaluator:
+        """The region evaluator of x's projection, with each fronthaul rate
+        taken from the eigenvalues of the normalized quantizer W_k."""
         ws = self.project(_unpack_hermitian(x, self.dims))
-        mi = np.empty(self.sc.num_relays)
-        gfull = []
-        for k, w in enumerate(ws):
+        mi = []
+        for w in ws:
             lam = np.clip(np.linalg.eigvalsh(w), 0.0, 1.0 - QUANT_CAP_MARGIN)
-            mi[k] = float(-np.sum(np.log2(1.0 - lam)))
-            b = la.hermitian_part(self.sig_root_inv[k] @ w @ self.sig_root_inv[k])
-            h = self.h_full[k]
-            gfull.append(la.hermitian_part(h.conj().T @ b @ h))
-        return ws, mi, gfull
-
-    def _bound(self, mi, gfull, pair: SubsetPair) -> float:
-        sc = self.sc
-        s_term = sum(sc.fronthaul[k - 1] - mi[k - 1] for k in pair.relays)
-        relays_c = pair.relays_complement(sc.num_relays)
-        if not relays_c:
-            return s_term
-        idx = np.concatenate([np.arange(b.start, b.stop) for b in
-                              (self.block[l - 1] for l in pair.users)])
-        a = sum(gfull[k - 1][np.ix_(idx, idx)] for k in relays_c)
-        if pair.users == self.full_users:
-            k_root = self.k_full_root
-        else:
-            k_root = la.psd_sqrt(self.sc.input_covariance(pair.users))
-        m = np.eye(len(idx), dtype=np.complex128) + k_root @ a @ k_root
-        return s_term + la.logdet2(m)
+            mi.append(float(-np.sum(np.log2(1.0 - lam))))
+        return GaussianEvaluator(self.sc, self._b(ws), mi, h_full=self.h_full,
+                                 user_terms=self.user_terms)
 
     def branch_values(self, x: np.ndarray) -> np.ndarray:
         """Sum-rate bound of every relay subset (index = subset bitmask)."""
-        _, mi, gfull = self._prepared(x)
-        vals = np.empty(1 << self.sc.num_relays)
-        for s_mask in range(vals.size):
-            pair = SubsetPair(users=self.full_users, relays=indices_of(s_mask))
-            vals[s_mask] = self._bound(mi, gfull, pair)
-        return vals
-
-    def region(self, x: np.ndarray) -> RateRegion:
-        from .core import enumerate_constraint_pairs
-
-        _, mi, gfull = self._prepared(x)
-        pairs = enumerate_constraint_pairs(self.sc.num_users, self.sc.num_relays)
-        return RateRegion(
-            num_users=self.sc.num_users,
-            constraints=tuple((p, self._bound(mi, gfull, p)) for p in pairs),
-        )
+        return self.evaluator(x).subset_bounds()
 
     def value(self, x: np.ndarray) -> float:
         if self.weights is None:
             return float(self.branch_values(x).min())
-        val, _ = max_weighted_rate(self.region(x), self.weights)
+        val, _ = max_weighted_rate(self.evaluator(x).region(), self.weights)
         return val
 
     def active_masks(self, x: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -189,7 +157,7 @@ class _GaussianObjective:
             vals = self.branch_values(x)
             lo = vals.min()
             return tuple((full_mask, s) for s in range(vals.size) if vals[s] <= lo + ACTIVE_TOL)
-        region = self.region(x)
+        region = self.evaluator(x).region()
         _, rates = max_weighted_rate(region, self.weights)
         out = []
         for pair, bound in region.constraints:
@@ -210,9 +178,8 @@ class _GaussianObjective:
         inside = [k for k in range(1, sc.num_relays + 1) if k not in s_set]
         m_inv = None
         if inside:
-            a = sum(self.h_full[k - 1].conj().T
-                    @ la.hermitian_part(self.sig_root_inv[k - 1] @ ws[k - 1] @ self.sig_root_inv[k - 1])
-                    @ self.h_full[k - 1] for k in inside)
+            bs = self._b(ws)
+            a = sum(self.h_full[k - 1].conj().T @ bs[k - 1] @ self.h_full[k - 1] for k in inside)
             n = a.shape[0]
             m = np.eye(n, dtype=np.complex128) + self.k_full_root @ a @ self.k_full_root
             m_inv = np.linalg.inv(m)

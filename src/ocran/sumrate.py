@@ -27,11 +27,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import indices_of
+from .core import SubsetPair, indices_of
 from .discrete import (
     AuxChannels,
+    DiscreteEvaluator,
     DiscreteScenario,
-    JointPmf,
     aux_axis,
     build_joint,
     cmi,
@@ -43,63 +43,35 @@ INVARIANT_TOL = 1e-9
 ALPHA_DENOM_TOL = 1e-12
 
 
-class _JointInfo:
-    """Cached information terms of one (scenario, aux) joint.
-
-    Each public ``(sc, aux)`` entry point builds one and hands it to the
-    private helpers, so the dense joint and its entropy cache are shared by
-    every subset bound and chain ordering of that call."""
-
-    def __init__(self, sc: DiscreteScenario, aux: AuxChannels):
-        self.sc = sc
-        self.joint: JointPmf = build_joint(sc, aux)
-        self.x_all = frozenset(user_axis(l) for l in range(1, sc.num_users + 1))
-        self.u_all = frozenset(aux_axis(k) for k in range(1, sc.num_relays + 1))
-        self.i_ux: float = cmi(self.joint, self.u_all, self.x_all, {"Q"})
-
-    def u(self, relays) -> frozenset:
-        return frozenset(aux_axis(k) for k in relays)
-
-    def y(self, relays) -> frozenset:
-        return frozenset(relay_axis(k) for k in relays)
-
-    def i_uy_given_uc(self, relays) -> float:
-        """I(U_S; Y_S | U_{S^c}, Q)."""
-        s = tuple(sorted(relays))
-        comp = tuple(k for k in range(1, self.sc.num_relays + 1) if k not in s)
-        return cmi(self.joint, self.u(s), self.y(s), self.u(comp) | {"Q"})
-
-    def g(self, r_sum: float, relays) -> float:
-        return r_sum + self.i_uy_given_uc(relays) - self.i_ux
+def _evaluator(sc: DiscreteScenario, aux: AuxChannels) -> DiscreteEvaluator:
+    """The one evaluator of a public ``(sc, aux)`` entry point, shared by
+    the private helpers below."""
+    return DiscreteEvaluator(sc, build_joint(sc, aux))
 
 
 def jd_subset_bounds(sc: DiscreteScenario, aux: AuxChannels) -> np.ndarray:
     """Per-relay-subset sum-rate bounds of joint decompression-decoding,
     indexed by subset bitmask:
-    sum_{s in S} C_s - I(Y_S;U_S|X_all,U_{S^c},Q) + I(U_{S^c};X_all|Q)."""
-    return _jd_subset_bounds(_JointInfo(sc, aux))
+    sum_{s in S} C_s - I(Y_S;U_S|X_all,U_{S^c},Q) + I(U_{S^c};X_all|Q),
+    the thm3 bound at T = all users."""
+    return _jd_subset_bounds(_evaluator(sc, aux))
 
 
-def _jd_subset_bounds(info: _JointInfo) -> np.ndarray:
-    sc, j = info.sc, info.joint
-    bounds = np.empty(1 << sc.num_relays)
+def _jd_subset_bounds(info: DiscreteEvaluator) -> np.ndarray:
+    users = tuple(range(1, info.sc.num_users + 1))
+    bounds = np.empty(1 << info.sc.num_relays)
     for s_mask in range(bounds.size):
-        s = indices_of(s_mask)
-        comp = tuple(k for k in range(1, sc.num_relays + 1) if k not in s)
-        c_sum = sum(sc.fronthaul[k - 1] for k in s)
-        leak = cmi(j, info.y(s), info.u(s), info.x_all | info.u(comp) | {"Q"})
-        recovered = cmi(j, info.u(comp), info.x_all, {"Q"})
-        bounds[s_mask] = c_sum - leak + recovered
+        bounds[s_mask] = info.bound(SubsetPair(users=users, relays=indices_of(s_mask)), "thm3")
     return bounds
 
 
 def jd_sum_rate(sc: DiscreteScenario, aux: AuxChannels) -> float:
     """Largest sum-rate allowed by the joint-decompression-decoding bounds
     (the smallest subset bound), floored at 0."""
-    return _jd_sum_rate(_JointInfo(sc, aux))
+    return _jd_sum_rate(_evaluator(sc, aux))
 
 
-def _jd_sum_rate(info: _JointInfo) -> float:
+def _jd_sum_rate(info: DiscreteEvaluator) -> float:
     return max(0.0, float(_jd_subset_bounds(info).min()))
 
 
@@ -112,7 +84,7 @@ def sd_achievable(
 
     The propositions' strict inequalities are tested non-strictly with
     tolerance ``tol`` because achievable regions are closures."""
-    info = _JointInfo(sc, aux)
+    info = _evaluator(sc, aux)
     if r_sum > info.i_ux + tol:
         return False
     for s_mask in range(1, 1 << sc.num_relays):
@@ -130,7 +102,7 @@ def g_function(
 
     With ``positive_part`` the value is floored at 0 (the form that defines
     the fronthaul polytope)."""
-    val = _JointInfo(sc, aux).g(r_sum, relays)
+    val = _evaluator(sc, aux).g(r_sum, relays)
     return max(0.0, val) if positive_part else val
 
 
@@ -144,7 +116,7 @@ def check_supermodular(
     kk = sc.num_relays
     if kk > 12:
         raise ValueError("supermodularity check is exhaustive; K <= 12 required")
-    info = _JointInfo(sc, aux)
+    info = _evaluator(sc, aux)
     gp = {}
     for mask in range(1 << kk):
         gp[mask] = max(0.0, info.g(r_sum, indices_of(mask)))
@@ -169,7 +141,7 @@ def extreme_point(
 
     The result is indexed by relay (position k-1 holds relay k's fronthaul)
     and telescopes to g+(all relays)."""
-    info = _JointInfo(sc, aux)
+    info = _evaluator(sc, aux)
     return _extreme_point(info, r_sum, _check_ordering(ordering, sc.num_relays))
 
 
@@ -180,7 +152,7 @@ def extreme_points(
     chain ordering, in lexicographic order, from one joint.
 
     ``r_sum`` defaults to the joint-decoding sum-rate."""
-    info = _JointInfo(sc, aux)
+    info = _evaluator(sc, aux)
     if r_sum is None:
         r_sum = _jd_sum_rate(info)
     return [
@@ -196,12 +168,12 @@ def _check_ordering(ordering, num_relays: int) -> tuple[int, ...]:
     return pi
 
 
-def _chain_g(info: _JointInfo, r_sum: float, pi: tuple[int, ...]) -> list[float]:
+def _chain_g(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, ...]) -> list[float]:
     """g along the prefix chain of pi: entry k is g({pi(1..k)}), entry 0 is g(empty)."""
     return [info.g(r_sum, pi[:k]) for k in range(len(pi) + 1)]
 
 
-def _extreme_point(info: _JointInfo, r_sum: float, pi: tuple[int, ...]) -> np.ndarray:
+def _extreme_point(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, ...]) -> np.ndarray:
     chain = _chain_g(info, r_sum, pi)
     out = np.zeros(len(pi))
     for k in range(1, len(pi) + 1):
@@ -224,7 +196,7 @@ def swz_required_fronthaul(
     Returns (per-relay requirements indexed by relay, successive-decoding
     sum-rate sum_l I(X_l; U_all | X_1..X_{l-1}, Q))."""
     pi = _check_ordering(ordering, sc.num_relays)
-    info = _JointInfo(sc, aux)
+    info = _evaluator(sc, aux)
     req = np.zeros(sc.num_relays)
     for k in range(1, sc.num_relays + 1):
         side = info.u(pi[: k - 1])
@@ -270,10 +242,10 @@ def swz_dominating_point(
     through the chain in reverse.
     """
     pi = _check_ordering(ordering, sc.num_relays)
-    return _swz_dominating_point(_JointInfo(sc, aux), r_sum, pi)
+    return _swz_dominating_point(_evaluator(sc, aux), r_sum, pi)
 
 
-def _swz_dominating_point(info: _JointInfo, r_sum: float, pi: tuple[int, ...]) -> OrderingResult:
+def _swz_dominating_point(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, ...]) -> OrderingResult:
     kk = info.sc.num_relays
     chain = _chain_g(info, r_sum, pi)
     c_tilde = _extreme_point(info, r_sum, pi)
@@ -310,9 +282,9 @@ def _swz_dominating_point(info: _JointInfo, r_sum: float, pi: tuple[int, ...]) -
             ordering=pi,
             extreme_point=c_tilde,
             pivot_index=pivot,
-            idle_fraction=alpha,
+            idle_fraction=float(alpha),
             scheme_fronthaul=c_prime,
-            scheme_sum_rate=r_bar,
+            scheme_sum_rate=float(r_bar),
         )
     _check_ordering_result(result, r_sum, max(0.0, chain[kk]))
     return result
@@ -353,7 +325,7 @@ def swz_equals_jd(sc: DiscreteScenario, aux: AuxChannels) -> SumRateComparison:
     ties between orderings resolve to the lexicographically smallest."""
     if sc.num_relays > 8:
         raise ValueError("all-orderings comparison is factorial; K <= 8 required")
-    info = _JointInfo(sc, aux)
+    info = _evaluator(sc, aux)
     target = _jd_sum_rate(info)
     results = []
     best = -math.inf

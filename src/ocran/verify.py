@@ -22,11 +22,10 @@ from . import _linalg as la
 from .core import CodebookEnsemble, SubsetPair, indices_of, sample_codebook_marginal, spawn_seeds
 from .discrete import AuxChannels, DiscreteScenario, region_discrete
 from .gaussian import (
+    GaussianEvaluator,
     GaussianScenario,
     QuantizerSetGaussian,
-    fronthaul_mi,
     matrix_lemma_check,
-    rate_constraint_gaussian,
     weighted_arithmetic_mean,
     weighted_harmonic_mean,
 )
@@ -280,10 +279,7 @@ def suite_mc(
             s_masks = [m for m in range(1 << num_relays) if m != (1 << num_relays) - 1]
             s_mask = int(rng.choice(s_masks))
             pair = SubsetPair(users=users, relays=indices_of(s_mask))
-            analytic = rate_constraint_gaussian(sc, q, pair) - sum(
-                sc.fronthaul[k - 1] - fronthaul_mi(sc.Sigma[k - 1], q.B[k - 1])
-                for k in pair.relays
-            )
+            analytic = GaussianEvaluator.from_quantizers(sc, q).info_term(pair)
             if analytic >= 0.7:
                 break
         est = mc_mutual_information(sc, q, pair, samples=samples, seed=seeds[i])

@@ -330,6 +330,31 @@ class TestCheckCommands:
         assert payload["within_3se"] is True
         assert payload["analytic_bits"] == pytest.approx(math.log2(1.5), abs=1e-9)
 
+    def test_mc_check_boundary_quantizer_on_charged_relay(self, tmp_path, capsys):
+        # B_1 = Sigma_1^{-1}: relay 1's fronthaul rate is infinite, but it is
+        # in S, so the information term only involves relay 2
+        doc = golden_gaussian_doc()
+        doc["relays"] = 2
+        doc["fronthaul"] = [2.0, 2.0]
+        for key in ("H", "Sigma"):
+            doc["channel"][key] = doc["channel"][key] * 2
+        scenario = write_json(tmp_path / "sc.json", doc)
+        quant = write_json(tmp_path / "q.json", {"B": [[[[1.0, 0.0]]], [[[0.5, 0.0]]]]})
+        rc = main(["mc-check", "--scenario", scenario, "--quantizers", quant,
+                   "--s-mask", "1", "--samples", "100000", "--seed", "1"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["analytic_bits"] == pytest.approx(math.log2(1.5), abs=1e-12)
+        assert payload["within_3se"] is True
+
+    @pytest.mark.parametrize("masks", [("--s-mask", "2"), ("--t-mask", "2"), ("--t-mask", "0")])
+    def test_mc_check_masks_out_of_range(self, tmp_path, capsys, masks):
+        scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
+        quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
+        rc = main(["mc-check", "--scenario", scenario, "--quantizers", quant, *masks])
+        assert rc == 2
+        assert "mask" in capsys.readouterr().err
+
     def test_codebook_check(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "sc.json", discrete_doc())
         rc = main(
@@ -393,6 +418,20 @@ class TestVerifyCommand:
         assert "class_equivalence" in captured.err
         payload = json.loads(captured.out)
         assert payload["passed"] is False
+
+
+def test_internal_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    from ocran import cli
+
+    def broken(args):
+        raise TypeError("Object of type bool is not JSON serializable")
+
+    monkeypatch.setattr(cli, "cmd_swz_check", broken)
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    assert main(["swz-check", "--scenario", scenario]) == 3
+    err = capsys.readouterr().err
+    assert "TypeError: Object of type bool is not JSON serializable" in err
+    assert "Traceback" not in err
 
 
 def test_console_entry_point(tmp_path):

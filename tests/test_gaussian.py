@@ -1,16 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from ocran.core import SubsetPair
+from ocran import gaussian
+from ocran.cli import main
+from ocran.core import SubsetPair, _complex_matrix_to_json, load_scenario, save_scenario
 from ocran.gaussian import (
+    GaussianEvaluator,
     GaussianScenario,
     QuantizerSetGaussian,
     b_from_test_channel,
     fronthaul_mi,
     matrix_lemma_check,
-    point_in_region,
     rate_constraint_gaussian,
     region_gaussian,
     weighted_arithmetic_mean,
@@ -158,15 +161,15 @@ class TestRegion:
         sc = scalar_scenario(num_relays=2)
         q = QuantizerSetGaussian(B=([[0.0]], [[0.0]]))
         region = region_gaussian(sc, q)
-        assert point_in_region(region, [0.0])
-        assert not point_in_region(region, [1e-3])
+        assert region.contains([0.0])
+        assert not region.contains([1e-3])
         assert region.sum_rate_bound() == 0.0
 
     def test_zero_fronthaul_with_positive_quantizer_is_empty(self):
         sc = scalar_scenario(fronthaul=0.0)
         q = QuantizerSetGaussian(B=([[0.5]],))
         region = region_gaussian(sc, q)
-        assert not point_in_region(region, [0.0])
+        assert not region.contains([0.0])
 
     def test_golden_boundary_matches_bisection_oracle(self):
         # oracle: equalize the two scalar constraints by bisection over b
@@ -190,8 +193,8 @@ class TestRegion:
         q = QuantizerSetGaussian(B=([[b_star]],))
         region = region_gaussian(sc, q)
         assert region.sum_rate_bound() == pytest.approx(r_star, abs=1e-9)
-        assert point_in_region(region, [r_star - 1e-9])
-        assert not point_in_region(region, [r_star + 1e-3])
+        assert region.contains([r_star - 1e-9])
+        assert not region.contains([r_star + 1e-3])
 
     def test_monotone_in_fronthaul(self):
         rng = np.random.default_rng(9)
@@ -233,6 +236,40 @@ class TestRegion:
                 assert full[(t_mask, s_mask | 0b10)] == pytest.approx(
                     bound + sc.fronthaul[1], abs=1e-10
                 )
+
+    def test_one_bound_for_every_caller(self, tmp_path, capsys):
+        rng = np.random.default_rng(22)
+        sc = random_gaussian_scenario(rng, 2, 3)
+        q = random_quantizers(rng, sc)
+        path = tmp_path / "sc.json"
+        save_scenario(sc, path)
+        quant = tmp_path / "q.json"
+        quant.write_text(json.dumps({"B": [_complex_matrix_to_json(b) for b in q.B]}))
+        sc = load_scenario(path)
+        region = region_gaussian(sc, q)
+        for pair, bound in region.constraints:
+            assert rate_constraint_gaussian(sc, q, pair) == bound
+        rows = [b for p, b in region.constraints if p.t_mask == 0b11]
+        assert list(GaussianEvaluator.from_quantizers(sc, q).subset_bounds()) == rows
+        assert main(["sumrate", "--scenario", str(path), "--quantizers", str(quant)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["bound_bits"] for r in payload["subset_bounds"]] == rows
+        assert payload["sum_rate_bits"] == region.sum_rate_bound()
+
+    def test_region_prepares_each_relay_once(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        sc = random_gaussian_scenario(rng, 2, 3)
+        q = random_quantizers(rng, sc)
+        calls = []
+        original = gaussian.fronthaul_mi
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "fronthaul_mi", counting)
+        region_gaussian(sc, q)
+        assert len(calls) == sc.num_relays
 
     def test_quantizer_validation(self):
         sc = scalar_scenario()

@@ -431,3 +431,24 @@ class TestSharedEvaluator:
             np.testing.assert_array_equal(res.scheme_fronthaul, alone.scheme_fronthaul)
             assert (res.ordering, res.pivot_index, res.idle_fraction, res.scheme_sum_rate) == (
                 alone.ordering, alone.pivot_index, alone.idle_fraction, alone.scheme_sum_rate)
+
+    def test_results_are_python_floats(self):
+        sc, aux = self.instance()
+        cmp_res = swz_equals_jd(sc, aux)
+        assert any(0.0 < res.idle_fraction < 1.0 for res in cmp_res.results)
+        assert type(cmp_res.best_sum_rate) is float
+        for res in cmp_res.results:
+            alone = swz_dominating_point(sc, aux, cmp_res.jd_sum_rate, res.ordering)
+            for value in (res.idle_fraction, res.scheme_sum_rate,
+                          alone.idle_fraction, alone.scheme_sum_rate):
+                assert type(value) is float
+
+    def test_subset_bounds_are_the_thm3_rows_at_all_users(self):
+        rng = np.random.default_rng(33)
+        for make in (random_factorizing_scenario, random_correlated_scenario):
+            sc = make(rng, 2, 3)
+            aux = random_aux(rng, sc)
+            bounds = jd_subset_bounds(sc, aux)
+            rows = {p.s_mask: b for p, b in region_discrete(sc, aux, "thm3").constraints
+                    if p.t_mask == 0b11}
+            assert [bounds[s] for s in range(8)] == [rows[s] for s in range(8)]
