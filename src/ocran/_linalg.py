@@ -40,10 +40,6 @@ def min_eig(m) -> float:
     return float(np.linalg.eigvalsh(hermitian_part(m)).min()) if np.asarray(m).size else 0.0
 
 
-def is_psd(m, tol: float = HERM_TOL) -> bool:
-    return min_eig(m) >= -tol
-
-
 def require_pd(m, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
     a = require_hermitian(m, name=name)
     lo = min_eig(a)

@@ -89,9 +89,6 @@ class SubsetPair:
     def s_mask(self) -> int:
         return mask_of(self.relays)
 
-    def users_complement(self, num_users: int) -> tuple[int, ...]:
-        return tuple(l for l in range(1, num_users + 1) if l not in self.users)
-
     def relays_complement(self, num_relays: int) -> tuple[int, ...]:
         return tuple(k for k in range(1, num_relays + 1) if k not in self.relays)
 

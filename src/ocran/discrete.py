@@ -230,12 +230,6 @@ class JointPmf:
         self.axes = tuple(axes)
         self._entropy_cache: dict[frozenset, float] = {}
 
-    def axis_index(self, label: str) -> int:
-        try:
-            return self.axes.index(label)
-        except ValueError:
-            raise KeyError(f"no axis labeled {label!r}") from None
-
     def marginal(self, labels) -> np.ndarray:
         keep = set(labels)
         unknown = keep - set(self.axes)

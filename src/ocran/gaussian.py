@@ -213,6 +213,12 @@ def fronthaul_mi(sigma, b) -> float:
     lam = np.clip(lam, 0.0, None)
     if lam.max() > 1.0 - 1e-12:
         return math.inf
+    return fronthaul_bits(lam)
+
+
+def fronthaul_bits(lam) -> float:
+    """-log2 det(I - W) from the eigenvalues lam < 1 of a normalized quantizer
+    W = Sigma^{1/2} B Sigma^{1/2} (a zero rate is +0.0, never -0.0)."""
     return float(-np.sum(np.log2(1.0 - lam))) + 0.0
 
 
@@ -271,19 +277,35 @@ class GaussianEvaluator:
         m = np.eye(len(idx), dtype=np.complex128) + k_root @ a @ k_root
         return la.logdet2(m)
 
-    def bound(self, pair: SubsetPair) -> float:
-        """One constraint bound, in bits (-inf when a relay in S has an
+    def _charged(self, relays) -> float:
+        """sum_{k in S} [C_k - fronthaul_mi_k] (-inf when a relay in S has an
         infinite fronthaul rate)."""
-        s_term = sum(self.sc.fronthaul[k - 1] - self.mi[k - 1] for k in pair.relays)
-        return s_term + self.info_term(pair)
+        return sum(self.sc.fronthaul[k - 1] - self.mi[k - 1] for k in relays)
+
+    def bound(self, pair: SubsetPair) -> float:
+        """One constraint bound, in bits."""
+        return self._charged(pair.relays) + self.info_term(pair)
 
     def subset_bounds(self) -> np.ndarray:
         """Sum-rate bound (T = all users) of every relay subset, indexed by
-        subset bitmask."""
-        vals = np.empty(1 << self.sc.num_relays)
-        for s_mask in range(vals.size):
-            vals[s_mask] = self.bound(SubsetPair(users=self.full_users, relays=indices_of(s_mask)))
-        return vals
+        subset bitmask.  The same arithmetic as ``bound`` per subset, with the
+        log-dets of all I + K^{1/2} A_S K^{1/2} taken by one stacked Cholesky;
+        if that fails, each goes through ``logdet2`` and its fallback."""
+        num = self.sc.num_relays
+        _, k_root = self._users(self.full_users)
+        eye = np.eye(k_root.shape[0], dtype=np.complex128)
+        m = []
+        for s_mask in range((1 << num) - 1):  # the full S leaves no log-det
+            a = sum(self.gfull[k - 1] for k in range(1, num + 1) if not s_mask >> (k - 1) & 1)
+            m.append(eye + k_root @ a @ k_root)
+        m = np.stack(m)
+        try:
+            chol = np.linalg.cholesky(0.5 * (m + m.conj().transpose(0, 2, 1)))
+            info = 2.0 * np.sum(np.log2(np.real(np.diagonal(chol, axis1=1, axis2=2))), axis=1)
+        except np.linalg.LinAlgError:
+            info = [la.logdet2(mi) for mi in m]
+        info = np.append(info, 0.0)
+        return np.array([self._charged(indices_of(s)) + float(info[s]) for s in range(1 << num)])
 
     def region(self) -> RateRegion:
         """Every (T, S) bound; negative bounds are kept as-is."""

@@ -17,10 +17,11 @@ Global optimality is not claimed.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .gaussian import (
     GaussianEvaluator,
     GaussianScenario,
     QuantizerSetGaussian,
+    fronthaul_bits,
 )
 
 TIE_TOL = 1e-6
@@ -68,40 +70,86 @@ class OptimizerConfig:
 # ---------------------------------------------------------------------------
 
 
+class _Layout(NamedTuple):
+    """Index arrays of the packed parameterization of Hermitian blocks of
+    given dimensions, stored row-major one after another in a flat vector."""
+
+    diag: np.ndarray  # flat positions of the diagonal entries
+    upper: np.ndarray  # flat positions of the upper-triangle entries, row by row
+    lower: np.ndarray  # flat positions of their mirror images
+    diag_src: np.ndarray  # packed coordinates of the diagonal entries
+    re_src: np.ndarray  # packed coordinates of Re of the upper entries
+    im_src: np.ndarray  # packed coordinates of Im of the upper entries
+    take: np.ndarray  # place of each packed coordinate in the flat vector as floats
+    scale: np.ndarray  # packed gradient factors: 1 on the diagonal, 2 off it
+    bounds: tuple[tuple[int, int], ...]  # each block's slice of the flat vector
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(dims: tuple[int, ...]) -> _Layout:
+    diag, upper, lower, on_diag, bounds = [], [], [], [], []
+    base = 0
+    for d in dims:
+        rows, cols = np.triu_indices(d, 1)
+        diag.append(base + np.arange(d) * (d + 1))
+        upper.append(base + rows * d + cols)
+        lower.append(base + cols * d + rows)
+        on_diag += [True] * d + [False] * (2 * rows.size)
+        bounds.append((base, base + d * d))
+        base += d * d
+    diag, upper, lower = (np.concatenate(v) for v in (diag, upper, lower))
+    on_diag = np.array(on_diag)
+    diag_src, off = np.flatnonzero(on_diag), np.flatnonzero(~on_diag)
+    take = np.empty(on_diag.size, dtype=np.intp)
+    take[diag_src], take[off[0::2]], take[off[1::2]] = 2 * diag, 2 * upper, 2 * upper + 1
+    layout = _Layout(diag, upper, lower, diag_src, off[0::2], off[1::2], take,
+                     np.where(on_diag, 1.0, 2.0), tuple(bounds))
+    for arr in layout[:-1]:
+        arr.setflags(write=False)  # shared by every caller through the cache
+    return layout
+
+
 def _pack_hermitian(mats) -> np.ndarray:
-    out = []
-    for m in mats:
-        d = m.shape[0]
-        out.extend(np.real(np.diag(m)))
-        for i in range(d):
-            for j in range(i + 1, d):
-                out.append(float(np.real(m[i, j])))
-                out.append(float(np.imag(m[i, j])))
-    return np.asarray(out, dtype=float)
+    """Diagonal real parts, then (re, im) of each upper-triangle entry row by
+    row, per matrix."""
+    lay = _layout(tuple(m.shape[0] for m in mats))
+    flat = np.concatenate([np.ravel(m) for m in mats], dtype=np.complex128)
+    return flat.view(np.float64)[lay.take]
 
 
 def _unpack_hermitian(x: np.ndarray, dims) -> list[np.ndarray]:
-    mats = []
-    pos = 0
-    for d in dims:
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[np.diag_indices(d)] = x[pos : pos + d]
-        pos += d
-        for i in range(d):
-            for j in range(i + 1, d):
-                m[i, j] = x[pos] + 1j * x[pos + 1]
-                m[j, i] = x[pos] - 1j * x[pos + 1]
-                pos += 2
-        mats.append(m)
-    return mats
+    lay = _layout(tuple(dims))
+    flat = np.zeros(lay.bounds[-1][1], dtype=np.complex128)
+    flat[lay.diag] = x[lay.diag_src]
+    re, im = x[lay.re_src], x[lay.im_src]
+    flat[lay.upper] = re + 1j * im
+    flat[lay.lower] = re - 1j * im
+    return [flat[a:b].reshape(d, d) for (a, b), d in zip(lay.bounds, dims)]
 
 
 def _param_count(dims) -> int:
     return sum(d * d for d in dims)
 
 
+class _Point:
+    """One packed point x, evaluated once.  ``ws`` are the projected
+    normalized quantizers; ``bs``, ``evaluator`` and the subset branch values
+    ``vals`` are filled on first use.  Each restart makes its own points."""
+
+    __slots__ = ("x", "ws", "bs", "evaluator", "vals")
+
+    def __init__(self, x: np.ndarray, ws: list[np.ndarray]):
+        self.x = x
+        self.ws = ws
+        self.bs = self.evaluator = self.vals = None
+
+
 class _GaussianObjective:
-    """Sum-rate (or weighted-rate) objective over packed normalized quantizers."""
+    """Sum-rate (or weighted-rate) objective over packed normalized quantizers.
+
+    Every method takes packed parameters x or a point from ``at(x)``; loops
+    that ask several questions about one x pass the point, so x is projected
+    and evaluated once."""
 
     def __init__(self, sc: GaussianScenario, weights=None):
         self.sc = sc
@@ -119,39 +167,49 @@ class _GaussianObjective:
     def project(self, ws) -> list[np.ndarray]:
         return [la.clip_eigenvalues(w, 0.0, 1.0 - QUANT_CAP_MARGIN) for w in ws]
 
-    def repack(self, x: np.ndarray) -> np.ndarray:
+    def at(self, x) -> _Point:
+        """The point x with its projection; a point is returned as is."""
+        if isinstance(x, _Point):
+            return x
+        return _Point(x, self.project(_unpack_hermitian(x, self.dims)))
+
+    def repack(self, x) -> np.ndarray:
         """Replace x by the packed coordinates of its feasible projection, so
         subsequent steps move the projected point directly."""
-        return _pack_hermitian(self.project(_unpack_hermitian(x, self.dims)))
+        return _pack_hermitian(self.at(x).ws)
 
     def _b(self, ws) -> list[np.ndarray]:
         return [la.hermitian_part(ri @ w @ ri) for ri, w in zip(self.sig_root_inv, ws)]
 
-    def quantizers(self, x: np.ndarray) -> QuantizerSetGaussian:
-        return QuantizerSetGaussian(B=tuple(self._b(self.project(_unpack_hermitian(x, self.dims)))))
+    def quantizers(self, x) -> QuantizerSetGaussian:
+        return QuantizerSetGaussian(B=tuple(self._b(self.at(x).ws)))
 
-    def evaluator(self, x: np.ndarray) -> GaussianEvaluator:
+    def evaluator(self, x) -> GaussianEvaluator:
         """The region evaluator of x's projection, with each fronthaul rate
         taken from the eigenvalues of the normalized quantizer W_k."""
-        ws = self.project(_unpack_hermitian(x, self.dims))
-        mi = []
-        for w in ws:
-            lam = np.clip(np.linalg.eigvalsh(w), 0.0, 1.0 - QUANT_CAP_MARGIN)
-            mi.append(float(-np.sum(np.log2(1.0 - lam))))
-        return GaussianEvaluator(self.sc, self._b(ws), mi, h_full=self.h_full,
-                                 user_terms=self.user_terms)
+        p = self.at(x)
+        if p.evaluator is None:
+            mi = [fronthaul_bits(np.clip(np.linalg.eigvalsh(w), 0.0, 1.0 - QUANT_CAP_MARGIN))
+                  for w in p.ws]
+            p.bs = self._b(p.ws)
+            p.evaluator = GaussianEvaluator(self.sc, p.bs, mi, h_full=self.h_full,
+                                            user_terms=self.user_terms)
+        return p.evaluator
 
-    def branch_values(self, x: np.ndarray) -> np.ndarray:
+    def branch_values(self, x) -> np.ndarray:
         """Sum-rate bound of every relay subset (index = subset bitmask)."""
-        return self.evaluator(x).subset_bounds()
+        p = self.at(x)
+        if p.vals is None:
+            p.vals = self.evaluator(p).subset_bounds()
+        return p.vals
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x) -> float:
         if self.weights is None:
             return float(self.branch_values(x).min())
         val, _ = max_weighted_rate(self.evaluator(x).region(), self.weights)
         return val
 
-    def active_masks(self, x: np.ndarray) -> tuple[tuple[int, int], ...]:
+    def active_masks(self, x) -> tuple[tuple[int, int], ...]:
         full_mask = mask_of(self.full_users)
         if self.weights is None:
             vals = self.branch_values(x)
@@ -165,20 +223,21 @@ class _GaussianObjective:
                 out.append((pair.t_mask, pair.s_mask))
         return tuple(out)
 
-    def tie_gap(self, x: np.ndarray) -> float:
+    def tie_gap(self, x) -> float:
         """Gap between the two smallest subset branches."""
         vals = np.sort(self.branch_values(x))
         return float(vals[1] - vals[0]) if vals.size > 1 else math.inf
 
-    def _branch_gradient(self, x: np.ndarray, s_mask: int) -> np.ndarray:
-        ws = self.project(_unpack_hermitian(x, self.dims))
+    def _branch_gradient(self, x, s_mask: int) -> np.ndarray:
+        p = self.at(x)
+        self.evaluator(p)  # fills p.bs
+        ws, bs = p.ws, p.bs
         s_set = set(indices_of(s_mask))
         grads = []
         sc = self.sc
         inside = [k for k in range(1, sc.num_relays + 1) if k not in s_set]
         m_inv = None
         if inside:
-            bs = self._b(ws)
             a = sum(self.h_full[k - 1].conj().T @ bs[k - 1] @ self.h_full[k - 1] for k in inside)
             n = a.shape[0]
             m = np.eye(n, dtype=np.complex128) + self.k_full_root @ a @ self.k_full_root
@@ -193,7 +252,7 @@ class _GaussianObjective:
             grads.append(la.hermitian_part(g))
         return _pack_gradient(grads)
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
+    def gradient(self, x) -> np.ndarray:
         """Gradient of the active branch (smallest-bitmask argmin) of the
         sum-rate objective with respect to the packed parameters.
 
@@ -202,33 +261,39 @@ class _GaussianObjective:
         returned branch gradient is one-sided."""
         if self.weights is not None:
             raise ValueError("analytic gradient is only defined for the sum-rate objective")
-        vals = self.branch_values(x)
+        p = self.at(x)
+        vals = self.branch_values(p)
         active = int(np.flatnonzero(vals <= vals.min() + IMPROVE_TOL)[0])
-        return self._branch_gradient(x, active)
+        return self._branch_gradient(p, active)
 
-    def ascent_direction(self, x: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
+    def ascent_direction(self, x, tie_tol: float = 1e-9) -> np.ndarray:
         """Subgradient-style ascent direction: the single active branch's
         gradient away from ties, the minimum-norm convex combination of the
         active branches' gradients at a tie (ties resolved smallest mask
         first, so the direction is deterministic)."""
-        vals = self.branch_values(x)
+        p = self.at(x)
+        vals = self.branch_values(p)
         lo = float(vals.min())
         active = [s for s in range(vals.size) if vals[s] <= lo + tie_tol]
         if len(active) < 2 and math.isinf(tie_tol) and vals.size > 1:
             active = list(np.argsort(vals, kind="stable")[:2])
-        grads = [self._branch_gradient(x, int(s)) for s in active[:4]]
+        grads = [self._branch_gradient(p, int(s)) for s in active[:4]]
         return _min_norm_combination(grads)
 
-    def softmin(self, x: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
+    def softmin(self, x, tau: float, gradient: bool = True) -> tuple[float, np.ndarray | None]:
         """Smooth lower envelope -tau log2 sum_S 2^{-v_S/tau} of the subset
-        branches and its gradient (a concave surrogate of the hard min)."""
-        vals = self.branch_values(x)
+        branches and its gradient (a concave surrogate of the hard min); with
+        ``gradient=False`` the value alone, and None."""
+        p = self.at(x)
+        vals = self.branch_values(p)
         lo = float(vals.min())
         scaled = np.exp(-(vals - lo) * la.LN2 / tau)
-        weights = scaled / scaled.sum()
         value = lo - tau * math.log2(float(scaled.sum()))
+        if not gradient:
+            return value, None
+        weights = scaled / scaled.sum()
         grad = sum(
-            w * self._branch_gradient(x, int(s))
+            w * self._branch_gradient(p, int(s))
             for s, w in enumerate(weights)
             if w > 1e-12
         )
@@ -253,15 +318,7 @@ def _pack_gradient(mats) -> np.ndarray:
     """Gradient w.r.t. the packed coordinates of a Hermitian parameterization:
     diagonal entries map to Re G_ii, off-diagonal (re, im) pairs to
     (2 Re G_ij, 2 Im G_ij)."""
-    out = []
-    for g in mats:
-        d = g.shape[0]
-        out.extend(np.real(np.diag(g)))
-        for i in range(d):
-            for j in range(i + 1, d):
-                out.append(2.0 * float(np.real(g[i, j])))
-                out.append(2.0 * float(np.imag(g[i, j])))
-    return np.asarray(out, dtype=float)
+    return _pack_hermitian(mats) * _layout(tuple(g.shape[0] for g in mats)).scale
 
 
 def sum_rate_field(sc: GaussianScenario) -> "ScalarField":
@@ -325,28 +382,28 @@ def _coordinate_search(value: Callable, x0: np.ndarray, cfg: OptimizerConfig, gr
 
 
 def _projected_gradient_search(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfig):
-    x = obj.repack(x0)
-    best = obj.value(x)
+    p = obj.at(obj.repack(x0))
+    best = obj.value(p)
     trace = [best]
     step = 0.5
     converged = False
     for _ in range(cfg.max_iters):
-        x = obj.repack(x)
+        p = obj.at(obj.repack(p))
         moved = False
         # near a kink the strictly-active set may be a single branch whose
         # gradient points across the tie; fall back to the two-branch
         # min-norm direction before giving up
         for tie_tol in (1e-9, math.inf):
-            g = obj.ascent_direction(x, tie_tol)
+            g = obj.ascent_direction(p, tie_tol)
             norm = float(np.linalg.norm(g))
             if norm < 1e-14:
                 continue
             local = step
             while local >= cfg.step_tol:
-                trial = x + local * g / norm
+                trial = obj.at(p.x + local * g / norm)
                 v = obj.value(trial)
                 if v > best + IMPROVE_TOL:
-                    x, best = trial, v
+                    p, best = trial, v
                     trace.append(best)
                     moved = True
                     step = min(0.5, local * 2.0)
@@ -357,7 +414,7 @@ def _projected_gradient_search(obj: _GaussianObjective, x0: np.ndarray, cfg: Opt
         if not moved:
             converged = True
             break
-    return x, best, trace, converged
+    return p.x, best, trace, converged
 
 
 def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfig):
@@ -366,33 +423,35 @@ def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfi
     The hard min is kinked exactly where its maximizers live, and subgradient
     steps can stall at kinks that touch the PSD boundary; the surrogate stays
     smooth there.  Only true-objective improvements are accepted into the
-    returned point/trace, so the published trace stays monotone."""
-    x = obj.repack(x0)
-    best_x, best = x.copy(), obj.value(x)
+    returned point/trace, so the published trace stays monotone.  Line-search
+    trials take the surrogate's value alone, and an accepted trial's branch
+    values give its true objective."""
+    p = obj.at(obj.repack(x0))
+    best_x, best = p.x.copy(), obj.value(p)
     trace = []
     for tau in (0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4):
         step = 0.1
         for _ in range(cfg.max_iters):
-            x = obj.repack(x)
-            val, g = obj.softmin(x, tau)
+            p = obj.at(obj.repack(p))
+            val, g = obj.softmin(p, tau)
             norm = float(np.linalg.norm(g))
             if norm < 1e-14:
                 break
             moved = False
             while step >= cfg.step_tol:
-                trial = obj.repack(x + step * g / norm)
-                v2, _ = obj.softmin(trial, tau)
+                trial = obj.at(obj.repack(p.x + step * g / norm))
+                v2, _ = obj.softmin(trial, tau, gradient=False)
                 if v2 > val + IMPROVE_TOL:
-                    x = trial
+                    p = trial
                     moved = True
                     step = min(0.25, step * 2.0)
                     break
                 step *= 0.5
             if not moved:
                 break
-            true_val = obj.value(x)
+            true_val = obj.value(p)
             if true_val > best + IMPROVE_TOL:
-                best_x, best = x.copy(), true_val
+                best_x, best = p.x.copy(), true_val
                 trace.append(best)
     return best_x, best, trace
 
@@ -449,12 +508,13 @@ def optimize_gaussian_quantizers(sc: GaussianScenario, cfg: OptimizerConfig) -> 
 
     best_idx = max(range(cfg.restarts), key=lambda i: (outcomes[i][1], -i))
     x, value, trace, converged = outcomes[best_idx]
+    p = obj.at(x)
     return GaussianOptResult(
-        quantizers=obj.quantizers(x),
+        quantizers=obj.quantizers(p),
         objective=value,
         converged=converged,
         trace=tuple(trace),
-        active=obj.active_masks(x),
+        active=obj.active_masks(p),
     )
 
 

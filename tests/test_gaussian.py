@@ -6,12 +6,19 @@ import pytest
 
 from ocran import gaussian
 from ocran.cli import main
-from ocran.core import SubsetPair, _complex_matrix_to_json, load_scenario, save_scenario
+from ocran.core import (
+    SubsetPair,
+    _complex_matrix_to_json,
+    indices_of,
+    load_scenario,
+    save_scenario,
+)
 from ocran.gaussian import (
     GaussianEvaluator,
     GaussianScenario,
     QuantizerSetGaussian,
     b_from_test_channel,
+    fronthaul_bits,
     fronthaul_mi,
     matrix_lemma_check,
     rate_constraint_gaussian,
@@ -56,6 +63,10 @@ class TestFronthaulMi:
     def test_rejects_negative_quantizer(self):
         with pytest.raises(ValueError):
             fronthaul_mi([[1.0]], [[-0.5]])
+
+    def test_rate_from_eigenvalues_is_never_negative_zero(self):
+        assert math.copysign(1.0, fronthaul_bits(np.zeros(2))) == 1.0
+        assert fronthaul_bits(np.array([0.5, 0.75])) == fronthaul_mi(np.eye(2), np.diag([0.5, 0.75]))
 
     def test_test_channel_consistency(self):
         # for B = (Sigma+Q)^{-1} the description rate must equal
@@ -255,6 +266,42 @@ class TestRegion:
         payload = json.loads(capsys.readouterr().out)
         assert [r["bound_bits"] for r in payload["subset_bounds"]] == rows
         assert payload["sum_rate_bits"] == region.sum_rate_bound()
+
+    def test_subset_bounds_equal_per_pair_bounds(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        cases = []
+        for _ in range(30):
+            sc = random_gaussian_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+            cases.append((sc, random_quantizers(rng, sc)))
+        sc = random_gaussian_scenario(rng, 2, 3)
+        cases.append((sc, QuantizerSetGaussian(B=tuple(np.zeros_like(s) for s in sc.Sigma))))
+        b = list(random_quantizers(rng, sc).B)
+        b[1] = np.linalg.inv(sc.Sigma[1])  # boundary quantizer on relay 2
+        boundary = (sc, QuantizerSetGaussian(B=tuple(b)))
+        cases.append(boundary)
+
+        def per_pair(ev):
+            return [ev.bound(SubsetPair(users=ev.full_users, relays=indices_of(s)))
+                    for s in range(1 << ev.sc.num_relays)]
+
+        for sc, q in cases:
+            ev = GaussianEvaluator.from_quantizers(sc, q)
+            assert list(ev.subset_bounds()) == per_pair(ev)
+        vals = GaussianEvaluator.from_quantizers(*boundary).subset_bounds()
+        assert all((vals[s] == -math.inf) == bool(s & 0b10) for s in range(vals.size))
+
+        # a failed stacked factorization falls back to logdet2 per matrix
+        cholesky = np.linalg.cholesky
+
+        def no_stacks(a):
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("stacked")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_stacks)
+        for sc, q in cases:
+            ev = GaussianEvaluator.from_quantizers(sc, q)
+            assert list(ev.subset_bounds()) == per_pair(ev)
 
     def test_region_prepares_each_relay_once(self, monkeypatch):
         rng = np.random.default_rng(23)

@@ -1,15 +1,25 @@
+import importlib.util
+import json
 import math
+import pathlib
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from ocran import _linalg as la
+from ocran.cli import main
 from ocran.core import SubsetPair
 from ocran.discrete import AuxChannels, DiscreteScenario, build_joint, cmi, identity_aux
 from ocran.gaussian import GaussianScenario, QuantizerSetGaussian, rate_constraint_gaussian
 from ocran.optimize import (
     OptimizerConfig,
     ScalarField,
+    _GaussianObjective,
+    _pack_gradient,
+    _pack_hermitian,
+    _unpack_hermitian,
     finite_diff_check,
     mc_mutual_information,
     optimize_discrete_aux,
@@ -113,6 +123,40 @@ class TestGaussianOptimizer:
         assert one.objective == many.objective
         assert one.trace == many.trace
 
+    def test_threads_give_identical_cli_output(self, tmp_path, monkeypatch):
+        # restarts run in a thread pool: no per-point state may leak between them
+        path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "instances.py"
+        spec = importlib.util.spec_from_file_location("bench_instances", path)
+        instances = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, instances)  # for its dataclasses
+        spec.loader.exec_module(instances)
+        scenario = tmp_path / "sc.json"
+        inst = instances.optimize_instance(instances.instance_rng(1, 4, 0))
+        scenario.write_text(json.dumps(inst.scenario))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"opt-{threads}.json"
+            argv = ["optimize", "--scenario", str(scenario), "--restarts", "2", "--iters", "10",
+                    "--seed", "1", "--threads", threads, "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_call_count_guard(self, monkeypatch):
+        # before each point was evaluated once, this run made 12,789
+        # clip_eigenvalues calls
+        calls = []
+        original = la.clip_eigenvalues
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(la, "clip_eigenvalues", counting)
+        sc = random_gaussian_scenario(np.random.default_rng(31), 2, 3)
+        optimize_gaussian_quantizers(sc, OptimizerConfig(restarts=2, max_iters=10, seed=1))
+        assert 0 < len(calls) <= 12_789 // 2
+
     def test_weighted_objective_runs(self):
         sc = GaussianScenario(
             num_users=2,
@@ -158,6 +202,39 @@ class TestGaussianOptimizer:
             warnings.warn(f"commutation residual {residual:.2e} above 1e-6 (observation)")
         res.quantizers.validate(sc)
         assert res.objective > 0.0
+
+
+class TestObjective:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_packing_round_trip(self, d):
+        rng = np.random.default_rng(d)
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        w = z + z.conj().T
+        assert np.array_equal(_unpack_hermitian(_pack_hermitian([w, w]), (d, d))[1], w)
+        loop = []
+        for i in range(d):
+            loop.append(w[i, i].real)
+        for i in range(d):
+            for j in range(i + 1, d):
+                loop += [2.0 * w[i, j].real, 2.0 * w[i, j].imag]
+        assert _pack_gradient([w]).tolist() == loop
+
+    def test_softmin_value_only_and_gradient(self):
+        rng = np.random.default_rng(12)
+        sc = random_gaussian_scenario(rng, 2, 3)
+        obj = _GaussianObjective(sc)
+        x = obj.repack(_pack_hermitian(
+            [0.4 * np.eye(d) for d in sc.relay_antennas]) + 0.05 * rng.normal(
+                size=sum(d * d for d in sc.relay_antennas)))
+        for tau in (0.1, 0.01):
+            value, grad = obj.softmin(x, tau)
+            assert obj.softmin(x, tau, gradient=False) == (value, None)
+            vals = obj.branch_values(x)
+            scaled = np.exp(-(vals - vals.min()) * la.LN2 / tau)
+            weights = scaled / scaled.sum()
+            expected = sum(w * obj._branch_gradient(x, s)
+                           for s, w in enumerate(weights) if w > 1e-12)
+            np.testing.assert_array_equal(grad, expected)
 
 
 class TestDiscreteOptimizer:
