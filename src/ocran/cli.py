@@ -265,7 +265,6 @@ def cmd_optimize(args) -> int:
         restarts=args.restarts,
         max_iters=args.iters,
         seed=args.seed,
-        threads=args.threads,
     )
     if isinstance(sc, GaussianScenario):
         res = optimize_gaussian_quantizers(sc, cfg)
@@ -413,7 +412,6 @@ def cmd_verify(args) -> int:
     reports = run_suites(
         names,
         seed=args.seed,
-        threads=args.threads,
         instances=args.instances,
         inject_fault=args.inject_fault,
     )
@@ -451,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=scenario_required, help="scenario JSON path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (manifest lands next to it)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, choices=(1,), default=1,
+                       help="accepted for existing command lines; ocran runs on one thread")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("region", help="evaluate every (T, S) constraint bound")

@@ -41,6 +41,13 @@ class CapacityError(ValueError):
     """A request exceeds the size guards of this desk-scale implementation."""
 
 
+def check_finite(values, name: str) -> None:
+    """Reject NaN and +-inf in numeric input.  Every later range check compares
+    against numbers, and a comparison with NaN is always false."""
+    if not np.isfinite(values).all():
+        raise ScenarioError(f"{name} must be finite (no NaN or infinity)")
+
+
 def mask_of(indices: Iterable[int]) -> int:
     """Bitmask of a set of 1-based indices (index 1 -> LSB)."""
     m = 0
@@ -209,9 +216,11 @@ class Scenario:
         fh = tuple(float(c) for c in self.fronthaul)
         if len(fh) != self.num_relays:
             raise ScenarioError(f"fronthaul must have {self.num_relays} entries")
+        check_finite(fh, "fronthaul")
         if any(c < 0 for c in fh):
             raise ScenarioError("fronthaul capacities must be nonnegative")
         ts = tuple(float(p) for p in self.time_share)
+        check_finite(ts, "time_share")
         if len(ts) < 1 or any(p < 0 for p in ts):
             raise ScenarioError("time_share must be a nonempty pmf")
         if abs(sum(ts) - 1.0) > PMF_TOL:

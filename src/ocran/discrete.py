@@ -36,6 +36,7 @@ from .core import (
     Scenario,
     ScenarioError,
     SubsetPair,
+    check_finite,
     enumerate_constraint_pairs,
 )
 
@@ -72,6 +73,7 @@ class DiscreteScenario(Scenario):
             t = np.array(t, dtype=float, order="C")
             if t.ndim != 2 or t.shape[0] != self.num_timeshare or t.shape[1] < 1:
                 raise ScenarioError(f"px[{l}] must have shape (|Q|, |X_{l}|)")
+            check_finite(t, f"px[{l}]")
             _check_pmf_axis(t, -1, f"px[{l}]")
             t.setflags(write=False)
             tables.append(t)
@@ -85,6 +87,7 @@ class DiscreteScenario(Scenario):
         y_total = ch[(0,) * self.num_users].size
         if self.num_timeshare * int(np.prod(x_sizes)) * y_total > MAX_JOINT_ENTRIES:
             raise CapacityError("scenario tensor exceeds the dense-size guard")
+        check_finite(ch, "channel")
         flat = ch.reshape(int(np.prod(x_sizes)), y_total)
         if np.any(flat < 0) or np.max(np.abs(flat.sum(axis=1) - 1.0)) > PMF_TOL:
             raise ScenarioError("channel tensor rows p(.|x) must be pmfs")
@@ -154,6 +157,7 @@ class AuxChannels:
             t = np.array(t, dtype=float, order="C")
             if t.ndim != 3 or t.shape[2] < 1:
                 raise ValueError(f"aux[{k}] must have shape (|Q|, |Y_{k}|, |U_{k}|)")
+            check_finite(t, f"aux[{k}]")
             _check_pmf_axis(t, -1, f"aux[{k}]")
             t.setflags(write=False)
             fixed.append(t)

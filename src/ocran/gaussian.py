@@ -32,6 +32,7 @@ from .core import (
     SubsetPair,
     _complex_matrix_from_json,
     _complex_matrix_to_json,
+    check_finite,
     enumerate_constraint_pairs,
     indices_of,
 )
@@ -69,19 +70,23 @@ class GaussianScenario(Scenario):
         if len(self.H) != self.num_relays or any(len(row) != self.num_users for row in self.H):
             raise ScenarioError("H must be a K x L grid of matrices")
 
+        power = tuple(float(p) for p in self.power)
+        check_finite(power, "power")
         sigma = []
         for k, s in enumerate(self.Sigma, start=1):
             s = la.require_hermitian(s, name=f"Sigma[{k}]")
+            check_finite(s, f"Sigma[{k}]")
             if la.min_eig(s) <= 1e-12:
                 raise ScenarioError(f"Sigma[{k}] is not positive definite")
             s.setflags(write=False)
             sigma.append(s)
         kin = []
-        for l, (m, p) in enumerate(zip(self.Kin, self.power), start=1):
+        for l, (m, p) in enumerate(zip(self.Kin, power), start=1):
             m = la.require_hermitian(m, name=f"Kin[{l}]")
+            check_finite(m, f"Kin[{l}]")
             if la.min_eig(m) < -la.HERM_TOL:
                 raise ScenarioError(f"Kin[{l}] is not positive semidefinite")
-            if float(np.real(np.trace(m))) > float(p) + 1e-9:
+            if float(np.real(np.trace(m))) > p + 1e-9:
                 raise ScenarioError(f"Kin[{l}] violates the power budget power[{l}]")
             m.setflags(write=False)
             kin.append(m)
@@ -90,6 +95,7 @@ class GaussianScenario(Scenario):
             fixed = []
             for l, h in enumerate(row, start=1):
                 h = np.array(np.atleast_2d(h), dtype=np.complex128, order="C")
+                check_finite(h, f"H[{k}][{l}]")
                 if h.shape != (sigma[k - 1].shape[0], kin[l - 1].shape[0]):
                     raise ScenarioError(
                         f"H[{k}][{l}] has shape {h.shape}, expected "
@@ -101,7 +107,7 @@ class GaussianScenario(Scenario):
         object.__setattr__(self, "Sigma", tuple(sigma))
         object.__setattr__(self, "Kin", tuple(kin))
         object.__setattr__(self, "H", tuple(grid))
-        object.__setattr__(self, "power", tuple(float(p) for p in self.power))
+        object.__setattr__(self, "power", power)
 
     @property
     def relay_antennas(self) -> tuple[int, ...]:
@@ -177,6 +183,7 @@ class QuantizerSetGaussian:
         fixed = []
         for k, b in enumerate(self.B, start=1):
             b = la.require_hermitian(b, name=f"B[{k}]")
+            check_finite(b, f"B[{k}]")
             b.setflags(write=False)
             fixed.append(b)
         object.__setattr__(self, "B", tuple(fixed))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -50,7 +49,6 @@ class OptimizerConfig:
     max_iters: int = 120
     step_tol: float = 1e-8
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.objective not in ("sum_rate", "weighted"):
@@ -59,8 +57,8 @@ class OptimizerConfig:
             raise ValueError("weighted objective needs a weight vector")
         if self.method not in ("grid", "coordinate_ascent", "projected_gradient"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.restarts < 1 or self.max_iters < 1 or self.threads < 1:
-            raise ValueError("restarts, max_iters and threads must be positive")
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValueError("restarts and max_iters must be positive")
         if self.step_tol <= 0:
             raise ValueError("step_tol must be positive")
 
@@ -134,7 +132,7 @@ def _param_count(dims) -> int:
 class _Point:
     """One packed point x, evaluated once.  ``ws`` are the projected
     normalized quantizers; ``bs``, ``evaluator`` and the subset branch values
-    ``vals`` are filled on first use.  Each restart makes its own points."""
+    ``vals`` are filled on first use."""
 
     __slots__ = ("x", "ws", "bs", "evaluator", "vals")
 
@@ -500,11 +498,7 @@ def optimize_gaussian_quantizers(sc: GaussianScenario, cfg: OptimizerConfig) -> 
                 trace = trace + trace2
         return x, best, trace, converged
 
-    if cfg.threads > 1 and cfg.restarts > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(one_restart, range(cfg.restarts)))
-    else:
-        outcomes = [one_restart(i) for i in range(cfg.restarts)]
+    outcomes = [one_restart(i) for i in range(cfg.restarts)]
 
     best_idx = max(range(cfg.restarts), key=lambda i: (outcomes[i][1], -i))
     x, value, trace, converged = outcomes[best_idx]
@@ -599,11 +593,7 @@ def optimize_discrete_aux(
                 break
         return tables, best, trace, converged
 
-    if cfg.threads > 1 and cfg.restarts > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(one_restart, range(cfg.restarts)))
-    else:
-        outcomes = [one_restart(i) for i in range(cfg.restarts)]
+    outcomes = [one_restart(i) for i in range(cfg.restarts)]
     best_idx = max(range(cfg.restarts), key=lambda i: (outcomes[i][1], -i))
     tables, value, trace, converged = outcomes[best_idx]
     aux = AuxChannels(tables=tuple(np.asarray(t) for t in tables))

@@ -13,7 +13,6 @@ exists so the failure path of the ``verify`` command can itself be tested.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,22 +181,14 @@ def random_quantizers(
 # ---------------------------------------------------------------------------
 
 
-def _map_indexed(fn, count: int, threads: int) -> list:
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
-
-
 def suite_class_equivalence(
-    instances: int = 100, seed: int = 0, threads: int = 1, inject_fault: bool = False
+    instances: int = 100, seed: int = 0, inject_fault: bool = False
 ) -> SuiteReport:
     """On factorizing channels the exact-region and general inner-bound
     formulas must agree constraint by constraint (tolerance 1e-9)."""
-    seeds = spawn_seeds(seed, instances)
 
-    def one(i: int) -> float:
-        rng = np.random.default_rng(seeds[i])
+    def one(instance_seed: int) -> float:
+        rng = np.random.default_rng(instance_seed)
         num_users = int(rng.integers(1, 3))
         num_relays = int(rng.integers(1, 3))
         nq = int(rng.integers(1, 3))
@@ -211,7 +202,7 @@ def suite_class_equivalence(
         )
         return gap + (FAULT_BUMP if inject_fault else 0.0)
 
-    gaps = _map_indexed(one, instances, threads)
+    gaps = [one(s) for s in spawn_seeds(seed, instances)]
     failures = sum(1 for g in gaps if g > 1e-9)
     return SuiteReport(
         suite="class_equivalence",
@@ -222,14 +213,13 @@ def suite_class_equivalence(
 
 
 def suite_swz(
-    instances: int = 50, seed: int = 0, threads: int = 1, inject_fault: bool = False
+    instances: int = 50, seed: int = 0, inject_fault: bool = False
 ) -> SuiteReport:
     """The time-shared successive scheme must reach the joint-decoding
     sum-rate on every instance (construction invariants raise on their own)."""
-    seeds = spawn_seeds(seed, instances)
 
-    def one(i: int):
-        rng = np.random.default_rng(seeds[i])
+    def one(instance_seed: int):
+        rng = np.random.default_rng(instance_seed)
         factorizing = bool(rng.integers(2))
         make = random_factorizing_scenario if factorizing else random_correlated_scenario
         sc = make(rng, int(rng.integers(1, 3)), 2)
@@ -241,7 +231,7 @@ def suite_swz(
         gap = cmp_res.gap + (FAULT_BUMP if inject_fault else 0.0)
         return gap, ""
 
-    results = _map_indexed(one, instances, threads)
+    results = [one(s) for s in spawn_seeds(seed, instances)]
     gaps = [g for g, _ in results]
     messages = tuple(m for _, m in results if m)
     failures = sum(1 for g in gaps if g > 1e-9)
@@ -257,16 +247,14 @@ def suite_swz(
 def suite_mc(
     instances: int = 10,
     seed: int = 0,
-    threads: int = 1,
     inject_fault: bool = False,
     samples: int = 1_000_000,
 ) -> SuiteReport:
     """Monte Carlo estimates of the recovered-information term must agree with
     the log-det value within 3 standard errors and 2% relative."""
-    seeds = spawn_seeds(seed, instances)
 
-    def one(i: int):
-        rng = np.random.default_rng(seeds[i])
+    def one(instance_seed: int):
+        rng = np.random.default_rng(instance_seed)
         # resample until the analytic term is large enough for the 2%-relative
         # criterion to sit outside Monte Carlo noise at the default sample size
         for _ in range(50):
@@ -282,14 +270,14 @@ def suite_mc(
             analytic = GaussianEvaluator.from_quantizers(sc, q).info_term(pair)
             if analytic >= 0.7:
                 break
-        est = mc_mutual_information(sc, q, pair, samples=samples, seed=seeds[i])
+        est = mc_mutual_information(sc, q, pair, samples=samples, seed=instance_seed)
         estimate = est.estimate + (FAULT_BUMP * 100 if inject_fault else 0.0)
         z = abs(estimate - analytic) / max(est.std_error, 1e-12)
         rel = abs(estimate - analytic) / max(abs(analytic), 1e-12)
         ok = z <= 3.0 and rel <= 0.02
         return ok, max(z - 3.0, rel - 0.02)
 
-    results = _map_indexed(one, instances, threads)
+    results = [one(s) for s in spawn_seeds(seed, instances)]
     failures = sum(1 for ok, _ in results if not ok)
     return SuiteReport(
         suite="mc",
@@ -300,7 +288,7 @@ def suite_mc(
 
 
 def suite_codebook(
-    trials: int = 100_000, seed: int = 0, threads: int = 1, inject_fault: bool = False
+    trials: int = 100_000, seed: int = 0, inject_fault: bool = False
 ) -> SuiteReport:
     """Randomized-codebook marginals: per-position total variation against the
     memoryless law within 0.02 for binary inputs, exactly 0 for point masses."""
@@ -341,14 +329,13 @@ def suite_codebook(
 
 
 def suite_matrix_lemmas(
-    instances: int = 10_000, seed: int = 0, threads: int = 1, inject_fault: bool = False
+    instances: int = 10_000, seed: int = 0, inject_fault: bool = False
 ) -> SuiteReport:
     """Determinant monotonicity |I + BC| >= |I + AC| for B >= A, and the
     arithmetic-harmonic matrix mean ordering, on random PD inputs up to 4x4."""
-    seeds = spawn_seeds(seed, instances)
 
-    def one(i: int):
-        rng = np.random.default_rng(seeds[i])
+    def one(instance_seed: int):
+        rng = np.random.default_rng(instance_seed)
         dim = int(rng.integers(1, 5))
         a = random_pd(rng, dim)
         w = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
@@ -364,7 +351,7 @@ def suite_matrix_lemmas(
             gap += FAULT_BUMP
         return lemma_ok, gap
 
-    results = _map_indexed(one, instances, threads)
+    results = [one(s) for s in spawn_seeds(seed, instances)]
     failures = sum(1 for ok, gap in results if not ok or gap > 1e-10)
     return SuiteReport(
         suite="matrix_lemmas",
@@ -377,7 +364,6 @@ def suite_matrix_lemmas(
 def run_suites(
     names=None,
     seed: int = 0,
-    threads: int = 1,
     instances: int | None = None,
     inject_fault: str | None = None,
 ) -> list[SuiteReport]:
@@ -387,15 +373,11 @@ def run_suites(
     suite whose comparison is perturbed (test hook for the failure path)."""
     names = tuple(names) if names else SUITE_NAMES
     runners = {
-        "class_equivalence": lambda fault: suite_class_equivalence(
-            instances or 100, seed, threads, fault
-        ),
-        "swz": lambda fault: suite_swz(instances or 50, seed, threads, fault),
-        "mc": lambda fault: suite_mc(instances or 10, seed, threads, fault),
-        "codebook": lambda fault: suite_codebook(instances or 100_000, seed, threads, fault),
-        "matrix_lemmas": lambda fault: suite_matrix_lemmas(
-            instances or 10_000, seed, threads, fault
-        ),
+        "class_equivalence": lambda fault: suite_class_equivalence(instances or 100, seed, fault),
+        "swz": lambda fault: suite_swz(instances or 50, seed, fault),
+        "mc": lambda fault: suite_mc(instances or 10, seed, fault),
+        "codebook": lambda fault: suite_codebook(instances or 100_000, seed, fault),
+        "matrix_lemmas": lambda fault: suite_matrix_lemmas(instances or 10_000, seed, fault),
     }
     reports = []
     for name in names:

@@ -82,7 +82,7 @@ def test_criterion_1_golden_scalar_sum_rate():
 
 def test_criterion_2_class_equivalence():
     start = time.monotonic()
-    report = suite_class_equivalence(instances=100, seed=2024, threads=4)
+    report = suite_class_equivalence(instances=100, seed=2024)
     elapsed = time.monotonic() - start
     assert report.failures == 0
     assert report.worst_gap <= 1e-9
@@ -95,7 +95,7 @@ def test_criterion_2_class_equivalence():
 
 def test_criterion_3_swz_equals_jd():
     start = time.monotonic()
-    report = suite_swz(instances=50, seed=99, threads=4)
+    report = suite_swz(instances=50, seed=99)
     elapsed = time.monotonic() - start
     assert report.failures == 0, report.messages
     assert report.worst_gap <= 1e-9
@@ -131,7 +131,7 @@ def test_criterion_4_supermodularity():
 
 
 def test_criterion_5_matrix_lemmas():
-    report = suite_matrix_lemmas(instances=10_000, seed=77, threads=4)
+    report = suite_matrix_lemmas(instances=10_000, seed=77)
     assert report.failures == 0
     assert report.worst_gap <= 1e-10
     print(
@@ -142,7 +142,7 @@ def test_criterion_5_matrix_lemmas():
 
 def test_criterion_6_monte_carlo_vs_analytic():
     start = time.monotonic()
-    report = suite_mc(instances=10, seed=31, threads=4, samples=1_000_000)
+    report = suite_mc(instances=10, seed=31, samples=1_000_000)
     elapsed = time.monotonic() - start
     assert report.failures == 0
     assert elapsed < 300.0

@@ -1,0 +1,36 @@
+"""Every benchmark op must parse with the CLI's parser, so a flag change that
+would break the benchmark's fixed command lines fails here rather than in a
+benchmark run."""
+
+import importlib
+import pathlib
+import sys
+
+import pytest
+
+from ocran.cli import build_parser
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+BENCH_MODULES = ("workloads", "instances", "oracles")  # workloads imports its siblings
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in BENCH_MODULES:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("workloads")
+    for name in BENCH_MODULES:
+        sys.modules.pop(name, None)
+
+
+def test_every_workload_op_parses(workloads, tmp_path):
+    parser = build_parser()
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        ops = workload(1).prepare(str(workdir))
+        assert ops, name
+        for op in ops:
+            args = parser.parse_args(list(op.argv))
+            assert args.command == op.command, op.label

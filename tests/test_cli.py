@@ -145,6 +145,49 @@ class TestRegionCommand:
         assert payload["num_constraints"] == 2
 
 
+NONFINITE_CASES = [
+    # (channel kind, file holding the entry, path to the entry, value)
+    ("gaussian", "scenario", ("fronthaul", 0), math.nan),
+    ("gaussian", "scenario", ("fronthaul", 0), math.inf),
+    ("gaussian", "scenario", ("time_share", 0), math.nan),
+    ("gaussian", "scenario", ("channel", "power", 0), math.nan),
+    ("gaussian", "scenario", ("channel", "power", 0), math.inf),
+    ("gaussian", "scenario", ("channel", "H", 0, 0, 0, 0, 0), math.nan),
+    ("gaussian", "scenario", ("channel", "Sigma", 0, 0, 0, 1), math.nan),
+    ("gaussian", "scenario", ("channel", "Kin", 0, 0, 0, 0), math.nan),
+    ("gaussian", "quantizers", ("B", 0, 0, 0, 0), math.nan),
+    ("discrete", "scenario", ("channel", "px", 0, 0, 0), math.nan),
+    ("discrete", "scenario", ("channel", "channel", 0), math.nan),
+    ("discrete", "quantizers", ("aux", 0, 0, 0, 0), math.nan),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,where,path,value",
+    NONFINITE_CASES,
+    ids=[f"{k}-{w}-{'.'.join(map(str, p))}-{v}" for k, w, p, v in NONFINITE_CASES],
+)
+def test_nonfinite_input_is_validation_error(tmp_path, capsys, kind, where, path, value):
+    if kind == "gaussian":
+        docs = {"scenario": golden_gaussian_doc(), "quantizers": {"B": [[[[0.5, 0.0]]]]}}
+        command = "region"
+    else:
+        aux = discrete_doc()["channel"]["aux"]
+        docs = {"scenario": discrete_doc(with_aux=False), "quantizers": {"aux": aux}}
+        command = "sumrate"
+    entry = docs[where]
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    scenario = write_json(tmp_path / "sc.json", docs["scenario"])
+    quant = write_json(tmp_path / "q.json", docs["quantizers"])
+    out = tmp_path / "out.data"
+    rc = main([command, "--scenario", scenario, "--quantizers", quant, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "error:" in capsys.readouterr().err
+
+
 class TestBoundaryCommand:
     def _two_user_doc(self, fronthaul=1.0):
         return {
@@ -389,8 +432,6 @@ class TestVerifyCommand:
                 "4",
                 "--seed",
                 "2",
-                "--threads",
-                "2",
             ]
         )
         assert rc == 0
@@ -399,7 +440,12 @@ class TestVerifyCommand:
         assert payload["suites"][0]["cases"] == 4
 
     def test_threads_default_to_one(self):
-        assert build_parser().parse_args(["verify"]).threads == 1
+        parser = build_parser()
+        assert parser.parse_args(["verify"]).threads == 1
+        assert parser.parse_args(["verify", "--threads", "1"]).threads == 1
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["verify", "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_injected_fault_fails_with_named_suite(self, tmp_path, capsys):
         rc = main(

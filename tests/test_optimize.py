@@ -1,8 +1,4 @@
-import importlib.util
-import json
 import math
-import pathlib
-import sys
 import warnings
 
 import numpy as np
@@ -110,37 +106,6 @@ class TestGaussianOptimizer:
         assert a.trace == b.trace
         for ba, bb in zip(a.quantizers.B, b.quantizers.B):
             np.testing.assert_array_equal(ba, bb)
-
-    def test_threads_do_not_change_result(self):
-        rng = np.random.default_rng(6)
-        sc = random_gaussian_scenario(rng, 1, 2)
-        one = optimize_gaussian_quantizers(
-            sc, OptimizerConfig(restarts=3, max_iters=15, seed=7, threads=1)
-        )
-        many = optimize_gaussian_quantizers(
-            sc, OptimizerConfig(restarts=3, max_iters=15, seed=7, threads=3)
-        )
-        assert one.objective == many.objective
-        assert one.trace == many.trace
-
-    def test_threads_give_identical_cli_output(self, tmp_path, monkeypatch):
-        # restarts run in a thread pool: no per-point state may leak between them
-        path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "instances.py"
-        spec = importlib.util.spec_from_file_location("bench_instances", path)
-        instances = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, instances)  # for its dataclasses
-        spec.loader.exec_module(instances)
-        scenario = tmp_path / "sc.json"
-        inst = instances.optimize_instance(instances.instance_rng(1, 4, 0))
-        scenario.write_text(json.dumps(inst.scenario))
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"opt-{threads}.json"
-            argv = ["optimize", "--scenario", str(scenario), "--restarts", "2", "--iters", "10",
-                    "--seed", "1", "--threads", threads, "--out", str(out)]
-            assert main(argv) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
 
     def test_call_count_guard(self, monkeypatch):
         # before each point was evaluated once, this run made 12,789
