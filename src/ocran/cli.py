@@ -317,6 +317,8 @@ def cmd_extreme_points(args) -> int:
         raise ScenarioError("extreme-points needs a discrete scenario")
     if sc.num_relays > 6:
         raise CapacityError("extreme-points enumerates K! orderings; K <= 6 required")
+    if args.rsum is not None and not math.isfinite(args.rsum):
+        raise ScenarioError(f"--rsum must be a finite number, got {args.rsum!r}")
     emit = _Emitter(args, sc)
     aux = _load_aux(args, sc)
     lines = ["ordering,k,relay,C_tilde_bits"]

@@ -249,8 +249,8 @@ class CodebookEnsemble:
     def __post_init__(self):
         if self.blocklength < 1:
             raise ValueError("blocklength must be positive")
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError("rate must be finite and nonnegative")
         pmf = np.array(self.input_pmf, dtype=float, order="C")
         if pmf.ndim != 2 or pmf.shape[1] < 1:
             raise ValueError("input_pmf must be a (|Q|, |X|) table")
@@ -261,8 +261,12 @@ class CodebookEnsemble:
             raise ValueError("time_seq length must equal blocklength")
         if np.any(seq < 0) or np.any(seq >= pmf.shape[0]):
             raise ValueError("time_seq entries out of range")
-        if self.num_codewords > MAX_CODEWORDS:
-            raise CapacityError(f"codebook would have {self.num_codewords} codewords")
+        # compared as exponents: 2^(n*rate) itself can overflow a float
+        if self.blocklength * self.rate > math.log2(MAX_CODEWORDS):
+            raise CapacityError(
+                f"codebook would have 2^{self.blocklength * self.rate:g} codewords, "
+                f"more than {MAX_CODEWORDS}"
+            )
         pmf.setflags(write=False)
         seq.setflags(write=False)
         object.__setattr__(self, "input_pmf", pmf)

@@ -1,14 +1,17 @@
-"""Exact finite-alphabet evaluation of the rate-region formulas on dense
-joint probability tensors.
+"""Exact finite-alphabet evaluation of the rate-region formulas.
 
 The joint law used everywhere is
 
     p(q) * prod_l p(x_l|q) * p(y_1..y_K | x_1..x_L) * prod_k p(u_k|y_k,q)
 
-stored as one dense tensor with labeled axes ('Q', 'X1'.., 'Y1'.., 'U1'..).
-Tensors are capped at MAX_JOINT_ENTRIES entries; within that budget every
-information quantity is an exact sum (0 log 0 = 0), so the only error is
-float rounding.
+with labeled axes ('Q', 'X1'.., 'Y1'.., 'U1'..).  Because each relay
+quantizes obliviously, every bound of product quantization channels is an
+entropy of the reduced joint p(q, x, u) minus per-relay constants
+H(U_k | Y_k, Q), so the Y axes are summed out while the reduced joint is
+contracted (``ReducedFactors``).  An outer-bound witness couples the U_k
+through a shared W and keeps the dense p(q, x, y, u).  Tensors are capped at
+MAX_JOINT_ENTRIES entries; within that budget every information quantity is
+an exact sum (0 log 0 = 0), so the only error is float rounding.
 
 Three constraint families are evaluated:
 
@@ -18,7 +21,7 @@ Three constraint families are evaluated:
 * ``thm4_constraint`` - the outer bound, whose auxiliaries are deterministic
   functions of (W, Y_k, Q) for a shared randomizer W.
 
-All three are one formula, ``DiscreteEvaluator.bound``, on one joint.
+All three are one formula, ``DiscreteEvaluator.bound``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .core import (
     SubsetPair,
     check_finite,
     enumerate_constraint_pairs,
+    indices_of,
 )
 
 MAX_JOINT_ENTRIES = 10_000_000
@@ -247,7 +251,8 @@ class JointPmf:
         key = frozenset(labels)
         if key not in self._entropy_cache:
             p = self.marginal(key)
-            nz = p[p > 0]
+            # a total a few ulps off 1 would give a point mass H != 0
+            nz = p[p > 0] / p.sum()
             self._entropy_cache[key] = float(-(nz * np.log2(nz)).sum())
         return self._entropy_cache[key]
 
@@ -394,18 +399,97 @@ def witness_induced_aux(sc: DiscreteScenario, witness: OuterBoundWitness) -> Aux
     return AuxChannels(tables=tuple(tables))
 
 
-class DiscreteEvaluator:
-    """Every information term and rate bound of one joint p(q, x, y, u): the
-    product joint of an AuxChannels or the joint a witness induces.  Built
-    once per (scenario, quantizer) pair and shared, with its entropy cache,
-    by every bound and chain ordering evaluated on it."""
+class ReducedFactors:
+    """Scenario-only factors of the reduced joint p(q, x_1..x_L, u_1..u_K) of
+    product quantization channels: p(q, y_1..y_K, x), each p(q, y_k) and the
+    order in which the relay-output axes are contracted.  Built once per
+    scenario and aux alphabet sizes; ``evaluator(tables)`` then costs K small
+    matrix products.
 
-    def __init__(self, sc: DiscreteScenario, joint: JointPmf):
+    The order contracts relays by increasing |U_k|/|Y_k|, which minimizes
+    every intermediate tensor at once.  MAX_JOINT_ENTRIES caps the largest
+    of them and p(q, x, u), the tensors this path actually builds."""
+
+    def __init__(self, sc: DiscreteScenario, aux_sizes):
+        l, k, nq = sc.num_users, sc.num_relays, sc.num_timeshare
+        y_sizes = sc.output_sizes
+        self.sc = sc
+        aux_sizes = tuple(int(u) for u in aux_sizes)
+        self.order = tuple(sorted(range(k), key=lambda i: aux_sizes[i] / y_sizes[i]))
+        size = nq * int(np.prod(sc.input_sizes)) * int(np.prod(y_sizes))
+        largest = size
+        for i in self.order:
+            size = size // y_sizes[i] * aux_sizes[i]
+            largest = max(largest, size)
+        if largest > MAX_JOINT_ENTRIES:
+            raise CapacityError(f"reduced joint contraction would hold {largest} entries")
+        pqx = np.asarray(sc.time_share)[:, None]
+        for t in sc.px:
+            pqx = (pqx[:, :, None] * t[:, None, :]).reshape(nq, -1)
+        # channel axes (X_1..X_L, Y_1..Y_K) -> (Y in contraction order, X flattened)
+        ch = sc.channel.reshape((pqx.shape[1],) + tuple(y_sizes))
+        ch = ch.transpose(tuple(1 + i for i in self.order) + (0,))
+        self.pqyx = np.ascontiguousarray(ch[None] * pqx.reshape((nq,) + (1,) * k + (-1,)))
+        position = tuple(self.order.index(i) for i in range(k))  # of relay i's axes
+        self.pqy = tuple(
+            self.pqyx.sum(axis=tuple(a for a in range(1, k + 2) if a != 1 + position[i]))
+            for i in range(k)
+        )
+        self._shape = (nq,) + sc.input_sizes + tuple(aux_sizes[i] for i in self.order)
+        self._perm = tuple(range(1 + l)) + tuple(1 + l + position[i] for i in range(k))
+        self._axes = (
+            ("Q",)
+            + tuple(user_axis(i) for i in range(1, l + 1))
+            + tuple(aux_axis(i) for i in range(1, k + 1))
+        )
+
+    def evaluator(self, tables) -> "DiscreteEvaluator":
+        """Evaluator of the quantization tables p(u_k|y_k,q), given in relay
+        order with the aux sizes these factors were built for."""
+        nq = self.pqyx.shape[0]
+        t = self.pqyx
+        for i in self.order:
+            a = tables[i]
+            # (Q, Y_i, rest) -> (Q, rest, U_i): Y_i leaves the front, U_i joins the back
+            t = np.matmul(t.reshape(nq, a.shape[1], -1).transpose(0, 2, 1), a)
+        t = t.reshape(self._shape).transpose(self._perm)
+        h = tuple(
+            float((p * _row_entropies(table)).sum()) for p, table in zip(self.pqy, tables)
+        )
+        return DiscreteEvaluator(self.sc, JointPmf(t, self._axes), h)
+
+
+def _row_entropies(table: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each distribution along the last axis."""
+    return -(table * np.log2(np.where(table > 0, table, 1.0))).sum(axis=-1)
+
+
+class DiscreteEvaluator:
+    """Every information term and rate bound of one (scenario, quantizer)
+    pair, written in entropies.  Built once per pair and shared, with its
+    entropy cache, by every bound and chain ordering evaluated on it.
+
+    ``joint`` holds the axes Q, X_l and U_k.  The only quantity that involves
+    the relay outputs is H(U_S | Y_S, C, Q).  For product quantization
+    channels (``from_aux``), U_S depends on the rest of the system only
+    through (Y_S, Q), so it is the sum of the per-relay constants
+    ``h_u_given_y[k-1]`` = H(U_k | Y_k, Q) and ``joint`` is the reduced
+    p(q, x, u).  Without them ``joint`` must be dense, with Y_k axes too, as
+    for an outer-bound witness whose U_k are coupled through W."""
+
+    def __init__(self, sc: DiscreteScenario, joint: JointPmf, h_u_given_y=None):
         self.sc = sc
         self.joint = joint
+        self.h_u_given_y = h_u_given_y
         self.x_all = frozenset(user_axis(l) for l in range(1, sc.num_users + 1))
         self.u_all = frozenset(aux_axis(k) for k in range(1, sc.num_relays + 1))
         self.i_ux: float = cmi(self.joint, self.u_all, self.x_all, {"Q"})  # I(U_all; X_all | Q)
+
+    @classmethod
+    def from_aux(cls, sc: DiscreteScenario, aux: AuxChannels) -> "DiscreteEvaluator":
+        """Evaluator of product quantization channels, on the reduced joint."""
+        aux.check_compatible(sc)
+        return ReducedFactors(sc, aux.aux_sizes).evaluator(aux.tables)
 
     def u(self, relays) -> frozenset:
         return frozenset(aux_axis(k) for k in relays)
@@ -413,10 +497,22 @@ class DiscreteEvaluator:
     def y(self, relays) -> frozenset:
         return frozenset(relay_axis(k) for k in relays)
 
+    def i_uy(self, relays, cond=frozenset()) -> float:
+        """I(U_S; Y_S | cond, Q) = H(U_S | cond, Q) - H(U_S | Y_S, cond, Q),
+        clipped at 0 like ``cmi``; ``cond`` holds X and U labels."""
+        if not relays:
+            return 0.0
+        j, u_s, c = self.joint, self.u(relays), frozenset(cond) | {"Q"}
+        if self.h_u_given_y is not None:
+            h_given_y = sum(self.h_u_given_y[k - 1] for k in relays)
+        else:
+            y_s = self.y(relays)
+            h_given_y = j.entropy(u_s | y_s | c) - j.entropy(y_s | c)
+        return max(0.0, j.entropy(u_s | c) - j.entropy(c) - h_given_y)
+
     def i_uy_given_uc(self, relays) -> float:
         """I(U_S; Y_S | U_{S^c}, Q)."""
-        u_s = self.u(relays)
-        return cmi(self.joint, u_s, self.y(relays), (self.u_all - u_s) | {"Q"})
+        return self.i_uy(relays, self.u_all - self.u(relays))
 
     def g(self, r_sum: float, relays) -> float:
         """g(S) = R_sum + I(U_S; Y_S | U_{S^c}, Q) - I(U_all; X_all | Q)."""
@@ -425,21 +521,26 @@ class DiscreteEvaluator:
     def bound(self, pair: SubsetPair, family: str = "thm3") -> float:
         """Bound of one (T, S) pair in the 'thm1' or 'thm3' family (the
         outer bound is 'thm3' on a witness joint)."""
-        j, fronthaul = self.joint, self.sc.fronthaul
+        fronthaul = self.sc.fronthaul
         x_t = frozenset(user_axis(l) for l in pair.users)
         u_sc = self.u(pair.relays_complement(self.sc.num_relays))
-        common = cmi(j, x_t, u_sc, (self.x_all - x_t) | {"Q"})
+        common = cmi(self.joint, x_t, u_sc, (self.x_all - x_t) | {"Q"})
         if family == "thm1":
-            s_term = sum(
-                fronthaul[k - 1] - cmi(j, {relay_axis(k)}, {aux_axis(k)}, self.x_all | {"Q"})
-                for k in pair.relays
-            )
+            s_term = sum(fronthaul[k - 1] - self.i_uy((k,), self.x_all) for k in pair.relays)
             return s_term + common
         if family == "thm3":
             c_sum = sum(fronthaul[k - 1] for k in pair.relays)
-            leak = cmi(j, self.y(pair.relays), self.u(pair.relays), self.x_all | u_sc | {"Q"})
-            return c_sum - leak + common
+            return c_sum - self.i_uy(pair.relays, self.x_all | u_sc) + common
         raise ValueError(f"unknown constraint family {family!r}")
+
+    def subset_bounds(self) -> np.ndarray:
+        """The thm3 bounds at T = all users, indexed by relay-subset bitmask:
+        the joint-decoding sum-rate bounds."""
+        users = tuple(range(1, self.sc.num_users + 1))
+        return np.array([
+            self.bound(SubsetPair(users=users, relays=indices_of(s_mask)), "thm3")
+            for s_mask in range(1 << self.sc.num_relays)
+        ])
 
     def region(self, family: str = "thm3") -> RateRegion:
         """All (T, S) bounds of one family."""
@@ -469,8 +570,8 @@ def thm1_constraint(
     sum_{s in S} [C_s - I(Y_s;U_s|X_all,Q)] + I(X_T;U_{S^c}|X_{T^c},Q)."""
     if _warn:
         _warn_if_not_factorizing(sc)
-    j = _joint if _joint is not None else build_joint(sc, aux)
-    return DiscreteEvaluator(sc, j).bound(pair, "thm1")
+    ev = DiscreteEvaluator.from_aux(sc, aux) if _joint is None else DiscreteEvaluator(sc, _joint)
+    return ev.bound(pair, "thm1")
 
 
 def thm3_constraint(
@@ -478,8 +579,8 @@ def thm3_constraint(
 ) -> float:
     """General inner-bound constraint:
     sum_{s in S} C_s - I(Y_S;U_S|X_all,U_{S^c},Q) + I(X_T;U_{S^c}|X_{T^c},Q)."""
-    j = _joint if _joint is not None else build_joint(sc, aux)
-    return DiscreteEvaluator(sc, j).bound(pair, "thm3")
+    ev = DiscreteEvaluator.from_aux(sc, aux) if _joint is None else DiscreteEvaluator(sc, _joint)
+    return ev.bound(pair, "thm3")
 
 
 def thm4_constraint(
@@ -497,7 +598,7 @@ def region_discrete(sc: DiscreteScenario, aux: AuxChannels, which: str = "thm1")
         raise ValueError("which must be 'thm1' or 'thm3'")
     if which == "thm1":
         _warn_if_not_factorizing(sc)
-    return DiscreteEvaluator(sc, build_joint(sc, aux)).region(which)
+    return DiscreteEvaluator.from_aux(sc, aux).region(which)
 
 
 def region_outer(sc: DiscreteScenario, witness: OuterBoundWitness) -> RateRegion:

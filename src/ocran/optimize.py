@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _linalg as la
 from .core import SubsetPair, indices_of, mask_of, max_weighted_rate, spawn_seeds
-from .discrete import AuxChannels, DiscreteScenario
+from .discrete import AuxChannels, DiscreteScenario, ReducedFactors
 from .gaussian import (
     QUANT_CAP_MARGIN,
     GaussianEvaluator,
@@ -531,13 +531,14 @@ def optimize_discrete_aux(
     u = floor(y |U| / |Y|); further restarts draw Dirichlet rows.  Each
     coordinate move reshapes one conditional row toward a vertex of the
     simplex and keeps it only on improvement."""
-    from .sumrate import jd_sum_rate
+    from .sumrate import _jd_sum_rate
 
     card = tuple(int(u) for u in cardinalities)
     if len(card) != sc.num_relays or any(u < 1 for u in card):
         raise ValueError("need one positive cardinality per relay")
     if cfg.objective != "sum_rate":
         raise ValueError("discrete search supports only the sum-rate objective")
+    factors = ReducedFactors(sc, card)
     seeds = spawn_seeds(cfg.seed, cfg.restarts)
     nq = sc.num_timeshare
 
@@ -557,7 +558,7 @@ def optimize_discrete_aux(
         ]
 
     def evaluate(tables) -> float:
-        return jd_sum_rate(sc, AuxChannels(tables=tuple(np.asarray(t) for t in tables)))
+        return _jd_sum_rate(factors.evaluator(tables))
 
     def one_restart(index: int):
         rng = np.random.default_rng(seeds[index])
@@ -597,9 +598,7 @@ def optimize_discrete_aux(
     best_idx = max(range(cfg.restarts), key=lambda i: (outcomes[i][1], -i))
     tables, value, trace, converged = outcomes[best_idx]
     aux = AuxChannels(tables=tuple(np.asarray(t) for t in tables))
-    from .sumrate import jd_subset_bounds
-
-    bounds = jd_subset_bounds(sc, aux)
+    bounds = factors.evaluator(aux.tables).subset_bounds()
     active = tuple(
         int(s) for s in range(bounds.size) if bounds[s] <= bounds.min() + ACTIVE_TOL
     )

@@ -27,26 +27,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import SubsetPair, indices_of
-from .discrete import (
-    AuxChannels,
-    DiscreteEvaluator,
-    DiscreteScenario,
-    aux_axis,
-    build_joint,
-    cmi,
-    relay_axis,
-    user_axis,
-)
+from .core import indices_of
+from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, cmi, user_axis
 
 INVARIANT_TOL = 1e-9
 ALPHA_DENOM_TOL = 1e-12
-
-
-def _evaluator(sc: DiscreteScenario, aux: AuxChannels) -> DiscreteEvaluator:
-    """The one evaluator of a public ``(sc, aux)`` entry point, shared by
-    the private helpers below."""
-    return DiscreteEvaluator(sc, build_joint(sc, aux))
 
 
 def jd_subset_bounds(sc: DiscreteScenario, aux: AuxChannels) -> np.ndarray:
@@ -54,25 +39,17 @@ def jd_subset_bounds(sc: DiscreteScenario, aux: AuxChannels) -> np.ndarray:
     indexed by subset bitmask:
     sum_{s in S} C_s - I(Y_S;U_S|X_all,U_{S^c},Q) + I(U_{S^c};X_all|Q),
     the thm3 bound at T = all users."""
-    return _jd_subset_bounds(_evaluator(sc, aux))
-
-
-def _jd_subset_bounds(info: DiscreteEvaluator) -> np.ndarray:
-    users = tuple(range(1, info.sc.num_users + 1))
-    bounds = np.empty(1 << info.sc.num_relays)
-    for s_mask in range(bounds.size):
-        bounds[s_mask] = info.bound(SubsetPair(users=users, relays=indices_of(s_mask)), "thm3")
-    return bounds
+    return DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
 
 
 def jd_sum_rate(sc: DiscreteScenario, aux: AuxChannels) -> float:
     """Largest sum-rate allowed by the joint-decompression-decoding bounds
     (the smallest subset bound), floored at 0."""
-    return _jd_sum_rate(_evaluator(sc, aux))
+    return _jd_sum_rate(DiscreteEvaluator.from_aux(sc, aux))
 
 
 def _jd_sum_rate(info: DiscreteEvaluator) -> float:
-    return max(0.0, float(_jd_subset_bounds(info).min()))
+    return max(0.0, float(info.subset_bounds().min()))
 
 
 def sd_achievable(
@@ -84,7 +61,7 @@ def sd_achievable(
 
     The propositions' strict inequalities are tested non-strictly with
     tolerance ``tol`` because achievable regions are closures."""
-    info = _evaluator(sc, aux)
+    info = DiscreteEvaluator.from_aux(sc, aux)
     if r_sum > info.i_ux + tol:
         return False
     for s_mask in range(1, 1 << sc.num_relays):
@@ -102,7 +79,7 @@ def g_function(
 
     With ``positive_part`` the value is floored at 0 (the form that defines
     the fronthaul polytope)."""
-    val = _evaluator(sc, aux).g(r_sum, relays)
+    val = DiscreteEvaluator.from_aux(sc, aux).g(r_sum, relays)
     return max(0.0, val) if positive_part else val
 
 
@@ -116,7 +93,7 @@ def check_supermodular(
     kk = sc.num_relays
     if kk > 12:
         raise ValueError("supermodularity check is exhaustive; K <= 12 required")
-    info = _evaluator(sc, aux)
+    info = DiscreteEvaluator.from_aux(sc, aux)
     gp = {}
     for mask in range(1 << kk):
         gp[mask] = max(0.0, info.g(r_sum, indices_of(mask)))
@@ -141,7 +118,7 @@ def extreme_point(
 
     The result is indexed by relay (position k-1 holds relay k's fronthaul)
     and telescopes to g+(all relays)."""
-    info = _evaluator(sc, aux)
+    info = DiscreteEvaluator.from_aux(sc, aux)
     return _extreme_point(info, r_sum, _check_ordering(ordering, sc.num_relays))
 
 
@@ -152,7 +129,7 @@ def extreme_points(
     chain ordering, in lexicographic order, from one joint.
 
     ``r_sum`` defaults to the joint-decoding sum-rate."""
-    info = _evaluator(sc, aux)
+    info = DiscreteEvaluator.from_aux(sc, aux)
     if r_sum is None:
         r_sum = _jd_sum_rate(info)
     return [
@@ -196,13 +173,10 @@ def swz_required_fronthaul(
     Returns (per-relay requirements indexed by relay, successive-decoding
     sum-rate sum_l I(X_l; U_all | X_1..X_{l-1}, Q))."""
     pi = _check_ordering(ordering, sc.num_relays)
-    info = _evaluator(sc, aux)
+    info = DiscreteEvaluator.from_aux(sc, aux)
     req = np.zeros(sc.num_relays)
     for k in range(1, sc.num_relays + 1):
-        side = info.u(pi[: k - 1])
-        req[pi[k - 1] - 1] = cmi(
-            info.joint, {aux_axis(pi[k - 1])}, {relay_axis(pi[k - 1])}, side | {"Q"}
-        )
+        req[pi[k - 1] - 1] = info.i_uy((pi[k - 1],), info.u(pi[: k - 1]))
     total = 0.0
     for l in range(1, sc.num_users + 1):
         decoded = frozenset(user_axis(i) for i in range(1, l))
@@ -242,7 +216,7 @@ def swz_dominating_point(
     through the chain in reverse.
     """
     pi = _check_ordering(ordering, sc.num_relays)
-    return _swz_dominating_point(_evaluator(sc, aux), r_sum, pi)
+    return _swz_dominating_point(DiscreteEvaluator.from_aux(sc, aux), r_sum, pi)
 
 
 def _swz_dominating_point(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, ...]) -> OrderingResult:
@@ -265,10 +239,7 @@ def _swz_dominating_point(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, 
         # per-relay description rates conditioned on the later chain relays
         cond_info = np.zeros(kk)
         for k in range(pivot, kk + 1):
-            later = info.u(pi[k:])
-            cond_info[k - 1] = cmi(
-                info.joint, {relay_axis(pi[k - 1])}, {aux_axis(pi[k - 1])}, later | {"Q"}
-            )
+            cond_info[k - 1] = info.i_uy((pi[k - 1],), info.u(pi[k:]))
         denom = cond_info[pivot - 1]
         alpha = 1.0 if denom < ALPHA_DENOM_TOL else min(1.0, max(0.0, -chain[pivot - 1] / denom))
         for k in range(pivot, kk + 1):
@@ -276,7 +247,7 @@ def _swz_dominating_point(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, 
         active = info.u(pi[pivot - 1:])
         later_than_pivot = info.u(pi[pivot:])
         r_bar = cmi(info.joint, info.x_all, active, {"Q"}) - alpha * cmi(
-            info.joint, info.x_all, {aux_axis(pi[pivot - 1])}, later_than_pivot | {"Q"}
+            info.joint, info.x_all, info.u(pi[pivot - 1:pivot]), later_than_pivot | {"Q"}
         )
         result = OrderingResult(
             ordering=pi,
@@ -325,7 +296,7 @@ def swz_equals_jd(sc: DiscreteScenario, aux: AuxChannels) -> SumRateComparison:
     ties between orderings resolve to the lexicographically smallest."""
     if sc.num_relays > 8:
         raise ValueError("all-orderings comparison is factorial; K <= 8 required")
-    info = _evaluator(sc, aux)
+    info = DiscreteEvaluator.from_aux(sc, aux)
     target = _jd_sum_rate(info)
     results = []
     best = -math.inf

@@ -1,6 +1,7 @@
 """Every benchmark op must parse with the CLI's parser, so a flag change that
 would break the benchmark's fixed command lines fails here rather than in a
-benchmark run."""
+benchmark run; the discrete-k4 ops must also pass the workload's own output
+checks at the benchmark's size."""
 
 import importlib
 import pathlib
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from ocran.cli import build_parser
+from ocran.cli import build_parser, main
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 BENCH_MODULES = ("workloads", "instances", "oracles")  # workloads imports its siblings
@@ -34,3 +35,16 @@ def test_every_workload_op_parses(workloads, tmp_path):
         for op in ops:
             args = parser.parse_args(list(op.argv))
             assert args.command == op.command, op.label
+
+
+def test_discrete_k4_outputs_pass_the_workload_checks(workloads, tmp_path):
+    # the benchmark's oracles and the seed references stored in references.json
+    workload = workloads.WORKLOADS["discrete-k4"](1)
+    ops = workload.prepare(str(tmp_path))
+    assert len(ops) == 10
+    for op in ops:
+        assert main(list(op.argv)) == 0, op.label
+    outputs = {op.label: {path: pathlib.Path(path).read_bytes() for path in op.outputs}
+               for op in ops}
+    assert workload.reference is not None
+    assert workload.check(outputs) == {}

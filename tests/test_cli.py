@@ -188,6 +188,28 @@ def test_nonfinite_input_is_validation_error(tmp_path, capsys, kind, where, path
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_extreme_points_nonfinite_rsum_is_validation_error(tmp_path, capsys, value):
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    out = tmp_path / "ext.csv"
+    rc = main(["extreme-points", "--scenario", scenario, "--rsum", value, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "--rsum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e6"])
+def test_codebook_check_unusable_rate_is_validation_error(tmp_path, capsys, value):
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    out = tmp_path / "cb.json"
+    rc = main(["codebook-check", "--scenario", scenario, "--rate", value, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "rate" in err or "codewords" in err
+
+
 class TestBoundaryCommand:
     def _two_user_doc(self, fronthaul=1.0):
         return {

@@ -16,7 +16,7 @@ from ocran.sumrate import (
     swz_equals_jd,
     swz_required_fronthaul,
 )
-from ocran import sumrate
+from ocran import discrete
 from ocran.cli import main
 from ocran.core import save_scenario
 from ocran.discrete import region_discrete
@@ -384,28 +384,28 @@ class TestSharedEvaluator:
         return sc, random_aux(rng, sc)
 
     @staticmethod
-    def count_builds(monkeypatch):
+    def count_evaluators(monkeypatch):
         calls = []
-        original = sumrate.build_joint
+        original = discrete.ReducedFactors.evaluator
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(sumrate, "build_joint", counting)
+        monkeypatch.setattr(discrete.ReducedFactors, "evaluator", counting)
         return calls
 
-    def test_swz_equals_jd_builds_one_joint(self, monkeypatch):
+    def test_swz_equals_jd_builds_one_evaluator(self, monkeypatch):
         sc, aux = self.instance()
-        calls = self.count_builds(monkeypatch)
+        calls = self.count_evaluators(monkeypatch)
         swz_equals_jd(sc, aux)
         assert len(calls) == 1
 
-    def test_extreme_points_command_builds_one_joint(self, monkeypatch, tmp_path, capsys):
+    def test_extreme_points_command_builds_one_evaluator(self, monkeypatch, tmp_path, capsys):
         sc, aux = self.instance()
         path = tmp_path / "sc.json"
         save_scenario(sc, path, aux)
-        calls = self.count_builds(monkeypatch)
+        calls = self.count_evaluators(monkeypatch)
         assert main(["extreme-points", "--scenario", str(path)]) == 0
         assert len(calls) == 1
         assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 6 * 3
