@@ -4,6 +4,11 @@ All matrices are complex128 internally; real symmetric inputs are accepted
 and embedded with zero imaginary part.  log-determinants are base 2 and go
 through Cholesky when the argument is comfortably positive definite, with an
 eigenvalue fallback that clips at EIG_CLIP.
+
+The helpers work matrix by matrix on stacks (..., n, n) as well, so one
+numpy call covers many small matrices.  Validation of a stack is opt-in
+(``stacked=True``): a boundary that expects one matrix still rejects a
+3-D array.
 """
 
 from __future__ import annotations
@@ -15,36 +20,52 @@ EIG_CLIP = 1e-14
 LN2 = float(np.log(2.0))
 
 
-def as_complex(m) -> np.ndarray:
+def as_complex(m, stacked: bool = False) -> np.ndarray:
+    """m as a C-contiguous complex128 square matrix, or with ``stacked`` a
+    stack of them on the last two axes."""
     a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-1] != a.shape[-2]:
+        what = "square matrix stack" if stacked else "square matrix"
+        raise ValueError(f"expected a {what}, got shape {a.shape}")
     return np.ascontiguousarray(a, dtype=np.complex128)
 
 
 def hermitian_part(m) -> np.ndarray:
-    a = as_complex(m)
-    return 0.5 * (a + a.conj().T)
+    a = as_complex(m, stacked=True)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def require_hermitian(m, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
-    """Return the Hermitian part of m; reject if the skew part exceeds tol."""
-    a = as_complex(m)
-    skew = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+def require_hermitian(
+    m, tol: float = HERM_TOL, name: str = "matrix", stacked: bool = False
+) -> np.ndarray:
+    """Return the Hermitian part of m; reject if the skew part exceeds tol
+    (for a stack: the largest skew over all of its matrices)."""
+    a = as_complex(m, stacked)
+    adj = a.conj().swapaxes(-1, -2)
+    skew = np.max(np.abs(a - adj)) if a.size else 0.0
     if skew > tol:
         raise ValueError(f"{name} is not Hermitian (max asymmetry {skew:.3e} > {tol:.1e})")
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + adj)
 
 
-def min_eig(m) -> float:
-    return float(np.linalg.eigvalsh(hermitian_part(m)).min()) if np.asarray(m).size else 0.0
+def min_eig(m):
+    """Smallest eigenvalue of the Hermitian part of m, as a float; for a
+    stack, an array with one entry per matrix."""
+    a = hermitian_part(m)
+    lo = np.linalg.eigvalsh(a).min(axis=-1) if a.size else np.zeros(a.shape[:-2])
+    return float(lo) if a.ndim == 2 else lo
 
 
-def require_pd(m, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
-    a = require_hermitian(m, name=name)
+def require_pd(
+    m, tol: float = 1e-12, name: str = "matrix", stacked: bool = False
+) -> np.ndarray:
+    a = require_hermitian(m, name=name, stacked=stacked)
     lo = min_eig(a)
-    if lo <= tol:
-        raise ValueError(f"{name} is not positive definite (min eigenvalue {lo:.3e})")
+    if np.any(lo <= tol):
+        where = "" if a.ndim == 2 else f" at stack index {np.argmin(lo)}"
+        raise ValueError(
+            f"{name} is not positive definite (min eigenvalue {np.min(lo):.3e}{where})"
+        )
     return a
 
 
@@ -53,7 +74,7 @@ def psd_sqrt(m) -> np.ndarray:
     a = hermitian_part(m)
     lam, v = np.linalg.eigh(a)
     lam = np.clip(lam, 0.0, None)
-    return hermitian_part((v * np.sqrt(lam)) @ v.conj().T)
+    return hermitian_part((v * np.sqrt(lam)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def psd_inv_sqrt(m) -> np.ndarray:
@@ -61,25 +82,31 @@ def psd_inv_sqrt(m) -> np.ndarray:
     lam, v = np.linalg.eigh(a)
     if lam.min() <= 0.0:
         raise ValueError("matrix must be positive definite for inverse square root")
-    return hermitian_part((v / np.sqrt(lam)) @ v.conj().T)
+    return hermitian_part((v / np.sqrt(lam)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
-def logdet2(m) -> float:
-    """log2 det of a Hermitian positive (semi)definite matrix.
+def logdet2(m):
+    """log2 det of a Hermitian positive (semi)definite matrix, as a float;
+    for a stack, an array with one entry per matrix.
 
     Tries Cholesky on the symmetrized argument; on failure falls back to
     eigenvalues clipped at EIG_CLIP (so a numerically singular argument gives
-    a large negative value instead of NaN).
+    a large negative value instead of NaN).  In a stack only the matrices
+    whose Cholesky fails take the fallback.
     """
     a = hermitian_part(m)
-    if a.size == 0:
-        return 0.0
+    if a.shape[-1] == 0:
+        return 0.0 if a.ndim == 2 else np.zeros(a.shape[:-2])
     try:
         chol = np.linalg.cholesky(a)
-        return float(2.0 * np.sum(np.log2(np.real(np.diag(chol)))))
+        out = 2.0 * np.sum(np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
     except np.linalg.LinAlgError:
+        if a.ndim > 2:
+            flat = a.reshape((-1,) + a.shape[-2:])
+            return np.array([logdet2(x) for x in flat]).reshape(a.shape[:-2])
         lam = np.clip(np.linalg.eigvalsh(a), EIG_CLIP, None)
-        return float(np.sum(np.log2(lam)))
+        out = np.sum(np.log2(lam))
+    return float(out) if a.ndim == 2 else out
 
 
 def block_diag(blocks) -> np.ndarray:
@@ -99,4 +126,4 @@ def clip_eigenvalues(m, lo: float, hi: float) -> np.ndarray:
     a = hermitian_part(m)
     lam, v = np.linalg.eigh(a)
     lam = np.clip(lam, lo, hi)
-    return hermitian_part((v * lam) @ v.conj().T)
+    return hermitian_part((v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2))

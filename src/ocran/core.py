@@ -158,6 +158,8 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
     Returns (value, rates) or (0.0, zeros) when the region collapses to the
     origin or is empty.  Pareto tie-break: among weighted-optimal points the
     total rate is maximized, so zero-weight coordinates land on the boundary.
+    Raises ArithmeticError when the LP solver fails: that is a numeric
+    failure, not an empty region.
     """
     from scipy.optimize import linprog
 
@@ -181,7 +183,7 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
         return 0.0, np.zeros(region.num_users)
     res = linprog(-w, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     if not res.success:
-        return 0.0, np.zeros(region.num_users)
+        raise ArithmeticError(f"weighted-rate LP failed: {res.message}")
     best = float(-res.fun)
     # second stage: push the remaining slack onto zero-weight users
     res2 = linprog(

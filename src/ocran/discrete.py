@@ -415,7 +415,7 @@ class ReducedFactors:
         y_sizes = sc.output_sizes
         self.sc = sc
         aux_sizes = tuple(int(u) for u in aux_sizes)
-        self.order = tuple(sorted(range(k), key=lambda i: aux_sizes[i] / y_sizes[i]))
+        self.order = _contraction_order(aux_sizes, y_sizes)
         size = nq * int(np.prod(sc.input_sizes)) * int(np.prod(y_sizes))
         largest = size
         for i in self.order:
@@ -457,6 +457,12 @@ class ReducedFactors:
             float((p * _row_entropies(table)).sum()) for p, table in zip(self.pqy, tables)
         )
         return DiscreteEvaluator(self.sc, JointPmf(t, self._axes), h)
+
+
+def _contraction_order(aux_sizes, y_sizes) -> tuple[int, ...]:
+    """Relays (0-based) by increasing |U_k|/|Y_k|: the order in which
+    ``ReducedFactors`` contracts the relay-output axes."""
+    return tuple(sorted(range(len(y_sizes)), key=lambda i: aux_sizes[i] / y_sizes[i]))
 
 
 def _row_entropies(table: np.ndarray) -> np.ndarray:

@@ -296,8 +296,8 @@ class GaussianEvaluator:
     def subset_bounds(self) -> np.ndarray:
         """Sum-rate bound (T = all users) of every relay subset, indexed by
         subset bitmask.  The same arithmetic as ``bound`` per subset, with the
-        log-dets of all I + K^{1/2} A_S K^{1/2} taken by one stacked Cholesky;
-        if that fails, each goes through ``logdet2`` and its fallback."""
+        log-dets of all I + K^{1/2} A_S K^{1/2} taken by one stacked
+        ``logdet2``."""
         num = self.sc.num_relays
         _, k_root = self._users(self.full_users)
         eye = np.eye(k_root.shape[0], dtype=np.complex128)
@@ -305,13 +305,7 @@ class GaussianEvaluator:
         for s_mask in range((1 << num) - 1):  # the full S leaves no log-det
             a = sum(self.gfull[k - 1] for k in range(1, num + 1) if not s_mask >> (k - 1) & 1)
             m.append(eye + k_root @ a @ k_root)
-        m = np.stack(m)
-        try:
-            chol = np.linalg.cholesky(0.5 * (m + m.conj().transpose(0, 2, 1)))
-            info = 2.0 * np.sum(np.log2(np.real(np.diagonal(chol, axis1=1, axis2=2))), axis=1)
-        except np.linalg.LinAlgError:
-            info = [la.logdet2(mi) for mi in m]
-        info = np.append(info, 0.0)
+        info = np.append(la.logdet2(np.stack(m)), 0.0)
         return np.array([self._charged(indices_of(s)) + float(info[s]) for s in range(1 << num)])
 
     def region(self) -> RateRegion:
@@ -336,39 +330,73 @@ def region_gaussian(sc: GaussianScenario, q: QuantizerSetGaussian) -> RateRegion
     return GaussianEvaluator.from_quantizers(sc, q).region()
 
 
-def matrix_lemma_check(a, b, c, tol: float = 1e-10) -> bool:
-    """For Hermitian PD A, B, C with B >= A: check |I + BC| >= |I + AC|.
+def matrix_lemma_holds(a, b, c, tol: float = 1e-10) -> np.ndarray:
+    """For stacks (n, d, d) of Hermitian PD A, B, C with B >= A: check
+    |I + BC| >= |I + AC| matrix by matrix.
 
     Determinants are compared through log2 det of the symmetrized products
-    I + C^{1/2} M C^{1/2}; the comparison allows slack ``tol``.
+    I + C^{1/2} M C^{1/2}; the comparison allows slack ``tol``.  Each check
+    is made once for the whole stack and raises if any matrix fails it.
     """
-    a = la.require_pd(a, name="A")
-    b = la.require_pd(b, name="B")
-    c = la.require_pd(c, name="C")
-    if la.min_eig(b - a) < -la.HERM_TOL:
+    a = la.require_pd(a, name="A", stacked=True)
+    b = la.require_pd(b, name="B", stacked=True)
+    c = la.require_pd(c, name="C", stacked=True)
+    if a.shape != b.shape or a.shape != c.shape:
+        raise ValueError("A, B and C must have the same shape")
+    if np.any(la.min_eig(b - a) < -la.HERM_TOL):
         raise ValueError("precondition B >= A violated")
     c_root = la.psd_sqrt(c)
-    lhs = la.logdet2(np.eye(c.shape[0]) + c_root @ b @ c_root)
-    rhs = la.logdet2(np.eye(c.shape[0]) + c_root @ a @ c_root)
+    eye = np.eye(c.shape[-1])
+    lhs = la.logdet2(eye + c_root @ b @ c_root)
+    rhs = la.logdet2(eye + c_root @ a @ c_root)
     return lhs >= rhs - tol
+
+
+def matrix_lemma_check(a, b, c, tol: float = 1e-10) -> bool:
+    """``matrix_lemma_holds`` for one triple of matrices."""
+    return bool(matrix_lemma_holds(*(la.as_complex(m)[None] for m in (a, b, c)), tol=tol)[0])
+
+
+def weighted_means(mats, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted arithmetic and harmonic means of stacked PD matrices.
+
+    ``mats`` is (n, count, d, d) and ``weights`` (n, count), each row
+    nonnegative and summing to 1.  Returns the stacks (n, d, d) of
+    sum_i w_i A_i and (sum_i w_i A_i^{-1})^{-1}."""
+    mats = la.require_pd(mats, name="A_i", stacked=True)
+    if mats.ndim != 4:
+        raise ValueError(f"expected a (n, count, d, d) stack, got shape {mats.shape}")
+    w = _check_weights(weights, mats.shape[:2])
+    arith = la.hermitian_part(_weighted_sum(mats, w))
+    harm = la.hermitian_part(np.linalg.inv(_weighted_sum(np.linalg.inv(mats), w)))
+    return arith, harm
 
 
 def weighted_arithmetic_mean(mats, weights) -> np.ndarray:
     """sum_i w_i A_i for PD matrices A_i and nonnegative weights summing to 1."""
-    w = _check_weights(weights, len(mats))
-    out = sum(wi * la.require_pd(m, name="A_i") for wi, m in zip(w, mats))
-    return la.hermitian_part(out)
+    return weighted_means(*_one_mean_input(mats, weights))[0][0]
 
 
 def weighted_harmonic_mean(mats, weights) -> np.ndarray:
     """(sum_i w_i A_i^{-1})^{-1} for PD matrices A_i."""
-    w = _check_weights(weights, len(mats))
-    acc = sum(wi * np.linalg.inv(la.require_pd(m, name="A_i")) for wi, m in zip(w, mats))
-    return la.hermitian_part(np.linalg.inv(acc))
+    return weighted_means(*_one_mean_input(mats, weights))[1][0]
 
 
-def _check_weights(weights, count: int) -> np.ndarray:
+def _one_mean_input(mats, weights) -> tuple[np.ndarray, np.ndarray]:
+    # np.stack rejects an empty list and matrices of different shapes
+    return np.stack([la.as_complex(m) for m in mats])[None], np.asarray(weights, dtype=float)[None]
+
+
+def _weighted_sum(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w[:, i] mats[:, i], accumulated left to right from 0."""
+    out = np.zeros(mats.shape[:1] + mats.shape[2:], dtype=np.complex128)
+    for i in range(mats.shape[1]):
+        out = out + w[:, i, None, None] * mats[:, i]
+    return out
+
+
+def _check_weights(weights, shape: tuple[int, int]) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
-    if w.shape != (count,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+    if w.shape != shape or np.any(w < 0) or np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-9):
         raise ValueError("weights must be nonnegative and sum to 1, one per matrix")
     return w

@@ -669,10 +669,14 @@ class McEstimate:
     samples: int
 
 
-def _sample_circular(rng, cov_root: np.ndarray, count: int) -> np.ndarray:
-    d = cov_root.shape[0]
-    z = (rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))) / math.sqrt(2.0)
-    return z @ cov_root.T
+def _real_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real matrices (P, Q) with a @ P + b @ Q = [Re | Im] of (a + ib) @ m,
+    for real row blocks a and b."""
+    return np.hstack([m.real, m.imag]), np.hstack([-m.imag, m.real])
+
+
+def _row_sqnorm(v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", v, v)
 
 
 def mc_mutual_information(
@@ -713,27 +717,29 @@ def mc_mutual_information(
     k_t_root = la.psd_sqrt(sc.input_covariance(pair.users))
     lam_marg = la.hermitian_part(h_t @ (k_t_root @ k_t_root) @ h_t.conj().T + lam_cond)
     logdet_gap = (la.logdet2(lam_marg) - la.logdet2(lam_cond)) * la.LN2  # nats
-    cond_inv = np.linalg.inv(lam_cond)
-    marg_inv = np.linalg.inv(lam_marg)
-    cond_root = la.psd_sqrt(lam_cond)
 
-    # the log-density ratio only involves u - H_Tc x_Tc, so the interferers'
-    # inputs never need to be drawn
+    # Whitened coordinates.  The centred observation given x_T is the noise
+    # lam_cond^{1/2} z with z ~ CN(0, I), whose quadratic form under
+    # lam_cond^{-1} is ||z||^2.  The marginal form u^H lam_marg^{-1} u is
+    # ||u^T conj(L)||^2 for the Cholesky factor L L^H = lam_marg^{-1}, and
+    # u^T conj(L) = x^T signal_map + z^T noise_map for x ~ CN(0, I), the
+    # input before K_T^{1/2}.  A CN(0, I) row is (a + ib) / sqrt(2) with a, b
+    # standard normal rows, so the maps act on a and b as real matrices.
+    # Only u - H_Tc x_Tc enters, so the interferers' inputs are never drawn.
+    marg_factor = np.linalg.cholesky(np.linalg.inv(lam_marg)).conj()
+    signal_map = k_t_root.T @ h_t.T @ marg_factor
+    noise_map = la.psd_sqrt(lam_cond).T @ marg_factor
+    (x_re, x_im), (z_re, z_im) = (_real_form(m / math.sqrt(2.0)) for m in (signal_map, noise_map))
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         n = min(batch, samples - done)
-        x_t = _sample_circular(rng, k_t_root, n)
-        signal_t = x_t @ h_t.T  # rows are (H_T x_T)^T
-        noise = _sample_circular(rng, cond_root, n)
-        u_centered_cond = noise
-        u_centered_marg = signal_t + noise
-        quad_cond = np.real(np.einsum("ni,ij,nj->n", u_centered_cond.conj(), cond_inv,
-                                      u_centered_cond))
-        quad_marg = np.real(np.einsum("ni,ij,nj->n", u_centered_marg.conj(), marg_inv,
-                                      u_centered_marg))
+        x = rng.standard_normal((2, n, k_t_root.shape[0]))  # real parts, then imaginary
+        z = rng.standard_normal((2, n, lam_cond.shape[0]))
+        quad_marg = _row_sqnorm(x[0] @ x_re + x[1] @ x_im + z[0] @ z_re + z[1] @ z_im)
+        quad_cond = 0.5 * (_row_sqnorm(z[0]) + _row_sqnorm(z[1]))
         vals = (logdet_gap - quad_cond + quad_marg) / la.LN2
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())

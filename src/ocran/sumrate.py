@@ -32,6 +32,19 @@ from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, cmi, use
 
 INVARIANT_TOL = 1e-9
 ALPHA_DENOM_TOL = 1e-12
+# a prefix g within PIVOT_TOL of 0 counts as 0: where g is 0 in exact
+# arithmetic (a relay with |U_k| = 1 early in the chain, or R_sum = I(U; X)),
+# rounding must not decide the pivot or turn 1e-16 into an idle share
+PIVOT_TOL = 1e-12
+
+
+def _check_r_sum(r_sum) -> float:
+    """r_sum as a float; NaN and +-inf are rejected, since every comparison
+    against them is vacuous."""
+    r = float(r_sum)
+    if not math.isfinite(r):
+        raise ValueError(f"r_sum must be finite, got {r_sum!r}")
+    return r
 
 
 def jd_subset_bounds(sc: DiscreteScenario, aux: AuxChannels) -> np.ndarray:
@@ -61,6 +74,7 @@ def sd_achievable(
 
     The propositions' strict inequalities are tested non-strictly with
     tolerance ``tol`` because achievable regions are closures."""
+    r_sum = _check_r_sum(r_sum)
     info = DiscreteEvaluator.from_aux(sc, aux)
     if r_sum > info.i_ux + tol:
         return False
@@ -79,7 +93,7 @@ def g_function(
 
     With ``positive_part`` the value is floored at 0 (the form that defines
     the fronthaul polytope)."""
-    val = DiscreteEvaluator.from_aux(sc, aux).g(r_sum, relays)
+    val = DiscreteEvaluator.from_aux(sc, aux).g(_check_r_sum(r_sum), relays)
     return max(0.0, val) if positive_part else val
 
 
@@ -93,6 +107,7 @@ def check_supermodular(
     kk = sc.num_relays
     if kk > 12:
         raise ValueError("supermodularity check is exhaustive; K <= 12 required")
+    r_sum = _check_r_sum(r_sum)
     info = DiscreteEvaluator.from_aux(sc, aux)
     gp = {}
     for mask in range(1 << kk):
@@ -118,6 +133,7 @@ def extreme_point(
 
     The result is indexed by relay (position k-1 holds relay k's fronthaul)
     and telescopes to g+(all relays)."""
+    r_sum = _check_r_sum(r_sum)
     info = DiscreteEvaluator.from_aux(sc, aux)
     return _extreme_point(info, r_sum, _check_ordering(ordering, sc.num_relays))
 
@@ -130,8 +146,7 @@ def extreme_points(
 
     ``r_sum`` defaults to the joint-decoding sum-rate."""
     info = DiscreteEvaluator.from_aux(sc, aux)
-    if r_sum is None:
-        r_sum = _jd_sum_rate(info)
+    r_sum = _jd_sum_rate(info) if r_sum is None else _check_r_sum(r_sum)
     return [
         (pi, _extreme_point(info, r_sum, pi))
         for pi in permutations(range(1, sc.num_relays + 1))
@@ -190,7 +205,7 @@ class OrderingResult:
     dominates it.
 
     ``pivot_index`` is the 1-based position in the chain where the prefix g
-    first turns positive (None when it never does); ``idle_fraction`` is the
+    first exceeds PIVOT_TOL (None when it never does); ``idle_fraction`` is the
     share of time the pivot relay stays silent in the time-shared scheme;
     ``scheme_fronthaul``/``scheme_sum_rate`` describe the constructed
     operating point.  Fronthaul vectors are indexed by relay, not by chain
@@ -215,6 +230,7 @@ def swz_dominating_point(
     share of the time; later chain relays are always active.  Decoding runs
     through the chain in reverse.
     """
+    r_sum = _check_r_sum(r_sum)
     pi = _check_ordering(ordering, sc.num_relays)
     return _swz_dominating_point(DiscreteEvaluator.from_aux(sc, aux), r_sum, pi)
 
@@ -224,7 +240,7 @@ def _swz_dominating_point(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, 
     chain = _chain_g(info, r_sum, pi)
     c_tilde = _extreme_point(info, r_sum, pi)
 
-    pivot = next((k for k in range(1, kk + 1) if chain[k] > 0.0), None)
+    pivot = next((k for k in range(1, kk + 1) if chain[k] > PIVOT_TOL), None)
     c_prime = np.zeros(kk)
     if pivot is None:
         result = OrderingResult(
@@ -241,7 +257,8 @@ def _swz_dominating_point(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, 
         for k in range(pivot, kk + 1):
             cond_info[k - 1] = info.i_uy((pi[k - 1],), info.u(pi[k:]))
         denom = cond_info[pivot - 1]
-        alpha = 1.0 if denom < ALPHA_DENOM_TOL else min(1.0, max(0.0, -chain[pivot - 1] / denom))
+        g_before = chain[pivot - 1] if abs(chain[pivot - 1]) > PIVOT_TOL else 0.0
+        alpha = 1.0 if denom < ALPHA_DENOM_TOL else min(1.0, max(0.0, -g_before / denom))
         for k in range(pivot, kk + 1):
             c_prime[pi[k - 1] - 1] = (1.0 - alpha) * denom if k == pivot else cond_info[k - 1]
         active = info.u(pi[pivot - 1:])

@@ -24,15 +24,15 @@ from .gaussian import (
     GaussianEvaluator,
     GaussianScenario,
     QuantizerSetGaussian,
-    matrix_lemma_check,
-    weighted_arithmetic_mean,
-    weighted_harmonic_mean,
+    matrix_lemma_holds,
+    weighted_means,
 )
 from .optimize import mc_mutual_information
 from .sumrate import swz_equals_jd
 
 SUITE_NAMES = ("class_equivalence", "swz", "mc", "codebook", "matrix_lemmas")
 FAULT_BUMP = 1e-3
+LEMMA_BLOCK = 1000  # matrix_lemmas instances drawn before their stacks are checked
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,14 @@ def random_pd(rng: np.random.Generator, dim: int, complex_entries: bool = True) 
     z = rng.normal(size=(dim, dim))
     if complex_entries:
         z = z + 1j * rng.normal(size=(dim, dim))
-    return la.hermitian_part(z @ z.conj().T + 0.05 * np.eye(dim))
+    return pd_from_factor(z)
+
+
+def pd_from_factor(z) -> np.ndarray:
+    """The PD matrix Z Z^H + 0.05 I that ``random_pd`` builds from its random
+    factor Z, matrix by matrix for a stack of factors."""
+    z = np.asarray(z)
+    return la.hermitian_part(z @ z.conj().swapaxes(-1, -2) + 0.05 * np.eye(z.shape[-1]))
 
 
 def random_gaussian_scenario(
@@ -333,32 +340,60 @@ def suite_matrix_lemmas(
 ) -> SuiteReport:
     """Determinant monotonicity |I + BC| >= |I + AC| for B >= A, and the
     arithmetic-harmonic matrix mean ordering, on random PD inputs up to 4x4."""
-
-    def one(instance_seed: int):
-        rng = np.random.default_rng(instance_seed)
-        dim = int(rng.integers(1, 5))
-        a = random_pd(rng, dim)
-        w = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
-        b = la.hermitian_part(a + w @ w.conj().T)
-        c = random_pd(rng, dim)
-        lemma_ok = matrix_lemma_check(a, b, c)
-        count = int(rng.integers(2, 5))
-        mats = [random_pd(rng, dim) for _ in range(count)]
-        weights = rng.dirichlet(np.ones(count))
-        diff = weighted_arithmetic_mean(mats, weights) - weighted_harmonic_mean(mats, weights)
-        gap = -la.min_eig(diff)
-        if inject_fault:
-            gap += FAULT_BUMP
-        return lemma_ok, gap
-
-    results = [one(s) for s in spawn_seeds(seed, instances)]
-    failures = sum(1 for ok, gap in results if not ok or gap > 1e-10)
+    lemma_ok, gaps = matrix_lemma_cases(instances, seed)
+    if inject_fault:
+        gaps += FAULT_BUMP
+    failures = int(np.sum(~lemma_ok | (gaps > 1e-10)))
     return SuiteReport(
         suite="matrix_lemmas",
         cases=instances,
         failures=failures,
-        worst_gap=max(g for _, g in results),
+        worst_gap=float(gaps.max()),
     )
+
+
+def matrix_lemma_cases(instances: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-instance results of the matrix_lemmas suite: whether
+    |I + BC| >= |I + AC| held, and the mean-ordering gap
+    -min eig(arithmetic mean - harmonic mean), which is <= 0 when it holds.
+
+    Each instance draws from its own seed the numbers a loop over
+    ``random_pd`` and the per-matrix functions would draw, in the same
+    order, so the matrices are bit for bit the same.  The draws are then
+    grouped by (dimension, number of means), and the matrices are built and
+    checked a stack at a time."""
+    seeds = spawn_seeds(seed, instances)
+    lemma_ok = np.empty(instances, dtype=bool)
+    gaps = np.empty(instances)
+    # blocks of consecutive instances bound the memory that the kept draws
+    # take until their stack is checked
+    for start in range(0, instances, LEMMA_BLOCK):
+        groups: dict[tuple[int, int], list] = {}
+        for i in range(start, min(start + LEMMA_BLOCK, instances)):
+            rng = np.random.default_rng(seeds[i])
+            dim = int(rng.integers(1, 5))
+            # Generator.normal fills element by element, so one call gives the
+            # draws of consecutive calls: the real and imaginary parts of the
+            # factor of A, of the rank-one update w with B = A + w w^H, and
+            # of the factor of C; then those of each mean's factor
+            head = rng.normal(size=2 * dim * (2 * dim + 1))
+            count = int(rng.integers(2, 5))
+            mats = rng.normal(size=2 * count * dim * dim)
+            weights = rng.dirichlet(np.ones(count))
+            groups.setdefault((dim, count), []).append((i, head, mats, weights))
+        for (dim, count), rows in groups.items():
+            idx, head, mats, weights = (np.array(col) for col in zip(*rows))
+            n, sq = len(idx), dim * dim
+            a, w, c = np.split(head, [2 * sq, 2 * sq + 2 * dim], axis=1)
+            a = pd_from_factor((a[:, :sq] + 1j * a[:, sq:]).reshape(n, dim, dim))
+            w = (w[:, :dim] + 1j * w[:, dim:]).reshape(n, dim, 1)
+            b = la.hermitian_part(a + w @ w.conj().swapaxes(-1, -2))
+            c = pd_from_factor((c[:, :sq] + 1j * c[:, sq:]).reshape(n, dim, dim))
+            lemma_ok[idx] = matrix_lemma_holds(a, b, c)
+            mats = mats.reshape(n, count, 2, dim, dim)
+            means = weighted_means(pd_from_factor(mats[:, :, 0] + 1j * mats[:, :, 1]), weights)
+            gaps[idx] = -la.min_eig(means[0] - means[1])
+    return lemma_ok, gaps
 
 
 def run_suites(

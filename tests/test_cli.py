@@ -502,6 +502,23 @@ def test_internal_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch)
     assert "Traceback" not in err
 
 
+def test_failed_weighted_rate_lp_exits_3(tmp_path, capsys, monkeypatch):
+    import scipy.optimize
+
+    monkeypatch.setattr(
+        scipy.optimize, "linprog",
+        lambda *args, **kwargs: scipy.optimize.OptimizeResult(
+            success=False, status=4, message="forced failure", x=None, fun=None),
+    )
+    scenario = write_json(tmp_path / "sc.json", TestBoundaryCommand()._two_user_doc())
+    quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
+    out = tmp_path / "boundary.csv"
+    rc = main(["boundary", "--scenario", scenario, "--quantizers", quant, "--out", str(out)])
+    assert rc == 3
+    assert "forced failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_entry_point(tmp_path):
     scenario = tmp_path / "sc.json"
     scenario.write_text(json.dumps(golden_gaussian_doc()))

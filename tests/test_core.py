@@ -15,6 +15,7 @@ from ocran.core import (
     load_aux_tables,
     load_scenario,
     mask_of,
+    max_weighted_rate,
     sample_codebook_marginal,
     save_scenario,
     scenario_sha256,
@@ -85,6 +86,28 @@ class TestRateRegion:
         region = self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5])
         assert region.sum_rate_bound() == pytest.approx(0.8)
         assert region.max_user_rate(1) == pytest.approx(0.5)
+
+    def test_weighted_rate(self):
+        value, rates = max_weighted_rate(self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5]), [1.0, 1.0])
+        assert value == pytest.approx(0.8)
+        assert rates.sum() == pytest.approx(0.8)
+
+    def test_empty_region_gives_origin(self):
+        value, rates = max_weighted_rate(self._region([-0.1, 1.0, 0.5, 1.0, 0.8, 1.5]), [1.0, 1.0])
+        assert value == 0.0
+        np.testing.assert_array_equal(rates, 0.0)
+
+    def test_failed_lp_is_a_numeric_failure(self, monkeypatch):
+        # a failed solve must not read as the empty region's (0, zeros)
+        import scipy.optimize
+
+        monkeypatch.setattr(
+            scipy.optimize, "linprog",
+            lambda *args, **kwargs: scipy.optimize.OptimizeResult(
+                success=False, status=4, message="forced failure", x=None, fun=None),
+        )
+        with pytest.raises(ArithmeticError, match="forced failure"):
+            max_weighted_rate(self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5]), [1.0, 1.0])
 
 
 def _minimal_gaussian_doc():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ocran import _linalg as la
 from ocran import gaussian
 from ocran.cli import main
 from ocran.core import (
@@ -21,10 +22,12 @@ from ocran.gaussian import (
     fronthaul_bits,
     fronthaul_mi,
     matrix_lemma_check,
+    matrix_lemma_holds,
     rate_constraint_gaussian,
     region_gaussian,
     weighted_arithmetic_mean,
     weighted_harmonic_mean,
+    weighted_means,
 )
 from ocran.verify import random_gaussian_scenario, random_pd, random_quantizers
 
@@ -363,3 +366,95 @@ class TestMatrixLemmas:
     def test_mean_weight_validation(self):
         with pytest.raises(ValueError):
             weighted_arithmetic_mean([np.eye(2)], [0.5])
+
+
+class TestStackedMatrixLemmas:
+    """The stacked kernels validate every matrix of a stack and agree with the
+    per-matrix functions, which are the same kernels on a stack of one."""
+
+    @staticmethod
+    def triples(n=6, dim=3, seed=3):
+        rng = np.random.default_rng(seed)
+        a = np.stack([random_pd(rng, dim) for _ in range(n)])
+        w = rng.normal(size=(n, dim, 1)) + 1j * rng.normal(size=(n, dim, 1))
+        b = a + w @ w.conj().swapaxes(-1, -2)
+        c = np.stack([random_pd(rng, dim) for _ in range(n)])
+        return a, b, c
+
+    @staticmethod
+    def means_input(n=5, count=3, dim=2, seed=4):
+        rng = np.random.default_rng(seed)
+        mats = np.stack([np.stack([random_pd(rng, dim) for _ in range(count)]) for _ in range(n)])
+        return mats, rng.dirichlet(np.ones(count), size=n)
+
+    def test_lemma_matches_per_matrix_check(self):
+        a, b, c = self.triples()
+        held = matrix_lemma_holds(a, b, c)
+        assert held.shape == (6,) and held.all()
+        assert list(held) == [matrix_lemma_check(*t) for t in zip(a, b, c)]
+        # swapping A and B breaks the precondition in every row
+        with pytest.raises(ValueError, match="precondition"):
+            matrix_lemma_holds(b, a, c)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_one_non_pd_matrix_in_a_stack_raises(self, which):
+        mats = list(self.triples())
+        bad = mats[which].copy()
+        bad[4] = np.diag([1.0, 0.0, 2.0])  # PSD but singular
+        mats[which] = bad
+        with pytest.raises(ValueError, match="not positive definite.*stack index 4"):
+            matrix_lemma_holds(*mats)
+
+    def test_one_non_hermitian_matrix_in_a_stack_raises(self):
+        a, b, c = self.triples()
+        c[1, 0, 2] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            matrix_lemma_holds(a, b, c)
+
+    def test_one_pair_breaking_b_ge_a_raises(self):
+        a, b, c = self.triples()
+        b[2] = 0.5 * a[2]  # positive definite, but below A
+        with pytest.raises(ValueError, match="precondition B >= A"):
+            matrix_lemma_holds(a, b, c)
+
+    def test_means_match_per_matrix_functions(self):
+        mats, weights = self.means_input()
+        arith, harm = weighted_means(mats, weights)
+        for i, (row, w) in enumerate(zip(mats, weights)):
+            np.testing.assert_array_equal(arith[i], weighted_arithmetic_mean(list(row), w))
+            np.testing.assert_array_equal(harm[i], weighted_harmonic_mean(list(row), w))
+            expected = np.linalg.inv(sum(wi * np.linalg.inv(m) for wi, m in zip(w, row)))
+            np.testing.assert_allclose(harm[i], expected, atol=1e-12, rtol=0)
+            assert la.min_eig(arith[i] - harm[i]) >= -1e-10
+
+    def test_means_validate_every_matrix_and_weight_row(self):
+        mats, weights = self.means_input()
+        bad = mats.copy()
+        bad[3, 1] = -bad[3, 1]
+        with pytest.raises(ValueError, match="not positive definite"):
+            weighted_means(bad, weights)
+        for row in ([0.5, 0.5, 0.5], [1.5, -0.5, 0.0]):
+            w = weights.copy()
+            w[2] = row
+            with pytest.raises(ValueError, match="weights"):
+                weighted_means(mats, w)
+        with pytest.raises(ValueError, match="weights"):
+            weighted_means(mats, weights[:, :2])
+
+    def test_single_matrix_boundaries_still_reject_stacks(self):
+        stack = np.stack([np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match="square matrix"):
+            la.require_hermitian(stack)
+        with pytest.raises(ValueError, match="square matrix"):
+            la.require_pd(stack)
+        with pytest.raises(ValueError, match="square matrix"):
+            QuantizerSetGaussian(B=(stack,))
+        with pytest.raises(ValueError, match="square matrix"):
+            matrix_lemma_check(stack, stack, stack)
+
+    def test_stacked_logdet_takes_the_fallback_per_matrix(self):
+        rng = np.random.default_rng(5)
+        m = np.stack([random_pd(rng, 3), np.diag([1.0, 0.0, 4.0]), random_pd(rng, 3)])
+        values = la.logdet2(m)
+        assert [float(v) for v in values] == [la.logdet2(x) for x in m]
+        assert values[1] == pytest.approx(2.0 + math.log2(la.EIG_CLIP))

@@ -346,3 +346,51 @@ class TestMonteCarlo:
         a = mc_mutual_information(sc, q, pair, samples=10_000, seed=9)
         b = mc_mutual_information(sc, q, pair, samples=10_000, seed=9)
         assert a == b
+
+    @staticmethod
+    def unwhitened(sc, q, pair, samples, seed, batch):
+        """The estimator in the observation's own coordinates: both quadratic
+        forms through the inverse covariances, real and imaginary parts
+        drawn by separate calls."""
+        relays_c = pair.relays_complement(sc.num_relays)
+        lam_cond = la.block_diag([la.hermitian_part(np.linalg.inv(q.B[k - 1])) for k in relays_c])
+        h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
+        k_t_root = la.psd_sqrt(sc.input_covariance(pair.users))
+        lam_marg = la.hermitian_part(h_t @ k_t_root @ k_t_root @ h_t.conj().T + lam_cond)
+        gap = (la.logdet2(lam_marg) - la.logdet2(lam_cond)) * math.log(2.0)
+        cond_inv, marg_inv = np.linalg.inv(lam_cond), np.linalg.inv(lam_marg)
+        cond_root = la.psd_sqrt(lam_cond)
+        rng = np.random.default_rng(seed)
+
+        def circular(root, n):
+            re = rng.standard_normal((n, root.shape[0]))
+            im = rng.standard_normal((n, root.shape[0]))
+            return (re + 1j * im) / math.sqrt(2.0) @ root.T
+
+        def quad(v, m):
+            return np.real(np.einsum("ni,ij,nj->n", v.conj(), m, v))
+
+        vals = []
+        for start in range(0, samples, batch):
+            n = min(batch, samples - start)
+            x = circular(k_t_root, n)
+            noise = circular(cond_root, n)
+            u = x @ h_t.T + noise
+            vals.append((gap - quad(noise, cond_inv) + quad(u, marg_inv)) / math.log(2.0))
+        vals = np.concatenate(vals)
+        return vals.mean(), vals.std() / math.sqrt(samples)
+
+    def test_whitened_matches_unwhitened_estimator(self):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for trial in range(6):
+            sc = random_gaussian_scenario(rng, 2, 2)
+            q = random_quantizers(rng, sc)
+            for users, relays in (((1, 2), ()), ((1,), (2,)), ((2,), (1,))):
+                pair = SubsetPair(users=users, relays=relays)
+                est = mc_mutual_information(sc, q, pair, samples=25_000, seed=trial, batch=7_000)
+                mean, std_error = self.unwhitened(sc, q, pair, 25_000, trial, 7_000)
+                assert est.estimate == pytest.approx(mean, abs=1e-12, rel=0)
+                assert est.std_error == pytest.approx(std_error, abs=1e-12, rel=0)
+                checked += 1
+        assert checked == 18

@@ -33,6 +33,7 @@ from ocran.discrete import (
 from ocran.optimize import OptimizerConfig, optimize_discrete_aux
 from ocran.sumrate import (
     ALPHA_DENOM_TOL,
+    PIVOT_TOL,
     check_supermodular,
     extreme_point,
     extreme_points,
@@ -135,13 +136,14 @@ class Dense:
         point = np.zeros(kk)
         for k in range(1, kk + 1):
             point[pi[k - 1] - 1] = max(0.0, max(0.0, chain[k]) - max(0.0, chain[k - 1]))
-        pivot = next((k for k in range(1, kk + 1) if chain[k] > 0.0), None)
+        pivot = next((k for k in range(1, kk + 1) if chain[k] > PIVOT_TOL), None)
         if pivot is None:
             return point, None, 1.0, np.zeros(kk), 0.0, 1.0
         cond = {k: cmi(self.j, self.y([pi[k - 1]]), self.u([pi[k - 1]]), self.u(pi[k:]) | {"Q"})
                 for k in range(pivot, kk + 1)}
         denom = cond[pivot]
-        alpha = 1.0 if denom < ALPHA_DENOM_TOL else min(1.0, max(0.0, -chain[pivot - 1] / denom))
+        g_before = chain[pivot - 1] if abs(chain[pivot - 1]) > PIVOT_TOL else 0.0
+        alpha = 1.0 if denom < ALPHA_DENOM_TOL else min(1.0, max(0.0, -g_before / denom))
         fronthaul = np.zeros(kk)
         for k in range(pivot, kk + 1):
             fronthaul[pi[k - 1] - 1] = (1.0 - alpha) * denom if k == pivot else cond[k]
@@ -199,15 +201,11 @@ def test_successive_wyner_ziv(instance):
         point, pivot, alpha, fronthaul, rate, denom = dense.ordering_result(
             cmp_res.jd_sum_rate, res.ordering)
         np.testing.assert_allclose(res.extreme_point, point, atol=TOL, rtol=0)
-        chain = [dense.g(cmp_res.jd_sum_rate, res.ordering[:k])
-                 for k in range(1, sc.num_relays + 1)]
-        if min(abs(v) for v in chain) > TOL:
-            # where a prefix g is 0 up to rounding (a relay with |U_k| = 1 first),
-            # the pivot is a tie that either joint may break either way; the
-            # scheme's fronthaul and sum-rate below do not depend on it
-            assert res.pivot_index == pivot
-            # the idle share is -g(prefix) / denom: rounding scaled by 1 / denom
-            assert res.idle_fraction == pytest.approx(alpha, abs=TOL / min(1.0, denom), rel=0)
+        # a prefix g that is 0 up to rounding (a relay with |U_k| = 1 first)
+        # counts as 0 on both sides, so the pivot is no tie
+        assert res.pivot_index == pivot
+        # the idle share is -g(prefix) / denom: rounding scaled by 1 / denom
+        assert res.idle_fraction == pytest.approx(alpha, abs=TOL / min(1.0, denom), rel=0)
         np.testing.assert_allclose(res.scheme_fronthaul, fronthaul, atol=TOL, rtol=0)
         assert res.scheme_sum_rate == pytest.approx(rate, abs=TOL, rel=0)
 

@@ -452,3 +452,57 @@ class TestSharedEvaluator:
             rows = {p.s_mask: b for p, b in region_discrete(sc, aux, "thm3").constraints
                     if p.t_mask == 0b11}
             assert [bounds[s] for s in range(8)] == [rows[s] for s in range(8)]
+
+
+class TestPivotTolerance:
+    """Where a prefix g is 0 in exact arithmetic, rounding must not decide the
+    pivot or leave an idle share of 1e-15: the result may not depend on the
+    order in which the reduced joint contracts the relay outputs."""
+
+    def test_contraction_order_moves_neither_pivot_nor_idle_share(self, monkeypatch):
+        # |U_1| = 1 and fronthaul so large that R_sum = I(U; X): g is 0 on the
+        # empty set and on {1} in exact arithmetic
+        rng = np.random.default_rng(0)
+        sc = random_correlated_scenario(rng, 1, 3, (2,), (2, 3, 2), fronthaul_range=(4.0, 5.0))
+        aux = random_aux(rng, sc, (1, 3, 2))
+        r_sum = jd_sum_rate(sc, aux)
+        orderings = list(itertools.permutations((1, 2, 3)))
+        reference = {pi: swz_dominating_point(sc, aux, r_sum, pi) for pi in orderings}
+        g_empty = []
+        for order in itertools.permutations(range(3)):
+            monkeypatch.setattr(discrete, "_contraction_order", lambda a, y, order=order: order)
+            g_empty.append(g_function(sc, aux, r_sum, ()))
+            for pi in orderings:
+                res = swz_dominating_point(sc, aux, r_sum, pi)
+                assert res.pivot_index == (2 if pi[0] == 1 else 1)
+                assert res.idle_fraction == 0.0
+                np.testing.assert_allclose(
+                    res.scheme_fronthaul, reference[pi].scheme_fronthaul, atol=1e-12, rtol=0)
+                assert res.scheme_sum_rate == pytest.approx(
+                    reference[pi].scheme_sum_rate, abs=1e-12)
+        # the instance really is a rounding tie: some orders miss 0 by 1e-16
+        assert max(abs(g) for g in g_empty) <= 1e-12
+        assert any(g != 0.0 for g in g_empty)
+
+
+def _r_sum_entry_points():
+    return {
+        "extreme_point": lambda sc, aux, r: extreme_point(sc, aux, r, (1, 2)),
+        "extreme_points": extreme_points,
+        "g_function": lambda sc, aux, r: g_function(sc, aux, r, (1,)),
+        "swz_dominating_point": lambda sc, aux, r: swz_dominating_point(sc, aux, r, (2, 1)),
+        "sd_achievable": sd_achievable,
+        "check_supermodular": check_supermodular,
+    }
+
+
+@pytest.mark.parametrize("entry", list(_r_sum_entry_points()))
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_r_sum_is_rejected(entry, value):
+    rng = np.random.default_rng(0)
+    sc = random_factorizing_scenario(rng, 1, 2)
+    aux = random_aux(rng, sc)
+    call = _r_sum_entry_points()[entry]
+    with pytest.raises(ValueError, match="r_sum must be finite"):
+        call(sc, aux, value)
+    call(sc, aux, 0.1)  # a finite rate still goes through
