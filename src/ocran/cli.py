@@ -261,7 +261,6 @@ def cmd_optimize(args) -> int:
     cfg = OptimizerConfig(
         objective="sum_rate" if args.objective == "sum" else "weighted",
         weights=weights,
-        method=args.method,
         restarts=args.restarts,
         max_iters=args.iters,
         seed=args.seed,
@@ -473,8 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--objective", choices=("sum", "weighted"), default="sum")
     p.add_argument("--weights", help="comma-separated user weights")
-    p.add_argument("--method", choices=("grid", "coordinate_ascent", "projected_gradient"),
-                   default="coordinate_ascent")
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--iters", type=int, default=120)
     p.add_argument("--aux-sizes", help="comma-separated |U_k| for discrete scenarios")

@@ -19,6 +19,7 @@ inputs it adds nothing, so scenarios with |Q| > 1 are rejected.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -272,22 +273,43 @@ class GaussianEvaluator:
             self.user_terms[users] = (idx, la.psd_sqrt(self.sc.input_covariance(users)))
         return self.user_terms[users]
 
-    def info_term(self, pair: SubsetPair) -> float:
-        """I(X_T; U_{S^c} | X_{T^c}) = log2 det(I + K_T^{1/2} A K_T^{1/2}),
-        A = sum_{k not in S} H_{k,T}^H B_k H_{k,T}; finite even when a relay
-        in S sits on the boundary B_k = Sigma_k^{-1}."""
-        relays_c = pair.relays_complement(self.sc.num_relays)
-        if not relays_c:
-            return 0.0
-        idx, k_root = self._users(pair.users)
-        a = sum(self.gfull[k - 1][np.ix_(idx, idx)] for k in relays_c)
-        m = np.eye(len(idx), dtype=np.complex128) + k_root @ a @ k_root
-        return la.logdet2(m)
+    def _branch_stack(self, users: tuple[int, ...], s_masks=None) -> np.ndarray:
+        """The stack of I + K_T^{1/2} A_{T,S} K_T^{1/2}, one per relay-set
+        bitmask in ``s_masks`` (by default every S but the full one, which
+        leaves no log-det), with A_{T,S} = sum_{k not in S} H_{k,T}^H B_k
+        H_{k,T} summed in increasing k."""
+        num = self.sc.num_relays
+        s_masks = np.arange((1 << num) - 1) if s_masks is None else np.asarray(s_masks)
+        idx, k_root = self._users(users)
+        outside = (s_masks[:, None] >> np.arange(num) & 1) == 0
+        a = np.zeros((len(outside), idx.size, idx.size), dtype=np.complex128)
+        for k, g in enumerate(self.gfull):
+            a[outside[:, k]] += g[np.ix_(idx, idx)]
+        return np.eye(idx.size) + k_root @ a @ k_root
+
+    @functools.cached_property
+    def branch_matrices(self) -> np.ndarray:
+        """``_branch_stack`` at T = all users, indexed by subset bitmask."""
+        return self._branch_stack(self.full_users)
 
     def _charged(self, relays) -> float:
         """sum_{k in S} [C_k - fronthaul_mi_k] (-inf when a relay in S has an
         infinite fronthaul rate)."""
         return sum(self.sc.fronthaul[k - 1] - self.mi[k - 1] for k in relays)
+
+    def _bounds(self, stack: np.ndarray) -> list[float]:
+        """The bound of every relay set S (index = bitmask) from the stack
+        of its branch matrices; the full S leaves no log-det."""
+        info = np.append(la.logdet2(stack), 0.0)
+        return [self._charged(indices_of(s)) + float(info[s]) for s in range(info.size)]
+
+    def info_term(self, pair: SubsetPair) -> float:
+        """I(X_T; U_{S^c} | X_{T^c}) = log2 det(I + K_T^{1/2} A K_T^{1/2}),
+        A = sum_{k not in S} H_{k,T}^H B_k H_{k,T}; finite even when a relay
+        in S sits on the boundary B_k = Sigma_k^{-1}."""
+        if not pair.relays_complement(self.sc.num_relays):
+            return 0.0
+        return float(la.logdet2(self._branch_stack(pair.users, [pair.s_mask]))[0])
 
     def bound(self, pair: SubsetPair) -> float:
         """One constraint bound, in bits."""
@@ -295,26 +317,17 @@ class GaussianEvaluator:
 
     def subset_bounds(self) -> np.ndarray:
         """Sum-rate bound (T = all users) of every relay subset, indexed by
-        subset bitmask.  The same arithmetic as ``bound`` per subset, with the
-        log-dets of all I + K^{1/2} A_S K^{1/2} taken by one stacked
-        ``logdet2``."""
-        num = self.sc.num_relays
-        _, k_root = self._users(self.full_users)
-        eye = np.eye(k_root.shape[0], dtype=np.complex128)
-        m = []
-        for s_mask in range((1 << num) - 1):  # the full S leaves no log-det
-            a = sum(self.gfull[k - 1] for k in range(1, num + 1) if not s_mask >> (k - 1) & 1)
-            m.append(eye + k_root @ a @ k_root)
-        info = np.append(la.logdet2(np.stack(m)), 0.0)
-        return np.array([self._charged(indices_of(s)) + float(info[s]) for s in range(1 << num)])
+        subset bitmask."""
+        return np.array(self._bounds(self.branch_matrices))
 
     def region(self) -> RateRegion:
-        """Every (T, S) bound; negative bounds are kept as-is."""
+        """Every (T, S) bound, one stacked log-det per user set T; negative
+        bounds are kept as-is."""
         pairs = enumerate_constraint_pairs(self.sc.num_users, self.sc.num_relays)
-        return RateRegion(
-            num_users=self.sc.num_users,
-            constraints=tuple((p, self.bound(p)) for p in pairs),
-        )
+        bounds = []
+        for t_mask in range(1, 1 << self.sc.num_users):
+            bounds += self._bounds(self._branch_stack(indices_of(t_mask)))
+        return RateRegion(num_users=self.sc.num_users, constraints=tuple(zip(pairs, bounds)))
 
 
 def rate_constraint_gaussian(

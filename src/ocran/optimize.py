@@ -6,13 +6,12 @@ W_k = Sigma_k^{1/2} B_k Sigma_k^{1/2}, whose feasible set is simply
 1 - 1e-9 so fronthaul rates stay finite) by eigenvalue clipping before
 evaluation, so returned quantizers are always feasible.
 
-The min-over-relay-subsets objective is piecewise smooth.  The search methods
-use values only (grid / coordinate pattern search) or subgradient steps (the
-active branch's gradient, ties broken toward the smallest subset bitmask,
-min-norm combination at ties); because those can stall where a tie surface
-meets the PSD boundary, sum-rate runs finish with an annealed soft-min
-polish whose accepted iterates are still measured on the hard objective.
-Global optimality is not claimed.
+The min-over-relay-subsets objective is piecewise smooth.  Each restart
+runs a coordinate pattern search on values alone; because it can stall where
+a tie surface meets the PSD boundary, sum-rate runs finish with an annealed
+soft-min polish, whose steps follow the gradients of the subset branches and
+whose accepted iterates are still measured on the hard objective.  Global
+optimality is not claimed.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _linalg as la
-from .core import SubsetPair, indices_of, mask_of, max_weighted_rate, spawn_seeds
+from .core import SubsetPair, mask_of, max_weighted_rate, spawn_seeds
 from .discrete import AuxChannels, DiscreteScenario, ReducedFactors
 from .gaussian import (
     QUANT_CAP_MARGIN,
@@ -44,7 +43,6 @@ IMPROVE_TOL = 1e-12
 class OptimizerConfig:
     objective: str = "sum_rate"  # "sum_rate" | "weighted"
     weights: tuple[float, ...] | None = None
-    method: str = "coordinate_ascent"  # "grid" | "coordinate_ascent" | "projected_gradient"
     restarts: int = 4
     max_iters: int = 120
     step_tol: float = 1e-8
@@ -55,8 +53,6 @@ class OptimizerConfig:
             raise ValueError("objective must be 'sum_rate' or 'weighted'")
         if self.objective == "weighted" and self.weights is None:
             raise ValueError("weighted objective needs a weight vector")
-        if self.method not in ("grid", "coordinate_ascent", "projected_gradient"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
         if self.step_tol <= 0:
@@ -130,22 +126,23 @@ def _param_count(dims) -> int:
 
 
 class _Point:
-    """One packed point x, evaluated once.  ``ws`` are the projected
-    normalized quantizers; ``bs``, ``evaluator`` and the subset branch values
-    ``vals`` are filled on first use."""
+    """One feasible point, evaluated once.  ``ws`` are the projected
+    normalized quantizers and ``x`` their packed coordinates; the
+    ``evaluator``, the subset branch values ``vals`` and the fronthaul
+    gradients ``charge_grads`` are filled on first use."""
 
-    __slots__ = ("x", "ws", "bs", "evaluator", "vals")
+    __slots__ = ("x", "ws", "evaluator", "vals", "charge_grads")
 
     def __init__(self, x: np.ndarray, ws: list[np.ndarray]):
         self.x = x
         self.ws = ws
-        self.bs = self.evaluator = self.vals = None
+        self.evaluator = self.vals = self.charge_grads = None
 
 
 class _GaussianObjective:
     """Sum-rate (or weighted-rate) objective over packed normalized quantizers.
 
-    Every method takes packed parameters x or a point from ``at(x)``; loops
+    Each question takes packed parameters x or a point from ``at(x)``; loops
     that ask several questions about one x pass the point, so x is projected
     and evaluated once."""
 
@@ -166,15 +163,13 @@ class _GaussianObjective:
         return [la.clip_eigenvalues(w, 0.0, 1.0 - QUANT_CAP_MARGIN) for w in ws]
 
     def at(self, x) -> _Point:
-        """The point x with its projection; a point is returned as is."""
+        """The projection of packed parameters x, whose own packed
+        coordinates become the point's x, so steps from it move the
+        projected point directly; a point is returned as is."""
         if isinstance(x, _Point):
             return x
-        return _Point(x, self.project(_unpack_hermitian(x, self.dims)))
-
-    def repack(self, x) -> np.ndarray:
-        """Replace x by the packed coordinates of its feasible projection, so
-        subsequent steps move the projected point directly."""
-        return _pack_hermitian(self.at(x).ws)
+        ws = self.project(_unpack_hermitian(x, self.dims))
+        return _Point(_pack_hermitian(ws), ws)
 
     def _b(self, ws) -> list[np.ndarray]:
         return [la.hermitian_part(ri @ w @ ri) for ri, w in zip(self.sig_root_inv, ws)]
@@ -189,8 +184,7 @@ class _GaussianObjective:
         if p.evaluator is None:
             mi = [fronthaul_bits(np.clip(np.linalg.eigvalsh(w), 0.0, 1.0 - QUANT_CAP_MARGIN))
                   for w in p.ws]
-            p.bs = self._b(p.ws)
-            p.evaluator = GaussianEvaluator(self.sc, p.bs, mi, h_full=self.h_full,
+            p.evaluator = GaussianEvaluator(self.sc, self._b(p.ws), mi, h_full=self.h_full,
                                             user_terms=self.user_terms)
         return p.evaluator
 
@@ -227,27 +221,20 @@ class _GaussianObjective:
         return float(vals[1] - vals[0]) if vals.size > 1 else math.inf
 
     def _branch_gradient(self, x, s_mask: int) -> np.ndarray:
+        """Gradient of the subset-S branch: the fronthaul charge for relays
+        in S (shared by every branch at one point) and the log-det term,
+        through the inverse of the evaluator's branch matrix, for the rest."""
         p = self.at(x)
-        self.evaluator(p)  # fills p.bs
-        ws, bs = p.ws, p.bs
-        s_set = set(indices_of(s_mask))
-        grads = []
-        sc = self.sc
-        inside = [k for k in range(1, sc.num_relays + 1) if k not in s_set]
-        m_inv = None
-        if inside:
-            a = sum(self.h_full[k - 1].conj().T @ bs[k - 1] @ self.h_full[k - 1] for k in inside)
-            n = a.shape[0]
-            m = np.eye(n, dtype=np.complex128) + self.k_full_root @ a @ self.k_full_root
-            m_inv = np.linalg.inv(m)
-        for k in range(1, sc.num_relays + 1):
-            if k in s_set:
-                g = -np.linalg.inv(np.eye(self.dims[k - 1]) - ws[k - 1]) / la.LN2
-            else:
-                inner = self.k_full_root @ m_inv @ self.k_full_root
-                gb = self.h_full[k - 1] @ inner @ self.h_full[k - 1].conj().T / la.LN2
-                g = self.sig_root_inv[k - 1] @ gb @ self.sig_root_inv[k - 1]
-            grads.append(la.hermitian_part(g))
+        ev = self.evaluator(p)
+        if p.charge_grads is None:
+            p.charge_grads = [la.hermitian_part(-np.linalg.inv(np.eye(d) - w) / la.LN2)
+                              for d, w in zip(self.dims, p.ws)]
+        grads = list(p.charge_grads)
+        if s_mask < len(ev.branch_matrices):  # some relay is outside S
+            inner = self.k_full_root @ np.linalg.inv(ev.branch_matrices[s_mask]) @ self.k_full_root
+            for k, (h, ri) in enumerate(zip(self.h_full, self.sig_root_inv)):
+                if not s_mask >> k & 1:
+                    grads[k] = la.hermitian_part(ri @ (h @ inner @ h.conj().T / la.LN2) @ ri)
         return _pack_gradient(grads)
 
     def gradient(self, x) -> np.ndarray:
@@ -263,20 +250,6 @@ class _GaussianObjective:
         vals = self.branch_values(p)
         active = int(np.flatnonzero(vals <= vals.min() + IMPROVE_TOL)[0])
         return self._branch_gradient(p, active)
-
-    def ascent_direction(self, x, tie_tol: float = 1e-9) -> np.ndarray:
-        """Subgradient-style ascent direction: the single active branch's
-        gradient away from ties, the minimum-norm convex combination of the
-        active branches' gradients at a tie (ties resolved smallest mask
-        first, so the direction is deterministic)."""
-        p = self.at(x)
-        vals = self.branch_values(p)
-        lo = float(vals.min())
-        active = [s for s in range(vals.size) if vals[s] <= lo + tie_tol]
-        if len(active) < 2 and math.isinf(tie_tol) and vals.size > 1:
-            active = list(np.argsort(vals, kind="stable")[:2])
-        grads = [self._branch_gradient(p, int(s)) for s in active[:4]]
-        return _min_norm_combination(grads)
 
     def softmin(self, x, tau: float, gradient: bool = True) -> tuple[float, np.ndarray | None]:
         """Smooth lower envelope -tau log2 sum_S 2^{-v_S/tau} of the subset
@@ -298,20 +271,6 @@ class _GaussianObjective:
         return value, grad
 
 
-def _min_norm_combination(grads: list[np.ndarray]) -> np.ndarray:
-    """Pairwise reduction toward the minimum-norm point of the gradients'
-    convex hull (exact for two gradients, a good ascent direction for more)."""
-    d = grads[0]
-    for g in grads[1:]:
-        diff = d - g
-        denom = float(diff @ diff)
-        if denom < 1e-30:
-            continue
-        mu = min(1.0, max(0.0, float(d @ diff) / denom))
-        d = (1.0 - mu) * d + mu * g
-    return d
-
-
 def _pack_gradient(mats) -> np.ndarray:
     """Gradient w.r.t. the packed coordinates of a Hermitian parameterization:
     diagonal entries map to Re G_ii, off-diagonal (re, im) pairs to
@@ -331,7 +290,10 @@ def sum_rate_field(sc: GaussianScenario) -> "ScalarField":
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_search(value: Callable, x0: np.ndarray, cfg: OptimizerConfig, grid: bool):
+def _coordinate_search(value: Callable, x0: np.ndarray, cfg: OptimizerConfig):
+    """Pattern search: along each coordinate in turn, try a step up, then
+    down, doubling it while the value improves; halve the step after a
+    sweep without improvement."""
     x = x0.copy()
     best = value(x)
     trace = [best]
@@ -340,79 +302,28 @@ def _coordinate_search(value: Callable, x0: np.ndarray, cfg: OptimizerConfig, gr
     for _ in range(cfg.max_iters):
         improved = False
         for d in range(x.size):
-            if grid:
-                offsets = step * np.array([-1.0, -0.5, -0.25, 0.25, 0.5, 1.0])
-                cand_best, cand_off = best, 0.0
-                for off in offsets:
+            for sign in (1.0, -1.0):
+                moved = False
+                local = step
+                while True:
                     trial = x.copy()
-                    trial[d] += off
+                    trial[d] += sign * local
                     v = value(trial)
-                    if v > cand_best + IMPROVE_TOL:
-                        cand_best, cand_off = v, off
-                if cand_off != 0.0:
-                    x[d] += cand_off
-                    best = cand_best
-                    trace.append(best)
-                    improved = True
-            else:
-                for sign in (1.0, -1.0):
-                    moved = False
-                    local = step
-                    while True:
-                        trial = x.copy()
-                        trial[d] += sign * local
-                        v = value(trial)
-                        if v > best + IMPROVE_TOL:
-                            x, best = trial, v
-                            trace.append(best)
-                            moved = improved = True
-                            local *= 2.0
-                        else:
-                            break
-                    if moved:
+                    if v > best + IMPROVE_TOL:
+                        x, best = trial, v
+                        trace.append(best)
+                        moved = improved = True
+                        local *= 2.0
+                    else:
                         break
+                if moved:
+                    break
         if not improved:
             step *= 0.5
             if step < cfg.step_tol:
                 converged = True
                 break
     return x, best, trace, converged
-
-
-def _projected_gradient_search(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfig):
-    p = obj.at(obj.repack(x0))
-    best = obj.value(p)
-    trace = [best]
-    step = 0.5
-    converged = False
-    for _ in range(cfg.max_iters):
-        p = obj.at(obj.repack(p))
-        moved = False
-        # near a kink the strictly-active set may be a single branch whose
-        # gradient points across the tie; fall back to the two-branch
-        # min-norm direction before giving up
-        for tie_tol in (1e-9, math.inf):
-            g = obj.ascent_direction(p, tie_tol)
-            norm = float(np.linalg.norm(g))
-            if norm < 1e-14:
-                continue
-            local = step
-            while local >= cfg.step_tol:
-                trial = obj.at(p.x + local * g / norm)
-                v = obj.value(trial)
-                if v > best + IMPROVE_TOL:
-                    p, best = trial, v
-                    trace.append(best)
-                    moved = True
-                    step = min(0.5, local * 2.0)
-                    break
-                local *= 0.5
-            if moved:
-                break
-        if not moved:
-            converged = True
-            break
-    return p.x, best, trace, converged
 
 
 def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfig):
@@ -423,21 +334,21 @@ def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfi
     smooth there.  Only true-objective improvements are accepted into the
     returned point/trace, so the published trace stays monotone.  Line-search
     trials take the surrogate's value alone, and an accepted trial's branch
-    values give its true objective."""
-    p = obj.at(obj.repack(x0))
-    best_x, best = p.x.copy(), obj.value(p)
+    values give its true objective.  Returns the best point, whose
+    quantizers are the ones that reached the returned value."""
+    p = obj.at(x0)
+    best_p, best = p, obj.value(p)
     trace = []
     for tau in (0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4):
         step = 0.1
         for _ in range(cfg.max_iters):
-            p = obj.at(obj.repack(p))
             val, g = obj.softmin(p, tau)
             norm = float(np.linalg.norm(g))
             if norm < 1e-14:
                 break
             moved = False
             while step >= cfg.step_tol:
-                trial = obj.at(obj.repack(p.x + step * g / norm))
+                trial = obj.at(p.x + step * g / norm)
                 v2, _ = obj.softmin(trial, tau, gradient=False)
                 if v2 > val + IMPROVE_TOL:
                     p = trial
@@ -449,9 +360,9 @@ def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfi
                 break
             true_val = obj.value(p)
             if true_val > best + IMPROVE_TOL:
-                best_x, best = p.x.copy(), true_val
+                best_p, best = p, true_val
                 trace.append(best)
-    return best_x, best, trace
+    return best_p, best, trace
 
 
 @dataclass(frozen=True)
@@ -483,14 +394,7 @@ def optimize_gaussian_quantizers(sc: GaussianScenario, cfg: OptimizerConfig) -> 
                 lam = rng.uniform(0.05, 0.85, size=d)
                 mats.append(la.hermitian_part((qmat * lam) @ qmat.conj().T))
             x0 = _pack_hermitian(mats)
-        if cfg.method == "projected_gradient":
-            if cfg.objective != "sum_rate":
-                raise ValueError("projected_gradient supports only the sum-rate objective")
-            x, best, trace, converged = _projected_gradient_search(obj, x0, cfg)
-        else:
-            x, best, trace, converged = _coordinate_search(
-                obj.value, x0, cfg, grid=(cfg.method == "grid")
-            )
+        x, best, trace, converged = _coordinate_search(obj.value, x0, cfg)
         if cfg.objective == "sum_rate":
             x2, best2, trace2 = _softmin_polish(obj, x, cfg)
             if best2 > best:

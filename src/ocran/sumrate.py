@@ -134,8 +134,8 @@ def extreme_point(
     The result is indexed by relay (position k-1 holds relay k's fronthaul)
     and telescopes to g+(all relays)."""
     r_sum = _check_r_sum(r_sum)
-    info = DiscreteEvaluator.from_aux(sc, aux)
-    return _extreme_point(info, r_sum, _check_ordering(ordering, sc.num_relays))
+    pi = _check_ordering(ordering, sc.num_relays)
+    return _extreme_point(_chain_g(DiscreteEvaluator.from_aux(sc, aux), r_sum, pi), pi)
 
 
 def extreme_points(
@@ -148,7 +148,7 @@ def extreme_points(
     info = DiscreteEvaluator.from_aux(sc, aux)
     r_sum = _jd_sum_rate(info) if r_sum is None else _check_r_sum(r_sum)
     return [
-        (pi, _extreme_point(info, r_sum, pi))
+        (pi, _extreme_point(_chain_g(info, r_sum, pi), pi))
         for pi in permutations(range(1, sc.num_relays + 1))
     ]
 
@@ -165,8 +165,8 @@ def _chain_g(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, ...]) -> list
     return [info.g(r_sum, pi[:k]) for k in range(len(pi) + 1)]
 
 
-def _extreme_point(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, ...]) -> np.ndarray:
-    chain = _chain_g(info, r_sum, pi)
+def _extreme_point(chain: list[float], pi: tuple[int, ...]) -> np.ndarray:
+    """The extreme point of ordering pi from its prefix chain of g."""
     out = np.zeros(len(pi))
     for k in range(1, len(pi) + 1):
         inc = max(0.0, chain[k]) - max(0.0, chain[k - 1])
@@ -225,20 +225,28 @@ def swz_dominating_point(
     """Time-shared successive Wyner-Ziv point dominating one extreme point.
 
     Requires r_sum <= jd_sum_rate(sc, aux) (otherwise the fronthaul polytope
-    is empty and the construction is meaningless).  Relays before the pivot
-    position stay silent; the pivot relay is active only a (1 - idle_fraction)
-    share of the time; later chain relays are always active.  Decoding runs
-    through the chain in reverse.
+    is empty and the construction is meaningless); a larger r_sum, beyond
+    INVARIANT_TOL, raises ``ValueError``.  Relays before the pivot position
+    stay silent; the pivot relay is active only a (1 - idle_fraction) share
+    of the time; later chain relays are always active.  Decoding runs through
+    the chain in reverse.
     """
     r_sum = _check_r_sum(r_sum)
     pi = _check_ordering(ordering, sc.num_relays)
-    return _swz_dominating_point(DiscreteEvaluator.from_aux(sc, aux), r_sum, pi)
+    info = DiscreteEvaluator.from_aux(sc, aux)
+    jd = _jd_sum_rate(info)
+    if r_sum > jd + INVARIANT_TOL:
+        raise ValueError(
+            f"r_sum = {r_sum!r} exceeds the joint-decoding sum-rate {jd!r}; "
+            "the fronthaul polytope is empty"
+        )
+    return _swz_dominating_point(info, r_sum, pi)
 
 
 def _swz_dominating_point(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, ...]) -> OrderingResult:
     kk = info.sc.num_relays
     chain = _chain_g(info, r_sum, pi)
-    c_tilde = _extreme_point(info, r_sum, pi)
+    c_tilde = _extreme_point(chain, pi)
 
     pivot = next((k for k in range(1, kk + 1) if chain[k] > PIVOT_TOL), None)
     c_prime = np.zeros(kk)

@@ -1,7 +1,7 @@
 """Every benchmark op must parse with the CLI's parser, so a flag change that
 would break the benchmark's fixed command lines fails here rather than in a
-benchmark run; the discrete-k4 ops must also pass the workload's own output
-checks at the benchmark's size."""
+benchmark run; the discrete-k4 and gaussian-opt ops must also pass the
+workload's own output checks at the benchmark's size."""
 
 import importlib
 import pathlib
@@ -42,6 +42,20 @@ def test_discrete_k4_outputs_pass_the_workload_checks(workloads, tmp_path):
     workload = workloads.WORKLOADS["discrete-k4"](1)
     ops = workload.prepare(str(tmp_path))
     assert len(ops) == 10
+    for op in ops:
+        assert main(list(op.argv)) == 0, op.label
+    outputs = {op.label: {path: pathlib.Path(path).read_bytes() for path in op.outputs}
+               for op in ops}
+    assert workload.reference is not None
+    assert workload.check(outputs) == {}
+
+
+def test_gaussian_opt_outputs_pass_the_workload_checks(workloads, tmp_path):
+    # guards the optimize objectives against the references, which they may
+    # not fall below, as well as the region, sumrate and boundary oracles
+    workload = workloads.WORKLOADS["gaussian-opt"](1)
+    ops = workload.prepare(str(tmp_path))
+    assert [op.command for op in ops].count("optimize") == 4
     for op in ops:
         assert main(list(op.argv)) == 0, op.label
     outputs = {op.label: {path: pathlib.Path(path).read_bytes() for path in op.outputs}

@@ -487,6 +487,16 @@ class TestVerifyCommand:
         payload = json.loads(captured.out)
         assert payload["passed"] is False
 
+    @pytest.mark.parametrize("instances", [1, 50, 200])
+    def test_injected_matrix_lemma_fault_fails_at_any_count(self, instances, capsys):
+        args = ["verify", "--suite", "matrix_lemmas", "--instances", str(instances)]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args + ["--inject-fault", "matrix_lemmas"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is False
+        assert payload["suites"][0]["failures"] == 1
+
 
 def test_internal_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     from ocran import cli

@@ -287,11 +287,19 @@ class TestRegion:
             return [ev.bound(SubsetPair(users=ev.full_users, relays=indices_of(s)))
                     for s in range(1 << ev.sc.num_relays)]
 
-        for sc, q in cases:
+        def check(sc, q):
             ev = GaussianEvaluator.from_quantizers(sc, q)
             assert list(ev.subset_bounds()) == per_pair(ev)
+            region = ev.region()
+            assert [b for _, b in region.constraints] == [ev.bound(p) for p, _ in
+                                                          region.constraints]
+
+        for sc, q in cases:
+            check(sc, q)
         vals = GaussianEvaluator.from_quantizers(*boundary).subset_bounds()
         assert all((vals[s] == -math.inf) == bool(s & 0b10) for s in range(vals.size))
+        region = GaussianEvaluator.from_quantizers(*boundary).region()
+        assert all((b == -math.inf) == bool(p.s_mask & 0b10) for p, b in region.constraints)
 
         # a failed stacked factorization falls back to logdet2 per matrix
         cholesky = np.linalg.cholesky
@@ -303,8 +311,7 @@ class TestRegion:
 
         monkeypatch.setattr(np.linalg, "cholesky", no_stacks)
         for sc, q in cases:
-            ev = GaussianEvaluator.from_quantizers(sc, q)
-            assert list(ev.subset_bounds()) == per_pair(ev)
+            check(sc, q)
 
     def test_region_prepares_each_relay_once(self, monkeypatch):
         rng = np.random.default_rng(23)

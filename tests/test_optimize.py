@@ -66,10 +66,9 @@ class TestGaussianOptimizer:
         assert res.objective == pytest.approx(golden_rate(1.0, 1.0), abs=1e-4)
         res.quantizers.validate(sc)
 
-    @pytest.mark.parametrize("method", ["grid", "coordinate_ascent", "projected_gradient"])
-    def test_methods_agree_on_golden_case(self, method):
+    def test_methods_agree_on_golden_case(self):
         sc = scalar_scenario(snr=4.0, fronthaul=0.5)
-        cfg = OptimizerConfig(method=method, restarts=2, max_iters=200, seed=2)
+        cfg = OptimizerConfig(restarts=2, max_iters=200, seed=2)
         res = optimize_gaussian_quantizers(sc, cfg)
         assert res.objective == pytest.approx(golden_rate(4.0, 0.5), abs=1e-4)
 
@@ -188,7 +187,7 @@ class TestObjective:
         rng = np.random.default_rng(12)
         sc = random_gaussian_scenario(rng, 2, 3)
         obj = _GaussianObjective(sc)
-        x = obj.repack(_pack_hermitian(
+        x = obj.at(_pack_hermitian(
             [0.4 * np.eye(d) for d in sc.relay_antennas]) + 0.05 * rng.normal(
                 size=sum(d * d for d in sc.relay_antennas)))
         for tau in (0.1, 0.01):
@@ -200,6 +199,58 @@ class TestObjective:
             expected = sum(w * obj._branch_gradient(x, s)
                            for s, w in enumerate(weights) if w > 1e-12)
             np.testing.assert_array_equal(grad, expected)
+
+    @staticmethod
+    def summed_branch_gradient(obj, p, s_mask):
+        """The branch gradient written out per branch: H^H B H summed over
+        the relays outside S and I + K^1/2 A K^1/2 formed again."""
+        relays = range(1, obj.sc.num_relays + 1)
+        outside = [k for k in relays if not s_mask >> (k - 1) & 1]
+        bs = obj._b(p.ws)
+        if outside:
+            a = sum(obj.h_full[k - 1].conj().T @ bs[k - 1] @ obj.h_full[k - 1] for k in outside)
+            m = np.eye(a.shape[0]) + obj.k_full_root @ a @ obj.k_full_root
+            inner = obj.k_full_root @ np.linalg.inv(m) @ obj.k_full_root
+        grads = []
+        for k in relays:
+            if k in outside:
+                gb = obj.h_full[k - 1] @ inner @ obj.h_full[k - 1].conj().T / la.LN2
+                g = obj.sig_root_inv[k - 1] @ gb @ obj.sig_root_inv[k - 1]
+            else:
+                g = -np.linalg.inv(np.eye(obj.dims[k - 1]) - p.ws[k - 1]) / la.LN2
+            grads.append(la.hermitian_part(g))
+        return _pack_gradient(grads)
+
+    def test_branch_gradient_reads_the_evaluator_stack(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            sc = random_gaussian_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+            obj = _GaussianObjective(sc)
+            dims = sc.relay_antennas
+            p = obj.at(_pack_hermitian([0.5 * np.eye(d) for d in dims])
+                       + 0.1 * rng.normal(size=sum(d * d for d in dims)))
+            for s_mask in range(1 << sc.num_relays):
+                expected = self.summed_branch_gradient(obj, p, s_mask)
+                got = obj._branch_gradient(p, s_mask)
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_at_projects_once_and_keeps_the_packed_projection(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        sc = random_gaussian_scenario(rng, 2, 3)
+        obj = _GaussianObjective(sc)
+        raw = rng.normal(size=sum(d * d for d in sc.relay_antennas))
+        calls = []
+        original = la.clip_eigenvalues
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(la, "clip_eigenvalues", counting)
+        p = obj.at(raw)
+        assert len(calls) == sc.num_relays
+        np.testing.assert_array_equal(p.x, _pack_hermitian(p.ws))
+        assert obj.at(p) is p
 
 
 class TestDiscreteOptimizer:

@@ -401,6 +401,20 @@ class TestSharedEvaluator:
         swz_equals_jd(sc, aux)
         assert len(calls) == 1
 
+    def test_swz_equals_jd_evaluates_each_prefix_once(self, monkeypatch):
+        sc, aux = self.instance()
+        calls = []
+        original = discrete.DiscreteEvaluator.g
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(discrete.DiscreteEvaluator, "g", counting)
+        swz_equals_jd(sc, aux)
+        k = sc.num_relays
+        assert len(calls) == (k + 1) * len(list(itertools.permutations(range(k))))
+
     def test_extreme_points_command_builds_one_evaluator(self, monkeypatch, tmp_path, capsys):
         sc, aux = self.instance()
         path = tmp_path / "sc.json"
@@ -494,6 +508,20 @@ def _r_sum_entry_points():
         "sd_achievable": sd_achievable,
         "check_supermodular": check_supermodular,
     }
+
+
+def test_r_sum_above_the_joint_decoding_sum_rate_is_rejected():
+    # the fronthaul polytope is empty there: a ValueError, not the
+    # ArithmeticError of a failed construction invariant
+    rng = np.random.default_rng(0)
+    sc = random_factorizing_scenario(rng, 1, 3)
+    aux = random_aux(rng, sc)
+    jd = jd_sum_rate(sc, aux)
+    assert jd < 0.1
+    with pytest.raises(ValueError, match="exceeds the joint-decoding sum-rate"):
+        swz_dominating_point(sc, aux, 0.1, (1, 2, 3))
+    res = swz_dominating_point(sc, aux, jd, (1, 2, 3))
+    assert res.scheme_sum_rate >= jd - 1e-9
 
 
 @pytest.mark.parametrize("entry", list(_r_sum_entry_points()))

@@ -56,13 +56,14 @@ def test_suite_report_is_built_from_the_cases():
 
 
 def test_injected_fault_fails_matrix_lemmas():
-    # the fault raises every gap by 1e-3; the instances whose mean ordering
-    # holds with less slack than that fail
-    clean = suite_matrix_lemmas(instances=200, seed=0)
-    faulty = suite_matrix_lemmas(instances=200, seed=0, inject_fault=True)
-    assert clean.failures == 0
-    assert faulty.failures > 0
-    assert faulty.worst_gap == clean.worst_gap + 1e-3
+    # the mean ordering usually holds with far more slack than 1e-3, so the
+    # fault must fail the suite at any count, not only where a gap is near 0
+    for instances in (1, 50, 200):
+        clean = suite_matrix_lemmas(instances=instances, seed=0)
+        faulty = suite_matrix_lemmas(instances=instances, seed=0, inject_fault=True)
+        assert clean.failures == 0
+        assert faulty.failures == 1
+        assert faulty.worst_gap >= 1e-3
 
 
 def test_injected_fault_fails_mc():
