@@ -184,7 +184,7 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
     res = linprog(-w, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
     if not res.success:
         raise ArithmeticError(f"weighted-rate LP failed: {res.message}")
-    best = float(-res.fun)
+    best = float(-res.fun) + 0.0  # an optimum of 0 is +0.0, never -0.0
     # second stage: push the remaining slack onto zero-weight users
     res2 = linprog(
         -np.ones(region.num_users),

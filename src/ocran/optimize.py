@@ -53,6 +53,10 @@ class OptimizerConfig:
             raise ValueError("objective must be 'sum_rate' or 'weighted'")
         if self.objective == "weighted" and self.weights is None:
             raise ValueError("weighted objective needs a weight vector")
+        if self.weights is not None:
+            w = np.asarray(self.weights, dtype=float)
+            if not np.isfinite(w).all() or np.any(w < 0) or not np.any(w > 0):
+                raise ValueError("weights must be finite and nonnegative, one of them positive")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
         if self.step_tol <= 0:

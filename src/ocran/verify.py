@@ -407,19 +407,23 @@ def run_suites(
 ) -> list[SuiteReport]:
     """Run the named suites (all by default) and return their reports.
 
-    ``instances`` overrides each suite's case count; ``inject_fault`` names a
-    suite whose comparison is perturbed (test hook for the failure path)."""
+    ``instances`` (at least 1) overrides each suite's case count, and each
+    suite's own default applies without it; ``inject_fault`` names a suite
+    whose comparison is perturbed (test hook for the failure path)."""
+    if instances is not None and instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     names = tuple(names) if names else SUITE_NAMES
     runners = {
-        "class_equivalence": lambda fault: suite_class_equivalence(instances or 100, seed, fault),
-        "swz": lambda fault: suite_swz(instances or 50, seed, fault),
-        "mc": lambda fault: suite_mc(instances or 10, seed, fault),
-        "codebook": lambda fault: suite_codebook(instances or 100_000, seed, fault),
-        "matrix_lemmas": lambda fault: suite_matrix_lemmas(instances or 10_000, seed, fault),
+        "class_equivalence": suite_class_equivalence,
+        "swz": suite_swz,
+        "mc": suite_mc,
+        "codebook": suite_codebook,
+        "matrix_lemmas": suite_matrix_lemmas,
     }
+    counts = () if instances is None else (instances,)
     reports = []
     for name in names:
         if name not in runners:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-        reports.append(runners[name](inject_fault == name))
+        reports.append(runners[name](*counts, seed=seed, inject_fault=inject_fault == name))
     return reports

@@ -1,7 +1,8 @@
 """Every benchmark op must parse with the CLI's parser, so a flag change that
 would break the benchmark's fixed command lines fails here rather than in a
-benchmark run; the discrete-k4 and gaussian-opt ops must also pass the
-workload's own output checks at the benchmark's size."""
+benchmark run; the discrete-k4 and gaussian-opt ops, and verify-small's
+discrete optimize ops, must also pass the workload's own output checks at the
+benchmark's size."""
 
 import importlib
 import pathlib
@@ -56,6 +57,20 @@ def test_gaussian_opt_outputs_pass_the_workload_checks(workloads, tmp_path):
     workload = workloads.WORKLOADS["gaussian-opt"](1)
     ops = workload.prepare(str(tmp_path))
     assert [op.command for op in ops].count("optimize") == 4
+    for op in ops:
+        assert main(list(op.argv)) == 0, op.label
+    outputs = {op.label: {path: pathlib.Path(path).read_bytes() for path in op.outputs}
+               for op in ops}
+    assert workload.reference is not None
+    assert workload.check(outputs) == {}
+
+
+def test_verify_small_discrete_optimize_passes_the_workload_checks(workloads, tmp_path):
+    # the discrete optimizer gate: objectives equal the sum-rate of the
+    # returned tables and do not fall below the references
+    workload = workloads.WORKLOADS["verify-small"](1)
+    ops = [op for op in workload.prepare(str(tmp_path)) if op.command == "optimize"]
+    assert len(ops) == 4
     for op in ops:
         assert main(list(op.argv)) == 0, op.label
     outputs = {op.label: {path: pathlib.Path(path).read_bytes() for path in op.outputs}

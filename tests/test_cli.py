@@ -326,6 +326,19 @@ class TestOptimizeCommand:
         assert len(payload["quantizers"]["aux"]) == 2
 
 
+    @pytest.mark.parametrize("weights", ["nan", "inf", "-1", "0"])
+    def test_unusable_weights_are_validation_errors(self, tmp_path, capsys, weights):
+        scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
+        out = tmp_path / "opt.json"
+        rc = main(["optimize", "--scenario", scenario, "--objective", "weighted",
+                   f"--weights={weights}", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "weights" in err
+
+
 class TestSumRateCommands:
     def test_discrete_sumrate(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "sc.json", discrete_doc())
@@ -498,10 +511,78 @@ class TestVerifyCommand:
         assert payload["suites"][0]["failures"] == 1
 
 
+    @pytest.mark.parametrize("suite", ["swz", "mc", "matrix_lemmas"])
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_instances_below_one_are_validation_errors(self, tmp_path, capsys, suite, instances):
+        out = tmp_path / "verify.json"
+        rc = main(["verify", "--suite", suite, f"--instances={instances}", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "instances must be at least 1" in capsys.readouterr().err
+
+
+class TestRunPath:
+    """What main does for every command: the scenario-kind check, one
+    manifest per run, and only the flags a command reads."""
+
+    @pytest.mark.parametrize("command,kind", [
+        ("extreme-points", "discrete"),
+        ("swz-check", "discrete"),
+        ("codebook-check", "discrete"),
+        ("mc-check", "gaussian"),
+    ])
+    def test_wrong_scenario_kind_is_validation_error(self, tmp_path, capsys, command, kind):
+        doc = golden_gaussian_doc() if kind == "discrete" else discrete_doc()
+        scenario = write_json(tmp_path / "sc.json", doc)
+        quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
+        out = tmp_path / "out.data"
+        argv = [command, "--scenario", scenario, "--out", str(out)]
+        if command != "codebook-check":
+            argv += ["--quantizers", quant]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert f"error: {command} needs a {kind} scenario" in capsys.readouterr().err
+
+    COMMANDS = {
+        "region": ("gaussian", ["--quantizers", "Q"]),
+        "boundary": ("two-user", ["--quantizers", "Q", "--points", "3"]),
+        "optimize": ("gaussian", ["--restarts", "1", "--iters", "2"]),
+        "sumrate": ("discrete", []),
+        "extreme-points": ("discrete", []),
+        "swz-check": ("discrete", []),
+        "mc-check": ("gaussian", ["--quantizers", "Q", "--samples", "1000"]),
+        "codebook-check": ("discrete", ["--trials", "100"]),
+        "verify": (None, ["--suite", "swz", "--instances", "2"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_command_writes_one_manifest(self, tmp_path, command):
+        docs = {"gaussian": golden_gaussian_doc(), "discrete": discrete_doc(),
+                "two-user": TestBoundaryCommand()._two_user_doc()}
+        kind, args = self.COMMANDS[command]
+        quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
+        argv = [command, *(quant if a == "Q" else a for a in args), "--out",
+                str(tmp_path / "out.data")]
+        if kind is not None:
+            argv += ["--scenario", write_json(tmp_path / "sc.json", docs[kind])]
+        assert main(argv) == 0
+        (manifest,) = tmp_path.glob("*.manifest.json")
+        doc = json.loads(manifest.read_text())
+        assert doc["command"] == command
+        assert doc["outputs"][0] == str(tmp_path / "out.data")
+
+    @pytest.mark.parametrize("argv", [["region", "--seed", "1"], ["optimize", "--format", "json"]])
+    def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, argv):
+        scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--scenario", scenario])
+        assert exc.value.code == 2
+
+
 def test_internal_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
     from ocran import cli
 
-    def broken(args):
+    def broken(*args):
         raise TypeError("Object of type bool is not JSON serializable")
 
     monkeypatch.setattr(cli, "cmd_swz_check", broken)

@@ -97,6 +97,11 @@ class TestRateRegion:
         assert value == 0.0
         np.testing.assert_array_equal(rates, 0.0)
 
+    def test_zero_optimum_is_positive_zero(self):
+        value, rates = max_weighted_rate(self._region([0.0] * 6), [1.0, 1.0])
+        assert math.copysign(1.0, value) == 1.0
+        np.testing.assert_array_equal(rates, 0.0)
+
     def test_failed_lp_is_a_numeric_failure(self, monkeypatch):
         # a failed solve must not read as the empty region's (0, zeros)
         import scipy.optimize

@@ -52,6 +52,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
 
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 2.0),
+                                         (0.0, 0.0), ()])
+    def test_unusable_weights(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            OptimizerConfig(objective="weighted", weights=weights)
+
 
 class TestGaussianOptimizer:
     def test_zero_fronthaul_collapses_to_zero(self):

@@ -10,7 +10,13 @@ import pytest
 from ocran import _linalg as la
 from ocran.core import spawn_seeds
 from ocran.gaussian import matrix_lemma_check, weighted_arithmetic_mean, weighted_harmonic_mean
-from ocran.verify import matrix_lemma_cases, random_pd, suite_matrix_lemmas, suite_mc
+from ocran.verify import (
+    matrix_lemma_cases,
+    random_pd,
+    run_suites,
+    suite_matrix_lemmas,
+    suite_mc,
+)
 
 
 def per_matrix_case(instance_seed):
@@ -80,3 +86,10 @@ def test_small_stacks(instances):
     expected = [per_matrix_case(s) for s in spawn_seeds(5, instances)]
     assert list(held) == [e[0] for e in expected]
     np.testing.assert_allclose(gaps, [e[1] for e in expected], atol=1e-12, rtol=0)
+
+
+def test_run_suites_keeps_each_suite_default_count():
+    (report,) = run_suites(("swz",))
+    assert report.cases == 50
+    (report,) = run_suites(("swz",), instances=3)
+    assert report.cases == 3
