@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,13 +222,14 @@ def fronthaul_mi(sigma, b) -> float:
     lam = np.clip(lam, 0.0, None)
     if lam.max() > 1.0 - 1e-12:
         return math.inf
-    return fronthaul_bits(lam)
+    return float(fronthaul_bits(lam))
 
 
-def fronthaul_bits(lam) -> float:
+def fronthaul_bits(lam):
     """-log2 det(I - W) from the eigenvalues lam < 1 of a normalized quantizer
-    W = Sigma^{1/2} B Sigma^{1/2} (a zero rate is +0.0, never -0.0)."""
-    return float(-np.sum(np.log2(1.0 - lam))) + 0.0
+    W = Sigma^{1/2} B Sigma^{1/2} (a zero rate is +0.0, never -0.0); for a
+    stack (n, d) of eigenvalues, one rate per row."""
+    return -np.sum(np.log2(1.0 - lam), axis=-1) + 0.0
 
 
 def b_from_test_channel(sigma, qn) -> tuple[np.ndarray, np.ndarray]:
@@ -245,46 +247,106 @@ def b_from_test_channel(sigma, qn) -> tuple[np.ndarray, np.ndarray]:
     return b, mmse
 
 
+class _RelayGroup(NamedTuple):
+    """The relays with one antenna count d, in increasing order."""
+
+    relays: np.ndarray  # their 0-based indices
+    h: np.ndarray  # (n, d, N): each relay's channel to all users' N antennas
+    h_conj: np.ndarray  # conj(h); its swapped last axes are the H_k^H
+    outside: np.ndarray  # (2^K, n): relay i of the group lies outside relay set S
+
+
+class ScenarioTerms:
+    """The quantizer-free terms of one Gaussian scenario, built once and
+    shared by all of its evaluators: the relays grouped by antenna count,
+    with their channels stacked, so that per-relay work is one numpy call per
+    group; and each user set's antenna indices and K_T^{1/2}, formed on
+    first use."""
+
+    def __init__(self, sc: GaussianScenario):
+        self.sc = sc
+        self.full_users = tuple(range(1, sc.num_users + 1))
+        dims = np.array(sc.relay_antennas)
+        s_masks = np.arange(1 << sc.num_relays)
+        outside = (s_masks[:, None] >> np.arange(sc.num_relays) & 1) == 0
+        self.groups = []
+        for d in np.unique(dims):
+            relays = np.flatnonzero(dims == d)
+            h = np.stack([sc.channel_to_users(k + 1, self.full_users) for k in relays])
+            self.groups.append(_RelayGroup(relays, h, h.conj(), outside[:, relays]))
+        # each relay's place among the groups' relays, taken in group order
+        self.order = np.argsort(np.concatenate([g.relays for g in self.groups]))
+        self._users = {}
+
+    def stack(self, mats) -> list[np.ndarray]:
+        """Per-relay matrices as one stack per group."""
+        return [np.stack([mats[k] for k in g.relays]) for g in self.groups]
+
+    def unstack(self, stacks) -> list[np.ndarray]:
+        """One stack per group as per-relay matrices, in relay order."""
+        mats = [m for s in stacks for m in s]
+        return [mats[i] for i in self.order]
+
+    def merge(self, stacks) -> np.ndarray:
+        """One stack per group, all of one entry shape, as one array in
+        relay order."""
+        return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)[self.order]
+
+    def users(self, users: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the users' antennas among all users', and K_T^{1/2}."""
+        if users not in self._users:
+            offsets = np.cumsum((0,) + self.sc.user_antennas)
+            idx = np.concatenate([np.arange(offsets[l - 1], offsets[l]) for l in users])
+            self._users[users] = (idx, la.psd_sqrt(self.sc.input_covariance(users)))
+        return self._users[users]
+
+
+def _subset_sums(terms: np.ndarray) -> np.ndarray:
+    """out[m] = the sum of terms[k] over the bits k of the mask m, added in
+    increasing k from 0, the order of a running sum over ``indices_of(m)``."""
+    out = np.zeros((1 << len(terms),) + terms.shape[1:], dtype=terms.dtype)
+    for k, term in enumerate(terms):
+        out[1 << k:2 << k] = out[:1 << k] + term
+    return out
+
+
 class GaussianEvaluator:
     """Every bound of the Gaussian region for one quantizer set, from the
-    B_k and each relay's fronthaul_mi: H_k^H B_k H_k is formed once per
-    relay and K_T^{1/2} once per user set.  ``h_full`` (each relay's channel
-    to all users) and the ``user_terms`` cache may be shared by evaluators
-    of one scenario."""
+    B_k and each relay's fronthaul_mi.  H_k^H B_k H_k is formed once per
+    relay, in one batched product per antenna group of ``terms``; the charge
+    sum_{k in S} [C_k - fronthaul_mi_k] once per relay set S; and K_T^{1/2}
+    once per user set, in ``terms``, which every evaluator of one scenario
+    may share."""
 
-    def __init__(self, sc: GaussianScenario, b, mi, *, h_full=None, user_terms=None):
-        self.sc = sc
-        self.mi = tuple(float(v) for v in mi)
-        self.full_users = tuple(range(1, sc.num_users + 1))
-        if h_full is None:
-            h_full = [sc.channel_to_users(k, self.full_users) for k in range(1, sc.num_relays + 1)]
-        self.gfull = [la.hermitian_part(h.conj().T @ bk @ h) for h, bk in zip(h_full, b)]
-        self.user_terms = {} if user_terms is None else user_terms
+    def __init__(self, terms: ScenarioTerms, b, mi):
+        """``b`` holds one (n, d, d) stack of the B_k per group of ``terms``,
+        ``mi`` each relay's fronthaul rate (+inf where B_k touches
+        Sigma_k^{-1})."""
+        self.terms = terms
+        self.sc = terms.sc
+        self.full_users = terms.full_users
+        self.gfull = terms.merge([la.hermitian_part(g.h_conj.swapaxes(-1, -2) @ bg @ g.h)
+                                  for g, bg in zip(terms.groups, b)])
+        # -inf where a relay in S has an infinite fronthaul rate
+        self.charged = _subset_sums(np.subtract(self.sc.fronthaul, mi))
 
     @classmethod
     def from_quantizers(cls, sc: GaussianScenario, q: QuantizerSetGaussian) -> "GaussianEvaluator":
-        return cls(sc, q.B, [fronthaul_mi(s, b) for s, b in zip(sc.Sigma, q.B)])
-
-    def _users(self, users: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the users' antennas among all users', and K_T^{1/2}."""
-        if users not in self.user_terms:
-            offsets = np.cumsum((0,) + self.sc.user_antennas)
-            idx = np.concatenate([np.arange(offsets[l - 1], offsets[l]) for l in users])
-            self.user_terms[users] = (idx, la.psd_sqrt(self.sc.input_covariance(users)))
-        return self.user_terms[users]
+        terms = ScenarioTerms(sc)
+        return cls(terms, terms.stack(q.B), [fronthaul_mi(s, b) for s, b in zip(sc.Sigma, q.B)])
 
     def _branch_stack(self, users: tuple[int, ...], s_masks=None) -> np.ndarray:
         """The stack of I + K_T^{1/2} A_{T,S} K_T^{1/2}, one per relay-set
         bitmask in ``s_masks`` (by default every S but the full one, which
         leaves no log-det), with A_{T,S} = sum_{k not in S} H_{k,T}^H B_k
         H_{k,T} summed in increasing k."""
-        num = self.sc.num_relays
-        s_masks = np.arange((1 << num) - 1) if s_masks is None else np.asarray(s_masks)
-        idx, k_root = self._users(users)
-        outside = (s_masks[:, None] >> np.arange(num) & 1) == 0
-        a = np.zeros((len(outside), idx.size, idx.size), dtype=np.complex128)
-        for k, g in enumerate(self.gfull):
-            a[outside[:, k]] += g[np.ix_(idx, idx)]
+        idx, k_root = self.terms.users(users)
+        g = self.gfull if users == self.full_users else self.gfull[:, idx[:, None], idx]
+        outside_sums = _subset_sums(g)  # indexed by the relay set outside S
+        if s_masks is None:
+            a = outside_sums[:0:-1]
+        else:
+            a = outside_sums[((1 << self.sc.num_relays) - 1) ^ np.asarray(s_masks)]
         return np.eye(idx.size) + k_root @ a @ k_root
 
     @functools.cached_property
@@ -292,16 +354,10 @@ class GaussianEvaluator:
         """``_branch_stack`` at T = all users, indexed by subset bitmask."""
         return self._branch_stack(self.full_users)
 
-    def _charged(self, relays) -> float:
-        """sum_{k in S} [C_k - fronthaul_mi_k] (-inf when a relay in S has an
-        infinite fronthaul rate)."""
-        return sum(self.sc.fronthaul[k - 1] - self.mi[k - 1] for k in relays)
-
-    def _bounds(self, stack: np.ndarray) -> list[float]:
+    def _bounds(self, stack: np.ndarray) -> np.ndarray:
         """The bound of every relay set S (index = bitmask) from the stack
         of its branch matrices; the full S leaves no log-det."""
-        info = np.append(la.logdet2(stack), 0.0)
-        return [self._charged(indices_of(s)) + float(info[s]) for s in range(info.size)]
+        return self.charged + np.concatenate((la.logdet2(stack), [0.0]))
 
     def info_term(self, pair: SubsetPair) -> float:
         """I(X_T; U_{S^c} | X_{T^c}) = log2 det(I + K_T^{1/2} A K_T^{1/2}),
@@ -313,12 +369,12 @@ class GaussianEvaluator:
 
     def bound(self, pair: SubsetPair) -> float:
         """One constraint bound, in bits."""
-        return self._charged(pair.relays) + self.info_term(pair)
+        return float(self.charged[pair.s_mask]) + self.info_term(pair)
 
     def subset_bounds(self) -> np.ndarray:
         """Sum-rate bound (T = all users) of every relay subset, indexed by
         subset bitmask."""
-        return np.array(self._bounds(self.branch_matrices))
+        return self._bounds(self.branch_matrices)
 
     def region(self) -> RateRegion:
         """Every (T, S) bound, one stacked log-det per user set T; negative
@@ -326,7 +382,7 @@ class GaussianEvaluator:
         pairs = enumerate_constraint_pairs(self.sc.num_users, self.sc.num_relays)
         bounds = []
         for t_mask in range(1, 1 << self.sc.num_users):
-            bounds += self._bounds(self._branch_stack(indices_of(t_mask)))
+            bounds += self._bounds(self._branch_stack(indices_of(t_mask))).tolist()
         return RateRegion(num_users=self.sc.num_users, constraints=tuple(zip(pairs, bounds)))
 
 

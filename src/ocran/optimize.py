@@ -12,6 +12,13 @@ a tie surface meets the PSD boundary, sum-rate runs finish with an annealed
 soft-min polish, whose steps follow the gradients of the subset branches and
 whose accepted iterates are still measured on the hard objective.  Global
 optimality is not claimed.
+
+A point costs a few stacked numpy calls, not one per relay: the projection,
+fronthaul rates and B_k take one call per antenna-count group of relays
+(``ScenarioTerms``), and several branch gradients one stacked inverse and
+one batched product per group.  Each element sees the float operations of a
+loop over relays and branches, in the same order, so results do not depend
+on the grouping.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .gaussian import (
     GaussianEvaluator,
     GaussianScenario,
     QuantizerSetGaussian,
+    ScenarioTerms,
     fronthaul_bits,
 )
 
@@ -107,21 +115,32 @@ def _layout(dims: tuple[int, ...]) -> _Layout:
     return layout
 
 
+def _pack_flat(flat: np.ndarray, lay: _Layout) -> np.ndarray:
+    """Packed coordinates of the Hermitian blocks laid out in ``flat`` (or
+    of each row of a stack of such vectors)."""
+    return flat.view(np.float64)[..., lay.take]
+
+
 def _pack_hermitian(mats) -> np.ndarray:
     """Diagonal real parts, then (re, im) of each upper-triangle entry row by
     row, per matrix."""
-    lay = _layout(tuple(m.shape[0] for m in mats))
     flat = np.concatenate([np.ravel(m) for m in mats], dtype=np.complex128)
-    return flat.view(np.float64)[lay.take]
+    return _pack_flat(flat, _layout(tuple(m.shape[0] for m in mats)))
 
 
-def _unpack_hermitian(x: np.ndarray, dims) -> list[np.ndarray]:
-    lay = _layout(tuple(dims))
+def _unpack_flat(x: np.ndarray, lay: _Layout) -> np.ndarray:
+    """The Hermitian blocks of packed x, row-major one after another."""
     flat = np.zeros(lay.bounds[-1][1], dtype=np.complex128)
     flat[lay.diag] = x[lay.diag_src]
     re, im = x[lay.re_src], x[lay.im_src]
     flat[lay.upper] = re + 1j * im
     flat[lay.lower] = re - 1j * im
+    return flat
+
+
+def _unpack_hermitian(x: np.ndarray, dims) -> list[np.ndarray]:
+    lay = _layout(tuple(dims))
+    flat = _unpack_flat(x, lay)
     return [flat[a:b].reshape(d, d) for (a, b), d in zip(lay.bounds, dims)]
 
 
@@ -131,9 +150,10 @@ def _param_count(dims) -> int:
 
 class _Point:
     """One feasible point, evaluated once.  ``ws`` are the projected
-    normalized quantizers and ``x`` their packed coordinates; the
-    ``evaluator``, the subset branch values ``vals`` and the fronthaul
-    gradients ``charge_grads`` are filled on first use."""
+    normalized quantizers, one (n, d, d) stack per relay group, and ``x``
+    their packed coordinates; the ``evaluator``, the subset branch values
+    ``vals`` and the fronthaul gradients ``charge_grads`` (stacked like
+    ``ws``) are filled on first use."""
 
     __slots__ = ("x", "ws", "evaluator", "vals", "charge_grads")
 
@@ -148,20 +168,22 @@ class _GaussianObjective:
 
     Each question takes packed parameters x or a point from ``at(x)``; loops
     that ask several questions about one x pass the point, so x is projected
-    and evaluated once."""
+    and evaluated once.  Per-relay work runs on the scenario's relay groups
+    (``ScenarioTerms``), one stacked numpy call per group."""
 
     def __init__(self, sc: GaussianScenario, weights=None):
         self.sc = sc
         self.weights = None if weights is None else np.asarray(weights, dtype=float)
         if self.weights is not None and self.weights.shape != (sc.num_users,):
             raise ValueError("weights must have one entry per user")
-        self.dims = sc.relay_antennas
-        self.sig_root_inv = [la.psd_inv_sqrt(s) for s in sc.Sigma]
-        self.h_full = [sc.channel_to_users(k, range(1, sc.num_users + 1))
-                       for k in range(1, sc.num_relays + 1)]
-        self.full_users = tuple(range(1, sc.num_users + 1))
-        self.k_full_root = la.psd_sqrt(sc.input_covariance(self.full_users))
-        self.user_terms = {}  # shared by the evaluators of every x
+        self.terms = ScenarioTerms(sc)  # shared by the evaluators of every x
+        self.layout = _layout(sc.relay_antennas)
+        # flat positions of each group's matrix entries, (n, d, d) per group
+        blocks = [np.arange(a, b).reshape(d, d)
+                  for (a, b), d in zip(self.layout.bounds, sc.relay_antennas)]
+        self.positions = [np.array([blocks[k] for k in g.relays]) for g in self.terms.groups]
+        self.sig_root_inv = [la.psd_inv_sqrt(s) for s in self.terms.stack(sc.Sigma)]
+        self.k_full_root = self.terms.users(self.terms.full_users)[1]
 
     def project(self, ws) -> list[np.ndarray]:
         return [la.clip_eigenvalues(w, 0.0, 1.0 - QUANT_CAP_MARGIN) for w in ws]
@@ -172,14 +194,17 @@ class _GaussianObjective:
         projected point directly; a point is returned as is."""
         if isinstance(x, _Point):
             return x
-        ws = self.project(_unpack_hermitian(x, self.dims))
-        return _Point(_pack_hermitian(ws), ws)
+        flat = _unpack_flat(x, self.layout)
+        ws = self.project([flat[pos] for pos in self.positions])
+        for pos, w in zip(self.positions, ws):
+            flat[pos] = w
+        return _Point(_pack_flat(flat, self.layout), ws)
 
     def _b(self, ws) -> list[np.ndarray]:
         return [la.hermitian_part(ri @ w @ ri) for ri, w in zip(self.sig_root_inv, ws)]
 
     def quantizers(self, x) -> QuantizerSetGaussian:
-        return QuantizerSetGaussian(B=tuple(self._b(self.at(x).ws)))
+        return QuantizerSetGaussian(B=tuple(self.terms.unstack(self._b(self.at(x).ws))))
 
     def evaluator(self, x) -> GaussianEvaluator:
         """The region evaluator of x's projection, with each fronthaul rate
@@ -188,8 +213,7 @@ class _GaussianObjective:
         if p.evaluator is None:
             mi = [fronthaul_bits(np.clip(np.linalg.eigvalsh(w), 0.0, 1.0 - QUANT_CAP_MARGIN))
                   for w in p.ws]
-            p.evaluator = GaussianEvaluator(self.sc, self._b(p.ws), mi, h_full=self.h_full,
-                                            user_terms=self.user_terms)
+            p.evaluator = GaussianEvaluator(self.terms, self._b(p.ws), self.terms.merge(mi))
         return p.evaluator
 
     def branch_values(self, x) -> np.ndarray:
@@ -206,7 +230,7 @@ class _GaussianObjective:
         return val
 
     def active_masks(self, x) -> tuple[tuple[int, int], ...]:
-        full_mask = mask_of(self.full_users)
+        full_mask = mask_of(self.terms.full_users)
         if self.weights is None:
             vals = self.branch_values(x)
             lo = vals.min()
@@ -224,22 +248,33 @@ class _GaussianObjective:
         vals = np.sort(self.branch_values(x))
         return float(vals[1] - vals[0]) if vals.size > 1 else math.inf
 
-    def _branch_gradient(self, x, s_mask: int) -> np.ndarray:
-        """Gradient of the subset-S branch: the fronthaul charge for relays
-        in S (shared by every branch at one point) and the log-det term,
-        through the inverse of the evaluator's branch matrix, for the rest."""
+    def _branch_gradient(self, x, s_masks) -> np.ndarray:
+        """Gradient of the subset-S branch, one row per bitmask in
+        ``s_masks`` (one vector for a single mask): the fronthaul charge for
+        relays in S (shared by every branch at one point) and the log-det
+        term, through the inverse of the evaluator's branch matrix, for the
+        rest.  The branch matrices are inverted as one stack, and each
+        group's (S, k not in S) pairs are multiplied out as one batch."""
         p = self.at(x)
         ev = self.evaluator(p)
         if p.charge_grads is None:
-            p.charge_grads = [la.hermitian_part(-np.linalg.inv(np.eye(d) - w) / la.LN2)
-                              for d, w in zip(self.dims, p.ws)]
-        grads = list(p.charge_grads)
-        if s_mask < len(ev.branch_matrices):  # some relay is outside S
-            inner = self.k_full_root @ np.linalg.inv(ev.branch_matrices[s_mask]) @ self.k_full_root
-            for k, (h, ri) in enumerate(zip(self.h_full, self.sig_root_inv)):
-                if not s_mask >> k & 1:
-                    grads[k] = la.hermitian_part(ri @ (h @ inner @ h.conj().T / la.LN2) @ ri)
-        return _pack_gradient(grads)
+            p.charge_grads = [la.hermitian_part(-np.linalg.inv(np.eye(w.shape[-1]) - w) / la.LN2)
+                              for w in p.ws]
+        masks = np.atleast_1d(s_masks)
+        rows = np.empty((masks.size, self.layout.bounds[-1][1]), dtype=np.complex128)
+        for pos, charge in zip(self.positions, p.charge_grads):
+            rows[:, pos] = charge
+        kept = np.flatnonzero(masks < len(ev.branch_matrices))  # some relay is outside S
+        if kept.size:
+            branch_inv = np.linalg.inv(ev.branch_matrices[masks[kept]])
+            inner = self.k_full_root @ branch_inv @ self.k_full_root
+            for g, ri, pos in zip(self.terms.groups, self.sig_root_inv, self.positions):
+                r, i = np.nonzero(g.outside[masks[kept]])  # row of inner, relay in the group
+                h_inner_h = g.h[i] @ inner[r] @ g.h_conj[i].swapaxes(-1, -2) / la.LN2
+                ri_i = ri[i]
+                rows[kept[r, None, None], pos[i]] = la.hermitian_part(ri_i @ h_inner_h @ ri_i)
+        grads = _pack_flat(rows, self.layout) * self.layout.scale
+        return grads if np.ndim(s_masks) else grads[0]
 
     def gradient(self, x) -> np.ndarray:
         """Gradient of the active branch (smallest-bitmask argmin) of the
@@ -267,11 +302,8 @@ class _GaussianObjective:
         if not gradient:
             return value, None
         weights = scaled / scaled.sum()
-        grad = sum(
-            w * self._branch_gradient(p, int(s))
-            for s, w in enumerate(weights)
-            if w > 1e-12
-        )
+        kept = np.flatnonzero(weights > 1e-12)
+        grad = sum(w * row for w, row in zip(weights[kept], self._branch_gradient(p, kept)))
         return value, grad
 
 

@@ -313,6 +313,54 @@ class TestRegion:
         for sc, q in cases:
             check(sc, q)
 
+    @staticmethod
+    def per_relay_region(sc, q) -> list[float]:
+        """Every (T, S) bound written relay by relay: hermitian_part(h^H B h)
+        per relay, and A_{T,S} and the charge C_k - MI_k each summed in
+        increasing k."""
+        users = tuple(range(1, sc.num_users + 1))
+        relays = range(1, sc.num_relays + 1)
+        mi = [fronthaul_mi(s, b) for s, b in zip(sc.Sigma, q.B)]
+        g = []
+        for k in relays:
+            h = sc.channel_to_users(k, users)
+            g.append(la.hermitian_part(h.conj().T @ q.B[k - 1] @ h))
+        offsets = np.cumsum((0,) + sc.user_antennas)
+        bounds = []
+        for t_mask in range(1, 1 << sc.num_users):
+            t = indices_of(t_mask)
+            idx = np.concatenate([np.arange(offsets[l - 1], offsets[l]) for l in t])
+            k_root = la.psd_sqrt(sc.input_covariance(t))
+            for s_mask in range(1 << sc.num_relays):
+                charged = sum(sc.fronthaul[k - 1] - mi[k - 1] for k in indices_of(s_mask))
+                info = 0.0
+                outside = [k for k in relays if not s_mask >> (k - 1) & 1]
+                if outside:
+                    a = np.zeros((idx.size, idx.size), dtype=np.complex128)
+                    for k in outside:
+                        a = a + g[k - 1][np.ix_(idx, idx)]
+                    info = la.logdet2(np.eye(idx.size) + k_root @ a @ k_root)
+                bounds.append(charged + info)
+        return bounds
+
+    def test_relay_groups_reproduce_the_per_relay_bounds(self):
+        rng = np.random.default_rng(25)
+        groups = set()
+        for i in range(30):
+            sc = random_gaussian_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)),
+                                          max_antennas=3)
+            b = list(random_quantizers(rng, sc).B)
+            if i % 5 == 0:
+                b[-1] = np.linalg.inv(sc.Sigma[-1])  # boundary quantizer: -inf bounds
+            q = QuantizerSetGaussian(B=tuple(b))
+            ev = GaussianEvaluator.from_quantizers(sc, q)
+            groups.add(len(ev.terms.groups))
+            expected = self.per_relay_region(sc, q)
+            assert [b for _, b in ev.region().constraints] == expected
+            # T = all users is the last user set
+            assert list(ev.subset_bounds()) == expected[-(1 << sc.num_relays):]
+        assert groups == {1, 2, 3}
+
     def test_region_prepares_each_relay_once(self, monkeypatch):
         rng = np.random.default_rng(23)
         sc = random_gaussian_scenario(rng, 2, 3)

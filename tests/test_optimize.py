@@ -208,22 +208,29 @@ class TestObjective:
 
     @staticmethod
     def summed_branch_gradient(obj, p, s_mask):
-        """The branch gradient written out per branch: H^H B H summed over
-        the relays outside S and I + K^1/2 A K^1/2 formed again."""
-        relays = range(1, obj.sc.num_relays + 1)
+        """The branch gradient written out per relay and per branch, from
+        the scenario alone: H^H B H summed over the relays outside S and
+        I + K^1/2 A K^1/2 formed again."""
+        sc = obj.sc
+        relays = range(1, sc.num_relays + 1)
+        users = range(1, sc.num_users + 1)
         outside = [k for k in relays if not s_mask >> (k - 1) & 1]
-        bs = obj._b(p.ws)
+        ws = _unpack_hermitian(p.x, sc.relay_antennas)
+        h_full = [sc.channel_to_users(k, users) for k in relays]
+        sig_root_inv = [la.psd_inv_sqrt(s) for s in sc.Sigma]
+        k_root = la.psd_sqrt(sc.input_covariance(users))
+        bs = [la.hermitian_part(ri @ w @ ri) for ri, w in zip(sig_root_inv, ws)]
         if outside:
-            a = sum(obj.h_full[k - 1].conj().T @ bs[k - 1] @ obj.h_full[k - 1] for k in outside)
-            m = np.eye(a.shape[0]) + obj.k_full_root @ a @ obj.k_full_root
-            inner = obj.k_full_root @ np.linalg.inv(m) @ obj.k_full_root
+            a = sum(h_full[k - 1].conj().T @ bs[k - 1] @ h_full[k - 1] for k in outside)
+            m = np.eye(a.shape[0]) + k_root @ a @ k_root
+            inner = k_root @ np.linalg.inv(m) @ k_root
         grads = []
         for k in relays:
             if k in outside:
-                gb = obj.h_full[k - 1] @ inner @ obj.h_full[k - 1].conj().T / la.LN2
-                g = obj.sig_root_inv[k - 1] @ gb @ obj.sig_root_inv[k - 1]
+                gb = h_full[k - 1] @ inner @ h_full[k - 1].conj().T / la.LN2
+                g = sig_root_inv[k - 1] @ gb @ sig_root_inv[k - 1]
             else:
-                g = -np.linalg.inv(np.eye(obj.dims[k - 1]) - p.ws[k - 1]) / la.LN2
+                g = -np.linalg.inv(np.eye(ws[k - 1].shape[0]) - ws[k - 1]) / la.LN2
             grads.append(la.hermitian_part(g))
         return _pack_gradient(grads)
 
@@ -240,6 +247,21 @@ class TestObjective:
                 got = obj._branch_gradient(p, s_mask)
                 assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    def test_stacked_branch_gradients_equal_the_one_mask_calls(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            sc = random_gaussian_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)),
+                                          max_antennas=3)
+            obj = _GaussianObjective(sc)
+            p = obj.at(0.5 * rng.normal(size=sum(d * d for d in sc.relay_antennas)))
+            subsets = 1 << sc.num_relays
+            some = rng.permutation(subsets)[:rng.integers(1, subsets + 1)]
+            for masks in (np.arange(subsets), some):
+                rows = obj._branch_gradient(p, masks)
+                assert rows.shape == (masks.size, p.x.size)
+                for s, row in zip(masks, rows):
+                    np.testing.assert_array_equal(row, obj._branch_gradient(p, int(s)))
+
     def test_at_projects_once_and_keeps_the_packed_projection(self, monkeypatch):
         rng = np.random.default_rng(14)
         sc = random_gaussian_scenario(rng, 2, 3)
@@ -254,8 +276,8 @@ class TestObjective:
 
         monkeypatch.setattr(la, "clip_eigenvalues", counting)
         p = obj.at(raw)
-        assert len(calls) == sc.num_relays
-        np.testing.assert_array_equal(p.x, _pack_hermitian(p.ws))
+        assert len(calls) == len(set(sc.relay_antennas))  # one per antenna-count group
+        np.testing.assert_array_equal(p.x, _pack_hermitian(obj.terms.unstack(p.ws)))
         assert obj.at(p) is p
 
 

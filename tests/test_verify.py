@@ -93,3 +93,23 @@ def test_run_suites_keeps_each_suite_default_count():
     assert report.cases == 50
     (report,) = run_suites(("swz",), instances=3)
     assert report.cases == 3
+
+
+def test_codebook_suite_runs_below_ten_trials(monkeypatch):
+    """The point mass takes a tenth of the trials, at least one, and matches
+    its law exactly at any count."""
+    from ocran import verify
+
+    point_mass_tv = []
+    original = verify.sample_codebook_marginal
+
+    def recording(ens, trials):
+        res = original(ens, trials)
+        if ens.input_pmf[0, 0] == 1.0:
+            point_mass_tv.append((trials, float(res.tv.max())))
+        return res
+
+    monkeypatch.setattr(verify, "sample_codebook_marginal", recording)
+    (report,) = run_suites(("codebook",), instances=5)
+    assert report.cases == 3
+    assert point_mass_tv == [(1, 0.0)]
