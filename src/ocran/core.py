@@ -158,7 +158,7 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
     Returns (value, rates) or (0.0, zeros) when the region collapses to the
     origin or is empty.  Pareto tie-break: among weighted-optimal points the
     total rate is maximized, so zero-weight coordinates land on the boundary.
-    Raises ArithmeticError when the LP solver fails: that is a numeric
+    Raises ArithmeticError when either LP solve fails: that is a numeric
     failure, not an empty region.
     """
     from scipy.optimize import linprog
@@ -193,8 +193,9 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
         bounds=(0, None),
         method="highs",
     )
-    rates = np.clip(res2.x if res2.success else res.x, 0.0, None)
-    return best, rates
+    if not res2.success:
+        raise ArithmeticError(f"weighted-rate tie-break LP failed: {res2.message}")
+    return best, np.clip(res2.x, 0.0, None)
 
 
 @dataclass(frozen=True)

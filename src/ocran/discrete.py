@@ -8,20 +8,17 @@ with labeled axes ('Q', 'X1'.., 'Y1'.., 'U1'..).  Because each relay
 quantizes obliviously, every bound of product quantization channels is an
 entropy of the reduced joint p(q, x, u) minus per-relay constants
 H(U_k | Y_k, Q), so the Y axes are summed out while the reduced joint is
-contracted (``ReducedFactors``).  An outer-bound witness couples the U_k
-through a shared W and keeps the dense p(q, x, y, u).  Tensors are capped at
-MAX_JOINT_ENTRIES entries; within that budget every information quantity is
-an exact sum (0 log 0 = 0), so the only error is float rounding.
+contracted (``ReducedFactors``).  Tensors are capped at MAX_JOINT_ENTRIES
+entries; within that budget every information quantity is an exact sum
+(0 log 0 = 0), so the only error is float rounding.
 
-Three constraint families are evaluated:
+Two constraint families are evaluated:
 
 * ``thm1_constraint`` - the exact region for channels whose relay outputs are
   conditionally independent given the user inputs,
-* ``thm3_constraint`` - the general inner bound (no independence needed),
-* ``thm4_constraint`` - the outer bound, whose auxiliaries are deterministic
-  functions of (W, Y_k, Q) for a shared randomizer W.
+* ``thm3_constraint`` - the general inner bound (no independence needed).
 
-All three are one formula, ``DiscreteEvaluator.bound``.
+Both are one formula, ``DiscreteEvaluator.bound``.
 """
 
 from __future__ import annotations
@@ -188,38 +185,6 @@ def identity_aux(sc: DiscreteScenario) -> AuxChannels:
     return AuxChannels(tables=tuple(tables))
 
 
-@dataclass(frozen=True)
-class OuterBoundWitness:
-    """Shared randomizer W ~ p(w|q) plus deterministic maps u_k = f_k(w, y_k, q).
-
-    ``maps[k-1]`` has shape (|Q|, |W|, |Y_k|) with integer entries in
-    [0, u_sizes[k-1]).
-    """
-
-    pw: np.ndarray
-    maps: tuple[np.ndarray, ...]
-    u_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        pw = np.array(self.pw, dtype=float, order="C")
-        if pw.ndim != 2:
-            raise ValueError("pw must have shape (|Q|, |W|)")
-        _check_pmf_axis(pw, -1, "pw")
-        pw.setflags(write=False)
-        fixed = []
-        for k, (m, u) in enumerate(zip(self.maps, self.u_sizes), start=1):
-            m = np.array(m, dtype=np.int64, order="C")
-            if m.ndim != 3 or m.shape[:2] != pw.shape:
-                raise ValueError(f"maps[{k}] must have shape (|Q|, |W|, |Y_{k}|)")
-            if u < 1 or np.any(m < 0) or np.any(m >= u):
-                raise ValueError(f"maps[{k}] entries must lie in [0, {u})")
-            m.setflags(write=False)
-            fixed.append(m)
-        object.__setattr__(self, "pw", pw)
-        object.__setattr__(self, "maps", tuple(fixed))
-        object.__setattr__(self, "u_sizes", tuple(int(u) for u in self.u_sizes))
-
-
 class JointPmf:
     """Dense joint pmf with labeled axes and cached subset entropies."""
 
@@ -340,65 +305,6 @@ def build_joint(sc: DiscreteScenario, aux: AuxChannels) -> JointPmf:
     return JointPmf(tensor, axes)
 
 
-def build_joint_from_witness(sc: DiscreteScenario, witness: OuterBoundWitness) -> JointPmf:
-    """Joint law induced by u_k = f_k(w, y_k, q), with W marginalized out."""
-    l, k = sc.num_users, sc.num_relays
-    if witness.pw.shape[0] != sc.num_timeshare or len(witness.maps) != k:
-        raise ValueError("witness does not match the scenario")
-    for i, m in enumerate(witness.maps):
-        if m.shape[2] != sc.output_sizes[i]:
-            raise ValueError(f"maps[{i + 1}] does not match |Y_{i + 1}|")
-    num_w = witness.pw.shape[1]
-    size = (
-        sc.num_timeshare * num_w
-        * int(np.prod(sc.input_sizes))
-        * int(np.prod(sc.output_sizes))
-        * int(np.prod(witness.u_sizes))
-    )
-    if size > MAX_JOINT_ENTRIES:
-        raise CapacityError(f"witness joint tensor would have {size} entries")
-    letters = _letters(2 + l + 2 * k)
-    q, w = letters[0], letters[1]
-    xs = letters[2 : 2 + l]
-    ys = letters[2 + l : 2 + l + k]
-    us = letters[2 + l + k :]
-    operands = [np.asarray(sc.time_share), witness.pw]
-    operand_axes = [q, q + w]
-    for i in range(l):
-        operands.append(sc.px[i])
-        operand_axes.append(q + xs[i])
-    operands.append(sc.channel)
-    operand_axes.append(xs + ys)
-    for i in range(k):
-        onehot = (
-            witness.maps[i][..., None] == np.arange(witness.u_sizes[i])
-        ).astype(float)
-        operands.append(onehot)
-        operand_axes.append(q + w + ys[i] + us[i])
-    out = q + xs + ys + us  # w is contracted away
-    tensor = np.einsum(",".join(operand_axes) + "->" + out, *operands, optimize=True)
-    axes = (
-        ("Q",)
-        + tuple(user_axis(i) for i in range(1, l + 1))
-        + tuple(relay_axis(i) for i in range(1, k + 1))
-        + tuple(aux_axis(i) for i in range(1, k + 1))
-    )
-    return JointPmf(tensor, axes)
-
-
-def witness_induced_aux(sc: DiscreteScenario, witness: OuterBoundWitness) -> AuxChannels:
-    """Marginal per-relay channels p(u_k|y_k,q) = sum_w p(w|q) 1[f_k(w,y_k,q)=u].
-
-    For |W| = 1 the witness joint and the product joint built from these
-    tables coincide; for |W| > 1 they differ (the U's stay coupled through W).
-    """
-    tables = []
-    for m, u in zip(witness.maps, witness.u_sizes):
-        onehot = (m[..., None] == np.arange(u)).astype(float)
-        tables.append(np.einsum("qw,qwyu->qyu", witness.pw, onehot))
-    return AuxChannels(tables=tuple(tables))
-
-
 class ReducedFactors:
     """Scenario-only factors of the reduced joint p(q, x_1..x_L, u_1..u_K) of
     product quantization channels: p(q, y_1..y_K, x), each p(q, y_k) and the
@@ -475,15 +381,13 @@ class DiscreteEvaluator:
     pair, written in entropies.  Built once per pair and shared, with its
     entropy cache, by every bound and chain ordering evaluated on it.
 
-    ``joint`` holds the axes Q, X_l and U_k.  The only quantity that involves
-    the relay outputs is H(U_S | Y_S, C, Q).  For product quantization
-    channels (``from_aux``), U_S depends on the rest of the system only
-    through (Y_S, Q), so it is the sum of the per-relay constants
-    ``h_u_given_y[k-1]`` = H(U_k | Y_k, Q) and ``joint`` is the reduced
-    p(q, x, u).  Without them ``joint`` must be dense, with Y_k axes too, as
-    for an outer-bound witness whose U_k are coupled through W."""
+    ``joint`` is the reduced p(q, x, u), with axes Q, X_l and U_k.  The only
+    quantity that involves the relay outputs is H(U_S | Y_S, C, Q).  Each
+    relay quantizes its own output, so U_S depends on the rest of the system
+    only through (Y_S, Q), and that entropy is the sum of the per-relay
+    constants ``h_u_given_y[k-1]`` = H(U_k | Y_k, Q)."""
 
-    def __init__(self, sc: DiscreteScenario, joint: JointPmf, h_u_given_y=None):
+    def __init__(self, sc: DiscreteScenario, joint: JointPmf, h_u_given_y):
         self.sc = sc
         self.joint = joint
         self.h_u_given_y = h_u_given_y
@@ -500,20 +404,13 @@ class DiscreteEvaluator:
     def u(self, relays) -> frozenset:
         return frozenset(aux_axis(k) for k in relays)
 
-    def y(self, relays) -> frozenset:
-        return frozenset(relay_axis(k) for k in relays)
-
     def i_uy(self, relays, cond=frozenset()) -> float:
         """I(U_S; Y_S | cond, Q) = H(U_S | cond, Q) - H(U_S | Y_S, cond, Q),
         clipped at 0 like ``cmi``; ``cond`` holds X and U labels."""
         if not relays:
             return 0.0
         j, u_s, c = self.joint, self.u(relays), frozenset(cond) | {"Q"}
-        if self.h_u_given_y is not None:
-            h_given_y = sum(self.h_u_given_y[k - 1] for k in relays)
-        else:
-            y_s = self.y(relays)
-            h_given_y = j.entropy(u_s | y_s | c) - j.entropy(y_s | c)
+        h_given_y = sum(self.h_u_given_y[k - 1] for k in relays)
         return max(0.0, j.entropy(u_s | c) - j.entropy(c) - h_given_y)
 
     def i_uy_given_uc(self, relays) -> float:
@@ -525,8 +422,7 @@ class DiscreteEvaluator:
         return r_sum + self.i_uy_given_uc(relays) - self.i_ux
 
     def bound(self, pair: SubsetPair, family: str = "thm3") -> float:
-        """Bound of one (T, S) pair in the 'thm1' or 'thm3' family (the
-        outer bound is 'thm3' on a witness joint)."""
+        """Bound of one (T, S) pair in the 'thm1' or 'thm3' family."""
         fronthaul = self.sc.fronthaul
         x_t = frozenset(user_axis(l) for l in pair.users)
         u_sc = self.u(pair.relays_complement(self.sc.num_relays))
@@ -568,34 +464,18 @@ def _warn_if_not_factorizing(sc: DiscreteScenario) -> None:
         )
 
 
-def thm1_constraint(
-    sc: DiscreteScenario, aux: AuxChannels, pair: SubsetPair, *, _joint=None, _warn=True
-) -> float:
+def thm1_constraint(sc: DiscreteScenario, aux: AuxChannels, pair: SubsetPair) -> float:
     """Bound for one (T, S) pair in the exact region of conditionally
     independent relay outputs:
     sum_{s in S} [C_s - I(Y_s;U_s|X_all,Q)] + I(X_T;U_{S^c}|X_{T^c},Q)."""
-    if _warn:
-        _warn_if_not_factorizing(sc)
-    ev = DiscreteEvaluator.from_aux(sc, aux) if _joint is None else DiscreteEvaluator(sc, _joint)
-    return ev.bound(pair, "thm1")
+    _warn_if_not_factorizing(sc)
+    return DiscreteEvaluator.from_aux(sc, aux).bound(pair, "thm1")
 
 
-def thm3_constraint(
-    sc: DiscreteScenario, aux: AuxChannels, pair: SubsetPair, *, _joint=None
-) -> float:
+def thm3_constraint(sc: DiscreteScenario, aux: AuxChannels, pair: SubsetPair) -> float:
     """General inner-bound constraint:
     sum_{s in S} C_s - I(Y_S;U_S|X_all,U_{S^c},Q) + I(X_T;U_{S^c}|X_{T^c},Q)."""
-    ev = DiscreteEvaluator.from_aux(sc, aux) if _joint is None else DiscreteEvaluator(sc, _joint)
-    return ev.bound(pair, "thm3")
-
-
-def thm4_constraint(
-    sc: DiscreteScenario, witness: OuterBoundWitness, pair: SubsetPair, *, _joint=None
-) -> float:
-    """Outer-bound constraint: the inner-bound expression evaluated on the
-    joint induced by u_k = f_k(w, y_k, q), with W marginalized out."""
-    j = _joint if _joint is not None else build_joint_from_witness(sc, witness)
-    return DiscreteEvaluator(sc, j).bound(pair, "thm3")
+    return DiscreteEvaluator.from_aux(sc, aux).bound(pair, "thm3")
 
 
 def region_discrete(sc: DiscreteScenario, aux: AuxChannels, which: str = "thm1") -> RateRegion:
@@ -606,7 +486,3 @@ def region_discrete(sc: DiscreteScenario, aux: AuxChannels, which: str = "thm1")
         _warn_if_not_factorizing(sc)
     return DiscreteEvaluator.from_aux(sc, aux).region(which)
 
-
-def region_outer(sc: DiscreteScenario, witness: OuterBoundWitness) -> RateRegion:
-    """All outer-bound constraints for one witness."""
-    return DiscreteEvaluator(sc, build_joint_from_witness(sc, witness)).region("thm3")

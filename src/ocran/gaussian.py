@@ -232,21 +232,6 @@ def fronthaul_bits(lam):
     return -np.sum(np.log2(1.0 - lam), axis=-1) + 0.0
 
 
-def b_from_test_channel(sigma, qn) -> tuple[np.ndarray, np.ndarray]:
-    """Quantization matrix and residual error of the additive test channel
-    U = Y + Z, Z ~ CN(0, Q): B = (Sigma + Q)^{-1}, mmse = Sigma - Sigma B Sigma."""
-    sigma = la.require_pd(sigma, name="Sigma")
-    qn = la.require_pd(qn, name="Q")
-    total = sigma + qn
-    try:
-        b = np.linalg.inv(total)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Sigma + Q is singular") from exc
-    b = la.hermitian_part(b)
-    mmse = la.hermitian_part(sigma - sigma @ b @ sigma)
-    return b, mmse
-
-
 class _RelayGroup(NamedTuple):
     """The relays with one antenna count d, in increasing order."""
 

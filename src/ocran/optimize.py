@@ -42,9 +42,9 @@ from .gaussian import (
     fronthaul_bits,
 )
 
-TIE_TOL = 1e-6
 ACTIVE_TOL = 1e-9
 IMPROVE_TOL = 1e-12
+STEP_TOL = 1e-8  # the Gaussian searches stop once their step falls below it
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ class OptimizerConfig:
     weights: tuple[float, ...] | None = None
     restarts: int = 4
     max_iters: int = 120
-    step_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -67,8 +66,6 @@ class OptimizerConfig:
                 raise ValueError("weights must be finite and nonnegative, one of them positive")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        if self.step_tol <= 0:
-            raise ValueError("step_tol must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +133,6 @@ def _unpack_flat(x: np.ndarray, lay: _Layout) -> np.ndarray:
     flat[lay.upper] = re + 1j * im
     flat[lay.lower] = re - 1j * im
     return flat
-
-
-def _unpack_hermitian(x: np.ndarray, dims) -> list[np.ndarray]:
-    lay = _layout(tuple(dims))
-    flat = _unpack_flat(x, lay)
-    return [flat[a:b].reshape(d, d) for (a, b), d in zip(lay.bounds, dims)]
 
 
 def _param_count(dims) -> int:
@@ -243,11 +234,6 @@ class _GaussianObjective:
                 out.append((pair.t_mask, pair.s_mask))
         return tuple(out)
 
-    def tie_gap(self, x) -> float:
-        """Gap between the two smallest subset branches."""
-        vals = np.sort(self.branch_values(x))
-        return float(vals[1] - vals[0]) if vals.size > 1 else math.inf
-
     def _branch_gradient(self, x, s_masks) -> np.ndarray:
         """Gradient of the subset-S branch, one row per bitmask in
         ``s_masks`` (one vector for a single mask): the fronthaul charge for
@@ -276,20 +262,6 @@ class _GaussianObjective:
         grads = _pack_flat(rows, self.layout) * self.layout.scale
         return grads if np.ndim(s_masks) else grads[0]
 
-    def gradient(self, x) -> np.ndarray:
-        """Gradient of the active branch (smallest-bitmask argmin) of the
-        sum-rate objective with respect to the packed parameters.
-
-        Valid where the projection is inactive, i.e. every W_k strictly
-        inside 0 < W < I; near a subset tie the objective is kinked and the
-        returned branch gradient is one-sided."""
-        if self.weights is not None:
-            raise ValueError("analytic gradient is only defined for the sum-rate objective")
-        p = self.at(x)
-        vals = self.branch_values(p)
-        active = int(np.flatnonzero(vals <= vals.min() + IMPROVE_TOL)[0])
-        return self._branch_gradient(p, active)
-
     def softmin(self, x, tau: float, gradient: bool = True) -> tuple[float, np.ndarray | None]:
         """Smooth lower envelope -tau log2 sum_S 2^{-v_S/tau} of the subset
         branches and its gradient (a concave surrogate of the hard min); with
@@ -305,20 +277,6 @@ class _GaussianObjective:
         kept = np.flatnonzero(weights > 1e-12)
         grad = sum(w * row for w, row in zip(weights[kept], self._branch_gradient(p, kept)))
         return value, grad
-
-
-def _pack_gradient(mats) -> np.ndarray:
-    """Gradient w.r.t. the packed coordinates of a Hermitian parameterization:
-    diagonal entries map to Re G_ii, off-diagonal (re, im) pairs to
-    (2 Re G_ij, 2 Im G_ij)."""
-    return _pack_hermitian(mats) * _layout(tuple(g.shape[0] for g in mats)).scale
-
-
-def sum_rate_field(sc: GaussianScenario) -> "ScalarField":
-    """The Gaussian sum-rate objective as a differentiable scalar field over
-    packed quantizer parameters (see :func:`finite_diff_check`)."""
-    obj = _GaussianObjective(sc)
-    return ScalarField(value=obj.value, gradient=obj.gradient, tie_gap=obj.tie_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +314,7 @@ def _coordinate_search(value: Callable, x0: np.ndarray, cfg: OptimizerConfig):
                     break
         if not improved:
             step *= 0.5
-            if step < cfg.step_tol:
+            if step < STEP_TOL:
                 converged = True
                 break
     return x, best, trace, converged
@@ -383,7 +341,7 @@ def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfi
             if norm < 1e-14:
                 break
             moved = False
-            while step >= cfg.step_tol:
+            while step >= STEP_TOL:
                 trial = obj.at(p.x + step * g / norm)
                 v2, _ = obj.softmin(trial, tau, gradient=False)
                 if v2 > val + IMPROVE_TOL:
@@ -549,52 +507,6 @@ def optimize_discrete_aux(
         trace=tuple(trace),
         active=active,
     )
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """A scalar objective with an analytic gradient and an optional probe for
-    the distance to the nearest min-over-subsets kink."""
-
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    tie_gap: Callable[[np.ndarray], float] | None = None
-
-
-@dataclass(frozen=True)
-class GradientCheck:
-    max_rel_error: float
-    inconclusive: bool
-    tie_gap: float
-
-
-def finite_diff_check(f: ScalarField, x, h: float = 1e-5) -> GradientCheck:
-    """Compare f's analytic gradient at x against central finite differences
-    with per-coordinate step h * max(1, |x_d|).
-
-    If the field reports two subset branches within 1e-6 of tying at x, the
-    result is flagged inconclusive (the objective is kinked there and central
-    differences straddle the kink)."""
-    x = np.asarray(x, dtype=float)
-    gap = f.tie_gap(x) if f.tie_gap is not None else math.inf
-    if gap < TIE_TOL:
-        return GradientCheck(max_rel_error=math.nan, inconclusive=True, tie_gap=gap)
-    analytic = np.asarray(f.gradient(x), dtype=float)
-    numeric = np.empty_like(analytic)
-    for d in range(x.size):
-        hd = h * max(1.0, abs(x[d]))
-        up, dn = x.copy(), x.copy()
-        up[d] += hd
-        dn[d] -= hd
-        numeric[d] = (f.value(up) - f.value(dn)) / (2.0 * hd)
-    scale = max(float(np.max(np.abs(analytic))), 1e-12)
-    err = float(np.max(np.abs(analytic - numeric))) / scale
-    return GradientCheck(max_rel_error=err, inconclusive=False, tie_gap=gap)
 
 
 # ---------------------------------------------------------------------------

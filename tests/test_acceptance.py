@@ -13,13 +13,7 @@ import pytest
 
 from ocran.core import spawn_seeds
 from ocran.gaussian import GaussianScenario, region_gaussian
-from ocran.optimize import (
-    OptimizerConfig,
-    ScalarField,
-    finite_diff_check,
-    optimize_gaussian_quantizers,
-    sum_rate_field,
-)
+from ocran.optimize import OptimizerConfig, optimize_gaussian_quantizers
 from ocran.sumrate import check_supermodular
 from ocran.verify import (
     random_aux,
@@ -33,6 +27,8 @@ from ocran.verify import (
     suite_mc,
     suite_swz,
 )
+
+from helpers import ScalarField, finite_diff_check, sum_rate_field
 
 
 def scalar_scenario(snr, fronthaul):

@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import ocran
 from ocran.cli import build_parser, main
 from ocran.core import save_scenario
 from ocran.verify import random_aux, random_factorizing_scenario
@@ -615,6 +618,10 @@ def test_console_entry_point(tmp_path):
     scenario.write_text(json.dumps(golden_gaussian_doc()))
     quant = tmp_path / "q.json"
     quant.write_text(json.dumps({"B": [[[[0.5, 0.0]]]]}))
+    # the child imports ocran from the same tree as this test, installed or not
+    src = str(pathlib.Path(ocran.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [
             sys.executable,
@@ -628,6 +635,7 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("T_mask,S_mask,bound_bits")

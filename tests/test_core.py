@@ -114,6 +114,25 @@ class TestRateRegion:
         with pytest.raises(ArithmeticError, match="forced failure"):
             max_weighted_rate(self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5]), [1.0, 1.0])
 
+    def test_failed_tie_break_lp_is_a_numeric_failure(self, monkeypatch):
+        # the first-stage point must not stand in for a failed second stage
+        import scipy.optimize
+
+        solve = scipy.optimize.linprog
+        calls = []
+
+        def first_solve_only(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                return solve(*args, **kwargs)
+            return scipy.optimize.OptimizeResult(
+                success=False, status=4, message="forced failure", x=None, fun=None)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", first_solve_only)
+        with pytest.raises(ArithmeticError, match="tie-break LP failed: forced failure"):
+            max_weighted_rate(self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5]), [1.0, 0.0])
+        assert len(calls) == 2
+
 
 def _minimal_gaussian_doc():
     return {

@@ -18,7 +18,6 @@ from ocran.gaussian import (
     GaussianEvaluator,
     GaussianScenario,
     QuantizerSetGaussian,
-    b_from_test_channel,
     fronthaul_bits,
     fronthaul_mi,
     matrix_lemma_check,
@@ -30,6 +29,8 @@ from ocran.gaussian import (
     weighted_means,
 )
 from ocran.verify import random_gaussian_scenario, random_pd, random_quantizers
+
+from helpers import b_from_test_channel
 
 
 def scalar_scenario(snr=1.0, fronthaul=1.0, num_relays=1, gain=1.0):

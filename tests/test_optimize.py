@@ -11,19 +11,16 @@ from ocran.discrete import AuxChannels, DiscreteScenario, build_joint, cmi, iden
 from ocran.gaussian import GaussianScenario, QuantizerSetGaussian, rate_constraint_gaussian
 from ocran.optimize import (
     OptimizerConfig,
-    ScalarField,
     _GaussianObjective,
-    _pack_gradient,
     _pack_hermitian,
-    _unpack_hermitian,
-    finite_diff_check,
     mc_mutual_information,
     optimize_discrete_aux,
     optimize_gaussian_quantizers,
-    sum_rate_field,
 )
 from ocran.verify import random_gaussian_scenario, random_quantizers
 from ocran.sumrate import jd_sum_rate
+
+from helpers import ScalarField, finite_diff_check, pack_gradient, sum_rate_field, unpack_hermitian
 
 
 def scalar_scenario(snr=1.0, fronthaul=1.0):
@@ -163,7 +160,7 @@ class TestGaussianOptimizer:
             power=(2.0,),
         )
         res = optimize_gaussian_quantizers(
-            sc, OptimizerConfig(restarts=4, max_iters=300, step_tol=1e-10, seed=10)
+            sc, OptimizerConfig(restarts=4, max_iters=300, seed=10)
         )
         signal = h @ kin @ h.conj().T
         b = res.quantizers.B[0]
@@ -180,14 +177,14 @@ class TestObjective:
         rng = np.random.default_rng(d)
         z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         w = z + z.conj().T
-        assert np.array_equal(_unpack_hermitian(_pack_hermitian([w, w]), (d, d))[1], w)
+        assert np.array_equal(unpack_hermitian(_pack_hermitian([w, w]), (d, d))[1], w)
         loop = []
         for i in range(d):
             loop.append(w[i, i].real)
         for i in range(d):
             for j in range(i + 1, d):
                 loop += [2.0 * w[i, j].real, 2.0 * w[i, j].imag]
-        assert _pack_gradient([w]).tolist() == loop
+        assert pack_gradient([w]).tolist() == loop
 
     def test_softmin_value_only_and_gradient(self):
         rng = np.random.default_rng(12)
@@ -215,7 +212,7 @@ class TestObjective:
         relays = range(1, sc.num_relays + 1)
         users = range(1, sc.num_users + 1)
         outside = [k for k in relays if not s_mask >> (k - 1) & 1]
-        ws = _unpack_hermitian(p.x, sc.relay_antennas)
+        ws = unpack_hermitian(p.x, sc.relay_antennas)
         h_full = [sc.channel_to_users(k, users) for k in relays]
         sig_root_inv = [la.psd_inv_sqrt(s) for s in sc.Sigma]
         k_root = la.psd_sqrt(sc.input_covariance(users))
@@ -232,7 +229,7 @@ class TestObjective:
             else:
                 g = -np.linalg.inv(np.eye(ws[k - 1].shape[0]) - ws[k - 1]) / la.LN2
             grads.append(la.hermitian_part(g))
-        return _pack_gradient(grads)
+        return pack_gradient(grads)
 
     def test_branch_gradient_reads_the_evaluator_stack(self):
         rng = np.random.default_rng(13)
