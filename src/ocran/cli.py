@@ -240,10 +240,12 @@ def cmd_optimize(args, sc, emit):
         max_iters=args.iters,
         seed=args.seed,
     )
+    bound = gap = None  # only the Gaussian sum-rate is certified
     if isinstance(sc, GaussianScenario):
         res = optimize_gaussian_quantizers(sc, cfg)
         active = [{"T_mask": t, "S_mask": s} for t, s in res.active]
         quantizers = {"B": [_complex_matrix_to_json(b) for b in res.quantizers.B]}
+        bound, gap = res.upper_bound, res.gap
     else:
         if args.aux_sizes:
             sizes = tuple(int(v) for v in args.aux_sizes.split(","))
@@ -254,6 +256,8 @@ def cmd_optimize(args, sc, emit):
         quantizers = {"aux": [t.tolist() for t in res.aux.tables]}
     payload = {
         "objective_bits": res.objective,
+        "upper_bound_bits": bound,
+        "gap_bits": gap,
         "converged": res.converged,
         "trace_bits": list(res.trace),
         "active_constraints": active,

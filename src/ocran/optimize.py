@@ -2,16 +2,19 @@
 
 The Gaussian search runs over the normalized quantizers
 W_k = Sigma_k^{1/2} B_k Sigma_k^{1/2}, whose feasible set is simply
-0 <= W_k <= I; every candidate is projected onto that set (capped at
-1 - 1e-9 so fronthaul rates stay finite) by eigenvalue clipping before
-evaluation, so returned quantizers are always feasible.
+0 <= W_k <= I.  Each relay-subset branch b_S of the sum-rate is concave in
+the W_k, so the sum-rate max_W min_S b_S is a concave program and a local
+optimum is the global one.  It is solved once, as the epigraph
+max t s.t. t <= b_S for every S, by SLSQP over Hermitian A_k with
+W_k = I - (I + A_k^2)^{-1}; that map stays strictly below I, so no
+projection is needed.  The solver's multipliers certify the result through
+``gaussian_upper_bound``, and a solve whose gap exceeds GAP_TOL raises.
 
-The min-over-relay-subsets objective is piecewise smooth.  Each restart
-runs a coordinate pattern search on values alone; because it can stall where
-a tie surface meets the PSD boundary, sum-rate runs finish with an annealed
-soft-min polish, whose steps follow the gradients of the subset branches and
-whose accepted iterates are still measured on the hard objective.  Global
-optimality is not claimed.
+The weighted rate runs a coordinate pattern search on values alone from
+several restarts.  Every candidate is projected onto the feasible set
+(capped at 1 - 1e-9 so fronthaul rates stay finite) by eigenvalue clipping
+before evaluation, so returned quantizers are always feasible; global
+optimality is not claimed there.
 
 A point costs a few stacked numpy calls, not one per relay: the projection,
 fronthaul rates and B_k take one call per antenna-count group of relays
@@ -45,6 +48,10 @@ from .gaussian import (
 ACTIVE_TOL = 1e-9
 IMPROVE_TOL = 1e-12
 STEP_TOL = 1e-8  # the Gaussian searches stop once their step falls below it
+GAP_TOL = 1e-6  # bits; a sum-rate solve whose certified gap exceeds it raises
+SOLVE_FTOL = 1e-14  # SLSQP's stopping tolerance on the change of the objective t
+SOLVE_MAX_ITERS = 500
+CUT_ITERS = 100  # cutting planes that may refine the certificate's subset weights
 
 
 @dataclass(frozen=True)
@@ -126,12 +133,13 @@ def _pack_hermitian(mats) -> np.ndarray:
 
 
 def _unpack_flat(x: np.ndarray, lay: _Layout) -> np.ndarray:
-    """The Hermitian blocks of packed x, row-major one after another."""
-    flat = np.zeros(lay.bounds[-1][1], dtype=np.complex128)
-    flat[lay.diag] = x[lay.diag_src]
-    re, im = x[lay.re_src], x[lay.im_src]
-    flat[lay.upper] = re + 1j * im
-    flat[lay.lower] = re - 1j * im
+    """The Hermitian blocks of packed x, row-major one after another (or of
+    each row of a stack of packed vectors)."""
+    flat = np.zeros(x.shape[:-1] + (lay.bounds[-1][1],), dtype=np.complex128)
+    flat[..., lay.diag] = x[..., lay.diag_src]
+    re, im = x[..., lay.re_src], x[..., lay.im_src]
+    flat[..., lay.upper] = re + 1j * im
+    flat[..., lay.lower] = re - 1j * im
     return flat
 
 
@@ -152,6 +160,15 @@ class _Point:
         self.x = x
         self.ws = ws
         self.evaluator = self.vals = self.charge_grads = None
+
+
+class _SmoothPoint(NamedTuple):
+    """A point of the smooth map W_k = I - (I + A_k^2)^{-1}, with the A_k
+    and M_k = (I + A_k^2)^{-1} stacked per relay group."""
+
+    point: _Point
+    a: list[np.ndarray]
+    m: list[np.ndarray]
 
 
 class _GaussianObjective:
@@ -190,6 +207,41 @@ class _GaussianObjective:
         for pos, w in zip(self.positions, ws):
             flat[pos] = w
         return _Point(_pack_flat(flat, self.layout), ws)
+
+    def smooth_at(self, a: np.ndarray) -> _SmoothPoint:
+        """The point W_k = I - (I + A_k^2)^{-1} of packed Hermitian A_k,
+        which lies strictly below I for every A and needs no projection.
+        Each fronthaul rate is taken as log2 det(I + A_k^2), from the
+        eigenvalues of A_k, and its charge gradient -(I - W_k)^{-1} / ln 2
+        as -(I + A_k^2) / ln 2, so neither loses digits as W_k nears I."""
+        flat = _unpack_flat(a, self.layout)
+        a_stacks, m_stacks, ws, mi, charge = [], [], [], [], []
+        for pos in self.positions:
+            ag = flat[pos]
+            lam, v = np.linalg.eigh(ag)
+            sq = lam * lam
+            vh = v.conj().swapaxes(-1, -2)
+            m_stacks.append(la.hermitian_part((v / (1.0 + sq)[..., None, :]) @ vh))
+            ws.append(la.hermitian_part((v * (sq / (1.0 + sq))[..., None, :]) @ vh))
+            mi.append(np.sum(np.log1p(sq), axis=-1) / la.LN2)
+            charge.append(-la.hermitian_part(np.eye(ag.shape[-1]) + ag @ ag) / la.LN2)
+            a_stacks.append(ag)
+            flat[pos] = ws[-1]
+        p = _Point(_pack_flat(flat, self.layout), ws)
+        p.evaluator = GaussianEvaluator(self.terms, self._b(ws), self.terms.merge(mi))
+        p.charge_grads = charge
+        return _SmoothPoint(p, a_stacks, m_stacks)
+
+    def pull_back(self, sp: _SmoothPoint, grads: np.ndarray) -> np.ndarray:
+        """Rows of packed gradients in W (as ``_branch_gradient`` gives them)
+        as packed gradients in A at ``sp``: with M = (I + A^2)^{-1},
+        dW = M (dA A + A dA) M, so a gradient G in W is A G' + G' A in A,
+        G' = M G M."""
+        flat = _unpack_flat(grads / self.layout.scale, self.layout)
+        for pos, a, m in zip(self.positions, sp.a, sp.m):
+            g = m @ flat[..., pos] @ m
+            flat[..., pos] = a @ g + g @ a
+        return _pack_flat(flat, self.layout) * self.layout.scale
 
     def _b(self, ws) -> list[np.ndarray]:
         return [la.hermitian_part(ri @ w @ ri) for ri, w in zip(self.sig_root_inv, ws)]
@@ -265,7 +317,8 @@ class _GaussianObjective:
     def softmin(self, x, tau: float, gradient: bool = True) -> tuple[float, np.ndarray | None]:
         """Smooth lower envelope -tau log2 sum_S 2^{-v_S/tau} of the subset
         branches and its gradient (a concave surrogate of the hard min); with
-        ``gradient=False`` the value alone, and None."""
+        ``gradient=False`` the value alone, and None.  No optimizer path
+        calls it; bench/tracing.py still wraps it by name."""
         p = self.at(x)
         vals = self.branch_values(p)
         lo = float(vals.min())
@@ -321,7 +374,8 @@ def _coordinate_search(value: Callable, x0: np.ndarray, cfg: OptimizerConfig):
 
 
 def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfig):
-    """Annealed ascent on the smooth soft-min surrogate.
+    """Annealed ascent on the smooth soft-min surrogate.  No optimizer path
+    calls it; bench/tracing.py still wraps it by name.
 
     The hard min is kinked exactly where its maximizers live, and subgradient
     steps can stall at kinks that touch the PSD boundary; the surrogate stays
@@ -363,16 +417,183 @@ def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfi
 class GaussianOptResult:
     quantizers: QuantizerSetGaussian
     objective: float
-    converged: bool
+    converged: bool  # sum-rate: certified within GAP_TOL (an uncertified solve raises)
     trace: tuple[float, ...]
     active: tuple[tuple[int, int], ...]  # (T mask, S mask) pairs tight at the optimum
+    upper_bound: float | None = None  # sum-rate: certified bound on the optimum, in bits
+    gap: float | None = None  # upper_bound - objective
+
+
+class _FrankWolfeBound:
+    """The bound of ``gaussian_upper_bound`` at fixed quantizers, as a
+    convex function of the subset weights lam:
+
+        h(lam) = sum_S lam_S c_S + sum_k tr (G_k(lam))_+,
+        c_S = b_S(W) - sum_k tr (grad_{W_k} b_S) W_k.
+
+    The branch gradients of every relay subset are taken once."""
+
+    def __init__(self, obj: _GaussianObjective, q: QuantizerSetGaussian):
+        sc = obj.sc
+        q.validate(sc)
+        # the bound holds at every feasible point, so it is taken at the
+        # projection of q, whose fronthaul rates are finite
+        p = obj.at(_pack_hermitian([r @ b @ r for r, b in zip(map(la.psd_sqrt, sc.Sigma), q.B)]))
+        self.obj = obj
+        self.rows = obj._branch_gradient(p, np.arange(1 << sc.num_relays))
+        # tr G W summed over the relays is the dot product of the packed
+        # gradient with the packed point
+        self.offset = obj.branch_values(p) - self.rows @ p.x
+
+    def __call__(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
+        """h(lam) and a subgradient of h in lam."""
+        lay = self.obj.layout
+        g_flat = _unpack_flat(lam @ self.rows / lay.scale, lay)
+        proj = np.zeros_like(g_flat)  # projectors on the positive eigenspaces of the G_k
+        positive = 0.0
+        for pos in self.obj.positions:
+            e, v = np.linalg.eigh(g_flat[pos])
+            up = e > 0.0
+            positive += float(e[up].sum())
+            proj[pos] = (v * up[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return float(lam @ self.offset) + positive, self.offset + self.rows @ _pack_flat(proj, lay)
+
+    def least(self, lam: np.ndarray, target: float) -> float:
+        """The least h found by Kelley's cutting planes over the simplex from
+        lam, stopping once it is at most ``target`` or the planes prove
+        that no weights reach it."""
+        from scipy.optimize import linprog
+
+        n = lam.size
+        cuts, rhs, best = [], [], math.inf
+        for _ in range(CUT_ITERS):
+            h, sub = self(lam)
+            best = min(best, h)
+            if best <= target:
+                break
+            cuts.append(np.append(sub, -1.0))  # h(mu) >= h + sub . (mu - lam)
+            rhs.append(float(sub @ lam) - h)
+            res = linprog(np.append(np.zeros(n), 1.0), A_ub=cuts, b_ub=rhs,
+                          A_eq=[np.append(np.ones(n), 0.0)], b_eq=[1.0],
+                          bounds=[(0.0, None)] * n + [(None, None)], method="highs")
+            if res.status != 0 or res.fun > target:
+                break
+            lam = np.clip(res.x[:-1], 0.0, None)  # any weights on the simplex give a valid bound
+            lam = lam / lam.sum()
+        return best
+
+
+def gaussian_upper_bound(sc: GaussianScenario, q: QuantizerSetGaussian, lam) -> float:
+    """An upper bound, in bits, on the Gaussian sum-rate optimum
+    max_B min_S b_S(B), from any feasible quantizers q and any weights
+    ``lam`` on the relay subsets (index = bitmask; nonnegative, summing
+    to 1).  Normalized quantizers W_k = Sigma_k^{1/2} B_k Sigma_k^{1/2} are
+    capped at 1 - 1e-9, as in the search, so fronthaul rates stay finite.
+
+    Each branch b_S is concave in the W_k, so g = sum_S lam_S b_S is too, and
+    the optimum is at most max g over 0 <= W_k <= I.  Concavity bounds g by
+    its linearization at q, whose largest value over the feasible set puts
+    each V_k on the positive eigenspace of G_k (the Frank-Wolfe gap):
+
+        max g <= g(W) + sum_k [tr (G_k)_+ - tr G_k W_k],
+        G_k = sum_S lam_S grad_{W_k} b_S.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (1 << sc.num_relays,) or not np.isfinite(lam).all() or np.any(lam < 0) \
+            or abs(lam.sum() - 1.0) > 1e-9:
+        raise ValueError("lam must be nonnegative and sum to 1, one weight per relay subset")
+    return _FrankWolfeBound(_GaussianObjective(sc), q)(lam)[0]
+
+
+def _certified_sum_rate(obj: _GaussianObjective) -> GaussianOptResult:
+    """One SLSQP solve of max t s.t. t <= b_S(W(A)) for every relay subset S,
+    over packed Hermitian A_k and t, from A_k = I (W = I/2), certified by
+    ``gaussian_upper_bound`` at the final iterate with the solver's
+    normalized multipliers.  Returns the better of the best iterate and the
+    zero quantizers; its trace is the best-so-far objective over the
+    iterates.  Raises ArithmeticError when the gap exceeds GAP_TOL."""
+    from scipy.optimize import minimize
+
+    size = obj.layout.bounds[-1][1]
+    masks = np.arange(1 << obj.sc.num_relays)
+    last = {}
+
+    def at(z) -> _SmoothPoint:
+        key = z[:-1].tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = obj.smooth_at(z[:-1])
+        return last[key]
+
+    def slack(z):
+        return obj.branch_values(at(z).point) - z[-1]
+
+    def slack_jac(z):
+        sp = at(z)
+        jac = np.empty((masks.size, size + 1))
+        jac[:, :-1] = obj.pull_back(sp, obj._branch_gradient(sp.point, masks))
+        jac[:, -1] = -1.0
+        return jac
+
+    best, trace, seen = None, [], None
+
+    def record(z):
+        nonlocal best, seen
+        if z[:-1].tobytes() == seen:
+            return
+        seen = z[:-1].tobytes()
+        p = at(z).point
+        value = float(obj.branch_values(p).min())
+        if best is None or value > best[1]:
+            best = (p, value)
+        trace.append(best[1])
+
+    z0 = np.append(_pack_hermitian([np.eye(d) for d in obj.sc.relay_antennas]), 0.0)
+    z0[-1] = obj.branch_values(at(z0).point).min()
+    record(z0)
+    neg_t_grad = np.zeros(size + 1)
+    neg_t_grad[-1] = -1.0
+    res = minimize(lambda z: -z[-1], z0, jac=lambda z: neg_t_grad, method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": slack, "jac": slack_jac}],
+                   callback=record, options={"maxiter": SOLVE_MAX_ITERS, "ftol": SOLVE_FTOL})
+    record(res.x)  # SLSQP does not always report its final iterate
+    certificate = _FrankWolfeBound(obj, obj.quantizers(at(res.x).point))
+    lam = np.clip(res.multipliers, 0.0, None)  # any weights on the simplex give a valid bound
+    lam = lam / lam.sum() if lam.sum() > 0.0 else np.full(masks.size, 1.0 / masks.size)
+    bound = certificate(lam)[0]
+
+    # zero quantizers are worth exactly 0: the empty relay set's branch is 0
+    # and every other branch is a sum of nonnegative capacities
+    p, value = best
+    zero = obj.smooth_at(np.zeros(size)).point
+    zero_value = float(obj.branch_values(zero).min())
+    if zero_value > value:
+        p, value = zero, zero_value
+        trace.append(value)
+    if not bound - value <= GAP_TOL:
+        # where some W_k is singular, A_k = 0 and the multipliers do not
+        # see the sign of G_k on its null space
+        bound = certificate.least(lam, value + GAP_TOL)
+    gap = bound - value
+    if not gap <= GAP_TOL:
+        raise ArithmeticError(f"sum-rate solve is not certified: the gap {gap:.3e} bits exceeds "
+                              f"{GAP_TOL:.0e} ({res.message})")
+    return GaussianOptResult(quantizers=obj.quantizers(p), objective=value, converged=True,
+                             trace=tuple(trace), active=obj.active_masks(p),
+                             upper_bound=bound, gap=gap)
 
 
 def optimize_gaussian_quantizers(sc: GaussianScenario, cfg: OptimizerConfig) -> GaussianOptResult:
-    """Multi-start search for quantization matrices maximizing the configured
-    objective.  Restart 0 starts from zero quantizers; the rest start from
-    seeded random feasible points.  Deterministic for a fixed config."""
+    """Quantization matrices maximizing the configured objective.
+
+    The sum-rate is one certified SLSQP solve (``_certified_sum_rate``); the
+    configured restarts, iterations and seed are not used.  The weighted
+    rate is a multi-start pattern search: restart 0 starts from zero
+    quantizers, the rest from seeded random feasible points.  Deterministic
+    for a fixed config."""
     obj = _GaussianObjective(sc, weights=cfg.weights if cfg.objective == "weighted" else None)
+    if cfg.objective == "sum_rate":
+        return _certified_sum_rate(obj)
     dims = sc.relay_antennas
     seeds = spawn_seeds(cfg.seed, cfg.restarts)
 
@@ -388,13 +609,7 @@ def optimize_gaussian_quantizers(sc: GaussianScenario, cfg: OptimizerConfig) -> 
                 lam = rng.uniform(0.05, 0.85, size=d)
                 mats.append(la.hermitian_part((qmat * lam) @ qmat.conj().T))
             x0 = _pack_hermitian(mats)
-        x, best, trace, converged = _coordinate_search(obj.value, x0, cfg)
-        if cfg.objective == "sum_rate":
-            x2, best2, trace2 = _softmin_polish(obj, x, cfg)
-            if best2 > best:
-                x, best = x2, best2
-                trace = trace + trace2
-        return x, best, trace, converged
+        return _coordinate_search(obj.value, x0, cfg)
 
     outcomes = [one_restart(i) for i in range(cfg.restarts)]
 

@@ -301,9 +301,34 @@ class TestOptimizeCommand:
         assert rc == 0
         payload = json.loads(out.read_text())
         expected = math.log2(1.0 + 1.0 * (2.0 - 1.0) / (2.0 + 1.0))
-        assert payload["objective_bits"] == pytest.approx(expected, abs=1e-4)
+        assert payload["objective_bits"] == pytest.approx(expected, abs=1e-9)
+        assert payload["converged"] is True
+        assert 0.0 <= payload["gap_bits"] <= 1e-6
+        assert payload["upper_bound_bits"] == pytest.approx(
+            payload["objective_bits"] + payload["gap_bits"], abs=1e-15)
         assert payload["trace_bits"] == sorted(payload["trace_bits"])
         assert payload["quantizers"]["B"]
+
+    def test_uncertified_gaussian_solve_exits_3(self, tmp_path, capsys, monkeypatch):
+        from ocran import optimize
+
+        monkeypatch.setattr(optimize, "GAP_TOL", -1.0)
+        scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc(fronthaul=1.0))
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--scenario", scenario, "--out", str(out)]) == 3
+        assert "not certified" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_weighted_and_discrete_carry_no_certificate(self, tmp_path):
+        gaussian = write_json(tmp_path / "g.json", golden_gaussian_doc(fronthaul=1.0))
+        discrete = write_json(tmp_path / "d.json", discrete_doc(with_aux=False))
+        for args in (["--scenario", gaussian, "--objective", "weighted", "--weights", "1"],
+                     ["--scenario", discrete, "--aux-sizes", "2,2"]):
+            out = tmp_path / "opt.json"
+            rc = main(["optimize", *args, "--restarts", "1", "--iters", "3", "--out", str(out)])
+            assert rc == 0
+            payload = json.loads(out.read_text())
+            assert payload["upper_bound_bits"] is None and payload["gap_bits"] is None
 
     def test_discrete(self, tmp_path):
         scenario = write_json(tmp_path / "sc.json", discrete_doc(with_aux=False))
