@@ -233,6 +233,8 @@ def cmd_optimize(args, sc, emit):
         weights = tuple(float(w) for w in args.weights.split(","))
         if len(weights) != sc.num_users:
             raise ScenarioError("need one weight per user")
+    elif args.weights is not None:
+        raise ScenarioError("--weights needs --objective weighted")
     cfg = OptimizerConfig(
         objective="sum_rate" if args.objective == "sum" else "weighted",
         weights=weights,
@@ -240,7 +242,7 @@ def cmd_optimize(args, sc, emit):
         max_iters=args.iters,
         seed=args.seed,
     )
-    bound = gap = None  # only the Gaussian sum-rate is certified
+    bound = gap = None  # the discrete search carries no certificate
     if isinstance(sc, GaussianScenario):
         res = optimize_gaussian_quantizers(sc, cfg)
         active = [{"T_mask": t, "S_mask": s} for t, s in res.active]
@@ -404,11 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=33)
 
     p = command("optimize", cmd_optimize, "search quantizers for the best objective")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the discrete search's random restarts (Gaussian: unused)")
     p.add_argument("--objective", choices=("sum", "weighted"), default="sum")
-    p.add_argument("--weights", help="comma-separated user weights")
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--iters", type=int, default=120)
+    p.add_argument("--weights", help="comma-separated user weights (--objective weighted only)")
+    p.add_argument("--restarts", type=int, default=4,
+                   help="restarts of the discrete search (Gaussian: one certified solve)")
+    p.add_argument("--iters", type=int, default=120,
+                   help="sweep cap of the discrete search (Gaussian: one certified solve)")
     p.add_argument("--aux-sizes", help="comma-separated |U_k| for discrete scenarios")
 
     p = command("sumrate", cmd_sumrate, "sum-rate bound of a fixed quantizer choice")

@@ -23,6 +23,7 @@ import numpy as np
 
 PMF_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
+LP_FEAS_TOL = 1e-10  # HiGHS primal and dual feasibility tolerance of the weighted-rate LPs
 
 # enumerate_constraint_pairs materializes (2^L - 1) * 2^K pairs; beyond this
 # combined size the list itself is the problem, not the numerics.
@@ -159,9 +160,12 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
     origin or is empty.  Pareto tie-break: among weighted-optimal points the
     total rate is maximized, so zero-weight coordinates land on the boundary.
     Raises ArithmeticError when either LP solve fails: that is a numeric
-    failure, not an empty region.
+    failure, not an empty region.  Both solves hold their rows to
+    LP_FEAS_TOL, well inside the tie-break's slack and MEMBERSHIP_TOL.
     """
     from scipy.optimize import linprog
+
+    tols = {"primal_feasibility_tolerance": LP_FEAS_TOL, "dual_feasibility_tolerance": LP_FEAS_TOL}
 
     w = np.asarray(weights, dtype=float)
     if w.shape != (region.num_users,):
@@ -181,7 +185,7 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
     b_ub = np.asarray(b_ub)
     if np.any(b_ub < 0):
         return 0.0, np.zeros(region.num_users)
-    res = linprog(-w, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    res = linprog(-w, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs", options=tols)
     if not res.success:
         raise ArithmeticError(f"weighted-rate LP failed: {res.message}")
     best = float(-res.fun) + 0.0  # an optimum of 0 is +0.0, never -0.0
@@ -192,6 +196,7 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
         b_ub=np.append(b_ub, -(best - 1e-10)),
         bounds=(0, None),
         method="highs",
+        options=tols,
     )
     if not res2.success:
         raise ArithmeticError(f"weighted-rate tie-break LP failed: {res2.message}")

@@ -339,6 +339,10 @@ class GaussianEvaluator:
         """``_branch_stack`` at T = all users, indexed by subset bitmask."""
         return self._branch_stack(self.full_users)
 
+    def branch_stack(self, users: tuple[int, ...]) -> np.ndarray:
+        """``_branch_stack(users)``, cached at T = all users."""
+        return self.branch_matrices if users == self.full_users else self._branch_stack(users)
+
     def _bounds(self, stack: np.ndarray) -> np.ndarray:
         """The bound of every relay set S (index = bitmask) from the stack
         of its branch matrices; the full S leaves no log-det."""
@@ -356,10 +360,10 @@ class GaussianEvaluator:
         """One constraint bound, in bits."""
         return float(self.charged[pair.s_mask]) + self.info_term(pair)
 
-    def subset_bounds(self) -> np.ndarray:
-        """Sum-rate bound (T = all users) of every relay subset, indexed by
-        subset bitmask."""
-        return self._bounds(self.branch_matrices)
+    def subset_bounds(self, users: tuple[int, ...] | None = None) -> np.ndarray:
+        """The bound of user set T (by default all users, the sum-rate) for
+        every relay subset, indexed by subset bitmask."""
+        return self._bounds(self.branch_stack(users or self.full_users))
 
     def region(self) -> RateRegion:
         """Every (T, S) bound, one stacked log-det per user set T; negative
@@ -367,7 +371,7 @@ class GaussianEvaluator:
         pairs = enumerate_constraint_pairs(self.sc.num_users, self.sc.num_relays)
         bounds = []
         for t_mask in range(1, 1 << self.sc.num_users):
-            bounds += self._bounds(self._branch_stack(indices_of(t_mask))).tolist()
+            bounds += self.subset_bounds(indices_of(t_mask)).tolist()
         return RateRegion(num_users=self.sc.num_users, constraints=tuple(zip(pairs, bounds)))
 
 

@@ -1,20 +1,16 @@
 """Search over quantizers and Monte Carlo validation of the analytic rates.
 
-The Gaussian search runs over the normalized quantizers
+The Gaussian optimizer runs over the normalized quantizers
 W_k = Sigma_k^{1/2} B_k Sigma_k^{1/2}, whose feasible set is simply
-0 <= W_k <= I.  Each relay-subset branch b_S of the sum-rate is concave in
-the W_k, so the sum-rate max_W min_S b_S is a concave program and a local
-optimum is the global one.  It is solved once, as the epigraph
-max t s.t. t <= b_S for every S, by SLSQP over Hermitian A_k with
+0 <= W_k <= I.  Every bound b_{T,S} of the region is concave in the W_k, so
+both objectives are concave programs and a local optimum is the global one:
+the sum-rate max t s.t. t <= b_{T,S} for T = all users and every relay set
+S, and the weighted rate max w.R s.t. sum_{t in T} R_t <= b_{T,S} for every
+(T, S) and R >= 0.  Either is one SLSQP solve over Hermitian A_k with
 W_k = I - (I + A_k^2)^{-1}; that map stays strictly below I, so no
 projection is needed.  The solver's multipliers certify the result through
-``gaussian_upper_bound``, and a solve whose gap exceeds GAP_TOL raises.
-
-The weighted rate runs a coordinate pattern search on values alone from
-several restarts.  Every candidate is projected onto the feasible set
-(capped at 1 - 1e-9 so fronthaul rates stay finite) by eigenvalue clipping
-before evaluation, so returned quantizers are always feasible; global
-optimality is not claimed there.
+a Frank-Wolfe bound, and a solve whose gap exceeds GAP_TOL raises.  The
+configured restarts, iterations and seed govern only the discrete search.
 
 A point costs a few stacked numpy calls, not one per relay: the projection,
 fronthaul rates and B_k take one call per antenna-count group of relays
@@ -34,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _linalg as la
-from .core import SubsetPair, mask_of, max_weighted_rate, spawn_seeds
+from .core import SubsetPair, indices_of, mask_of, max_weighted_rate, spawn_seeds
 from .discrete import AuxChannels, DiscreteScenario, ReducedFactors
 from .gaussian import (
     QUANT_CAP_MARGIN,
@@ -48,10 +44,10 @@ from .gaussian import (
 ACTIVE_TOL = 1e-9
 IMPROVE_TOL = 1e-12
 STEP_TOL = 1e-8  # the Gaussian searches stop once their step falls below it
-GAP_TOL = 1e-6  # bits; a sum-rate solve whose certified gap exceeds it raises
-SOLVE_FTOL = 1e-14  # SLSQP's stopping tolerance on the change of the objective t
+GAP_TOL = 1e-6  # bits; a Gaussian solve whose certified gap exceeds it raises
+SOLVE_FTOL = 1e-14  # SLSQP's stopping tolerance on the change of the objective
 SOLVE_MAX_ITERS = 500
-CUT_ITERS = 100  # cutting planes that may refine the certificate's subset weights
+CUT_ITERS = 100  # cutting planes that may refine the certificate's row weights
 
 
 @dataclass(frozen=True)
@@ -143,23 +139,19 @@ def _unpack_flat(x: np.ndarray, lay: _Layout) -> np.ndarray:
     return flat
 
 
-def _param_count(dims) -> int:
-    return sum(d * d for d in dims)
-
-
 class _Point:
     """One feasible point, evaluated once.  ``ws`` are the projected
     normalized quantizers, one (n, d, d) stack per relay group, and ``x``
     their packed coordinates; the ``evaluator``, the subset branch values
-    ``vals`` and the fronthaul gradients ``charge_grads`` (stacked like
-    ``ws``) are filled on first use."""
+    ``vals`` of each user set and the fronthaul gradients ``charge_grads``
+    (stacked like ``ws``) are filled on first use."""
 
     __slots__ = ("x", "ws", "evaluator", "vals", "charge_grads")
 
     def __init__(self, x: np.ndarray, ws: list[np.ndarray]):
         self.x = x
         self.ws = ws
-        self.evaluator = self.vals = self.charge_grads = None
+        self.vals, self.evaluator, self.charge_grads = {}, None, None
 
 
 class _SmoothPoint(NamedTuple):
@@ -172,18 +164,16 @@ class _SmoothPoint(NamedTuple):
 
 
 class _GaussianObjective:
-    """Sum-rate (or weighted-rate) objective over packed normalized quantizers.
+    """The Gaussian region's branches and their gradients over packed
+    normalized quantizers.
 
     Each question takes packed parameters x or a point from ``at(x)``; loops
     that ask several questions about one x pass the point, so x is projected
     and evaluated once.  Per-relay work runs on the scenario's relay groups
     (``ScenarioTerms``), one stacked numpy call per group."""
 
-    def __init__(self, sc: GaussianScenario, weights=None):
+    def __init__(self, sc: GaussianScenario):
         self.sc = sc
-        self.weights = None if weights is None else np.asarray(weights, dtype=float)
-        if self.weights is not None and self.weights.shape != (sc.num_users,):
-            raise ValueError("weights must have one entry per user")
         self.terms = ScenarioTerms(sc)  # shared by the evaluators of every x
         self.layout = _layout(sc.relay_antennas)
         # flat positions of each group's matrix entries, (n, d, d) per group
@@ -191,15 +181,14 @@ class _GaussianObjective:
                   for (a, b), d in zip(self.layout.bounds, sc.relay_antennas)]
         self.positions = [np.array([blocks[k] for k in g.relays]) for g in self.terms.groups]
         self.sig_root_inv = [la.psd_inv_sqrt(s) for s in self.terms.stack(sc.Sigma)]
-        self.k_full_root = self.terms.users(self.terms.full_users)[1]
 
     def project(self, ws) -> list[np.ndarray]:
         return [la.clip_eigenvalues(w, 0.0, 1.0 - QUANT_CAP_MARGIN) for w in ws]
 
     def at(self, x) -> _Point:
-        """The projection of packed parameters x, whose own packed
-        coordinates become the point's x, so steps from it move the
-        projected point directly; a point is returned as is."""
+        """The projection of packed parameters x onto the feasible set,
+        with the projection's own packed coordinates as the point's x; a
+        point is returned as is."""
         if isinstance(x, _Point):
             return x
         flat = _unpack_flat(x, self.layout)
@@ -259,42 +248,42 @@ class _GaussianObjective:
             p.evaluator = GaussianEvaluator(self.terms, self._b(p.ws), self.terms.merge(mi))
         return p.evaluator
 
-    def branch_values(self, x) -> np.ndarray:
-        """Sum-rate bound of every relay subset (index = subset bitmask)."""
+    def branch_values(self, x, users=None) -> np.ndarray:
+        """The bound of user set T (by default all users, the sum-rate) for
+        every relay subset (index = subset bitmask)."""
         p = self.at(x)
-        if p.vals is None:
-            p.vals = self.evaluator(p).subset_bounds()
-        return p.vals
+        users = users or self.terms.full_users
+        if users not in p.vals:
+            p.vals[users] = self.evaluator(p).subset_bounds(users)
+        return p.vals[users]
 
     def value(self, x) -> float:
-        if self.weights is None:
-            return float(self.branch_values(x).min())
-        val, _ = max_weighted_rate(self.evaluator(x).region(), self.weights)
-        return val
+        return float(self.branch_values(x).min())
 
-    def active_masks(self, x) -> tuple[tuple[int, int], ...]:
-        full_mask = mask_of(self.terms.full_users)
-        if self.weights is None:
-            vals = self.branch_values(x)
-            lo = vals.min()
-            return tuple((full_mask, s) for s in range(vals.size) if vals[s] <= lo + ACTIVE_TOL)
-        region = self.evaluator(x).region()
-        _, rates = max_weighted_rate(region, self.weights)
-        out = []
-        for pair, bound in region.constraints:
-            if sum(rates[t - 1] for t in pair.users) >= bound - ACTIVE_TOL:
-                out.append((pair.t_mask, pair.s_mask))
-        return tuple(out)
+    def row_values(self, p: _Point, t_sets) -> np.ndarray:
+        """The bounds of the (T, S) rows of the user sets, S by bitmask."""
+        return np.concatenate([self.branch_values(p, users) for users in t_sets])
 
-    def _branch_gradient(self, x, s_masks) -> np.ndarray:
-        """Gradient of the subset-S branch, one row per bitmask in
-        ``s_masks`` (one vector for a single mask): the fronthaul charge for
-        relays in S (shared by every branch at one point) and the log-det
-        term, through the inverse of the evaluator's branch matrix, for the
-        rest.  The branch matrices are inverted as one stack, and each
-        group's (S, k not in S) pairs are multiplied out as one batch."""
+    def row_gradients(self, p: _Point, t_sets) -> np.ndarray:
+        """The branch gradients of those rows, one row each."""
+        masks = np.arange(1 << self.sc.num_relays)
+        return np.vstack([self._branch_gradient(p, masks, users) for users in t_sets])
+
+    def _branch_gradient(self, x, s_masks, users=None) -> np.ndarray:
+        """Gradient of the (T, S) branch of user set T (by default all
+        users), one row per relay-set bitmask in ``s_masks`` (one vector for
+        a single mask): the fronthaul charge for relays in S (shared by
+        every branch at one point) and the log-det term, through the inverse
+        of the evaluator's branch matrix and the T columns of each relay's
+        channel, for the rest.  The branch matrices are inverted as one
+        stack, and each group's (S, k not in S) pairs are multiplied out as
+        one batch."""
         p = self.at(x)
         ev = self.evaluator(p)
+        users = users or self.terms.full_users
+        idx, k_root = self.terms.users(users)
+        cols = slice(None) if users == self.terms.full_users else idx
+        stack = ev.branch_stack(users)
         if p.charge_grads is None:
             p.charge_grads = [la.hermitian_part(-np.linalg.inv(np.eye(w.shape[-1]) - w) / la.LN2)
                               for w in p.ws]
@@ -302,13 +291,13 @@ class _GaussianObjective:
         rows = np.empty((masks.size, self.layout.bounds[-1][1]), dtype=np.complex128)
         for pos, charge in zip(self.positions, p.charge_grads):
             rows[:, pos] = charge
-        kept = np.flatnonzero(masks < len(ev.branch_matrices))  # some relay is outside S
+        kept = np.flatnonzero(masks < len(stack))  # some relay is outside S
         if kept.size:
-            branch_inv = np.linalg.inv(ev.branch_matrices[masks[kept]])
-            inner = self.k_full_root @ branch_inv @ self.k_full_root
+            inner = k_root @ np.linalg.inv(stack[masks[kept]]) @ k_root
             for g, ri, pos in zip(self.terms.groups, self.sig_root_inv, self.positions):
                 r, i = np.nonzero(g.outside[masks[kept]])  # row of inner, relay in the group
-                h_inner_h = g.h[i] @ inner[r] @ g.h_conj[i].swapaxes(-1, -2) / la.LN2
+                h, h_conj = g.h[i][..., cols], g.h_conj[i][..., cols]
+                h_inner_h = h @ inner[r] @ h_conj.swapaxes(-1, -2) / la.LN2
                 ri_i = ri[i]
                 rows[kept[r, None, None], pos[i]] = la.hermitian_part(ri_i @ h_inner_h @ ri_i)
         grads = _pack_flat(rows, self.layout) * self.layout.scale
@@ -340,7 +329,8 @@ class _GaussianObjective:
 def _coordinate_search(value: Callable, x0: np.ndarray, cfg: OptimizerConfig):
     """Pattern search: along each coordinate in turn, try a step up, then
     down, doubling it while the value improves; halve the step after a
-    sweep without improvement."""
+    sweep without improvement.  No optimizer path calls it; bench/tracing.py
+    still wraps it by name."""
     x = x0.copy()
     best = value(x)
     trace = [best]
@@ -415,35 +405,38 @@ def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfi
 
 @dataclass(frozen=True)
 class GaussianOptResult:
+    """A certified optimum: gap = upper_bound - objective <= GAP_TOL bits,
+    so ``converged`` is True; ``active`` holds the tight (T, S) mask pairs."""
+
     quantizers: QuantizerSetGaussian
     objective: float
-    converged: bool  # sum-rate: certified within GAP_TOL (an uncertified solve raises)
+    converged: bool
     trace: tuple[float, ...]
-    active: tuple[tuple[int, int], ...]  # (T mask, S mask) pairs tight at the optimum
-    upper_bound: float | None = None  # sum-rate: certified bound on the optimum, in bits
-    gap: float | None = None  # upper_bound - objective
+    active: tuple[tuple[int, int], ...]
+    upper_bound: float
+    gap: float
 
 
 class _FrankWolfeBound:
-    """The bound of ``gaussian_upper_bound`` at fixed quantizers, as a
-    convex function of the subset weights lam:
+    """The Frank-Wolfe bound at fixed quantizers, as a convex function of
+    weights y on the (T, S) rows of the user sets ``t_sets``:
 
-        h(lam) = sum_S lam_S c_S + sum_k tr (G_k(lam))_+,
-        c_S = b_S(W) - sum_k tr (grad_{W_k} b_S) W_k.
+        h(y) = sum_{T,S} y_{T,S} c_{T,S} + sum_k tr (G_k(y))_+,
+        c_{T,S} = b_{T,S}(W) - sum_k tr (grad_{W_k} b_{T,S}) W_k.
 
-    The branch gradients of every relay subset are taken once."""
+    The branch gradients of every row are taken once."""
 
-    def __init__(self, obj: _GaussianObjective, q: QuantizerSetGaussian):
+    def __init__(self, obj: _GaussianObjective, q: QuantizerSetGaussian, t_sets):
         sc = obj.sc
         q.validate(sc)
         # the bound holds at every feasible point, so it is taken at the
         # projection of q, whose fronthaul rates are finite
         p = obj.at(_pack_hermitian([r @ b @ r for r, b in zip(map(la.psd_sqrt, sc.Sigma), q.B)]))
         self.obj = obj
-        self.rows = obj._branch_gradient(p, np.arange(1 << sc.num_relays))
+        self.rows = obj.row_gradients(p, t_sets)
         # tr G W summed over the relays is the dot product of the packed
         # gradient with the packed point
-        self.offset = obj.branch_values(p) - self.rows @ p.x
+        self.offset = obj.row_values(p, t_sets) - self.rows @ p.x
 
     def __call__(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
         """h(lam) and a subgradient of h in lam."""
@@ -458,13 +451,15 @@ class _FrankWolfeBound:
             proj[pos] = (v * up[..., None, :]) @ v.conj().swapaxes(-1, -2)
         return float(lam @ self.offset) + positive, self.offset + self.rows @ _pack_flat(proj, lay)
 
-    def least(self, lam: np.ndarray, target: float) -> float:
-        """The least h found by Kelley's cutting planes over the simplex from
-        lam, stopping once it is at most ``target`` or the planes prove
-        that no weights reach it."""
+    def least(self, lam: np.ndarray, target: float, cover: np.ndarray, weights: np.ndarray) -> float:
+        """The least h found by Kelley's cutting planes over the covering
+        weights {0 <= y <= max w, cover^T y >= w} from lam, stopping once it
+        is at most ``target`` or the planes prove that no weights reach
+        it."""
         from scipy.optimize import linprog
 
         n = lam.size
+        covering = np.hstack([-cover.T, np.zeros((cover.shape[1], 1))])
         cuts, rhs, best = [], [], math.inf
         for _ in range(CUT_ITERS):
             h, sub = self(lam)
@@ -473,14 +468,22 @@ class _FrankWolfeBound:
                 break
             cuts.append(np.append(sub, -1.0))  # h(mu) >= h + sub . (mu - lam)
             rhs.append(float(sub @ lam) - h)
-            res = linprog(np.append(np.zeros(n), 1.0), A_ub=cuts, b_ub=rhs,
-                          A_eq=[np.append(np.ones(n), 0.0)], b_eq=[1.0],
-                          bounds=[(0.0, None)] * n + [(None, None)], method="highs")
+            res = linprog(np.append(np.zeros(n), 1.0), A_ub=np.vstack([cuts, covering]),
+                          b_ub=np.concatenate([rhs, -weights]),
+                          bounds=[(0.0, weights.max())] * n + [(None, None)], method="highs")
             if res.status != 0 or res.fun > target:
                 break
-            lam = np.clip(res.x[:-1], 0.0, None)  # any weights on the simplex give a valid bound
-            lam = lam / lam.sum()
+            lam = _covering(res.x[:-1], cover, weights)
         return best
+
+
+def _covering(y: np.ndarray, cover: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+    """y clipped at 0 and scaled to the least multiple with cover^T y >= w
+    (None if there is none): then w.R <= sum_{T,S} y_{T,S} b_{T,S}."""
+    y = np.clip(y, 0.0, None)
+    pos = weights > 0.0
+    ratio = float(np.min((y @ cover)[pos] / weights[pos]))
+    return y / ratio if ratio > 0.0 else None
 
 
 def gaussian_upper_bound(sc: GaussianScenario, q: QuantizerSetGaussian, lam) -> float:
@@ -488,7 +491,7 @@ def gaussian_upper_bound(sc: GaussianScenario, q: QuantizerSetGaussian, lam) -> 
     max_B min_S b_S(B), from any feasible quantizers q and any weights
     ``lam`` on the relay subsets (index = bitmask; nonnegative, summing
     to 1).  Normalized quantizers W_k = Sigma_k^{1/2} B_k Sigma_k^{1/2} are
-    capped at 1 - 1e-9, as in the search, so fronthaul rates stay finite.
+    capped at 1 - 1e-9, as in the projection, so fronthaul rates stay finite.
 
     Each branch b_S is concave in the W_k, so g = sum_S lam_S b_S is too, and
     the optimum is at most max g over 0 <= W_k <= I.  Concavity bounds g by
@@ -502,127 +505,117 @@ def gaussian_upper_bound(sc: GaussianScenario, q: QuantizerSetGaussian, lam) -> 
     if lam.shape != (1 << sc.num_relays,) or not np.isfinite(lam).all() or np.any(lam < 0) \
             or abs(lam.sum() - 1.0) > 1e-9:
         raise ValueError("lam must be nonnegative and sum to 1, one weight per relay subset")
-    return _FrankWolfeBound(_GaussianObjective(sc), q)(lam)[0]
+    return _FrankWolfeBound(_GaussianObjective(sc), q, [tuple(range(1, sc.num_users + 1))])(lam)[0]
 
 
-def _certified_sum_rate(obj: _GaussianObjective) -> GaussianOptResult:
-    """One SLSQP solve of max t s.t. t <= b_S(W(A)) for every relay subset S,
-    over packed Hermitian A_k and t, from A_k = I (W = I/2), certified by
-    ``gaussian_upper_bound`` at the final iterate with the solver's
-    normalized multipliers.  Returns the better of the best iterate and the
-    zero quantizers; its trace is the best-so-far objective over the
-    iterates.  Raises ArithmeticError when the gap exceeds GAP_TOL."""
+def _certified_solve(obj: _GaussianObjective, weights=None) -> GaussianOptResult:
+    """One SLSQP solve, over packed Hermitian A_k and rate columns R, from
+    A_k = I (W = I/2), of max c.R s.t. cover R <= b_{T,S}(W(A)) on the
+    (T, S) rows.  The sum-rate (``weights`` None) keeps T = all users and one
+    free rate t, c = 1; the weighted rate takes every T, one rate per user
+    with R >= 0, and c = w.  Returns the better of the best iterate and the
+    zero quantizers (worth exactly 0, winning a tie, since the final iterate
+    can be unusable at zero fronthaul), each valued at its own objective,
+    with the best-so-far trace; certified at that point by the solver's
+    multipliers scaled to cover c, then by cutting planes.  Raises
+    ArithmeticError when the gap exceeds GAP_TOL."""
     from scipy.optimize import minimize
 
+    sc = obj.sc
     size = obj.layout.bounds[-1][1]
-    masks = np.arange(1 << obj.sc.num_relays)
+    subsets = 1 << sc.num_relays
+    full = obj.terms.full_users
+    if weights is None:
+        t_sets, c, rate_low = [full], np.ones(1), None
+        cover = np.ones((subsets, 1))
+    else:
+        t_sets = [indices_of(t) for t in range(1, 1 << sc.num_users)]
+        c, rate_low = np.asarray(weights, dtype=float), 0.0
+        cover = np.repeat([[float(l in users) for l in full] for users in t_sets], subsets, axis=0)
     last = {}
 
     def at(z) -> _SmoothPoint:
-        key = z[:-1].tobytes()
+        key = z[:size].tobytes()
         if key not in last:
             last.clear()
-            last[key] = obj.smooth_at(z[:-1])
+            last[key] = obj.smooth_at(z[:size])
         return last[key]
 
+    def objective(p) -> tuple[float, np.ndarray]:
+        """The objective at p and the rates that reach it."""
+        if weights is None:
+            value = float(obj.branch_values(p).min())
+            return value, np.array([value])
+        return max_weighted_rate(obj.evaluator(p).region(), c)
+
     def slack(z):
-        return obj.branch_values(at(z).point) - z[-1]
+        return obj.row_values(at(z).point, t_sets) - cover @ z[size:]
 
     def slack_jac(z):
         sp = at(z)
-        jac = np.empty((masks.size, size + 1))
-        jac[:, :-1] = obj.pull_back(sp, obj._branch_gradient(sp.point, masks))
-        jac[:, -1] = -1.0
+        jac = np.empty((cover.shape[0], size + c.size))
+        jac[:, :size] = obj.pull_back(sp, obj.row_gradients(sp.point, t_sets))
+        jac[:, size:] = -cover
         return jac
 
     best, trace, seen = None, [], None
 
     def record(z):
         nonlocal best, seen
-        if z[:-1].tobytes() == seen:
+        if z[:size].tobytes() == seen:
             return
-        seen = z[:-1].tobytes()
+        seen = z[:size].tobytes()
         p = at(z).point
-        value = float(obj.branch_values(p).min())
+        value, rates = objective(p)
         if best is None or value > best[1]:
-            best = (p, value)
+            best = (p, value, rates)
         trace.append(best[1])
 
-    z0 = np.append(_pack_hermitian([np.eye(d) for d in obj.sc.relay_antennas]), 0.0)
-    z0[-1] = obj.branch_values(at(z0).point).min()
+    z0 = np.append(_pack_hermitian([np.eye(d) for d in sc.relay_antennas]), np.zeros(c.size))
+    z0[size:] = objective(at(z0).point)[1]
     record(z0)
-    neg_t_grad = np.zeros(size + 1)
-    neg_t_grad[-1] = -1.0
-    res = minimize(lambda z: -z[-1], z0, jac=lambda z: neg_t_grad, method="SLSQP",
+    neg_c = np.append(np.zeros(size), -c)
+    res = minimize(lambda z: -float(c @ z[size:]), z0, jac=lambda z: neg_c, method="SLSQP",
+                   bounds=[(None, None)] * size + [(rate_low, None)] * c.size,
                    constraints=[{"type": "ineq", "fun": slack, "jac": slack_jac}],
                    callback=record, options={"maxiter": SOLVE_MAX_ITERS, "ftol": SOLVE_FTOL})
     record(res.x)  # SLSQP does not always report its final iterate
-    certificate = _FrankWolfeBound(obj, obj.quantizers(at(res.x).point))
-    lam = np.clip(res.multipliers, 0.0, None)  # any weights on the simplex give a valid bound
-    lam = lam / lam.sum() if lam.sum() > 0.0 else np.full(masks.size, 1.0 / masks.size)
-    bound = certificate(lam)[0]
 
-    # zero quantizers are worth exactly 0: the empty relay set's branch is 0
-    # and every other branch is a sum of nonnegative capacities
-    p, value = best
+    p, value, rates = best
     zero = obj.smooth_at(np.zeros(size)).point
-    zero_value = float(obj.branch_values(zero).min())
-    if zero_value > value:
-        p, value = zero, zero_value
+    zero_value, zero_rates = objective(zero)
+    if zero_value >= value:
+        p, value, rates = zero, zero_value, zero_rates
         trace.append(value)
+    certificate = _FrankWolfeBound(obj, obj.quantizers(p), t_sets)
+    lam = _covering(res.multipliers, cover, c)
+    if lam is None:
+        lam = _covering(np.ones(cover.shape[0]), cover, c)
+    bound = certificate(lam)[0]
     if not bound - value <= GAP_TOL:
         # where some W_k is singular, A_k = 0 and the multipliers do not
         # see the sign of G_k on its null space
-        bound = certificate.least(lam, value + GAP_TOL)
+        bound = certificate.least(lam, value + GAP_TOL, cover, c)
     gap = bound - value
     if not gap <= GAP_TOL:
-        raise ArithmeticError(f"sum-rate solve is not certified: the gap {gap:.3e} bits exceeds "
+        raise ArithmeticError(f"Gaussian solve is not certified: the gap {gap:.3e} bits exceeds "
                               f"{GAP_TOL:.0e} ({res.message})")
+    tight = np.flatnonzero(obj.row_values(p, t_sets) <= cover @ rates + ACTIVE_TOL)
+    active = tuple((mask_of(t_sets[i // subsets]), int(i % subsets)) for i in tight)
     return GaussianOptResult(quantizers=obj.quantizers(p), objective=value, converged=True,
-                             trace=tuple(trace), active=obj.active_masks(p),
-                             upper_bound=bound, gap=gap)
+                             trace=tuple(trace), active=active, upper_bound=bound, gap=gap)
 
 
 def optimize_gaussian_quantizers(sc: GaussianScenario, cfg: OptimizerConfig) -> GaussianOptResult:
-    """Quantization matrices maximizing the configured objective.
-
-    The sum-rate is one certified SLSQP solve (``_certified_sum_rate``); the
-    configured restarts, iterations and seed are not used.  The weighted
-    rate is a multi-start pattern search: restart 0 starts from zero
-    quantizers, the rest from seeded random feasible points.  Deterministic
-    for a fixed config."""
-    obj = _GaussianObjective(sc, weights=cfg.weights if cfg.objective == "weighted" else None)
-    if cfg.objective == "sum_rate":
-        return _certified_sum_rate(obj)
-    dims = sc.relay_antennas
-    seeds = spawn_seeds(cfg.seed, cfg.restarts)
-
-    def one_restart(index: int):
-        if index == 0:
-            x0 = np.zeros(_param_count(dims))
-        else:
-            rng = np.random.default_rng(seeds[index])
-            mats = []
-            for d in dims:
-                z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-                qmat, _ = np.linalg.qr(z)
-                lam = rng.uniform(0.05, 0.85, size=d)
-                mats.append(la.hermitian_part((qmat * lam) @ qmat.conj().T))
-            x0 = _pack_hermitian(mats)
-        return _coordinate_search(obj.value, x0, cfg)
-
-    outcomes = [one_restart(i) for i in range(cfg.restarts)]
-
-    best_idx = max(range(cfg.restarts), key=lambda i: (outcomes[i][1], -i))
-    x, value, trace, converged = outcomes[best_idx]
-    p = obj.at(x)
-    return GaussianOptResult(
-        quantizers=obj.quantizers(p),
-        objective=value,
-        converged=converged,
-        trace=tuple(trace),
-        active=obj.active_masks(p),
-    )
+    """Quantization matrices maximizing the configured objective, from one
+    certified solve (``_certified_solve``); the configured restarts,
+    iterations and seed are not used.  Deterministic."""
+    weights = None
+    if cfg.objective == "weighted":
+        weights = np.asarray(cfg.weights, dtype=float)
+        if weights.shape != (sc.num_users,):
+            raise ValueError("weights must have one entry per user")
+    return _certified_solve(_GaussianObjective(sc), weights)
 
 
 @dataclass(frozen=True)

@@ -132,10 +132,12 @@ def extreme_point(
     entry ordering[k-1] gets g+(first k) - g+(first k-1).
 
     The result is indexed by relay (position k-1 holds relay k's fronthaul)
-    and telescopes to g+(all relays)."""
+    and telescopes to g+(all relays).  An r_sum above I(U_all; X_all | Q),
+    beyond INVARIANT_TOL, raises ``ValueError``: the polytope is empty."""
     r_sum = _check_r_sum(r_sum)
     pi = _check_ordering(ordering, sc.num_relays)
-    return _extreme_point(_chain_g(DiscreteEvaluator.from_aux(sc, aux), r_sum, pi), pi)
+    info = DiscreteEvaluator.from_aux(sc, aux)
+    return _extreme_point(_chain_g(info, _check_polytope(info, r_sum), pi), pi)
 
 
 def extreme_points(
@@ -146,11 +148,21 @@ def extreme_points(
 
     ``r_sum`` defaults to the joint-decoding sum-rate."""
     info = DiscreteEvaluator.from_aux(sc, aux)
-    r_sum = _jd_sum_rate(info) if r_sum is None else _check_r_sum(r_sum)
+    r_sum = _jd_sum_rate(info) if r_sum is None else _check_polytope(info, _check_r_sum(r_sum))
     return [
         (pi, _extreme_point(_chain_g(info, r_sum, pi), pi))
         for pi in permutations(range(1, sc.num_relays + 1))
     ]
+
+
+def _check_polytope(info: DiscreteEvaluator, r_sum: float) -> float:
+    """r_sum, once it is at most I(U_all; X_all | Q) within INVARIANT_TOL.
+    Above that the S = {} row of the fronthaul polytope asks for
+    0 >= g({}) = r_sum - I(U_all; X_all | Q) > 0, so the polytope is empty."""
+    if r_sum > info.i_ux + INVARIANT_TOL:
+        raise ValueError(f"r_sum = {r_sum!r} exceeds I(U; X | Q) = {info.i_ux!r}; "
+                         "the fronthaul polytope is empty")
+    return r_sum
 
 
 def _check_ordering(ordering, num_relays: int) -> tuple[int, ...]:

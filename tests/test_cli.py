@@ -201,6 +201,17 @@ def test_extreme_points_nonfinite_rsum_is_validation_error(tmp_path, capsys, val
     assert "--rsum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0.65", "1e17"])
+def test_extreme_points_above_the_channel_information_exit_2(tmp_path, capsys, value):
+    # I(U; X | Q) = 0.3457 bits here, so the fronthaul polytope is empty
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    out = tmp_path / "ext.csv"
+    rc = main(["extreme-points", "--scenario", scenario, "--rsum", value, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "fronthaul polytope is empty" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1e6"])
 def test_codebook_check_unusable_rate_is_validation_error(tmp_path, capsys, value):
     scenario = write_json(tmp_path / "sc.json", discrete_doc())
@@ -315,20 +326,36 @@ class TestOptimizeCommand:
         monkeypatch.setattr(optimize, "GAP_TOL", -1.0)
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc(fronthaul=1.0))
         out = tmp_path / "opt.json"
-        assert main(["optimize", "--scenario", scenario, "--out", str(out)]) == 3
-        assert "not certified" in capsys.readouterr().err
-        assert not out.exists()
+        for objective in (["--objective", "sum"], ["--objective", "weighted", "--weights", "1"]):
+            assert main(["optimize", "--scenario", scenario, *objective, "--out", str(out)]) == 3
+            assert "not certified" in capsys.readouterr().err
+            assert not out.exists()
 
-    def test_weighted_and_discrete_carry_no_certificate(self, tmp_path):
-        gaussian = write_json(tmp_path / "g.json", golden_gaussian_doc(fronthaul=1.0))
+    def test_weighted_is_certified_and_discrete_is_not(self, tmp_path):
+        gaussian = write_json(tmp_path / "g.json", golden_gaussian_doc(fronthaul=1.0, users=2))
+        out = tmp_path / "opt.json"
+        rc = main(["optimize", "--scenario", gaussian, "--objective", "weighted",
+                   "--weights", "0.3,0.7", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["converged"] is True
+        assert 0.0 <= payload["gap_bits"] <= 1e-6
+        assert payload["upper_bound_bits"] == pytest.approx(
+            payload["objective_bits"] + payload["gap_bits"], abs=1e-15)
         discrete = write_json(tmp_path / "d.json", discrete_doc(with_aux=False))
-        for args in (["--scenario", gaussian, "--objective", "weighted", "--weights", "1"],
-                     ["--scenario", discrete, "--aux-sizes", "2,2"]):
-            out = tmp_path / "opt.json"
-            rc = main(["optimize", *args, "--restarts", "1", "--iters", "3", "--out", str(out)])
-            assert rc == 0
-            payload = json.loads(out.read_text())
-            assert payload["upper_bound_bits"] is None and payload["gap_bits"] is None
+        rc = main(["optimize", "--scenario", discrete, "--aux-sizes", "2,2", "--restarts", "1",
+                   "--iters", "3", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["upper_bound_bits"] is None and payload["gap_bits"] is None
+
+    def test_weights_without_the_weighted_objective_exit_2(self, tmp_path, capsys):
+        scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
+        out = tmp_path / "opt.json"
+        rc = main(["optimize", "--scenario", scenario, "--weights", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "--weights needs --objective weighted" in capsys.readouterr().err
 
     def test_discrete(self, tmp_path):
         scenario = write_json(tmp_path / "sc.json", discrete_doc(with_aux=False))

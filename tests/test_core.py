@@ -133,6 +133,23 @@ class TestRateRegion:
             max_weighted_rate(self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5]), [1.0, 0.0])
         assert len(calls) == 2
 
+    def test_tie_break_keeps_a_nearly_tight_row(self):
+        # at HiGHS's default feasibility tolerance the first solve broke the
+        # c_13 row by 9.7e-9, more than the tie-break's 1e-10 of slack, and
+        # the tie-break LP came back infeasible
+        bounds = {1: 1.05593293974, 2: 0.0157086009368, 3: 1.07707704833, 4: 0.763520956126,
+                  5: 1.62004934435, 6: 0.783280062214, 7: 1.62004935409}
+        region = RateRegion(num_users=3, constraints=tuple(
+            (SubsetPair(users=indices_of(t), relays=()), b) for t, b in bounds.items()))
+        weights = [0.869418649871, 0.129057726839, 0.828204178805]
+        value, rates = max_weighted_rate(region, weights)
+        assert region.contains(rates)
+        assert np.dot(weights, rates) >= value - 1e-9
+        # the optimum puts user 1 at c_1, user 3 at c_13 - c_1 and user 2 at
+        # the 9.7e-9 that c_123 leaves above c_13
+        rates_opt = [bounds[1], bounds[7] - bounds[5], bounds[5] - bounds[1]]
+        assert value == pytest.approx(np.dot(weights, rates_opt), abs=1e-12)
+
 
 def _minimal_gaussian_doc():
     return {

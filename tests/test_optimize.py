@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -10,13 +11,14 @@ import pytest
 from ocran import _linalg as la
 from ocran import optimize
 from ocran.cli import main
-from ocran.core import SubsetPair, scenario_from_dict
+from ocran.core import SubsetPair, indices_of, max_weighted_rate, scenario_from_dict
 from ocran.discrete import AuxChannels, DiscreteScenario, build_joint, cmi, identity_aux
 from ocran.gaussian import (
     GaussianEvaluator,
     GaussianScenario,
     QuantizerSetGaussian,
     rate_constraint_gaussian,
+    region_gaussian,
 )
 from ocran.optimize import (
     OptimizerConfig,
@@ -85,18 +87,6 @@ class TestGaussianOptimizer:
         res = optimize_gaussian_quantizers(sc, cfg)
         assert res.objective == pytest.approx(golden_rate(4.0, 0.5), abs=1e-4)
 
-    def test_non_convergence_is_flagged_not_raised(self):
-        # only the weighted objective caps its iterations
-        rng = np.random.default_rng(44)
-        sc = random_gaussian_scenario(rng, 2, 2)
-        res = optimize_gaussian_quantizers(
-            sc, OptimizerConfig(objective="weighted", weights=(1.0, 2.0), restarts=1,
-                                max_iters=1, seed=1)
-        )
-        assert not res.converged
-        assert res.upper_bound is None and res.gap is None
-        res.quantizers.validate(sc)
-
     def test_trace_is_monotone(self):
         rng = np.random.default_rng(3)
         sc = random_gaussian_scenario(rng, 2, 2)
@@ -155,6 +145,7 @@ class TestGaussianOptimizer:
         )
         res = optimize_gaussian_quantizers(sc, cfg)
         assert res.objective > 0.1
+        assert res.gap <= 1e-6
         res.quantizers.validate(sc)
 
     def test_identity_noise_optimum_commutes_with_signal(self):
@@ -355,6 +346,115 @@ class TestSolverGate:
             optimize_gaussian_quantizers(scalar_scenario(), OptimizerConfig())
 
 
+# (users, relays, fronthaul set per relay index, index of a zero weight)
+WEIGHTED_CASES = [(3, 3, {0: 0.0}, 1), (2, 2, {1: 1e-3}, None), (3, 2, {}, 0),
+                  (1, 3, {0: 0.0, 2: 1e-3}, None), (2, 2, {0: 0.0, 1: 0.0}, None)]
+
+
+def random_weighted_instance(rng, num_users, num_relays, fronthaul, zero_weight):
+    """A random scenario with the given relays' fronthaul replaced, and
+    random weights with the one at ``zero_weight`` (if any) set to zero."""
+    sc = random_gaussian_scenario(rng, num_users, num_relays)
+    weights = rng.uniform(0.05, 1.0, size=num_users)
+    if zero_weight is not None:
+        weights[zero_weight] = 0.0
+    caps = tuple(fronthaul.get(k, c) for k, c in enumerate(sc.fronthaul))
+    return dataclasses.replace(sc, fronthaul=caps), tuple(weights)
+
+
+def weighted(sc, weights):
+    return optimize_gaussian_quantizers(sc, OptimizerConfig(objective="weighted", weights=weights))
+
+
+class TestWeightedSolve:
+    def test_branch_gradients_of_every_user_set_match_central_differences(self):
+        rng = np.random.default_rng(81)
+        for num_users, num_relays in ((2, 3), (3, 2)):
+            sc = random_gaussian_scenario(rng, num_users, num_relays)
+            obj = _GaussianObjective(sc)
+            q = random_quantizers(rng, sc)  # normalized eigenvalues in [0.2, 0.8]
+            x = _pack_hermitian([la.psd_sqrt(s) @ b @ la.psd_sqrt(s) for s, b in zip(sc.Sigma, q.B)])
+            for t_mask in range(1, 1 << sc.num_users):
+                users = indices_of(t_mask)
+                for s_mask in range(1 << sc.num_relays):
+                    field = ScalarField(
+                        value=lambda x, u=users, s=s_mask: float(obj.branch_values(x, u)[s]),
+                        gradient=lambda x, u=users, s=s_mask: obj._branch_gradient(x, s, u))
+                    chk = finite_diff_check(field, x)
+                    assert chk.max_rel_error <= 1e-6, (t_mask, s_mask)
+
+    def test_random_instances_are_certified_above_random_quantizers(self):
+        rng = np.random.default_rng(82)
+        for case in WEIGHTED_CASES:
+            sc, w = random_weighted_instance(rng, *case)
+            res = weighted(sc, w)
+            assert res.converged and -1e-9 <= res.gap <= 1e-6  # a valid bound is never below
+            assert res.upper_bound == res.objective + res.gap
+            res.quantizers.validate(sc)
+            own, _ = max_weighted_rate(region_gaussian(sc, res.quantizers), w)
+            assert res.objective == pytest.approx(own, abs=1e-9)
+            assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
+            assert res.trace[-1] == res.objective
+            assert res.active
+            for _ in range(5):
+                other, _ = max_weighted_rate(region_gaussian(sc, random_quantizers(rng, sc)), w)
+                assert other <= res.objective + 1e-9
+            if not any(sc.fronthaul):  # zero quantizers win the tie at 0
+                assert res.objective == 0.0
+                assert all(np.max(np.abs(b)) == 0.0 for b in res.quantizers.B)
+
+    @staticmethod
+    def rows_of(sc):
+        """Every user set, and each (T, S) row's users as a 0/1 cover matrix."""
+        t_sets = [indices_of(t) for t in range(1, 1 << sc.num_users)]
+        cover = np.repeat([[float(l in users) for l in range(1, sc.num_users + 1)]
+                           for users in t_sets], 1 << sc.num_relays, axis=0)
+        return t_sets, cover
+
+    def test_covering_scales_to_the_least_valid_multiple(self):
+        rng = np.random.default_rng(86)
+        for _ in range(20):
+            sc = random_gaussian_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            _, cover = self.rows_of(sc)
+            w = rng.uniform(0.0, 2.0, size=sc.num_users)
+            w[rng.integers(sc.num_users)] = 1.0
+            y = rng.normal(size=cover.shape[0])
+            got = optimize._covering(y, cover, w)
+            if got is None:
+                assert not np.all((np.clip(y, 0.0, None) @ cover)[w > 0] > 0)
+                continue
+            assert np.all(got >= 0.0) and np.all(got @ cover >= w * (1.0 - 1e-12))
+            assert np.min((got @ cover)[w > 0] / w[w > 0]) == pytest.approx(1.0, rel=1e-12)
+        assert optimize._covering(np.zeros(3), np.ones((3, 1)), np.ones(1)) is None
+
+    def test_cutting_planes_never_fall_below_the_optimum(self):
+        # asked to reach the optimum from random quantizers, the planes
+        # search only covering weights, so every bound they find stays above it
+        rng = np.random.default_rng(87)
+        for case in WEIGHTED_CASES[:3]:
+            sc, w = random_weighted_instance(rng, *case)
+            res = weighted(sc, w)
+            t_sets, cover = self.rows_of(sc)
+            w = np.asarray(w)
+            bound = optimize._FrankWolfeBound(_GaussianObjective(sc), random_quantizers(rng, sc), t_sets)
+            start = optimize._covering(np.ones(cover.shape[0]), cover, w)
+            assert bound.least(start, res.objective, cover, w) >= res.objective - 1e-9
+
+    def test_single_user_weighted_rate_is_the_sum_rate(self):
+        rng = np.random.default_rng(83)
+        for _ in range(2):
+            sc = random_gaussian_scenario(rng, 1, int(rng.integers(1, 4)), max_antennas=3)
+            total = optimize_gaussian_quantizers(sc, OptimizerConfig())
+            assert weighted(sc, (1.0,)).objective == pytest.approx(total.objective, abs=1e-6)
+
+    def test_unit_weights_never_beat_the_sum_rate(self):
+        rng = np.random.default_rng(84)
+        for _ in range(2):
+            sc = random_gaussian_scenario(rng, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
+            total = optimize_gaussian_quantizers(sc, OptimizerConfig())
+            assert weighted(sc, (1.0,) * sc.num_users).objective <= total.objective + 1e-6
+
+
 class TestObjective:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_packing_round_trip(self, d):
@@ -494,6 +594,17 @@ class TestDiscreteOptimizer:
         candidate = jd_sum_rate(sc, AuxChannels(tables=(noisy_copy,)))
         res = optimize_discrete_aux(sc, (2,), OptimizerConfig(restarts=3, seed=3))
         assert res.objective >= candidate - 1e-9
+
+    def test_non_convergence_is_flagged_not_raised(self):
+        # only the discrete search caps its sweeps
+        rng = np.random.default_rng(44)
+        from ocran.verify import random_correlated_scenario
+
+        sc = random_correlated_scenario(rng, 1, 2)
+        res = optimize_discrete_aux(sc, (3, 3), OptimizerConfig(restarts=1, max_iters=1, seed=1))
+        assert not res.converged
+        for table in res.aux.tables:
+            np.testing.assert_allclose(table.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_data_processing_ceiling(self):
         rng = np.random.default_rng(4)
