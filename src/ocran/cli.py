@@ -181,8 +181,10 @@ def _quantizers(args, sc) -> QuantizerSetGaussian | AuxChannels:
 def _scenario_region(args, sc) -> RateRegion:
     q = _quantizers(args, sc)
     if isinstance(sc, GaussianScenario):
+        if args.which is not None:
+            raise ScenarioError("--which applies to discrete scenarios only")
         return region_gaussian(sc, q)
-    return region_discrete(sc, q, args.which)
+    return region_discrete(sc, q, args.which or "thm1")
 
 
 def cmd_region(args, sc, emit):
@@ -205,6 +207,8 @@ def cmd_region(args, sc, emit):
 
 
 def cmd_boundary(args, sc, emit):
+    if args.points < 2:
+        raise ScenarioError(f"--points must be at least 2, got {args.points}")
     if sc.num_users != 2:
         raise ScenarioError("boundary sweeps need exactly 2 users")
     region = _scenario_region(args, sc)
@@ -244,6 +248,8 @@ def cmd_optimize(args, sc, emit):
     )
     bound = gap = None  # the discrete search carries no certificate
     if isinstance(sc, GaussianScenario):
+        if args.aux_sizes is not None:
+            raise ScenarioError("--aux-sizes applies to discrete scenarios only")
         res = optimize_gaussian_quantizers(sc, cfg)
         active = [{"T_mask": t, "S_mask": s} for t, s in res.active]
         quantizers = {"B": [_complex_matrix_to_json(b) for b in res.quantizers.B]}
@@ -397,13 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("region", cmd_region, "evaluate every (T, S) constraint bound")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--quantizers", help="JSON with Gaussian B matrices or discrete aux tables")
-    p.add_argument("--which", choices=("thm1", "thm3"), default="thm1",
-                   help="constraint family for discrete scenarios")
+    p.add_argument("--which", choices=("thm1", "thm3"),
+                   help="constraint family for discrete scenarios (default thm1)")
 
     p = command("boundary", cmd_boundary, "two-user weighted-rate boundary sweep")
     p.add_argument("--quantizers")
-    p.add_argument("--which", choices=("thm1", "thm3"), default="thm1")
-    p.add_argument("--points", type=int, default=33)
+    p.add_argument("--which", choices=("thm1", "thm3"),
+                   help="constraint family for discrete scenarios (default thm1)")
+    p.add_argument("--points", type=int, default=33, help="weights swept, at least 2")
 
     p = command("optimize", cmd_optimize, "search quantizers for the best objective")
     p.add_argument("--seed", type=int, default=0,

@@ -71,6 +71,15 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def subset_sums(terms: np.ndarray) -> np.ndarray:
+    """out[m] = the sum of terms[k] over the bits k of the mask m, added in
+    increasing k from 0, the order of a running sum over ``indices_of(m)``."""
+    out = np.zeros((1 << len(terms),) + terms.shape[1:], dtype=terms.dtype)
+    for k, term in enumerate(terms):
+        out[1 << k:2 << k] = out[:1 << k] + term
+    return out
+
+
 @dataclass(frozen=True)
 class SubsetPair:
     """A (users, relays) pair indexing one rate constraint.
@@ -128,6 +137,16 @@ class RateRegion:
 
     num_users: int
     constraints: tuple[tuple[SubsetPair, float], ...]
+
+    @classmethod
+    def from_subset_bounds(cls, sc: "Scenario", subset_bounds) -> "RateRegion":
+        """Every (T, S) bound of ``sc``, from ``subset_bounds(users)``: the
+        bounds of user set T over relay-set bitmasks, called once per T."""
+        pairs = enumerate_constraint_pairs(sc.num_users, sc.num_relays)
+        bounds = []
+        for t_mask in range(1, 1 << sc.num_users):
+            bounds += subset_bounds(indices_of(t_mask)).tolist()
+        return cls(num_users=sc.num_users, constraints=tuple(zip(pairs, bounds)))
 
     def contains(self, rates: Sequence[float], tol: float = MEMBERSHIP_TOL) -> bool:
         r = np.asarray(rates, dtype=float)

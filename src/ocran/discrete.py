@@ -18,7 +18,11 @@ Two constraint families are evaluated:
   conditionally independent given the user inputs,
 * ``thm3_constraint`` - the general inner bound (no independence needed).
 
-Both are one formula, ``DiscreteEvaluator.bound``.
+Both are written once, in ``DiscreteEvaluator.subset_bounds``: the bounds of
+one user set T over every relay set S, from entropies of the reduced joint.
+Every other discrete bound reads it: one (T, S) pair, a region, the
+joint-decoding sum-rate bounds, and in ``ocran.sumrate`` the set function
+g(S) and the separate-decompression test.
 """
 
 from __future__ import annotations
@@ -37,11 +41,13 @@ from .core import (
     ScenarioError,
     SubsetPair,
     check_finite,
-    enumerate_constraint_pairs,
     indices_of,
+    subset_sums,
 )
 
 MAX_JOINT_ENTRIES = 10_000_000
+# an information quantity below -NEGATIVE_INFO_TOL bits is a numeric failure
+NEGATIVE_INFO_TOL = 1e-9
 
 
 def user_axis(l: int) -> str:
@@ -223,9 +229,11 @@ class JointPmf:
 
 
 def cmi(j: JointPmf, a, b, c=()) -> float:
-    """Conditional mutual information I(A; B | C) in bits, clipped at 0.
+    """Conditional mutual information I(A; B | C) in bits.
 
     A, B, C are disjoint collections of axis labels; empty A or B gives 0.
+    Rounding dust down to -NEGATIVE_INFO_TOL reads 0; a more negative value
+    is a numeric failure and raises ``ArithmeticError``.
     """
     a, b, c = set(a), set(b), set(c)
     if (a & b) or (a & c) or (b & c):
@@ -233,6 +241,14 @@ def cmi(j: JointPmf, a, b, c=()) -> float:
     if not a or not b:
         return 0.0
     val = j.entropy(a | c) + j.entropy(b | c) - j.entropy(a | b | c) - j.entropy(c)
+    return _nonnegative(val, "conditional mutual information")
+
+
+def _nonnegative(val: float, name: str) -> float:
+    """An information quantity, with rounding dust in [-NEGATIVE_INFO_TOL, 0)
+    read as 0."""
+    if val < -NEGATIVE_INFO_TOL:
+        raise ArithmeticError(f"{name} is {val:.3e} bits, negative beyond rounding")
     return max(0.0, val)
 
 
@@ -377,9 +393,9 @@ def _row_entropies(table: np.ndarray) -> np.ndarray:
 
 
 class DiscreteEvaluator:
-    """Every information term and rate bound of one (scenario, quantizer)
-    pair, written in entropies.  Built once per pair and shared, with its
-    entropy cache, by every bound and chain ordering evaluated on it.
+    """Every rate bound of one (scenario, quantizer) pair, written in
+    entropies.  Built once per pair and shared, with its entropy cache, by
+    every bound and chain ordering evaluated on it.
 
     ``joint`` is the reduced p(q, x, u), with axes Q, X_l and U_k.  The only
     quantity that involves the relay outputs is H(U_S | Y_S, C, Q).  Each
@@ -392,8 +408,6 @@ class DiscreteEvaluator:
         self.joint = joint
         self.h_u_given_y = h_u_given_y
         self.x_all = frozenset(user_axis(l) for l in range(1, sc.num_users + 1))
-        self.u_all = frozenset(aux_axis(k) for k in range(1, sc.num_relays + 1))
-        self.i_ux: float = cmi(self.joint, self.u_all, self.x_all, {"Q"})  # I(U_all; X_all | Q)
 
     @classmethod
     def from_aux(cls, sc: DiscreteScenario, aux: AuxChannels) -> "DiscreteEvaluator":
@@ -406,51 +420,53 @@ class DiscreteEvaluator:
 
     def i_uy(self, relays, cond=frozenset()) -> float:
         """I(U_S; Y_S | cond, Q) = H(U_S | cond, Q) - H(U_S | Y_S, cond, Q),
-        clipped at 0 like ``cmi``; ``cond`` holds X and U labels."""
+        with ``cmi``'s treatment of negative values; ``cond`` holds X and U
+        labels."""
         if not relays:
             return 0.0
         j, u_s, c = self.joint, self.u(relays), frozenset(cond) | {"Q"}
         h_given_y = sum(self.h_u_given_y[k - 1] for k in relays)
-        return max(0.0, j.entropy(u_s | c) - j.entropy(c) - h_given_y)
+        return _nonnegative(j.entropy(u_s | c) - j.entropy(c) - h_given_y,
+                            "I(U_S; Y_S | cond, Q)")
 
-    def i_uy_given_uc(self, relays) -> float:
-        """I(U_S; Y_S | U_{S^c}, Q)."""
-        return self.i_uy(relays, self.u_all - self.u(relays))
+    def _u_entropies(self, given: frozenset) -> np.ndarray:
+        """H(U_m, given) for every relay bitmask m; reversed, it is indexed
+        by the complement S^c of the relay set S."""
+        return np.array([self.joint.entropy(self.u(indices_of(m)) | given)
+                         for m in range(1 << self.sc.num_relays)])
 
-    def g(self, r_sum: float, relays) -> float:
-        """g(S) = R_sum + I(U_S; Y_S | U_{S^c}, Q) - I(U_all; X_all | Q)."""
-        return r_sum + self.i_uy_given_uc(relays) - self.i_ux
+    def subset_bounds(self, users: tuple[int, ...] | None = None,
+                      family: str = "thm3") -> np.ndarray:
+        """The bound of user set T (default: all users) for every relay set
+        S, indexed by bitmask, with every entropy given Q.  thm3:
+        C_S + sum_{k in S} H(U_k|Y_k) + H(U_{S^c}|X_{T^c}) - H(U|X); thm1:
+        sum_{k in S} [C_k + H(U_k|Y_k) - H(U_k|X)] + H(U_{S^c}|X_{T^c})
+        - H(U_{S^c}|X).  At T = all users the thm3 bounds are the joint-decoding
+        sum-rate bounds; their S = {} entry is I(U; X | Q), in ``cmi``'s order."""
+        if family not in ("thm1", "thm3"):
+            raise ValueError(f"unknown constraint family {family!r}")
+        users = range(1, self.sc.num_users + 1) if users is None else users
+        x_q = self.x_all | {"Q"}
+        given = x_q - {user_axis(l) for l in users}  # X_{T^c} and Q
+        h_tc = self._u_entropies(given)
+        if family == "thm3":
+            j = self.joint
+            info = h_tc[::-1] + j.entropy(x_q) - j.entropy(j.axes) - h_tc[0]
+            return info + subset_sums(np.add(self.sc.fronthaul, self.h_u_given_y))
+        h_x = self._u_entropies(x_q)  # h_x[0] = H(X, Q)
+        # I(U_k; Y_k | X, Q) and I(X_T; U_{S^c} | X_{T^c}, Q), in cmi's order
+        i_uy = h_x[1 << np.arange(self.sc.num_relays)] - h_x[0] - self.h_u_given_y
+        info = h_x[0] + h_tc[::-1] - h_x[::-1] - h_tc[0]
+        return subset_sums(np.subtract(self.sc.fronthaul, i_uy)) + info
 
     def bound(self, pair: SubsetPair, family: str = "thm3") -> float:
         """Bound of one (T, S) pair in the 'thm1' or 'thm3' family."""
-        fronthaul = self.sc.fronthaul
-        x_t = frozenset(user_axis(l) for l in pair.users)
-        u_sc = self.u(pair.relays_complement(self.sc.num_relays))
-        common = cmi(self.joint, x_t, u_sc, (self.x_all - x_t) | {"Q"})
-        if family == "thm1":
-            s_term = sum(fronthaul[k - 1] - self.i_uy((k,), self.x_all) for k in pair.relays)
-            return s_term + common
-        if family == "thm3":
-            c_sum = sum(fronthaul[k - 1] for k in pair.relays)
-            return c_sum - self.i_uy(pair.relays, self.x_all | u_sc) + common
-        raise ValueError(f"unknown constraint family {family!r}")
-
-    def subset_bounds(self) -> np.ndarray:
-        """The thm3 bounds at T = all users, indexed by relay-subset bitmask:
-        the joint-decoding sum-rate bounds."""
-        users = tuple(range(1, self.sc.num_users + 1))
-        return np.array([
-            self.bound(SubsetPair(users=users, relays=indices_of(s_mask)), "thm3")
-            for s_mask in range(1 << self.sc.num_relays)
-        ])
+        return float(self.subset_bounds(pair.users, family)[pair.s_mask])
 
     def region(self, family: str = "thm3") -> RateRegion:
-        """All (T, S) bounds of one family."""
-        pairs = enumerate_constraint_pairs(self.sc.num_users, self.sc.num_relays)
-        return RateRegion(
-            num_users=self.sc.num_users,
-            constraints=tuple((p, self.bound(p, family)) for p in pairs),
-        )
+        """All (T, S) bounds of one family, one ``subset_bounds`` per T."""
+        return RateRegion.from_subset_bounds(
+            self.sc, lambda users: self.subset_bounds(users, family))
 
 
 def _warn_if_not_factorizing(sc: DiscreteScenario) -> None:
@@ -480,8 +496,6 @@ def thm3_constraint(sc: DiscreteScenario, aux: AuxChannels, pair: SubsetPair) ->
 
 def region_discrete(sc: DiscreteScenario, aux: AuxChannels, which: str = "thm1") -> RateRegion:
     """Evaluate all (T, S) constraints of one family ('thm1' or 'thm3')."""
-    if which not in ("thm1", "thm3"):
-        raise ValueError("which must be 'thm1' or 'thm3'")
     if which == "thm1":
         _warn_if_not_factorizing(sc)
     return DiscreteEvaluator.from_aux(sc, aux).region(which)

@@ -35,8 +35,7 @@ from .core import (
     _complex_matrix_from_json,
     _complex_matrix_to_json,
     check_finite,
-    enumerate_constraint_pairs,
-    indices_of,
+    subset_sums,
 )
 
 # feasibility margin: eigenvalues of Sigma^{1/2} B Sigma^{1/2} live in [0, 1];
@@ -286,15 +285,6 @@ class ScenarioTerms:
         return self._users[users]
 
 
-def _subset_sums(terms: np.ndarray) -> np.ndarray:
-    """out[m] = the sum of terms[k] over the bits k of the mask m, added in
-    increasing k from 0, the order of a running sum over ``indices_of(m)``."""
-    out = np.zeros((1 << len(terms),) + terms.shape[1:], dtype=terms.dtype)
-    for k, term in enumerate(terms):
-        out[1 << k:2 << k] = out[:1 << k] + term
-    return out
-
-
 class GaussianEvaluator:
     """Every bound of the Gaussian region for one quantizer set, from the
     B_k and each relay's fronthaul_mi.  H_k^H B_k H_k is formed once per
@@ -313,7 +303,7 @@ class GaussianEvaluator:
         self.gfull = terms.merge([la.hermitian_part(g.h_conj.swapaxes(-1, -2) @ bg @ g.h)
                                   for g, bg in zip(terms.groups, b)])
         # -inf where a relay in S has an infinite fronthaul rate
-        self.charged = _subset_sums(np.subtract(self.sc.fronthaul, mi))
+        self.charged = subset_sums(np.subtract(self.sc.fronthaul, mi))
 
     @classmethod
     def from_quantizers(cls, sc: GaussianScenario, q: QuantizerSetGaussian) -> "GaussianEvaluator":
@@ -327,7 +317,7 @@ class GaussianEvaluator:
         H_{k,T} summed in increasing k."""
         idx, k_root = self.terms.users(users)
         g = self.gfull if users == self.full_users else self.gfull[:, idx[:, None], idx]
-        outside_sums = _subset_sums(g)  # indexed by the relay set outside S
+        outside_sums = subset_sums(g)  # indexed by the relay set outside S
         if s_masks is None:
             a = outside_sums[:0:-1]
         else:
@@ -368,11 +358,7 @@ class GaussianEvaluator:
     def region(self) -> RateRegion:
         """Every (T, S) bound, one stacked log-det per user set T; negative
         bounds are kept as-is."""
-        pairs = enumerate_constraint_pairs(self.sc.num_users, self.sc.num_relays)
-        bounds = []
-        for t_mask in range(1, 1 << self.sc.num_users):
-            bounds += self.subset_bounds(indices_of(t_mask)).tolist()
-        return RateRegion(num_users=self.sc.num_users, constraints=tuple(zip(pairs, bounds)))
+        return RateRegion.from_subset_bounds(self.sc, self.subset_bounds)
 
 
 def rate_constraint_gaussian(

@@ -664,7 +664,7 @@ def optimize_discrete_aux(
         ]
 
     def evaluate(tables) -> float:
-        return _jd_sum_rate(factors.evaluator(tables))
+        return _jd_sum_rate(factors.evaluator(tables).subset_bounds())
 
     def one_restart(index: int):
         rng = np.random.default_rng(seeds[index])

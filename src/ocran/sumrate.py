@@ -2,6 +2,12 @@
 behind the fronthaul polytope, its per-ordering extreme points, and the
 time-shared successive Wyner-Ziv scheme that dominates each extreme point.
 
+Every quantity here reads the joint-decoding subset bounds b_S of
+``DiscreteEvaluator.subset_bounds``: g(S) = R_sum + C_S - b_S is formed once
+as a vector, I(U_all; X_all | Q) is b_{}, and separate decompression asks
+R_sum <= b_{} and b_S >= b_{} for every S.  Only the Wyner-Ziv rates of the
+successive scheme are entropies of their own.
+
 Ordering conventions
 --------------------
 
@@ -23,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
-from .core import indices_of
-from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, cmi, user_axis
+from .core import mask_of, subset_sums
+from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, cmi
 
 INVARIANT_TOL = 1e-9
 ALPHA_DENOM_TOL = 1e-12
@@ -58,11 +64,18 @@ def jd_subset_bounds(sc: DiscreteScenario, aux: AuxChannels) -> np.ndarray:
 def jd_sum_rate(sc: DiscreteScenario, aux: AuxChannels) -> float:
     """Largest sum-rate allowed by the joint-decompression-decoding bounds
     (the smallest subset bound), floored at 0."""
-    return _jd_sum_rate(DiscreteEvaluator.from_aux(sc, aux))
+    return _jd_sum_rate(DiscreteEvaluator.from_aux(sc, aux).subset_bounds())
 
 
-def _jd_sum_rate(info: DiscreteEvaluator) -> float:
-    return max(0.0, float(info.subset_bounds().min()))
+def _jd_sum_rate(bounds: np.ndarray) -> float:
+    """The joint-decoding sum-rate from the subset bounds b_S."""
+    return max(0.0, float(bounds.min()))
+
+
+def _g(sc: DiscreteScenario, bounds: np.ndarray, r_sum: float) -> np.ndarray:
+    """g(S) = R_sum + C_S - b_S for every relay set S, indexed by bitmask,
+    from the subset bounds b_S; g({}) = R_sum - I(U_all; X_all | Q)."""
+    return r_sum + subset_sums(np.asarray(sc.fronthaul)) - bounds
 
 
 def sd_achievable(
@@ -70,20 +83,15 @@ def sd_achievable(
 ) -> bool:
     """Feasibility of separate decompression-then-decoding at sum-rate r_sum:
     r_sum <= I(X_all; U_all | Q) and, for every relay subset S,
-    sum_{s in S} C_s >= I(U_S; Y_S | U_{S^c}, Q).
+    sum_{s in S} C_s >= I(U_S; Y_S | U_{S^c}, Q).  In the subset bounds b_S
+    these read r_sum <= b_{} and b_S >= b_{} for every S, since
+    b_S - b_{} = C_S - I(U_S; Y_S | U_{S^c}, Q).
 
     The propositions' strict inequalities are tested non-strictly with
     tolerance ``tol`` because achievable regions are closures."""
     r_sum = _check_r_sum(r_sum)
-    info = DiscreteEvaluator.from_aux(sc, aux)
-    if r_sum > info.i_ux + tol:
-        return False
-    for s_mask in range(1, 1 << sc.num_relays):
-        s = indices_of(s_mask)
-        c_sum = sum(sc.fronthaul[k - 1] for k in s)
-        if c_sum < info.i_uy_given_uc(s) - tol:
-            return False
-    return True
+    bounds = DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
+    return bool(r_sum <= bounds[0] + tol and np.all(bounds >= bounds[0] - tol))
 
 
 def g_function(
@@ -93,7 +101,8 @@ def g_function(
 
     With ``positive_part`` the value is floored at 0 (the form that defines
     the fronthaul polytope)."""
-    val = DiscreteEvaluator.from_aux(sc, aux).g(_check_r_sum(r_sum), relays)
+    bounds = DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
+    val = float(_g(sc, bounds, _check_r_sum(r_sum))[mask_of(relays)])
     return max(0.0, val) if positive_part else val
 
 
@@ -108,20 +117,13 @@ def check_supermodular(
     if kk > 12:
         raise ValueError("supermodularity check is exhaustive; K <= 12 required")
     r_sum = _check_r_sum(r_sum)
-    info = DiscreteEvaluator.from_aux(sc, aux)
-    gp = {}
-    for mask in range(1 << kk):
-        gp[mask] = max(0.0, info.g(r_sum, indices_of(mask)))
-    worst = math.inf
-    for mask in range(1 << kk):
-        outside = [i for i in range(kk) if not (mask >> i) & 1]
-        for a in range(len(outside)):
-            for b in range(a + 1, len(outside)):
-                i, j = 1 << outside[a], 1 << outside[b]
-                slack = gp[mask | i | j] + gp[mask] - gp[mask | i] - gp[mask | j]
-                worst = min(worst, slack)
-    if math.isinf(worst):
-        worst = 0.0  # K = 1: nothing to check
+    bounds = DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
+    gp = np.maximum(_g(sc, bounds, r_sum), 0.0)
+    masks = np.arange(1 << kk)
+    worst = 0.0 if kk == 1 else math.inf  # K = 1: nothing to check
+    for i, j in combinations([1 << k for k in range(kk)], 2):
+        m = masks[(masks & (i | j)) == 0]  # every S with i and j outside it
+        worst = min(worst, float((gp[m | i | j] + gp[m] - gp[m | i] - gp[m | j]).min()))
     return worst >= -1e-10, worst
 
 
@@ -135,9 +137,7 @@ def extreme_point(
     and telescopes to g+(all relays).  An r_sum above I(U_all; X_all | Q),
     beyond INVARIANT_TOL, raises ``ValueError``: the polytope is empty."""
     r_sum = _check_r_sum(r_sum)
-    pi = _check_ordering(ordering, sc.num_relays)
-    info = DiscreteEvaluator.from_aux(sc, aux)
-    return _extreme_point(_chain_g(info, _check_polytope(info, r_sum), pi), pi)
+    return _extreme_points(sc, aux, r_sum, [_check_ordering(ordering, sc.num_relays)])[0][1]
 
 
 def extreme_points(
@@ -147,22 +147,23 @@ def extreme_points(
     chain ordering, in lexicographic order, from one joint.
 
     ``r_sum`` defaults to the joint-decoding sum-rate."""
-    info = DiscreteEvaluator.from_aux(sc, aux)
-    r_sum = _jd_sum_rate(info) if r_sum is None else _check_polytope(info, _check_r_sum(r_sum))
-    return [
-        (pi, _extreme_point(_chain_g(info, r_sum, pi), pi))
-        for pi in permutations(range(1, sc.num_relays + 1))
-    ]
+    r_sum = None if r_sum is None else _check_r_sum(r_sum)
+    return _extreme_points(sc, aux, r_sum, permutations(range(1, sc.num_relays + 1)))
 
 
-def _check_polytope(info: DiscreteEvaluator, r_sum: float) -> float:
-    """r_sum, once it is at most I(U_all; X_all | Q) within INVARIANT_TOL.
-    Above that the S = {} row of the fronthaul polytope asks for
+def _extreme_points(sc: DiscreteScenario, aux: AuxChannels, r_sum: float | None, orderings):
+    """(pi, extreme point) for each chain ordering pi, from one g at r_sum
+    (None: the joint-decoding sum-rate).  An r_sum above I(U_all; X_all | Q)
+    = b_{} raises: the S = {} row of the fronthaul polytope then asks for
     0 >= g({}) = r_sum - I(U_all; X_all | Q) > 0, so the polytope is empty."""
-    if r_sum > info.i_ux + INVARIANT_TOL:
-        raise ValueError(f"r_sum = {r_sum!r} exceeds I(U; X | Q) = {info.i_ux!r}; "
+    bounds = DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
+    if r_sum is None:
+        r_sum = _jd_sum_rate(bounds)
+    elif r_sum > bounds[0] + INVARIANT_TOL:
+        raise ValueError(f"r_sum = {r_sum!r} exceeds I(U; X | Q) = {float(bounds[0])!r}; "
                          "the fronthaul polytope is empty")
-    return r_sum
+    g = _g(sc, bounds, r_sum)
+    return [(pi, _extreme_point(_chain_g(g, pi), pi)) for pi in orderings]
 
 
 def _check_ordering(ordering, num_relays: int) -> tuple[int, ...]:
@@ -172,9 +173,9 @@ def _check_ordering(ordering, num_relays: int) -> tuple[int, ...]:
     return pi
 
 
-def _chain_g(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, ...]) -> list[float]:
+def _chain_g(g: np.ndarray, pi: tuple[int, ...]) -> list[float]:
     """g along the prefix chain of pi: entry k is g({pi(1..k)}), entry 0 is g(empty)."""
-    return [info.g(r_sum, pi[:k]) for k in range(len(pi) + 1)]
+    return [float(g[mask_of(pi[:k])]) for k in range(len(pi) + 1)]
 
 
 def _extreme_point(chain: list[float], pi: tuple[int, ...]) -> np.ndarray:
@@ -198,17 +199,14 @@ def swz_required_fronthaul(
     decode order: relay pi(k) needs I(U_{pi(k)}; Y_{pi(k)} | U_{pi(1..k-1)}, Q).
 
     Returns (per-relay requirements indexed by relay, successive-decoding
-    sum-rate sum_l I(X_l; U_all | X_1..X_{l-1}, Q))."""
+    sum-rate sum_l I(X_l; U_all | X_1..X_{l-1}, Q)).  By the chain rule that
+    sum is I(X_all; U_all | Q), the S = {} subset bound."""
     pi = _check_ordering(ordering, sc.num_relays)
     info = DiscreteEvaluator.from_aux(sc, aux)
     req = np.zeros(sc.num_relays)
     for k in range(1, sc.num_relays + 1):
         req[pi[k - 1] - 1] = info.i_uy((pi[k - 1],), info.u(pi[: k - 1]))
-    total = 0.0
-    for l in range(1, sc.num_users + 1):
-        decoded = frozenset(user_axis(i) for i in range(1, l))
-        total += cmi(info.joint, {user_axis(l)}, info.u_all, decoded | {"Q"})
-    return req, total
+    return req, float(info.subset_bounds()[0])
 
 
 @dataclass(frozen=True)
@@ -246,18 +244,21 @@ def swz_dominating_point(
     r_sum = _check_r_sum(r_sum)
     pi = _check_ordering(ordering, sc.num_relays)
     info = DiscreteEvaluator.from_aux(sc, aux)
-    jd = _jd_sum_rate(info)
+    bounds = info.subset_bounds()
+    jd = _jd_sum_rate(bounds)
     if r_sum > jd + INVARIANT_TOL:
         raise ValueError(
             f"r_sum = {r_sum!r} exceeds the joint-decoding sum-rate {jd!r}; "
             "the fronthaul polytope is empty"
         )
-    return _swz_dominating_point(info, r_sum, pi)
+    return _swz_dominating_point(info, _g(sc, bounds, r_sum), r_sum, pi)
 
 
-def _swz_dominating_point(info: DiscreteEvaluator, r_sum: float, pi: tuple[int, ...]) -> OrderingResult:
+def _swz_dominating_point(
+    info: DiscreteEvaluator, g: np.ndarray, r_sum: float, pi: tuple[int, ...]
+) -> OrderingResult:
     kk = info.sc.num_relays
-    chain = _chain_g(info, r_sum, pi)
+    chain = _chain_g(g, pi)
     c_tilde = _extreme_point(chain, pi)
 
     pivot = next((k for k in range(1, kk + 1) if chain[k] > PIVOT_TOL), None)
@@ -334,12 +335,14 @@ def swz_equals_jd(sc: DiscreteScenario, aux: AuxChannels) -> SumRateComparison:
     if sc.num_relays > 8:
         raise ValueError("all-orderings comparison is factorial; K <= 8 required")
     info = DiscreteEvaluator.from_aux(sc, aux)
-    target = _jd_sum_rate(info)
+    bounds = info.subset_bounds()
+    target = _jd_sum_rate(bounds)
+    g = _g(sc, bounds, target)
     results = []
     best = -math.inf
     best_pi = None
     for pi in permutations(range(1, sc.num_relays + 1)):
-        res = _swz_dominating_point(info, target, pi)
+        res = _swz_dominating_point(info, g, target, pi)
         results.append(res)
         if res.scheme_sum_rate > best + INVARIANT_TOL:
             best = res.scheme_sum_rate

@@ -120,6 +120,17 @@ class TestRegionCommand:
         assert "warning" in captured.err.lower()
         assert "conditionally independent" in captured.err
 
+    def test_discrete_family_defaults_to_thm1(self, tmp_path):
+        scenario = write_json(
+            tmp_path / "sc.json", discrete_doc(with_aux=True, factorizing=False)
+        )
+        outputs = {}
+        for which in ([], ["--which", "thm1"], ["--which", "thm3"]):
+            out = tmp_path / f"region{len(outputs)}.csv"
+            assert main(["region", "--scenario", scenario, *which, "--out", str(out)]) == 0
+            outputs[tuple(which)] = out.read_bytes()
+        assert outputs[()] == outputs[("--which", "thm1")] != outputs[("--which", "thm3")]
+
     def test_minus_inf_literal(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
         quant = write_json(tmp_path / "q.json", {"B": [[[[1.0, 0.0]]]]})
@@ -291,6 +302,28 @@ class TestBoundaryCommand:
         rc = main(["boundary", "--scenario", scenario])
         assert rc == 2
 
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_fewer_than_two_points_exit_2(self, tmp_path, capsys, points):
+        scenario = write_json(tmp_path / "sc.json", self._two_user_doc())
+        quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
+        out = tmp_path / "bnd.csv"
+        rc = main(["boundary", "--scenario", scenario, "--quantizers", quant,
+                   f"--points={points}", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert f"--points must be at least 2, got {points}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["region", "boundary"])
+    def test_which_on_a_gaussian_scenario_exit_2(self, tmp_path, capsys, command):
+        scenario = write_json(tmp_path / "sc.json", self._two_user_doc())
+        quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
+        out = tmp_path / "out.csv"
+        rc = main([command, "--scenario", scenario, "--quantizers", quant, "--which", "thm3",
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "--which applies to discrete scenarios only" in capsys.readouterr().err
+
 
 class TestOptimizeCommand:
     def test_gaussian_golden(self, tmp_path):
@@ -356,6 +389,14 @@ class TestOptimizeCommand:
         assert rc == 2
         assert not out.exists()
         assert "--weights needs --objective weighted" in capsys.readouterr().err
+
+    def test_aux_sizes_on_a_gaussian_scenario_exit_2(self, tmp_path, capsys):
+        scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc(fronthaul=1.0))
+        out = tmp_path / "opt.json"
+        rc = main(["optimize", "--scenario", scenario, "--aux-sizes", "2", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "--aux-sizes applies to discrete scenarios only" in capsys.readouterr().err
 
     def test_discrete(self, tmp_path):
         scenario = write_json(tmp_path / "sc.json", discrete_doc(with_aux=False))

@@ -7,7 +7,9 @@ import pytest
 
 from ocran.core import SubsetPair, enumerate_constraint_pairs
 from ocran.discrete import (
+    NEGATIVE_INFO_TOL,
     AuxChannels,
+    DiscreteEvaluator,
     DiscreteScenario,
     JointPmf,
     build_joint,
@@ -149,6 +151,25 @@ class TestCmi:
     def test_empty_side_is_zero(self):
         j = build_joint(noiseless_single(), identity_aux(noiseless_single()))
         assert cmi(j, set(), {"Y1"}) == 0.0
+
+    @pytest.mark.parametrize("term", ["cmi", "i_uy"])
+    @pytest.mark.parametrize("shift", [5e-10, 2e-9])
+    def test_negative_value_raises_beyond_rounding(self, term, shift):
+        # both terms are 0 here; lowering one cached entropy by `shift`
+        # makes them read -shift: dust reads 0, more raises
+        if term == "cmi":
+            j = JointPmf(np.outer([0.3, 0.7], [0.6, 0.4]), ("X1", "Y1"))
+            key, value = {"X1"}, lambda: cmi(j, {"X1"}, {"Y1"})
+        else:
+            sc = noiseless_single()
+            ev = DiscreteEvaluator.from_aux(sc, constant_aux(sc))
+            j, key, value = ev.joint, {"U1", "Q"}, lambda: ev.i_uy((1,))
+        j._entropy_cache[frozenset(key)] = j.entropy(key) - shift
+        if shift <= NEGATIVE_INFO_TOL:
+            assert value() == 0.0
+        else:
+            with pytest.raises(ArithmeticError, match="negative beyond rounding"):
+                value()
 
     def test_chain_rule(self):
         rng = np.random.default_rng(8)

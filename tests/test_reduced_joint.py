@@ -21,6 +21,7 @@ from ocran.core import (
     save_scenario,
 )
 from ocran.discrete import (
+    DiscreteEvaluator,
     aux_axis,
     build_joint,
     cmi,
@@ -113,6 +114,15 @@ class Dense:
         return (r_sum + cmi(self.j, u_s, self.y(relays), (self.u_all - u_s) | {"Q"})
                 - cmi(self.j, self.u_all, self.x_all, {"Q"}))
 
+    def sd_achievable(self, r_sum, tol):
+        if r_sum > cmi(self.j, self.u_all, self.x_all, {"Q"}) + tol:
+            return False
+        return all(
+            sum(self.sc.fronthaul[k - 1] for k in indices_of(s))
+            >= cmi(self.j, self.u(indices_of(s)), self.y(indices_of(s)),
+                   (self.u_all - self.u(indices_of(s))) | {"Q"}) - tol
+            for s in range(1, 1 << self.sc.num_relays))
+
     def jd_sum_rate(self):
         users = tuple(range(1, self.sc.num_users + 1))
         return max(0.0, min(self.bound(SubsetPair(users, indices_of(s)), "thm3")
@@ -188,6 +198,38 @@ def test_sum_rate_and_g(instance):
         for r in (r_sum, 0.5 * r_sum + 0.1):
             assert g_function(sc, aux, r, relays) == pytest.approx(
                 dense.g(r, relays), abs=TOL, rel=0)
+
+
+def test_separate_decompression(instance):
+    sc, aux, joint = instance
+    dense = Dense(sc, joint)
+    i_ux = cmi(joint, dense.u_all, dense.x_all, {"Q"})
+    for r_sum in (0.0, 0.5 * i_ux, i_ux + 1e-3):
+        assert sd_achievable(sc, aux, r_sum) == dense.sd_achievable(r_sum, 1e-9)
+
+
+def test_every_bound_reads_subset_bounds(instance):
+    sc, aux, _ = instance
+    ev = DiscreteEvaluator.from_aux(sc, aux)
+    for family in ("thm1", "thm3"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # thm1 on correlated outputs
+            rows = [b for _, b in region_discrete(sc, aux, family).constraints]
+        vectors = []
+        for t_mask in range(1, 1 << sc.num_users):
+            users = indices_of(t_mask)
+            vector = ev.subset_bounds(users, family)
+            for s_mask, value in enumerate(vector):
+                assert ev.bound(SubsetPair(users, indices_of(s_mask)), family) == value
+            vectors += vector.tolist()
+        assert rows == vectors == [b for _, b in ev.region(family).constraints]
+
+
+def test_sum_rate_bounds_take_2_to_the_k_plus_2_entropies(instance):
+    sc, aux, _ = instance
+    ev = DiscreteEvaluator.from_aux(sc, aux)
+    ev.subset_bounds()
+    assert len(ev.joint._entropy_cache) <= (1 << sc.num_relays) + 2
 
 
 def test_successive_wyner_ziv(instance):

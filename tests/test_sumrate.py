@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -401,19 +402,23 @@ class TestSharedEvaluator:
         swz_equals_jd(sc, aux)
         assert len(calls) == 1
 
-    def test_swz_equals_jd_evaluates_each_prefix_once(self, monkeypatch):
-        sc, aux = self.instance()
+    def test_swz_equals_jd_forms_the_bounds_once(self, monkeypatch):
+        # g is one vector R_sum + C_S - b_S, formed once for all K! orderings
         calls = []
-        original = discrete.DiscreteEvaluator.g
+        original = discrete.DiscreteEvaluator.subset_bounds
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(discrete.DiscreteEvaluator, "g", counting)
-        swz_equals_jd(sc, aux)
-        k = sc.num_relays
-        assert len(calls) == (k + 1) * len(list(itertools.permutations(range(k))))
+        monkeypatch.setattr(discrete.DiscreteEvaluator, "subset_bounds", counting)
+        rng = np.random.default_rng(34)
+        for num_relays in (1, 2, 3, 4):
+            sc = random_factorizing_scenario(rng, 1, num_relays)
+            calls.clear()
+            assert len(swz_equals_jd(sc, random_aux(rng, sc)).results) == math.factorial(
+                num_relays)
+            assert len(calls) == 1
 
     def test_extreme_points_command_builds_one_evaluator(self, monkeypatch, tmp_path, capsys):
         sc, aux = self.instance()
