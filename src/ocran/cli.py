@@ -191,7 +191,7 @@ def cmd_region(args, sc, emit):
     region = _scenario_region(args, sc)
     csv_text = _region_csv(region)
     summary = {
-        "num_constraints": len(region.constraints),
+        "num_constraints": region.bounds.size,
         "sum_rate_bound_bits": region.sum_rate_bound(),
         "per_user_max_bits": [
             region.max_user_rate(l) for l in range(1, region.num_users + 1)
@@ -318,7 +318,7 @@ def cmd_mc_check(args, sc, emit):
         raise ScenarioError("--t-mask must name a nonempty user set, --s-mask a relay set")
     pair = SubsetPair(users=indices_of(t_mask), relays=indices_of(args.s_mask))
     est = mc_mutual_information(sc, q, pair, samples=args.samples, seed=args.seed)
-    analytic = GaussianEvaluator.from_quantizers(sc, q).info_term(pair)
+    analytic = float(GaussianEvaluator.from_quantizers(sc, q).info_terms(pair.users)[pair.s_mask])
     z = abs(est.estimate - analytic) / max(est.std_error, 1e-300)
     payload = {
         "estimate_bits": est.estimate,

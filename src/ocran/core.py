@@ -6,6 +6,8 @@ Conventions used throughout the package:
 * rates and fronthaul capacities are in bits per channel use (base-2 logs);
 * users are numbered 1..L and relays 1..K; bitmask encodings put index 1 on
   the least significant bit, so masks in CSV output are stable;
+* a rate region is one table of bounds, row t_mask - 1 and column s_mask
+  (``RateRegion``), whose rows' users ``user_sets`` gives;
 * every stochastic operation takes an explicit integer seed and is
   bit-reproducible for a fixed seed (one generator, ``numpy`` PCG64, with
   per-task seeds derived via ``SeedSequence.spawn``).
@@ -25,8 +27,8 @@ PMF_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 LP_FEAS_TOL = 1e-10  # HiGHS primal and dual feasibility tolerance of the weighted-rate LPs
 
-# enumerate_constraint_pairs materializes (2^L - 1) * 2^K pairs; beyond this
-# combined size the list itself is the problem, not the numerics.
+# a region holds (2^L - 1) * 2^K bounds; beyond this combined size the table
+# itself is the problem, not the numerics.
 MAX_SUBSET_BITS = 24
 
 # cap on trials * codewords per position in the codebook sampler
@@ -126,9 +128,18 @@ def enumerate_constraint_pairs(num_users: int, num_relays: int) -> list[SubsetPa
     return pairs
 
 
-@dataclass(frozen=True)
+def user_sets(num_users: int) -> np.ndarray:
+    """The (2^L - 1, L) incidence matrix of the nonempty user sets: row
+    t_mask - 1 holds 1.0 for each user in the set of bitmask t_mask."""
+    t_masks = np.arange(1, 1 << num_users)
+    return (t_masks[:, None] >> np.arange(num_users) & 1).astype(float)
+
+
+@dataclass(frozen=True, eq=False)  # an array field has no single truth value to compare
 class RateRegion:
-    """A finite list of linear constraints sum_{t in T} R_t <= bound.
+    """The linear constraints sum_{t in T} R_t <= b_{T,S}, one for each
+    nonempty user set T and each relay set S, as one read-only table:
+    ``bounds[t_mask - 1, s_mask]``, of shape (2^L - 1, 2^K).
 
     Bounds may be negative (the region is then empty once intersected with
     the nonnegative orthant); membership always intersects with the orthant
@@ -136,51 +147,57 @@ class RateRegion:
     """
 
     num_users: int
-    constraints: tuple[tuple[SubsetPair, float], ...]
+    bounds: np.ndarray
+
+    def __post_init__(self):
+        bounds = np.array(self.bounds, dtype=float)
+        if bounds.ndim != 2 or bounds.shape[0] != (1 << self.num_users) - 1:
+            raise ValueError(f"bounds must have shape (2^L - 1, 2^K), got {bounds.shape}")
+        bounds.setflags(write=False)
+        object.__setattr__(self, "bounds", bounds)
 
     @classmethod
     def from_subset_bounds(cls, sc: "Scenario", subset_bounds) -> "RateRegion":
         """Every (T, S) bound of ``sc``, from ``subset_bounds(users)``: the
         bounds of user set T over relay-set bitmasks, called once per T."""
-        pairs = enumerate_constraint_pairs(sc.num_users, sc.num_relays)
-        bounds = []
-        for t_mask in range(1, 1 << sc.num_users):
-            bounds += subset_bounds(indices_of(t_mask)).tolist()
-        return cls(num_users=sc.num_users, constraints=tuple(zip(pairs, bounds)))
+        rows = [subset_bounds(indices_of(t_mask)) for t_mask in range(1, 1 << sc.num_users)]
+        return cls(sc.num_users, np.stack(rows))
 
     def contains(self, rates: Sequence[float], tol: float = MEMBERSHIP_TOL) -> bool:
+        """Every rate sum is within its tightest bound, up to ``tol``; NaN
+        rates never are."""
         r = np.asarray(rates, dtype=float)
         if r.shape != (self.num_users,):
             raise ValueError(f"expected {self.num_users} rates, got shape {r.shape}")
-        for pair, bound in self.constraints:
-            if sum(r[t - 1] for t in pair.users) > bound + tol:
-                return False
-        return True
+        return bool(np.all(user_sets(self.num_users) @ r <= self.bounds.min(axis=1) + tol))
 
     def sum_rate_bound(self) -> float:
         """Tightest bound on the total rate (full user set), floored at 0."""
-        full = tuple(range(1, self.num_users + 1))
-        vals = [b for pair, b in self.constraints if pair.users == full]
-        return max(0.0, min(vals)) if vals else math.inf
+        return max(0.0, float(self.bounds[-1].min()))
 
     def max_user_rate(self, user: int) -> float:
         """Largest rate of one user with all other rates at zero, floored at 0."""
-        vals = [b for pair, b in self.constraints if user in pair.users]
-        return max(0.0, min(vals)) if vals else math.inf
+        if not 1 <= user <= self.num_users:
+            raise ValueError(f"user must be in 1..{self.num_users}, got {user}")
+        rows = user_sets(self.num_users)[:, user - 1] > 0
+        return max(0.0, float(self.bounds[rows].min()))
 
     def csv_rows(self) -> list[tuple[int, int, float]]:
-        return [(p.t_mask, p.s_mask, b) for p, b in self.constraints]
+        """(T mask, S mask, bound) rows, by increasing T mask then S mask."""
+        return [(t_mask, s_mask, b) for t_mask, row in enumerate(self.bounds.tolist(), start=1)
+                for s_mask, b in enumerate(row)]
 
 
 def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
     """Maximize sum_l w_l R_l over the region intersected with R >= 0.
 
     Returns (value, rates) or (0.0, zeros) when the region collapses to the
-    origin or is empty.  Pareto tie-break: among weighted-optimal points the
-    total rate is maximized, so zero-weight coordinates land on the boundary.
-    Raises ArithmeticError when either LP solve fails: that is a numeric
-    failure, not an empty region.  Both solves hold their rows to
-    LP_FEAS_TOL, well inside the tie-break's slack and MEMBERSHIP_TOL.
+    origin or is empty; +inf bounds are dropped, and with none left the
+    value and every rate are +inf.  Pareto tie-break: among weighted-optimal
+    points the total rate is maximized, so zero-weight coordinates land on
+    the boundary.  Raises ArithmeticError when either LP solve fails: that
+    is a numeric failure, not an empty region.  Both solves hold their rows
+    to LP_FEAS_TOL, well inside the tie-break's slack and MEMBERSHIP_TOL.
     """
     from scipy.optimize import linprog
 
@@ -189,19 +206,12 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
     w = np.asarray(weights, dtype=float)
     if w.shape != (region.num_users,):
         raise ValueError("weight vector length must equal the number of users")
-    a_ub, b_ub = [], []
-    for pair, bound in region.constraints:
-        if not math.isfinite(bound) and bound > 0:
-            continue
-        row = np.zeros(region.num_users)
-        for t in pair.users:
-            row[t - 1] = 1.0
-        a_ub.append(row)
-        b_ub.append(bound)
-    if not a_ub:
+    b_ub = region.bounds.ravel()
+    kept = ~np.isposinf(b_ub)
+    if not kept.any():
         return math.inf, np.full(region.num_users, math.inf)
-    a_ub = np.asarray(a_ub)
-    b_ub = np.asarray(b_ub)
+    a_ub = np.repeat(user_sets(region.num_users), region.bounds.shape[1], axis=0)[kept]
+    b_ub = b_ub[kept]
     if np.any(b_ub < 0):
         return 0.0, np.zeros(region.num_users)
     res = linprog(-w, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs", options=tols)
@@ -240,6 +250,9 @@ class Scenario:
     def __post_init__(self):
         if self.num_users < 1 or self.num_relays < 1:
             raise ScenarioError("need num_users >= 1 and num_relays >= 1")
+        if self.num_users + self.num_relays > MAX_SUBSET_BITS:
+            raise CapacityError(f"L + K = {self.num_users + self.num_relays} exceeds the "
+                                f"supported {MAX_SUBSET_BITS} subset bits")
         fh = tuple(float(c) for c in self.fronthaul)
         if len(fh) != self.num_relays:
             raise ScenarioError(f"fronthaul must have {self.num_relays} entries")

@@ -310,18 +310,14 @@ class GaussianEvaluator:
         terms = ScenarioTerms(sc)
         return cls(terms, terms.stack(q.B), [fronthaul_mi(s, b) for s, b in zip(sc.Sigma, q.B)])
 
-    def _branch_stack(self, users: tuple[int, ...], s_masks=None) -> np.ndarray:
-        """The stack of I + K_T^{1/2} A_{T,S} K_T^{1/2}, one per relay-set
-        bitmask in ``s_masks`` (by default every S but the full one, which
-        leaves no log-det), with A_{T,S} = sum_{k not in S} H_{k,T}^H B_k
-        H_{k,T} summed in increasing k."""
+    def _branch_stack(self, users: tuple[int, ...]) -> np.ndarray:
+        """The stack of I + K_T^{1/2} A_{T,S} K_T^{1/2}, one per relay set S
+        but the full one (which leaves no log-det), by bitmask, with
+        A_{T,S} = sum_{k not in S} H_{k,T}^H B_k H_{k,T} summed in
+        increasing k."""
         idx, k_root = self.terms.users(users)
         g = self.gfull if users == self.full_users else self.gfull[:, idx[:, None], idx]
-        outside_sums = subset_sums(g)  # indexed by the relay set outside S
-        if s_masks is None:
-            a = outside_sums[:0:-1]
-        else:
-            a = outside_sums[((1 << self.sc.num_relays) - 1) ^ np.asarray(s_masks)]
+        a = subset_sums(g)[:0:-1]  # subset_sums is indexed by the relay set outside S
         return np.eye(idx.size) + k_root @ a @ k_root
 
     @functools.cached_property
@@ -333,27 +329,21 @@ class GaussianEvaluator:
         """``_branch_stack(users)``, cached at T = all users."""
         return self.branch_matrices if users == self.full_users else self._branch_stack(users)
 
-    def _bounds(self, stack: np.ndarray) -> np.ndarray:
-        """The bound of every relay set S (index = bitmask) from the stack
-        of its branch matrices; the full S leaves no log-det."""
-        return self.charged + np.concatenate((la.logdet2(stack), [0.0]))
-
-    def info_term(self, pair: SubsetPair) -> float:
-        """I(X_T; U_{S^c} | X_{T^c}) = log2 det(I + K_T^{1/2} A K_T^{1/2}),
-        A = sum_{k not in S} H_{k,T}^H B_k H_{k,T}; finite even when a relay
-        in S sits on the boundary B_k = Sigma_k^{-1}."""
-        if not pair.relays_complement(self.sc.num_relays):
-            return 0.0
-        return float(la.logdet2(self._branch_stack(pair.users, [pair.s_mask]))[0])
-
-    def bound(self, pair: SubsetPair) -> float:
-        """One constraint bound, in bits."""
-        return float(self.charged[pair.s_mask]) + self.info_term(pair)
+    def info_terms(self, users: tuple[int, ...]) -> np.ndarray:
+        """I(X_T; U_{S^c} | X_{T^c}) = log2 det(I + K_T^{1/2} A_{T,S} K_T^{1/2})
+        of user set T for every relay set S (index = bitmask), 0 at the full
+        S; finite even when a relay in S sits on the boundary
+        B_k = Sigma_k^{-1}."""
+        return np.concatenate((la.logdet2(self.branch_stack(users)), [0.0]))
 
     def subset_bounds(self, users: tuple[int, ...] | None = None) -> np.ndarray:
         """The bound of user set T (by default all users, the sum-rate) for
         every relay subset, indexed by subset bitmask."""
-        return self._bounds(self.branch_stack(users or self.full_users))
+        return self.charged + self.info_terms(users or self.full_users)
+
+    def bound(self, pair: SubsetPair) -> float:
+        """One constraint bound, in bits."""
+        return float(self.subset_bounds(pair.users)[pair.s_mask])
 
     def region(self) -> RateRegion:
         """Every (T, S) bound, one stacked log-det per user set T; negative

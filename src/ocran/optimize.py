@@ -30,7 +30,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _linalg as la
-from .core import SubsetPair, indices_of, mask_of, max_weighted_rate, spawn_seeds
+from .core import (RateRegion, SubsetPair, indices_of, mask_of, max_weighted_rate, spawn_seeds,
+                   user_sets)
 from .discrete import AuxChannels, DiscreteScenario, ReducedFactors
 from .gaussian import (
     QUANT_CAP_MARGIN,
@@ -524,14 +525,13 @@ def _certified_solve(obj: _GaussianObjective, weights=None) -> GaussianOptResult
     sc = obj.sc
     size = obj.layout.bounds[-1][1]
     subsets = 1 << sc.num_relays
-    full = obj.terms.full_users
     if weights is None:
-        t_sets, c, rate_low = [full], np.ones(1), None
+        t_sets, c, rate_low = [obj.terms.full_users], np.ones(1), None
         cover = np.ones((subsets, 1))
     else:
         t_sets = [indices_of(t) for t in range(1, 1 << sc.num_users)]
         c, rate_low = np.asarray(weights, dtype=float), 0.0
-        cover = np.repeat([[float(l in users) for l in full] for users in t_sets], subsets, axis=0)
+        cover = np.repeat(user_sets(sc.num_users), subsets, axis=0)
     last = {}
 
     def at(z) -> _SmoothPoint:
@@ -546,7 +546,8 @@ def _certified_solve(obj: _GaussianObjective, weights=None) -> GaussianOptResult
         if weights is None:
             value = float(obj.branch_values(p).min())
             return value, np.array([value])
-        return max_weighted_rate(obj.evaluator(p).region(), c)
+        bounds = obj.row_values(p, t_sets).reshape(-1, subsets)
+        return max_weighted_rate(RateRegion(sc.num_users, bounds), c)
 
     def slack(z):
         return obj.row_values(at(z).point, t_sets) - cover @ z[size:]

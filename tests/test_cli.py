@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import ocran
-from ocran.cli import build_parser, main
-from ocran.core import save_scenario
-from ocran.verify import random_aux, random_factorizing_scenario
+from ocran.cli import build_parser, fmt_bits, main
+from ocran.core import (_complex_matrix_to_json, enumerate_constraint_pairs, load_scenario,
+                        save_scenario)
+from ocran.gaussian import GaussianEvaluator
+from ocran.verify import (random_aux, random_factorizing_scenario, random_gaussian_scenario,
+                          random_quantizers)
 
 
 def write_json(path, doc):
@@ -92,6 +95,46 @@ class TestRegionCommand:
         assert manifest["command"] == "region"
         assert manifest["scenario_sha256"]
         assert str(out) in manifest["outputs"]
+
+    def test_csv_and_summary_follow_the_pair_order(self, tmp_path):
+        rng = np.random.default_rng(41)
+        sc = random_gaussian_scenario(rng, 3, 2)
+        q = random_quantizers(rng, sc)
+        path = tmp_path / "sc.json"
+        save_scenario(sc, path)
+        quant = write_json(tmp_path / "q.json", {"B": [_complex_matrix_to_json(b) for b in q.B]})
+        out = tmp_path / "region.csv"
+        assert main(["region", "--scenario", str(path), "--quantizers", quant,
+                     "--out", str(out)]) == 0
+        ev = GaussianEvaluator.from_quantizers(load_scenario(path), q)
+        pairs = enumerate_constraint_pairs(3, 2)
+        bounds = [ev.bound(p) for p in pairs]
+        lines = ["T_mask,S_mask,bound_bits"] + [
+            f"{p.t_mask},{p.s_mask},{fmt_bits(b)}" for p, b in zip(pairs, bounds)]
+        assert out.read_text() == "\n".join(lines) + "\n"
+        summary = {
+            "num_constraints": len(pairs),
+            "sum_rate_bound_bits": max(0.0, min(b for p, b in zip(pairs, bounds)
+                                                if p.t_mask == 0b111)),
+            "per_user_max_bits": [max(0.0, min(b for p, b in zip(pairs, bounds) if l in p.users))
+                                  for l in (1, 2, 3)],
+        }
+        assert (tmp_path / "region.csv.summary.json").read_text() == json.dumps(
+            summary, indent=1, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command", ["region", "sumrate"])
+    def test_too_many_subset_bits_exit_2(self, tmp_path, capsys, command):
+        # L + K = 25: rejected when the scenario is built, before any table
+        # of 2^K entries is allocated
+        doc = golden_gaussian_doc()
+        one = [[[1.0, 0.0]]]
+        doc["relays"] = 24
+        doc["fronthaul"] = [2.0] * 24
+        doc["channel"].update(H=[[one]] * 24, Sigma=[one] * 24)
+        scenario = write_json(tmp_path / "sc.json", doc)
+        quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]] * 24})
+        assert main([command, "--scenario", scenario, "--quantizers", quant]) == 2
+        assert "L + K = 25" in capsys.readouterr().err
 
     def test_reproducible_output_bytes(self, tmp_path):
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())

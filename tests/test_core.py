@@ -18,6 +18,7 @@ from ocran.core import (
     max_weighted_rate,
     sample_codebook_marginal,
     save_scenario,
+    scenario_from_dict,
     scenario_sha256,
     scenario_to_dict,
     spawn_seeds,
@@ -62,10 +63,8 @@ class TestSubsetPairs:
 
 class TestRateRegion:
     def _region(self, bounds):
-        pairs = enumerate_constraint_pairs(2, 1)
-        return RateRegion(
-            num_users=2, constraints=tuple(zip(pairs, bounds))
-        )
+        # L = 2, K = 1: rows T = {1}, {2}, {1, 2}, columns S = {}, {1}
+        return RateRegion(num_users=2, bounds=np.reshape(bounds, (3, 2)))
 
     def test_membership(self):
         region = self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5])
@@ -77,6 +76,23 @@ class TestRateRegion:
         region = self._region([-0.1, 1.0, 0.5, 1.0, 0.8, 1.5])
         assert not region.contains([0.0, 0.0])
 
+    def test_nan_rates_are_outside(self):
+        region = self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5])
+        assert not region.contains([math.nan, math.nan])
+        assert not region.contains([math.nan, 0.0])
+
+    def test_bounds_are_read_only(self):
+        bounds = np.array([0.5, 1.0, 0.5, 1.0, 0.8, 1.5])
+        region = self._region(bounds)
+        bounds[0] = -1.0  # the region keeps its own copy
+        assert region.contains([0.4, 0.4])
+        with pytest.raises(ValueError):
+            region.bounds[0, 0] = -1.0
+
+    def test_one_row_per_user_set(self):
+        with pytest.raises(ValueError):
+            RateRegion(num_users=2, bounds=np.zeros((2, 2)))
+
     def test_length_mismatch(self):
         region = self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5])
         with pytest.raises(ValueError):
@@ -86,11 +102,26 @@ class TestRateRegion:
         region = self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5])
         assert region.sum_rate_bound() == pytest.approx(0.8)
         assert region.max_user_rate(1) == pytest.approx(0.5)
+        for user in (0, 3):
+            with pytest.raises(ValueError):
+                region.max_user_rate(user)
 
     def test_weighted_rate(self):
         value, rates = max_weighted_rate(self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5]), [1.0, 1.0])
         assert value == pytest.approx(0.8)
         assert rates.sum() == pytest.approx(0.8)
+
+    def test_all_infinite_bounds_give_infinite_rates(self):
+        value, rates = max_weighted_rate(self._region([math.inf] * 6), [1.0, 1.0])
+        assert value == math.inf
+        np.testing.assert_array_equal(rates, [math.inf, math.inf])
+
+    def test_infinite_rows_are_dropped(self):
+        value, rates = max_weighted_rate(
+            self._region([0.5, math.inf, 0.5, 1.0, 0.8, math.inf]), [1.0, 1.0])
+        assert value == pytest.approx(0.8)
+        assert rates.sum() == pytest.approx(0.8)
+        assert np.all(rates <= 0.5 + 1e-9)
 
     def test_empty_region_gives_origin(self):
         value, rates = max_weighted_rate(self._region([-0.1, 1.0, 0.5, 1.0, 0.8, 1.5]), [1.0, 1.0])
@@ -139,8 +170,7 @@ class TestRateRegion:
         # the tie-break LP came back infeasible
         bounds = {1: 1.05593293974, 2: 0.0157086009368, 3: 1.07707704833, 4: 0.763520956126,
                   5: 1.62004934435, 6: 0.783280062214, 7: 1.62004935409}
-        region = RateRegion(num_users=3, constraints=tuple(
-            (SubsetPair(users=indices_of(t), relays=()), b) for t, b in bounds.items()))
+        region = RateRegion(num_users=3, bounds=[[bounds[t]] for t in range(1, 8)])  # S = {}
         weights = [0.869418649871, 0.129057726839, 0.828204178805]
         value, rates = max_weighted_rate(region, weights)
         assert region.contains(rates)
@@ -165,6 +195,20 @@ def _minimal_gaussian_doc():
             "Kin": [[[[1.0, 0.0]]]],
             "power": [1.0],
         },
+    }
+
+
+def _wide_gaussian_doc(relays):
+    """One user and ``relays`` scalar relays."""
+    one = [[[1.0, 0.0]]]
+    return {
+        "schema": 1,
+        "users": 1,
+        "relays": relays,
+        "fronthaul": [1.0] * relays,
+        "time_share": [1.0],
+        "channel": {"kind": "gaussian", "H": [[one]] * relays, "Sigma": [one] * relays,
+                    "Kin": [one], "power": [1.0]},
     }
 
 
@@ -219,6 +263,11 @@ class TestScenarioIO:
         np.testing.assert_allclose(reread.tables[0], aux.tables[0], atol=0)
         assert scenario_to_dict(load_scenario(out), reread) == scenario_to_dict(sc, aux)
         assert load_aux_tables(tmp_path / "sc.json") is not None
+
+    def test_subset_bits_guard_when_the_scenario_is_built(self):
+        assert scenario_from_dict(_wide_gaussian_doc(23)).num_relays == 23
+        with pytest.raises(CapacityError, match="L \\+ K = 25"):
+            scenario_from_dict(_wide_gaussian_doc(24))
 
     def test_unnormalized_time_share_names_field(self, tmp_path):
         doc = _minimal_gaussian_doc()

@@ -278,7 +278,7 @@ class TestConstraints:
             aux = random_aux(rng, sc, (3, 2))
             r1 = region_discrete(sc, aux, "thm1")
             r3 = region_discrete(sc, aux, "thm3")
-            for (_, b1), (_, b3) in zip(r1.constraints, r3.constraints):
+            for b1, b3 in zip(r1.bounds.ravel(), r3.bounds.ravel()):
                 assert b1 == pytest.approx(b3, abs=1e-9)
 
     def test_exact_formula_conservative_on_shared_noise(self):

@@ -10,6 +10,7 @@ from ocran.cli import main
 from ocran.core import (
     SubsetPair,
     _complex_matrix_to_json,
+    enumerate_constraint_pairs,
     indices_of,
     load_scenario,
     save_scenario,
@@ -228,8 +229,7 @@ class TestRegion:
             )
             before = region_gaussian(sc, q)
             after = region_gaussian(bigger, q)
-            for (_, b0), (_, b1) in zip(before.constraints, after.constraints):
-                assert b1 >= b0 - 1e-12
+            assert np.all(after.bounds >= before.bounds - 1e-12)
 
     def test_degenerate_relay_equals_dropped_relay(self):
         rng = np.random.default_rng(21)
@@ -237,13 +237,9 @@ class TestRegion:
             sc = random_gaussian_scenario(rng, 2, 2)
             q_small = random_quantizers(rng, sc.drop_relay(2))
             q = QuantizerSetGaussian(B=(q_small.B[0], np.zeros_like(sc.Sigma[1])))
-            full = {
-                (p.t_mask, p.s_mask): b
-                for p, b in region_gaussian(sc, q).constraints
-            }
+            full = {(t, s): b for t, s, b in region_gaussian(sc, q).csv_rows()}
             dropped = {
-                (p.t_mask, p.s_mask): b
-                for p, b in region_gaussian(sc.drop_relay(2), q_small).constraints
+                (t, s): b for t, s, b in region_gaussian(sc.drop_relay(2), q_small).csv_rows()
             }
             for (t_mask, s_mask), bound in dropped.items():
                 # relay 2 silent: charging it only adds its fronthaul capacity
@@ -262,9 +258,10 @@ class TestRegion:
         quant.write_text(json.dumps({"B": [_complex_matrix_to_json(b) for b in q.B]}))
         sc = load_scenario(path)
         region = region_gaussian(sc, q)
-        for pair, bound in region.constraints:
-            assert rate_constraint_gaussian(sc, q, pair) == bound
-        rows = [b for p, b in region.constraints if p.t_mask == 0b11]
+        for pair in enumerate_constraint_pairs(2, 3):
+            assert rate_constraint_gaussian(sc, q, pair) == region.bounds[pair.t_mask - 1,
+                                                                         pair.s_mask]
+        rows = region.bounds[0b11 - 1].tolist()
         assert list(GaussianEvaluator.from_quantizers(sc, q).subset_bounds()) == rows
         assert main(["sumrate", "--scenario", str(path), "--quantizers", str(quant)]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -292,15 +289,15 @@ class TestRegion:
             ev = GaussianEvaluator.from_quantizers(sc, q)
             assert list(ev.subset_bounds()) == per_pair(ev)
             region = ev.region()
-            assert [b for _, b in region.constraints] == [ev.bound(p) for p, _ in
-                                                          region.constraints]
+            pairs = enumerate_constraint_pairs(sc.num_users, sc.num_relays)
+            assert region.bounds.ravel().tolist() == [ev.bound(p) for p in pairs]
 
         for sc, q in cases:
             check(sc, q)
         vals = GaussianEvaluator.from_quantizers(*boundary).subset_bounds()
         assert all((vals[s] == -math.inf) == bool(s & 0b10) for s in range(vals.size))
         region = GaussianEvaluator.from_quantizers(*boundary).region()
-        assert all((b == -math.inf) == bool(p.s_mask & 0b10) for p, b in region.constraints)
+        assert all((b == -math.inf) == bool(s & 0b10) for _, s, b in region.csv_rows())
 
         # a failed stacked factorization falls back to logdet2 per matrix
         cholesky = np.linalg.cholesky
@@ -357,7 +354,7 @@ class TestRegion:
             ev = GaussianEvaluator.from_quantizers(sc, q)
             groups.add(len(ev.terms.groups))
             expected = self.per_relay_region(sc, q)
-            assert [b for _, b in ev.region().constraints] == expected
+            assert ev.region().bounds.ravel().tolist() == expected
             # T = all users is the last user set
             assert list(ev.subset_bounds()) == expected[-(1 << sc.num_relays):]
         assert groups == {1, 2, 3}

@@ -440,6 +440,23 @@ class TestWeightedSolve:
             start = optimize._covering(np.ones(cover.shape[0]), cover, w)
             assert bound.least(start, res.objective, cover, w) >= res.objective - 1e-9
 
+    def test_each_point_forms_each_user_set_once(self, monkeypatch):
+        # the weighted objective reads the (T, S) rows that the constraints
+        # already formed at the same point
+        rng = np.random.default_rng(88)
+        sc, w = random_weighted_instance(rng, 2, 3, {}, None)
+        original = GaussianEvaluator.subset_bounds
+        calls = []  # holds the evaluators, so no id is reused
+
+        def counting(ev, users=None):
+            calls.append((ev, users or ev.full_users))
+            return original(ev, users)
+
+        monkeypatch.setattr(GaussianEvaluator, "subset_bounds", counting)
+        weighted(sc, w)
+        keys = [(id(ev), users) for ev, users in calls]
+        assert keys and len(keys) == len(set(keys))
+
     def test_single_user_weighted_rate_is_the_sum_rate(self):
         rng = np.random.default_rng(83)
         for _ in range(2):

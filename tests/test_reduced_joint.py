@@ -173,7 +173,8 @@ def test_region_bounds(instance):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # thm1 on correlated outputs
             region = region_discrete(sc, aux, family)
-        for pair, value in region.constraints:
+        for pair in enumerate_constraint_pairs(sc.num_users, sc.num_relays):
+            value = region.bounds[pair.t_mask - 1, pair.s_mask]
             assert value == pytest.approx(dense.bound(pair, family), abs=TOL, rel=0)
     for pair in enumerate_constraint_pairs(sc.num_users, sc.num_relays):
         with warnings.catch_warnings():
@@ -214,7 +215,7 @@ def test_every_bound_reads_subset_bounds(instance):
     for family in ("thm1", "thm3"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # thm1 on correlated outputs
-            rows = [b for _, b in region_discrete(sc, aux, family).constraints]
+            rows = region_discrete(sc, aux, family).bounds.ravel().tolist()
         vectors = []
         for t_mask in range(1, 1 << sc.num_users):
             users = indices_of(t_mask)
@@ -222,7 +223,7 @@ def test_every_bound_reads_subset_bounds(instance):
             for s_mask, value in enumerate(vector):
                 assert ev.bound(SubsetPair(users, indices_of(s_mask)), family) == value
             vectors += vector.tolist()
-        assert rows == vectors == [b for _, b in ev.region(family).constraints]
+        assert rows == vectors == ev.region(family).bounds.ravel().tolist()
 
 
 def test_sum_rate_bounds_take_2_to_the_k_plus_2_entropies(instance):

@@ -59,8 +59,7 @@ class TestJdSumRate:
             sc = random_correlated_scenario(rng, 2, 2)
             aux = random_aux(rng, sc, (2, 2))
             region = region_discrete(sc, aux, "thm3")
-            full = tuple(range(1, 3))
-            bounds = [b for p, b in region.constraints if p.users == full]
+            bounds = region.bounds[-1].tolist()  # the full user set is the last row
             assert jd_sum_rate(sc, aux) == pytest.approx(
                 max(0.0, min(bounds)), abs=1e-12
             )
@@ -468,8 +467,7 @@ class TestSharedEvaluator:
             sc = make(rng, 2, 3)
             aux = random_aux(rng, sc)
             bounds = jd_subset_bounds(sc, aux)
-            rows = {p.s_mask: b for p, b in region_discrete(sc, aux, "thm3").constraints
-                    if p.t_mask == 0b11}
+            rows = dict(enumerate(region_discrete(sc, aux, "thm3").bounds[0b11 - 1].tolist()))
             assert [bounds[s] for s in range(8)] == [rows[s] for s in range(8)]
 
 
