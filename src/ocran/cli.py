@@ -217,7 +217,6 @@ def cmd_boundary(args, sc, emit):
         for t in np.linspace(0.0, 1.0, args.points):
             w = np.array([1.0 - t, t])
             _, rates = max_weighted_rate(region, w)
-            rates[rates < 1e-9] = 0.0  # scrub LP epsilon dust
             if not region.contains(rates):
                 raise ArithmeticError("boundary point fell outside the region")
             lines.append(

@@ -26,6 +26,7 @@ import numpy as np
 PMF_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
 LP_FEAS_TOL = 1e-10  # HiGHS primal and dual feasibility tolerance of the weighted-rate LPs
+TIE_SLACK = 1e-10  # weighted value a point may give up to the optimum in the weighted-rate tie rule
 
 # a region holds (2^L - 1) * 2^K bounds; beyond this combined size the table
 # itself is the problem, not the numerics.
@@ -189,31 +190,50 @@ class RateRegion:
 
 
 def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
-    """Maximize sum_l w_l R_l over the region intersected with R >= 0.
+    """Maximize sum_l w_l R_l over the region intersected with R >= 0, which
+    depends only on each user set's tightest bound c_T = min_S b_{T,S}.
 
     Returns (value, rates) or (0.0, zeros) when the region collapses to the
     origin or is empty; +inf bounds are dropped, and with none left the
-    value and every rate are +inf.  Pareto tie-break: among weighted-optimal
-    points the total rate is maximized, so zero-weight coordinates land on
-    the boundary.  Raises ArithmeticError when either LP solve fails: that
-    is a numeric failure, not an empty region.  Both solves hold their rows
-    to LP_FEAS_TOL, well inside the tie-break's slack and MEMBERSHIP_TOL.
+    value and every rate are +inf.  Tie rule: among points within TIE_SLACK
+    of the optimal value, take the largest total rate, so zero-weight users
+    land on the boundary; two users choose among corners only, then by the
+    larger R_1.  Two users: the region is the polygon R_1 <= c_1,
+    R_2 <= c_2, R_1 + R_2 <= c_12, and the rates are one of its corners,
+    exactly.  Three or more: c_T is not always submodular, so two HiGHS LPs
+    over the c_T rows solve it, holding them to LP_FEAS_TOL, well inside
+    TIE_SLACK and MEMBERSHIP_TOL.  Raises ArithmeticError when the region is
+    unbounded or an LP solve fails: that is a numeric failure, not an empty
+    region.
     """
-    from scipy.optimize import linprog
-
-    tols = {"primal_feasibility_tolerance": LP_FEAS_TOL, "dual_feasibility_tolerance": LP_FEAS_TOL}
-
     w = np.asarray(weights, dtype=float)
     if w.shape != (region.num_users,):
         raise ValueError("weight vector length must equal the number of users")
-    b_ub = region.bounds.ravel()
-    kept = ~np.isposinf(b_ub)
+    c = region.bounds.min(axis=1)
+    kept = ~np.isposinf(c)
     if not kept.any():
         return math.inf, np.full(region.num_users, math.inf)
-    a_ub = np.repeat(user_sets(region.num_users), region.bounds.shape[1], axis=0)[kept]
-    b_ub = b_ub[kept]
-    if np.any(b_ub < 0):
+    if np.any(c < 0):
         return 0.0, np.zeros(region.num_users)
+    if region.num_users == 2:
+        c1, c2, c12 = c.tolist()
+        if c12 == math.inf and math.inf in (c1, c2):
+            raise ArithmeticError("the two-user region is unbounded: no largest weighted rate")
+        m1, m2 = min(c1, c12), min(c2, c12)
+        corners = np.array([[0.0, 0.0], [m1, 0.0], [m1, min(c2, c12 - m1)],
+                            [min(c1, c12 - m2), m2], [0.0, m2]])
+        # totals as exact expressions, so rounding in c12 - m1 cannot break a tie
+        totals = np.array([0.0, m1, min(m1 + c2, c12), min(c1 + m2, c12), m2])
+        values = corners @ w
+        best = float(values.max())
+        tied = np.flatnonzero(values >= best - TIE_SLACK)
+        pick = max(tied, key=lambda i: (totals[i], corners[i, 0]))
+        return best + 0.0, corners[pick] + 0.0  # an optimum of 0 is +0.0, never -0.0
+
+    from scipy.optimize import linprog
+
+    tols = {"primal_feasibility_tolerance": LP_FEAS_TOL, "dual_feasibility_tolerance": LP_FEAS_TOL}
+    a_ub, b_ub = user_sets(region.num_users)[kept], c[kept]
     res = linprog(-w, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs", options=tols)
     if not res.success:
         raise ArithmeticError(f"weighted-rate LP failed: {res.message}")
@@ -222,7 +242,7 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
     res2 = linprog(
         -np.ones(region.num_users),
         A_ub=np.vstack([a_ub, -w[None, :]]),
-        b_ub=np.append(b_ub, -(best - 1e-10)),
+        b_ub=np.append(b_ub, -(best - TIE_SLACK)),
         bounds=(0, None),
         method="highs",
         options=tols,

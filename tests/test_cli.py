@@ -740,12 +740,14 @@ def test_failed_weighted_rate_lp_exits_3(tmp_path, capsys, monkeypatch):
         lambda *args, **kwargs: scipy.optimize.OptimizeResult(
             success=False, status=4, message="forced failure", x=None, fun=None),
     )
-    scenario = write_json(tmp_path / "sc.json", TestBoundaryCommand()._two_user_doc())
-    quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
-    out = tmp_path / "boundary.csv"
-    rc = main(["boundary", "--scenario", scenario, "--quantizers", quant, "--out", str(out)])
+    # two-user regions take an exact corner; the weighted solve values its
+    # three-user iterates with the LP
+    scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc(fronthaul=1.0, users=3))
+    out = tmp_path / "opt.json"
+    rc = main(["optimize", "--scenario", scenario, "--objective", "weighted",
+               "--weights", "1,2,3", "--out", str(out)])
     assert rc == 3
-    assert "forced failure" in capsys.readouterr().err
+    assert "weighted-rate LP failed: forced failure" in capsys.readouterr().err
     assert not out.exists()
 
 

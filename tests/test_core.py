@@ -61,6 +61,13 @@ class TestSubsetPairs:
         assert SubsetPair(users=(2,), relays=(1, 3)).s_mask == 0b101
 
 
+def _three_user_region():
+    # L = 3, K = 1: two users share at most 0.8, all three at most 1.0; only
+    # three or more users reach the weighted-rate LP
+    return RateRegion(num_users=3, bounds=[[0.5, 1.0], [0.5, 1.0], [0.8, 1.5], [0.5, 1.0],
+                                           [0.8, 1.5], [0.8, 1.5], [1.0, 2.0]])
+
+
 class TestRateRegion:
     def _region(self, bounds):
         # L = 2, K = 1: rows T = {1}, {2}, {1, 2}, columns S = {}, {1}
@@ -143,7 +150,7 @@ class TestRateRegion:
                 success=False, status=4, message="forced failure", x=None, fun=None),
         )
         with pytest.raises(ArithmeticError, match="forced failure"):
-            max_weighted_rate(self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5]), [1.0, 1.0])
+            max_weighted_rate(_three_user_region(), [1.0, 1.0, 1.0])
 
     def test_failed_tie_break_lp_is_a_numeric_failure(self, monkeypatch):
         # the first-stage point must not stand in for a failed second stage
@@ -161,7 +168,7 @@ class TestRateRegion:
 
         monkeypatch.setattr(scipy.optimize, "linprog", first_solve_only)
         with pytest.raises(ArithmeticError, match="tie-break LP failed: forced failure"):
-            max_weighted_rate(self._region([0.5, 1.0, 0.5, 1.0, 0.8, 1.5]), [1.0, 0.0])
+            max_weighted_rate(_three_user_region(), [1.0, 0.0, 0.0])
         assert len(calls) == 2
 
     def test_tie_break_keeps_a_nearly_tight_row(self):
@@ -179,6 +186,84 @@ class TestRateRegion:
         # the 9.7e-9 that c_123 leaves above c_13
         rates_opt = [bounds[1], bounds[7] - bounds[5], bounds[5] - bounds[1]]
         assert value == pytest.approx(np.dot(weights, rates_opt), abs=1e-12)
+
+    @pytest.mark.parametrize("unbounded_user", [0, 1])
+    def test_unbounded_two_user_region_is_a_numeric_failure(self, unbounded_user):
+        bounds = np.array([[0.5, 1.0], [0.5, 1.0], [math.inf, math.inf]])
+        bounds[unbounded_user] = math.inf
+        with pytest.raises(ArithmeticError, match="unbounded"):
+            max_weighted_rate(RateRegion(num_users=2, bounds=bounds), [1.0, 1.0])
+
+
+def _random_two_user_regions(rng, count):
+    """Bounds of ``count`` two-user regions with K = 0..3 relays, cycling
+    through general, triangle (R_1 + R_2 binds first), rectangle (it never
+    binds), +inf and zero-bound cases; every region is bounded."""
+    regions = []
+    for i in range(count):
+        bounds = rng.uniform(0.0, 2.0, size=(3, 1 << int(rng.integers(0, 4))))
+        kind = i % 5
+        if kind == 1:
+            bounds[2] = rng.uniform(0.0, bounds[:2].min(), size=bounds.shape[1])
+        elif kind == 2:
+            bounds[2] += bounds[0].min() + bounds[1].min()
+        elif kind == 3:
+            bounds[:, 1:][rng.random((3, bounds.shape[1] - 1)) < 0.4] = math.inf
+            bounds[int(rng.integers(0, 3))] = math.inf  # one user set left unbounded
+        elif kind == 4:
+            bounds[int(rng.integers(0, 3)), int(rng.integers(0, bounds.shape[1]))] = 0.0
+        regions.append(bounds)
+    return regions
+
+
+def _lp_weighted_rates(regions, weights):
+    """Each region's weighted rate and rates by the two HiGHS LPs over all
+    of its finite (T, S) rows: the optimum, then the largest total rate
+    within 1e-10 of it.  The regions are independent blocks of one LP, so
+    two solves cover them all."""
+    from scipy.optimize import linprog
+    from scipy.sparse import block_diag, vstack
+
+    tols = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    blocks, rhs = [], []
+    for bounds in regions:
+        finite = np.isfinite(bounds.ravel())
+        blocks.append(np.repeat([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], bounds.shape[1], 0)[finite])
+        rhs.append(bounds.ravel()[finite])
+    a_ub, b_ub, w = block_diag(blocks, format="csr"), np.concatenate(rhs), np.ravel(weights)
+    first = linprog(-w, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs", options=tols)
+    assert first.success
+    values = (first.x * w).reshape(-1, 2).sum(axis=1)
+    cuts = block_diag([-np.reshape(wi, (1, 2)) for wi in weights])
+    second = linprog(-np.ones(w.size), A_ub=vstack([a_ub, cuts]),
+                     b_ub=np.concatenate([b_ub, -(values - 1e-10)]), bounds=(0, None),
+                     method="highs", options=tols)
+    assert second.success
+    return values, second.x.reshape(-1, 2)
+
+
+def test_two_user_corner_matches_the_lp():
+    rng = np.random.default_rng(20260)
+    grid = np.linspace(0.0, 1.0, 33)
+    regions = _random_two_user_regions(rng, 32 * 33)
+    for weights in ([(1.0 - t, t) for t in np.tile(grid, 32)],
+                    [tuple(w) for w in rng.uniform(0.0, 1.0, size=(len(regions), 2))]):
+        lp_values, lp_rates = _lp_weighted_rates(regions, weights)
+        for bounds, w, lp_value, lp_r in zip(regions, weights, lp_values, lp_rates):
+            region = RateRegion(num_users=2, bounds=bounds)
+            value, rates = max_weighted_rate(region, w)
+            assert value == pytest.approx(lp_value, abs=1e-12)
+            assert region.contains(rates)
+            # the LP's 1e-10 of slack moves its point up to 1e-10 / |w1 - w2|
+            # along a sum-rate face
+            if abs(w[0] - w[1]) >= 0.25:
+                np.testing.assert_allclose(rates, lp_r, rtol=0.0, atol=1e-9)
+            if w == (0.5, 0.5):
+                # every point of the sum-rate face is optimal; the tie rule
+                # takes the one with the largest R_1 in the region
+                c1, _, c12 = bounds.min(axis=1)
+                assert rates.sum() == pytest.approx(2.0 * lp_value, abs=1e-12)
+                assert rates[0] == min(c1, c12)
 
 
 def _minimal_gaussian_doc():
