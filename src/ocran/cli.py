@@ -413,13 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("optimize", cmd_optimize, "search quantizers for the best objective")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed of the discrete search's random restarts (Gaussian: unused)")
+                   help="seed of the discrete search's random starts (Gaussian: unused)")
     p.add_argument("--objective", choices=("sum", "weighted"), default="sum")
     p.add_argument("--weights", help="comma-separated user weights (--objective weighted only)")
     p.add_argument("--restarts", type=int, default=4,
-                   help="restarts of the discrete search (Gaussian: one certified solve)")
+                   help="starts of the discrete search (Gaussian: one certified solve)")
     p.add_argument("--iters", type=int, default=120,
-                   help="sweep cap of the discrete search (Gaussian: one certified solve)")
+                   help="SLSQP iteration cap per discrete start (Gaussian: one certified solve)")
     p.add_argument("--aux-sizes", help="comma-separated |U_k| for discrete scenarios")
 
     p = command("sumrate", cmd_sumrate, "sum-rate bound of a fixed quantizer choice")

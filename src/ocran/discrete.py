@@ -14,15 +14,17 @@ entries; within that budget every information quantity is an exact sum
 
 Two constraint families are evaluated:
 
-* ``thm1_constraint`` - the exact region for channels whose relay outputs are
+* ``"thm1"`` - the exact region for channels whose relay outputs are
   conditionally independent given the user inputs,
-* ``thm3_constraint`` - the general inner bound (no independence needed).
+* ``"thm3"`` - the general inner bound (no independence needed).
 
 Both are written once, in ``DiscreteEvaluator.subset_bounds``: the bounds of
 one user set T over every relay set S, from entropies of the reduced joint.
-Every other discrete bound reads it: one (T, S) pair, a region, the
-joint-decoding sum-rate bounds, and in ``ocran.sumrate`` the set function
-g(S) and the separate-decompression test.
+Every other discrete bound reads it: one (T, S) pair (``bound``), a region
+(``region_discrete``), the joint-decoding sum-rate bounds, and in
+``ocran.sumrate`` the set function g(S) and the separate-decompression test.
+``ReducedFactors.sum_rate_jacobian`` gives the gradients of the sum-rate
+bounds in the quantization tables, for the discrete optimizer.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .core import (
     ScenarioError,
     SubsetPair,
     check_finite,
-    indices_of,
     subset_sums,
 )
 
@@ -221,11 +222,15 @@ class JointPmf:
         """H of the marginal on ``labels``, in bits."""
         key = frozenset(labels)
         if key not in self._entropy_cache:
-            p = self.marginal(key)
-            # a total a few ulps off 1 would give a point mass H != 0
-            nz = p[p > 0] / p.sum()
-            self._entropy_cache[key] = float(-(nz * np.log2(nz)).sum())
+            self._entropy_cache[key] = _entropy(self.marginal(key))
         return self._entropy_cache[key]
+
+
+def _entropy(p: np.ndarray) -> float:
+    """H in bits of a marginal pmf tensor."""
+    # a total a few ulps off 1 would give a point mass H != 0
+    nz = p[p > 0] / p.sum()
+    return float(-(nz * np.log2(nz)).sum())
 
 
 def cmi(j: JointPmf, a, b, c=()) -> float:
@@ -359,26 +364,72 @@ class ReducedFactors:
         )
         self._shape = (nq,) + sc.input_sizes + tuple(aux_sizes[i] for i in self.order)
         self._perm = tuple(range(1 + l)) + tuple(1 + l + position[i] for i in range(k))
+        self._unperm = (0,) + tuple(1 + int(a) for a in np.argsort(self._perm))
         self._axes = (
             ("Q",)
             + tuple(user_axis(i) for i in range(1, l + 1))
             + tuple(aux_axis(i) for i in range(1, k + 1))
         )
 
+    def _chain(self, tables):
+        """The contraction of p(q, y, x) with the tables, relay by relay in
+        ``order``: yields p(q, y, x) and then each step's result, whose
+        relay output axis has left the front and whose table column axis has
+        joined the back."""
+        nq = self.pqyx.shape[0]
+        t = self.pqyx
+        yield t
+        for i in self.order:
+            a = tables[i]
+            # (Q, Y_i, rest) -> (Q, rest, U_i)
+            t = np.matmul(t.reshape(nq, a.shape[1], -1).transpose(0, 2, 1), a)
+            yield t
+
     def evaluator(self, tables) -> "DiscreteEvaluator":
         """Evaluator of the quantization tables p(u_k|y_k,q), given in relay
         order with the aux sizes these factors were built for."""
-        nq = self.pqyx.shape[0]
-        t = self.pqyx
-        for i in self.order:
-            a = tables[i]
-            # (Q, Y_i, rest) -> (Q, rest, U_i): Y_i leaves the front, U_i joins the back
-            t = np.matmul(t.reshape(nq, a.shape[1], -1).transpose(0, 2, 1), a)
-        t = t.reshape(self._shape).transpose(self._perm)
         h = tuple(
             float((p * _row_entropies(table)).sum()) for p, table in zip(self.pqy, tables)
         )
+        *_, t = self._chain(tables)
+        t = t.reshape(self._shape).transpose(self._perm)
         return DiscreteEvaluator(self.sc, JointPmf(t, self._axes), h)
+
+    def sum_rate_jacobian(self, ev: "DiscreteEvaluator", tables) -> list[np.ndarray]:
+        """The gradients of the joint-decoding sum-rate bounds b_S of
+        ``ev = evaluator(tables)`` in the table entries: per relay k, a
+        (2^K, |Q|, |Y_k|, |U_k|) array, row S by bitmask, each exact up to a
+        constant per table row, which no move that keeps the rows summing to
+        1 sees.
+
+        Given Q, b_S = C_S + sum_{k in S} H(U_k|Y_k) + H(U_{S^c}) + H(X)
+        - H(X, U).  The reduced joint is linear in each table:
+        p(q, x, u) = sum_{y_k} F_k(q, x, u_{-k}, y_k) p(u_k|y_k, q), so the
+        gradient of the entropy of a marginal p_A is -sum_{x, u_{-k}} F_k
+        log2 p_A, up to the row constant.  The pre-table factors F_k meet the
+        log-marginals backwards through the contraction chain, unformed."""
+        nq, rows = self.pqyx.shape[0], 1 << len(tables)
+        p = ev.joint.tensor
+        if p.size * rows > MAX_JOINT_ENTRIES:
+            raise CapacityError(f"sum-rate Jacobian would hold {p.size * rows} entries")
+        # row S: log2 p(q, x, u) - log2 p(q, u_{S^c}), so the marginals of
+        # the masks m = S^c in reversed order
+        margins = np.empty((rows, nq) + (1,) * self.sc.num_users + p.shape[1 + self.sc.num_users:])
+        for m, marginal in enumerate(ev._u_marginals(frozenset({"Q"}))):
+            margins[m] = marginal
+        adjoint = (_log2(p) - _log2(margins)[::-1]).transpose(self._unperm)
+        ts = list(self._chain(tables))
+        grads = [None] * len(tables)
+        for j in reversed(range(len(tables))):
+            a = tables[self.order[j]]
+            # t_{j+1} = t_j @ a, so the adjoint of t_j is the adjoint of t_{j+1} @ a^T
+            adjoint = adjoint.reshape((rows,) + ts[j + 1].shape)
+            grads[self.order[j]] = ts[j].reshape(nq, a.shape[1], -1) @ adjoint
+            adjoint = (adjoint @ a.transpose(0, 2, 1)).transpose(0, 1, 3, 2)
+        masks = np.arange(rows)
+        for k, a in enumerate(tables):  # H(U_k | Y_k) for the relay sets S that hold k
+            grads[k] -= (masks >> k & 1)[:, None, None, None] * (self.pqy[k][..., None] * _log2(a))
+        return grads
 
 
 def _contraction_order(aux_sizes, y_sizes) -> tuple[int, ...]:
@@ -387,9 +438,14 @@ def _contraction_order(aux_sizes, y_sizes) -> tuple[int, ...]:
     return tuple(sorted(range(len(y_sizes)), key=lambda i: aux_sizes[i] / y_sizes[i]))
 
 
+def _log2(p: np.ndarray) -> np.ndarray:
+    """log2 p, with 0 where p is 0 (0 log 0 = 0)."""
+    return np.log2(np.where(p > 0, p, 1.0))
+
+
 def _row_entropies(table: np.ndarray) -> np.ndarray:
     """Entropy in bits of each distribution along the last axis."""
-    return -(table * np.log2(np.where(table > 0, table, 1.0))).sum(axis=-1)
+    return -(table * _log2(table)).sum(axis=-1)
 
 
 class DiscreteEvaluator:
@@ -408,6 +464,7 @@ class DiscreteEvaluator:
         self.joint = joint
         self.h_u_given_y = h_u_given_y
         self.x_all = frozenset(user_axis(l) for l in range(1, sc.num_users + 1))
+        self._h_u: dict[frozenset, np.ndarray] = {}  # _u_entropies by conditioning set
 
     @classmethod
     def from_aux(cls, sc: DiscreteScenario, aux: AuxChannels) -> "DiscreteEvaluator":
@@ -429,11 +486,24 @@ class DiscreteEvaluator:
         return _nonnegative(j.entropy(u_s | c) - j.entropy(c) - h_given_y,
                             "I(U_S; Y_S | cond, Q)")
 
+    def _u_marginals(self, given: frozenset):
+        """p(U_m, given) for every relay bitmask m, each one reduction of the
+        one marginal p(U, given) and kept on every axis of the joint (size 1
+        where summed out)."""
+        j = self.joint
+        drop = tuple(i for i, ax in enumerate(j.axes) if ax not in given and ax[0] == "X")
+        base = j.tensor.sum(axis=drop, keepdims=True) if drop else j.tensor
+        u_axes = [j.axes.index(aux_axis(k)) for k in range(1, self.sc.num_relays + 1)]
+        for m in range(1 << self.sc.num_relays):
+            out = tuple(a for i, a in enumerate(u_axes) if not m >> i & 1)
+            yield base.sum(axis=out, keepdims=True) if out else base
+
     def _u_entropies(self, given: frozenset) -> np.ndarray:
         """H(U_m, given) for every relay bitmask m; reversed, it is indexed
         by the complement S^c of the relay set S."""
-        return np.array([self.joint.entropy(self.u(indices_of(m)) | given)
-                         for m in range(1 << self.sc.num_relays)])
+        if given not in self._h_u:
+            self._h_u[given] = np.array([_entropy(p) for p in self._u_marginals(given)])
+        return self._h_u[given]
 
     def subset_bounds(self, users: tuple[int, ...] | None = None,
                       family: str = "thm3") -> np.ndarray:
@@ -478,20 +548,6 @@ def _warn_if_not_factorizing(sc: DiscreteScenario) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
-
-
-def thm1_constraint(sc: DiscreteScenario, aux: AuxChannels, pair: SubsetPair) -> float:
-    """Bound for one (T, S) pair in the exact region of conditionally
-    independent relay outputs:
-    sum_{s in S} [C_s - I(Y_s;U_s|X_all,Q)] + I(X_T;U_{S^c}|X_{T^c},Q)."""
-    _warn_if_not_factorizing(sc)
-    return DiscreteEvaluator.from_aux(sc, aux).bound(pair, "thm1")
-
-
-def thm3_constraint(sc: DiscreteScenario, aux: AuxChannels, pair: SubsetPair) -> float:
-    """General inner-bound constraint:
-    sum_{s in S} C_s - I(Y_S;U_S|X_all,U_{S^c},Q) + I(X_T;U_{S^c}|X_{T^c},Q)."""
-    return DiscreteEvaluator.from_aux(sc, aux).bound(pair, "thm3")
 
 
 def region_discrete(sc: DiscreteScenario, aux: AuxChannels, which: str = "thm1") -> RateRegion:

@@ -9,8 +9,12 @@ S, and the weighted rate max w.R s.t. sum_{t in T} R_t <= b_{T,S} for every
 (T, S) and R >= 0.  Either is one SLSQP solve over Hermitian A_k with
 W_k = I - (I + A_k^2)^{-1}; that map stays strictly below I, so no
 projection is needed.  The solver's multipliers certify the result through
-a Frank-Wolfe bound, and a solve whose gap exceeds GAP_TOL raises.  The
-configured restarts, iterations and seed govern only the discrete search.
+a Frank-Wolfe bound, and a solve whose gap exceeds GAP_TOL raises.
+
+The discrete sum-rate is not concave in the quantization tables.  It runs
+the same epigraph solve (``_epigraph_solve``) from several starts, over
+softmax-parametrized tables, and carries no certificate; the configured
+restarts, iterations and seed govern only this search.
 
 A point costs a few stacked numpy calls, not one per relay: the projection,
 fronthaul rates and B_k take one call per antenna-count group of relays
@@ -30,8 +34,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _linalg as la
-from .core import (RateRegion, SubsetPair, indices_of, mask_of, max_weighted_rate, spawn_seeds,
-                   user_sets)
+from .core import (RateRegion, ScenarioError, SubsetPair, indices_of, mask_of, max_weighted_rate,
+                   spawn_seeds, user_sets)
 from .discrete import AuxChannels, DiscreteScenario, ReducedFactors
 from .gaussian import (
     QUANT_CAP_MARGIN,
@@ -41,6 +45,7 @@ from .gaussian import (
     ScenarioTerms,
     fronthaul_bits,
 )
+from .sumrate import _jd_sum_rate
 
 ACTIVE_TOL = 1e-9
 IMPROVE_TOL = 1e-12
@@ -49,6 +54,12 @@ GAP_TOL = 1e-6  # bits; a Gaussian solve whose certified gap exceeds it raises
 SOLVE_FTOL = 1e-14  # SLSQP's stopping tolerance on the change of the objective
 SOLVE_MAX_ITERS = 500
 CUT_ITERS = 100  # cutting planes that may refine the certificate's row weights
+# the discrete staircase start gives every off-staircase letter this weight
+# against 1, so that its softmax parameters are finite
+STAIRCASE_SOFTENING = 0.05
+# logits per unit of a discrete table parameter; SLSQP starts from an identity
+# Hessian, and at 12 it needs about a quarter fewer iterations than at 1
+SOFTMAX_SCALE = 12.0
 
 
 @dataclass(frozen=True)
@@ -61,15 +72,15 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.objective not in ("sum_rate", "weighted"):
-            raise ValueError("objective must be 'sum_rate' or 'weighted'")
+            raise ScenarioError("objective must be 'sum_rate' or 'weighted'")
         if self.objective == "weighted" and self.weights is None:
-            raise ValueError("weighted objective needs a weight vector")
+            raise ScenarioError("weighted objective needs a weight vector")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if not np.isfinite(w).all() or np.any(w < 0) or not np.any(w > 0):
-                raise ValueError("weights must be finite and nonnegative, one of them positive")
+                raise ScenarioError("weights must be finite and nonnegative, one of them positive")
         if self.restarts < 1 or self.max_iters < 1:
-            raise ValueError("restarts and max_iters must be positive")
+            raise ScenarioError("restarts and max_iters must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +520,71 @@ def gaussian_upper_bound(sc: GaussianScenario, q: QuantizerSetGaussian, lam) -> 
     return _FrankWolfeBound(_GaussianObjective(sc), q, [tuple(range(1, sc.num_users + 1))])(lam)[0]
 
 
-def _certified_solve(obj: _GaussianObjective, weights=None) -> GaussianOptResult:
-    """One SLSQP solve, over packed Hermitian A_k and rate columns R, from
-    A_k = I (W = I/2), of max c.R s.t. cover R <= b_{T,S}(W(A)) on the
-    (T, S) rows.  The sum-rate (``weights`` None) keeps T = all users and one
-    free rate t, c = 1; the weighted rate takes every T, one rate per user
-    with R >= 0, and c = w.  Returns the better of the best iterate and the
-    zero quantizers (worth exactly 0, winning a tie, since the final iterate
-    can be unusable at zero fronthaul), each valued at its own objective,
-    with the best-so-far trace; certified at that point by the solver's
-    multipliers scaled to cover c, then by cutting planes.  Raises
-    ArithmeticError when the gap exceeds GAP_TOL."""
+def _epigraph_solve(point: Callable, rows: Callable, jac: Callable, objective: Callable,
+                    cover: np.ndarray, c: np.ndarray, x0: np.ndarray, bounds, max_iters: int):
+    """One SLSQP solve of max c.R s.t. cover R <= rows(point(x)), over the
+    parameters x and the rate columns R, from x0 with R at the rates
+    ``objective`` gives there.  ``point(x)`` evaluates x once for ``rows``
+    (the row values), ``jac`` (their gradients in x) and ``objective`` (a
+    point's value and rates that reach it); ``bounds`` are SLSQP's, x first.
+    Returns the best iterate by value as (point, value, rates), the
+    best-so-far trace and SLSQP's result (multipliers, status)."""
     from scipy.optimize import minimize
 
+    size = x0.size
+    last = {}
+
+    def at(z):
+        key = z[:size].tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = point(z[:size])
+        return last[key]
+
+    def slack(z):
+        return rows(at(z)) - cover @ z[size:]
+
+    def slack_jac(z):
+        jacobian = np.empty((cover.shape[0], z.size))
+        jacobian[:, :size] = jac(at(z))
+        jacobian[:, size:] = -cover
+        return jacobian
+
+    best, trace, seen = None, [], None
+
+    def record(z):
+        nonlocal best, seen
+        if z[:size].tobytes() == seen:
+            return
+        seen = z[:size].tobytes()
+        p = at(z)
+        value, rates = objective(p)
+        if best is None or value > best[1]:
+            best = (p, value, rates)
+        trace.append(best[1])
+
+    z0 = np.append(x0, objective(at(x0))[1])
+    record(z0)
+    neg_c = np.append(np.zeros(size), -c)
+    res = minimize(lambda z: -float(c @ z[size:]), z0, jac=lambda z: neg_c, method="SLSQP",
+                   bounds=bounds, constraints=[{"type": "ineq", "fun": slack, "jac": slack_jac}],
+                   callback=record, options={"maxiter": max_iters, "ftol": SOLVE_FTOL})
+    record(res.x)  # SLSQP does not always report its final iterate
+    return best, trace, res
+
+
+def _certified_solve(obj: _GaussianObjective, weights=None) -> GaussianOptResult:
+    """One epigraph solve (``_epigraph_solve``), over packed Hermitian A_k
+    and rate columns R, from A_k = I (W = I/2), of max c.R s.t.
+    cover R <= b_{T,S}(W(A)) on the (T, S) rows.  The sum-rate (``weights``
+    None) keeps T = all users and one free rate t, c = 1; the weighted rate
+    takes every T, one rate per user with R >= 0, and c = w.  Returns the
+    better of the best iterate and the zero quantizers (worth exactly 0,
+    winning a tie, since the final iterate can be unusable at zero
+    fronthaul), each valued at its own objective, with the best-so-far
+    trace; certified at that point by the solver's multipliers scaled to
+    cover c, then by cutting planes.  Raises ArithmeticError when the gap
+    exceeds GAP_TOL."""
     sc = obj.sc
     size = obj.layout.bounds[-1][1]
     subsets = 1 << sc.num_relays
@@ -532,14 +595,6 @@ def _certified_solve(obj: _GaussianObjective, weights=None) -> GaussianOptResult
         t_sets = [indices_of(t) for t in range(1, 1 << sc.num_users)]
         c, rate_low = np.asarray(weights, dtype=float), 0.0
         cover = np.repeat(user_sets(sc.num_users), subsets, axis=0)
-    last = {}
-
-    def at(z) -> _SmoothPoint:
-        key = z[:size].tobytes()
-        if key not in last:
-            last.clear()
-            last[key] = obj.smooth_at(z[:size])
-        return last[key]
 
     def objective(p) -> tuple[float, np.ndarray]:
         """The objective at p and the rates that reach it."""
@@ -549,40 +604,14 @@ def _certified_solve(obj: _GaussianObjective, weights=None) -> GaussianOptResult
         bounds = obj.row_values(p, t_sets).reshape(-1, subsets)
         return max_weighted_rate(RateRegion(sc.num_users, bounds), c)
 
-    def slack(z):
-        return obj.row_values(at(z).point, t_sets) - cover @ z[size:]
+    (sp, value, rates), trace, res = _epigraph_solve(
+        obj.smooth_at, lambda sp: obj.row_values(sp.point, t_sets),
+        lambda sp: obj.pull_back(sp, obj.row_gradients(sp.point, t_sets)),
+        lambda sp: objective(sp.point), cover, c,
+        _pack_hermitian([np.eye(d) for d in sc.relay_antennas]),
+        [(None, None)] * size + [(rate_low, None)] * c.size, SOLVE_MAX_ITERS)
 
-    def slack_jac(z):
-        sp = at(z)
-        jac = np.empty((cover.shape[0], size + c.size))
-        jac[:, :size] = obj.pull_back(sp, obj.row_gradients(sp.point, t_sets))
-        jac[:, size:] = -cover
-        return jac
-
-    best, trace, seen = None, [], None
-
-    def record(z):
-        nonlocal best, seen
-        if z[:size].tobytes() == seen:
-            return
-        seen = z[:size].tobytes()
-        p = at(z).point
-        value, rates = objective(p)
-        if best is None or value > best[1]:
-            best = (p, value, rates)
-        trace.append(best[1])
-
-    z0 = np.append(_pack_hermitian([np.eye(d) for d in sc.relay_antennas]), np.zeros(c.size))
-    z0[size:] = objective(at(z0).point)[1]
-    record(z0)
-    neg_c = np.append(np.zeros(size), -c)
-    res = minimize(lambda z: -float(c @ z[size:]), z0, jac=lambda z: neg_c, method="SLSQP",
-                   bounds=[(None, None)] * size + [(rate_low, None)] * c.size,
-                   constraints=[{"type": "ineq", "fun": slack, "jac": slack_jac}],
-                   callback=record, options={"maxiter": SOLVE_MAX_ITERS, "ftol": SOLVE_FTOL})
-    record(res.x)  # SLSQP does not always report its final iterate
-
-    p, value, rates = best
+    p = sp.point
     zero = obj.smooth_at(np.zeros(size)).point
     zero_value, zero_rates = objective(zero)
     if zero_value >= value:
@@ -615,7 +644,7 @@ def optimize_gaussian_quantizers(sc: GaussianScenario, cfg: OptimizerConfig) -> 
     if cfg.objective == "weighted":
         weights = np.asarray(cfg.weights, dtype=float)
         if weights.shape != (sc.num_users,):
-            raise ValueError("weights must have one entry per user")
+            raise ScenarioError("weights must have one entry per user")
     return _certified_solve(_GaussianObjective(sc), weights)
 
 
@@ -628,94 +657,97 @@ class DiscreteOptResult:
     active: tuple[int, ...]  # relay-subset masks tight at the optimum
 
 
+class _SoftmaxTables:
+    """Quantization tables p(u_k|y_k,q) of the given shapes whose rows are
+    the softmax of SOFTMAX_SCALE times free parameters, packed table after
+    table."""
+
+    def __init__(self, shapes):
+        self.shapes = [tuple(shape) for shape in shapes]
+        ends = np.cumsum([math.prod(shape) for shape in self.shapes])
+        self.parts = [slice(end - math.prod(shape), end) for end, shape in zip(ends, self.shapes)]
+        self.size = int(ends[-1])
+
+    def tables(self, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        out = []
+        for part, shape in zip(self.parts, self.shapes):
+            logits = SOFTMAX_SCALE * theta[part].reshape(shape)
+            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            out.append(e / e.sum(axis=-1, keepdims=True))
+        return tuple(out)
+
+    def parameters(self, tables) -> np.ndarray:
+        """Parameters of tables with positive entries."""
+        return np.concatenate([np.log(t).ravel() for t in tables]) / SOFTMAX_SCALE
+
+    def pull_back(self, tables, grads) -> np.ndarray:
+        """Rows of gradients in the table entries, one (rows, *shape) array
+        per table and each exact up to a constant per table row, as rows of
+        gradients in the parameters: SOFTMAX_SCALE a (g - sum_u a g) per
+        table row a."""
+        return SOFTMAX_SCALE * np.hstack([(a * (g - (a * g).sum(axis=-1, keepdims=True)))
+                                          .reshape(len(g), -1) for a, g in zip(tables, grads)])
+
+
 def optimize_discrete_aux(
     sc: DiscreteScenario, cardinalities, cfg: OptimizerConfig
 ) -> DiscreteOptResult:
-    """Random-restart coordinate ascent over the quantization tables
-    p(u_k|y_k,q), maximizing the joint-decoding sum-rate.
+    """Quantization tables p(u_k|y_k,q) maximizing the joint-decoding
+    sum-rate: the best of ``cfg.restarts`` epigraph solves
+    (``_epigraph_solve``) of max t s.t. t <= b_S for every relay set S,
+    each capped at ``cfg.max_iters`` SLSQP iterations, over tables whose rows
+    are softmax of free parameters (``_SoftmaxTables``).  The b_S come from
+    ``DiscreteEvaluator.subset_bounds`` and their gradients from
+    ``ReducedFactors.sum_rate_jacobian``.
 
-    Restart 0 starts from the deterministic staircase quantizer
-    u = floor(y |U| / |Y|); further restarts draw Dirichlet rows.  Each
-    coordinate move reshapes one conditional row toward a vertex of the
-    simplex and keeps it only on improvement."""
-    from .sumrate import _jd_sum_rate
-
+    Start 0 is the staircase quantizer u = floor(y |U| / |Y|), softened so
+    that softmax reaches it; further starts draw Dirichlet rows from seeds
+    spawned from ``cfg.seed``.  ``converged`` is the chosen start's SLSQP
+    success."""
     card = tuple(int(u) for u in cardinalities)
     if len(card) != sc.num_relays or any(u < 1 for u in card):
-        raise ValueError("need one positive cardinality per relay")
+        raise ScenarioError("need one positive cardinality per relay")
     if cfg.objective != "sum_rate":
-        raise ValueError("discrete search supports only the sum-rate objective")
+        raise ScenarioError("discrete search supports only the sum-rate objective")
     factors = ReducedFactors(sc, card)
+    params = _SoftmaxTables([(sc.num_timeshare, y, u) for y, u in zip(sc.output_sizes, card)])
+
+    def point(theta):
+        tables = params.tables(theta)
+        ev = factors.evaluator(tables)
+        return tables, ev, ev.subset_bounds()
+
+    def jac(p):
+        tables, ev, _ = p
+        return params.pull_back(tables, factors.sum_rate_jacobian(ev, tables))
+
+    def objective(p):
+        value = _jd_sum_rate(p[2])
+        return value, np.array([value])
+
+    def start(index: int) -> np.ndarray:
+        if index == 0:
+            tables = []
+            for nq, y_size, u_size in params.shapes:
+                t = np.full((nq, y_size, u_size), STAIRCASE_SOFTENING)
+                y = np.arange(y_size)
+                t[:, y, np.minimum(u_size - 1, y * u_size // y_size)] = 1.0
+                tables.append(t)
+        else:
+            rng = np.random.default_rng(seeds[index])
+            tables = [rng.dirichlet(np.ones(shape[2]), size=shape[:2]) for shape in params.shapes]
+        return params.parameters(tables)
+
     seeds = spawn_seeds(cfg.seed, cfg.restarts)
-    nq = sc.num_timeshare
-
-    def staircase() -> list[np.ndarray]:
-        tables = []
-        for y_size, u_size in zip(sc.output_sizes, card):
-            t = np.zeros((nq, y_size, u_size))
-            for y in range(y_size):
-                t[:, y, min(u_size - 1, (y * u_size) // y_size)] = 1.0
-            tables.append(t)
-        return tables
-
-    def random_tables(rng) -> list[np.ndarray]:
-        return [
-            rng.dirichlet(np.ones(u_size), size=(nq, y_size))
-            for y_size, u_size in zip(sc.output_sizes, card)
-        ]
-
-    def evaluate(tables) -> float:
-        return _jd_sum_rate(factors.evaluator(tables).subset_bounds())
-
-    def one_restart(index: int):
-        rng = np.random.default_rng(seeds[index])
-        tables = staircase() if index == 0 else random_tables(rng)
-        best = evaluate(tables)
-        trace = [best]
-        converged = False
-        for _ in range(cfg.max_iters):
-            improved = False
-            for k, (y_size, u_size) in enumerate(zip(sc.output_sizes, card)):
-                if u_size == 1:
-                    continue
-                for qi in range(nq):
-                    for y in range(y_size):
-                        row = tables[k][qi, y].copy()
-                        cand_best, cand_row = best, None
-                        for u in range(u_size):
-                            vertex = np.zeros(u_size)
-                            vertex[u] = 1.0
-                            for t in (1.0, 0.5, 0.25):
-                                trial_row = (1.0 - t) * row + t * vertex
-                                tables[k][qi, y] = trial_row
-                                v = evaluate(tables)
-                                if v > cand_best + IMPROVE_TOL:
-                                    cand_best, cand_row = v, trial_row.copy()
-                        tables[k][qi, y] = row if cand_row is None else cand_row
-                        if cand_row is not None:
-                            best = cand_best
-                            trace.append(best)
-                            improved = True
-            if not improved:
-                converged = True
-                break
-        return tables, best, trace, converged
-
-    outcomes = [one_restart(i) for i in range(cfg.restarts)]
-    best_idx = max(range(cfg.restarts), key=lambda i: (outcomes[i][1], -i))
-    tables, value, trace, converged = outcomes[best_idx]
-    aux = AuxChannels(tables=tuple(np.asarray(t) for t in tables))
-    bounds = factors.evaluator(aux.tables).subset_bounds()
-    active = tuple(
-        int(s) for s in range(bounds.size) if bounds[s] <= bounds.min() + ACTIVE_TOL
-    )
-    return DiscreteOptResult(
-        aux=aux,
-        objective=value,
-        converged=converged,
-        trace=tuple(trace),
-        active=active,
-    )
+    cover = np.ones((1 << sc.num_relays, 1))
+    solves = [_epigraph_solve(point, lambda p: p[2], jac, objective, cover, np.ones(1), start(i),
+                              [(None, None)] * (params.size + 1), cfg.max_iters)
+              for i in range(cfg.restarts)]
+    best = max(range(cfg.restarts), key=lambda i: (solves[i][0][1], -i))
+    ((tables, _, bounds), value, _), trace, res = solves[best]
+    active = tuple(int(s) for s in np.flatnonzero(bounds <= bounds.min() + ACTIVE_TOL))
+    return DiscreteOptResult(aux=AuxChannels(tables=tables), objective=value,
+                             converged=bool(res.success), trace=tuple(trace), active=active)
 
 
 # ---------------------------------------------------------------------------

@@ -465,6 +465,28 @@ class TestOptimizeCommand:
         assert len(payload["quantizers"]["aux"]) == 2
 
 
+    def test_discrete_writes_no_warning(self, tmp_path, capsys):
+        # an input letter of probability 0 leaves zeros in the reduced
+        # joint, whose logarithms the gradients read
+        rng = np.random.default_rng(5)
+        law = rng.dirichlet(np.ones(4), size=3).reshape(3, 2, 2)  # p(y1, y2 | x)
+        doc = discrete_doc(with_aux=False)
+        doc["channel"].update(alphabets={"X": [3], "Y": [2, 2]}, px=[[[0.5, 0.5, 0.0]]],
+                              channel=np.moveaxis(law, 0, -1).ravel().tolist())
+        scenario = write_json(tmp_path / "sc.json", doc)
+        out = tmp_path / "opt.json"
+        rc = main(["optimize", "--scenario", scenario, "--aux-sizes", "2,2", "--out", str(out)])
+        assert rc == 0
+        assert "warning:" not in capsys.readouterr().err
+
+    def test_restarts_below_one_exit_2(self, tmp_path, capsys):
+        scenario = write_json(tmp_path / "sc.json", discrete_doc(with_aux=False))
+        out = tmp_path / "opt.json"
+        rc = main(["optimize", "--scenario", scenario, "--restarts", "0", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "restarts and max_iters must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("weights", ["nan", "inf", "-1", "0"])
     def test_unusable_weights_are_validation_errors(self, tmp_path, capsys, weights):
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())

@@ -1,6 +1,5 @@
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from ocran.discrete import (
     cmi,
     identity_aux,
     region_discrete,
-    thm1_constraint,
-    thm3_constraint,
 )
 from ocran.verify import random_aux, random_correlated_scenario, random_factorizing_scenario
 
@@ -250,7 +247,8 @@ class TestDictOracle:
                 expected -= dict_cmi(j, y_s, u_s, x_all | u_sc | {"Q"})
             if u_sc:
                 expected += dict_cmi(j, x_t, u_sc, x_tc | {"Q"})
-            assert thm3_constraint(sc, aux, pair) == pytest.approx(expected, abs=1e-10)
+            bound = DiscreteEvaluator.from_aux(sc, aux).bound(pair, "thm3")
+            assert bound == pytest.approx(expected, abs=1e-10)
 
 
 class TestConstraints:
@@ -258,16 +256,16 @@ class TestConstraints:
         sc = shared_noise_scenario()
         aux = constant_aux(sc)
         pair = SubsetPair(users=(1,), relays=())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert thm1_constraint(sc, aux, pair) == 0.0
-        assert thm3_constraint(sc, aux, pair) == 0.0
+        ev = DiscreteEvaluator.from_aux(sc, aux)
+        assert ev.bound(pair, "thm1") == 0.0
+        assert ev.bound(pair, "thm3") == 0.0
 
     def test_noiseless_identity(self):
         sc = noiseless_single()
         aux = identity_aux(sc)
-        charged = thm1_constraint(sc, aux, SubsetPair(users=(1,), relays=(1,)))
-        free = thm1_constraint(sc, aux, SubsetPair(users=(1,), relays=()))
+        ev = DiscreteEvaluator.from_aux(sc, aux)
+        charged = ev.bound(SubsetPair(users=(1,), relays=(1,)), "thm1")
+        free = ev.bound(SubsetPair(users=(1,), relays=()), "thm1")
         assert charged == pytest.approx(1.0, abs=1e-12)
         assert free == pytest.approx(1.0, abs=1e-12)
 
@@ -288,10 +286,9 @@ class TestConstraints:
         sc = shared_noise_scenario()
         aux = identity_aux(sc)
         pair = SubsetPair(users=(1,), relays=(1, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            v1 = thm1_constraint(sc, aux, pair)
-        v3 = thm3_constraint(sc, aux, pair)
+        ev = DiscreteEvaluator.from_aux(sc, aux)
+        v1 = ev.bound(pair, "thm1")
+        v3 = ev.bound(pair, "thm3")
         assert v1 == pytest.approx(0.0, abs=1e-12)
         assert v3 == pytest.approx(1.0, abs=1e-12)
         assert v1 < v3 - 0.5
@@ -301,18 +298,17 @@ class TestConstraints:
         for _ in range(25):
             sc = random_correlated_scenario(rng, 2, 2)
             aux = random_aux(rng, sc, (2, 2))
+            ev = DiscreteEvaluator.from_aux(sc, aux)
             for pair in enumerate_constraint_pairs(2, 2):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)  # correlated outputs
-                    v1 = thm1_constraint(sc, aux, pair)
-                v3 = thm3_constraint(sc, aux, pair)
+                v1 = ev.bound(pair, "thm1")
+                v3 = ev.bound(pair, "thm3")
                 assert v1 <= v3 + 1e-12
 
     def test_warning_on_non_factorizing(self):
         sc = shared_noise_scenario()
         aux = identity_aux(sc)
         with pytest.warns(RuntimeWarning, match="conditionally independent"):
-            thm1_constraint(sc, aux, SubsetPair(users=(1,), relays=()))
+            region_discrete(sc, aux, "thm1")
 
     def test_s_empty_is_recovered_information(self):
         rng = np.random.default_rng(13)
@@ -321,7 +317,8 @@ class TestConstraints:
         j = build_joint(sc, aux)
         pair = SubsetPair(users=(1,), relays=())
         expected = cmi(j, {"X1"}, {"U1", "U2"}, {"X2", "Q"})
-        assert thm3_constraint(sc, aux, pair) == pytest.approx(expected, abs=1e-12)
+        bound = DiscreteEvaluator.from_aux(sc, aux).bound(pair, "thm3")
+        assert bound == pytest.approx(expected, abs=1e-12)
 
     def test_constant_aux_region_is_origin(self):
         sc = shared_noise_scenario()

@@ -11,8 +11,9 @@ import pytest
 from ocran import _linalg as la
 from ocran import optimize
 from ocran.cli import main
-from ocran.core import SubsetPair, indices_of, max_weighted_rate, scenario_from_dict
-from ocran.discrete import AuxChannels, DiscreteScenario, build_joint, cmi, identity_aux
+from ocran.core import ScenarioError, SubsetPair, indices_of, max_weighted_rate, scenario_from_dict
+from ocran.discrete import (AuxChannels, DiscreteScenario, ReducedFactors, build_joint, cmi,
+                            identity_aux)
 from ocran.gaussian import (
     GaussianEvaluator,
     GaussianScenario,
@@ -24,14 +25,17 @@ from ocran.optimize import (
     OptimizerConfig,
     _GaussianObjective,
     _pack_hermitian,
+    _SoftmaxTables,
     gaussian_upper_bound,
     mc_mutual_information,
     optimize_discrete_aux,
     optimize_gaussian_quantizers,
 )
-from ocran.verify import random_gaussian_scenario, random_pd, random_quantizers
+from ocran.verify import (random_correlated_scenario, random_gaussian_scenario, random_pd,
+                          random_quantizers)
 from ocran.sumrate import jd_sum_rate
 
+import discrete_references
 from helpers import ScalarField, finite_diff_check, pack_gradient, sum_rate_field, unpack_hermitian
 
 
@@ -54,17 +58,19 @@ def golden_rate(snr, cap):
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError):
             OptimizerConfig(objective="nope")
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError):
             OptimizerConfig(objective="weighted")
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError):
             OptimizerConfig(restarts=0)
+        with pytest.raises(ScenarioError):
+            OptimizerConfig(max_iters=0)
 
     @pytest.mark.parametrize("weights", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 2.0),
                                          (0.0, 0.0), ()])
     def test_unusable_weights(self, weights):
-        with pytest.raises(ValueError, match="weights"):
+        with pytest.raises(ScenarioError, match="weights"):
             OptimizerConfig(objective="weighted", weights=weights)
 
 
@@ -622,6 +628,47 @@ class TestDiscreteOptimizer:
         assert not res.converged
         for table in res.aux.tables:
             np.testing.assert_allclose(table.sum(axis=-1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("card, cfg", [((2,), OptimizerConfig()), ((0, 2), OptimizerConfig()),
+                                           ((2, 2), OptimizerConfig(objective="weighted",
+                                                                    weights=(1.0,)))])
+    def test_validation_is_a_scenario_error(self, card, cfg):
+        sc = random_correlated_scenario(np.random.default_rng(3), 1, 2)
+        with pytest.raises(ScenarioError):
+            optimize_discrete_aux(sc, card, cfg)
+
+    @pytest.mark.parametrize("num_timeshare", [1, 2])
+    def test_sum_rate_jacobian_matches_central_differences(self, num_timeshare):
+        rng = np.random.default_rng(20 + num_timeshare)
+        for _ in range(3):
+            sc = random_correlated_scenario(rng, 2, 2, output_sizes=(3, 2),
+                                            num_timeshare=num_timeshare)
+            card = (2, 3)
+            factors = ReducedFactors(sc, card)
+            params = _SoftmaxTables([(num_timeshare, y, u) for y, u in zip(sc.output_sizes, card)])
+            theta = rng.normal(size=params.size)
+
+            def rows(x):
+                return factors.evaluator(params.tables(x)).subset_bounds()
+
+            def jacobian(x):
+                tables = params.tables(x)
+                return params.pull_back(tables, factors.sum_rate_jacobian(
+                    factors.evaluator(tables), tables))
+
+            for s in range(1 << sc.num_relays):
+                field = ScalarField(value=lambda x: float(rows(x)[s]),
+                                    gradient=lambda x: jacobian(x)[s])
+                assert finite_diff_check(field, theta, h=1e-6).max_rel_error < 1e-6
+
+    def test_objectives_reach_the_vertex_search_references(self):
+        # the references are the objectives of the vertex-move search that
+        # the epigraph solve replaced, from tests/discrete_references.py
+        path = pathlib.Path(__file__).with_name("discrete_references.json")
+        references = json.loads(path.read_text())
+        assert sorted(references) == sorted(str(seed) for seed in discrete_references.SEEDS)
+        for seed, objective in discrete_references.objectives().items():
+            assert objective >= references[seed] - 1e-9
 
     def test_data_processing_ceiling(self):
         rng = np.random.default_rng(4)

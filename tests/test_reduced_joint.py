@@ -27,8 +27,6 @@ from ocran.discrete import (
     cmi,
     region_discrete,
     relay_axis,
-    thm1_constraint,
-    thm3_constraint,
     user_axis,
 )
 from ocran.optimize import OptimizerConfig, optimize_discrete_aux
@@ -176,13 +174,10 @@ def test_region_bounds(instance):
         for pair in enumerate_constraint_pairs(sc.num_users, sc.num_relays):
             value = region.bounds[pair.t_mask - 1, pair.s_mask]
             assert value == pytest.approx(dense.bound(pair, family), abs=TOL, rel=0)
+    ev = DiscreteEvaluator.from_aux(sc, aux)
     for pair in enumerate_constraint_pairs(sc.num_users, sc.num_relays):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # thm1 on correlated outputs
-            v1 = thm1_constraint(sc, aux, pair)
-        assert v1 == pytest.approx(dense.bound(pair, "thm1"), abs=TOL, rel=0)
-        assert thm3_constraint(sc, aux, pair) == pytest.approx(
-            dense.bound(pair, "thm3"), abs=TOL, rel=0)
+        for family in ("thm1", "thm3"):
+            assert ev.bound(pair, family) == pytest.approx(dense.bound(pair, family), abs=TOL, rel=0)
 
 
 def test_sum_rate_and_g(instance):
@@ -275,9 +270,9 @@ def test_entry_points_never_build_the_dense_joint(monkeypatch, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         region_discrete(sc, aux, "thm1")
-        thm1_constraint(sc, aux, pair)
     region_discrete(sc, aux, "thm3")
-    thm3_constraint(sc, aux, pair)
+    for family in ("thm1", "thm3"):
+        DiscreteEvaluator.from_aux(sc, aux).bound(pair, family)
     jd_subset_bounds(sc, aux)
     g_function(sc, aux, r_sum, (1, 3))
     sd_achievable(sc, aux, r_sum)
