@@ -6,11 +6,14 @@ it parses the arguments, loads the scenario once (every command but
 ``verify`` takes one) and checks the scenario kind the subcommand declares,
 then hands the scenario and one ``_Emitter`` to the subcommand's ``cmd_*``
 function, which only computes and writes (and returns nothing, unless it is
-``verify`` with a failed suite).  When that function returns, ``main`` writes
-the run manifest and prints the captured warnings; an exception instead
-becomes an exit code and an error line.  Data goes to
-stdout or to the --out path; warnings and the run manifest (when not written
-next to --out) go to stderr.
+``verify`` with a failed suite).  The scenario file is read once; its
+embedded quantization tables, if any, ride along on the parsed arguments.
+``main`` builds its parser once per process, and looks the ``cmd_*``
+function of the parsed subcommand up in this module at call time.  When
+that function returns, ``main`` writes the run manifest and prints the
+captured warnings; an exception instead becomes an exit code and an error
+line.  Data goes to stdout or to the --out path; warnings and the run
+manifest (when not written next to --out) go to stderr.
 
 Exit codes: 0 success, 1 failed verification property, 2 validation error,
 3 numeric failure or any other internal error.  Emitted rate values are
@@ -21,6 +24,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -39,7 +43,6 @@ from .core import (
     _complex_matrix_from_json,
     _complex_matrix_to_json,
     indices_of,
-    load_aux_tables,
     load_scenario,
     max_weighted_rate,
     sample_codebook_marginal,
@@ -169,11 +172,11 @@ def _quantizers(args, sc) -> QuantizerSetGaussian | AuxChannels:
         return q
     if args.quantizers:
         tables = _read_field(args.quantizers, "aux")
-        aux = AuxChannels(tables=tuple(np.asarray(t, dtype=float) for t in tables))
     else:
-        aux = load_aux_tables(args.scenario)
-        if aux is None:
+        tables = args.scenario_aux
+        if tables is None:
             raise ScenarioError("aux channels required (in the scenario file or --quantizers)")
+    aux = AuxChannels(tables=tuple(np.asarray(t, dtype=float) for t in tables))
     aux.check_compatible(sc)
     return aux
 
@@ -390,28 +393,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ocran {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, kind="any"):
+    def command(name, help, kind="any"):
         p = sub.add_parser(name, help=help)
         p.add_argument("--scenario", required=kind is not None, help="scenario JSON path")
         p.add_argument("--out", default=None, help="output path (manifest lands next to it)")
         p.add_argument("--threads", type=int, choices=(1,), default=1,
                        help="accepted for existing command lines; ocran runs on one thread")
-        p.set_defaults(func=func, kind=kind)
+        p.set_defaults(kind=kind)
         return p
 
-    p = command("region", cmd_region, "evaluate every (T, S) constraint bound")
+    p = command("region", "evaluate every (T, S) constraint bound")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--quantizers", help="JSON with Gaussian B matrices or discrete aux tables")
     p.add_argument("--which", choices=("thm1", "thm3"),
                    help="constraint family for discrete scenarios (default thm1)")
 
-    p = command("boundary", cmd_boundary, "two-user weighted-rate boundary sweep")
+    p = command("boundary", "two-user weighted-rate boundary sweep")
     p.add_argument("--quantizers")
     p.add_argument("--which", choices=("thm1", "thm3"),
                    help="constraint family for discrete scenarios (default thm1)")
     p.add_argument("--points", type=int, default=33, help="weights swept, at least 2")
 
-    p = command("optimize", cmd_optimize, "search quantizers for the best objective")
+    p = command("optimize", "search quantizers for the best objective")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the discrete search's random starts (Gaussian: unused)")
     p.add_argument("--objective", choices=("sum", "weighted"), default="sum")
@@ -422,36 +425,34 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SLSQP iteration cap per discrete start (Gaussian: one certified solve)")
     p.add_argument("--aux-sizes", help="comma-separated |U_k| for discrete scenarios")
 
-    p = command("sumrate", cmd_sumrate, "sum-rate bound of a fixed quantizer choice")
+    p = command("sumrate", "sum-rate bound of a fixed quantizer choice")
     p.add_argument("--quantizers")
 
-    p = command("extreme-points", cmd_extreme_points,
-                "fronthaul-polytope extreme points per ordering", kind="discrete")
+    p = command("extreme-points", "fronthaul-polytope extreme points per ordering",
+                kind="discrete")
     p.add_argument("--quantizers")
     p.add_argument("--rsum", type=float, default=None,
                    help="target sum-rate (default: the joint-decoding sum-rate)")
 
-    p = command("swz-check", cmd_swz_check,
-                "successive Wyner-Ziv vs joint decoding sum-rate", kind="discrete")
+    p = command("swz-check", "successive Wyner-Ziv vs joint decoding sum-rate",
+                kind="discrete")
     p.add_argument("--quantizers")
 
-    p = command("mc-check", cmd_mc_check, "Monte Carlo vs analytic information term",
-                kind="gaussian")
+    p = command("mc-check", "Monte Carlo vs analytic information term", kind="gaussian")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quantizers")
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--t-mask", type=int, default=None)
     p.add_argument("--s-mask", type=int, default=0)
 
-    p = command("codebook-check", cmd_codebook_check, "randomized-codebook marginal check",
-                kind="discrete")
+    p = command("codebook-check", "randomized-codebook marginal check", kind="discrete")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--user", type=int, default=1)
     p.add_argument("--blocklength", type=int, default=4)
     p.add_argument("--rate", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=100_000)
 
-    p = command("verify", cmd_verify, "run the cross-module property suites", kind=None)
+    p = command("verify", "run the cross-module property suites", kind=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p.add_argument("--instances", type=int, default=None)
@@ -461,18 +462,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s parser, built once per process.  It holds subcommand
+    names, not functions, so a ``cmd_*`` rebound later in this module runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            sc = None
+            sc = args.scenario_aux = None
             if args.kind is not None:
-                sc = load_scenario(args.scenario)
+                sc, args.scenario_aux = load_scenario(args.scenario, with_aux=True)
                 if not isinstance(sc, KINDS[args.kind]):
                     raise ScenarioError(f"{args.command} needs a {args.kind} scenario")
             emit = _Emitter(args, sc)
-            code = args.func(args, sc, emit) or EXIT_OK
+            command = globals()["cmd_" + args.command.replace("-", "_")]
+            code = command(args, sc, emit) or EXIT_OK
             emit.finish()
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)

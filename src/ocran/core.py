@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -453,14 +453,17 @@ def scenario_to_dict(sc: Scenario, aux=None) -> dict:
     }
 
 
-def load_scenario(path) -> Scenario:
-    """Load and validate a scenario JSON file (schema above)."""
+def load_scenario(path, with_aux: bool = False):
+    """Load and validate a scenario JSON file (schema above).  With
+    ``with_aux``, return the pair (scenario, the file's "aux" payload as
+    parsed JSON, or None when it carries none), from one read of the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(doc)
+    sc = scenario_from_dict(doc)
+    return (sc, doc["channel"].get("aux")) if with_aux else sc
 
 
 def save_scenario(sc: Scenario, path, aux=None) -> None:
@@ -471,23 +474,30 @@ def save_scenario(sc: Scenario, path, aux=None) -> None:
         fh.write("\n")
 
 
-def load_aux_tables(path):
-    """The quantization tables embedded in a discrete scenario file, as an
-    AuxChannels, or None when the file carries none."""
-    from .discrete import AuxChannels
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    tables = doc.get("channel", {}).get("aux") if isinstance(doc, dict) else None
-    if tables is None:
-        return None
-    return AuxChannels(tables=tuple(np.asarray(t, dtype=float) for t in tables))
-
-
 def scenario_sha256(sc: Scenario) -> str:
-    """Content hash of the canonical serialization (used in run manifests)."""
-    blob = json.dumps(scenario_to_dict(sc), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """Content hash of a scenario (used in run manifests).  It feeds SHA-256
+    each dataclass field's name in field order, then each numeric leaf of
+    the field (nested tuples walked in order) as its dtype, its shape and
+    its C-order little-endian float64 or complex128 bytes.  Equal content
+    gives equal hashes, however the file that held it was formatted."""
+    digest = hashlib.sha256()
+    for f in fields(sc):
+        digest.update(f.name.encode("ascii"))
+        for leaf in _numeric_leaves(getattr(sc, f.name)):
+            a = np.ascontiguousarray(leaf, dtype="<c16" if np.iscomplexobj(leaf) else "<f8")
+            digest.update(f"{a.dtype.str}{a.shape}".encode("ascii"))
+            digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def _numeric_leaves(value):
+    """The arrays and numbers of a field value; a tuple that holds arrays or
+    tuples is walked, any other value is one leaf."""
+    if isinstance(value, tuple) and any(isinstance(v, (tuple, np.ndarray)) for v in value):
+        for v in value:
+            yield from _numeric_leaves(v)
+    else:
+        yield value
 
 
 def spawn_seeds(master_seed: int, count: int) -> list[int]:

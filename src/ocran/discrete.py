@@ -196,14 +196,13 @@ class JointPmf:
     """Dense joint pmf with labeled axes and cached subset entropies."""
 
     def __init__(self, tensor: np.ndarray, axes: tuple[str, ...]):
+        """``tensor`` is a pmf by construction (products and sums of
+        validated pmfs), so only its labels are checked.  It is kept as a
+        clipped copy in the input's memory order, which sets every
+        reduction's summation order."""
         tensor = np.asarray(tensor, dtype=float)
         if tensor.ndim != len(axes) or len(set(axes)) != len(axes):
             raise ValueError("axis labels must be unique and match tensor rank")
-        if np.any(tensor < -1e-15):
-            raise ValueError("joint tensor has negative entries")
-        total = tensor.sum()
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"joint tensor sums to {total!r}, not 1")
         tensor = np.clip(tensor, 0.0, None)
         tensor.setflags(write=False)
         self.tensor = tensor
@@ -371,31 +370,32 @@ class ReducedFactors:
             + tuple(aux_axis(i) for i in range(1, k + 1))
         )
 
-    def _chain(self, tables):
+    def chain(self, tables) -> list[np.ndarray]:
         """The contraction of p(q, y, x) with the tables, relay by relay in
-        ``order``: yields p(q, y, x) and then each step's result, whose
-        relay output axis has left the front and whose table column axis has
+        ``order``: p(q, y, x) and then each step's result, whose relay
+        output axis has left the front and whose table column axis has
         joined the back."""
         nq = self.pqyx.shape[0]
-        t = self.pqyx
-        yield t
+        steps = [self.pqyx]
         for i in self.order:
             a = tables[i]
             # (Q, Y_i, rest) -> (Q, rest, U_i)
-            t = np.matmul(t.reshape(nq, a.shape[1], -1).transpose(0, 2, 1), a)
-            yield t
+            steps.append(np.matmul(steps[-1].reshape(nq, a.shape[1], -1).transpose(0, 2, 1), a))
+        return steps
 
-    def evaluator(self, tables) -> "DiscreteEvaluator":
+    def evaluator(self, tables, chain=None) -> "DiscreteEvaluator":
         """Evaluator of the quantization tables p(u_k|y_k,q), given in relay
-        order with the aux sizes these factors were built for."""
+        order with the aux sizes these factors were built for; ``chain``,
+        when given, is ``self.chain(tables)``, already run."""
         h = tuple(
             float((p * _row_entropies(table)).sum()) for p, table in zip(self.pqy, tables)
         )
-        *_, t = self._chain(tables)
+        t = (self.chain(tables) if chain is None else chain)[-1]
         t = t.reshape(self._shape).transpose(self._perm)
         return DiscreteEvaluator(self.sc, JointPmf(t, self._axes), h)
 
-    def sum_rate_jacobian(self, ev: "DiscreteEvaluator", tables) -> list[np.ndarray]:
+    def sum_rate_jacobian(self, ev: "DiscreteEvaluator", tables,
+                          chain=None) -> list[np.ndarray]:
         """The gradients of the joint-decoding sum-rate bounds b_S of
         ``ev = evaluator(tables)`` in the table entries: per relay k, a
         (2^K, |Q|, |Y_k|, |U_k|) array, row S by bitmask, each exact up to a
@@ -407,7 +407,9 @@ class ReducedFactors:
         p(q, x, u) = sum_{y_k} F_k(q, x, u_{-k}, y_k) p(u_k|y_k, q), so the
         gradient of the entropy of a marginal p_A is -sum_{x, u_{-k}} F_k
         log2 p_A, up to the row constant.  The pre-table factors F_k meet the
-        log-marginals backwards through the contraction chain, unformed."""
+        log-marginals backwards through ``chain`` (``self.chain(tables)``,
+        run here when not given), unformed; the marginals p(q, u_m) are
+        those ``ev.subset_bounds`` kept."""
         nq, rows = self.pqyx.shape[0], 1 << len(tables)
         p = ev.joint.tensor
         if p.size * rows > MAX_JOINT_ENTRIES:
@@ -415,10 +417,10 @@ class ReducedFactors:
         # row S: log2 p(q, x, u) - log2 p(q, u_{S^c}), so the marginals of
         # the masks m = S^c in reversed order
         margins = np.empty((rows, nq) + (1,) * self.sc.num_users + p.shape[1 + self.sc.num_users:])
-        for m, marginal in enumerate(ev._u_marginals(frozenset({"Q"}))):
+        for m, marginal in enumerate(ev._u_marginals_given_q()):
             margins[m] = marginal
         adjoint = (_log2(p) - _log2(margins)[::-1]).transpose(self._unperm)
-        ts = list(self._chain(tables))
+        ts = self.chain(tables) if chain is None else chain
         grads = [None] * len(tables)
         for j in reversed(range(len(tables))):
             a = tables[self.order[j]]
@@ -465,6 +467,7 @@ class DiscreteEvaluator:
         self.h_u_given_y = h_u_given_y
         self.x_all = frozenset(user_axis(l) for l in range(1, sc.num_users + 1))
         self._h_u: dict[frozenset, np.ndarray] = {}  # _u_entropies by conditioning set
+        self._p_u_q: list[np.ndarray] | None = None
 
     @classmethod
     def from_aux(cls, sc: DiscreteScenario, aux: AuxChannels) -> "DiscreteEvaluator":
@@ -498,11 +501,20 @@ class DiscreteEvaluator:
             out = tuple(a for i, a in enumerate(u_axes) if not m >> i & 1)
             yield base.sum(axis=out, keepdims=True) if out else base
 
+    def _u_marginals_given_q(self) -> list[np.ndarray]:
+        """``_u_marginals`` given Q alone, kept: they hold no X axis, and
+        ``ReducedFactors.sum_rate_jacobian`` reads them back."""
+        if self._p_u_q is None:
+            self._p_u_q = list(self._u_marginals(frozenset({"Q"})))
+        return self._p_u_q
+
     def _u_entropies(self, given: frozenset) -> np.ndarray:
         """H(U_m, given) for every relay bitmask m; reversed, it is indexed
         by the complement S^c of the relay set S."""
         if given not in self._h_u:
-            self._h_u[given] = np.array([_entropy(p) for p in self._u_marginals(given)])
+            marginals = (self._u_marginals_given_q() if given == {"Q"}
+                         else self._u_marginals(given))
+            self._h_u[given] = np.array([_entropy(p) for p in marginals])
         return self._h_u[given]
 
     def subset_bounds(self, users: tuple[int, ...] | None = None,

@@ -714,15 +714,16 @@ def optimize_discrete_aux(
 
     def point(theta):
         tables = params.tables(theta)
-        ev = factors.evaluator(tables)
-        return tables, ev, ev.subset_bounds()
+        chain = factors.chain(tables)
+        ev = factors.evaluator(tables, chain)
+        return tables, chain, ev, ev.subset_bounds()
 
     def jac(p):
-        tables, ev, _ = p
-        return params.pull_back(tables, factors.sum_rate_jacobian(ev, tables))
+        tables, chain, ev, _ = p
+        return params.pull_back(tables, factors.sum_rate_jacobian(ev, tables, chain))
 
     def objective(p):
-        value = _jd_sum_rate(p[2])
+        value = _jd_sum_rate(p[3])
         return value, np.array([value])
 
     def start(index: int) -> np.ndarray:
@@ -740,11 +741,14 @@ def optimize_discrete_aux(
 
     seeds = spawn_seeds(cfg.seed, cfg.restarts)
     cover = np.ones((1 << sc.num_relays, 1))
-    solves = [_epigraph_solve(point, lambda p: p[2], jac, objective, cover, np.ones(1), start(i),
-                              [(None, None)] * (params.size + 1), cfg.max_iters)
-              for i in range(cfg.restarts)]
-    best = max(range(cfg.restarts), key=lambda i: (solves[i][0][1], -i))
-    ((tables, _, bounds), value, _), trace, res = solves[best]
+    solves = []
+    for i in range(cfg.restarts):
+        ((tables, _, _, bounds), value, _), trace, res = _epigraph_solve(
+            point, lambda p: p[3], jac, objective, cover, np.ones(1), start(i),
+            [(None, None)] * (params.size + 1), cfg.max_iters)
+        solves.append((tables, bounds, value, trace, res))  # not its chain or joint
+    best = max(range(cfg.restarts), key=lambda i: (solves[i][2], -i))
+    tables, bounds, value, trace, res = solves[best]
     active = tuple(int(s) for s in np.flatnonzero(bounds <= bounds.min() + ACTIVE_TOL))
     return DiscreteOptResult(aux=AuxChannels(tables=tables), objective=value,
                              converged=bool(res.success), trace=tuple(trace), active=active)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -152,6 +153,19 @@ class TestRegionCommand:
         rc = main(["region", "--scenario", scenario])
         assert rc == 2
         assert "aux channels required" in capsys.readouterr().err
+
+    def test_scenario_file_is_parsed_once(self, tmp_path, monkeypatch):
+        scenario = write_json(tmp_path / "sc.json", discrete_doc())
+        parsed = []
+        load = json.load
+
+        def counted(fh, **kwargs):
+            parsed.append(fh.name)
+            return load(fh, **kwargs)
+
+        monkeypatch.setattr(json, "load", counted)
+        assert main(["region", "--scenario", scenario]) == 0
+        assert parsed == [scenario]
 
     def test_thm1_on_correlated_channel_warns_but_succeeds(self, tmp_path, capsys):
         scenario = write_json(
@@ -731,6 +745,46 @@ class TestRunPath:
         doc = json.loads(manifest.read_text())
         assert doc["command"] == command
         assert doc["outputs"][0] == str(tmp_path / "out.data")
+
+    def test_second_run_in_a_process_builds_no_parser(self, tmp_path, monkeypatch):
+        scenario = write_json(tmp_path / "sc.json", discrete_doc())
+        argv = ["sumrate", "--scenario", scenario, "--out", str(tmp_path / "s.json")]
+        assert main(argv) == 0
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            added.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        assert main(argv) == 0
+        assert added == []
+        assert build_parser() is not build_parser()
+        assert added  # the counter sees every parser that is built
+
+    def test_data_outputs_do_not_depend_on_earlier_runs(self, tmp_path):
+        scenario = write_json(tmp_path / "sc.json", discrete_doc())
+        runs = {
+            "optimize": ["--restarts", "2", "--iters", "5", "--seed", "3"],
+            "region": ["--which", "thm3"],
+            "sumrate": [],
+            "verify": ["--suite", "swz", "--instances", "2", "--seed", "1"],
+        }
+        written = []
+        for order in (sorted(runs), sorted(runs, reverse=True)):
+            out = tmp_path / "-".join(order)
+            out.mkdir()
+            for command in order:
+                argv = [command, *runs[command], "--out", str(out / command)]
+                if command != "verify":
+                    argv += ["--scenario", scenario]
+                assert main(argv) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if not p.name.endswith(".manifest.json")})
+        assert sorted(written[0]) == ["optimize", "region", "region.summary.json", "sumrate",
+                                      "verify"]
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("argv", [["region", "--seed", "1"], ["optimize", "--format", "json"]])
     def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, argv):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -12,7 +13,6 @@ from ocran.core import (
     SubsetPair,
     enumerate_constraint_pairs,
     indices_of,
-    load_aux_tables,
     load_scenario,
     mask_of,
     max_weighted_rate,
@@ -23,6 +23,8 @@ from ocran.core import (
     scenario_to_dict,
     spawn_seeds,
 )
+from ocran.discrete import AuxChannels
+from ocran.verify import random_factorizing_scenario, random_gaussian_scenario
 
 
 class TestSubsetPairs:
@@ -339,15 +341,15 @@ class TestScenarioIO:
         doc["channel"]["aux"] = [[[[0.9, 0.1], [0.2, 0.8]], [[0.7, 0.3], [0.4, 0.6]]]]
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(doc))
-        sc = load_scenario(path)
-        aux = load_aux_tables(path)
-        assert aux is not None
+        sc, tables = load_scenario(path, with_aux=True)
+        assert tables == doc["channel"]["aux"]
+        aux = AuxChannels(tables=tuple(np.asarray(t) for t in tables))
         out = tmp_path / "rt.json"
         save_scenario(sc, out, aux=aux)
-        reread = load_aux_tables(out)
+        sc2, tables2 = load_scenario(out, with_aux=True)
+        reread = AuxChannels(tables=tuple(np.asarray(t) for t in tables2))
         np.testing.assert_allclose(reread.tables[0], aux.tables[0], atol=0)
-        assert scenario_to_dict(load_scenario(out), reread) == scenario_to_dict(sc, aux)
-        assert load_aux_tables(tmp_path / "sc.json") is not None
+        assert scenario_to_dict(sc2, reread) == scenario_to_dict(sc, aux)
 
     def test_subset_bits_guard_when_the_scenario_is_built(self):
         assert scenario_from_dict(_wide_gaussian_doc(23)).num_relays == 23
@@ -383,6 +385,73 @@ class TestScenarioIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(ScenarioError, match="time-sharing"):
             load_scenario(path)
+
+
+def _hash_scenarios():
+    rng = np.random.default_rng(5)
+    return {
+        "discrete": random_factorizing_scenario(rng, 2, 2, num_timeshare=2),
+        "gaussian": random_gaussian_scenario(rng, 2, 2),
+    }
+
+
+def _reversed_keys(doc):
+    if isinstance(doc, dict):
+        return {k: _reversed_keys(doc[k]) for k in reversed(list(doc))}
+    if isinstance(doc, list):
+        return [_reversed_keys(v) for v in doc]
+    return doc
+
+
+def _one_entry_changes(value, delta):
+    """Every copy of a field value with one numeric entry moved by delta."""
+    if isinstance(value, np.ndarray):
+        for i in range(value.size):
+            changed = value.ravel().copy()
+            changed[i] += delta
+            yield changed.reshape(value.shape)
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            for changed in _one_entry_changes(item, delta):
+                yield value[:i] + (changed,) + value[i + 1:]
+    else:
+        yield value + delta
+
+
+class TestScenarioHash:
+    @pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+    def test_equal_across_a_save_load_round_trip(self, tmp_path, kind):
+        sc = _hash_scenarios()[kind]
+        save_scenario(sc, tmp_path / "sc.json")
+        assert scenario_sha256(load_scenario(tmp_path / "sc.json")) == scenario_sha256(sc)
+
+    @pytest.mark.parametrize("kind", ["discrete", "gaussian"])
+    def test_equal_across_file_formatting(self, tmp_path, kind):
+        sc = _hash_scenarios()[kind]
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(_reversed_keys(scenario_to_dict(sc)), indent=4))
+        assert scenario_sha256(load_scenario(path)) == scenario_sha256(sc)
+
+    @pytest.mark.parametrize("kind,field", [
+        ("discrete", "channel"), ("discrete", "px"), ("discrete", "fronthaul"),
+        ("gaussian", "H"), ("gaussian", "Sigma"), ("gaussian", "fronthaul"),
+    ])
+    def test_differs_after_any_one_entry_changes(self, kind, field):
+        # the hash reads content only, so the changed copies skip validation
+        sc = _hash_scenarios()[kind]
+        value = getattr(sc, field)
+        deltas = (2.0 ** -20, 2.0 ** -20 * 1j) if kind == "gaussian" and field != "fronthaul" \
+            else (2.0 ** -20,)
+        hashes = {scenario_sha256(sc)}
+        count = 0
+        for delta in deltas:
+            for changed in _one_entry_changes(value, delta):
+                other = copy.copy(sc)
+                object.__setattr__(other, field, changed)
+                hashes.add(scenario_sha256(other))
+                count += 1
+        assert count > 1
+        assert len(hashes) == count + 1
 
 
 class TestCodebookSampler:

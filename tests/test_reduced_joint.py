@@ -225,7 +225,22 @@ def test_sum_rate_bounds_take_2_to_the_k_plus_2_entropies(instance):
     sc, aux, _ = instance
     ev = DiscreteEvaluator.from_aux(sc, aux)
     ev.subset_bounds()
-    assert len(ev.joint._entropy_cache) <= (1 << sc.num_relays) + 2
+    computed = len(ev.joint._entropy_cache) + sum(h.size for h in ev._h_u.values())
+    assert computed <= (1 << sc.num_relays) + 2
+
+
+def test_region_keeps_only_the_marginals_given_q(instance):
+    # thm1 reduces p(U_m, X_{T^c}, Q) and p(U_m, X, Q) for every user set T;
+    # only the 2^K marginals given Q alone, with no X axis, stay on the evaluator
+    sc, aux, _ = instance
+    ev = DiscreteEvaluator.from_aux(sc, aux)
+    ev.region("thm1")
+    held = [v for v in vars(ev).values() if isinstance(v, list)]
+    assert held == [ev._p_u_q] and len(ev._p_u_q) == 1 << sc.num_relays
+    x_axes = [i for i, ax in enumerate(ev.joint.axes) if ax[0] == "X"]
+    assert all(p.shape[i] == 1 for p in ev._p_u_q for i in x_axes)
+    assert sum(p.size for p in ev._p_u_q) == sc.num_timeshare * np.prod(
+        [1 + u for u in aux.aux_sizes])
 
 
 def test_successive_wyner_ziv(instance):
