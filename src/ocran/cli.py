@@ -336,6 +336,8 @@ def cmd_mc_check(args, sc, emit):
 def cmd_codebook_check(args, sc, emit):
     if not 1 <= args.user <= sc.num_users:
         raise ScenarioError(f"--user must be in 1..{sc.num_users}")
+    if args.blocklength < 1:
+        raise ScenarioError(f"--blocklength must be at least 1, got {args.blocklength}")
     rng = np.random.default_rng(args.seed)
     time_seq = rng.choice(sc.num_timeshare, size=args.blocklength, p=np.asarray(sc.time_share))
     ens = CodebookEnsemble(

@@ -32,9 +32,13 @@ TIE_SLACK = 1e-10  # weighted value a point may give up to the optimum in the we
 # itself is the problem, not the numerics.
 MAX_SUBSET_BITS = 24
 
-# cap on trials * codewords per position in the codebook sampler
+# cap on trials * codewords per position in the codebook sampler.  The sampler
+# streams its draws in blocks, so this bounds run time, not memory.
 MAX_SAMPLER_DRAWS = 50_000_000
 MAX_CODEWORDS = 1 << 20
+# entries per block of the Monte Carlo samplers' draws (codebook letters, or
+# product columns of the MC estimator); a block holds at least one row
+SAMPLER_BLOCK = 1 << 16
 
 
 class ScenarioError(ValueError):
@@ -308,19 +312,19 @@ class CodebookEnsemble:
 
     def __post_init__(self):
         if self.blocklength < 1:
-            raise ValueError("blocklength must be positive")
+            raise ScenarioError("blocklength must be positive")
         if not (math.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError("rate must be finite and nonnegative")
+            raise ScenarioError("rate must be finite and nonnegative")
         pmf = np.array(self.input_pmf, dtype=float, order="C")
         if pmf.ndim != 2 or pmf.shape[1] < 1:
-            raise ValueError("input_pmf must be a (|Q|, |X|) table")
+            raise ScenarioError("input_pmf must be a (|Q|, |X|) table")
         if np.any(pmf < 0) or np.max(np.abs(pmf.sum(axis=1) - 1.0)) > PMF_TOL:
-            raise ValueError("input_pmf rows must be pmfs")
+            raise ScenarioError("input_pmf rows must be pmfs")
         seq = np.array(self.time_seq, dtype=np.int64, order="C")
         if seq.shape != (self.blocklength,):
-            raise ValueError("time_seq length must equal blocklength")
+            raise ScenarioError("time_seq length must equal blocklength")
         if np.any(seq < 0) or np.any(seq >= pmf.shape[0]):
-            raise ValueError("time_seq entries out of range")
+            raise ScenarioError("time_seq entries out of range")
         # compared as exponents: 2^(n*rate) itself can overflow a float
         if self.blocklength * self.rate > math.log2(MAX_CODEWORDS):
             raise CapacityError(
@@ -353,7 +357,7 @@ def sample_codebook_marginal(ens: CodebookEnsemble, trials: int) -> CodebookMarg
     """Monte Carlo check that a uniformly selected codeword from a fresh random
     codebook is distributed like the memoryless input law, per position."""
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise ScenarioError("trials must be positive")
     ncw = ens.num_codewords
     if trials * ncw > MAX_SAMPLER_DRAWS:
         raise CapacityError(f"trials * codewords = {trials * ncw} exceeds the sampler guard")
@@ -362,13 +366,19 @@ def sample_codebook_marginal(ens: CodebookEnsemble, trials: int) -> CodebookMarg
     rng = np.random.default_rng(ens.seed)
     # message index is uniform and independent of the codebook contents
     messages = rng.integers(ncw, size=trials)
+    # Each position's (trials, ncw) codebook is drawn in blocks of whole
+    # trials; consecutive blocks consume the generator's uniforms in the
+    # order of one (trials, ncw) draw, so the letters are the same.
+    rows = max(1, SAMPLER_BLOCK // ncw)
     empirical = np.empty((n, alphabet))
     target = np.empty((n, alphabet))
     for i in range(n):
         p = ens.input_pmf[ens.time_seq[i]]
-        column = rng.choice(alphabet, size=(trials, ncw), p=p)
-        chosen = column[np.arange(trials), messages]
-        counts = np.bincount(chosen, minlength=alphabet).astype(float)
+        counts = np.zeros(alphabet, dtype=np.int64)
+        for start in range(0, trials, rows):
+            sent = messages[start:start + rows]
+            block = rng.choice(alphabet, size=(sent.size, ncw), p=p)
+            counts += np.bincount(block[np.arange(sent.size), sent], minlength=alphabet)
         empirical[i] = counts / trials
         target[i] = p
     tv = 0.5 * np.abs(empirical - target).sum(axis=1)

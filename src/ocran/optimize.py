@@ -34,8 +34,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _linalg as la
-from .core import (RateRegion, ScenarioError, SubsetPair, indices_of, mask_of, max_weighted_rate,
-                   spawn_seeds, user_sets)
+from .core import (SAMPLER_BLOCK, RateRegion, ScenarioError, SubsetPair, indices_of, mask_of,
+                   max_weighted_rate, spawn_seeds, user_sets)
 from .discrete import AuxChannels, DiscreteScenario, ReducedFactors
 from .gaussian import (
     QUANT_CAP_MARGIN,
@@ -793,7 +793,7 @@ def mc_mutual_information(
     (0, Sigma_k^{-1}); boundary quantizers have no finite test channel.
     """
     if samples < 2:
-        raise ValueError("need at least two samples")
+        raise ScenarioError("need at least two samples")
     q.validate(sc)
     relays_c = pair.relays_complement(sc.num_relays)
     if not relays_c:
@@ -805,7 +805,7 @@ def mc_mutual_information(
         root = la.psd_sqrt(sc.Sigma[k - 1])
         wlam = np.linalg.eigvalsh(la.hermitian_part(root @ b @ root))
         if lam.min() <= 1e-12 or wlam.max() >= 1.0 - 1e-12:
-            raise ValueError(
+            raise ScenarioError(
                 f"B[{k}] is on the feasibility boundary; no finite test channel exists"
             )
         cond_blocks.append(la.hermitian_part(np.linalg.inv(b)))  # Sigma_k + Q_k
@@ -827,17 +827,30 @@ def mc_mutual_information(
     signal_map = k_t_root.T @ h_t.T @ marg_factor
     noise_map = la.psd_sqrt(lam_cond).T @ marg_factor
     (x_re, x_im), (z_re, z_im) = (_real_form(m / math.sqrt(2.0)) for m in (signal_map, noise_map))
+
+    # Each batch draws all of x, then all of z, into buffers allocated once;
+    # the per-sample values are formed over row blocks of SAMPLER_BLOCK
+    # product entries, and the sums run over the whole batch.
     rng = np.random.default_rng(seed)
+    dim_x, dim_z = k_t_root.shape[0], lam_cond.shape[0]
+    cap = min(batch, samples)
+    x_buf, z_buf, vals_buf = np.empty(2 * cap * dim_x), np.empty(2 * cap * dim_z), np.empty(cap)
+    rows = max(1, SAMPLER_BLOCK // x_re.shape[1])
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         n = min(batch, samples - done)
-        x = rng.standard_normal((2, n, k_t_root.shape[0]))  # real parts, then imaginary
-        z = rng.standard_normal((2, n, lam_cond.shape[0]))
-        quad_marg = _row_sqnorm(x[0] @ x_re + x[1] @ x_im + z[0] @ z_re + z[1] @ z_im)
-        quad_cond = 0.5 * (_row_sqnorm(z[0]) + _row_sqnorm(z[1]))
-        vals = (logdet_gap - quad_cond + quad_marg) / la.LN2
+        # real parts, then imaginary
+        x = rng.standard_normal(out=x_buf[:2 * n * dim_x].reshape(2, n, dim_x))
+        z = rng.standard_normal(out=z_buf[:2 * n * dim_z].reshape(2, n, dim_z))
+        vals = vals_buf[:n]
+        for start in range(0, n, rows):
+            r = slice(start, start + rows)
+            u = x[0, r] @ x_re + x[1, r] @ x_im + z[0, r] @ z_re + z[1, r] @ z_im
+            quad_marg = _row_sqnorm(u)
+            quad_cond = 0.5 * (_row_sqnorm(z[0, r]) + _row_sqnorm(z[1, r]))
+            vals[r] = (logdet_gap - quad_cond + quad_marg) / la.LN2
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += n

@@ -1,17 +1,22 @@
 """Helpers shared by the tests: finite-difference checks of the Gaussian
 sum-rate objective's branch gradients, the inverse of the packed Hermitian
-parameterization, and the additive test channel of a quantizer."""
+parameterization, the additive test channel of a quantizer, one-shot
+references of the two Monte Carlo samplers and a traced-memory probe."""
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ocran import _linalg as la
-from ocran.optimize import IMPROVE_TOL, _GaussianObjective, _layout, _pack_hermitian, _unpack_flat
+from ocran.core import CodebookEnsemble, SubsetPair
+from ocran.gaussian import GaussianScenario, QuantizerSetGaussian
+from ocran.optimize import (IMPROVE_TOL, _GaussianObjective, _layout, _pack_hermitian, _real_form,
+                            _row_sqnorm, _unpack_flat)
 
 TIE_TOL = 1e-6
 
@@ -114,3 +119,74 @@ def b_from_test_channel(sigma, qn) -> tuple[np.ndarray, np.ndarray]:
     b = la.hermitian_part(b)
     mmse = la.hermitian_part(sigma - sigma @ b @ sigma)
     return b, mmse
+
+
+def traced_peak_mb(fn: Callable[[], object]) -> float:
+    """Peak of the memory that tracemalloc sees (numpy buffers included)
+    while fn runs, above what was allocated before, in MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def codebook_marginal_one_shot(ens: CodebookEnsemble, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """(empirical, tv) of the codebook sampler drawn as one (trials, ncw)
+    codebook per position: the sampler's arithmetic before it streamed."""
+    ncw = ens.num_codewords
+    alphabet = ens.input_pmf.shape[1]
+    rng = np.random.default_rng(ens.seed)
+    messages = rng.integers(ncw, size=trials)
+    empirical = np.empty((ens.blocklength, alphabet))
+    target = np.empty((ens.blocklength, alphabet))
+    for i in range(ens.blocklength):
+        p = ens.input_pmf[ens.time_seq[i]]
+        column = rng.choice(alphabet, size=(trials, ncw), p=p)
+        chosen = column[np.arange(trials), messages]
+        counts = np.bincount(chosen, minlength=alphabet).astype(float)
+        empirical[i] = counts / trials
+        target[i] = p
+    return empirical, 0.5 * np.abs(empirical - target).sum(axis=1)
+
+
+def mc_mutual_information_one_shot(
+    sc: GaussianScenario,
+    q: QuantizerSetGaussian,
+    pair: SubsetPair,
+    samples: int,
+    seed: int,
+    batch: int = 100_000,
+) -> tuple[float, float]:
+    """(estimate, std_error) of the MC estimator with fresh draw arrays and
+    whole-batch products: its arithmetic before it streamed row blocks.
+    Expects a nonempty relay complement and quantizers inside the boundary."""
+    relays_c = pair.relays_complement(sc.num_relays)
+    lam_cond = la.block_diag([la.hermitian_part(np.linalg.inv(q.B[k - 1])) for k in relays_c])
+    h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
+    k_t_root = la.psd_sqrt(sc.input_covariance(pair.users))
+    lam_marg = la.hermitian_part(h_t @ (k_t_root @ k_t_root) @ h_t.conj().T + lam_cond)
+    logdet_gap = (la.logdet2(lam_marg) - la.logdet2(lam_cond)) * la.LN2
+    marg_factor = np.linalg.cholesky(np.linalg.inv(lam_marg)).conj()
+    signal_map = k_t_root.T @ h_t.T @ marg_factor
+    noise_map = la.psd_sqrt(lam_cond).T @ marg_factor
+    (x_re, x_im), (z_re, z_im) = (_real_form(m / math.sqrt(2.0)) for m in (signal_map, noise_map))
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < samples:
+        n = min(batch, samples - done)
+        x = rng.standard_normal((2, n, k_t_root.shape[0]))
+        z = rng.standard_normal((2, n, lam_cond.shape[0]))
+        quad_marg = _row_sqnorm(x[0] @ x_re + x[1] @ x_im + z[0] @ z_re + z[1] @ z_im)
+        quad_cond = 0.5 * (_row_sqnorm(z[0]) + _row_sqnorm(z[1]))
+        vals = (logdet_gap - quad_cond + quad_marg) / la.LN2
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += n
+    mean = total / samples
+    var = max(0.0, total_sq / samples - mean * mean)
+    return mean, math.sqrt(var / samples)

@@ -292,6 +292,34 @@ def test_codebook_check_unusable_rate_is_validation_error(tmp_path, capsys, valu
     assert "rate" in err or "codewords" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_codebook_check_blocklength_below_one_exit_2(tmp_path, capsys, value):
+    # checked before the time-sharing sequence of that length is drawn
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    out = tmp_path / "cb.json"
+    rc = main(["codebook-check", "--scenario", scenario, "--blocklength", value, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "--blocklength must be at least 1" in err
+
+
+def test_sampler_counts_below_their_minimum_exit_2(tmp_path, capsys):
+    discrete = write_json(tmp_path / "d.json", discrete_doc())
+    gaussian = write_json(tmp_path / "g.json", golden_gaussian_doc())
+    quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
+    for argv, message in (
+        (["codebook-check", "--scenario", discrete, "--trials", "0"], "trials must be positive"),
+        (["mc-check", "--scenario", gaussian, "--quantizers", quant, "--samples", "1"],
+         "at least two samples"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+
+
 class TestBoundaryCommand:
     def _two_user_doc(self, fronthaul=1.0):
         return {

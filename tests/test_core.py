@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ocran.core import (
+    SAMPLER_BLOCK,
     CapacityError,
     CodebookEnsemble,
     RateRegion,
@@ -25,6 +26,8 @@ from ocran.core import (
 )
 from ocran.discrete import AuxChannels
 from ocran.verify import random_factorizing_scenario, random_gaussian_scenario
+
+from helpers import codebook_marginal_one_shot, traced_peak_mb
 
 
 class TestSubsetPairs:
@@ -551,6 +554,58 @@ class TestCodebookSampler:
         )
         with pytest.raises(CapacityError):
             sample_codebook_marginal(ens, 10_000)
+
+    def test_validation_is_a_scenario_error(self):
+        ens = CodebookEnsemble(
+            rate=1.0,
+            blocklength=2,
+            input_pmf=np.array([[0.5, 0.5]]),
+            time_seq=np.zeros(2, dtype=int),
+            seed=0,
+        )
+        with pytest.raises(ScenarioError, match="trials"):
+            sample_codebook_marginal(ens, 0)
+        with pytest.raises(ScenarioError, match="blocklength"):
+            CodebookEnsemble(rate=1.0, blocklength=0, input_pmf=np.array([[1.0]]),
+                             time_seq=np.zeros(0, dtype=int), seed=0)
+
+    # (rate, blocklength, input_pmf, time_seq, trials): fewer trials than one
+    # block; a block count with a remainder; more codewords than a block
+    # holds, one trial per block; a time-shared ternary input
+    STREAM_CASES = [
+        (1.0, 4, [[0.5, 0.5]], [0, 0, 0, 0], 100),
+        (1.0, 4, [[0.3, 0.7]], [0, 0, 0, 0], 3 * (SAMPLER_BLOCK // 16) + 17),
+        (1.0, 17, [[0.5, 0.5]], [0] * 17, 3),
+        (0.5, 6, [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]], [0, 1, 1, 0, 1, 0], 20_011),
+    ]
+
+    @pytest.mark.parametrize("rate,blocklength,pmf,seq,trials", STREAM_CASES)
+    def test_streamed_draws_match_the_one_shot_codebook(self, rate, blocklength, pmf, seq, trials):
+        ens = CodebookEnsemble(rate=rate, blocklength=blocklength, input_pmf=np.array(pmf),
+                               time_seq=np.array(seq), seed=13)
+        res = sample_codebook_marginal(ens, trials)
+        empirical, tv = codebook_marginal_one_shot(ens, trials)
+        assert np.array_equal(res.empirical, empirical)
+        assert np.array_equal(res.tv, tv)
+
+    def test_stream_cases_cover_the_block_edges(self):
+        per_block = [max(1, SAMPLER_BLOCK // math.ceil(2.0 ** (r * n)))
+                     for r, n, _, _, _ in self.STREAM_CASES]
+        trials = [case[-1] for case in self.STREAM_CASES]
+        assert trials[0] < per_block[0]
+        assert trials[1] > per_block[1] and trials[1] % per_block[1] != 0
+        assert 2 ** 17 > SAMPLER_BLOCK and per_block[2] == 1
+
+    def test_memory_does_not_grow_with_trials_times_codewords(self):
+        # the one-shot draw held about 150 MB here: two (trials, ncw) arrays
+        ens = CodebookEnsemble(
+            rate=1.0,
+            blocklength=4,
+            input_pmf=np.array([[0.5, 0.5]]),
+            time_seq=np.zeros(4, dtype=int),
+            seed=1,
+        )
+        assert traced_peak_mb(lambda: sample_codebook_marginal(ens, 400_000)) < 16.0
 
 
 def test_spawn_seeds_deterministic_and_distinct():
