@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 HERM_TOL = 1e-10
+PD_TOL = 1e-12  # require_pd rejects a smallest eigenvalue at or below this
 EIG_CLIP = 1e-14
 LN2 = float(np.log(2.0))
 
@@ -35,16 +36,14 @@ def hermitian_part(m) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def require_hermitian(
-    m, tol: float = HERM_TOL, name: str = "matrix", stacked: bool = False
-) -> np.ndarray:
-    """Return the Hermitian part of m; reject if the skew part exceeds tol
-    (for a stack: the largest skew over all of its matrices)."""
+def require_hermitian(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """Return the Hermitian part of m; reject if the skew part exceeds
+    HERM_TOL (for a stack: the largest skew over all of its matrices)."""
     a = as_complex(m, stacked)
     adj = a.conj().swapaxes(-1, -2)
     skew = np.max(np.abs(a - adj)) if a.size else 0.0
-    if skew > tol:
-        raise ValueError(f"{name} is not Hermitian (max asymmetry {skew:.3e} > {tol:.1e})")
+    if skew > HERM_TOL:
+        raise ValueError(f"{name} is not Hermitian (max asymmetry {skew:.3e} > {HERM_TOL:.1e})")
     return 0.5 * (a + adj)
 
 
@@ -56,12 +55,10 @@ def min_eig(m):
     return float(lo) if a.ndim == 2 else lo
 
 
-def require_pd(
-    m, tol: float = 1e-12, name: str = "matrix", stacked: bool = False
-) -> np.ndarray:
+def require_pd(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     a = require_hermitian(m, name=name, stacked=stacked)
     lo = min_eig(a)
-    if np.any(lo <= tol):
+    if np.any(lo <= PD_TOL):
         where = "" if a.ndim == 2 else f" at stack index {np.argmin(lo)}"
         raise ValueError(
             f"{name} is not positive definite (min eigenvalue {np.min(lo):.3e}{where})"

@@ -37,6 +37,7 @@ from . import __version__
 from .core import (
     CapacityError,
     CodebookEnsemble,
+    MAX_BLOCKLENGTH,
     RateRegion,
     ScenarioError,
     SubsetPair,
@@ -338,6 +339,9 @@ def cmd_codebook_check(args, sc, emit):
         raise ScenarioError(f"--user must be in 1..{sc.num_users}")
     if args.blocklength < 1:
         raise ScenarioError(f"--blocklength must be at least 1, got {args.blocklength}")
+    if args.blocklength > MAX_BLOCKLENGTH:
+        raise CapacityError(
+            f"--blocklength must be at most {MAX_BLOCKLENGTH}, got {args.blocklength}")
     rng = np.random.default_rng(args.seed)
     time_seq = rng.choice(sc.num_timeshare, size=args.blocklength, p=np.asarray(sc.time_share))
     ens = CodebookEnsemble(
@@ -361,12 +365,7 @@ def cmd_codebook_check(args, sc, emit):
 
 def cmd_verify(args, sc, emit) -> int | None:
     names = None if args.suite == "all" else (args.suite,)
-    reports = run_suites(
-        names,
-        seed=args.seed,
-        instances=args.instances,
-        inject_fault=args.inject_fault,
-    )
+    reports = run_suites(names, seed=args.seed, instances=args.instances)
     payload = {
         "suites": [
             {
@@ -458,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--inject-fault", choices=SUITE_NAMES, default=None,
-                   help="perturb one suite's comparison (failure-path test hook)")
 
     return parser
 

@@ -36,6 +36,10 @@ MAX_SUBSET_BITS = 24
 # streams its draws in blocks, so this bounds run time, not memory.
 MAX_SAMPLER_DRAWS = 50_000_000
 MAX_CODEWORDS = 1 << 20
+# cap on the positions of the codebook-check experiment: each is one sampling
+# loop and one row of its per-position tables, whatever the rate (at rate 0
+# the codebook has one codeword, so the two guards above never bind)
+MAX_BLOCKLENGTH = 10_000
 # entries per block of the Monte Carlo samplers' draws (codebook letters, or
 # product columns of the MC estimator); a block holds at least one row
 SAMPLER_BLOCK = 1 << 16
@@ -168,13 +172,14 @@ class RateRegion:
         rows = [subset_bounds(indices_of(t_mask)) for t_mask in range(1, 1 << sc.num_users)]
         return cls(sc.num_users, np.stack(rows))
 
-    def contains(self, rates: Sequence[float], tol: float = MEMBERSHIP_TOL) -> bool:
-        """Every rate sum is within its tightest bound, up to ``tol``; NaN
-        rates never are."""
+    def contains(self, rates: Sequence[float]) -> bool:
+        """Every rate sum is within its tightest bound, up to MEMBERSHIP_TOL;
+        NaN rates never are."""
         r = np.asarray(rates, dtype=float)
         if r.shape != (self.num_users,):
             raise ValueError(f"expected {self.num_users} rates, got shape {r.shape}")
-        return bool(np.all(user_sets(self.num_users) @ r <= self.bounds.min(axis=1) + tol))
+        tightest = self.bounds.min(axis=1) + MEMBERSHIP_TOL
+        return bool(np.all(user_sets(self.num_users) @ r <= tightest))
 
     def sum_rate_bound(self) -> float:
         """Tightest bound on the total rate (full user set), floored at 0."""

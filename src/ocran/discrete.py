@@ -23,6 +23,9 @@ one user set T over every relay set S, from entropies of the reduced joint.
 Every other discrete bound reads it: one (T, S) pair (``bound``), a region
 (``region_discrete``), the joint-decoding sum-rate bounds, and in
 ``ocran.sumrate`` the set function g(S) and the separate-decompression test.
+The successive Wyner-Ziv rates there are differences of the same entropy
+vectors (``DiscreteEvaluator._u_entropies``), so that layer computes no
+entropy of its own.
 ``ReducedFactors.sum_rate_jacobian`` gives the gradients of the sum-rate
 bounds in the quantization tables, for the discrete optimizer.
 """
@@ -49,6 +52,9 @@ from .core import (
 MAX_JOINT_ENTRIES = 10_000_000
 # an information quantity below -NEGATIVE_INFO_TOL bits is a numeric failure
 NEGATIVE_INFO_TOL = 1e-9
+# largest entry-wise distance of a channel from the product of its marginals
+# that still counts as conditionally independent
+INDEPENDENCE_TOL = 1e-9
 
 
 def user_axis(l: int) -> str:
@@ -271,8 +277,9 @@ def _letters(n: int) -> str:
     return pool[:n]
 
 
-def check_conditional_independence(sc: DiscreteScenario, tol: float = 1e-9) -> bool:
-    """True iff p(y_1..y_K|x) factorizes into prod_k p(y_k|x) within tol."""
+def check_conditional_independence(sc: DiscreteScenario) -> bool:
+    """True iff p(y_1..y_K|x) factorizes into prod_k p(y_k|x) within
+    INDEPENDENCE_TOL."""
     l, k = sc.num_users, sc.num_relays
     if k == 1:
         return True
@@ -284,7 +291,7 @@ def check_conditional_independence(sc: DiscreteScenario, tol: float = 1e-9) -> b
         marginals.append(sc.channel.sum(axis=tuple(j for j in range(l + k) if j not in keep)))
     subscripts = ",".join(xs + ys[i] for i in range(k)) + "->" + xs + ys
     product = np.einsum(subscripts, *marginals, optimize=True)
-    return float(np.max(np.abs(sc.channel - product))) <= tol
+    return float(np.max(np.abs(sc.channel - product))) <= INDEPENDENCE_TOL
 
 
 def build_joint(sc: DiscreteScenario, aux: AuxChannels) -> JointPmf:
@@ -475,20 +482,6 @@ class DiscreteEvaluator:
         aux.check_compatible(sc)
         return ReducedFactors(sc, aux.aux_sizes).evaluator(aux.tables)
 
-    def u(self, relays) -> frozenset:
-        return frozenset(aux_axis(k) for k in relays)
-
-    def i_uy(self, relays, cond=frozenset()) -> float:
-        """I(U_S; Y_S | cond, Q) = H(U_S | cond, Q) - H(U_S | Y_S, cond, Q),
-        with ``cmi``'s treatment of negative values; ``cond`` holds X and U
-        labels."""
-        if not relays:
-            return 0.0
-        j, u_s, c = self.joint, self.u(relays), frozenset(cond) | {"Q"}
-        h_given_y = sum(self.h_u_given_y[k - 1] for k in relays)
-        return _nonnegative(j.entropy(u_s | c) - j.entropy(c) - h_given_y,
-                            "I(U_S; Y_S | cond, Q)")
-
     def _u_marginals(self, given: frozenset):
         """p(U_m, given) for every relay bitmask m, each one reduction of the
         one marginal p(U, given) and kept on every axis of the joint (size 1
@@ -510,7 +503,8 @@ class DiscreteEvaluator:
 
     def _u_entropies(self, given: frozenset) -> np.ndarray:
         """H(U_m, given) for every relay bitmask m; reversed, it is indexed
-        by the complement S^c of the relay set S."""
+        by the complement S^c of the relay set S.  ``ocran.sumrate`` forms
+        the successive Wyner-Ziv rates from these vectors."""
         if given not in self._h_u:
             marginals = (self._u_marginals_given_q() if given == {"Q"}
                          else self._u_marginals(given))

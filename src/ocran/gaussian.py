@@ -42,6 +42,7 @@ from .core import (
 # at 1 the fronthaul rate diverges, so projections cap at 1 - QUANT_CAP_MARGIN.
 QUANT_CAP_MARGIN = 1e-9
 QUANT_EIG_TOL = 1e-10
+LEMMA_TOL = 1e-10  # slack of the log2 det comparison in matrix_lemma_holds
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ class QuantizerSetGaussian:
             fixed.append(b)
         object.__setattr__(self, "B", tuple(fixed))
 
-    def validate(self, sc: GaussianScenario, tol: float = QUANT_EIG_TOL) -> None:
+    def validate(self, sc: GaussianScenario) -> None:
         """Check 0 <= B_k <= Sigma_k^{-1} via eigenvalues of Sigma^{1/2} B Sigma^{1/2}."""
         if len(self.B) != sc.num_relays:
             raise ValueError("quantizer count must equal the number of relays")
@@ -198,7 +199,7 @@ class QuantizerSetGaussian:
                 raise ValueError(f"B[{k}] has shape {b.shape}, expected {s.shape}")
             root = la.psd_sqrt(s)
             lam = np.linalg.eigvalsh(la.hermitian_part(root @ b @ root))
-            if lam.min() < -tol or lam.max() > 1.0 + tol:
+            if lam.min() < -QUANT_EIG_TOL or lam.max() > 1.0 + QUANT_EIG_TOL:
                 raise ValueError(
                     f"B[{k}] violates 0 <= B <= Sigma^-1 "
                     f"(normalized eigenvalues in [{lam.min():.3e}, {lam.max():.3e}])"
@@ -364,12 +365,12 @@ def region_gaussian(sc: GaussianScenario, q: QuantizerSetGaussian) -> RateRegion
     return GaussianEvaluator.from_quantizers(sc, q).region()
 
 
-def matrix_lemma_holds(a, b, c, tol: float = 1e-10) -> np.ndarray:
+def matrix_lemma_holds(a, b, c) -> np.ndarray:
     """For stacks (n, d, d) of Hermitian PD A, B, C with B >= A: check
     |I + BC| >= |I + AC| matrix by matrix.
 
     Determinants are compared through log2 det of the symmetrized products
-    I + C^{1/2} M C^{1/2}; the comparison allows slack ``tol``.  Each check
+    I + C^{1/2} M C^{1/2}; the comparison allows slack LEMMA_TOL.  Each check
     is made once for the whole stack and raises if any matrix fails it.
     """
     a = la.require_pd(a, name="A", stacked=True)
@@ -383,12 +384,12 @@ def matrix_lemma_holds(a, b, c, tol: float = 1e-10) -> np.ndarray:
     eye = np.eye(c.shape[-1])
     lhs = la.logdet2(eye + c_root @ b @ c_root)
     rhs = la.logdet2(eye + c_root @ a @ c_root)
-    return lhs >= rhs - tol
+    return lhs >= rhs - LEMMA_TOL
 
 
-def matrix_lemma_check(a, b, c, tol: float = 1e-10) -> bool:
+def matrix_lemma_check(a, b, c) -> bool:
     """``matrix_lemma_holds`` for one triple of matrices."""
-    return bool(matrix_lemma_holds(*(la.as_complex(m)[None] for m in (a, b, c)), tol=tol)[0])
+    return bool(matrix_lemma_holds(*(la.as_complex(m)[None] for m in (a, b, c)))[0])
 
 
 def weighted_means(mats, weights) -> tuple[np.ndarray, np.ndarray]:

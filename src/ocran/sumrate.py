@@ -3,10 +3,12 @@ behind the fronthaul polytope, its per-ordering extreme points, and the
 time-shared successive Wyner-Ziv scheme that dominates each extreme point.
 
 Every quantity here reads the joint-decoding subset bounds b_S of
-``DiscreteEvaluator.subset_bounds``: g(S) = R_sum + C_S - b_S is formed once
-as a vector, I(U_all; X_all | Q) is b_{}, and separate decompression asks
-R_sum <= b_{} and b_S >= b_{} for every S.  Only the Wyner-Ziv rates of the
-successive scheme are entropies of their own.
+``DiscreteEvaluator.subset_bounds`` or the entropy vectors they are made
+of: g(S) = R_sum + C_S - b_S is formed once as a vector, I(U_all; X_all | Q)
+is b_{}, and separate decompression asks R_sum <= b_{} and b_S >= b_{} for
+every S.  The Wyner-Ziv rates and the rate of the successive scheme are
+differences of the 2^K entropies H(U_m, Q) and H(U_m, X_all, Q) that the
+bounds already took; this layer computes no entropy of its own.
 
 Ordering conventions
 --------------------
@@ -34,7 +36,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .core import mask_of, subset_sums
-from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, cmi
+from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, _nonnegative
 
 INVARIANT_TOL = 1e-9
 ALPHA_DENOM_TOL = 1e-12
@@ -42,6 +44,7 @@ ALPHA_DENOM_TOL = 1e-12
 # arithmetic (a relay with |U_k| = 1 early in the chain, or R_sum = I(U; X)),
 # rounding must not decide the pivot or turn 1e-16 into an idle share
 PIVOT_TOL = 1e-12
+Q_ONLY = frozenset({"Q"})  # the conditioning set of the entropies H(U_m, Q)
 
 
 def _check_r_sum(r_sum) -> float:
@@ -78,9 +81,7 @@ def _g(sc: DiscreteScenario, bounds: np.ndarray, r_sum: float) -> np.ndarray:
     return r_sum + subset_sums(np.asarray(sc.fronthaul)) - bounds
 
 
-def sd_achievable(
-    sc: DiscreteScenario, aux: AuxChannels, r_sum: float, tol: float = INVARIANT_TOL
-) -> bool:
+def sd_achievable(sc: DiscreteScenario, aux: AuxChannels, r_sum: float) -> bool:
     """Feasibility of separate decompression-then-decoding at sum-rate r_sum:
     r_sum <= I(X_all; U_all | Q) and, for every relay subset S,
     sum_{s in S} C_s >= I(U_S; Y_S | U_{S^c}, Q).  In the subset bounds b_S
@@ -88,10 +89,11 @@ def sd_achievable(
     b_S - b_{} = C_S - I(U_S; Y_S | U_{S^c}, Q).
 
     The propositions' strict inequalities are tested non-strictly with
-    tolerance ``tol`` because achievable regions are closures."""
+    tolerance INVARIANT_TOL because achievable regions are closures."""
     r_sum = _check_r_sum(r_sum)
     bounds = DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
-    return bool(r_sum <= bounds[0] + tol and np.all(bounds >= bounds[0] - tol))
+    floor = bounds[0] - INVARIANT_TOL
+    return bool(r_sum <= bounds[0] + INVARIANT_TOL and np.all(bounds >= floor))
 
 
 def g_function(
@@ -205,8 +207,18 @@ def swz_required_fronthaul(
     info = DiscreteEvaluator.from_aux(sc, aux)
     req = np.zeros(sc.num_relays)
     for k in range(1, sc.num_relays + 1):
-        req[pi[k - 1] - 1] = info.i_uy((pi[k - 1],), info.u(pi[: k - 1]))
+        req[pi[k - 1] - 1] = _wyner_ziv_rate(info, pi[k - 1], pi[: k - 1])
     return req, float(info.subset_bounds()[0])
+
+
+def _wyner_ziv_rate(info: DiscreteEvaluator, relay: int, side) -> float:
+    """I(U_k; Y_k | U_side, Q) of relay k given the codewords of the relays
+    ``side``: H(U_side, U_k, Q) - H(U_side, Q) - H(U_k | Y_k, Q), from the
+    evaluator's entropies H(U_m, Q).  Rounding dust down to
+    -NEGATIVE_INFO_TOL reads 0; a more negative value raises."""
+    h, m = info._u_entropies(Q_ONLY), mask_of(side)
+    return _nonnegative(h[m | 1 << (relay - 1)] - h[m] - info.h_u_given_y[relay - 1],
+                        "Wyner-Ziv rate I(U_k; Y_k | U_side, Q)")
 
 
 @dataclass(frozen=True)
@@ -260,41 +272,32 @@ def _swz_dominating_point(
     kk = info.sc.num_relays
     chain = _chain_g(g, pi)
     c_tilde = _extreme_point(chain, pi)
-
     pivot = next((k for k in range(1, kk + 1) if chain[k] > PIVOT_TOL), None)
-    c_prime = np.zeros(kk)
-    if pivot is None:
-        result = OrderingResult(
-            ordering=pi,
-            extreme_point=c_tilde,
-            pivot_index=None,
-            idle_fraction=1.0,
-            scheme_fronthaul=c_prime,
-            scheme_sum_rate=0.0,
-        )
-    else:
+    alpha, c_prime, r_bar = 1.0, np.zeros(kk), 0.0
+    if pivot is not None:
         # per-relay description rates conditioned on the later chain relays
-        cond_info = np.zeros(kk)
         for k in range(pivot, kk + 1):
-            cond_info[k - 1] = info.i_uy((pi[k - 1],), info.u(pi[k:]))
-        denom = cond_info[pivot - 1]
+            c_prime[pi[k - 1] - 1] = _wyner_ziv_rate(info, pi[k - 1], pi[k:])
+        denom = c_prime[pi[pivot - 1] - 1]
         g_before = chain[pivot - 1] if abs(chain[pivot - 1]) > PIVOT_TOL else 0.0
         alpha = 1.0 if denom < ALPHA_DENOM_TOL else min(1.0, max(0.0, -g_before / denom))
-        for k in range(pivot, kk + 1):
-            c_prime[pi[k - 1] - 1] = (1.0 - alpha) * denom if k == pivot else cond_info[k - 1]
-        active = info.u(pi[pivot - 1:])
-        later_than_pivot = info.u(pi[pivot:])
-        r_bar = cmi(info.joint, info.x_all, active, {"Q"}) - alpha * cmi(
-            info.joint, info.x_all, info.u(pi[pivot - 1:pivot]), later_than_pivot | {"Q"}
-        )
-        result = OrderingResult(
-            ordering=pi,
-            extreme_point=c_tilde,
-            pivot_index=pivot,
-            idle_fraction=float(alpha),
-            scheme_fronthaul=c_prime,
-            scheme_sum_rate=float(r_bar),
-        )
+        c_prime[pi[pivot - 1] - 1] = (1.0 - alpha) * denom
+        # I(X; U_A | Q) - alpha I(X; U_pivot | U_L, Q) with A the active relays
+        # (the pivot and later) and L the later ones, in cmi's term order
+        h, hx = info._u_entropies(Q_ONLY), info._u_entropies(info.x_all | Q_ONLY)
+        active, later = mask_of(pi[pivot - 1:]), mask_of(pi[pivot:])
+        i_active = _nonnegative(hx[0] + h[active] - hx[active] - h[0], "I(X; U_A | Q)")
+        i_pivot = _nonnegative(hx[later] + h[active] - hx[active] - h[later],
+                               "I(X; U_pivot | U_L, Q)")
+        r_bar = i_active - alpha * i_pivot
+    result = OrderingResult(
+        ordering=pi,
+        extreme_point=c_tilde,
+        pivot_index=pivot,
+        idle_fraction=float(alpha),
+        scheme_fronthaul=c_prime,
+        scheme_sum_rate=float(r_bar),
+    )
     _check_ordering_result(result, r_sum, max(0.0, chain[kk]))
     return result
 

@@ -5,10 +5,6 @@ independent computations together (two constraint families, a construction
 against its target, a sampler against an analytic value), and reports a
 machine-readable summary.  A failure in any suite is a bug somewhere: the
 properties hold exactly in infinite precision.
-
-The ``inject_fault`` flag perturbs a comparison inside a suite (by 1e-3, or
-more where that would leave it passing) so that the suite fails; it exists
-so the failure path of the ``verify`` command can itself be tested.
 """
 
 from __future__ import annotations
@@ -31,8 +27,8 @@ from .gaussian import (
 from .optimize import mc_mutual_information
 from .sumrate import swz_equals_jd
 
+# suite ``name`` is the function ``suite_<name>`` of this module
 SUITE_NAMES = ("class_equivalence", "swz", "mc", "codebook", "matrix_lemmas")
-FAULT_BUMP = 1e-3
 LEMMA_BLOCK = 1000  # matrix_lemmas instances drawn before their stacks are checked
 
 
@@ -122,11 +118,11 @@ def random_aux(rng: np.random.Generator, sc: DiscreteScenario, aux_sizes=None) -
     )
 
 
-def random_pd(rng: np.random.Generator, dim: int, complex_entries: bool = True) -> np.ndarray:
+def random_pd(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random complex PD matrix Z Z^H + 0.05 I with standard normal real
+    and imaginary parts of Z."""
     z = rng.normal(size=(dim, dim))
-    if complex_entries:
-        z = z + 1j * rng.normal(size=(dim, dim))
-    return pd_from_factor(z)
+    return pd_from_factor(z + 1j * rng.normal(size=(dim, dim)))
 
 
 def pd_from_factor(z) -> np.ndarray:
@@ -189,9 +185,7 @@ def random_quantizers(
 # ---------------------------------------------------------------------------
 
 
-def suite_class_equivalence(
-    instances: int = 100, seed: int = 0, inject_fault: bool = False
-) -> SuiteReport:
+def suite_class_equivalence(instances: int = 100, seed: int = 0) -> SuiteReport:
     """On factorizing channels the exact-region and general inner-bound
     formulas must agree constraint by constraint (tolerance 1e-9)."""
 
@@ -204,8 +198,7 @@ def suite_class_equivalence(
         aux = random_aux(rng, sc, tuple(int(rng.integers(2, 4)) for _ in range(num_relays)))
         exact = region_discrete(sc, aux, "thm1")
         general = region_discrete(sc, aux, "thm3")
-        gap = float(np.max(np.abs(exact.bounds - general.bounds)))
-        return gap + (FAULT_BUMP if inject_fault else 0.0)
+        return float(np.max(np.abs(exact.bounds - general.bounds)))
 
     gaps = [one(s) for s in spawn_seeds(seed, instances)]
     failures = sum(1 for g in gaps if g > 1e-9)
@@ -217,9 +210,7 @@ def suite_class_equivalence(
     )
 
 
-def suite_swz(
-    instances: int = 50, seed: int = 0, inject_fault: bool = False
-) -> SuiteReport:
+def suite_swz(instances: int = 50, seed: int = 0) -> SuiteReport:
     """The time-shared successive scheme must reach the joint-decoding
     sum-rate on every instance (construction invariants raise on their own)."""
 
@@ -233,8 +224,7 @@ def suite_swz(
             cmp_res = swz_equals_jd(sc, aux)
         except ArithmeticError as exc:
             return math.inf, str(exc)
-        gap = cmp_res.gap + (FAULT_BUMP if inject_fault else 0.0)
-        return gap, ""
+        return cmp_res.gap, ""
 
     results = [one(s) for s in spawn_seeds(seed, instances)]
     gaps = [g for g, _ in results]
@@ -249,12 +239,7 @@ def suite_swz(
     )
 
 
-def suite_mc(
-    instances: int = 10,
-    seed: int = 0,
-    inject_fault: bool = False,
-    samples: int = 1_000_000,
-) -> SuiteReport:
+def suite_mc(instances: int = 10, seed: int = 0, samples: int = 1_000_000) -> SuiteReport:
     """Monte Carlo estimates of the recovered-information term must agree with
     the log-det value within 3 standard errors and 2% relative."""
 
@@ -276,9 +261,8 @@ def suite_mc(
             if analytic >= 0.7:
                 break
         est = mc_mutual_information(sc, q, pair, samples=samples, seed=instance_seed)
-        estimate = est.estimate + (FAULT_BUMP * 100 if inject_fault else 0.0)
-        z = abs(estimate - analytic) / max(est.std_error, 1e-12)
-        rel = abs(estimate - analytic) / max(abs(analytic), 1e-12)
+        z = abs(est.estimate - analytic) / max(est.std_error, 1e-12)
+        rel = abs(est.estimate - analytic) / max(abs(analytic), 1e-12)
         ok = z <= 3.0 and rel <= 0.02
         return ok, max(z - 3.0, rel - 0.02)
 
@@ -292,9 +276,7 @@ def suite_mc(
     )
 
 
-def suite_codebook(
-    trials: int = 100_000, seed: int = 0, inject_fault: bool = False
-) -> SuiteReport:
+def suite_codebook(trials: int = 100_000, seed: int = 0) -> SuiteReport:
     """Randomized-codebook marginals: per-position total variation against the
     memoryless law within 0.02 for binary inputs, exactly 0 for point masses.
     The tolerances assume the default 10^5 trials; the point mass takes a
@@ -328,24 +310,16 @@ def suite_codebook(
     # a point mass is matched exactly at any sample count
     res = sample_codebook_marginal(point, max(1, trials // 10))
     checks.append(float(res.tv.max()))  # must be exactly 0
-    if inject_fault:
-        checks[0] += FAULT_BUMP * 100
     failures = sum(1 for c in checks if c > 0)
     return SuiteReport(
         suite="codebook", cases=len(checks), failures=failures, worst_gap=max(checks)
     )
 
 
-def suite_matrix_lemmas(
-    instances: int = 10_000, seed: int = 0, inject_fault: bool = False
-) -> SuiteReport:
+def suite_matrix_lemmas(instances: int = 10_000, seed: int = 0) -> SuiteReport:
     """Determinant monotonicity |I + BC| >= |I + AC| for B >= A, and the
     arithmetic-harmonic matrix mean ordering, on random PD inputs up to 4x4."""
     lemma_ok, gaps = matrix_lemma_cases(instances, seed)
-    if inject_fault:
-        # the mean ordering usually holds with far more slack than the bump,
-        # so the first instance's gap is moved to its failing side
-        gaps[0] = max(gaps[0], 0.0) + FAULT_BUMP
     failures = int(np.sum(~lemma_ok | (gaps > 1e-10)))
     return SuiteReport(
         suite="matrix_lemmas",
@@ -399,31 +373,20 @@ def matrix_lemma_cases(instances: int, seed: int) -> tuple[np.ndarray, np.ndarra
     return lemma_ok, gaps
 
 
-def run_suites(
-    names=None,
-    seed: int = 0,
-    instances: int | None = None,
-    inject_fault: str | None = None,
-) -> list[SuiteReport]:
+def run_suites(names=None, seed: int = 0, instances: int | None = None) -> list[SuiteReport]:
     """Run the named suites (all by default) and return their reports.
 
     ``instances`` (at least 1) overrides each suite's case count, and each
-    suite's own default applies without it; ``inject_fault`` names a suite
-    whose comparison is perturbed (test hook for the failure path)."""
+    suite's own default applies without it.  Each suite function is looked
+    up in the module when it runs, so one rebound later (a wrapper, a test
+    double) is the one that runs."""
     if instances is not None and instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     names = tuple(names) if names else SUITE_NAMES
-    runners = {
-        "class_equivalence": suite_class_equivalence,
-        "swz": suite_swz,
-        "mc": suite_mc,
-        "codebook": suite_codebook,
-        "matrix_lemmas": suite_matrix_lemmas,
-    }
     counts = () if instances is None else (instances,)
     reports = []
     for name in names:
-        if name not in runners:
+        if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-        reports.append(runners[name](*counts, seed=seed, inject_fault=inject_fault == name))
+        reports.append(globals()["suite_" + name](*counts, seed=seed))
     return reports

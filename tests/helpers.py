@@ -1,19 +1,21 @@
 """Helpers shared by the tests: finite-difference checks of the Gaussian
 sum-rate objective's branch gradients, the inverse of the packed Hermitian
 parameterization, the additive test channel of a quantizer, one-shot
-references of the two Monte Carlo samplers and a traced-memory probe."""
+references of the two Monte Carlo samplers, a traced-memory probe and the
+faults that the failure-path tests of the ``verify`` suites inject."""
 
 from __future__ import annotations
 
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from ocran import _linalg as la
-from ocran.core import CodebookEnsemble, SubsetPair
+from ocran import verify
+from ocran.core import CodebookEnsemble, RateRegion, SubsetPair
 from ocran.gaussian import GaussianScenario, QuantizerSetGaussian
 from ocran.optimize import (IMPROVE_TOL, _GaussianObjective, _layout, _pack_hermitian, _real_form,
                             _row_sqnorm, _unpack_flat)
@@ -190,3 +192,42 @@ def mc_mutual_information_one_shot(
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
     return mean, math.sqrt(var / samples)
+
+
+FAULT_BUMP = 1e-3  # bits added to a suite's comparison by an injected fault
+
+
+def inject_suite_fault(monkeypatch, suite: str) -> None:
+    """Perturb one comparison inside a ``verify`` suite (by FAULT_BUMP, or
+    more where that would leave it passing) so that the suite fails, by
+    rebinding a function the suite calls."""
+    if suite == "class_equivalence":
+        # every thm1 bound moves by the bump, so every instance fails
+        region_discrete = verify.region_discrete
+
+        def faulty(sc, aux, which="thm1"):
+            r = region_discrete(sc, aux, which)
+            return r if which == "thm3" else RateRegion(r.num_users, r.bounds + FAULT_BUMP)
+
+        monkeypatch.setattr(verify, "region_discrete", faulty)
+    elif suite == "mc":
+        mc_mutual_information = verify.mc_mutual_information
+
+        def faulty(*args, **kwargs):
+            est = mc_mutual_information(*args, **kwargs)
+            return replace(est, estimate=est.estimate + 100 * FAULT_BUMP)
+
+        monkeypatch.setattr(verify, "mc_mutual_information", faulty)
+    elif suite == "matrix_lemmas":
+        # the mean ordering usually holds with far more slack than the bump,
+        # so the first instance's gap is moved to its failing side
+        matrix_lemma_cases = verify.matrix_lemma_cases
+
+        def faulty(instances, seed):
+            lemma_ok, gaps = matrix_lemma_cases(instances, seed)
+            gaps[0] = max(gaps[0], 0.0) + FAULT_BUMP
+            return lemma_ok, gaps
+
+        monkeypatch.setattr(verify, "matrix_lemma_cases", faulty)
+    else:
+        raise ValueError(f"no fault defined for suite {suite!r}")

@@ -17,6 +17,8 @@ from ocran.gaussian import GaussianEvaluator
 from ocran.verify import (random_aux, random_factorizing_scenario, random_gaussian_scenario,
                           random_quantizers)
 
+from helpers import inject_suite_fault
+
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
@@ -303,6 +305,32 @@ def test_codebook_check_blocklength_below_one_exit_2(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "--blocklength must be at least 1" in err
+
+
+@pytest.mark.parametrize("rate", ["0", "1e-6"])
+def test_codebook_check_blocklength_above_its_cap_exit_2(tmp_path, capsys, rate):
+    # at rate 0 the codebook holds one codeword, so no codeword or draw
+    # guard binds; the cap is checked before the time-sharing sequence of
+    # that length is drawn (drawing it would exit 3 with a MemoryError)
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    out = tmp_path / "cb.json"
+    argv = ["codebook-check", "--scenario", scenario, "--blocklength", "10000000000000",
+            "--rate", rate, "--trials", "1", "--out", str(out)]
+    rc = main(argv)
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "--blocklength must be at most 10000" in err
+
+
+def test_codebook_check_blocklength_at_its_cap_runs(tmp_path, capsys):
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    out = tmp_path / "cb.json"
+    argv = ["codebook-check", "--scenario", scenario, "--blocklength", "10000",
+            "--rate", "0", "--trials", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(json.loads(out.read_text())["tv_per_position"]) == 10000
 
 
 def test_sampler_counts_below_their_minimum_exit_2(tmp_path, capsys):
@@ -685,32 +713,26 @@ class TestVerifyCommand:
             parser.parse_args(["verify", "--threads", "2"])
         assert exc.value.code == 2
 
-    def test_injected_fault_fails_with_named_suite(self, tmp_path, capsys):
-        rc = main(
-            [
-                "verify",
-                "--suite",
-                "class_equivalence",
-                "--instances",
-                "4",
-                "--inject-fault",
-                "class_equivalence",
-            ]
-        )
+    def test_injected_fault_fails_with_named_suite(self, tmp_path, capsys, monkeypatch):
+        inject_suite_fault(monkeypatch, "class_equivalence")
+        rc = main(["verify", "--suite", "class_equivalence", "--instances", "4"])
         captured = capsys.readouterr()
         assert rc == 1
         assert "class_equivalence" in captured.err
         payload = json.loads(captured.out)
         assert payload["passed"] is False
+        assert payload["suites"][0]["cases"] == payload["suites"][0]["failures"] == 4
 
     @pytest.mark.parametrize("instances", [1, 50, 200])
-    def test_injected_matrix_lemma_fault_fails_at_any_count(self, instances, capsys):
+    def test_injected_matrix_lemma_fault_fails_at_any_count(self, instances, capsys, monkeypatch):
         args = ["verify", "--suite", "matrix_lemmas", "--instances", str(instances)]
         assert main(args) == 0
         capsys.readouterr()
-        assert main(args + ["--inject-fault", "matrix_lemmas"]) == 1
+        inject_suite_fault(monkeypatch, "matrix_lemmas")
+        assert main(args) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is False
+        assert payload["suites"][0]["cases"] == instances
         assert payload["suites"][0]["failures"] == 1
 
 

@@ -17,6 +17,7 @@ from ocran.discrete import (
     identity_aux,
     region_discrete,
 )
+from ocran.sumrate import _wyner_ziv_rate
 from ocran.verify import random_aux, random_correlated_scenario, random_factorizing_scenario
 
 
@@ -149,7 +150,7 @@ class TestCmi:
         j = build_joint(noiseless_single(), identity_aux(noiseless_single()))
         assert cmi(j, set(), {"Y1"}) == 0.0
 
-    @pytest.mark.parametrize("term", ["cmi", "i_uy"])
+    @pytest.mark.parametrize("term", ["cmi", "wyner_ziv"])
     @pytest.mark.parametrize("shift", [5e-10, 2e-9])
     def test_negative_value_raises_beyond_rounding(self, term, shift):
         # both terms are 0 here; lowering one cached entropy by `shift`
@@ -157,11 +158,13 @@ class TestCmi:
         if term == "cmi":
             j = JointPmf(np.outer([0.3, 0.7], [0.6, 0.4]), ("X1", "Y1"))
             key, value = {"X1"}, lambda: cmi(j, {"X1"}, {"Y1"})
+            j._entropy_cache[frozenset(key)] = j.entropy(key) - shift
         else:
+            # I(U_1; Y_1 | Q) = H(U_1, Q) - H(Q) - H(U_1 | Y_1, Q)
             sc = noiseless_single()
             ev = DiscreteEvaluator.from_aux(sc, constant_aux(sc))
-            j, key, value = ev.joint, {"U1", "Q"}, lambda: ev.i_uy((1,))
-        j._entropy_cache[frozenset(key)] = j.entropy(key) - shift
+            ev._u_entropies(frozenset({"Q"}))[1] -= shift
+            value = lambda: _wyner_ziv_rate(ev, 1, ())
         if shift <= NEGATIVE_INFO_TOL:
             assert value() == 0.0
         else:

@@ -18,6 +18,8 @@ from ocran.verify import (
     suite_mc,
 )
 
+from helpers import inject_suite_fault
+
 
 def per_matrix_case(instance_seed):
     """One matrix_lemmas instance, drawn and checked one matrix at a time."""
@@ -61,20 +63,23 @@ def test_suite_report_is_built_from_the_cases():
     assert report.worst_gap == float(gaps.max())
 
 
-def test_injected_fault_fails_matrix_lemmas():
+def test_injected_fault_fails_matrix_lemmas(monkeypatch):
     # the mean ordering usually holds with far more slack than 1e-3, so the
     # fault must fail the suite at any count, not only where a gap is near 0
     for instances in (1, 50, 200):
         clean = suite_matrix_lemmas(instances=instances, seed=0)
-        faulty = suite_matrix_lemmas(instances=instances, seed=0, inject_fault=True)
+        with monkeypatch.context() as patch:
+            inject_suite_fault(patch, "matrix_lemmas")
+            faulty = suite_matrix_lemmas(instances=instances, seed=0)
         assert clean.failures == 0
         assert faulty.failures == 1
         assert faulty.worst_gap >= 1e-3
 
 
-def test_injected_fault_fails_mc():
+def test_injected_fault_fails_mc(monkeypatch):
     clean = suite_mc(instances=2, seed=0, samples=20_000)
-    faulty = suite_mc(instances=2, seed=0, samples=20_000, inject_fault=True)
+    inject_suite_fault(monkeypatch, "mc")
+    faulty = suite_mc(instances=2, seed=0, samples=20_000)
     assert clean.failures == 0
     assert faulty.failures == 2
     assert faulty.worst_gap > clean.worst_gap
