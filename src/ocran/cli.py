@@ -49,7 +49,7 @@ from .core import (
     sample_codebook_marginal,
     scenario_sha256,
 )
-from .discrete import AuxChannels, DiscreteScenario, region_discrete
+from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, region_discrete
 from .gaussian import GaussianEvaluator, GaussianScenario, QuantizerSetGaussian, region_gaussian
 from .optimize import (
     OptimizerConfig,
@@ -57,7 +57,7 @@ from .optimize import (
     optimize_discrete_aux,
     optimize_gaussian_quantizers,
 )
-from .sumrate import extreme_points, jd_sum_rate, swz_equals_jd
+from .sumrate import extreme_points, jd_subset_bounds, jd_sum_rate, swz_equals_jd
 from .verify import SUITE_NAMES, run_suites
 
 EXIT_OK = 0
@@ -182,6 +182,14 @@ def _quantizers(args, sc) -> QuantizerSetGaussian | AuxChannels:
     return aux
 
 
+def _evaluator(args, sc) -> GaussianEvaluator | DiscreteEvaluator:
+    """The evaluator of the fixed quantizers that ``_quantizers`` reads."""
+    q = _quantizers(args, sc)
+    if isinstance(sc, GaussianScenario):
+        return GaussianEvaluator.from_quantizers(sc, q)
+    return DiscreteEvaluator.from_aux(sc, q)
+
+
 def _scenario_region(args, sc) -> RateRegion:
     q = _quantizers(args, sc)
     if isinstance(sc, GaussianScenario):
@@ -278,13 +286,11 @@ def cmd_optimize(args, sc, emit):
 
 
 def cmd_sumrate(args, sc, emit):
-    q = _quantizers(args, sc)
-    if isinstance(sc, GaussianScenario):
-        bounds = GaussianEvaluator.from_quantizers(sc, q).subset_bounds()
-        rows = [{"S_mask": s, "bound_bits": float(b)} for s, b in enumerate(bounds)]
-        payload = {"sum_rate_bits": max(0.0, float(bounds.min())), "subset_bounds": rows}
-    else:
-        payload = {"sum_rate_bits": jd_sum_rate(sc, q)}
+    ev = _evaluator(args, sc)
+    payload = {"sum_rate_bits": jd_sum_rate(ev)}
+    if isinstance(ev, GaussianEvaluator):
+        payload["subset_bounds"] = [{"S_mask": s, "bound_bits": float(b)}
+                                    for s, b in enumerate(jd_subset_bounds(ev))]
     emit.write_json(payload, args.out)
 
 
@@ -293,9 +299,8 @@ def cmd_extreme_points(args, sc, emit):
         raise CapacityError("extreme-points enumerates K! orderings; K <= 6 required")
     if args.rsum is not None and not math.isfinite(args.rsum):
         raise ScenarioError(f"--rsum must be a finite number, got {args.rsum!r}")
-    aux = _quantizers(args, sc)
     lines = ["ordering,k,relay,C_tilde_bits"]
-    for pi, point in extreme_points(sc, aux, args.rsum):
+    for pi, point in extreme_points(_evaluator(args, sc), args.rsum):
         label = "-".join(str(k) for k in pi)
         for pos, relay in enumerate(pi, start=1):
             lines.append(f"{label},{pos},{relay},{fmt_bits(point[relay - 1])}")
@@ -303,7 +308,7 @@ def cmd_extreme_points(args, sc, emit):
 
 
 def cmd_swz_check(args, sc, emit):
-    cmp_res = swz_equals_jd(sc, _quantizers(args, sc))
+    cmp_res = swz_equals_jd(_evaluator(args, sc))
     payload = {
         "jd_sum_rate": cmp_res.jd_sum_rate,
         "best_ordering": list(cmp_res.best_ordering),

@@ -45,7 +45,7 @@ from .gaussian import (
     ScenarioTerms,
     fronthaul_bits,
 )
-from .sumrate import _jd_sum_rate
+from .sumrate import jd_sum_rate
 
 ACTIVE_TOL = 1e-9
 IMPROVE_TOL = 1e-12
@@ -723,7 +723,7 @@ def optimize_discrete_aux(
         return params.pull_back(tables, factors.sum_rate_jacobian(ev, tables, chain))
 
     def objective(p):
-        value = _jd_sum_rate(p[3])
+        value = jd_sum_rate(p[2])
         return value, np.array([value])
 
     def start(index: int) -> np.ndarray:

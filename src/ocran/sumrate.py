@@ -2,13 +2,14 @@
 behind the fronthaul polytope, its per-ordering extreme points, and the
 time-shared successive Wyner-Ziv scheme that dominates each extreme point.
 
-Every quantity here reads the joint-decoding subset bounds b_S of
-``DiscreteEvaluator.subset_bounds`` or the entropy vectors they are made
-of: g(S) = R_sum + C_S - b_S is formed once as a vector, I(U_all; X_all | Q)
-is b_{}, and separate decompression asks R_sum <= b_{} and b_S >= b_{} for
-every S.  The Wyner-Ziv rates and the rate of the successive scheme are
-differences of the 2^K entropies H(U_m, Q) and H(U_m, X_all, Q) that the
-bounds already took; this layer computes no entropy of its own.
+Every function takes the evaluator ``ev`` of one (scenario, quantizer) pair
+and forms its subset bounds b_S = ``ev.subset_bounds()`` at most once per
+call: g(S) = R_sum + C_S - b_S is one vector, I(U_all; X_all | Q) is b_{},
+and separate decompression asks R_sum <= b_{} and b_S >= b_{} for every S.
+The functions that read only b_S and the fronthaul take either evaluator
+(``Evaluator``).  The Wyner-Ziv functions take a ``DiscreteEvaluator``: their
+rates are differences of the 2^K entropies H(U_m, Q) and H(U_m, X_all, Q)
+that the bounds already took, so this layer computes no entropy of its own.
 
 Ordering conventions
 --------------------
@@ -24,7 +25,8 @@ Two permutations of the relays appear and they are *not* the same object:
   previously recovered codewords as side information.
 
 All rates are in bits.  K! enumerations keep lexicographic order so reported
-tie-breaks are deterministic.
+tie-breaks are deterministic.  Bad input raises ``ScenarioError``, and an
+enumeration beyond its size guard ``CapacityError``.
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .core import mask_of, subset_sums
-from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, _nonnegative
+from .core import CapacityError, ScenarioError, mask_of, subset_sums
+from .discrete import DiscreteEvaluator, _nonnegative
+from .gaussian import GaussianEvaluator
+
+Evaluator = DiscreteEvaluator | GaussianEvaluator
 
 INVARIANT_TOL = 1e-9
 ALPHA_DENOM_TOL = 1e-12
@@ -47,41 +52,43 @@ PIVOT_TOL = 1e-12
 Q_ONLY = frozenset({"Q"})  # the conditioning set of the entropies H(U_m, Q)
 
 
-def _check_r_sum(r_sum) -> float:
-    """r_sum as a float; NaN and +-inf are rejected, since every comparison
-    against them is vacuous."""
-    r = float(r_sum)
-    if not math.isfinite(r):
-        raise ValueError(f"r_sum must be finite, got {r_sum!r}")
-    return r
+def _polytope(ev: Evaluator, r_sum=None) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """(b_S, the joint-decoding sum-rate, R_sum, g) from one formation of
+    the subset bounds b_S.  The sum-rate is min_S b_S floored at 0; R_sum is
+    ``r_sum`` or, when that is None, the sum-rate; and
+    g(S) = R_sum + C_S - b_S for every relay set S, indexed by bitmask, so
+    g({}) = R_sum - I(U_all; X_all | Q)."""
+    bounds = ev.subset_bounds()
+    jd = max(0.0, float(bounds.min()))
+    r = jd if r_sum is None else float(r_sum)
+    if not math.isfinite(r):  # every comparison against NaN or +-inf is vacuous
+        raise ScenarioError(f"r_sum must be finite, got {r_sum!r}")
+    return bounds, jd, r, r + subset_sums(np.asarray(ev.sc.fronthaul)) - bounds
 
 
-def jd_subset_bounds(sc: DiscreteScenario, aux: AuxChannels) -> np.ndarray:
+def jd_subset_bounds(ev: Evaluator) -> np.ndarray:
     """Per-relay-subset sum-rate bounds of joint decompression-decoding,
     indexed by subset bitmask:
     sum_{s in S} C_s - I(Y_S;U_S|X_all,U_{S^c},Q) + I(U_{S^c};X_all|Q),
-    the thm3 bound at T = all users."""
-    return DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
+    the thm3 bound at T = all users (the Gaussian bound of all users for a
+    ``GaussianEvaluator``)."""
+    return ev.subset_bounds()
 
 
-def jd_sum_rate(sc: DiscreteScenario, aux: AuxChannels) -> float:
+def jd_sum_rate(ev: Evaluator) -> float:
     """Largest sum-rate allowed by the joint-decompression-decoding bounds
     (the smallest subset bound), floored at 0."""
-    return _jd_sum_rate(DiscreteEvaluator.from_aux(sc, aux).subset_bounds())
+    return _polytope(ev)[1]
 
 
-def _jd_sum_rate(bounds: np.ndarray) -> float:
-    """The joint-decoding sum-rate from the subset bounds b_S."""
-    return max(0.0, float(bounds.min()))
+def g_function(ev: Evaluator, r_sum: float) -> np.ndarray:
+    """Set function g(S) = R_sum + I(U_S;Y_S|U_{S^c},Q) - I(U_all;X_all|Q)
+    = R_sum + C_S - b_S for every relay set S, indexed by bitmask.  Its
+    positive part max(g, 0) defines the fronthaul polytope."""
+    return _polytope(ev, r_sum)[3]
 
 
-def _g(sc: DiscreteScenario, bounds: np.ndarray, r_sum: float) -> np.ndarray:
-    """g(S) = R_sum + C_S - b_S for every relay set S, indexed by bitmask,
-    from the subset bounds b_S; g({}) = R_sum - I(U_all; X_all | Q)."""
-    return r_sum + subset_sums(np.asarray(sc.fronthaul)) - bounds
-
-
-def sd_achievable(sc: DiscreteScenario, aux: AuxChannels, r_sum: float) -> bool:
+def sd_achievable(ev: Evaluator, r_sum: float) -> bool:
     """Feasibility of separate decompression-then-decoding at sum-rate r_sum:
     r_sum <= I(X_all; U_all | Q) and, for every relay subset S,
     sum_{s in S} C_s >= I(U_S; Y_S | U_{S^c}, Q).  In the subset bounds b_S
@@ -90,37 +97,20 @@ def sd_achievable(sc: DiscreteScenario, aux: AuxChannels, r_sum: float) -> bool:
 
     The propositions' strict inequalities are tested non-strictly with
     tolerance INVARIANT_TOL because achievable regions are closures."""
-    r_sum = _check_r_sum(r_sum)
-    bounds = DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
+    bounds, _, r_sum, _ = _polytope(ev, r_sum)
     floor = bounds[0] - INVARIANT_TOL
     return bool(r_sum <= bounds[0] + INVARIANT_TOL and np.all(bounds >= floor))
 
 
-def g_function(
-    sc: DiscreteScenario, aux: AuxChannels, r_sum: float, relays, positive_part: bool = False
-) -> float:
-    """Set function g(S) = R_sum + I(U_S;Y_S|U_{S^c},Q) - I(U_all;X_all|Q).
-
-    With ``positive_part`` the value is floored at 0 (the form that defines
-    the fronthaul polytope)."""
-    bounds = DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
-    val = float(_g(sc, bounds, _check_r_sum(r_sum))[mask_of(relays)])
-    return max(0.0, val) if positive_part else val
-
-
-def check_supermodular(
-    sc: DiscreteScenario, aux: AuxChannels, r_sum: float
-) -> tuple[bool, float]:
+def check_supermodular(ev: Evaluator, r_sum: float) -> tuple[bool, float]:
     """Exhaustively verify supermodularity of max(g, 0):
     g+(S+i+j) + g+(S) >= g+(S+i) + g+(S+j) for all S and i != j outside S.
 
     Returns (all inequalities hold within 1e-10, worst slack)."""
-    kk = sc.num_relays
+    kk = ev.sc.num_relays
     if kk > 12:
-        raise ValueError("supermodularity check is exhaustive; K <= 12 required")
-    r_sum = _check_r_sum(r_sum)
-    bounds = DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
-    gp = np.maximum(_g(sc, bounds, r_sum), 0.0)
+        raise CapacityError("supermodularity check is exhaustive; K <= 12 required")
+    gp = np.maximum(g_function(ev, r_sum), 0.0)
     masks = np.arange(1 << kk)
     worst = 0.0 if kk == 1 else math.inf  # K = 1: nothing to check
     for i, j in combinations([1 << k for k in range(kk)], 2):
@@ -129,49 +119,41 @@ def check_supermodular(
     return worst >= -1e-10, worst
 
 
-def extreme_point(
-    sc: DiscreteScenario, aux: AuxChannels, r_sum: float, ordering
-) -> np.ndarray:
+def extreme_point(ev: Evaluator, r_sum: float, ordering) -> np.ndarray:
     """Extreme point of the fronthaul polytope for one chain ordering:
     entry ordering[k-1] gets g+(first k) - g+(first k-1).
 
     The result is indexed by relay (position k-1 holds relay k's fronthaul)
     and telescopes to g+(all relays).  An r_sum above I(U_all; X_all | Q),
-    beyond INVARIANT_TOL, raises ``ValueError``: the polytope is empty."""
-    r_sum = _check_r_sum(r_sum)
-    return _extreme_points(sc, aux, r_sum, [_check_ordering(ordering, sc.num_relays)])[0][1]
+    beyond INVARIANT_TOL, raises ``ScenarioError``: the polytope is empty."""
+    return _extreme_points(ev, r_sum, [_check_ordering(ordering, ev.sc.num_relays)])[0][1]
 
 
-def extreme_points(
-    sc: DiscreteScenario, aux: AuxChannels, r_sum: float | None = None
-) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """``(ordering, extreme_point(sc, aux, r_sum, ordering))`` for every
-    chain ordering, in lexicographic order, from one joint.
+def extreme_points(ev: Evaluator,
+                   r_sum: float | None = None) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """``(ordering, extreme_point(ev, r_sum, ordering))`` for every chain
+    ordering, in lexicographic order, from one formation of the bounds.
 
     ``r_sum`` defaults to the joint-decoding sum-rate."""
-    r_sum = None if r_sum is None else _check_r_sum(r_sum)
-    return _extreme_points(sc, aux, r_sum, permutations(range(1, sc.num_relays + 1)))
+    return _extreme_points(ev, r_sum, permutations(range(1, ev.sc.num_relays + 1)))
 
 
-def _extreme_points(sc: DiscreteScenario, aux: AuxChannels, r_sum: float | None, orderings):
+def _extreme_points(ev: Evaluator, r_sum: float | None, orderings):
     """(pi, extreme point) for each chain ordering pi, from one g at r_sum
     (None: the joint-decoding sum-rate).  An r_sum above I(U_all; X_all | Q)
     = b_{} raises: the S = {} row of the fronthaul polytope then asks for
     0 >= g({}) = r_sum - I(U_all; X_all | Q) > 0, so the polytope is empty."""
-    bounds = DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
-    if r_sum is None:
-        r_sum = _jd_sum_rate(bounds)
-    elif r_sum > bounds[0] + INVARIANT_TOL:
-        raise ValueError(f"r_sum = {r_sum!r} exceeds I(U; X | Q) = {float(bounds[0])!r}; "
-                         "the fronthaul polytope is empty")
-    g = _g(sc, bounds, r_sum)
+    bounds, _, r_sum, g = _polytope(ev, r_sum)
+    if r_sum > bounds[0] + INVARIANT_TOL:
+        raise ScenarioError(f"r_sum = {r_sum!r} exceeds I(U; X | Q) = {float(bounds[0])!r}; "
+                            "the fronthaul polytope is empty")
     return [(pi, _extreme_point(_chain_g(g, pi), pi)) for pi in orderings]
 
 
 def _check_ordering(ordering, num_relays: int) -> tuple[int, ...]:
     pi = tuple(int(k) for k in ordering)
     if sorted(pi) != list(range(1, num_relays + 1)):
-        raise ValueError(f"ordering must be a permutation of 1..{num_relays}")
+        raise ScenarioError(f"ordering must be a permutation of 1..{num_relays}")
     return pi
 
 
@@ -194,30 +176,27 @@ def _extreme_point(chain: list[float], pi: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def swz_required_fronthaul(
-    sc: DiscreteScenario, aux: AuxChannels, ordering
-) -> tuple[np.ndarray, float]:
+def swz_required_fronthaul(ev: DiscreteEvaluator, ordering) -> tuple[np.ndarray, float]:
     """Fronthaul needed by plain successive Wyner-Ziv decoding in the given
     decode order: relay pi(k) needs I(U_{pi(k)}; Y_{pi(k)} | U_{pi(1..k-1)}, Q).
 
     Returns (per-relay requirements indexed by relay, successive-decoding
     sum-rate sum_l I(X_l; U_all | X_1..X_{l-1}, Q)).  By the chain rule that
     sum is I(X_all; U_all | Q), the S = {} subset bound."""
-    pi = _check_ordering(ordering, sc.num_relays)
-    info = DiscreteEvaluator.from_aux(sc, aux)
-    req = np.zeros(sc.num_relays)
-    for k in range(1, sc.num_relays + 1):
-        req[pi[k - 1] - 1] = _wyner_ziv_rate(info, pi[k - 1], pi[: k - 1])
-    return req, float(info.subset_bounds()[0])
+    pi = _check_ordering(ordering, ev.sc.num_relays)
+    req = np.zeros(ev.sc.num_relays)
+    for k in range(1, ev.sc.num_relays + 1):
+        req[pi[k - 1] - 1] = _wyner_ziv_rate(ev, pi[k - 1], pi[: k - 1])
+    return req, float(ev.subset_bounds()[0])
 
 
-def _wyner_ziv_rate(info: DiscreteEvaluator, relay: int, side) -> float:
+def _wyner_ziv_rate(ev: DiscreteEvaluator, relay: int, side) -> float:
     """I(U_k; Y_k | U_side, Q) of relay k given the codewords of the relays
     ``side``: H(U_side, U_k, Q) - H(U_side, Q) - H(U_k | Y_k, Q), from the
     evaluator's entropies H(U_m, Q).  Rounding dust down to
     -NEGATIVE_INFO_TOL reads 0; a more negative value raises."""
-    h, m = info._u_entropies(Q_ONLY), mask_of(side)
-    return _nonnegative(h[m | 1 << (relay - 1)] - h[m] - info.h_u_given_y[relay - 1],
+    h, m = ev._u_entropies(Q_ONLY), mask_of(side)
+    return _nonnegative(h[m | 1 << (relay - 1)] - h[m] - ev.h_u_given_y[relay - 1],
                         "Wyner-Ziv rate I(U_k; Y_k | U_side, Q)")
 
 
@@ -241,35 +220,30 @@ class OrderingResult:
     scheme_sum_rate: float
 
 
-def swz_dominating_point(
-    sc: DiscreteScenario, aux: AuxChannels, r_sum: float, ordering
-) -> OrderingResult:
+def swz_dominating_point(ev: DiscreteEvaluator, r_sum: float, ordering) -> OrderingResult:
     """Time-shared successive Wyner-Ziv point dominating one extreme point.
 
-    Requires r_sum <= jd_sum_rate(sc, aux) (otherwise the fronthaul polytope
+    Requires r_sum <= jd_sum_rate(ev) (otherwise the fronthaul polytope
     is empty and the construction is meaningless); a larger r_sum, beyond
-    INVARIANT_TOL, raises ``ValueError``.  Relays before the pivot position
+    INVARIANT_TOL, raises ``ScenarioError``.  Relays before the pivot position
     stay silent; the pivot relay is active only a (1 - idle_fraction) share
     of the time; later chain relays are always active.  Decoding runs through
     the chain in reverse.
     """
-    r_sum = _check_r_sum(r_sum)
-    pi = _check_ordering(ordering, sc.num_relays)
-    info = DiscreteEvaluator.from_aux(sc, aux)
-    bounds = info.subset_bounds()
-    jd = _jd_sum_rate(bounds)
+    pi = _check_ordering(ordering, ev.sc.num_relays)
+    _, jd, r_sum, g = _polytope(ev, r_sum)
     if r_sum > jd + INVARIANT_TOL:
-        raise ValueError(
+        raise ScenarioError(
             f"r_sum = {r_sum!r} exceeds the joint-decoding sum-rate {jd!r}; "
             "the fronthaul polytope is empty"
         )
-    return _swz_dominating_point(info, _g(sc, bounds, r_sum), r_sum, pi)
+    return _swz_dominating_point(ev, g, r_sum, pi)
 
 
 def _swz_dominating_point(
-    info: DiscreteEvaluator, g: np.ndarray, r_sum: float, pi: tuple[int, ...]
+    ev: DiscreteEvaluator, g: np.ndarray, r_sum: float, pi: tuple[int, ...]
 ) -> OrderingResult:
-    kk = info.sc.num_relays
+    kk = ev.sc.num_relays
     chain = _chain_g(g, pi)
     c_tilde = _extreme_point(chain, pi)
     pivot = next((k for k in range(1, kk + 1) if chain[k] > PIVOT_TOL), None)
@@ -277,14 +251,14 @@ def _swz_dominating_point(
     if pivot is not None:
         # per-relay description rates conditioned on the later chain relays
         for k in range(pivot, kk + 1):
-            c_prime[pi[k - 1] - 1] = _wyner_ziv_rate(info, pi[k - 1], pi[k:])
+            c_prime[pi[k - 1] - 1] = _wyner_ziv_rate(ev, pi[k - 1], pi[k:])
         denom = c_prime[pi[pivot - 1] - 1]
         g_before = chain[pivot - 1] if abs(chain[pivot - 1]) > PIVOT_TOL else 0.0
         alpha = 1.0 if denom < ALPHA_DENOM_TOL else min(1.0, max(0.0, -g_before / denom))
         c_prime[pi[pivot - 1] - 1] = (1.0 - alpha) * denom
         # I(X; U_A | Q) - alpha I(X; U_pivot | U_L, Q) with A the active relays
         # (the pivot and later) and L the later ones, in cmi's term order
-        h, hx = info._u_entropies(Q_ONLY), info._u_entropies(info.x_all | Q_ONLY)
+        h, hx = ev._u_entropies(Q_ONLY), ev._u_entropies(ev.x_all | Q_ONLY)
         active, later = mask_of(pi[pivot - 1:]), mask_of(pi[pivot:])
         i_active = _nonnegative(hx[0] + h[active] - hx[active] - h[0], "I(X; U_A | Q)")
         i_pivot = _nonnegative(hx[later] + h[active] - hx[active] - h[later],
@@ -329,23 +303,20 @@ class SumRateComparison:
         return bool(self.gap <= INVARIANT_TOL)
 
 
-def swz_equals_jd(sc: DiscreteScenario, aux: AuxChannels) -> SumRateComparison:
+def swz_equals_jd(ev: DiscreteEvaluator) -> SumRateComparison:
     """Compare the joint-decoding sum-rate against the best time-shared
     successive Wyner-Ziv construction over all K! chain orderings.
 
     The gap jd - best is expected to be <= 1e-9 (the construction dominates);
     ties between orderings resolve to the lexicographically smallest."""
-    if sc.num_relays > 8:
-        raise ValueError("all-orderings comparison is factorial; K <= 8 required")
-    info = DiscreteEvaluator.from_aux(sc, aux)
-    bounds = info.subset_bounds()
-    target = _jd_sum_rate(bounds)
-    g = _g(sc, bounds, target)
+    if ev.sc.num_relays > 8:
+        raise CapacityError("all-orderings comparison is factorial; K <= 8 required")
+    _, target, _, g = _polytope(ev)
     results = []
     best = -math.inf
     best_pi = None
-    for pi in permutations(range(1, sc.num_relays + 1)):
-        res = _swz_dominating_point(info, g, target, pi)
+    for pi in permutations(range(1, ev.sc.num_relays + 1)):
+        res = _swz_dominating_point(ev, g, target, pi)
         results.append(res)
         if res.scheme_sum_rate > best + INVARIANT_TOL:
             best = res.scheme_sum_rate

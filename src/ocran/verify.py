@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _linalg as la
 from .core import CodebookEnsemble, SubsetPair, indices_of, sample_codebook_marginal, spawn_seeds
-from .discrete import AuxChannels, DiscreteScenario, region_discrete
+from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, region_discrete
 from .gaussian import (
     GaussianEvaluator,
     GaussianScenario,
@@ -60,25 +60,16 @@ def random_factorizing_scenario(
     fronthaul_range=(0.1, 1.5),
 ) -> DiscreteScenario:
     """Random scenario whose relay outputs are independent given the inputs."""
-    input_sizes = input_sizes or (2,) * num_users
-    output_sizes = output_sizes or (2,) * num_relays
-    px = tuple(rng.dirichlet(np.ones(n), size=num_timeshare) for n in input_sizes)
-    channel = np.ones(tuple(input_sizes) + tuple(output_sizes))
-    for k, y_size in enumerate(output_sizes):
-        marg = rng.dirichlet(np.ones(y_size), size=tuple(input_sizes))
-        shape = tuple(input_sizes) + tuple(
-            y_size if i == k else 1 for i in range(num_relays)
-        )
-        channel = channel * marg.reshape(shape)
-    ts = rng.dirichlet(np.ones(num_timeshare)) if num_timeshare > 1 else np.array([1.0])
-    return DiscreteScenario(
-        num_users=num_users,
-        num_relays=num_relays,
-        fronthaul=tuple(rng.uniform(*fronthaul_range, size=num_relays)),
-        time_share=tuple(ts),
-        px=px,
-        channel=channel,
-    )
+
+    def channel(xs, ys):
+        out = np.ones(xs + ys)
+        for k, y_size in enumerate(ys):
+            marg = rng.dirichlet(np.ones(y_size), size=xs)
+            out = out * marg.reshape(xs + tuple(y_size if i == k else 1 for i in range(len(ys))))
+        return out
+
+    return _random_scenario(rng, channel, num_users, num_relays, input_sizes, output_sizes,
+                            num_timeshare, fronthaul_range)
 
 
 def random_correlated_scenario(
@@ -91,12 +82,24 @@ def random_correlated_scenario(
     fronthaul_range=(0.1, 1.5),
 ) -> DiscreteScenario:
     """Random scenario with an arbitrary (generally non-factorizing) channel."""
-    input_sizes = input_sizes or (2,) * num_users
-    output_sizes = output_sizes or (2,) * num_relays
-    px = tuple(rng.dirichlet(np.ones(n), size=num_timeshare) for n in input_sizes)
-    y_total = int(np.prod(output_sizes))
-    flat = rng.dirichlet(np.ones(y_total), size=tuple(input_sizes))
-    channel = flat.reshape(tuple(input_sizes) + tuple(output_sizes))
+
+    def channel(xs, ys):
+        return rng.dirichlet(np.ones(int(np.prod(ys))), size=xs).reshape(xs + ys)
+
+    return _random_scenario(rng, channel, num_users, num_relays, input_sizes, output_sizes,
+                            num_timeshare, fronthaul_range)
+
+
+def _random_scenario(rng, channel, num_users, num_relays, input_sizes, output_sizes,
+                     num_timeshare, fronthaul_range) -> DiscreteScenario:
+    """The body of the random discrete scenarios: alphabets of size 2 by
+    default, and draws in a fixed order: the input pmfs, the channel
+    p(y | x) (``channel(input_sizes, output_sizes)``), the time share, the
+    fronthaul."""
+    xs = tuple(input_sizes or (2,) * num_users)
+    ys = tuple(output_sizes or (2,) * num_relays)
+    px = tuple(rng.dirichlet(np.ones(n), size=num_timeshare) for n in xs)
+    p_y_x = channel(xs, ys)
     ts = rng.dirichlet(np.ones(num_timeshare)) if num_timeshare > 1 else np.array([1.0])
     return DiscreteScenario(
         num_users=num_users,
@@ -104,7 +107,7 @@ def random_correlated_scenario(
         fronthaul=tuple(rng.uniform(*fronthaul_range, size=num_relays)),
         time_share=tuple(ts),
         px=px,
-        channel=channel,
+        channel=p_y_x,
     )
 
 
@@ -221,7 +224,7 @@ def suite_swz(instances: int = 50, seed: int = 0) -> SuiteReport:
         sc = make(rng, int(rng.integers(1, 3)), 2)
         aux = random_aux(rng, sc, tuple(int(rng.integers(2, 4)) for _ in range(2)))
         try:
-            cmp_res = swz_equals_jd(sc, aux)
+            cmp_res = swz_equals_jd(DiscreteEvaluator.from_aux(sc, aux))
         except ArithmeticError as exc:
             return math.inf, str(exc)
         return cmp_res.gap, ""

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ocran.core import spawn_seeds
+from ocran.discrete import DiscreteEvaluator
 from ocran.gaussian import GaussianScenario, region_gaussian
 from ocran.optimize import OptimizerConfig, optimize_gaussian_quantizers
 from ocran.sumrate import check_supermodular
@@ -114,7 +115,8 @@ def test_criterion_4_supermodularity():
         make = random_factorizing_scenario if factorizing else random_correlated_scenario
         sc = make(rng, int(rng.integers(1, 3)), num_relays)
         aux = random_aux(rng, sc, tuple(int(rng.integers(2, 4)) for _ in range(num_relays)))
-        ok, slack = check_supermodular(sc, aux, float(rng.uniform(0.0, 1.5)))
+        ok, slack = check_supermodular(DiscreteEvaluator.from_aux(sc, aux),
+                                       float(rng.uniform(0.0, 1.5)))
         worst = min(worst, slack)
         assert ok, f"instance {i}: supermodularity slack {slack}"
     elapsed = time.monotonic() - start

@@ -12,8 +12,8 @@ from ocran import _linalg as la
 from ocran import optimize
 from ocran.cli import main
 from ocran.core import ScenarioError, SubsetPair, indices_of, max_weighted_rate, scenario_from_dict
-from ocran.discrete import (AuxChannels, DiscreteScenario, ReducedFactors, build_joint, cmi,
-                            identity_aux)
+from ocran.discrete import (AuxChannels, DiscreteEvaluator, DiscreteScenario, ReducedFactors,
+                            build_joint, cmi, identity_aux)
 from ocran.gaussian import (
     GaussianEvaluator,
     GaussianScenario,
@@ -615,7 +615,7 @@ class TestDiscreteOptimizer:
     def test_beats_handcrafted_candidate(self):
         sc = self._bsc_scenario(0.6)
         noisy_copy = np.array([[[0.9, 0.1], [0.1, 0.9]]])
-        candidate = jd_sum_rate(sc, AuxChannels(tables=(noisy_copy,)))
+        candidate = jd_sum_rate(DiscreteEvaluator.from_aux(sc, AuxChannels(tables=(noisy_copy,))))
         res = optimize_discrete_aux(sc, (2,), OptimizerConfig(restarts=3, seed=3))
         assert res.objective >= candidate - 1e-9
 

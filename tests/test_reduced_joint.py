@@ -186,22 +186,23 @@ def test_sum_rate_and_g(instance):
     users = tuple(range(1, sc.num_users + 1))
     expected = [dense.bound(SubsetPair(users, indices_of(s)), "thm3")
                 for s in range(1 << sc.num_relays)]
-    np.testing.assert_allclose(jd_subset_bounds(sc, aux), expected, atol=TOL, rtol=0)
-    r_sum = jd_sum_rate(sc, aux)
+    ev = DiscreteEvaluator.from_aux(sc, aux)
+    np.testing.assert_allclose(jd_subset_bounds(ev), expected, atol=TOL, rtol=0)
+    r_sum = jd_sum_rate(ev)
     assert r_sum == pytest.approx(dense.jd_sum_rate(), abs=TOL, rel=0)
-    for s_mask in range(1 << sc.num_relays):
-        relays = indices_of(s_mask)
-        for r in (r_sum, 0.5 * r_sum + 0.1):
-            assert g_function(sc, aux, r, relays) == pytest.approx(
-                dense.g(r, relays), abs=TOL, rel=0)
+    for r in (r_sum, 0.5 * r_sum + 0.1):
+        g = g_function(ev, r)
+        for s_mask in range(1 << sc.num_relays):
+            assert g[s_mask] == pytest.approx(dense.g(r, indices_of(s_mask)), abs=TOL, rel=0)
 
 
 def test_separate_decompression(instance):
     sc, aux, joint = instance
     dense = Dense(sc, joint)
     i_ux = cmi(joint, dense.u_all, dense.x_all, {"Q"})
+    ev = DiscreteEvaluator.from_aux(sc, aux)
     for r_sum in (0.0, 0.5 * i_ux, i_ux + 1e-3):
-        assert sd_achievable(sc, aux, r_sum) == dense.sd_achievable(r_sum, 1e-9)
+        assert sd_achievable(ev, r_sum) == dense.sd_achievable(r_sum, 1e-9)
 
 
 def test_every_bound_reads_subset_bounds(instance):
@@ -246,12 +247,13 @@ def test_region_keeps_only_the_marginals_given_q(instance):
 def test_successive_wyner_ziv(instance):
     sc, aux, joint = instance
     dense = Dense(sc, joint)
+    ev = DiscreteEvaluator.from_aux(sc, aux)
     for pi in orderings(sc):
-        req, total = swz_required_fronthaul(sc, aux, pi)
+        req, total = swz_required_fronthaul(ev, pi)
         req_dense, total_dense = dense.required(pi)
         np.testing.assert_allclose(req, req_dense, atol=TOL, rtol=0)
         assert total == pytest.approx(total_dense, abs=TOL, rel=0)
-    cmp_res = swz_equals_jd(sc, aux)
+    cmp_res = swz_equals_jd(ev)
     for res in cmp_res.results:
         point, pivot, alpha, fronthaul, rate, denom = dense.ordering_result(
             cmp_res.jd_sum_rate, res.ordering)
@@ -269,7 +271,7 @@ def test_extreme_points(instance):
     sc, aux, joint = instance
     dense = Dense(sc, joint)
     r_sum = dense.jd_sum_rate()
-    for pi, point in extreme_points(sc, aux):
+    for pi, point in extreme_points(DiscreteEvaluator.from_aux(sc, aux)):
         np.testing.assert_allclose(point, dense.ordering_result(r_sum, pi)[0], atol=TOL, rtol=0)
 
 
@@ -280,7 +282,8 @@ def test_entry_points_never_build_the_dense_joint(monkeypatch, tmp_path):
     monkeypatch.setattr(discrete, "build_joint", refuse)
     _, sc, aux = INSTANCES[-1]  # K = 4, |Q| = 2, correlated
     pair = SubsetPair((1,), (2, 3))
-    r_sum = jd_sum_rate(sc, aux)
+    ev = DiscreteEvaluator.from_aux(sc, aux)
+    r_sum = jd_sum_rate(ev)
     pi = (2, 4, 1, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -288,15 +291,15 @@ def test_entry_points_never_build_the_dense_joint(monkeypatch, tmp_path):
     region_discrete(sc, aux, "thm3")
     for family in ("thm1", "thm3"):
         DiscreteEvaluator.from_aux(sc, aux).bound(pair, family)
-    jd_subset_bounds(sc, aux)
-    g_function(sc, aux, r_sum, (1, 3))
-    sd_achievable(sc, aux, r_sum)
-    check_supermodular(sc, aux, r_sum)
-    extreme_point(sc, aux, r_sum, pi)
-    extreme_points(sc, aux)
-    swz_required_fronthaul(sc, aux, pi)
-    swz_dominating_point(sc, aux, r_sum, pi)
-    swz_equals_jd(sc, aux)
+    jd_subset_bounds(ev)
+    g_function(ev, r_sum)
+    sd_achievable(ev, r_sum)
+    check_supermodular(ev, r_sum)
+    extreme_point(ev, r_sum, pi)
+    extreme_points(ev)
+    swz_required_fronthaul(ev, pi)
+    swz_dominating_point(ev, r_sum, pi)
+    swz_equals_jd(ev)
     optimize_discrete_aux(sc, (2, 2, 2, 2), OptimizerConfig(restarts=1, max_iters=1))
     path = tmp_path / "sc.json"
     save_scenario(sc, path, aux)
@@ -314,7 +317,7 @@ class TestSizeGuard:
         aux = random_aux(rng, sc, (10, 10, 10, 10))
         with pytest.raises(CapacityError):
             build_joint(sc, aux)  # 2e8 entries
-        r_sum = jd_sum_rate(sc, aux)  # largest tensor: 2e4 entries
+        r_sum = jd_sum_rate(DiscreteEvaluator.from_aux(sc, aux))  # largest tensor: 2e4 entries
         assert np.isfinite(r_sum) and r_sum >= 0
         assert region_discrete(sc, aux, "thm3").sum_rate_bound() == pytest.approx(
             r_sum, abs=TOL, rel=0)
@@ -324,4 +327,4 @@ class TestSizeGuard:
         sc = random_factorizing_scenario(rng, 1, 2, (2,), (2, 2))
         aux = random_aux(rng, sc, (4000, 2000))  # p(q, x, u) would hold 1.6e7 entries
         with pytest.raises(CapacityError, match="reduced joint"):
-            jd_sum_rate(sc, aux)
+            jd_sum_rate(DiscreteEvaluator.from_aux(sc, aux))

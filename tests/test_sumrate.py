@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from ocran.discrete import AuxChannels, DiscreteScenario, build_joint, cmi, identity_aux
+from ocran.core import CapacityError, ScenarioError, mask_of, spawn_seeds, subset_sums
+from ocran.discrete import (AuxChannels, DiscreteEvaluator, DiscreteScenario, build_joint, cmi,
+                            identity_aux)
+from ocran.gaussian import GaussianEvaluator
 from ocran.sumrate import (
     check_supermodular,
     extreme_point,
@@ -21,7 +24,8 @@ from ocran import discrete
 from ocran.cli import main
 from ocran.core import save_scenario
 from ocran.discrete import region_discrete
-from ocran.verify import random_aux, random_correlated_scenario, random_factorizing_scenario
+from ocran.verify import (random_aux, random_correlated_scenario, random_factorizing_scenario,
+                          random_gaussian_scenario, random_quantizers)
 
 
 def noiseless_single(fronthaul=0.5):
@@ -45,13 +49,15 @@ class TestJdSumRate:
     def test_constant_aux_gives_zero(self):
         rng = np.random.default_rng(0)
         sc = random_correlated_scenario(rng, 2, 2)
-        assert jd_sum_rate(sc, constant_aux(sc)) == 0.0
+        assert jd_sum_rate(DiscreteEvaluator.from_aux(sc, constant_aux(sc))) == 0.0
 
     def test_noiseless_single_relay(self):
         sc = noiseless_single(fronthaul=0.5)
-        assert jd_sum_rate(sc, identity_aux(sc)) == pytest.approx(0.5, abs=1e-12)
+        ev = DiscreteEvaluator.from_aux(sc, identity_aux(sc))
+        assert jd_sum_rate(ev) == pytest.approx(0.5, abs=1e-12)
         sc = noiseless_single(fronthaul=2.0)
-        assert jd_sum_rate(sc, identity_aux(sc)) == pytest.approx(1.0, abs=1e-12)
+        ev = DiscreteEvaluator.from_aux(sc, identity_aux(sc))
+        assert jd_sum_rate(ev) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_full_user_constraints_of_general_region(self):
         rng = np.random.default_rng(1)
@@ -60,10 +66,11 @@ class TestJdSumRate:
             aux = random_aux(rng, sc, (2, 2))
             region = region_discrete(sc, aux, "thm3")
             bounds = region.bounds[-1].tolist()  # the full user set is the last row
-            assert jd_sum_rate(sc, aux) == pytest.approx(
+            ev = DiscreteEvaluator.from_aux(sc, aux)
+            assert jd_sum_rate(ev) == pytest.approx(
                 max(0.0, min(bounds)), abs=1e-12
             )
-            np.testing.assert_allclose(jd_subset_bounds(sc, aux), bounds, atol=1e-12)
+            np.testing.assert_allclose(jd_subset_bounds(ev), bounds, atol=1e-12)
 
 
 class TestSeparateDecoding:
@@ -75,20 +82,21 @@ class TestSeparateDecoding:
             j = build_joint(sc, aux)
             ceiling = cmi(j, {"X1", "X2"}, {"U1", "U2"}, {"Q"})
             r = float(rng.uniform(0.0, ceiling + 0.2))
-            if sd_achievable(sc, aux, r):
-                assert r <= jd_sum_rate(sc, aux) + 1e-9
+            ev = DiscreteEvaluator.from_aux(sc, aux)
+            if sd_achievable(ev, r):
+                assert r <= jd_sum_rate(ev) + 1e-9
 
     def test_big_fronthaul_makes_jd_rate_separately_decodable(self):
         rng = np.random.default_rng(21)
         sc = random_correlated_scenario(rng, 1, 2, fronthaul_range=(5.0, 6.0))
-        aux = random_aux(rng, sc, (2, 2))
-        assert sd_achievable(sc, aux, jd_sum_rate(sc, aux))
+        ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (2, 2)))
+        assert sd_achievable(ev, jd_sum_rate(ev))
 
     def test_zero_fronthaul_blocks_decompression(self):
         rng = np.random.default_rng(22)
         sc = random_correlated_scenario(rng, 1, 2, fronthaul_range=(0.0, 0.0))
-        aux = random_aux(rng, sc, (3, 3))
-        assert not sd_achievable(sc, aux, 0.1)
+        ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (3, 3)))
+        assert not sd_achievable(ev, 0.1)
 
 
 class TestGFunction:
@@ -99,8 +107,9 @@ class TestGFunction:
         j = build_joint(sc, aux)
         r_sum = 0.4
         expected = r_sum - cmi(j, {"U1", "U2"}, {"X1"}, {"Q"})
-        assert g_function(sc, aux, r_sum, ()) == pytest.approx(expected, abs=1e-12)
-        assert g_function(sc, aux, r_sum, (), positive_part=True) == max(0.0, expected)
+        g = g_function(DiscreteEvaluator.from_aux(sc, aux), r_sum)
+        assert g[mask_of(())] == pytest.approx(expected, abs=1e-12)
+        assert max(0.0, g[mask_of(())]) == max(0.0, expected)
 
     def test_full_set_with_copy_aux(self):
         rng = np.random.default_rng(3)
@@ -110,9 +119,8 @@ class TestGFunction:
         r_sum = 0.3
         h_y = j.entropy({"Y1", "Y2", "Q"}) - j.entropy({"Q"})
         i_yx = cmi(j, {"Y1", "Y2"}, {"X1"}, {"Q"})
-        assert g_function(sc, aux, r_sum, (1, 2)) == pytest.approx(
-            r_sum + h_y - i_yx, abs=1e-12
-        )
+        assert g_function(DiscreteEvaluator.from_aux(sc, aux), r_sum)[
+            mask_of((1, 2))] == pytest.approx(r_sum + h_y - i_yx, abs=1e-12)
 
     def test_chain_increments_are_conditional_information(self):
         # g({pi(1..k)}) - g({pi(1..k-1)}) telescopes to the per-relay
@@ -121,20 +129,21 @@ class TestGFunction:
         sc = random_correlated_scenario(rng, 2, 2)
         aux = random_aux(rng, sc, (2, 3))
         j = build_joint(sc, aux)
-        inc = g_function(sc, aux, 0.2, (1,)) - g_function(sc, aux, 0.2, ())
+        g = g_function(DiscreteEvaluator.from_aux(sc, aux), 0.2)
+        inc = g[mask_of((1,))] - g[mask_of(())]
         assert inc == pytest.approx(cmi(j, {"Y1"}, {"U1"}, {"U2", "Q"}), abs=1e-11)
 
 
 class TestSupermodularity:
     def test_single_relay_vacuous(self):
         sc = noiseless_single()
-        ok, worst = check_supermodular(sc, identity_aux(sc), 0.5)
+        ok, worst = check_supermodular(DiscreteEvaluator.from_aux(sc, identity_aux(sc)), 0.5)
         assert ok and worst == 0.0
 
     def test_constant_aux_is_modular(self):
         rng = np.random.default_rng(5)
         sc = random_correlated_scenario(rng, 1, 2)
-        ok, worst = check_supermodular(sc, constant_aux(sc), 0.7)
+        ok, worst = check_supermodular(DiscreteEvaluator.from_aux(sc, constant_aux(sc)), 0.7)
         assert ok
         assert worst == pytest.approx(0.0, abs=1e-12)
 
@@ -146,58 +155,59 @@ class TestSupermodularity:
             sc = make(rng, int(rng.integers(1, 3)), int(rng.integers(2, 4)))
             aux = random_aux(rng, sc)
             r_sum = float(rng.uniform(0.0, 1.0))
-            ok, worst = check_supermodular(sc, aux, r_sum)
+            ok, worst = check_supermodular(DiscreteEvaluator.from_aux(sc, aux), r_sum)
             assert ok, f"supermodularity violated by {worst}"
 
 
 class TestExtremePoints:
     def test_single_relay(self):
         sc = noiseless_single()
-        aux = identity_aux(sc)
-        point = extreme_point(sc, aux, 0.5, (1,))
+        ev = DiscreteEvaluator.from_aux(sc, identity_aux(sc))
+        point = extreme_point(ev, 0.5, (1,))
         assert point[0] == pytest.approx(
-            g_function(sc, aux, 0.5, (1,), positive_part=True), abs=1e-12
+            max(0.0, g_function(ev, 0.5)[mask_of((1,))]), abs=1e-12
         )
 
     def test_two_relay_hand_telescoped(self):
         rng = np.random.default_rng(7)
         sc = random_correlated_scenario(rng, 1, 2)
-        aux = random_aux(rng, sc, (2, 2))
-        r_sum = jd_sum_rate(sc, aux)
-        gp = lambda s: g_function(sc, aux, r_sum, s, positive_part=True)
-        point = extreme_point(sc, aux, r_sum, (2, 1))
+        ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (2, 2)))
+        r_sum = jd_sum_rate(ev)
+        gp = lambda s: max(0.0, g_function(ev, r_sum)[mask_of(s)])
+        point = extreme_point(ev, r_sum, (2, 1))
         assert point[1] == pytest.approx(gp((2,)) - gp(()), abs=1e-12)
         assert point[0] == pytest.approx(gp((1, 2)) - gp((2,)), abs=1e-12)
 
     def test_all_orderings_telescope_to_full_value(self):
         rng = np.random.default_rng(8)
         sc = random_correlated_scenario(rng, 2, 3)
-        aux = random_aux(rng, sc, (2, 2, 2))
-        r_sum = jd_sum_rate(sc, aux)
-        total = g_function(sc, aux, r_sum, (1, 2, 3), positive_part=True)
+        ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (2, 2, 2)))
+        r_sum = jd_sum_rate(ev)
+        total = max(0.0, g_function(ev, r_sum)[mask_of((1, 2, 3))])
         for pi in itertools.permutations((1, 2, 3)):
-            point = extreme_point(sc, aux, r_sum, pi)
+            point = extreme_point(ev, r_sum, pi)
             assert np.all(point >= 0.0)
             assert point.sum() == pytest.approx(total, abs=1e-12)
 
     def test_invalid_ordering(self):
         sc = noiseless_single()
         with pytest.raises(ValueError):
-            extreme_point(sc, identity_aux(sc), 0.5, (1, 1))
+            extreme_point(DiscreteEvaluator.from_aux(sc, identity_aux(sc)), 0.5, (1, 1))
 
 
 class TestSwzFronthaul:
     def test_constant_aux(self):
         rng = np.random.default_rng(9)
         sc = random_correlated_scenario(rng, 1, 2)
-        req, rate = swz_required_fronthaul(sc, constant_aux(sc), (1, 2))
+        req, rate = swz_required_fronthaul(DiscreteEvaluator.from_aux(sc, constant_aux(sc)),
+                                           (1, 2))
         np.testing.assert_allclose(req, 0.0, atol=1e-12)
         assert rate == pytest.approx(0.0, abs=1e-12)
 
     def test_single_relay(self):
         sc = noiseless_single()
         aux = identity_aux(sc)
-        req, rate = swz_required_fronthaul(sc, aux, (1,))
+        req, rate = swz_required_fronthaul(DiscreteEvaluator.from_aux(sc, aux), (1,))
         j = build_joint(sc, aux)
         assert req[0] == pytest.approx(cmi(j, {"U1"}, {"Y1"}, {"Q"}), abs=1e-12)
         assert rate == pytest.approx(1.0, abs=1e-12)
@@ -208,7 +218,7 @@ class TestSwzFronthaul:
             sc = random_correlated_scenario(rng, 1, 2)
             aux = random_aux(rng, sc, (2, 2))
             j = build_joint(sc, aux)
-            req, _ = swz_required_fronthaul(sc, aux, (1, 2))
+            req, _ = swz_required_fronthaul(DiscreteEvaluator.from_aux(sc, aux), (1, 2))
             unconditional = cmi(j, {"U2"}, {"Y2"}, {"Q"})
             assert req[1] <= unconditional + 1e-12
 
@@ -217,7 +227,7 @@ class TestSwzFronthaul:
         for _ in range(10):
             sc = random_correlated_scenario(rng, 2, 2)
             aux = random_aux(rng, sc, (2, 2))
-            _, rate = swz_required_fronthaul(sc, aux, (1, 2))
+            _, rate = swz_required_fronthaul(DiscreteEvaluator.from_aux(sc, aux), (1, 2))
             j = build_joint(sc, aux)
             assert rate == pytest.approx(
                 cmi(j, {"X1", "X2"}, {"U1", "U2"}, {"Q"}), abs=1e-12
@@ -233,23 +243,23 @@ class TestDominatingPoint:
         aux = random_aux(rng, sc, (2, 2))
         j = build_joint(sc, aux)
         r_sum = cmi(j, {"U1", "U2"}, {"X1"}, {"Q"})  # makes g(empty) exactly 0
-        res = swz_dominating_point(sc, aux, r_sum, (1, 2))
+        res = swz_dominating_point(DiscreteEvaluator.from_aux(sc, aux), r_sum, (1, 2))
         assert res.pivot_index == 1
         assert res.idle_fraction == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(res.scheme_fronthaul, res.extreme_point, atol=1e-9)
 
     def test_single_relay_equality(self):
         sc = noiseless_single(fronthaul=0.5)
-        aux = identity_aux(sc)
-        target = jd_sum_rate(sc, aux)
-        res = swz_dominating_point(sc, aux, target, (1,))
+        ev = DiscreteEvaluator.from_aux(sc, identity_aux(sc))
+        target = jd_sum_rate(ev)
+        res = swz_dominating_point(ev, target, (1,))
         assert res.scheme_sum_rate == pytest.approx(target, abs=1e-9)
         assert res.extreme_point[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_all_silent(self):
         rng = np.random.default_rng(13)
         sc = random_correlated_scenario(rng, 1, 2)
-        res = swz_dominating_point(sc, constant_aux(sc), 0.0, (1, 2))
+        res = swz_dominating_point(DiscreteEvaluator.from_aux(sc, constant_aux(sc)), 0.0, (1, 2))
         assert res.pivot_index is None
         np.testing.assert_array_equal(res.scheme_fronthaul, 0.0)
         assert res.scheme_sum_rate == 0.0
@@ -258,12 +268,12 @@ class TestDominatingPoint:
         rng = np.random.default_rng(23)
         for _ in range(10):
             sc = random_correlated_scenario(rng, 2, 2)
-            aux = random_aux(rng, sc, (2, 3))
-            target = jd_sum_rate(sc, aux)
+            ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (2, 3)))
+            target = jd_sum_rate(ev)
             for pi in ((1, 2), (2, 1)):
-                point = extreme_point(sc, aux, target, pi)
+                point = extreme_point(ev, target, pi)
                 for s in ((1,), (2,), (1, 2)):
-                    need = g_function(sc, aux, target, s, positive_part=True)
+                    need = max(0.0, g_function(ev, target)[mask_of(s)])
                     assert sum(point[k - 1] for k in s) >= need - 1e-9
 
     def test_construction_matches_explicit_time_shared_scenario(self):
@@ -276,9 +286,10 @@ class TestDominatingPoint:
         for _ in range(5):
             sc = random_correlated_scenario(rng, 2, 2)
             aux = random_aux(rng, sc, (2, 3))
-            target = jd_sum_rate(sc, aux)
+            ev = DiscreteEvaluator.from_aux(sc, aux)
+            target = jd_sum_rate(ev)
             for pi in ((1, 2), (2, 1)):
-                res = swz_dominating_point(sc, aux, target, pi)
+                res = swz_dominating_point(ev, target, pi)
                 if res.pivot_index is None:
                     continue
                 nq = sc.num_timeshare
@@ -311,7 +322,8 @@ class TestDominatingPoint:
                                 t2[slot] = t[q]
                     tables.append(t2)
                 req, sum_rate = swz_required_fronthaul(
-                    sc2, AuxChannels(tables=tuple(tables)), tuple(reversed(pi))
+                    DiscreteEvaluator.from_aux(sc2, AuxChannels(tables=tuple(tables))),
+                    tuple(reversed(pi)),
                 )
                 np.testing.assert_allclose(req, res.scheme_fronthaul, atol=1e-10)
                 assert sum_rate == pytest.approx(res.scheme_sum_rate, abs=1e-10)
@@ -320,11 +332,11 @@ class TestDominatingPoint:
         rng = np.random.default_rng(14)
         for _ in range(25):
             sc = random_correlated_scenario(rng, int(rng.integers(1, 3)), 2)
-            aux = random_aux(rng, sc, (2, 3))
-            target = jd_sum_rate(sc, aux) * float(rng.uniform(0.0, 1.0))
-            total = g_function(sc, aux, target, (1, 2), positive_part=True)
+            ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (2, 3)))
+            target = jd_sum_rate(ev) * float(rng.uniform(0.0, 1.0))
+            total = max(0.0, g_function(ev, target)[mask_of((1, 2))])
             for pi in ((1, 2), (2, 1)):
-                res = swz_dominating_point(sc, aux, target, pi)
+                res = swz_dominating_point(ev, target, pi)
                 assert res.extreme_point.sum() == pytest.approx(total, abs=1e-12)
                 assert np.all(res.scheme_fronthaul <= res.extreme_point + 1e-9)
                 assert res.scheme_sum_rate >= target - 1e-9
@@ -335,14 +347,14 @@ class TestSumRateEquivalence:
     def test_constant_aux(self):
         rng = np.random.default_rng(15)
         sc = random_correlated_scenario(rng, 1, 2)
-        cmp_res = swz_equals_jd(sc, constant_aux(sc))
+        cmp_res = swz_equals_jd(DiscreteEvaluator.from_aux(sc, constant_aux(sc)))
         assert cmp_res.jd_sum_rate == 0.0
         assert cmp_res.best_sum_rate == 0.0
         assert cmp_res.gap == 0.0
 
     def test_single_relay(self):
         sc = noiseless_single(fronthaul=0.5)
-        cmp_res = swz_equals_jd(sc, identity_aux(sc))
+        cmp_res = swz_equals_jd(DiscreteEvaluator.from_aux(sc, identity_aux(sc)))
         assert cmp_res.gap <= 1e-9
         assert cmp_res.jd_sum_rate == pytest.approx(0.5, abs=1e-12)
 
@@ -350,8 +362,7 @@ class TestSumRateEquivalence:
         rng = np.random.default_rng(16)
         for _ in range(10):
             sc = random_correlated_scenario(rng, 2, 2)
-            aux = random_aux(rng, sc, (2, 2))
-            cmp_res = swz_equals_jd(sc, aux)
+            cmp_res = swz_equals_jd(DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (2, 2))))
             assert cmp_res.gap <= 1e-9
             assert cmp_res.best_ordering is not None
 
@@ -368,7 +379,7 @@ class TestSumRateEquivalence:
             px=(np.array([[0.5, 0.5]]),),
             channel=ch,
         )
-        cmp_res = swz_equals_jd(sc, identity_aux(sc))
+        cmp_res = swz_equals_jd(DiscreteEvaluator.from_aux(sc, identity_aux(sc)))
         assert cmp_res.best_ordering == (1, 2)
 
 
@@ -398,11 +409,11 @@ class TestSharedEvaluator:
     def test_swz_equals_jd_builds_one_evaluator(self, monkeypatch):
         sc, aux = self.instance()
         calls = self.count_evaluators(monkeypatch)
-        swz_equals_jd(sc, aux)
+        swz_equals_jd(DiscreteEvaluator.from_aux(sc, aux))
         assert len(calls) == 1
 
-    def test_swz_equals_jd_forms_the_bounds_once(self, monkeypatch):
-        # g is one vector R_sum + C_S - b_S, formed once for all K! orderings
+    @staticmethod
+    def count_bound_formations(monkeypatch):
         calls = []
         original = discrete.DiscreteEvaluator.subset_bounds
 
@@ -411,13 +422,31 @@ class TestSharedEvaluator:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(discrete.DiscreteEvaluator, "subset_bounds", counting)
+        return calls
+
+    def test_swz_equals_jd_forms_the_bounds_once(self, monkeypatch):
+        # g is one vector R_sum + C_S - b_S, formed once for all K! orderings
+        calls = self.count_bound_formations(monkeypatch)
         rng = np.random.default_rng(34)
         for num_relays in (1, 2, 3, 4):
             sc = random_factorizing_scenario(rng, 1, num_relays)
+            ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
             calls.clear()
-            assert len(swz_equals_jd(sc, random_aux(rng, sc)).results) == math.factorial(
-                num_relays)
+            assert len(swz_equals_jd(ev).results) == math.factorial(num_relays)
             assert len(calls) == 1
+
+    def test_extreme_points_form_the_bounds_once(self, monkeypatch):
+        # the default r_sum, the joint-decoding sum-rate, comes from the same
+        # formation of the bounds as g
+        calls = self.count_bound_formations(monkeypatch)
+        rng = np.random.default_rng(35)
+        for num_relays in (1, 2, 3, 4):
+            sc = random_factorizing_scenario(rng, 1, num_relays)
+            ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
+            for r_sum in (None, 0.0):
+                calls.clear()
+                assert len(extreme_points(ev, r_sum)) == math.factorial(num_relays)
+                assert len(calls) == 1
 
     def test_extreme_points_command_builds_one_evaluator(self, monkeypatch, tmp_path, capsys):
         sc, aux = self.instance()
@@ -429,34 +458,34 @@ class TestSharedEvaluator:
         assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 6 * 3
 
     def test_extreme_points_match_extreme_point(self):
-        sc, aux = self.instance()
-        r_sum = jd_sum_rate(sc, aux)
-        points = extreme_points(sc, aux, r_sum)
+        ev = DiscreteEvaluator.from_aux(*self.instance())
+        r_sum = jd_sum_rate(ev)
+        points = extreme_points(ev, r_sum)
         assert [pi for pi, _ in points] == list(itertools.permutations((1, 2, 3)))
         for pi, point in points:
-            np.testing.assert_array_equal(point, extreme_point(sc, aux, r_sum, pi))
-        default = extreme_points(sc, aux)
+            np.testing.assert_array_equal(point, extreme_point(ev, r_sum, pi))
+        default = extreme_points(ev)
         for (_, a), (_, b) in zip(default, points):
             np.testing.assert_array_equal(a, b)
 
     def test_swz_results_match_dominating_point(self):
-        sc, aux = self.instance()
-        cmp_res = swz_equals_jd(sc, aux)
-        assert cmp_res.jd_sum_rate == jd_sum_rate(sc, aux)
+        ev = DiscreteEvaluator.from_aux(*self.instance())
+        cmp_res = swz_equals_jd(ev)
+        assert cmp_res.jd_sum_rate == jd_sum_rate(ev)
         for res in cmp_res.results:
-            alone = swz_dominating_point(sc, aux, cmp_res.jd_sum_rate, res.ordering)
+            alone = swz_dominating_point(ev, cmp_res.jd_sum_rate, res.ordering)
             np.testing.assert_array_equal(res.extreme_point, alone.extreme_point)
             np.testing.assert_array_equal(res.scheme_fronthaul, alone.scheme_fronthaul)
             assert (res.ordering, res.pivot_index, res.idle_fraction, res.scheme_sum_rate) == (
                 alone.ordering, alone.pivot_index, alone.idle_fraction, alone.scheme_sum_rate)
 
     def test_results_are_python_floats(self):
-        sc, aux = self.instance()
-        cmp_res = swz_equals_jd(sc, aux)
+        ev = DiscreteEvaluator.from_aux(*self.instance())
+        cmp_res = swz_equals_jd(ev)
         assert any(0.0 < res.idle_fraction < 1.0 for res in cmp_res.results)
         assert type(cmp_res.best_sum_rate) is float
         for res in cmp_res.results:
-            alone = swz_dominating_point(sc, aux, cmp_res.jd_sum_rate, res.ordering)
+            alone = swz_dominating_point(ev, cmp_res.jd_sum_rate, res.ordering)
             for value in (res.idle_fraction, res.scheme_sum_rate,
                           alone.idle_fraction, alone.scheme_sum_rate):
                 assert type(value) is float
@@ -466,7 +495,7 @@ class TestSharedEvaluator:
         for make in (random_factorizing_scenario, random_correlated_scenario):
             sc = make(rng, 2, 3)
             aux = random_aux(rng, sc)
-            bounds = jd_subset_bounds(sc, aux)
+            bounds = jd_subset_bounds(DiscreteEvaluator.from_aux(sc, aux))
             rows = dict(enumerate(region_discrete(sc, aux, "thm3").bounds[0b11 - 1].tolist()))
             assert [bounds[s] for s in range(8)] == [rows[s] for s in range(8)]
 
@@ -482,15 +511,17 @@ class TestPivotTolerance:
         rng = np.random.default_rng(0)
         sc = random_correlated_scenario(rng, 1, 3, (2,), (2, 3, 2), fronthaul_range=(4.0, 5.0))
         aux = random_aux(rng, sc, (1, 3, 2))
-        r_sum = jd_sum_rate(sc, aux)
+        ev = DiscreteEvaluator.from_aux(sc, aux)
+        r_sum = jd_sum_rate(ev)
         orderings = list(itertools.permutations((1, 2, 3)))
-        reference = {pi: swz_dominating_point(sc, aux, r_sum, pi) for pi in orderings}
+        reference = {pi: swz_dominating_point(ev, r_sum, pi) for pi in orderings}
         g_empty = []
         for order in itertools.permutations(range(3)):
             monkeypatch.setattr(discrete, "_contraction_order", lambda a, y, order=order: order)
-            g_empty.append(g_function(sc, aux, r_sum, ()))
+            ev = DiscreteEvaluator.from_aux(sc, aux)
+            g_empty.append(g_function(ev, r_sum)[mask_of(())])
             for pi in orderings:
-                res = swz_dominating_point(sc, aux, r_sum, pi)
+                res = swz_dominating_point(ev, r_sum, pi)
                 assert res.pivot_index == (2 if pi[0] == 1 else 1)
                 assert res.idle_fraction == 0.0
                 np.testing.assert_allclose(
@@ -502,12 +533,47 @@ class TestPivotTolerance:
         assert any(g != 0.0 for g in g_empty)
 
 
+class TestGaussianEvaluator:
+    """The functions that read only the subset bounds take a
+    GaussianEvaluator as they take a DiscreteEvaluator."""
+
+    @staticmethod
+    def instances(count):
+        for seed in spawn_seeds(2025, count):
+            rng = np.random.default_rng(seed)
+            sc = random_gaussian_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+            yield GaussianEvaluator.from_quantizers(sc, random_quantizers(rng, sc))
+
+    def test_g_plus_is_supermodular_and_extreme_points_telescope(self):
+        count = 0
+        for ev in self.instances(200):
+            r_sum = jd_sum_rate(ev)
+            ok, worst = check_supermodular(ev, r_sum)
+            assert ok, f"supermodularity violated by {worst}"
+            total = max(0.0, g_function(ev, r_sum)[-1])
+            points = extreme_points(ev)
+            assert len(points) == math.factorial(ev.sc.num_relays)
+            for _, point in points:
+                assert np.all(point >= 0.0)
+                assert abs(point.sum() - total) <= 1e-12
+            count += 1
+        assert count == 200
+
+    def test_sum_rate_reads_the_subset_bounds(self):
+        for ev in self.instances(20):
+            bounds = ev.subset_bounds()
+            np.testing.assert_array_equal(jd_subset_bounds(ev), bounds)
+            assert jd_sum_rate(ev) == max(0.0, float(bounds.min()))
+            np.testing.assert_array_equal(
+                g_function(ev, 0.25), 0.25 + subset_sums(np.asarray(ev.sc.fronthaul)) - bounds)
+
+
 def _r_sum_entry_points():
     return {
-        "extreme_point": lambda sc, aux, r: extreme_point(sc, aux, r, (1, 2)),
+        "extreme_point": lambda ev, r: extreme_point(ev, r, (1, 2)),
         "extreme_points": extreme_points,
-        "g_function": lambda sc, aux, r: g_function(sc, aux, r, (1,)),
-        "swz_dominating_point": lambda sc, aux, r: swz_dominating_point(sc, aux, r, (2, 1)),
+        "g_function": g_function,
+        "swz_dominating_point": lambda ev, r: swz_dominating_point(ev, r, (2, 1)),
         "sd_achievable": sd_achievable,
         "check_supermodular": check_supermodular,
     }
@@ -518,12 +584,12 @@ def test_r_sum_above_the_joint_decoding_sum_rate_is_rejected():
     # ArithmeticError of a failed construction invariant
     rng = np.random.default_rng(0)
     sc = random_factorizing_scenario(rng, 1, 3)
-    aux = random_aux(rng, sc)
-    jd = jd_sum_rate(sc, aux)
+    ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
+    jd = jd_sum_rate(ev)
     assert jd < 0.1
     with pytest.raises(ValueError, match="exceeds the joint-decoding sum-rate"):
-        swz_dominating_point(sc, aux, 0.1, (1, 2, 3))
-    res = swz_dominating_point(sc, aux, jd, (1, 2, 3))
+        swz_dominating_point(ev, 0.1, (1, 2, 3))
+    res = swz_dominating_point(ev, jd, (1, 2, 3))
     assert res.scheme_sum_rate >= jd - 1e-9
 
 
@@ -532,8 +598,38 @@ def test_r_sum_above_the_joint_decoding_sum_rate_is_rejected():
 def test_nonfinite_r_sum_is_rejected(entry, value):
     rng = np.random.default_rng(0)
     sc = random_factorizing_scenario(rng, 1, 2)
-    aux = random_aux(rng, sc)
+    ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
     call = _r_sum_entry_points()[entry]
     with pytest.raises(ValueError, match="r_sum must be finite"):
-        call(sc, aux, value)
-    call(sc, aux, 0.1)  # a finite rate still goes through
+        call(ev, value)
+    call(ev, 0.1)  # a finite rate still goes through
+
+
+def test_bad_input_raises_scenario_error():
+    # each is bad input, not a size guard: a ScenarioError (exit 2 in the CLI)
+    rng = np.random.default_rng(0)
+    sc = random_factorizing_scenario(rng, 1, 3)
+    ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
+    ceiling = float(jd_subset_bounds(ev)[0])  # I(U; X | Q)
+    bad = {
+        "non-finite r_sum": lambda: g_function(ev, float("nan")),
+        "non-permutation ordering": lambda: swz_required_fronthaul(ev, (1, 1, 2)),
+        "r_sum above I(U; X | Q)": lambda: extreme_points(ev, ceiling + 1e-3),
+        "r_sum above the joint-decoding sum-rate": lambda: swz_dominating_point(
+            ev, jd_sum_rate(ev) + 1e-3, (1, 2, 3)),
+    }
+    for call in bad.values():
+        with pytest.raises(ScenarioError):
+            call()
+
+
+def test_size_guards_raise_capacity_error():
+    # K = 9 relays exceed the factorial comparison, K = 13 the exhaustive
+    # supermodularity check; |U_k| = 1 keeps the evaluators small
+    rng = np.random.default_rng(0)
+    for num_relays, call in ((9, swz_equals_jd),
+                             (13, lambda ev: check_supermodular(ev, 0.0))):
+        sc = random_factorizing_scenario(rng, 1, num_relays)
+        ev = DiscreteEvaluator.from_aux(sc, constant_aux(sc))
+        with pytest.raises(CapacityError, match="required"):
+            call(ev)
