@@ -51,12 +51,7 @@ from .core import (
 )
 from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, region_discrete
 from .gaussian import GaussianEvaluator, GaussianScenario, QuantizerSetGaussian, region_gaussian
-from .optimize import (
-    OptimizerConfig,
-    mc_mutual_information,
-    optimize_discrete_aux,
-    optimize_gaussian_quantizers,
-)
+from .optimize import mc_mutual_information, optimize_discrete_aux, optimize_gaussian_quantizers
 from .sumrate import extreme_points, jd_subset_bounds, jd_sum_rate, swz_equals_jd
 from .verify import SUITE_NAMES, run_suites
 
@@ -246,31 +241,26 @@ def cmd_optimize(args, sc, emit):
         if not args.weights:
             raise ScenarioError("weighted objective needs --weights")
         weights = tuple(float(w) for w in args.weights.split(","))
-        if len(weights) != sc.num_users:
-            raise ScenarioError("need one weight per user")
     elif args.weights is not None:
         raise ScenarioError("--weights needs --objective weighted")
-    cfg = OptimizerConfig(
-        objective="sum_rate" if args.objective == "sum" else "weighted",
-        weights=weights,
-        restarts=args.restarts,
-        max_iters=args.iters,
-        seed=args.seed,
-    )
+    if args.restarts < 1 or args.iters < 1:
+        raise ScenarioError("restarts and max_iters must be positive")
     bound = gap = None  # the discrete search carries no certificate
     if isinstance(sc, GaussianScenario):
         if args.aux_sizes is not None:
             raise ScenarioError("--aux-sizes applies to discrete scenarios only")
-        res = optimize_gaussian_quantizers(sc, cfg)
+        res = optimize_gaussian_quantizers(sc, weights)
         active = [{"T_mask": t, "S_mask": s} for t, s in res.active]
         quantizers = {"B": [_complex_matrix_to_json(b) for b in res.quantizers.B]}
         bound, gap = res.upper_bound, res.gap
     else:
+        if weights is not None:
+            raise ScenarioError("discrete search supports only the sum-rate objective")
         if args.aux_sizes:
             sizes = tuple(int(v) for v in args.aux_sizes.split(","))
         else:
             sizes = tuple(n + 1 for n in sc.output_sizes)
-        res = optimize_discrete_aux(sc, sizes, cfg)
+        res = optimize_discrete_aux(sc, sizes, args.restarts, args.iters, args.seed)
         active = [{"S_mask": s} for s in res.active]
         quantizers = {"aux": [t.tolist() for t in res.aux.tables]}
     payload = {

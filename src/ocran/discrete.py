@@ -32,6 +32,7 @@ bounds in the quantization tables, for the discrete optimizer.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from string import ascii_lowercase, ascii_uppercase
@@ -511,6 +512,12 @@ class DiscreteEvaluator:
             self._h_u[given] = np.array([_entropy(p) for p in marginals])
         return self._h_u[given]
 
+    @functools.cached_property
+    def _sum_rate_bounds(self) -> np.ndarray:
+        bounds = self._subset_bounds(None, "thm3")
+        bounds.setflags(write=False)
+        return bounds
+
     def subset_bounds(self, users: tuple[int, ...] | None = None,
                       family: str = "thm3") -> np.ndarray:
         """The bound of user set T (default: all users) for every relay set
@@ -518,7 +525,14 @@ class DiscreteEvaluator:
         C_S + sum_{k in S} H(U_k|Y_k) + H(U_{S^c}|X_{T^c}) - H(U|X); thm1:
         sum_{k in S} [C_k + H(U_k|Y_k) - H(U_k|X)] + H(U_{S^c}|X_{T^c})
         - H(U_{S^c}|X).  At T = all users the thm3 bounds are the joint-decoding
-        sum-rate bounds; their S = {} entry is I(U; X | Q), in ``cmi``'s order."""
+        sum-rate bounds; their S = {} entry is I(U; X | Q), in ``cmi``'s order.
+        The default vector (all users, thm3) is formed once and kept
+        read-only."""
+        if users is None and family == "thm3":
+            return self._sum_rate_bounds
+        return self._subset_bounds(users, family)
+
+    def _subset_bounds(self, users: tuple[int, ...] | None, family: str) -> np.ndarray:
         if family not in ("thm1", "thm3"):
             raise ValueError(f"unknown constraint family {family!r}")
         users = range(1, self.sc.num_users + 1) if users is None else users

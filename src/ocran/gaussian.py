@@ -19,7 +19,6 @@ inputs it adds nothing, so scenarios with |Q| > 1 are rejected.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -305,30 +304,26 @@ class GaussianEvaluator:
                                   for g, bg in zip(terms.groups, b)])
         # -inf where a relay in S has an infinite fronthaul rate
         self.charged = subset_sums(np.subtract(self.sc.fronthaul, mi))
+        # branch_stack and subset_bounds by user set T
+        self._stacks: dict[tuple[int, ...], np.ndarray] = {}
+        self._bounds: dict[tuple[int, ...], np.ndarray] = {}
 
     @classmethod
     def from_quantizers(cls, sc: GaussianScenario, q: QuantizerSetGaussian) -> "GaussianEvaluator":
         terms = ScenarioTerms(sc)
         return cls(terms, terms.stack(q.B), [fronthaul_mi(s, b) for s, b in zip(sc.Sigma, q.B)])
 
-    def _branch_stack(self, users: tuple[int, ...]) -> np.ndarray:
-        """The stack of I + K_T^{1/2} A_{T,S} K_T^{1/2}, one per relay set S
-        but the full one (which leaves no log-det), by bitmask, with
-        A_{T,S} = sum_{k not in S} H_{k,T}^H B_k H_{k,T} summed in
-        increasing k."""
-        idx, k_root = self.terms.users(users)
-        g = self.gfull if users == self.full_users else self.gfull[:, idx[:, None], idx]
-        a = subset_sums(g)[:0:-1]  # subset_sums is indexed by the relay set outside S
-        return np.eye(idx.size) + k_root @ a @ k_root
-
-    @functools.cached_property
-    def branch_matrices(self) -> np.ndarray:
-        """``_branch_stack`` at T = all users, indexed by subset bitmask."""
-        return self._branch_stack(self.full_users)
-
     def branch_stack(self, users: tuple[int, ...]) -> np.ndarray:
-        """``_branch_stack(users)``, cached at T = all users."""
-        return self.branch_matrices if users == self.full_users else self._branch_stack(users)
+        """The stack of I + K_T^{1/2} A_{T,S} K_T^{1/2} of user set T, one per
+        relay set S but the full one (which leaves no log-det), by bitmask,
+        with A_{T,S} = sum_{k not in S} H_{k,T}^H B_k H_{k,T} summed in
+        increasing k; formed once per T."""
+        if users not in self._stacks:
+            idx, k_root = self.terms.users(users)
+            g = self.gfull if users == self.full_users else self.gfull[:, idx[:, None], idx]
+            a = subset_sums(g)[:0:-1]  # subset_sums is indexed by the relay set outside S
+            self._stacks[users] = np.eye(idx.size) + k_root @ a @ k_root
+        return self._stacks[users]
 
     def info_terms(self, users: tuple[int, ...]) -> np.ndarray:
         """I(X_T; U_{S^c} | X_{T^c}) = log2 det(I + K_T^{1/2} A_{T,S} K_T^{1/2})
@@ -339,8 +334,13 @@ class GaussianEvaluator:
 
     def subset_bounds(self, users: tuple[int, ...] | None = None) -> np.ndarray:
         """The bound of user set T (by default all users, the sum-rate) for
-        every relay subset, indexed by subset bitmask."""
-        return self.charged + self.info_terms(users or self.full_users)
+        every relay subset, indexed by subset bitmask; formed once per T and
+        kept read-only."""
+        users = users or self.full_users
+        if users not in self._bounds:
+            self._bounds[users] = self.charged + self.info_terms(users)
+            self._bounds[users].setflags(write=False)
+        return self._bounds[users]
 
     def bound(self, pair: SubsetPair) -> float:
         """One constraint bound, in bits."""

@@ -13,10 +13,10 @@ a Frank-Wolfe bound, and a solve whose gap exceeds GAP_TOL raises.
 
 The discrete sum-rate is not concave in the quantization tables.  It runs
 the same epigraph solve (``_epigraph_solve``) from several starts, over
-softmax-parametrized tables, and carries no certificate; the configured
-restarts, iterations and seed govern only this search.
+softmax-parametrized tables, and carries no certificate; only this search
+takes restarts, an iteration cap and a seed.
 
-A point costs a few stacked numpy calls, not one per relay: the projection,
+A point costs a few stacked numpy calls, not one per relay: the map W(A),
 fronthaul rates and B_k take one call per antenna-count group of relays
 (``ScenarioTerms``), and several branch gradients one stacked inverse and
 one batched product per group.  Each element sees the float operations of a
@@ -43,7 +43,6 @@ from .gaussian import (
     GaussianScenario,
     QuantizerSetGaussian,
     ScenarioTerms,
-    fronthaul_bits,
 )
 from .sumrate import jd_sum_rate
 
@@ -62,25 +61,15 @@ STAIRCASE_SOFTENING = 0.05
 SOFTMAX_SCALE = 12.0
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    objective: str = "sum_rate"  # "sum_rate" | "weighted"
-    weights: tuple[float, ...] | None = None
-    restarts: int = 4
-    max_iters: int = 120
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.objective not in ("sum_rate", "weighted"):
-            raise ScenarioError("objective must be 'sum_rate' or 'weighted'")
-        if self.objective == "weighted" and self.weights is None:
-            raise ScenarioError("weighted objective needs a weight vector")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if not np.isfinite(w).all() or np.any(w < 0) or not np.any(w > 0):
-                raise ScenarioError("weights must be finite and nonnegative, one of them positive")
-        if self.restarts < 1 or self.max_iters < 1:
-            raise ScenarioError("restarts and max_iters must be positive")
+def _check_weights(weights, num_users: int) -> np.ndarray:
+    """The user weights as an array: one entry per user, finite and
+    nonnegative, at least one of them positive, else ``ScenarioError``."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (num_users,):
+        raise ScenarioError("weights must have one entry per user")
+    if not np.isfinite(w).all() or np.any(w < 0) or not np.any(w > 0):
+        raise ScenarioError("weights must be finite and nonnegative, one of them positive")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -151,28 +140,18 @@ def _unpack_flat(x: np.ndarray, lay: _Layout) -> np.ndarray:
     return flat
 
 
-class _Point:
-    """One feasible point, evaluated once.  ``ws`` are the projected
-    normalized quantizers, one (n, d, d) stack per relay group, and ``x``
-    their packed coordinates; the ``evaluator``, the subset branch values
-    ``vals`` of each user set and the fronthaul gradients ``charge_grads``
-    (stacked like ``ws``) are filled on first use."""
+class _Point(NamedTuple):
+    """One point W_k = I - (I + A_k^2)^{-1} of the smooth map, built once by
+    ``smooth_at``: A_k, M_k = (I + A_k^2)^{-1} and W_k, one (n, d, d) stack
+    per relay group, the packed W as ``x``, the region ``evaluator`` and the
+    fronthaul charge gradients ``charge_grads``, stacked like ``ws``."""
 
-    __slots__ = ("x", "ws", "evaluator", "vals", "charge_grads")
-
-    def __init__(self, x: np.ndarray, ws: list[np.ndarray]):
-        self.x = x
-        self.ws = ws
-        self.vals, self.evaluator, self.charge_grads = {}, None, None
-
-
-class _SmoothPoint(NamedTuple):
-    """A point of the smooth map W_k = I - (I + A_k^2)^{-1}, with the A_k
-    and M_k = (I + A_k^2)^{-1} stacked per relay group."""
-
-    point: _Point
     a: list[np.ndarray]
     m: list[np.ndarray]
+    ws: list[np.ndarray]
+    x: np.ndarray
+    evaluator: GaussianEvaluator
+    charge_grads: list[np.ndarray]
 
 
 class _GaussianObjective:
@@ -198,18 +177,20 @@ class _GaussianObjective:
         return [la.clip_eigenvalues(w, 0.0, 1.0 - QUANT_CAP_MARGIN) for w in ws]
 
     def at(self, x) -> _Point:
-        """The projection of packed parameters x onto the feasible set,
-        with the projection's own packed coordinates as the point's x; a
-        point is returned as is."""
+        """The point of packed normalized quantizers x: each W_k is clipped
+        onto 0 <= W_k <= (1 - QUANT_CAP_MARGIN) I and taken through
+        A_k = (W_k (I - W_k)^{-1})^{1/2} to ``smooth_at``, whose packed W is
+        the clipped x up to rounding; a point is returned as is."""
         if isinstance(x, _Point):
             return x
         flat = _unpack_flat(x, self.layout)
-        ws = self.project([flat[pos] for pos in self.positions])
-        for pos, w in zip(self.positions, ws):
-            flat[pos] = w
-        return _Point(_pack_flat(flat, self.layout), ws)
+        for pos, w in zip(self.positions, self.project([flat[pos] for pos in self.positions])):
+            lam, v = np.linalg.eigh(w)
+            lam = np.clip(lam, 0.0, 1.0 - QUANT_CAP_MARGIN)  # the clip's rounding
+            flat[pos] = (v * np.sqrt(lam / (1.0 - lam))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return self.smooth_at(_pack_flat(flat, self.layout))
 
-    def smooth_at(self, a: np.ndarray) -> _SmoothPoint:
+    def smooth_at(self, a: np.ndarray) -> _Point:
         """The point W_k = I - (I + A_k^2)^{-1} of packed Hermitian A_k,
         which lies strictly below I for every A and needs no projection.
         Each fronthaul rate is taken as log2 det(I + A_k^2), from the
@@ -228,18 +209,16 @@ class _GaussianObjective:
             charge.append(-la.hermitian_part(np.eye(ag.shape[-1]) + ag @ ag) / la.LN2)
             a_stacks.append(ag)
             flat[pos] = ws[-1]
-        p = _Point(_pack_flat(flat, self.layout), ws)
-        p.evaluator = GaussianEvaluator(self.terms, self._b(ws), self.terms.merge(mi))
-        p.charge_grads = charge
-        return _SmoothPoint(p, a_stacks, m_stacks)
+        ev = GaussianEvaluator(self.terms, self._b(ws), self.terms.merge(mi))
+        return _Point(a_stacks, m_stacks, ws, _pack_flat(flat, self.layout), ev, charge)
 
-    def pull_back(self, sp: _SmoothPoint, grads: np.ndarray) -> np.ndarray:
+    def pull_back(self, p: _Point, grads: np.ndarray) -> np.ndarray:
         """Rows of packed gradients in W (as ``_branch_gradient`` gives them)
-        as packed gradients in A at ``sp``: with M = (I + A^2)^{-1},
+        as packed gradients in A at ``p``: with M = (I + A^2)^{-1},
         dW = M (dA A + A dA) M, so a gradient G in W is A G' + G' A in A,
         G' = M G M."""
         flat = _unpack_flat(grads / self.layout.scale, self.layout)
-        for pos, a, m in zip(self.positions, sp.a, sp.m):
+        for pos, a, m in zip(self.positions, p.a, p.m):
             g = m @ flat[..., pos] @ m
             flat[..., pos] = a @ g + g @ a
         return _pack_flat(flat, self.layout) * self.layout.scale
@@ -250,24 +229,10 @@ class _GaussianObjective:
     def quantizers(self, x) -> QuantizerSetGaussian:
         return QuantizerSetGaussian(B=tuple(self.terms.unstack(self._b(self.at(x).ws))))
 
-    def evaluator(self, x) -> GaussianEvaluator:
-        """The region evaluator of x's projection, with each fronthaul rate
-        taken from the eigenvalues of the normalized quantizer W_k."""
-        p = self.at(x)
-        if p.evaluator is None:
-            mi = [fronthaul_bits(np.clip(np.linalg.eigvalsh(w), 0.0, 1.0 - QUANT_CAP_MARGIN))
-                  for w in p.ws]
-            p.evaluator = GaussianEvaluator(self.terms, self._b(p.ws), self.terms.merge(mi))
-        return p.evaluator
-
     def branch_values(self, x, users=None) -> np.ndarray:
         """The bound of user set T (by default all users, the sum-rate) for
         every relay subset (index = subset bitmask)."""
-        p = self.at(x)
-        users = users or self.terms.full_users
-        if users not in p.vals:
-            p.vals[users] = self.evaluator(p).subset_bounds(users)
-        return p.vals[users]
+        return self.at(x).evaluator.subset_bounds(users)
 
     def value(self, x) -> float:
         return float(self.branch_values(x).min())
@@ -291,14 +256,10 @@ class _GaussianObjective:
         stack, and each group's (S, k not in S) pairs are multiplied out as
         one batch."""
         p = self.at(x)
-        ev = self.evaluator(p)
         users = users or self.terms.full_users
         idx, k_root = self.terms.users(users)
         cols = slice(None) if users == self.terms.full_users else idx
-        stack = ev.branch_stack(users)
-        if p.charge_grads is None:
-            p.charge_grads = [la.hermitian_part(-np.linalg.inv(np.eye(w.shape[-1]) - w) / la.LN2)
-                              for w in p.ws]
+        stack = p.evaluator.branch_stack(users)
         masks = np.atleast_1d(s_masks)
         rows = np.empty((masks.size, self.layout.bounds[-1][1]), dtype=np.complex128)
         for pos, charge in zip(self.positions, p.charge_grads):
@@ -338,7 +299,7 @@ class _GaussianObjective:
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_search(value: Callable, x0: np.ndarray, cfg: OptimizerConfig):
+def _coordinate_search(value: Callable, x0: np.ndarray, max_iters: int):
     """Pattern search: along each coordinate in turn, try a step up, then
     down, doubling it while the value improves; halve the step after a
     sweep without improvement.  No optimizer path calls it; bench/tracing.py
@@ -348,7 +309,7 @@ def _coordinate_search(value: Callable, x0: np.ndarray, cfg: OptimizerConfig):
     trace = [best]
     step = 0.25
     converged = False
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         improved = False
         for d in range(x.size):
             for sign in (1.0, -1.0):
@@ -375,7 +336,7 @@ def _coordinate_search(value: Callable, x0: np.ndarray, cfg: OptimizerConfig):
     return x, best, trace, converged
 
 
-def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfig):
+def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, max_iters: int):
     """Annealed ascent on the smooth soft-min surrogate.  No optimizer path
     calls it; bench/tracing.py still wraps it by name.
 
@@ -391,7 +352,7 @@ def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, cfg: OptimizerConfi
     trace = []
     for tau in (0.1, 0.03, 0.01, 0.003, 0.001, 3e-4, 1e-4):
         step = 0.1
-        for _ in range(cfg.max_iters):
+        for _ in range(max_iters):
             val, g = obj.softmin(p, tau)
             norm = float(np.linalg.norm(g))
             if norm < 1e-14:
@@ -430,7 +391,7 @@ class GaussianOptResult:
 
 
 class _FrankWolfeBound:
-    """The Frank-Wolfe bound at fixed quantizers, as a convex function of
+    """The Frank-Wolfe bound at a fixed point p, as a convex function of
     weights y on the (T, S) rows of the user sets ``t_sets``:
 
         h(y) = sum_{T,S} y_{T,S} c_{T,S} + sum_k tr (G_k(y))_+,
@@ -438,12 +399,7 @@ class _FrankWolfeBound:
 
     The branch gradients of every row are taken once."""
 
-    def __init__(self, obj: _GaussianObjective, q: QuantizerSetGaussian, t_sets):
-        sc = obj.sc
-        q.validate(sc)
-        # the bound holds at every feasible point, so it is taken at the
-        # projection of q, whose fronthaul rates are finite
-        p = obj.at(_pack_hermitian([r @ b @ r for r, b in zip(map(la.psd_sqrt, sc.Sigma), q.B)]))
+    def __init__(self, obj: _GaussianObjective, p: _Point, t_sets):
         self.obj = obj
         self.rows = obj.row_gradients(p, t_sets)
         # tr G W summed over the relays is the dot product of the packed
@@ -517,7 +473,11 @@ def gaussian_upper_bound(sc: GaussianScenario, q: QuantizerSetGaussian, lam) -> 
     if lam.shape != (1 << sc.num_relays,) or not np.isfinite(lam).all() or np.any(lam < 0) \
             or abs(lam.sum() - 1.0) > 1e-9:
         raise ValueError("lam must be nonnegative and sum to 1, one weight per relay subset")
-    return _FrankWolfeBound(_GaussianObjective(sc), q, [tuple(range(1, sc.num_users + 1))])(lam)[0]
+    q.validate(sc)
+    obj = _GaussianObjective(sc)
+    # the bound holds at every feasible point; at q clipped below I, rates are finite
+    p = obj.at(_pack_hermitian([r @ b @ r for r, b in zip(map(la.psd_sqrt, sc.Sigma), q.B)]))
+    return _FrankWolfeBound(obj, p, [obj.terms.full_users])(lam)[0]
 
 
 def _epigraph_solve(point: Callable, rows: Callable, jac: Callable, objective: Callable,
@@ -604,20 +564,18 @@ def _certified_solve(obj: _GaussianObjective, weights=None) -> GaussianOptResult
         bounds = obj.row_values(p, t_sets).reshape(-1, subsets)
         return max_weighted_rate(RateRegion(sc.num_users, bounds), c)
 
-    (sp, value, rates), trace, res = _epigraph_solve(
-        obj.smooth_at, lambda sp: obj.row_values(sp.point, t_sets),
-        lambda sp: obj.pull_back(sp, obj.row_gradients(sp.point, t_sets)),
-        lambda sp: objective(sp.point), cover, c,
+    (p, value, rates), trace, res = _epigraph_solve(
+        obj.smooth_at, lambda p: obj.row_values(p, t_sets),
+        lambda p: obj.pull_back(p, obj.row_gradients(p, t_sets)), objective, cover, c,
         _pack_hermitian([np.eye(d) for d in sc.relay_antennas]),
         [(None, None)] * size + [(rate_low, None)] * c.size, SOLVE_MAX_ITERS)
 
-    p = sp.point
-    zero = obj.smooth_at(np.zeros(size)).point
+    zero = obj.smooth_at(np.zeros(size))
     zero_value, zero_rates = objective(zero)
     if zero_value >= value:
         p, value, rates = zero, zero_value, zero_rates
         trace.append(value)
-    certificate = _FrankWolfeBound(obj, obj.quantizers(p), t_sets)
+    certificate = _FrankWolfeBound(obj, p, t_sets)
     lam = _covering(res.multipliers, cover, c)
     if lam is None:
         lam = _covering(np.ones(cover.shape[0]), cover, c)
@@ -636,15 +594,12 @@ def _certified_solve(obj: _GaussianObjective, weights=None) -> GaussianOptResult
                              trace=tuple(trace), active=active, upper_bound=bound, gap=gap)
 
 
-def optimize_gaussian_quantizers(sc: GaussianScenario, cfg: OptimizerConfig) -> GaussianOptResult:
-    """Quantization matrices maximizing the configured objective, from one
-    certified solve (``_certified_solve``); the configured restarts,
-    iterations and seed are not used.  Deterministic."""
-    weights = None
-    if cfg.objective == "weighted":
-        weights = np.asarray(cfg.weights, dtype=float)
-        if weights.shape != (sc.num_users,):
-            raise ScenarioError("weights must have one entry per user")
+def optimize_gaussian_quantizers(sc: GaussianScenario, weights=None) -> GaussianOptResult:
+    """Quantization matrices maximizing the sum-rate (``weights`` None) or
+    the weighted rate w.R, from one certified solve (``_certified_solve``).
+    Deterministic."""
+    if weights is not None:
+        weights = _check_weights(weights, sc.num_users)
     return _certified_solve(_GaussianObjective(sc), weights)
 
 
@@ -689,37 +644,35 @@ class _SoftmaxTables:
                                           .reshape(len(g), -1) for a, g in zip(tables, grads)])
 
 
-def optimize_discrete_aux(
-    sc: DiscreteScenario, cardinalities, cfg: OptimizerConfig
-) -> DiscreteOptResult:
+def optimize_discrete_aux(sc: DiscreteScenario, cardinalities, restarts: int = 4,
+                          max_iters: int = 120, seed: int = 0) -> DiscreteOptResult:
     """Quantization tables p(u_k|y_k,q) maximizing the joint-decoding
-    sum-rate: the best of ``cfg.restarts`` epigraph solves
+    sum-rate: the best of ``restarts`` epigraph solves
     (``_epigraph_solve``) of max t s.t. t <= b_S for every relay set S,
-    each capped at ``cfg.max_iters`` SLSQP iterations, over tables whose rows
+    each capped at ``max_iters`` SLSQP iterations, over tables whose rows
     are softmax of free parameters (``_SoftmaxTables``).  The b_S come from
     ``DiscreteEvaluator.subset_bounds`` and their gradients from
     ``ReducedFactors.sum_rate_jacobian``.
 
     Start 0 is the staircase quantizer u = floor(y |U| / |Y|), softened so
     that softmax reaches it; further starts draw Dirichlet rows from seeds
-    spawned from ``cfg.seed``.  ``converged`` is the chosen start's SLSQP
+    spawned from ``seed``.  ``converged`` is the chosen start's SLSQP
     success."""
     card = tuple(int(u) for u in cardinalities)
     if len(card) != sc.num_relays or any(u < 1 for u in card):
         raise ScenarioError("need one positive cardinality per relay")
-    if cfg.objective != "sum_rate":
-        raise ScenarioError("discrete search supports only the sum-rate objective")
+    if restarts < 1 or max_iters < 1:
+        raise ScenarioError("restarts and max_iters must be positive")
     factors = ReducedFactors(sc, card)
     params = _SoftmaxTables([(sc.num_timeshare, y, u) for y, u in zip(sc.output_sizes, card)])
 
     def point(theta):
         tables = params.tables(theta)
         chain = factors.chain(tables)
-        ev = factors.evaluator(tables, chain)
-        return tables, chain, ev, ev.subset_bounds()
+        return tables, chain, factors.evaluator(tables, chain)
 
     def jac(p):
-        tables, chain, ev, _ = p
+        tables, chain, ev = p
         return params.pull_back(tables, factors.sum_rate_jacobian(ev, tables, chain))
 
     def objective(p):
@@ -739,15 +692,15 @@ def optimize_discrete_aux(
             tables = [rng.dirichlet(np.ones(shape[2]), size=shape[:2]) for shape in params.shapes]
         return params.parameters(tables)
 
-    seeds = spawn_seeds(cfg.seed, cfg.restarts)
+    seeds = spawn_seeds(seed, restarts)
     cover = np.ones((1 << sc.num_relays, 1))
     solves = []
-    for i in range(cfg.restarts):
-        ((tables, _, _, bounds), value, _), trace, res = _epigraph_solve(
-            point, lambda p: p[3], jac, objective, cover, np.ones(1), start(i),
-            [(None, None)] * (params.size + 1), cfg.max_iters)
-        solves.append((tables, bounds, value, trace, res))  # not its chain or joint
-    best = max(range(cfg.restarts), key=lambda i: (solves[i][2], -i))
+    for i in range(restarts):
+        ((tables, _, ev), value, _), trace, res = _epigraph_solve(
+            point, lambda p: p[2].subset_bounds(), jac, objective, cover, np.ones(1), start(i),
+            [(None, None)] * (params.size + 1), max_iters)
+        solves.append((tables, ev.subset_bounds(), value, trace, res))  # not its chain or joint
+    best = max(range(restarts), key=lambda i: (solves[i][2], -i))
     tables, bounds, value, trace, res = solves[best]
     active = tuple(int(s) for s in np.flatnonzero(bounds <= bounds.min() + ACTIVE_TOL))
     return DiscreteOptResult(aux=AuxChannels(tables=tables), objective=value,

@@ -66,6 +66,16 @@ def _polytope(ev: Evaluator, r_sum=None) -> tuple[np.ndarray, float, float, np.n
     return bounds, jd, r, r + subset_sums(np.asarray(ev.sc.fronthaul)) - bounds
 
 
+def _finite(g: np.ndarray) -> np.ndarray:
+    """g, which defines a nonempty fronthaul polytope only where it is
+    finite: a Gaussian relay on B_k = Sigma_k^{-1} has an infinite fronthaul
+    rate, so b_S = -inf and g(S) = +inf for every S that holds it."""
+    if not np.isfinite(g).all():
+        raise ScenarioError("a relay needs infinite fronthaul (B_k = Sigma_k^-1); "
+                            "the fronthaul polytope is empty")
+    return g
+
+
 def jd_subset_bounds(ev: Evaluator) -> np.ndarray:
     """Per-relay-subset sum-rate bounds of joint decompression-decoding,
     indexed by subset bitmask:
@@ -106,11 +116,12 @@ def check_supermodular(ev: Evaluator, r_sum: float) -> tuple[bool, float]:
     """Exhaustively verify supermodularity of max(g, 0):
     g+(S+i+j) + g+(S) >= g+(S+i) + g+(S+j) for all S and i != j outside S.
 
-    Returns (all inequalities hold within 1e-10, worst slack)."""
+    Returns (all inequalities hold within 1e-10, worst slack).  An infinite
+    g raises ``ScenarioError``: the fronthaul polytope is empty."""
     kk = ev.sc.num_relays
     if kk > 12:
         raise CapacityError("supermodularity check is exhaustive; K <= 12 required")
-    gp = np.maximum(g_function(ev, r_sum), 0.0)
+    gp = np.maximum(_finite(g_function(ev, r_sum)), 0.0)
     masks = np.arange(1 << kk)
     worst = 0.0 if kk == 1 else math.inf  # K = 1: nothing to check
     for i, j in combinations([1 << k for k in range(kk)], 2):
@@ -142,11 +153,13 @@ def _extreme_points(ev: Evaluator, r_sum: float | None, orderings):
     """(pi, extreme point) for each chain ordering pi, from one g at r_sum
     (None: the joint-decoding sum-rate).  An r_sum above I(U_all; X_all | Q)
     = b_{} raises: the S = {} row of the fronthaul polytope then asks for
-    0 >= g({}) = r_sum - I(U_all; X_all | Q) > 0, so the polytope is empty."""
+    0 >= g({}) = r_sum - I(U_all; X_all | Q) > 0, so the polytope is empty;
+    so does an infinite g (``_finite``)."""
     bounds, _, r_sum, g = _polytope(ev, r_sum)
     if r_sum > bounds[0] + INVARIANT_TOL:
         raise ScenarioError(f"r_sum = {r_sum!r} exceeds I(U; X | Q) = {float(bounds[0])!r}; "
                             "the fronthaul polytope is empty")
+    _finite(g)
     return [(pi, _extreme_point(_chain_g(g, pi), pi)) for pi in orderings]
 
 

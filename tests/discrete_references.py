@@ -3,8 +3,10 @@ the reference that ``TestDiscreteOptimizer`` in test_optimize.py holds the
 optimizer to (``discrete_references.json``, beside this file).
 
 The stored values come from the vertex-move coordinate search of commit
-3f8373f, which the SLSQP epigraph solve replaced.  To reproduce them, run
-this script with that commit's sources on the path:
+3f8373f, which the SLSQP epigraph solve replaced.  ``objectives()`` calls
+that commit's optimizer API; the tests import only ``instance`` and the
+constants.  To reproduce the values, run this script with that commit's
+sources on the path:
 
     mkdir /tmp/ocran-3f8373f && git archive 3f8373f src | tar -x -C /tmp/ocran-3f8373f
     PYTHONPATH=/tmp/ocran-3f8373f/src python tests/discrete_references.py \\
@@ -18,12 +20,11 @@ import sys
 
 import numpy as np
 
-from ocran.optimize import OptimizerConfig, optimize_discrete_aux
 from ocran.verify import random_correlated_scenario, random_factorizing_scenario
 
 SEEDS = range(8)
 AUX_SIZES = (3, 3)
-CONFIG = OptimizerConfig(restarts=4, max_iters=120, seed=0)
+RESTARTS, MAX_ITERS, SEED = 4, 120, 0
 
 
 def instance(seed: int):
@@ -34,7 +35,10 @@ def instance(seed: int):
 
 
 def objectives() -> dict[str, float]:
-    return {str(seed): optimize_discrete_aux(instance(seed), AUX_SIZES, CONFIG).objective
+    from ocran.optimize import OptimizerConfig, optimize_discrete_aux
+
+    config = OptimizerConfig(restarts=RESTARTS, max_iters=MAX_ITERS, seed=SEED)
+    return {str(seed): optimize_discrete_aux(instance(seed), AUX_SIZES, config).objective
             for seed in SEEDS}
 
 

@@ -14,7 +14,7 @@ import pytest
 from ocran.core import spawn_seeds
 from ocran.discrete import DiscreteEvaluator
 from ocran.gaussian import GaussianScenario, region_gaussian
-from ocran.optimize import OptimizerConfig, optimize_gaussian_quantizers
+from ocran.optimize import optimize_gaussian_quantizers
 from ocran.sumrate import check_supermodular
 from ocran.verify import (
     random_aux,
@@ -68,9 +68,7 @@ def test_criterion_1_golden_scalar_sum_rate():
         oracle = bisection_golden_rate(snr, cap)
         closed_form = math.log2(1.0 + snr * (2.0**cap - 1.0) / (2.0**cap + snr))
         assert oracle == pytest.approx(closed_form, abs=1e-9)
-        res = optimize_gaussian_quantizers(
-            scalar_scenario(snr, cap), OptimizerConfig(restarts=2, seed=17)
-        )
+        res = optimize_gaussian_quantizers(scalar_scenario(snr, cap))
         elapsed = time.monotonic() - start
         assert abs(res.objective - oracle) <= 1e-4, (snr, cap, res.objective, oracle)
         assert elapsed < 5.0, f"case snr={snr} C={cap} took {elapsed:.1f}s"
@@ -181,7 +179,7 @@ def test_criterion_8_region_monotonicity_and_collapse():
     rng = np.random.default_rng(56)
     for _ in range(5):
         sc = random_gaussian_scenario(rng, 2, 2, fronthaul_range=(0.0, 0.0))
-        res = optimize_gaussian_quantizers(sc, OptimizerConfig(restarts=2, max_iters=25, seed=5))
+        res = optimize_gaussian_quantizers(sc)
         assert res.objective <= 1e-9
         region = region_gaussian(sc, res.quantizers)
         assert region.contains([0.0, 0.0])

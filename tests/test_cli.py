@@ -557,6 +557,27 @@ class TestOptimizeCommand:
         assert not out.exists()
         assert "restarts and max_iters must be positive" in capsys.readouterr().err
 
+    def test_discrete_weighted_objective_exit_2(self, tmp_path, capsys):
+        scenario = write_json(tmp_path / "sc.json", discrete_doc(with_aux=False))
+        out = tmp_path / "opt.json"
+        rc = main(["optimize", "--scenario", scenario, "--objective", "weighted",
+                   "--weights", "1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "supports only the sum-rate objective" in capsys.readouterr().err
+
+    def test_gaussian_ignores_the_search_settings(self, tmp_path):
+        # one deterministic certified solve: the discrete search's starts,
+        # iteration cap and seed do not change a byte
+        scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc(fronthaul=1.0, users=2))
+        written = []
+        for i, settings in enumerate((["--restarts", "1", "--iters", "1", "--seed", "0"],
+                                      ["--restarts", "7", "--iters", "300", "--seed", "9"])):
+            out = tmp_path / f"opt{i}.json"
+            assert main(["optimize", "--scenario", scenario, *settings, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("weights", ["nan", "inf", "-1", "0"])
     def test_unusable_weights_are_validation_errors(self, tmp_path, capsys, weights):
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())

@@ -22,7 +22,6 @@ from ocran.gaussian import (
     region_gaussian,
 )
 from ocran.optimize import (
-    OptimizerConfig,
     _GaussianObjective,
     _pack_hermitian,
     _SoftmaxTables,
@@ -59,70 +58,63 @@ def golden_rate(snr, cap):
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ScenarioError):
-            OptimizerConfig(objective="nope")
-        with pytest.raises(ScenarioError):
-            OptimizerConfig(objective="weighted")
-        with pytest.raises(ScenarioError):
-            OptimizerConfig(restarts=0)
-        with pytest.raises(ScenarioError):
-            OptimizerConfig(max_iters=0)
+        sc = random_correlated_scenario(np.random.default_rng(3), 1, 2)
+        for settings in ({"restarts": 0}, {"max_iters": 0}):
+            with pytest.raises(ScenarioError, match="restarts and max_iters must be positive"):
+                optimize_discrete_aux(sc, (2, 2), **settings)
 
     @pytest.mark.parametrize("weights", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 2.0),
-                                         (0.0, 0.0), ()])
+                                         (0.0, 0.0), (), (1.0, 1.0, 1.0)])
     def test_unusable_weights(self, weights):
+        sc = random_gaussian_scenario(np.random.default_rng(2), 2, 2)
         with pytest.raises(ScenarioError, match="weights"):
-            OptimizerConfig(objective="weighted", weights=weights)
+            optimize_gaussian_quantizers(sc, weights)
 
 
 class TestGaussianOptimizer:
     def test_zero_fronthaul_collapses_to_zero(self):
         sc = scalar_scenario(fronthaul=0.0)
-        res = optimize_gaussian_quantizers(sc, OptimizerConfig(restarts=2, seed=1))
+        res = optimize_gaussian_quantizers(sc)
         assert res.objective == 0.0
         assert np.allclose(res.quantizers.B[0], 0.0)
 
     def test_golden_scalar(self):
         sc = scalar_scenario(snr=1.0, fronthaul=1.0)
-        res = optimize_gaussian_quantizers(sc, OptimizerConfig(restarts=2, seed=5))
+        res = optimize_gaussian_quantizers(sc)
         assert res.objective == pytest.approx(golden_rate(1.0, 1.0), abs=1e-4)
         res.quantizers.validate(sc)
 
     def test_methods_agree_on_golden_case(self):
         sc = scalar_scenario(snr=4.0, fronthaul=0.5)
-        cfg = OptimizerConfig(restarts=2, max_iters=200, seed=2)
-        res = optimize_gaussian_quantizers(sc, cfg)
+        res = optimize_gaussian_quantizers(sc)
         assert res.objective == pytest.approx(golden_rate(4.0, 0.5), abs=1e-4)
 
     def test_trace_is_monotone(self):
         rng = np.random.default_rng(3)
         sc = random_gaussian_scenario(rng, 2, 2)
-        res = optimize_gaussian_quantizers(sc, OptimizerConfig(restarts=3, seed=3))
+        res = optimize_gaussian_quantizers(sc)
         assert all(b >= a - 1e-12 for a, b in zip(res.trace, res.trace[1:]))
 
     def test_feasibility_after_projection(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
             sc = random_gaussian_scenario(rng, 2, 2)
-            res = optimize_gaussian_quantizers(
-                sc, OptimizerConfig(restarts=2, max_iters=15, seed=4)
-            )
+            res = optimize_gaussian_quantizers(sc)
             res.quantizers.validate(sc)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(5)
         sc = random_gaussian_scenario(rng, 1, 2)
-        cfg = OptimizerConfig(restarts=3, max_iters=20, seed=11)
-        a = optimize_gaussian_quantizers(sc, cfg)
-        b = optimize_gaussian_quantizers(sc, cfg)
+        a = optimize_gaussian_quantizers(sc)
+        b = optimize_gaussian_quantizers(sc)
         assert a.trace == b.trace
         for ba, bb in zip(a.quantizers.B, b.quantizers.B):
             np.testing.assert_array_equal(ba, bb)
 
     def test_call_count_guard(self, monkeypatch):
-        # the multi-start pattern search with a soft-min polish made 6,394
-        # clip_eigenvalues calls on this run, one per evaluated point; the
-        # sum-rate solve may build a tenth as many evaluators
+        # the multi-start search that the certified solve replaced evaluated
+        # 6,394 points on this instance; the solve builds one evaluator per
+        # point and may build a tenth as many
         builds = []
 
         class Counting(optimize.GaussianEvaluator):
@@ -132,7 +124,7 @@ class TestGaussianOptimizer:
 
         monkeypatch.setattr(optimize, "GaussianEvaluator", Counting)
         sc = random_gaussian_scenario(np.random.default_rng(31), 2, 3)
-        res = optimize_gaussian_quantizers(sc, OptimizerConfig(restarts=2, max_iters=10, seed=1))
+        res = optimize_gaussian_quantizers(sc)
         assert res.gap <= 1e-6
         assert 0 < len(builds) <= 6_394 // 10
 
@@ -147,10 +139,7 @@ class TestGaussianOptimizer:
             Kin=([[1.0]], [[1.0]]),
             power=(1.0, 1.0),
         )
-        cfg = OptimizerConfig(
-            objective="weighted", weights=(1.0, 1.0), restarts=2, max_iters=30, seed=8
-        )
-        res = optimize_gaussian_quantizers(sc, cfg)
+        res = optimize_gaussian_quantizers(sc, (1.0, 1.0))
         assert res.objective > 0.1
         assert res.gap <= 1e-6
         res.quantizers.validate(sc)
@@ -171,9 +160,7 @@ class TestGaussianOptimizer:
             Kin=(kin,),
             power=(2.0,),
         )
-        res = optimize_gaussian_quantizers(
-            sc, OptimizerConfig(restarts=4, max_iters=300, seed=10)
-        )
+        res = optimize_gaussian_quantizers(sc)
         signal = h @ kin @ h.conj().T
         b = res.quantizers.B[0]
         residual = np.max(np.abs(signal @ b - b @ signal))
@@ -185,6 +172,12 @@ class TestGaussianOptimizer:
 
 def sum_rate(sc, q):
     return float(GaussianEvaluator.from_quantizers(sc, q).subset_bounds().min())
+
+
+def point_of(obj, q):
+    """The objective's point at quantizers q, through ``at``."""
+    roots = [la.psd_sqrt(s) for s in obj.sc.Sigma]
+    return obj.at(_pack_hermitian([r @ b @ r for r, b in zip(roots, q.B)]))
 
 
 def water_filling_rate(r, cap):
@@ -237,7 +230,7 @@ class TestCertificate:
             q = random_quantizers(rng, sc)
             lam = rng.dirichlet(np.ones(1 << sc.num_relays))
             bound = gaussian_upper_bound(sc, q, lam)
-            optimum = optimize_gaussian_quantizers(sc, OptimizerConfig())
+            optimum = optimize_gaussian_quantizers(sc)
             for other in [q, optimum.quantizers] + [random_quantizers(rng, sc, 0.0, 0.99)
                                                     for _ in range(5)]:
                 assert sum_rate(sc, other) <= bound + 1e-12
@@ -303,7 +296,7 @@ class TestCertificate:
             b_opt = la.hermitian_part(inv_root @ (v * w) @ v.conj().T @ inv_root)
             bound = gaussian_upper_bound(sc, QuantizerSetGaussian(B=(b_opt,)), [mu, 1.0 - mu])
             assert bound == pytest.approx(rate, abs=1e-9)
-            res = optimize_gaussian_quantizers(sc, OptimizerConfig())
+            res = optimize_gaussian_quantizers(sc)
             assert res.objective == pytest.approx(rate, abs=1e-9)
             assert res.gap <= 1e-6
 
@@ -314,6 +307,30 @@ class TestCertificate:
             with pytest.raises(ValueError, match="lam"):
                 gaussian_upper_bound(sc, q, lam)
 
+    def test_bound_at_the_solver_point_matches_the_bound_at_its_quantizers(self, monkeypatch):
+        # the solve certifies its own point; at() of the quantizers it
+        # returns is that point up to rounding
+        points = []
+        original = optimize._FrankWolfeBound
+
+        def keep(obj, p, t_sets):
+            points.append((obj, p, t_sets))
+            return original(obj, p, t_sets)
+
+        monkeypatch.setattr(optimize, "_FrankWolfeBound", keep)
+        rng = np.random.default_rng(76)
+        for trial in range(8):
+            num_users = int(rng.integers(1, 4))
+            sc = random_gaussian_scenario(rng, num_users, int(rng.integers(1, 4)), max_antennas=3)
+            weights = None if trial % 2 else tuple(rng.uniform(0.1, 1.0, size=num_users))
+            res = optimize_gaussian_quantizers(sc, weights)
+            obj, p, t_sets = points[-1]
+            here = original(obj, p, t_sets)
+            there = original(obj, point_of(obj, res.quantizers), t_sets)
+            for _ in range(3):
+                y = rng.dirichlet(np.ones(len(t_sets) << sc.num_relays))
+                assert abs(here(y)[0] - there(y)[0]) <= 1e-12
+
 
 class TestSolverGate:
     def test_bench_instances_are_certified_above_their_references(self):
@@ -321,7 +338,7 @@ class TestSolverGate:
         for seed in range(1, 11):
             for i in range(4):
                 doc = instances.optimize_instance(instances.instance_rng(seed, 4, i)).scenario
-                res = optimize_gaussian_quantizers(scenario_from_dict(doc), OptimizerConfig())
+                res = optimize_gaussian_quantizers(scenario_from_dict(doc))
                 assert res.gap <= 1e-6
                 assert res.objective >= references["gaussian-opt"][str(seed)][f"opt-{i}.optimize"]
 
@@ -330,7 +347,7 @@ class TestSolverGate:
         for _ in range(30):
             sc = random_gaussian_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)),
                                           max_antennas=3)
-            res = optimize_gaussian_quantizers(sc, OptimizerConfig())
+            res = optimize_gaussian_quantizers(sc)
             assert res.gap <= 1e-6
             assert res.objective == pytest.approx(sum_rate(sc, res.quantizers), abs=1e-9)
             assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
@@ -341,7 +358,7 @@ class TestSolverGate:
         for _ in range(10):
             sc = random_gaussian_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)),
                                           max_antennas=3, fronthaul_range=(0.0, 0.0))
-            res = optimize_gaussian_quantizers(sc, OptimizerConfig())
+            res = optimize_gaussian_quantizers(sc)
             assert res.objective == 0.0
             assert res.gap <= 1e-6
             for b in res.quantizers.B:
@@ -350,7 +367,7 @@ class TestSolverGate:
     def test_uncertified_solve_raises(self, monkeypatch):
         monkeypatch.setattr(optimize, "GAP_TOL", -1.0)
         with pytest.raises(ArithmeticError, match="not certified"):
-            optimize_gaussian_quantizers(scalar_scenario(), OptimizerConfig())
+            optimize_gaussian_quantizers(scalar_scenario())
 
 
 # (users, relays, fronthaul set per relay index, index of a zero weight)
@@ -370,7 +387,7 @@ def random_weighted_instance(rng, num_users, num_relays, fronthaul, zero_weight)
 
 
 def weighted(sc, weights):
-    return optimize_gaussian_quantizers(sc, OptimizerConfig(objective="weighted", weights=weights))
+    return optimize_gaussian_quantizers(sc, weights)
 
 
 class TestWeightedSolve:
@@ -443,23 +460,26 @@ class TestWeightedSolve:
             res = weighted(sc, w)
             t_sets, cover = self.rows_of(sc)
             w = np.asarray(w)
-            bound = optimize._FrankWolfeBound(_GaussianObjective(sc), random_quantizers(rng, sc), t_sets)
+            obj = _GaussianObjective(sc)
+            p = point_of(obj, random_quantizers(rng, sc))
+            bound = optimize._FrankWolfeBound(obj, p, t_sets)
             start = optimize._covering(np.ones(cover.shape[0]), cover, w)
             assert bound.least(start, res.objective, cover, w) >= res.objective - 1e-9
 
     def test_each_point_forms_each_user_set_once(self, monkeypatch):
         # the weighted objective reads the (T, S) rows that the constraints
-        # already formed at the same point
+        # already formed at the same point: each evaluator takes the
+        # log-dets of each user set once
         rng = np.random.default_rng(88)
         sc, w = random_weighted_instance(rng, 2, 3, {}, None)
-        original = GaussianEvaluator.subset_bounds
+        original = GaussianEvaluator.info_terms
         calls = []  # holds the evaluators, so no id is reused
 
-        def counting(ev, users=None):
-            calls.append((ev, users or ev.full_users))
+        def counting(ev, users):
+            calls.append((ev, users))
             return original(ev, users)
 
-        monkeypatch.setattr(GaussianEvaluator, "subset_bounds", counting)
+        monkeypatch.setattr(GaussianEvaluator, "info_terms", counting)
         weighted(sc, w)
         keys = [(id(ev), users) for ev, users in calls]
         assert keys and len(keys) == len(set(keys))
@@ -468,14 +488,14 @@ class TestWeightedSolve:
         rng = np.random.default_rng(83)
         for _ in range(2):
             sc = random_gaussian_scenario(rng, 1, int(rng.integers(1, 4)), max_antennas=3)
-            total = optimize_gaussian_quantizers(sc, OptimizerConfig())
+            total = optimize_gaussian_quantizers(sc)
             assert weighted(sc, (1.0,)).objective == pytest.approx(total.objective, abs=1e-6)
 
     def test_unit_weights_never_beat_the_sum_rate(self):
         rng = np.random.default_rng(84)
         for _ in range(2):
             sc = random_gaussian_scenario(rng, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
-            total = optimize_gaussian_quantizers(sc, OptimizerConfig())
+            total = optimize_gaussian_quantizers(sc)
             assert weighted(sc, (1.0,) * sc.num_users).objective <= total.objective + 1e-6
 
 
@@ -602,21 +622,19 @@ class TestDiscreteOptimizer:
         sc = self._bsc_scenario(10.0)
         j = build_joint(sc, identity_aux(sc))
         target = cmi(j, {"X1"}, {"Y1"}, {"Q"})
-        res = optimize_discrete_aux(sc, (2,), OptimizerConfig(restarts=2, seed=1))
+        res = optimize_discrete_aux(sc, (2,), restarts=2, seed=1)
         assert res.objective == pytest.approx(target, abs=1e-3)
 
     def test_zero_fronthaul(self):
         sc = self._bsc_scenario(0.0)
-        res = optimize_discrete_aux(
-            sc, (2,), OptimizerConfig(restarts=2, max_iters=10, seed=2)
-        )
+        res = optimize_discrete_aux(sc, (2,), restarts=2, max_iters=10, seed=2)
         assert res.objective == 0.0
 
     def test_beats_handcrafted_candidate(self):
         sc = self._bsc_scenario(0.6)
         noisy_copy = np.array([[[0.9, 0.1], [0.1, 0.9]]])
         candidate = jd_sum_rate(DiscreteEvaluator.from_aux(sc, AuxChannels(tables=(noisy_copy,))))
-        res = optimize_discrete_aux(sc, (2,), OptimizerConfig(restarts=3, seed=3))
+        res = optimize_discrete_aux(sc, (2,), restarts=3, seed=3)
         assert res.objective >= candidate - 1e-9
 
     def test_non_convergence_is_flagged_not_raised(self):
@@ -625,18 +643,16 @@ class TestDiscreteOptimizer:
         from ocran.verify import random_correlated_scenario
 
         sc = random_correlated_scenario(rng, 1, 2)
-        res = optimize_discrete_aux(sc, (3, 3), OptimizerConfig(restarts=1, max_iters=1, seed=1))
+        res = optimize_discrete_aux(sc, (3, 3), restarts=1, max_iters=1, seed=1)
         assert not res.converged
         for table in res.aux.tables:
             np.testing.assert_allclose(table.sum(axis=-1), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("card, cfg", [((2,), OptimizerConfig()), ((0, 2), OptimizerConfig()),
-                                           ((2, 2), OptimizerConfig(objective="weighted",
-                                                                    weights=(1.0,)))])
+    @pytest.mark.parametrize("card, cfg", [((2,), {}), ((0, 2), {}), ((2, 2), {"restarts": 0})])
     def test_validation_is_a_scenario_error(self, card, cfg):
         sc = random_correlated_scenario(np.random.default_rng(3), 1, 2)
         with pytest.raises(ScenarioError):
-            optimize_discrete_aux(sc, card, cfg)
+            optimize_discrete_aux(sc, card, **cfg)
 
     @pytest.mark.parametrize("num_timeshare", [1, 2])
     def test_sum_rate_jacobian_matches_central_differences(self, num_timeshare):
@@ -668,8 +684,12 @@ class TestDiscreteOptimizer:
         path = pathlib.Path(__file__).with_name("discrete_references.json")
         references = json.loads(path.read_text())
         assert sorted(references) == sorted(str(seed) for seed in discrete_references.SEEDS)
-        for seed, objective in discrete_references.objectives().items():
-            assert objective >= references[seed] - 1e-9
+        for seed in discrete_references.SEEDS:
+            res = optimize_discrete_aux(
+                discrete_references.instance(seed), discrete_references.AUX_SIZES,
+                discrete_references.RESTARTS, discrete_references.MAX_ITERS,
+                discrete_references.SEED)
+            assert res.objective >= references[str(seed)] - 1e-9
 
     def test_data_processing_ceiling(self):
         rng = np.random.default_rng(4)
@@ -677,9 +697,7 @@ class TestDiscreteOptimizer:
 
         for _ in range(5):
             sc = random_correlated_scenario(rng, 1, 2)
-            res = optimize_discrete_aux(
-                sc, (2, 2), OptimizerConfig(restarts=2, max_iters=8, seed=5)
-            )
+            res = optimize_discrete_aux(sc, (2, 2), restarts=2, max_iters=8, seed=5)
             j = build_joint(sc, identity_aux(sc))
             ceiling = cmi(j, {"X1"}, {"Y1", "Y2"}, {"Q"})
             assert res.objective <= ceiling + 1e-9

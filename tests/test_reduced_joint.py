@@ -29,7 +29,7 @@ from ocran.discrete import (
     relay_axis,
     user_axis,
 )
-from ocran.optimize import OptimizerConfig, optimize_discrete_aux
+from ocran.optimize import optimize_discrete_aux
 from ocran.sumrate import (
     ALPHA_DENOM_TOL,
     PIVOT_TOL,
@@ -300,7 +300,7 @@ def test_entry_points_never_build_the_dense_joint(monkeypatch, tmp_path):
     swz_required_fronthaul(ev, pi)
     swz_dominating_point(ev, r_sum, pi)
     swz_equals_jd(ev)
-    optimize_discrete_aux(sc, (2, 2, 2, 2), OptimizerConfig(restarts=1, max_iters=1))
+    optimize_discrete_aux(sc, (2, 2, 2, 2), restarts=1, max_iters=1)
     path = tmp_path / "sc.json"
     save_scenario(sc, path, aux)
     for command in ("region", "sumrate", "swz-check", "extreme-points"):

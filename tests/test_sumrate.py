@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from ocran.core import CapacityError, ScenarioError, mask_of, spawn_seeds, subset_sums
 from ocran.discrete import (AuxChannels, DiscreteEvaluator, DiscreteScenario, build_joint, cmi,
                             identity_aux)
-from ocran.gaussian import GaussianEvaluator
+from ocran.gaussian import GaussianEvaluator, QuantizerSetGaussian
 from ocran.sumrate import (
     check_supermodular,
     extreme_point,
@@ -414,14 +415,15 @@ class TestSharedEvaluator:
 
     @staticmethod
     def count_bound_formations(monkeypatch):
+        # formations, not calls: the evaluator keeps its default bounds
         calls = []
-        original = discrete.DiscreteEvaluator.subset_bounds
+        original = discrete.DiscreteEvaluator._subset_bounds
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(discrete.DiscreteEvaluator, "subset_bounds", counting)
+        monkeypatch.setattr(discrete.DiscreteEvaluator, "_subset_bounds", counting)
         return calls
 
     def test_swz_equals_jd_forms_the_bounds_once(self, monkeypatch):
@@ -437,16 +439,17 @@ class TestSharedEvaluator:
 
     def test_extreme_points_form_the_bounds_once(self, monkeypatch):
         # the default r_sum, the joint-decoding sum-rate, comes from the same
-        # formation of the bounds as g
+        # formation of the bounds as g, which the evaluator keeps for the
+        # next call
         calls = self.count_bound_formations(monkeypatch)
         rng = np.random.default_rng(35)
         for num_relays in (1, 2, 3, 4):
             sc = random_factorizing_scenario(rng, 1, num_relays)
             ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
+            calls.clear()
             for r_sum in (None, 0.0):
-                calls.clear()
                 assert len(extreme_points(ev, r_sum)) == math.factorial(num_relays)
-                assert len(calls) == 1
+            assert len(calls) == 1
 
     def test_extreme_points_command_builds_one_evaluator(self, monkeypatch, tmp_path, capsys):
         sc, aux = self.instance()
@@ -621,6 +624,22 @@ def test_bad_input_raises_scenario_error():
     for call in bad.values():
         with pytest.raises(ScenarioError):
             call()
+
+
+def test_relay_on_the_boundary_empties_the_fronthaul_polytope():
+    # B_1 = Sigma_1^-1 needs infinite fronthaul: b_S = -inf and g(S) = +inf
+    # for every S that holds relay 1, so no fronthaul vector meets g
+    sc = random_gaussian_scenario(np.random.default_rng(3), 1, 2)
+    q = random_quantizers(np.random.default_rng(4), sc)
+    q = QuantizerSetGaussian(B=(np.linalg.inv(sc.Sigma[0]),) + q.B[1:])
+    ev = GaussianEvaluator.from_quantizers(sc, q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(g_function(ev, jd_sum_rate(ev))).any()
+        for call in (lambda: check_supermodular(ev, jd_sum_rate(ev)),
+                     lambda: extreme_points(ev), lambda: extreme_point(ev, 0.0, (2, 1))):
+            with pytest.raises(ScenarioError, match="fronthaul polytope is empty"):
+                call()
 
 
 def test_size_guards_raise_capacity_error():
