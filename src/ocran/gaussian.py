@@ -310,6 +310,8 @@ class GaussianEvaluator:
 
     @classmethod
     def from_quantizers(cls, sc: GaussianScenario, q: QuantizerSetGaussian) -> "GaussianEvaluator":
+        """The evaluator of quantizers q, after ``q.validate(sc)``."""
+        q.validate(sc)
         terms = ScenarioTerms(sc)
         return cls(terms, terms.stack(q.B), [fronthaul_mi(s, b) for s, b in zip(sc.Sigma, q.B)])
 
@@ -361,7 +363,6 @@ def rate_constraint_gaussian(
 
 def region_gaussian(sc: GaussianScenario, q: QuantizerSetGaussian) -> RateRegion:
     """Evaluate every (T, S) constraint; negative bounds are kept as-is."""
-    q.validate(sc)
     return GaussianEvaluator.from_quantizers(sc, q).region()
 
 

@@ -2,7 +2,7 @@
 sum-rate objective's branch gradients, the inverse of the packed Hermitian
 parameterization, the additive test channel of a quantizer, one-shot
 references of the two Monte Carlo samplers, a traced-memory probe and the
-faults that the failure-path tests of the ``verify`` suites inject."""
+faults and NaNs that the failure-path tests of the ``verify`` suites inject."""
 
 from __future__ import annotations
 
@@ -231,3 +231,61 @@ def inject_suite_fault(monkeypatch, suite: str) -> None:
         monkeypatch.setattr(verify, "matrix_lemma_cases", faulty)
     else:
         raise ValueError(f"no fault defined for suite {suite!r}")
+
+
+def inject_suite_nan(monkeypatch, suite: str) -> None:
+    """Make exactly one case of a ``verify`` suite compare a NaN, by
+    rebinding a function the suite calls: the third thm1 region of
+    class_equivalence, the first comparison of swz, the first estimate of mc,
+    the point-mass marginal of codebook and the first gap of matrix_lemmas."""
+    calls = []
+
+    def call_number() -> int:
+        calls.append(None)
+        return len(calls)
+
+    if suite == "class_equivalence":
+        region_discrete = verify.region_discrete
+
+        def faulty(sc, aux, which="thm1"):
+            r = region_discrete(sc, aux, which)
+            if which == "thm1" and call_number() == 3:
+                return RateRegion(r.num_users, np.full_like(r.bounds, math.nan))
+            return r
+
+        monkeypatch.setattr(verify, "region_discrete", faulty)
+    elif suite == "swz":
+        swz_equals_jd = verify.swz_equals_jd
+
+        def faulty(ev):
+            res = swz_equals_jd(ev)
+            return replace(res, gap=math.nan) if call_number() == 1 else res
+
+        monkeypatch.setattr(verify, "swz_equals_jd", faulty)
+    elif suite == "mc":
+        mc_mutual_information = verify.mc_mutual_information
+
+        def faulty(*args, **kwargs):
+            est = mc_mutual_information(*args, **kwargs)
+            return replace(est, estimate=math.nan) if call_number() == 1 else est
+
+        monkeypatch.setattr(verify, "mc_mutual_information", faulty)
+    elif suite == "codebook":
+        sample_codebook_marginal = verify.sample_codebook_marginal
+
+        def faulty(ens, trials):
+            res = sample_codebook_marginal(ens, trials)
+            return replace(res, tv=res.tv * math.nan) if ens.input_pmf[0, 0] == 1.0 else res
+
+        monkeypatch.setattr(verify, "sample_codebook_marginal", faulty)
+    elif suite == "matrix_lemmas":
+        matrix_lemma_cases = verify.matrix_lemma_cases
+
+        def faulty(instances, seed):
+            lemma_ok, gaps = matrix_lemma_cases(instances, seed)
+            gaps[0] = math.nan
+            return lemma_ok, gaps
+
+        monkeypatch.setattr(verify, "matrix_lemma_cases", faulty)
+    else:
+        raise ValueError(f"no NaN defined for suite {suite!r}")

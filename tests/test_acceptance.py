@@ -138,7 +138,7 @@ def test_criterion_5_matrix_lemmas():
 
 def test_criterion_6_monte_carlo_vs_analytic():
     start = time.monotonic()
-    report = suite_mc(instances=10, seed=31, samples=1_000_000)
+    report = suite_mc(instances=10, seed=31)
     elapsed = time.monotonic() - start
     assert report.failures == 0
     assert elapsed < 300.0

@@ -380,6 +380,19 @@ class TestRegion:
             QuantizerSetGaussian(B=([[1.5]],)).validate(sc)
         QuantizerSetGaussian(B=([[1.0]],)).validate(sc)  # boundary is feasible
 
+    def test_evaluator_checks_its_quantizers(self):
+        rng = np.random.default_rng(3)
+        sc = random_gaussian_scenario(rng, 2, 2)
+        b = random_quantizers(rng, sc).B
+        cases = [
+            ((2 * np.linalg.inv(sc.Sigma[0]), b[1]), "violates 0 <= B <= Sigma"),
+            (b + b[:1], "quantizer count must equal the number of relays"),
+            (b[:1], "quantizer count must equal the number of relays"),
+        ]
+        for mats, message in cases:
+            with pytest.raises(ValueError, match=message):
+                GaussianEvaluator.from_quantizers(sc, QuantizerSetGaussian(B=mats))
+
 
 class TestMatrixLemmas:
     def test_equal_matrices(self):

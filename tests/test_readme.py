@@ -1,14 +1,17 @@
-"""README's library entry points must import and run, so a deleted or
-renamed public name, or a changed signature, fails here rather than in a
-reader's session."""
+"""README's library entry points must import and run, and its command
+table and ``verify`` paragraph must name the CLI's commands and suites, so a
+deleted or renamed public name, command or suite, or a changed signature,
+fails here rather than in a reader's session."""
 
+import argparse
 import pathlib
 import re
 
 import numpy as np
 
+from ocran.cli import build_parser
 from ocran.core import save_scenario
-from ocran.verify import random_gaussian_scenario
+from ocran.verify import SUITE_NAMES, random_gaussian_scenario
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -41,3 +44,18 @@ def test_library_entry_points_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(entry_point_block(), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_command_table_names_every_subcommand():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| command | what it does |", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `([a-z-]+)` \|", table, re.M)
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(listed) == sorted(sub.choices)
+
+
+def test_verify_paragraph_names_every_suite():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text.split("`verify` runs five seeded suites", 1)[1].split("\n\n", 1)[0]
+    for name in SUITE_NAMES:
+        assert f"`{name}`" in paragraph

@@ -1,6 +1,6 @@
 """The stacked matrix_lemmas suite against a loop over the per-matrix
-functions, and the failure path of the suites that run on stacked or
-whitened kernels."""
+functions, the failure path of the suites that run on stacked or whitened
+kernels, and a NaN gap failing every suite."""
 
 import math
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ocran import _linalg as la
+from ocran import verify
 from ocran.core import spawn_seeds
 from ocran.gaussian import matrix_lemma_check, weighted_arithmetic_mean, weighted_harmonic_mean
 from ocran.verify import (
@@ -18,7 +19,7 @@ from ocran.verify import (
     suite_mc,
 )
 
-from helpers import inject_suite_fault
+from helpers import inject_suite_fault, inject_suite_nan
 
 
 def per_matrix_case(instance_seed):
@@ -77,12 +78,25 @@ def test_injected_fault_fails_matrix_lemmas(monkeypatch):
 
 
 def test_injected_fault_fails_mc(monkeypatch):
-    clean = suite_mc(instances=2, seed=0, samples=20_000)
+    monkeypatch.setattr(verify, "MC_SAMPLES", 20_000)
+    clean = suite_mc(instances=2, seed=0)
     inject_suite_fault(monkeypatch, "mc")
-    faulty = suite_mc(instances=2, seed=0, samples=20_000)
+    faulty = suite_mc(instances=2, seed=0)
     assert clean.failures == 0
     assert faulty.failures == 2
     assert faulty.worst_gap > clean.worst_gap
+
+
+@pytest.mark.parametrize("suite, count", [("class_equivalence", 5), ("swz", 5), ("mc", 2),
+                                          ("codebook", 100_000), ("matrix_lemmas", 50)])
+def test_a_nan_gap_fails(monkeypatch, suite, count):
+    monkeypatch.setattr(verify, "MC_SAMPLES", 20_000)
+    (clean,) = run_suites((suite,), instances=count)
+    inject_suite_nan(monkeypatch, suite)
+    (faulty,) = run_suites((suite,), instances=count)
+    assert clean.failures == 0
+    assert faulty.failures == 1
+    assert faulty.cases == clean.cases
 
 
 @pytest.mark.parametrize("instances", [1, 7])
@@ -103,8 +117,6 @@ def test_run_suites_keeps_each_suite_default_count():
 def test_codebook_suite_runs_below_ten_trials(monkeypatch):
     """The point mass takes a tenth of the trials, at least one, and matches
     its law exactly at any count."""
-    from ocran import verify
-
     point_mass_tv = []
     original = verify.sample_codebook_marginal
 
