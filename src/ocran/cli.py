@@ -157,9 +157,9 @@ def _read_field(path: str, field: str):
 
 def _quantizers(args, sc) -> QuantizerSetGaussian | AuxChannels:
     """The fixed quantizers a command evaluates: Gaussian B matrices from
-    --quantizers (checked against the scenario by their consumer), or
-    discrete aux tables from --quantizers or, without it, from the scenario
-    file."""
+    --quantizers, or discrete aux tables from --quantizers or, without it,
+    from the scenario file.  Their consumer checks them against the
+    scenario."""
     if isinstance(sc, GaussianScenario):
         if not args.quantizers:
             raise ScenarioError(f"{args.command} needs --quantizers with the B matrices")
@@ -172,9 +172,7 @@ def _quantizers(args, sc) -> QuantizerSetGaussian | AuxChannels:
         tables = args.scenario_aux
         if tables is None:
             raise ScenarioError("aux channels required (in the scenario file or --quantizers)")
-    aux = AuxChannels(tables=tuple(np.asarray(t, dtype=float) for t in tables))
-    aux.check_compatible(sc)
-    return aux
+    return AuxChannels(tables=tuple(np.asarray(t, dtype=float) for t in tables))
 
 
 def _evaluator(args, sc) -> GaussianEvaluator | DiscreteEvaluator:
@@ -415,8 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sumrate", "sum-rate bound of a fixed quantizer choice")
     p.add_argument("--quantizers")
 
-    p = command("extreme-points", "fronthaul-polytope extreme points per ordering",
-                kind="discrete")
+    p = command("extreme-points", "fronthaul-polytope extreme points per ordering")
     p.add_argument("--quantizers")
     p.add_argument("--rsum", type=float, default=None,
                    help="target sum-rate (default: the joint-decoding sum-rate)")

@@ -2,15 +2,16 @@
 
 The joint law used everywhere is
 
-    p(q) * prod_l p(x_l|q) * p(y_1..y_K | x_1..x_L) * prod_k p(u_k|y_k,q)
+    p(q) * prod_l p(x_l|q) * p(y_1..y_K | x_1..x_L) * prod_k p(u_k|y_k,q).
 
-with labeled axes ('Q', 'X1'.., 'Y1'.., 'U1'..).  Because each relay
-quantizes obliviously, every bound of product quantization channels is an
-entropy of the reduced joint p(q, x, u) minus per-relay constants
-H(U_k | Y_k, Q), so the Y axes are summed out while the reduced joint is
-contracted (``ReducedFactors``).  Tensors are capped at MAX_JOINT_ENTRIES
-entries; within that budget every information quantity is an exact sum
-(0 log 0 = 0), so the only error is float rounding.
+Because each relay quantizes obliviously, every bound of product
+quantization channels is an entropy of the reduced joint p(q, x, u) minus
+per-relay constants H(U_k | Y_k, Q), so the Y axes are summed out while the
+reduced joint is contracted (``ReducedFactors``).  ``JointPmf`` (labeled
+axes 'Q', 'X1'.., 'Y1'.., 'U1'..), ``cmi`` and ``build_joint`` are the dense
+reference the tests compare against.  Tensors are capped at
+MAX_JOINT_ENTRIES entries; within that budget every information quantity
+is an exact sum (0 log 0 = 0), so the only error is float rounding.
 
 Two constraint families are evaluated:
 
@@ -24,7 +25,7 @@ Every other discrete bound reads it: one (T, S) pair (``bound``), a region
 (``region_discrete``), the joint-decoding sum-rate bounds, and in
 ``ocran.sumrate`` the set function g(S) and the separate-decompression test.
 The successive Wyner-Ziv rates there are differences of the same entropy
-vectors (``DiscreteEvaluator._u_entropies``), so that layer computes no
+vectors (``DiscreteEvaluator.u_entropies``), so that layer computes no
 entropy of its own.
 ``ReducedFactors.sum_rate_jacobian`` gives the gradients of the sum-rate
 bounds in the quantization tables, for the discrete optimizer.
@@ -47,6 +48,7 @@ from .core import (
     ScenarioError,
     SubsetPair,
     check_finite,
+    mask_of,
     subset_sums,
 )
 
@@ -372,11 +374,6 @@ class ReducedFactors:
         self._shape = (nq,) + sc.input_sizes + tuple(aux_sizes[i] for i in self.order)
         self._perm = tuple(range(1 + l)) + tuple(1 + l + position[i] for i in range(k))
         self._unperm = (0,) + tuple(1 + int(a) for a in np.argsort(self._perm))
-        self._axes = (
-            ("Q",)
-            + tuple(user_axis(i) for i in range(1, l + 1))
-            + tuple(aux_axis(i) for i in range(1, k + 1))
-        )
 
     def chain(self, tables) -> list[np.ndarray]:
         """The contraction of p(q, y, x) with the tables, relay by relay in
@@ -400,7 +397,7 @@ class ReducedFactors:
         )
         t = (self.chain(tables) if chain is None else chain)[-1]
         t = t.reshape(self._shape).transpose(self._perm)
-        return DiscreteEvaluator(self.sc, JointPmf(t, self._axes), h)
+        return DiscreteEvaluator(self.sc, t, h)
 
     def sum_rate_jacobian(self, ev: "DiscreteEvaluator", tables,
                           chain=None) -> list[np.ndarray]:
@@ -419,13 +416,13 @@ class ReducedFactors:
         run here when not given), unformed; the marginals p(q, u_m) are
         those ``ev.subset_bounds`` kept."""
         nq, rows = self.pqyx.shape[0], 1 << len(tables)
-        p = ev.joint.tensor
+        p = ev.p
         if p.size * rows > MAX_JOINT_ENTRIES:
             raise CapacityError(f"sum-rate Jacobian would hold {p.size * rows} entries")
         # row S: log2 p(q, x, u) - log2 p(q, u_{S^c}), so the marginals of
         # the masks m = S^c in reversed order
         margins = np.empty((rows, nq) + (1,) * self.sc.num_users + p.shape[1 + self.sc.num_users:])
-        for m, marginal in enumerate(ev._u_marginals_given_q()):
+        for m, marginal in enumerate(ev._u_marginals(0)):
             margins[m] = marginal
         adjoint = (_log2(p) - _log2(margins)[::-1]).transpose(self._unperm)
         ts = self.chain(tables) if chain is None else chain
@@ -460,22 +457,26 @@ def _row_entropies(table: np.ndarray) -> np.ndarray:
 
 class DiscreteEvaluator:
     """Every rate bound of one (scenario, quantizer) pair, written in
-    entropies.  Built once per pair and shared, with its entropy cache, by
-    every bound and chain ordering evaluated on it.
+    entropies.  Built once per pair and shared, with its caches, by every
+    bound and chain ordering evaluated on it.
 
-    ``joint`` is the reduced p(q, x, u), with axes Q, X_l and U_k.  The only
-    quantity that involves the relay outputs is H(U_S | Y_S, C, Q).  Each
-    relay quantizes its own output, so U_S depends on the rest of the system
-    only through (Y_S, Q), and that entropy is the sum of the per-relay
-    constants ``h_u_given_y[k-1]`` = H(U_k | Y_k, Q)."""
+    ``p`` is the reduced p(q, x, u), read-only, with axes Q, X_1..X_L,
+    U_1..U_K; sets of users and relays are bitmasks.  The only quantity that
+    involves the relay outputs is H(U_S | Y_S, C, Q).  Each relay quantizes
+    its own output, so U_S depends on the rest of the system only through
+    (Y_S, Q), and that entropy is the sum of the per-relay constants
+    ``h_u_given_y[k-1]`` = H(U_k | Y_k, Q)."""
 
-    def __init__(self, sc: DiscreteScenario, joint: JointPmf, h_u_given_y):
+    def __init__(self, sc: DiscreteScenario, p: np.ndarray, h_u_given_y):
         self.sc = sc
-        self.joint = joint
+        # a pmf by construction; the clipped copy keeps p's memory order,
+        # which sets every reduction's summation order
+        self.p = np.clip(p, 0.0, None)
+        self.p.setflags(write=False)
         self.h_u_given_y = h_u_given_y
-        self.x_all = frozenset(user_axis(l) for l in range(1, sc.num_users + 1))
-        self._h_u: dict[frozenset, np.ndarray] = {}  # _u_entropies by conditioning set
-        self._p_u_q: list[np.ndarray] | None = None
+        self._p_u_q: list[np.ndarray] | None = None  # _u_marginals(0)
+        self._h_u: dict[int, np.ndarray] = {}  # u_entropies by kept
+        self._bounds: dict[tuple[int, str], np.ndarray] = {}  # subset_bounds by (T, family)
 
     @classmethod
     def from_aux(cls, sc: DiscreteScenario, aux: AuxChannels) -> "DiscreteEvaluator":
@@ -483,40 +484,39 @@ class DiscreteEvaluator:
         aux.check_compatible(sc)
         return ReducedFactors(sc, aux.aux_sizes).evaluator(aux.tables)
 
-    def _u_marginals(self, given: frozenset):
-        """p(U_m, given) for every relay bitmask m, each one reduction of the
-        one marginal p(U, given) and kept on every axis of the joint (size 1
-        where summed out)."""
-        j = self.joint
-        drop = tuple(i for i, ax in enumerate(j.axes) if ax not in given and ax[0] == "X")
-        base = j.tensor.sum(axis=drop, keepdims=True) if drop else j.tensor
-        u_axes = [j.axes.index(aux_axis(k)) for k in range(1, self.sc.num_relays + 1)]
-        for m in range(1 << self.sc.num_relays):
-            out = tuple(a for i, a in enumerate(u_axes) if not m >> i & 1)
-            yield base.sum(axis=out, keepdims=True) if out else base
+    def _u_marginals(self, kept: int):
+        """p(U_m, X_kept, Q) for every relay bitmask m, each one reduction of
+        the one marginal p(U, X_kept, Q) and kept on every axis of ``p``
+        (size 1 where summed out).  At kept = 0 they hold no X axis and are
+        kept, as a list, for ``ReducedFactors.sum_rate_jacobian``."""
+        if kept == 0 and self._p_u_q is not None:
+            return self._p_u_q
+        l, k = self.sc.num_users, self.sc.num_relays
+        drop = tuple(1 + i for i in range(l) if not kept >> i & 1)
+        base = self.p.sum(axis=drop, keepdims=True) if drop else self.p
+        outs = (tuple(1 + l + i for i in range(k) if not m >> i & 1) for m in range(1 << k))
+        marginals = (base.sum(axis=out, keepdims=True) if out else base for out in outs)
+        if kept == 0:
+            self._p_u_q = marginals = list(marginals)
+        return marginals
 
-    def _u_marginals_given_q(self) -> list[np.ndarray]:
-        """``_u_marginals`` given Q alone, kept: they hold no X axis, and
-        ``ReducedFactors.sum_rate_jacobian`` reads them back."""
-        if self._p_u_q is None:
-            self._p_u_q = list(self._u_marginals(frozenset({"Q"})))
-        return self._p_u_q
-
-    def _u_entropies(self, given: frozenset) -> np.ndarray:
-        """H(U_m, given) for every relay bitmask m; reversed, it is indexed
-        by the complement S^c of the relay set S.  ``ocran.sumrate`` forms
-        the successive Wyner-Ziv rates from these vectors."""
-        if given not in self._h_u:
-            marginals = (self._u_marginals_given_q() if given == {"Q"}
-                         else self._u_marginals(given))
-            self._h_u[given] = np.array([_entropy(p) for p in marginals])
-        return self._h_u[given]
+    def u_entropies(self, kept: int = 0) -> np.ndarray:
+        """H(U_m, X_kept, Q) for every relay bitmask m, with X_kept the
+        inputs of the users in bitmask ``kept``; reversed, it is indexed by
+        the complement S^c of the relay set S.  Formed once per ``kept`` and
+        kept read-only; ``ocran.sumrate`` forms the successive Wyner-Ziv
+        rates from these vectors."""
+        if kept not in self._h_u:
+            h = np.array([_entropy(p) for p in self._u_marginals(kept)])
+            h.setflags(write=False)
+            self._h_u[kept] = h
+        return self._h_u[kept]
 
     @functools.cached_property
-    def _sum_rate_bounds(self) -> np.ndarray:
-        bounds = self._subset_bounds(None, "thm3")
-        bounds.setflags(write=False)
-        return bounds
+    def _h_x(self) -> tuple[float, float]:
+        """H(X, Q) and H(X, U, Q), which thm3 reads beside ``u_entropies``."""
+        u_axes = tuple(range(1 + self.sc.num_users, self.p.ndim))
+        return _entropy(self.p.sum(axis=u_axes)), _entropy(self.p)
 
     def subset_bounds(self, users: tuple[int, ...] | None = None,
                       family: str = "thm3") -> np.ndarray:
@@ -526,28 +526,26 @@ class DiscreteEvaluator:
         sum_{k in S} [C_k + H(U_k|Y_k) - H(U_k|X)] + H(U_{S^c}|X_{T^c})
         - H(U_{S^c}|X).  At T = all users the thm3 bounds are the joint-decoding
         sum-rate bounds; their S = {} entry is I(U; X | Q), in ``cmi``'s order.
-        The default vector (all users, thm3) is formed once and kept
-        read-only."""
-        if users is None and family == "thm3":
-            return self._sum_rate_bounds
-        return self._subset_bounds(users, family)
-
-    def _subset_bounds(self, users: tuple[int, ...] | None, family: str) -> np.ndarray:
+        Formed once per (T, family) and kept read-only."""
         if family not in ("thm1", "thm3"):
             raise ValueError(f"unknown constraint family {family!r}")
-        users = range(1, self.sc.num_users + 1) if users is None else users
-        x_q = self.x_all | {"Q"}
-        given = x_q - {user_axis(l) for l in users}  # X_{T^c} and Q
-        h_tc = self._u_entropies(given)
-        if family == "thm3":
-            j = self.joint
-            info = h_tc[::-1] + j.entropy(x_q) - j.entropy(j.axes) - h_tc[0]
-            return info + subset_sums(np.add(self.sc.fronthaul, self.h_u_given_y))
-        h_x = self._u_entropies(x_q)  # h_x[0] = H(X, Q)
-        # I(U_k; Y_k | X, Q) and I(X_T; U_{S^c} | X_{T^c}, Q), in cmi's order
-        i_uy = h_x[1 << np.arange(self.sc.num_relays)] - h_x[0] - self.h_u_given_y
-        info = h_x[0] + h_tc[::-1] - h_x[::-1] - h_tc[0]
-        return subset_sums(np.subtract(self.sc.fronthaul, i_uy)) + info
+        full = (1 << self.sc.num_users) - 1
+        key = (full if users is None else mask_of(users), family)
+        if key not in self._bounds:
+            h_tc = self.u_entropies(full ^ key[0])  # given X_{T^c} and Q
+            if family == "thm3":
+                h_xq, h_all = self._h_x
+                bounds = (h_tc[::-1] + h_xq - h_all - h_tc[0]
+                          + subset_sums(np.add(self.sc.fronthaul, self.h_u_given_y)))
+            else:
+                h_x = self.u_entropies(full)  # h_x[0] = H(X, Q)
+                # I(U_k; Y_k | X, Q) and I(X_T; U_{S^c} | X_{T^c}, Q), in cmi's order
+                i_uy = h_x[1 << np.arange(self.sc.num_relays)] - h_x[0] - self.h_u_given_y
+                info = h_x[0] + h_tc[::-1] - h_x[::-1] - h_tc[0]
+                bounds = subset_sums(np.subtract(self.sc.fronthaul, i_uy)) + info
+            bounds.setflags(write=False)
+            self._bounds[key] = bounds
+        return self._bounds[key]
 
     def bound(self, pair: SubsetPair, family: str = "thm3") -> float:
         """Bound of one (T, S) pair in the 'thm1' or 'thm3' family."""
@@ -559,20 +557,15 @@ class DiscreteEvaluator:
             self.sc, lambda users: self.subset_bounds(users, family))
 
 
-def _warn_if_not_factorizing(sc: DiscreteScenario) -> None:
-    if not check_conditional_independence(sc):
+def region_discrete(sc: DiscreteScenario, aux: AuxChannels, which: str = "thm1") -> RateRegion:
+    """Evaluate all (T, S) constraints of one family ('thm1' or 'thm3')."""
+    if which == "thm1" and not check_conditional_independence(sc):
         warnings.warn(
             "relay outputs are not conditionally independent given the inputs; "
             "the exact-region formula is evaluated anyway and is only an "
             "achievability expression here",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-
-
-def region_discrete(sc: DiscreteScenario, aux: AuxChannels, which: str = "thm1") -> RateRegion:
-    """Evaluate all (T, S) constraints of one family ('thm1' or 'thm3')."""
-    if which == "thm1":
-        _warn_if_not_factorizing(sc)
     return DiscreteEvaluator.from_aux(sc, aux).region(which)
 

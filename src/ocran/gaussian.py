@@ -189,10 +189,12 @@ class QuantizerSetGaussian:
             fixed.append(b)
         object.__setattr__(self, "B", tuple(fixed))
 
-    def validate(self, sc: GaussianScenario) -> None:
-        """Check 0 <= B_k <= Sigma_k^{-1} via eigenvalues of Sigma^{1/2} B Sigma^{1/2}."""
+    def validate(self, sc: GaussianScenario) -> list[np.ndarray]:
+        """Check 0 <= B_k <= Sigma_k^{-1} via eigenvalues of Sigma^{1/2} B Sigma^{1/2};
+        return those normalized spectra, one per relay."""
         if len(self.B) != sc.num_relays:
             raise ValueError("quantizer count must equal the number of relays")
+        spectra = []
         for k, (b, s) in enumerate(zip(self.B, sc.Sigma), start=1):
             if b.shape != s.shape:
                 raise ValueError(f"B[{k}] has shape {b.shape}, expected {s.shape}")
@@ -203,6 +205,8 @@ class QuantizerSetGaussian:
                     f"B[{k}] violates 0 <= B <= Sigma^-1 "
                     f"(normalized eigenvalues in [{lam.min():.3e}, {lam.max():.3e}])"
                 )
+            spectra.append(lam)
+        return spectra
 
 
 def fronthaul_mi(sigma, b) -> float:
@@ -218,17 +222,18 @@ def fronthaul_mi(sigma, b) -> float:
     lam = np.linalg.eigvalsh(la.hermitian_part(root @ b @ root))
     if lam.min() < -QUANT_EIG_TOL:
         raise ValueError(f"B is not positive semidefinite (min normalized eig {lam.min():.3e})")
-    lam = np.clip(lam, 0.0, None)
-    if lam.max() > 1.0 - 1e-12:
-        return math.inf
     return float(fronthaul_bits(lam))
 
 
 def fronthaul_bits(lam):
-    """-log2 det(I - W) from the eigenvalues lam < 1 of a normalized quantizer
-    W = Sigma^{1/2} B Sigma^{1/2} (a zero rate is +0.0, never -0.0); for a
-    stack (n, d) of eigenvalues, one rate per row."""
-    return -np.sum(np.log2(1.0 - lam), axis=-1) + 0.0
+    """-log2 det(I - W) from the eigenvalues lam of a normalized quantizer
+    W = Sigma^{1/2} B Sigma^{1/2}, clipped at 0 (a zero rate is +0.0, never
+    -0.0); +inf where an eigenvalue is within 1e-12 of 1 (B touches
+    Sigma^{-1}).  For a stack (n, d) of eigenvalues, one rate per row."""
+    lam = np.clip(lam, 0.0, None)
+    edge = lam.max(axis=-1) > 1.0 - 1e-12
+    rate = -np.sum(np.log2(1.0 - np.where(edge[..., None], 0.0, lam)), axis=-1) + 0.0
+    return np.where(edge, math.inf, rate)
 
 
 class _RelayGroup(NamedTuple):
@@ -287,11 +292,12 @@ class ScenarioTerms:
 
 class GaussianEvaluator:
     """Every bound of the Gaussian region for one quantizer set, from the
-    B_k and each relay's fronthaul_mi.  H_k^H B_k H_k is formed once per
-    relay, in one batched product per antenna group of ``terms``; the charge
-    sum_{k in S} [C_k - fronthaul_mi_k] once per relay set S; and K_T^{1/2}
-    once per user set, in ``terms``, which every evaluator of one scenario
-    may share."""
+    B_k and each relay's fronthaul rate, ``fronthaul_bits`` of the spectrum
+    that ``QuantizerSetGaussian.validate`` returns.  H_k^H B_k H_k is formed
+    once per relay, in one batched product per antenna group of ``terms``;
+    the charge sum_{k in S} [C_k - fronthaul rate_k] once per relay set S;
+    and K_T^{1/2} once per user set, in ``terms``, which every evaluator of
+    one scenario may share."""
 
     def __init__(self, terms: ScenarioTerms, b, mi):
         """``b`` holds one (n, d, d) stack of the B_k per group of ``terms``,
@@ -310,10 +316,11 @@ class GaussianEvaluator:
 
     @classmethod
     def from_quantizers(cls, sc: GaussianScenario, q: QuantizerSetGaussian) -> "GaussianEvaluator":
-        """The evaluator of quantizers q, after ``q.validate(sc)``."""
-        q.validate(sc)
+        """The evaluator of quantizers q, after ``q.validate(sc)``, whose
+        normalized spectra give the fronthaul rates."""
+        spectra = q.validate(sc)
         terms = ScenarioTerms(sc)
-        return cls(terms, terms.stack(q.B), [fronthaul_mi(s, b) for s, b in zip(sc.Sigma, q.B)])
+        return cls(terms, terms.stack(q.B), [fronthaul_bits(lam) for lam in spectra])
 
     def branch_stack(self, users: tuple[int, ...]) -> np.ndarray:
         """The stack of I + K_T^{1/2} A_{T,S} K_T^{1/2} of user set T, one per

@@ -49,7 +49,6 @@ ALPHA_DENOM_TOL = 1e-12
 # arithmetic (a relay with |U_k| = 1 early in the chain, or R_sum = I(U; X)),
 # rounding must not decide the pivot or turn 1e-16 into an idle share
 PIVOT_TOL = 1e-12
-Q_ONLY = frozenset({"Q"})  # the conditioning set of the entropies H(U_m, Q)
 
 
 def _polytope(ev: Evaluator, r_sum=None) -> tuple[np.ndarray, float, float, np.ndarray]:
@@ -208,7 +207,7 @@ def _wyner_ziv_rate(ev: DiscreteEvaluator, relay: int, side) -> float:
     ``side``: H(U_side, U_k, Q) - H(U_side, Q) - H(U_k | Y_k, Q), from the
     evaluator's entropies H(U_m, Q).  Rounding dust down to
     -NEGATIVE_INFO_TOL reads 0; a more negative value raises."""
-    h, m = ev._u_entropies(Q_ONLY), mask_of(side)
+    h, m = ev.u_entropies(), mask_of(side)
     return _nonnegative(h[m | 1 << (relay - 1)] - h[m] - ev.h_u_given_y[relay - 1],
                         "Wyner-Ziv rate I(U_k; Y_k | U_side, Q)")
 
@@ -271,7 +270,7 @@ def _swz_dominating_point(
         c_prime[pi[pivot - 1] - 1] = (1.0 - alpha) * denom
         # I(X; U_A | Q) - alpha I(X; U_pivot | U_L, Q) with A the active relays
         # (the pivot and later) and L the later ones, in cmi's term order
-        h, hx = ev._u_entropies(Q_ONLY), ev._u_entropies(ev.x_all | Q_ONLY)
+        h, hx = ev.u_entropies(), ev.u_entropies((1 << ev.sc.num_users) - 1)
         active, later = mask_of(pi[pivot - 1:]), mask_of(pi[pivot:])
         i_active = _nonnegative(hx[0] + h[active] - hx[active] - h[0], "I(X; U_A | Q)")
         i_pivot = _nonnegative(hx[later] + h[active] - hx[active] - h[later],

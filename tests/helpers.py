@@ -14,8 +14,9 @@ from typing import Callable
 import numpy as np
 
 from ocran import _linalg as la
-from ocran import verify
+from ocran import optimize, verify
 from ocran.core import CodebookEnsemble, RateRegion, SubsetPair
+from ocran.discrete import DiscreteEvaluator
 from ocran.gaussian import GaussianScenario, QuantizerSetGaussian
 from ocran.optimize import (IMPROVE_TOL, _GaussianObjective, _layout, _pack_hermitian, _real_form,
                             _row_sqnorm, _unpack_flat)
@@ -160,10 +161,9 @@ def mc_mutual_information_one_shot(
     pair: SubsetPair,
     samples: int,
     seed: int,
-    batch: int = 100_000,
 ) -> tuple[float, float]:
     """(estimate, std_error) of the MC estimator with fresh draw arrays and
-    whole-batch products: its arithmetic before it streamed row blocks.
+    whole-batch products, in batches of ``optimize.MC_BATCH`` samples.
     Expects a nonempty relay complement and quantizers inside the boundary."""
     relays_c = pair.relays_complement(sc.num_relays)
     lam_cond = la.block_diag([la.hermitian_part(np.linalg.inv(q.B[k - 1])) for k in relays_c])
@@ -180,7 +180,7 @@ def mc_mutual_information_one_shot(
     total_sq = 0.0
     done = 0
     while done < samples:
-        n = min(batch, samples - done)
+        n = min(optimize.MC_BATCH, samples - done)
         x = rng.standard_normal((2, n, k_t_root.shape[0]))
         z = rng.standard_normal((2, n, lam_cond.shape[0]))
         quad_marg = _row_sqnorm(x[0] @ x_re + x[1] @ x_im + z[0] @ z_re + z[1] @ z_im)
@@ -203,13 +203,13 @@ def inject_suite_fault(monkeypatch, suite: str) -> None:
     rebinding a function the suite calls."""
     if suite == "class_equivalence":
         # every thm1 bound moves by the bump, so every instance fails
-        region_discrete = verify.region_discrete
+        region = DiscreteEvaluator.region
 
-        def faulty(sc, aux, which="thm1"):
-            r = region_discrete(sc, aux, which)
-            return r if which == "thm3" else RateRegion(r.num_users, r.bounds + FAULT_BUMP)
+        def faulty(ev, family="thm3"):
+            r = region(ev, family)
+            return r if family == "thm3" else RateRegion(r.num_users, r.bounds + FAULT_BUMP)
 
-        monkeypatch.setattr(verify, "region_discrete", faulty)
+        monkeypatch.setattr(DiscreteEvaluator, "region", faulty)
     elif suite == "mc":
         mc_mutual_information = verify.mc_mutual_information
 
@@ -245,15 +245,15 @@ def inject_suite_nan(monkeypatch, suite: str) -> None:
         return len(calls)
 
     if suite == "class_equivalence":
-        region_discrete = verify.region_discrete
+        region = DiscreteEvaluator.region
 
-        def faulty(sc, aux, which="thm1"):
-            r = region_discrete(sc, aux, which)
-            if which == "thm1" and call_number() == 3:
+        def faulty(ev, family="thm3"):
+            r = region(ev, family)
+            if family == "thm1" and call_number() == 3:
                 return RateRegion(r.num_users, np.full_like(r.bounds, math.nan))
             return r
 
-        monkeypatch.setattr(verify, "region_discrete", faulty)
+        monkeypatch.setattr(DiscreteEvaluator, "region", faulty)
     elif suite == "swz":
         swz_equals_jd = verify.swz_equals_jd
 

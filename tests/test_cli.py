@@ -14,10 +14,11 @@ from ocran.cli import build_parser, fmt_bits, main
 from ocran.core import (_complex_matrix_to_json, enumerate_constraint_pairs, load_scenario,
                         save_scenario)
 from ocran.gaussian import GaussianEvaluator
+from ocran.sumrate import extreme_points, g_function, jd_sum_rate
 from ocran.verify import (random_aux, random_factorizing_scenario, random_gaussian_scenario,
                           random_quantizers)
 
-from helpers import inject_suite_fault
+from helpers import inject_suite_fault, inject_suite_nan
 
 
 def write_json(path, doc):
@@ -629,6 +630,36 @@ class TestSumRateCommands:
         assert lines[0] == "ordering,k,relay,C_tilde_bits"
         assert len(lines) == 1 + 2 * 2  # 2 orderings x 2 relays
 
+    def test_gaussian_extreme_points(self, tmp_path, capsys):
+        rng = np.random.default_rng(43)
+        sc = random_gaussian_scenario(rng, 2, 3)
+        q = random_quantizers(rng, sc)
+        path = tmp_path / "sc.json"
+        save_scenario(sc, path)
+        quant = write_json(tmp_path / "q.json", {"B": [_complex_matrix_to_json(b) for b in q.B]})
+        out = tmp_path / "ext.csv"
+        assert main(["extreme-points", "--scenario", str(path), "--quantizers", quant,
+                     "--out", str(out)]) == 0
+        ev = GaussianEvaluator.from_quantizers(load_scenario(path), q)
+        g_plus_all = max(0.0, float(g_function(ev, jd_sum_rate(ev))[-1]))
+        lines = ["ordering,k,relay,C_tilde_bits"]
+        for pi, point in extreme_points(ev):
+            assert point.sum() == pytest.approx(g_plus_all, abs=1e-12, rel=1e-12)
+            lines += [f"{'-'.join(map(str, pi))},{pos},{relay},{fmt_bits(point[relay - 1])}"
+                      for pos, relay in enumerate(pi, start=1)]
+        assert len(lines) == 1 + 6 * 3
+        assert out.read_text() == "\n".join(lines) + "\n"
+
+        # B_1 = Sigma_1^{-1} needs infinite fronthaul: the polytope is empty
+        boundary = [np.linalg.inv(ev.sc.Sigma[0]), *q.B[1:]]
+        quant = write_json(tmp_path / "q.json",
+                           {"B": [_complex_matrix_to_json(b) for b in boundary]})
+        out = tmp_path / "boundary.csv"
+        assert main(["extreme-points", "--scenario", str(path), "--quantizers", quant,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "infinite fronthaul" in capsys.readouterr().err
+
     def test_gaussian_sumrate(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
         quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
@@ -756,6 +787,21 @@ class TestVerifyCommand:
         assert payload["suites"][0]["cases"] == instances
         assert payload["suites"][0]["failures"] == 1
 
+    @pytest.mark.parametrize("suite, instances", [("matrix_lemmas", 50),
+                                                  ("class_equivalence", 5)])
+    def test_a_nan_gap_fails_and_writes_its_report(self, tmp_path, capsys, monkeypatch,
+                                                   suite, instances):
+        # the NaN sits in the first case of matrix_lemmas and the third of
+        # class_equivalence; either way it is one failure and an infinite gap
+        inject_suite_nan(monkeypatch, suite)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--suite", suite, "--instances", str(instances),
+                     "--out", str(out)]) == 1
+        (report,) = json.loads(out.read_text())["suites"]
+        assert report["cases"] == instances
+        assert report["failures"] == 1
+        assert report["worst_gap"] == "inf"
+        assert f"verification failed: {suite}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("suite", ["swz", "mc", "matrix_lemmas"])
     @pytest.mark.parametrize("instances", ["0", "-1"])
@@ -772,7 +818,6 @@ class TestRunPath:
     manifest per run, and only the flags a command reads."""
 
     @pytest.mark.parametrize("command,kind", [
-        ("extreme-points", "discrete"),
         ("swz-check", "discrete"),
         ("codebook-check", "discrete"),
         ("mc-check", "gaussian"),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ocran import _linalg as la
-from ocran import gaussian
 from ocran.cli import main
 from ocran.core import (
     SubsetPair,
@@ -360,19 +359,21 @@ class TestRegion:
         assert groups == {1, 2, 3}
 
     def test_region_prepares_each_relay_once(self, monkeypatch):
+        # one Sigma_k^{1/2} per relay, shared by the quantizer check and the
+        # fronthaul rate, and one K_T^{1/2} per user set
         rng = np.random.default_rng(23)
         sc = random_gaussian_scenario(rng, 2, 3)
         q = random_quantizers(rng, sc)
         calls = []
-        original = gaussian.fronthaul_mi
+        original = la.psd_sqrt
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(gaussian, "fronthaul_mi", counting)
+        monkeypatch.setattr(la, "psd_sqrt", counting)
         region_gaussian(sc, q)
-        assert len(calls) == sc.num_relays
+        assert len(calls) == sc.num_relays + (1 << sc.num_users) - 1
 
     def test_quantizer_validation(self):
         sc = scalar_scenario()

@@ -807,10 +807,11 @@ class TestMonteCarlo:
         b = mc_mutual_information(sc, q, pair, samples=10_000, seed=9)
         assert a == b
 
-    def test_streamed_blocks_match_the_one_shot_estimator(self):
+    def test_streamed_blocks_match_the_one_shot_estimator(self, monkeypatch):
         # 25_001 samples in batches of 7_000 end on a partial batch; at the
         # wider observations a batch also splits into row blocks, the last
         # one partial
+        monkeypatch.setattr(optimize, "MC_BATCH", 7_000)
         rng = np.random.default_rng(5)
         split = 0
         for num_users, num_relays in ((1, 1), (2, 2), (2, 3), (2, 3)):
@@ -822,8 +823,8 @@ class TestMonteCarlo:
                 width = 2 * sum(sc.Sigma[k - 1].shape[0] for k in pair.relays_complement(num_relays))
                 rows = optimize.SAMPLER_BLOCK // width
                 split += rows < 7_000 and 7_000 % rows != 0
-                est = mc_mutual_information(sc, q, pair, samples=25_001, seed=s_mask, batch=7_000)
-                ref = mc_mutual_information_one_shot(sc, q, pair, 25_001, s_mask, batch=7_000)
+                est = mc_mutual_information(sc, q, pair, samples=25_001, seed=s_mask)
+                ref = mc_mutual_information_one_shot(sc, q, pair, 25_001, s_mask)
                 assert (est.estimate, est.std_error) == ref
         assert split >= 1
 
@@ -882,7 +883,8 @@ class TestMonteCarlo:
         vals = np.concatenate(vals)
         return vals.mean(), vals.std() / math.sqrt(samples)
 
-    def test_whitened_matches_unwhitened_estimator(self):
+    def test_whitened_matches_unwhitened_estimator(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MC_BATCH", 7_000)
         rng = np.random.default_rng(21)
         checked = 0
         for trial in range(6):
@@ -890,7 +892,7 @@ class TestMonteCarlo:
             q = random_quantizers(rng, sc)
             for users, relays in (((1, 2), ()), ((1,), (2,)), ((2,), (1,))):
                 pair = SubsetPair(users=users, relays=relays)
-                est = mc_mutual_information(sc, q, pair, samples=25_000, seed=trial, batch=7_000)
+                est = mc_mutual_information(sc, q, pair, samples=25_000, seed=trial)
                 mean, std_error = self.unwhitened(sc, q, pair, 25_000, trial, 7_000)
                 assert est.estimate == pytest.approx(mean, abs=1e-12, rel=0)
                 assert est.std_error == pytest.approx(std_error, abs=1e-12, rel=0)

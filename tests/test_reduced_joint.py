@@ -222,12 +222,19 @@ def test_every_bound_reads_subset_bounds(instance):
         assert rows == vectors == ev.region(family).bounds.ravel().tolist()
 
 
-def test_sum_rate_bounds_take_2_to_the_k_plus_2_entropies(instance):
+def test_sum_rate_bounds_take_2_to_the_k_plus_2_entropies(instance, monkeypatch):
     sc, aux, _ = instance
+    calls = []
+    original = discrete._entropy
+
+    def counting(p):
+        calls.append(1)
+        return original(p)
+
+    monkeypatch.setattr(discrete, "_entropy", counting)
     ev = DiscreteEvaluator.from_aux(sc, aux)
     ev.subset_bounds()
-    computed = len(ev.joint._entropy_cache) + sum(h.size for h in ev._h_u.values())
-    assert computed <= (1 << sc.num_relays) + 2
+    assert len(calls) <= (1 << sc.num_relays) + 2
 
 
 def test_region_keeps_only_the_marginals_given_q(instance):
@@ -238,7 +245,7 @@ def test_region_keeps_only_the_marginals_given_q(instance):
     ev.region("thm1")
     held = [v for v in vars(ev).values() if isinstance(v, list)]
     assert held == [ev._p_u_q] and len(ev._p_u_q) == 1 << sc.num_relays
-    x_axes = [i for i, ax in enumerate(ev.joint.axes) if ax[0] == "X"]
+    x_axes = range(1, 1 + sc.num_users)  # the axes of p are Q, X_1..X_L, U_1..U_K
     assert all(p.shape[i] == 1 for p in ev._p_u_q for i in x_axes)
     assert sum(p.size for p in ev._p_u_q) == sc.num_timeshare * np.prod(
         [1 + u for u in aux.aux_sizes])
@@ -305,6 +312,23 @@ def test_entry_points_never_build_the_dense_joint(monkeypatch, tmp_path):
     save_scenario(sc, path, aux)
     for command in ("region", "sumrate", "swz-check", "extreme-points"):
         assert main([command, "--scenario", str(path), "--out", str(tmp_path / command)]) == 0
+
+
+def test_commands_never_form_a_joint_pmf(monkeypatch, tmp_path):
+    # JointPmf is the dense reference of the tests; the evaluator holds the
+    # reduced joint as a plain array
+    def refuse(*args, **kwargs):
+        raise AssertionError("JointPmf formed")
+
+    monkeypatch.setattr(discrete, "JointPmf", refuse)
+    _, sc, aux = INSTANCES[-1]  # K = 4, |Q| = 2, correlated
+    path = tmp_path / "sc.json"
+    save_scenario(sc, path, aux)
+    runs = (["region", "--which", "thm1"], ["region", "--which", "thm3"], ["sumrate"],
+            ["swz-check"], ["extreme-points"],
+            ["optimize", "--aux-sizes", "2,2,2,2", "--restarts", "1", "--iters", "2"])
+    for i, argv in enumerate(runs):
+        assert main([*argv, "--scenario", str(path), "--out", str(tmp_path / f"out{i}")]) == 0
 
 
 class TestSizeGuard:

@@ -415,15 +415,16 @@ class TestSharedEvaluator:
 
     @staticmethod
     def count_bound_formations(monkeypatch):
-        # formations, not calls: the evaluator keeps its default bounds
+        # formations, not calls: the evaluator keeps each bound vector, and
+        # each formation sums its per-relay terms over the relay sets once
         calls = []
-        original = discrete.DiscreteEvaluator._subset_bounds
+        original = discrete.subset_sums
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(discrete.DiscreteEvaluator, "_subset_bounds", counting)
+        monkeypatch.setattr(discrete, "subset_sums", counting)
         return calls
 
     def test_swz_equals_jd_forms_the_bounds_once(self, monkeypatch):

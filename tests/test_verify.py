@@ -97,6 +97,7 @@ def test_a_nan_gap_fails(monkeypatch, suite, count):
     assert clean.failures == 0
     assert faulty.failures == 1
     assert faulty.cases == clean.cases
+    assert faulty.worst_gap == math.inf
 
 
 @pytest.mark.parametrize("instances", [1, 7])
