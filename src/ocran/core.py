@@ -41,8 +41,10 @@ MAX_CODEWORDS = 1 << 20
 # the codebook has one codeword, so the two guards above never bind)
 MAX_BLOCKLENGTH = 10_000
 # entries per block of the Monte Carlo samplers' draws (codebook letters, or
-# product columns of the MC estimator); a block holds at least one row
+# the MC estimator's normal draws and their products); a block holds at
+# least one row
 SAMPLER_BLOCK = 1 << 16
+SPAWN_CHUNK = 256  # SeedSequence children alive at a time in spawn_seeds
 
 
 class ScenarioError(ValueError):
@@ -519,7 +521,10 @@ def spawn_seeds(master_seed: int, count: int) -> list[int]:
     """Derive independent child seeds from a master seed.
 
     This is the one seed-splitting rule in the package: child i of master s is
-    ``SeedSequence(s).spawn(count)[i]`` reduced to a 64-bit state word.
+    ``SeedSequence(s).spawn(count)[i]`` reduced to a 64-bit state word.  One
+    parent spawns them SPAWN_CHUNK at a time; it counts the children it has
+    spawned, so the chunks continue one another.
     """
-    children = np.random.SeedSequence(master_seed).spawn(count)
-    return [int(c.generate_state(1, np.uint64)[0]) for c in children]
+    parent = np.random.SeedSequence(master_seed)
+    chunks = (parent.spawn(min(SPAWN_CHUNK, count - i)) for i in range(0, count, SPAWN_CHUNK))
+    return [int(c.generate_state(1, np.uint64)[0]) for chunk in chunks for c in chunk]

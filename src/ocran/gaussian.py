@@ -193,15 +193,15 @@ class QuantizerSetGaussian:
         """Check 0 <= B_k <= Sigma_k^{-1} via eigenvalues of Sigma^{1/2} B Sigma^{1/2};
         return those normalized spectra, one per relay."""
         if len(self.B) != sc.num_relays:
-            raise ValueError("quantizer count must equal the number of relays")
+            raise ScenarioError("quantizer count must equal the number of relays")
         spectra = []
         for k, (b, s) in enumerate(zip(self.B, sc.Sigma), start=1):
             if b.shape != s.shape:
-                raise ValueError(f"B[{k}] has shape {b.shape}, expected {s.shape}")
+                raise ScenarioError(f"B[{k}] has shape {b.shape}, expected {s.shape}")
             root = la.psd_sqrt(s)
             lam = np.linalg.eigvalsh(la.hermitian_part(root @ b @ root))
             if lam.min() < -QUANT_EIG_TOL or lam.max() > 1.0 + QUANT_EIG_TOL:
-                raise ValueError(
+                raise ScenarioError(
                     f"B[{k}] violates 0 <= B <= Sigma^-1 "
                     f"(normalized eigenvalues in [{lam.min():.3e}, {lam.max():.3e}])"
                 )
@@ -221,7 +221,7 @@ def fronthaul_mi(sigma, b) -> float:
     root = la.psd_sqrt(sigma)
     lam = np.linalg.eigvalsh(la.hermitian_part(root @ b @ root))
     if lam.min() < -QUANT_EIG_TOL:
-        raise ValueError(f"B is not positive semidefinite (min normalized eig {lam.min():.3e})")
+        raise ScenarioError(f"B is not positive semidefinite (min normalized eig {lam.min():.3e})")
     return float(fronthaul_bits(lam))
 
 

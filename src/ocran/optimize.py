@@ -34,8 +34,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _linalg as la
-from .core import (SAMPLER_BLOCK, RateRegion, ScenarioError, SubsetPair, indices_of, mask_of,
-                   max_weighted_rate, spawn_seeds, user_sets)
+from .core import (MAX_SAMPLER_DRAWS, SAMPLER_BLOCK, CapacityError, RateRegion, ScenarioError,
+                   SubsetPair, indices_of, mask_of, max_weighted_rate, spawn_seeds, user_sets)
 from .discrete import AuxChannels, DiscreteScenario, ReducedFactors
 from .gaussian import (
     QUANT_CAP_MARGIN,
@@ -744,6 +744,8 @@ def mc_mutual_information(
     exact Gaussian log-density ratio (so the estimator is unbiased for the
     analytic value).  Every B_k with k outside S must be strictly inside
     (0, Sigma_k^{-1}); boundary quantizers have no finite test channel.
+    More than MAX_SAMPLER_DRAWS normal draws, samples * 2(dim_x + dim_z),
+    raise CapacityError before any is drawn.
     """
     if samples < 2:
         raise ScenarioError("need at least two samples")
@@ -762,6 +764,9 @@ def mc_mutual_information(
     lam_cond = la.block_diag(cond_blocks)
     h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
     k_t_root = la.psd_sqrt(sc.input_covariance(pair.users))
+    dim_x, dim_z = k_t_root.shape[0], lam_cond.shape[0]
+    if (draws := samples * 2 * (dim_x + dim_z)) > MAX_SAMPLER_DRAWS:
+        raise CapacityError(f"{draws} normal draws exceed the sampler guard")
     lam_marg = la.hermitian_part(h_t @ (k_t_root @ k_t_root) @ h_t.conj().T + lam_cond)
     logdet_gap = (la.logdet2(lam_marg) - la.logdet2(lam_cond)) * la.LN2  # nats
 
@@ -778,31 +783,42 @@ def mc_mutual_information(
     noise_map = la.psd_sqrt(lam_cond).T @ marg_factor
     (x_re, x_im), (z_re, z_im) = (_real_form(m / math.sqrt(2.0)) for m in (signal_map, noise_map))
 
-    # Each batch draws all of x, then all of z, into buffers allocated once;
-    # the per-sample values are formed over row blocks of SAMPLER_BLOCK
-    # product entries, and the sums run over the whole batch.
+    # Each batch draws all of x, real parts then imaginary, then all of z,
+    # in row chunks of at most SAMPLER_BLOCK draws and products into one
+    # reused buffer (the chunks consume the generator's normals in the order
+    # of one draw per part), and adds each chunk at once into two per-sample
+    # accumulators: u, the argument of the marginal form, and the
+    # conditional form.  Both start at 0, and 0.0 + a == a.
     rng = np.random.default_rng(seed)
-    dim_x, dim_z = k_t_root.shape[0], lam_cond.shape[0]
+    width = x_re.shape[1]
     cap = min(MC_BATCH, samples)
-    x_buf, z_buf, vals_buf = np.empty(2 * cap * dim_x), np.empty(2 * cap * dim_z), np.empty(cap)
-    rows = max(1, SAMPLER_BLOCK // x_re.shape[1])
+    u_buf, cond_buf, sq_buf = np.empty((cap, width)), np.empty(cap), np.empty(cap)
+    draw_buf, prod_buf = np.empty((2, max(SAMPLER_BLOCK, width, dim_x)))
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         n = min(MC_BATCH, samples - done)
-        # real parts, then imaginary
-        x = rng.standard_normal(out=x_buf[:2 * n * dim_x].reshape(2, n, dim_x))
-        z = rng.standard_normal(out=z_buf[:2 * n * dim_z].reshape(2, n, dim_z))
-        vals = vals_buf[:n]
-        for start in range(0, n, rows):
-            r = slice(start, start + rows)
-            u = x[0, r] @ x_re + x[1, r] @ x_im + z[0, r] @ z_re + z[1, r] @ z_im
-            quad_marg = _row_sqnorm(u)
-            quad_cond = 0.5 * (_row_sqnorm(z[0, r]) + _row_sqnorm(z[1, r]))
-            vals[r] = (logdet_gap - quad_cond + quad_marg) / la.LN2
+        u, cond, sq = u_buf[:n], cond_buf[:n], sq_buf[:n]
+        u.fill(0.0)
+        cond.fill(0.0)
+        for m, dim, noise in ((x_re, dim_x, False), (x_im, dim_x, False),
+                              (z_re, dim_z, True), (z_im, dim_z, True)):
+            rows = max(1, SAMPLER_BLOCK // max(dim, width))
+            for start in range(0, n, rows):
+                k = min(rows, n - start)
+                r = slice(start, start + k)
+                draw = rng.standard_normal(out=draw_buf[:k * dim].reshape(k, dim))
+                u[r] += np.matmul(draw, m, out=prod_buf[:k * width].reshape(k, width))
+                if noise:
+                    cond[r] += _row_sqnorm(draw)
+        cond *= 0.5
+        # the per-sample value (logdet_gap - quad_cond + quad_marg) / LN2
+        vals = np.subtract(logdet_gap, cond, out=cond)
+        vals += np.einsum("ij,ij->i", u, u, out=sq)
+        vals /= la.LN2
         total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        total_sq += float(np.multiply(vals, vals, out=sq).sum())
         done += n
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)

@@ -329,7 +329,8 @@ def matrix_lemma_cases(instances: int, seed: int) -> tuple[np.ndarray, np.ndarra
             head = rng.normal(size=2 * dim * (2 * dim + 1))
             count = int(rng.integers(2, 5))
             mats = rng.normal(size=2 * count * dim * dim)
-            weights = rng.dirichlet(np.ones(count))
+            # normalized below, as Generator.dirichlet(np.ones(count)) does
+            weights = rng.standard_exponential(count)
             groups.setdefault((dim, count), []).append((i, head, mats, weights))
         for (dim, count), rows in groups.items():
             idx, head, mats, weights = (np.array(col) for col in zip(*rows))
@@ -341,6 +342,7 @@ def matrix_lemma_cases(instances: int, seed: int) -> tuple[np.ndarray, np.ndarra
             c = pd_from_factor((c[:, :sq] + 1j * c[:, sq:]).reshape(n, dim, dim))
             lemma_ok[idx] = matrix_lemma_holds(a, b, c)
             mats = mats.reshape(n, count, 2, dim, dim)
+            weights = weights * (1.0 / sum(weights.T))[:, None]  # summed left to right
             means = weighted_means(pd_from_factor(mats[:, :, 0] + 1j * mats[:, :, 1]), weights)
             gaps[idx] = -la.min_eig(means[0] - means[1])
     return lemma_ok, gaps

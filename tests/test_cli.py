@@ -334,6 +334,22 @@ def test_codebook_check_blocklength_at_its_cap_runs(tmp_path, capsys):
     assert len(json.loads(out.read_text())["tv_per_position"]) == 10000
 
 
+def test_mc_check_samples_above_the_sampler_guard_exit_2(tmp_path, capsys):
+    # 10^12 samples of one input and one noise dimension are 4 * 10^12
+    # normal draws against the guard of 5 * 10^7; checked before any is drawn
+    scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
+    quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
+    out = tmp_path / "mc.json"
+    argv = ["mc-check", "--scenario", scenario, "--quantizers", quant,
+            "--samples", "1000000000000", "--out", str(out)]
+    assert main(argv) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json", "sc.json"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "4000000000000 normal draws exceed the sampler guard" in captured.err
+
+
 def test_sampler_counts_below_their_minimum_exit_2(tmp_path, capsys):
     discrete = write_json(tmp_path / "d.json", discrete_doc())
     gaussian = write_json(tmp_path / "g.json", golden_gaussian_doc())

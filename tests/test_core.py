@@ -613,3 +613,13 @@ def test_spawn_seeds_deterministic_and_distinct():
     b = spawn_seeds(123, 8)
     assert a == b
     assert len(set(a)) == 8
+
+
+def test_spawn_seeds_spawns_in_chunks_with_the_one_shot_children():
+    # one chunk of SeedSequence children is alive at a time; all 10^4 at
+    # once take about 4 MB
+    seeds = []
+    peak = traced_peak_mb(lambda: seeds.extend(spawn_seeds(0, 10_000)))
+    assert peak < 1.0
+    children = np.random.SeedSequence(0).spawn(10_000)
+    assert seeds == [int(c.generate_state(1, np.uint64)[0]) for c in children]

@@ -7,6 +7,7 @@ import pytest
 from ocran import _linalg as la
 from ocran.cli import main
 from ocran.core import (
+    ScenarioError,
     SubsetPair,
     _complex_matrix_to_json,
     enumerate_constraint_pairs,
@@ -65,7 +66,7 @@ class TestFronthaulMi:
             fronthaul_mi(np.eye(2), np.array([[0.1, 0.2], [0.0, 0.1]]))
 
     def test_rejects_negative_quantizer(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match="not positive semidefinite"):
             fronthaul_mi([[1.0]], [[-0.5]])
 
     def test_rate_from_eigenvalues_is_never_negative_zero(self):
@@ -380,6 +381,16 @@ class TestRegion:
         with pytest.raises(ValueError):
             QuantizerSetGaussian(B=([[1.5]],)).validate(sc)
         QuantizerSetGaussian(B=([[1.0]],)).validate(sc)  # boundary is feasible
+
+    @pytest.mark.parametrize("mats, message", [
+        (([[0.5]], [[0.5]]), "quantizer count"),
+        ((np.eye(2) / 2,), "has shape"),
+        (([[1.5]],), "violates 0 <= B <= Sigma"),
+        (([[-0.5]],), "violates 0 <= B <= Sigma"),
+    ])
+    def test_unusable_quantizers_are_scenario_errors(self, mats, message):
+        with pytest.raises(ScenarioError, match=message):
+            QuantizerSetGaussian(B=mats).validate(scalar_scenario())
 
     def test_evaluator_checks_its_quantizers(self):
         rng = np.random.default_rng(3)
