@@ -375,17 +375,22 @@ def sample_codebook_marginal(ens: CodebookEnsemble, trials: int) -> CodebookMarg
     messages = rng.integers(ncw, size=trials)
     # Each position's (trials, ncw) codebook is drawn in blocks of whole
     # trials; consecutive blocks consume the generator's uniforms in the
-    # order of one (trials, ncw) draw, so the letters are the same.
+    # order of one (trials, ncw) draw, so the letters are the same.  Only
+    # the sent codeword's uniforms become letters, by the inverse cdf that
+    # Generator.choice(alphabet, p=p) applies to every one of them.
     rows = max(1, SAMPLER_BLOCK // ncw)
     empirical = np.empty((n, alphabet))
     target = np.empty((n, alphabet))
     for i in range(n):
         p = ens.input_pmf[ens.time_seq[i]]
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
         counts = np.zeros(alphabet, dtype=np.int64)
         for start in range(0, trials, rows):
             sent = messages[start:start + rows]
-            block = rng.choice(alphabet, size=(sent.size, ncw), p=p)
-            counts += np.bincount(block[np.arange(sent.size), sent], minlength=alphabet)
+            block = rng.random((sent.size, ncw))
+            letters = cdf.searchsorted(block[np.arange(sent.size), sent], side="right")
+            counts += np.bincount(letters, minlength=alphabet)
         empirical[i] = counts / trials
         target[i] = p
     tv = 0.5 * np.abs(empirical - target).sum(axis=1)

@@ -173,7 +173,7 @@ class AuxChannels:
         for k, t in enumerate(self.tables, start=1):
             t = np.array(t, dtype=float, order="C")
             if t.ndim != 3 or t.shape[2] < 1:
-                raise ValueError(f"aux[{k}] must have shape (|Q|, |Y_{k}|, |U_{k}|)")
+                raise ScenarioError(f"aux[{k}] must have shape (|Q|, |Y_{k}|, |U_{k}|)")
             check_finite(t, f"aux[{k}]")
             _check_pmf_axis(t, -1, f"aux[{k}]")
             t.setflags(write=False)
@@ -186,10 +186,10 @@ class AuxChannels:
 
     def check_compatible(self, sc: DiscreteScenario) -> None:
         if len(self.tables) != sc.num_relays:
-            raise ValueError("need one aux channel per relay")
+            raise ScenarioError("need one aux channel per relay")
         for k, t in enumerate(self.tables, start=1):
             if t.shape[0] != sc.num_timeshare or t.shape[1] != sc.output_sizes[k - 1]:
-                raise ValueError(f"aux[{k}] does not match the scenario alphabets")
+                raise ScenarioError(f"aux[{k}] does not match the scenario alphabets")
 
 
 def identity_aux(sc: DiscreteScenario) -> AuxChannels:

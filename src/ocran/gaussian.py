@@ -44,6 +44,14 @@ QUANT_EIG_TOL = 1e-10
 LEMMA_TOL = 1e-10  # slack of the log2 det comparison in matrix_lemma_holds
 
 
+def _user_matrix(require, m, name: str) -> np.ndarray:
+    """``require(m, name=name)`` on a user's matrix; its ValueError is a ScenarioError."""
+    try:
+        return require(m, name=name)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class GaussianScenario(Scenario):
     """Memoryless Gaussian MIMO uplink: Y_k = sum_l H[k][l] X_l + N_k.
@@ -75,7 +83,7 @@ class GaussianScenario(Scenario):
         check_finite(power, "power")
         sigma = []
         for k, s in enumerate(self.Sigma, start=1):
-            s = la.require_hermitian(s, name=f"Sigma[{k}]")
+            s = _user_matrix(la.require_hermitian, s, f"Sigma[{k}]")
             check_finite(s, f"Sigma[{k}]")
             if la.min_eig(s) <= 1e-12:
                 raise ScenarioError(f"Sigma[{k}] is not positive definite")
@@ -83,7 +91,7 @@ class GaussianScenario(Scenario):
             sigma.append(s)
         kin = []
         for l, (m, p) in enumerate(zip(self.Kin, power), start=1):
-            m = la.require_hermitian(m, name=f"Kin[{l}]")
+            m = _user_matrix(la.require_hermitian, m, f"Kin[{l}]")
             check_finite(m, f"Kin[{l}]")
             if la.min_eig(m) < -la.HERM_TOL:
                 raise ScenarioError(f"Kin[{l}] is not positive semidefinite")
@@ -183,7 +191,7 @@ class QuantizerSetGaussian:
     def __post_init__(self):
         fixed = []
         for k, b in enumerate(self.B, start=1):
-            b = la.require_hermitian(b, name=f"B[{k}]")
+            b = _user_matrix(la.require_hermitian, b, f"B[{k}]")
             check_finite(b, f"B[{k}]")
             b.setflags(write=False)
             fixed.append(b)
@@ -216,8 +224,8 @@ def fronthaul_mi(sigma, b) -> float:
     Returns +inf when B touches Sigma^{-1} (the test channel becomes
     noiseless and the description rate diverges).
     """
-    sigma = la.require_pd(sigma, name="Sigma")
-    b = la.require_hermitian(b, name="B")
+    sigma = _user_matrix(la.require_pd, sigma, "Sigma")
+    b = _user_matrix(la.require_hermitian, b, "B")
     root = la.psd_sqrt(sigma)
     lam = np.linalg.eigvalsh(la.hermitian_part(root @ b @ root))
     if lam.min() < -QUANT_EIG_TOL:

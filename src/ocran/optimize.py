@@ -744,8 +744,8 @@ def mc_mutual_information(
     exact Gaussian log-density ratio (so the estimator is unbiased for the
     analytic value).  Every B_k with k outside S must be strictly inside
     (0, Sigma_k^{-1}); boundary quantizers have no finite test channel.
-    More than MAX_SAMPLER_DRAWS normal draws, samples * 2(dim_x + dim_z),
-    raise CapacityError before any is drawn.
+    More than MAX_SAMPLER_DRAWS normal draws, samples * 2(min(dim_x, dim_z)
+    + dim_z), raise CapacityError before any is drawn.
     """
     if samples < 2:
         raise ScenarioError("need at least two samples")
@@ -764,7 +764,8 @@ def mc_mutual_information(
     lam_cond = la.block_diag(cond_blocks)
     h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
     k_t_root = la.psd_sqrt(sc.input_covariance(pair.users))
-    dim_x, dim_z = k_t_root.shape[0], lam_cond.shape[0]
+    dim_z = lam_cond.shape[0]
+    dim_x = min(k_t_root.shape[0], dim_z)  # the input is drawn in the signal's rank, below
     if (draws := samples * 2 * (dim_x + dim_z)) > MAX_SAMPLER_DRAWS:
         raise CapacityError(f"{draws} normal draws exceed the sampler guard")
     lam_marg = la.hermitian_part(h_t @ (k_t_root @ k_t_root) @ h_t.conj().T + lam_cond)
@@ -778,22 +779,28 @@ def mc_mutual_information(
     # input before K_T^{1/2}.  A CN(0, I) row is (a + ib) / sqrt(2) with a, b
     # standard normal rows, so the maps act on a and b as real matrices.
     # Only u - H_Tc x_Tc enters, so the interferers' inputs are never drawn.
+    # x^T G for G = K_T^{1/2 T} H_T^T is CN(0, G^H G) = CN(0, R^H R) with
+    # G = QR, so a wider input is drawn as the dim_z entries that multiply R.
     marg_factor = np.linalg.cholesky(np.linalg.inv(lam_marg)).conj()
-    signal_map = k_t_root.T @ h_t.T @ marg_factor
+    signal = k_t_root.T @ h_t.T
+    if signal.shape[0] > dim_x:
+        signal = np.linalg.qr(signal, mode="r")
+    signal_map = signal @ marg_factor
     noise_map = la.psd_sqrt(lam_cond).T @ marg_factor
     (x_re, x_im), (z_re, z_im) = (_real_form(m / math.sqrt(2.0)) for m in (signal_map, noise_map))
 
     # Each batch draws all of x, real parts then imaginary, then all of z,
-    # in row chunks of at most SAMPLER_BLOCK draws and products into one
-    # reused buffer (the chunks consume the generator's normals in the order
-    # of one draw per part), and adds each chunk at once into two per-sample
+    # in row chunks of at most SAMPLER_BLOCK products into one reused buffer
+    # (the chunks consume the generator's normals in the order of one draw
+    # per part), and adds each chunk at once into two per-sample
     # accumulators: u, the argument of the marginal form, and the
     # conditional form.  Both start at 0, and 0.0 + a == a.
     rng = np.random.default_rng(seed)
     width = x_re.shape[1]
+    rows = max(1, SAMPLER_BLOCK // width)
     cap = min(MC_BATCH, samples)
     u_buf, cond_buf, sq_buf = np.empty((cap, width)), np.empty(cap), np.empty(cap)
-    draw_buf, prod_buf = np.empty((2, max(SAMPLER_BLOCK, width, dim_x)))
+    draw_buf, prod_buf = np.empty((2, rows * width))
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -804,7 +811,6 @@ def mc_mutual_information(
         cond.fill(0.0)
         for m, dim, noise in ((x_re, dim_x, False), (x_im, dim_x, False),
                               (z_re, dim_z, True), (z_im, dim_z, True)):
-            rows = max(1, SAMPLER_BLOCK // max(dim, width))
             for start in range(0, n, rows):
                 k = min(rows, n - start)
                 r = slice(start, start + k)

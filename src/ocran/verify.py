@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg as la
-from .core import CodebookEnsemble, SubsetPair, indices_of, sample_codebook_marginal, spawn_seeds
+from .core import (CodebookEnsemble, ScenarioError, SubsetPair, indices_of,
+                   sample_codebook_marginal, spawn_seeds)
 from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario
 from .gaussian import (
     GaussianEvaluator,
@@ -307,33 +308,17 @@ def matrix_lemma_cases(instances: int, seed: int) -> tuple[np.ndarray, np.ndarra
     |I + BC| >= |I + AC| held, and the mean-ordering gap
     -min eig(arithmetic mean - harmonic mean), which is <= 0 when it holds.
 
-    Each instance draws from its own seed the numbers a loop over
-    ``random_pd`` and the per-matrix functions would draw, in the same
-    order, so the matrices are bit for bit the same.  The draws are then
-    grouped by (dimension, number of means), and the matrices are built and
-    checked a stack at a time."""
-    seeds = spawn_seeds(seed, instances)
+    One generator draws the instances a block of LEMMA_BLOCK at a time
+    (``_lemma_draws``), and the matrices of each (dimension, number of
+    means) group of a block are built and checked a stack at a time."""
+    rng = np.random.default_rng(seed)
     lemma_ok = np.empty(instances, dtype=bool)
     gaps = np.empty(instances)
     # blocks of consecutive instances bound the memory that the kept draws
     # take until their stack is checked
     for start in range(0, instances, LEMMA_BLOCK):
-        groups: dict[tuple[int, int], list] = {}
-        for i in range(start, min(start + LEMMA_BLOCK, instances)):
-            rng = np.random.default_rng(seeds[i])
-            dim = int(rng.integers(1, 5))
-            # Generator.normal fills element by element, so one call gives the
-            # draws of consecutive calls: the real and imaginary parts of the
-            # factor of A, of the rank-one update w with B = A + w w^H, and
-            # of the factor of C; then those of each mean's factor
-            head = rng.normal(size=2 * dim * (2 * dim + 1))
-            count = int(rng.integers(2, 5))
-            mats = rng.normal(size=2 * count * dim * dim)
-            # normalized below, as Generator.dirichlet(np.ones(count)) does
-            weights = rng.standard_exponential(count)
-            groups.setdefault((dim, count), []).append((i, head, mats, weights))
-        for (dim, count), rows in groups.items():
-            idx, head, mats, weights = (np.array(col) for col in zip(*rows))
+        stop = min(start + LEMMA_BLOCK, instances)
+        for idx, dim, count, head, mats, weights in _lemma_draws(rng, start, stop):
             n, sq = len(idx), dim * dim
             a, w, c = np.split(head, [2 * sq, 2 * sq + 2 * dim], axis=1)
             a = pd_from_factor((a[:, :sq] + 1j * a[:, sq:]).reshape(n, dim, dim))
@@ -348,6 +333,22 @@ def matrix_lemma_cases(instances: int, seed: int) -> tuple[np.ndarray, np.ndarra
     return lemma_ok, gaps
 
 
+def _lemma_draws(rng: np.random.Generator, start: int, stop: int):
+    """Draw instances start..stop-1 of matrix_lemmas: their dimensions (1-4)
+    and numbers of means (2-4), then per (dim, count) group in increasing
+    order a stack each of the normals of A's factor, w and C's factor (real
+    then imaginary parts), of the means' factors and of the exponential
+    weights.  Yields (instance indices, dim, count, head, mats, weights)."""
+    dims, counts = rng.integers(1, 5, size=stop - start), rng.integers(2, 5, size=stop - start)
+    for dim in range(1, 5):
+        for count in range(2, 5):
+            idx = start + np.flatnonzero((dims == dim) & (counts == count))
+            if idx.size:
+                yield (idx, dim, count, rng.normal(size=(idx.size, 2 * dim * (2 * dim + 1))),
+                       rng.normal(size=(idx.size, 2 * count * dim * dim)),
+                       rng.standard_exponential((idx.size, count)))
+
+
 def run_suites(names=None, seed: int = 0, instances: int | None = None) -> list[SuiteReport]:
     """Run the named suites (all by default) and return their reports.
 
@@ -356,12 +357,12 @@ def run_suites(names=None, seed: int = 0, instances: int | None = None) -> list[
     up in the module when it runs, so one rebound later (a wrapper, a test
     double) is the one that runs."""
     if instances is not None and instances < 1:
-        raise ValueError(f"instances must be at least 1, got {instances}")
+        raise ScenarioError(f"instances must be at least 1, got {instances}")
     names = tuple(names) if names else SUITE_NAMES
     counts = () if instances is None else (instances,)
     reports = []
     for name in names:
         if name not in SUITE_NAMES:
-            raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+            raise ScenarioError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
         reports.append(globals()["suite_" + name](*counts, seed=seed))
     return reports

@@ -163,8 +163,10 @@ def mc_mutual_information_one_shot(
     seed: int,
 ) -> tuple[float, float]:
     """(estimate, std_error) of the MC estimator with fresh draw arrays and
-    whole-batch products, in batches of ``optimize.MC_BATCH`` samples.
-    Expects a nonempty relay complement and quantizers inside the boundary."""
+    whole-batch products, in batches of ``optimize.MC_BATCH`` samples; an
+    input wider than the observation is drawn through the triangular factor
+    of its map.  Expects a nonempty relay complement and quantizers inside
+    the boundary."""
     relays_c = pair.relays_complement(sc.num_relays)
     lam_cond = la.block_diag([la.hermitian_part(np.linalg.inv(q.B[k - 1])) for k in relays_c])
     h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
@@ -172,7 +174,10 @@ def mc_mutual_information_one_shot(
     lam_marg = la.hermitian_part(h_t @ (k_t_root @ k_t_root) @ h_t.conj().T + lam_cond)
     logdet_gap = (la.logdet2(lam_marg) - la.logdet2(lam_cond)) * la.LN2
     marg_factor = np.linalg.cholesky(np.linalg.inv(lam_marg)).conj()
-    signal_map = k_t_root.T @ h_t.T @ marg_factor
+    signal = k_t_root.T @ h_t.T
+    if signal.shape[0] > signal.shape[1]:
+        signal = np.linalg.qr(signal, mode="r")
+    signal_map = signal @ marg_factor
     noise_map = la.psd_sqrt(lam_cond).T @ marg_factor
     (x_re, x_im), (z_re, z_im) = (_real_form(m / math.sqrt(2.0)) for m in (signal_map, noise_map))
     rng = np.random.default_rng(seed)
@@ -181,7 +186,7 @@ def mc_mutual_information_one_shot(
     done = 0
     while done < samples:
         n = min(optimize.MC_BATCH, samples - done)
-        x = rng.standard_normal((2, n, k_t_root.shape[0]))
+        x = rng.standard_normal((2, n, signal.shape[0]))
         z = rng.standard_normal((2, n, lam_cond.shape[0]))
         quad_marg = _row_sqnorm(x[0] @ x_re + x[1] @ x_im + z[0] @ z_re + z[1] @ z_im)
         quad_cond = 0.5 * (_row_sqnorm(z[0]) + _row_sqnorm(z[1]))

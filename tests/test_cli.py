@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ocran
+from ocran import optimize
 from ocran.cli import build_parser, fmt_bits, main
 from ocran.core import (_complex_matrix_to_json, enumerate_constraint_pairs, load_scenario,
                         save_scenario)
@@ -348,6 +349,41 @@ def test_mc_check_samples_above_the_sampler_guard_exit_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "4000000000000 normal draws exceed the sampler guard" in captured.err
+
+
+def test_mc_check_guard_counts_the_draws_in_the_signals_rank(tmp_path, capsys, monkeypatch):
+    # two single-antenna users through one single-antenna relay: 1000
+    # samples draw 1000 * 2(min(2, 1) + 1) = 4000 normals, not 6000
+    scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc(users=2))
+    quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
+    out = tmp_path / "mc.json"
+    argv = ["mc-check", "--scenario", scenario, "--quantizers", quant,
+            "--samples", "1000", "--out", str(out)]
+    monkeypatch.setattr(optimize, "MAX_SAMPLER_DRAWS", 3_999)
+    assert main(argv) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json", "sc.json"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "4000 normal draws exceed the sampler guard" in captured.err
+    monkeypatch.setattr(optimize, "MAX_SAMPLER_DRAWS", 4_000)
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["samples"] == 1000
+
+
+def test_mc_check_non_hermitian_quantizer_exits_2(tmp_path, capsys):
+    scenario = write_json(tmp_path / "sc.json", {
+        **golden_gaussian_doc(),
+        "channel": {"kind": "gaussian", "H": [[[[[1.0, 0.0]], [[0.0, 0.0]]]]],
+                    "Sigma": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+                    "Kin": [[[[1.0, 0.0]]]], "power": [1.0]},
+    })
+    quant = write_json(tmp_path / "q.json",
+                       {"B": [[[[0.1, 0.0], [0.2, 0.0]], [[0.0, 0.0], [0.1, 0.0]]]]})
+    assert main(["mc-check", "--scenario", scenario, "--quantizers", quant]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "B[1] is not Hermitian" in captured.err
 
 
 def test_sampler_counts_below_their_minimum_exit_2(tmp_path, capsys):

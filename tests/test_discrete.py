@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ocran.core import SubsetPair, enumerate_constraint_pairs
+from ocran.core import ScenarioError, SubsetPair, enumerate_constraint_pairs
 from ocran.discrete import (
     NEGATIVE_INFO_TOL,
     AuxChannels,
@@ -379,5 +379,11 @@ class TestScenarioGuards:
     def test_aux_compatibility(self):
         sc = noiseless_single()
         aux = AuxChannels(tables=(np.ones((1, 3, 1)),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match="does not match the scenario alphabets"):
             aux.check_compatible(sc)
+        with pytest.raises(ScenarioError, match="one aux channel per relay"):
+            AuxChannels(tables=()).check_compatible(sc)
+
+    def test_aux_shape_is_a_scenario_error(self):
+        with pytest.raises(ScenarioError, match=r"aux\[1\] must have shape"):
+            AuxChannels(tables=(np.ones((2, 2)),))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,8 +63,12 @@ class TestFronthaulMi:
         assert math.isinf(fronthaul_mi([[1.0]], [[1.0]]))
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match="B is not Hermitian"):
             fronthaul_mi(np.eye(2), np.array([[0.1, 0.2], [0.0, 0.1]]))
+
+    def test_rejects_a_sigma_that_is_not_positive_definite(self):
+        with pytest.raises(ScenarioError, match="Sigma is not positive definite"):
+            fronthaul_mi(np.diag([1.0, 0.0]), np.eye(2) / 2)
 
     def test_rejects_negative_quantizer(self):
         with pytest.raises(ScenarioError, match="not positive semidefinite"):
@@ -391,6 +396,19 @@ class TestRegion:
     def test_unusable_quantizers_are_scenario_errors(self, mats, message):
         with pytest.raises(ScenarioError, match=message):
             QuantizerSetGaussian(B=mats).validate(scalar_scenario())
+
+    def test_non_hermitian_quantizer_is_a_scenario_error(self):
+        with pytest.raises(ScenarioError, match=r"B\[1\] is not Hermitian"):
+            QuantizerSetGaussian(B=(np.array([[0.1, 0.2], [0.0, 0.1]]),))
+
+    @pytest.mark.parametrize("field, name", [("Sigma", "Sigma[1]"), ("Kin", "Kin[1]")])
+    def test_non_hermitian_scenario_matrix_is_a_scenario_error(self, field, name):
+        skew = np.array([[1.0, 0.2], [0.0, 1.0]])
+        fields = dict(num_users=1, num_relays=1, fronthaul=(1.0,), time_share=(1.0,),
+                      H=((np.eye(2),),), Sigma=(np.eye(2),), Kin=(np.eye(2),), power=(2.0,))
+        fields[field] = (skew,)
+        with pytest.raises(ScenarioError, match=rf"{re.escape(name)} is not Hermitian"):
+            GaussianScenario(**fields)
 
     def test_evaluator_checks_its_quantizers(self):
         rng = np.random.default_rng(3)

@@ -829,10 +829,10 @@ class TestMonteCarlo:
     def test_streamed_blocks_match_the_one_shot_estimator(self, monkeypatch):
         # 25_001 samples in batches of 7_000 end on a partial batch.  Each
         # part of a batch (x real, x imaginary, z real, z imaginary) is drawn
-        # in row chunks of at most SAMPLER_BLOCK draws and products, so at the
-        # wider dimensions a chunk boundary falls inside a batch for the x
-        # draws and for the z draws, with dim_x > 2 dim_z and with
-        # 2 dim_z > dim_x
+        # in row chunks of SAMPLER_BLOCK // (2 dim_z) rows, so at the wider
+        # observations a chunk boundary falls inside a batch for every part,
+        # with an input wider than the observation (drawn in its rank) and
+        # with one that is not
         monkeypatch.setattr(optimize, "MC_BATCH", 7_000)
         rng = np.random.default_rng(5)
         scenarios = [lambda nu=nu, nr=nr: random_gaussian_scenario(rng, nu, nr, max_antennas=4)
@@ -847,12 +847,10 @@ class TestMonteCarlo:
             dim_x = sum(sc.user_antennas)
             for s_mask in range((1 << sc.num_relays) - 1):
                 pair = SubsetPair(users=users, relays=indices_of(s_mask))
-                width = 2 * sum(sc.relay_antennas[k - 1]
-                                for k in pair.relays_complement(sc.num_relays))
-                x_rows, z_rows = (optimize.SAMPLER_BLOCK // max(dim, width)
-                                  for dim in (dim_x, width // 2))
-                if all(rows < 7_000 and 7_000 % rows != 0 for rows in (x_rows, z_rows)):
-                    splits.add(dim_x > width)
+                dim_z = sum(sc.relay_antennas[k - 1] for k in pair.relays_complement(sc.num_relays))
+                rows = optimize.SAMPLER_BLOCK // (2 * dim_z)
+                if rows < 7_000 and 7_000 % rows != 0:
+                    splits.add(dim_x > dim_z)
                 est = mc_mutual_information(sc, q, pair, samples=25_001, seed=s_mask)
                 ref = mc_mutual_information_one_shot(sc, q, pair, 25_001, s_mask)
                 assert (est.estimate, est.std_error) == ref
@@ -893,13 +891,18 @@ class TestMonteCarlo:
         lam_marg = la.hermitian_part(h_t @ k_t_root @ k_t_root @ h_t.conj().T + lam_cond)
         gap = (la.logdet2(lam_marg) - la.logdet2(lam_cond)) * math.log(2.0)
         cond_inv, marg_inv = np.linalg.inv(lam_cond), np.linalg.inv(lam_marg)
+        # x H_T^T = w K_T^{1/2 T} H_T^T for w ~ CN(0, I), drawn as w R through
+        # the triangular factor R of that map when w is the wider
+        signal = k_t_root.T @ h_t.T
+        if signal.shape[0] > signal.shape[1]:
+            signal = np.linalg.qr(signal, mode="r")
         cond_root = la.psd_sqrt(lam_cond)
         rng = np.random.default_rng(seed)
 
-        def circular(root, n):
-            re = rng.standard_normal((n, root.shape[0]))
-            im = rng.standard_normal((n, root.shape[0]))
-            return (re + 1j * im) / math.sqrt(2.0) @ root.T
+        def circular(m, n):
+            re = rng.standard_normal((n, m.shape[0]))
+            im = rng.standard_normal((n, m.shape[0]))
+            return (re + 1j * im) / math.sqrt(2.0) @ m
 
         def quad(v, m):
             return np.real(np.einsum("ni,ij,nj->n", v.conj(), m, v))
@@ -907,9 +910,9 @@ class TestMonteCarlo:
         vals = []
         for start in range(0, samples, batch):
             n = min(batch, samples - start)
-            x = circular(k_t_root, n)
-            noise = circular(cond_root, n)
-            u = x @ h_t.T + noise
+            signal_part = circular(signal, n)
+            noise = circular(cond_root.T, n)
+            u = signal_part + noise
             vals.append((gap - quad(noise, cond_inv) + quad(u, marg_inv)) / math.log(2.0))
         vals = np.concatenate(vals)
         return vals.mean(), vals.std() / math.sqrt(samples)
@@ -929,3 +932,51 @@ class TestMonteCarlo:
                 assert est.std_error == pytest.approx(std_error, abs=1e-12, rel=0)
                 checked += 1
         assert checked == 18
+
+    def test_rank_step_keeps_the_law_of_the_signal(self):
+        # G = K_T^{1/2 T} H_T^T wider than tall: its triangular factor R is
+        # dim_z x dim_z upper triangular with R^H R = G^H G, so x^T G and
+        # w^T R have the same law CN(0, G^H G)
+        rng = np.random.default_rng(12)
+        for dim_z in (1, 2, 3):
+            for dim_x in range(dim_z + 1, 5):
+                g = rng.normal(size=(dim_x, dim_z)) + 1j * rng.normal(size=(dim_x, dim_z))
+                r = np.linalg.qr(g, mode="r")
+                assert r.shape == (dim_z, dim_z)
+                assert np.array_equal(r, np.triu(r))
+                np.testing.assert_allclose(r.conj().T @ r, g.conj().T @ g, atol=1e-12, rtol=0)
+
+    def test_four_inputs_through_one_observation(self):
+        # dim_x = 4 > dim_z = 1: the input is drawn as one complex entry
+        sc = antenna_scenario(np.random.default_rng(13), (2, 2), (1,))
+        q = random_quantizers(np.random.default_rng(14), sc)
+        pair = SubsetPair(users=(1, 2), relays=())
+        analytic = float(GaussianEvaluator.from_quantizers(sc, q).info_terms((1, 2))[0])
+        est = mc_mutual_information(sc, q, pair, samples=200_000, seed=15)
+        # the mc suite's criterion: within 3 standard errors and 2 % relative
+        assert abs(est.estimate - analytic) <= 3.0 * est.std_error
+        assert abs(est.estimate - analytic) <= 0.02 * analytic
+
+    @pytest.mark.parametrize("user_dims, relay_dims", [((3, 2), (2,)), ((1,), (2, 1))])
+    def test_draws_two_normals_per_rank_and_observation_entry(self, monkeypatch, user_dims,
+                                                              relay_dims):
+        # samples * 2(min(dim_x, dim_z) + dim_z) normals: (5, 2) draws 2 + 2
+        # complex entries per sample, (1, 3) draws 1 + 3
+        sc = antenna_scenario(np.random.default_rng(16), user_dims, relay_dims)
+        q = random_quantizers(np.random.default_rng(17), sc)
+        pair = SubsetPair(users=tuple(range(1, sc.num_users + 1)), relays=())
+        dim_x, dim_z = sum(user_dims), sum(relay_dims)
+        made = []
+        default_rng = np.random.default_rng
+
+        def capture(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(optimize.np.random, "default_rng", capture)
+        mc_mutual_information(sc, q, pair, samples=30_001, seed=18)
+        monkeypatch.undo()
+        (rng,) = made
+        ref = np.random.default_rng(18)
+        ref.standard_normal(30_001 * 2 * (min(dim_x, dim_z) + dim_z))
+        assert rng.bit_generator.state == ref.bit_generator.state

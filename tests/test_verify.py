@@ -9,11 +9,12 @@ import pytest
 
 from ocran import _linalg as la
 from ocran import verify
-from ocran.core import spawn_seeds
+from ocran.core import ScenarioError
 from ocran.gaussian import matrix_lemma_check, weighted_arithmetic_mean, weighted_harmonic_mean
 from ocran.verify import (
+    _lemma_draws,
     matrix_lemma_cases,
-    random_pd,
+    pd_from_factor,
     run_suites,
     suite_matrix_lemmas,
     suite_mc,
@@ -22,18 +23,23 @@ from ocran.verify import (
 from helpers import inject_suite_fault, inject_suite_nan
 
 
-def per_matrix_case(instance_seed):
-    """One matrix_lemmas instance, drawn and checked one matrix at a time."""
-    rng = np.random.default_rng(instance_seed)
-    dim = int(rng.integers(1, 5))
-    a = random_pd(rng, dim)
-    w = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
+def per_matrix_case(dim, count, head, mats, weights):
+    """One matrix_lemmas instance, built from its raw draws and checked one
+    matrix at a time."""
+    sq = dim * dim
+
+    def factor(part, shape):
+        re, im = np.split(part, 2)
+        return (re + 1j * im).reshape(shape)
+
+    a, w, c = np.split(head, [2 * sq, 2 * sq + 2 * dim])
+    a = pd_from_factor(factor(a, (dim, dim)))
+    w = factor(w, (dim, 1))
     b = la.hermitian_part(a + w @ w.conj().T)
-    c = random_pd(rng, dim)
+    c = pd_from_factor(factor(c, (dim, dim)))
     held = matrix_lemma_check(a, b, c)
-    count = int(rng.integers(2, 5))
-    mats = [random_pd(rng, dim) for _ in range(count)]
-    weights = rng.dirichlet(np.ones(count))
+    mats = [pd_from_factor(factor(m, (dim, dim))) for m in np.split(mats, count)]
+    weights = weights / weights.sum()
     diff = weighted_arithmetic_mean(mats, weights) - weighted_harmonic_mean(mats, weights)
     # the same quantities written directly in numpy
     direct_held = (np.linalg.slogdet(np.eye(dim) + b @ c)[1]
@@ -44,17 +50,53 @@ def per_matrix_case(instance_seed):
     return held, -la.min_eig(diff), bool(direct_held), float(direct_gap)
 
 
-def test_stacked_cases_match_the_per_matrix_loop():
+def per_matrix_cases(instances, seed):
+    """Every instance of ``matrix_lemma_cases(instances, seed)`` from the same
+    raw draws, one matrix at a time, and the (dim, count) groups drawn."""
+    rng = np.random.default_rng(seed)
+    expected = [None] * instances
+    groups = set()
+    for start in range(0, instances, verify.LEMMA_BLOCK):
+        stop = min(start + verify.LEMMA_BLOCK, instances)
+        for idx, dim, count, *rows in _lemma_draws(rng, start, stop):
+            groups.add((dim, count))
+            for i, head, mats, weights in zip(idx, *rows):
+                expected[i] = per_matrix_case(dim, count, head, mats, weights)
+    return expected, groups
+
+
+def test_stacked_cases_match_the_per_matrix_loop(monkeypatch):
+    # 500 instances in blocks of 200 continue one generator across blocks
+    monkeypatch.setattr(verify, "LEMMA_BLOCK", 200)
     seed, instances = 11, 500
     held, gaps = matrix_lemma_cases(instances, seed)
-    expected = [per_matrix_case(s) for s in spawn_seeds(seed, instances)]
+    expected, groups = per_matrix_cases(instances, seed)
     assert list(held) == [e[0] for e in expected]
     np.testing.assert_allclose(gaps, [e[1] for e in expected], atol=1e-12, rtol=0)
     assert list(held) == [e[2] for e in expected]
     np.testing.assert_allclose(gaps, [e[3] for e in expected], atol=1e-12, rtol=0)
     # every instance dimension and number of means occurs
-    dims = {np.random.default_rng(s).integers(1, 5) for s in spawn_seeds(seed, instances)}
-    assert dims == {1, 2, 3, 4}
+    assert groups == {(dim, count) for dim in range(1, 5) for count in range(2, 5)}
+
+
+def test_lemma_draws_stack_each_group_from_one_generator():
+    """A block draws its dimensions and counts first, then each group's
+    stacks from the same generator: the head normals, the means' factors and
+    the weights."""
+    groups = list(_lemma_draws(np.random.default_rng(4), 100, 400))
+    ref = np.random.default_rng(4)
+    dims, counts = ref.integers(1, 5, size=300), ref.integers(2, 5, size=300)
+    seen = []
+    for idx, dim, count, head, mats, weights in groups:
+        assert (dims[idx - 100] == dim).all() and (counts[idx - 100] == count).all()
+        assert head.shape == (idx.size, 2 * dim * (2 * dim + 1))
+        assert mats.shape == (idx.size, 2 * count * dim * dim)
+        np.testing.assert_array_equal(head, ref.normal(size=head.shape))
+        np.testing.assert_array_equal(mats, ref.normal(size=mats.shape))
+        np.testing.assert_array_equal(weights, ref.standard_exponential(weights.shape))
+        seen.extend(idx)
+    assert sorted(seen) == list(range(100, 400))
+    assert [g[1:3] for g in groups] == sorted(g[1:3] for g in groups)
 
 
 def test_suite_report_is_built_from_the_cases():
@@ -103,9 +145,16 @@ def test_a_nan_gap_fails(monkeypatch, suite, count):
 @pytest.mark.parametrize("instances", [1, 7])
 def test_small_stacks(instances):
     held, gaps = matrix_lemma_cases(instances, 5)
-    expected = [per_matrix_case(s) for s in spawn_seeds(5, instances)]
+    expected, _ = per_matrix_cases(instances, 5)
     assert list(held) == [e[0] for e in expected]
     np.testing.assert_allclose(gaps, [e[1] for e in expected], atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [({"instances": 0}, "at least 1"),
+                                             ({"names": ("nope",)}, "unknown suite")])
+def test_bad_suite_arguments_are_scenario_errors(kwargs, message):
+    with pytest.raises(ScenarioError, match=message):
+        run_suites(**kwargs)
 
 
 def test_run_suites_keeps_each_suite_default_count():
