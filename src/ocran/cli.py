@@ -42,11 +42,11 @@ from .core import (
     RateRegion,
     ScenarioError,
     SubsetPair,
-    _complex_matrix_from_json,
-    _complex_matrix_to_json,
     indices_of,
+    load_quantizers,
     load_scenario,
     max_weighted_rate,
+    quantizers_to_dict,
     sample_codebook_marginal,
     scenario_sha256,
 )
@@ -145,34 +145,17 @@ def _region_csv(region: RateRegion) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_field(path: str, field: str):
-    """Field ``field`` of the JSON object in the quantizer file ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or field not in doc:
-        article = "an" if field[0] in "aeiou" else "a"
-        raise ScenarioError(f"{path}: quantizer file needs {article} {field!r} field")
-    return doc[field]
-
-
 def _quantizers(args, sc) -> QuantizerSetGaussian | AuxChannels:
-    """The fixed quantizers a command evaluates: Gaussian B matrices from
-    --quantizers, or discrete aux tables from --quantizers or, without it,
-    from the scenario file.  Their consumer checks them against the
-    scenario."""
-    if isinstance(sc, GaussianScenario):
-        if not args.quantizers:
-            raise ScenarioError(f"{args.command} needs --quantizers with the B matrices")
-        return QuantizerSetGaussian(B=tuple(
-            _complex_matrix_from_json(m, f"B[{k}]")
-            for k, m in enumerate(_read_field(args.quantizers, "B"), start=1)))
+    """The fixed quantizers a command evaluates: those of --quantizers or,
+    without it, the discrete tables embedded in the scenario file.  Their
+    consumer checks them against the scenario."""
     if args.quantizers:
-        tables = _read_field(args.quantizers, "aux")
-    else:
-        tables = args.scenario_aux
-        if tables is None:
-            raise ScenarioError("aux channels required (in the scenario file or --quantizers)")
-    return AuxChannels(tables=tuple(np.asarray(t, dtype=float) for t in tables))
+        return load_quantizers(args.quantizers, sc)
+    if isinstance(sc, GaussianScenario):
+        raise ScenarioError(f"{args.command} needs --quantizers with the B matrices")
+    if args.scenario_aux is None:
+        raise ScenarioError("aux channels required (in the scenario file or --quantizers)")
+    return args.scenario_aux
 
 
 def _evaluator(args, sc) -> GaussianEvaluator | DiscreteEvaluator:
@@ -249,7 +232,7 @@ def cmd_optimize(args, sc, emit):
             raise ScenarioError("--aux-sizes applies to discrete scenarios only")
         res = optimize_gaussian_quantizers(sc, weights)
         active = [{"T_mask": t, "S_mask": s} for t, s in res.active]
-        quantizers = {"B": [_complex_matrix_to_json(b) for b in res.quantizers.B]}
+        quantizers = quantizers_to_dict(res.quantizers)
         bound, gap = res.upper_bound, res.gap
     else:
         if weights is not None:
@@ -260,7 +243,7 @@ def cmd_optimize(args, sc, emit):
             sizes = tuple(n + 1 for n in sc.output_sizes)
         res = optimize_discrete_aux(sc, sizes, args.restarts, args.iters, args.seed)
         active = [{"S_mask": s} for s in res.active]
-        quantizers = {"aux": [t.tolist() for t in res.aux.tables]}
+        quantizers = quantizers_to_dict(res.aux)
     payload = {
         "objective_bits": res.objective,
         "upper_bound_bits": bound,

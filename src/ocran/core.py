@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -398,8 +399,9 @@ def sample_codebook_marginal(ens: CodebookEnsemble, trials: int) -> CodebookMarg
 
 
 # ---------------------------------------------------------------------------
-# scenario JSON schema (canonical, versioned)
+# scenario and quantizer files (canonical, versioned JSON)
 # ---------------------------------------------------------------------------
+# The only code that reads or writes either document.
 #
 # {
 #   "schema": 1,
@@ -418,74 +420,159 @@ def sample_codebook_marginal(ens: CodebookEnsemble, trials: int) -> CodebookMarg
 # p(y_1..y_K | x_1..x_L) flattened row-major with axis order
 # (Y_1, ..., Y_K, X_1, ..., X_L); optional "aux" is K tables of shape
 # |Q| x |Y_k| x |U_k|.
+#
+# A quantizer file is {"B": [K complex matrices]} for a Gaussian scenario
+# or {"aux": [K tables]} for a discrete one; optimize's "quantizers" block
+# is one.  One converter reads each kind of JSON value and names its field:
+# a value of the wrong type is a ScenarioError, a numeric string converts.
 
 
-def _complex_matrix_from_json(rows, name: str) -> np.ndarray:
+def _field(doc, key: str, where: str = ""):
+    """doc[key]; ``where`` + key names the field, ``where`` less its separator the object."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where.rstrip('.: ') or 'top level'}: must be a JSON object")
+    if key not in doc:
+        raise ScenarioError(f"{where}{key}: missing required field")
+    return doc[key]
+
+
+def _items(value, name: str, convert) -> tuple:
+    """``convert`` of each entry of the JSON list ``value``, named ``name``[1], [2], ..."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{name}: must be a list")
+    return tuple(convert(v, f"{name}[{i}]") for i, v in enumerate(value, start=1))
+
+
+def _numbers(value, name: str, dtype=float, vector: bool = False) -> np.ndarray:
     try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{name}: malformed complex matrix") from exc
+        arr = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{name}: must be numbers ({exc})") from exc
+    if vector and arr.ndim != 1:
+        raise ScenarioError(f"{name}: must be a list of numbers")
+    return arr
+
+
+def _complex_matrix(rows, name: str) -> np.ndarray:
+    """A row-major complex matrix of [re, im] pairs."""
+    arr = _numbers(rows, name)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ScenarioError(f"{name}: entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _complex_matrix_to_json(m: np.ndarray) -> list:
-    a = np.asarray(m, dtype=np.complex128)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+def _complex_json(matrices) -> list:
+    return [[[[float(v.real), float(v.imag)] for v in row] for row in m] for m in matrices]
+
+
+def _read_json(path):
+    """The JSON document in file ``path``; a failed read names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, encoding or nesting
+        raise ScenarioError(f"{path}: not a readable JSON file ({exc})") from exc
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build a validated scenario from a parsed canonical JSON document."""
-    from . import discrete, gaussian
+    from .discrete import DiscreteScenario
+    from .gaussian import GaussianScenario
 
-    if not isinstance(doc, dict):
-        raise ScenarioError("top level must be a JSON object")
-    if doc.get("schema") != 1:
-        raise ScenarioError(f"schema: unsupported version {doc.get('schema')!r}")
-    for key in ("users", "relays", "fronthaul", "time_share", "channel"):
-        if key not in doc:
-            raise ScenarioError(f"{key}: missing required field")
-    channel = doc["channel"]
-    if not isinstance(channel, dict) or "kind" not in channel:
-        raise ScenarioError("channel: must be an object with a 'kind' field")
-    common = dict(
-        num_users=doc["users"],
-        num_relays=doc["relays"],
-        fronthaul=doc["fronthaul"],
-        time_share=doc["time_share"],
-    )
-    kind = channel["kind"]
+    if _field(doc, "schema") != 1:
+        raise ScenarioError(f"schema: unsupported version {doc['schema']!r}")
+    for key in ("users", "relays"):
+        if type(_field(doc, key)) is not int:
+            raise ScenarioError(f"{key}: must be an integer")
+    common = dict(num_users=doc["users"], num_relays=doc["relays"],
+                  **{key: _numbers(_field(doc, key), key, vector=True)
+                     for key in ("fronthaul", "time_share")})
+    payload = functools.partial(_field, _field(doc, "channel"), where="channel.")
+    kind = payload("kind")
     if kind == "gaussian":
-        return gaussian.GaussianScenario.from_payload(channel, **common)
-    if kind == "discrete":
-        return discrete.DiscreteScenario.from_payload(channel, **common)
-    raise ScenarioError(f"channel.kind: unknown kind {kind!r}")
+        return GaussianScenario(
+            H=_items(payload("H"), "channel.H", functools.partial(_items, convert=_complex_matrix)),
+            Sigma=_items(payload("Sigma"), "channel.Sigma", _complex_matrix),
+            Kin=_items(payload("Kin"), "channel.Kin", _complex_matrix),
+            power=_numbers(payload("power"), "channel.power", vector=True), **common)
+    if kind != "discrete":
+        raise ScenarioError(f"channel.kind: unknown kind {kind!r}")
+    alphabets = payload("alphabets")
+    x_sizes, y_sizes = (tuple(_numbers(_field(alphabets, a, "channel.alphabets."),
+                                       f"channel.alphabets.{a}", int, vector=True).tolist())
+                        for a in "XY")
+    flat = _numbers(payload("channel"), "channel.channel")
+    if flat.size != int(np.prod(y_sizes)) * int(np.prod(x_sizes)):
+        raise ScenarioError("channel.channel: length does not match alphabets")
+    # wire order is (Y_1..Y_K, X_1..X_L) row-major; internal order puts X first
+    k, l = len(y_sizes), len(x_sizes)
+    tensor = np.moveaxis(flat.reshape(y_sizes + x_sizes), list(range(k)), list(range(l, l + k)))
+    return DiscreteScenario(px=_items(payload("px"), "channel.px", _numbers),
+                            channel=np.ascontiguousarray(tensor), **common)
 
 
 def scenario_to_dict(sc: Scenario, aux=None) -> dict:
-    payload = sc.channel_payload(aux) if aux is not None else sc.channel_payload()
-    return {
-        "schema": 1,
-        "users": sc.num_users,
-        "relays": sc.num_relays,
-        "fronthaul": list(sc.fronthaul),
-        "time_share": list(sc.time_share),
-        "channel": payload,
-    }
+    """The canonical document of ``sc``; discrete quantization tables
+    ``aux`` ride along in its channel payload."""
+    from .gaussian import GaussianScenario
+
+    if isinstance(sc, GaussianScenario):
+        channel = {"kind": "gaussian", "H": [_complex_json(row) for row in sc.H],
+                   "Sigma": _complex_json(sc.Sigma), "Kin": _complex_json(sc.Kin),
+                   "power": list(sc.power)}
+    else:
+        k, l = sc.num_relays, sc.num_users
+        wire = np.moveaxis(sc.channel, list(range(l, l + k)), list(range(k)))
+        channel = {"kind": "discrete",
+                   "alphabets": {"X": list(sc.input_sizes), "Y": list(sc.output_sizes)},
+                   "px": [t.tolist() for t in sc.px],
+                   "channel": np.ascontiguousarray(wire).ravel().tolist()}
+    if aux is not None:
+        if channel["kind"] != "discrete":
+            raise ScenarioError("only a discrete scenario embeds quantization tables")
+        channel.update(quantizers_to_dict(aux))
+    return {"schema": 1, "users": sc.num_users, "relays": sc.num_relays,
+            "fronthaul": list(sc.fronthaul), "time_share": list(sc.time_share),
+            "channel": channel}
+
+
+def quantizers_from_dict(doc, sc: Scenario, where: str = ""):
+    """The quantizers of scenario ``sc`` in a parsed quantizer document whose
+    fields are named ``where`` + field: ``QuantizerSetGaussian`` or
+    ``AuxChannels``, which their consumer checks against ``sc``."""
+    from .discrete import AuxChannels, DiscreteScenario
+    from .gaussian import QuantizerSetGaussian
+
+    if isinstance(sc, DiscreteScenario):
+        return AuxChannels(tables=_items(_field(doc, "aux", where), where + "aux", _numbers))
+    return QuantizerSetGaussian(B=_items(_field(doc, "B", where), where + "B", _complex_matrix))
+
+
+def quantizers_to_dict(q) -> dict:
+    """The quantizer document of Gaussian quantizers or discrete aux tables."""
+    from .discrete import AuxChannels
+
+    if isinstance(q, AuxChannels):
+        return {"aux": [t.tolist() for t in q.tables]}
+    return {"B": _complex_json(q.B)}
 
 
 def load_scenario(path, with_aux: bool = False):
-    """Load and validate a scenario JSON file (schema above).  With
-    ``with_aux``, return the pair (scenario, the file's "aux" payload as
-    parsed JSON, or None when it carries none), from one read of the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
+    """Load and validate a scenario file (schema above).  With ``with_aux``,
+    return the pair (scenario, its embedded discrete quantization tables as
+    ``AuxChannels``, or None), from one read of the file."""
+    doc = _read_json(path)
     sc = scenario_from_dict(doc)
-    return (sc, doc["channel"].get("aux")) if with_aux else sc
+    if not with_aux:
+        return sc
+    channel = doc["channel"]
+    embedded = channel["kind"] == "discrete" and "aux" in channel
+    return sc, quantizers_from_dict(channel, sc, "channel.") if embedded else None
+
+
+def load_quantizers(path, sc: Scenario):
+    """Load the quantizers of scenario ``sc`` from a quantizer file."""
+    return quantizers_from_dict(_read_json(path), sc, f"{path}: ")
 
 
 def save_scenario(sc: Scenario, path, aux=None) -> None:

@@ -85,15 +85,8 @@ class DiscreteScenario(Scenario):
         super().__post_init__()
         if len(self.px) != self.num_users:
             raise ScenarioError("px must have one table per user")
-        tables = []
-        for l, t in enumerate(self.px, start=1):
-            t = np.array(t, dtype=float, order="C")
-            if t.ndim != 2 or t.shape[0] != self.num_timeshare or t.shape[1] < 1:
-                raise ScenarioError(f"px[{l}] must have shape (|Q|, |X_{l}|)")
-            check_finite(t, f"px[{l}]")
-            _check_pmf_axis(t, -1, f"px[{l}]")
-            t.setflags(write=False)
-            tables.append(t)
+        tables = tuple(_pmf_table(t, f"px[{l}]", ("|Q|", f"|X_{l}|"), self.num_timeshare)
+                       for l, t in enumerate(self.px, start=1))
         ch = np.array(self.channel, dtype=float, order="C")
         x_sizes = tuple(t.shape[1] for t in tables)
         if ch.ndim != self.num_users + self.num_relays or ch.shape[: self.num_users] != x_sizes:
@@ -109,7 +102,7 @@ class DiscreteScenario(Scenario):
         if np.any(flat < 0) or np.max(np.abs(flat.sum(axis=1) - 1.0)) > PMF_TOL:
             raise ScenarioError("channel tensor rows p(.|x) must be pmfs")
         ch.setflags(write=False)
-        object.__setattr__(self, "px", tuple(tables))
+        object.__setattr__(self, "px", tables)
         object.__setattr__(self, "channel", ch)
 
     @property
@@ -120,46 +113,6 @@ class DiscreteScenario(Scenario):
     def output_sizes(self) -> tuple[int, ...]:
         return self.channel.shape[self.num_users:]
 
-    @classmethod
-    def from_payload(cls, payload: dict, **common) -> "DiscreteScenario":
-        for key in ("alphabets", "px", "channel"):
-            if key not in payload:
-                raise ScenarioError(f"channel.{key}: missing required field")
-        alphabets = payload["alphabets"]
-        try:
-            x_sizes = tuple(int(v) for v in alphabets["X"])
-            y_sizes = tuple(int(v) for v in alphabets["Y"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError("channel.alphabets: needs integer lists 'X' and 'Y'") from exc
-        try:
-            flat = np.asarray(payload["channel"], dtype=float)
-        except ValueError as exc:
-            raise ScenarioError("channel.channel: malformed tensor") from exc
-        if flat.size != int(np.prod(y_sizes)) * int(np.prod(x_sizes)):
-            raise ScenarioError("channel.channel: length does not match alphabets")
-        # wire order is (Y_1..Y_K, X_1..X_L) row-major; internal order puts X first
-        tensor = flat.reshape(y_sizes + x_sizes)
-        tensor = np.moveaxis(
-            tensor,
-            list(range(len(y_sizes))),
-            list(range(len(x_sizes), len(x_sizes) + len(y_sizes))),
-        )
-        px = tuple(np.asarray(t, dtype=float) for t in payload["px"])
-        return cls(px=px, channel=np.ascontiguousarray(tensor), **common)
-
-    def channel_payload(self, aux: "AuxChannels | None" = None) -> dict:
-        k, l = self.num_relays, self.num_users
-        wire = np.moveaxis(self.channel, list(range(l, l + k)), list(range(k)))
-        payload = {
-            "kind": "discrete",
-            "alphabets": {"X": list(self.input_sizes), "Y": list(self.output_sizes)},
-            "px": [t.tolist() for t in self.px],
-            "channel": np.ascontiguousarray(wire).ravel().tolist(),
-        }
-        if aux is not None:
-            payload["aux"] = [t.tolist() for t in aux.tables]
-        return payload
-
 
 @dataclass(frozen=True)
 class AuxChannels:
@@ -169,16 +122,9 @@ class AuxChannels:
     tables: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        fixed = []
-        for k, t in enumerate(self.tables, start=1):
-            t = np.array(t, dtype=float, order="C")
-            if t.ndim != 3 or t.shape[2] < 1:
-                raise ScenarioError(f"aux[{k}] must have shape (|Q|, |Y_{k}|, |U_{k}|)")
-            check_finite(t, f"aux[{k}]")
-            _check_pmf_axis(t, -1, f"aux[{k}]")
-            t.setflags(write=False)
-            fixed.append(t)
-        object.__setattr__(self, "tables", tuple(fixed))
+        object.__setattr__(self, "tables", tuple(
+            _pmf_table(t, f"aux[{k}]", ("|Q|", f"|Y_{k}|", f"|U_{k}|"))
+            for k, t in enumerate(self.tables, start=1)))
 
     @property
     def aux_sizes(self) -> tuple[int, ...]:
@@ -265,12 +211,21 @@ def _nonnegative(val: float, name: str) -> float:
     return max(0.0, val)
 
 
-def _check_pmf_axis(table: np.ndarray, axis: int, name: str) -> None:
-    if np.any(table < 0):
+def _pmf_table(t, name: str, axes: tuple[str, ...], rows: int | None = None) -> np.ndarray:
+    """``t`` as a finite, read-only float table with the named ``axes``
+    (``rows`` entries on the first, when given), holding pmfs along its
+    nonempty last axis."""
+    t = np.array(t, dtype=float, order="C")
+    if t.ndim != len(axes) or t.shape[-1] < 1 or rows not in (None, t.shape[0]):
+        raise ScenarioError(f"{name} must have shape ({', '.join(axes)})")
+    check_finite(t, name)
+    if np.any(t < 0):
         raise ScenarioError(f"{name} has negative entries")
-    sums = table.sum(axis=axis)
+    sums = t.sum(axis=-1)
     if sums.size and np.max(np.abs(sums - 1.0)) > PMF_TOL:
         raise ScenarioError(f"{name} is not normalized along its distribution axis")
+    t.setflags(write=False)
+    return t
 
 
 def _letters(n: int) -> str:

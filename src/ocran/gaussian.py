@@ -31,8 +31,6 @@ from .core import (
     Scenario,
     ScenarioError,
     SubsetPair,
-    _complex_matrix_from_json,
-    _complex_matrix_to_json,
     check_finite,
     subset_sums,
 )
@@ -50,6 +48,14 @@ def _user_matrix(require, m, name: str) -> np.ndarray:
         return require(m, name=name)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
+
+
+def _hermitian(m, name: str) -> np.ndarray:
+    """A user's matrix as a finite, read-only Hermitian matrix."""
+    m = _user_matrix(la.require_hermitian, m, name)
+    check_finite(m, name)
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -83,21 +89,17 @@ class GaussianScenario(Scenario):
         check_finite(power, "power")
         sigma = []
         for k, s in enumerate(self.Sigma, start=1):
-            s = _user_matrix(la.require_hermitian, s, f"Sigma[{k}]")
-            check_finite(s, f"Sigma[{k}]")
+            s = _hermitian(s, f"Sigma[{k}]")
             if la.min_eig(s) <= 1e-12:
                 raise ScenarioError(f"Sigma[{k}] is not positive definite")
-            s.setflags(write=False)
             sigma.append(s)
         kin = []
         for l, (m, p) in enumerate(zip(self.Kin, power), start=1):
-            m = _user_matrix(la.require_hermitian, m, f"Kin[{l}]")
-            check_finite(m, f"Kin[{l}]")
+            m = _hermitian(m, f"Kin[{l}]")
             if la.min_eig(m) < -la.HERM_TOL:
                 raise ScenarioError(f"Kin[{l}] is not positive semidefinite")
             if float(np.real(np.trace(m))) > p + 1e-9:
                 raise ScenarioError(f"Kin[{l}] violates the power budget power[{l}]")
-            m.setflags(write=False)
             kin.append(m)
         grid = []
         for k, row in enumerate(self.H, start=1):
@@ -149,38 +151,6 @@ class GaussianScenario(Scenario):
             power=self.power,
         )
 
-    @classmethod
-    def from_payload(cls, payload: dict, **common) -> "GaussianScenario":
-        for key in ("H", "Sigma", "Kin", "power"):
-            if key not in payload:
-                raise ScenarioError(f"channel.{key}: missing required field")
-        try:
-            h_grid = tuple(
-                tuple(_complex_matrix_from_json(m, f"channel.H[{k}][{l}]")
-                      for l, m in enumerate(row, start=1))
-                for k, row in enumerate(payload["H"], start=1)
-            )
-            sigma = tuple(
-                _complex_matrix_from_json(m, f"channel.Sigma[{k}]")
-                for k, m in enumerate(payload["Sigma"], start=1)
-            )
-            kin = tuple(
-                _complex_matrix_from_json(m, f"channel.Kin[{l}]")
-                for l, m in enumerate(payload["Kin"], start=1)
-            )
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-        return cls(H=h_grid, Sigma=sigma, Kin=kin, power=tuple(payload["power"]), **common)
-
-    def channel_payload(self) -> dict:
-        return {
-            "kind": "gaussian",
-            "H": [[_complex_matrix_to_json(h) for h in row] for row in self.H],
-            "Sigma": [_complex_matrix_to_json(s) for s in self.Sigma],
-            "Kin": [_complex_matrix_to_json(m) for m in self.Kin],
-            "power": list(self.power),
-        }
-
 
 @dataclass(frozen=True)
 class QuantizerSetGaussian:
@@ -189,13 +159,8 @@ class QuantizerSetGaussian:
     B: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        fixed = []
-        for k, b in enumerate(self.B, start=1):
-            b = _user_matrix(la.require_hermitian, b, f"B[{k}]")
-            check_finite(b, f"B[{k}]")
-            b.setflags(write=False)
-            fixed.append(b)
-        object.__setattr__(self, "B", tuple(fixed))
+        object.__setattr__(self, "B", tuple(_hermitian(b, f"B[{k}]")
+                                            for k, b in enumerate(self.B, start=1)))
 
     def validate(self, sc: GaussianScenario) -> list[np.ndarray]:
         """Check 0 <= B_k <= Sigma_k^{-1} via eigenvalues of Sigma^{1/2} B Sigma^{1/2};

@@ -12,9 +12,8 @@ import pytest
 import ocran
 from ocran import optimize
 from ocran.cli import build_parser, fmt_bits, main
-from ocran.core import (_complex_matrix_to_json, enumerate_constraint_pairs, load_scenario,
-                        save_scenario)
-from ocran.gaussian import GaussianEvaluator
+from ocran.core import enumerate_constraint_pairs, load_scenario, quantizers_to_dict, save_scenario
+from ocran.gaussian import GaussianEvaluator, QuantizerSetGaussian
 from ocran.sumrate import extreme_points, g_function, jd_sum_rate
 from ocran.verify import (random_aux, random_factorizing_scenario, random_gaussian_scenario,
                           random_quantizers)
@@ -107,7 +106,7 @@ class TestRegionCommand:
         q = random_quantizers(rng, sc)
         path = tmp_path / "sc.json"
         save_scenario(sc, path)
-        quant = write_json(tmp_path / "q.json", {"B": [_complex_matrix_to_json(b) for b in q.B]})
+        quant = write_json(tmp_path / "q.json", quantizers_to_dict(q))
         out = tmp_path / "region.csv"
         assert main(["region", "--scenario", str(path), "--quantizers", quant,
                      "--out", str(out)]) == 0
@@ -237,12 +236,21 @@ NONFINITE_CASES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "kind,where,path,value",
-    NONFINITE_CASES,
-    ids=[f"{k}-{w}-{'.'.join(map(str, p))}-{v}" for k, w, p, v in NONFINITE_CASES],
-)
-def test_nonfinite_input_is_validation_error(tmp_path, capsys, kind, where, path, value):
+MALFORMED_CASES = [
+    # (channel kind, file holding the field, path to the field, value of a wrong type)
+    ("gaussian", "scenario", ("channel", "H"), 5),
+    ("gaussian", "scenario", ("channel", "Sigma"), 5),
+    ("gaussian", "scenario", ("channel", "power"), None),
+    ("gaussian", "scenario", ("users",), "two"),
+    ("discrete", "scenario", ("channel", "px"), 5),
+    ("gaussian", "quantizers", ("B",), 5),
+    ("discrete", "quantizers", ("aux",), 5),
+]
+
+
+def run_with_entry(tmp_path, kind, where, path, value):
+    """Exit code and --out path of ``region`` (Gaussian) or ``sumrate``
+    (discrete) on the golden files, with one entry of one file replaced."""
     if kind == "gaussian":
         docs = {"scenario": golden_gaussian_doc(), "quantizers": {"B": [[[[0.5, 0.0]]]]}}
         command = "region"
@@ -257,10 +265,50 @@ def test_nonfinite_input_is_validation_error(tmp_path, capsys, kind, where, path
     scenario = write_json(tmp_path / "sc.json", docs["scenario"])
     quant = write_json(tmp_path / "q.json", docs["quantizers"])
     out = tmp_path / "out.data"
-    rc = main([command, "--scenario", scenario, "--quantizers", quant, "--out", str(out)])
+    return main([command, "--scenario", scenario, "--quantizers", quant, "--out", str(out)]), out
+
+
+@pytest.mark.parametrize(
+    "kind,where,path,value",
+    NONFINITE_CASES,
+    ids=[f"{k}-{w}-{'.'.join(map(str, p))}-{v}" for k, w, p, v in NONFINITE_CASES],
+)
+def test_nonfinite_input_is_validation_error(tmp_path, capsys, kind, where, path, value):
+    rc, out = run_with_entry(tmp_path, kind, where, path, value)
     assert rc == 2
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind,where,path,value",
+    MALFORMED_CASES,
+    ids=[f"{k}-{w}-{'.'.join(p)}-{v}" for k, w, p, v in MALFORMED_CASES],
+)
+def test_field_of_a_wrong_type_is_validation_error(tmp_path, capsys, kind, where, path, value):
+    rc, out = run_with_entry(tmp_path, kind, where, path, value)
+    assert rc == 2
+    assert not out.exists()
+    assert f"{'.'.join(path)}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,content", [
+    ("scenario", None),  # a directory
+    ("quantizers", "{not json"),
+    ("scenario", "[" * 100_000),  # nested deeper than the parser recurses
+], ids=["scenario-directory", "quantizers-invalid", "scenario-too-deep"])
+def test_unreadable_file_is_validation_error_naming_it(tmp_path, capsys, flag, content):
+    files = {"scenario": write_json(tmp_path / "sc.json", golden_gaussian_doc()),
+             "quantizers": write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})}
+    if content is None:
+        files[flag] = str(tmp_path)
+    else:
+        pathlib.Path(files[flag]).write_text(content)
+    out = tmp_path / "out.data"
+    assert main(["region", "--scenario", files["scenario"], "--quantizers", files["quantizers"],
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"error: {files[flag]}: not a readable JSON file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -688,7 +736,7 @@ class TestSumRateCommands:
         q = random_quantizers(rng, sc)
         path = tmp_path / "sc.json"
         save_scenario(sc, path)
-        quant = write_json(tmp_path / "q.json", {"B": [_complex_matrix_to_json(b) for b in q.B]})
+        quant = write_json(tmp_path / "q.json", quantizers_to_dict(q))
         out = tmp_path / "ext.csv"
         assert main(["extreme-points", "--scenario", str(path), "--quantizers", quant,
                      "--out", str(out)]) == 0
@@ -705,7 +753,7 @@ class TestSumRateCommands:
         # B_1 = Sigma_1^{-1} needs infinite fronthaul: the polytope is empty
         boundary = [np.linalg.inv(ev.sc.Sigma[0]), *q.B[1:]]
         quant = write_json(tmp_path / "q.json",
-                           {"B": [_complex_matrix_to_json(b) for b in boundary]})
+                           quantizers_to_dict(QuantizerSetGaussian(B=tuple(boundary))))
         out = tmp_path / "boundary.csv"
         assert main(["extreme-points", "--scenario", str(path), "--quantizers", quant,
                      "--out", str(out)]) == 2

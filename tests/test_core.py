@@ -17,6 +17,7 @@ from ocran.core import (
     load_scenario,
     mask_of,
     max_weighted_rate,
+    quantizers_to_dict,
     sample_codebook_marginal,
     save_scenario,
     scenario_from_dict,
@@ -25,6 +26,7 @@ from ocran.core import (
     spawn_seeds,
 )
 from ocran.discrete import AuxChannels
+from ocran.gaussian import QuantizerSetGaussian
 from ocran.verify import random_factorizing_scenario, random_gaussian_scenario
 
 from helpers import codebook_marginal_one_shot, traced_peak_mb
@@ -344,15 +346,20 @@ class TestScenarioIO:
         doc["channel"]["aux"] = [[[[0.9, 0.1], [0.2, 0.8]], [[0.7, 0.3], [0.4, 0.6]]]]
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(doc))
-        sc, tables = load_scenario(path, with_aux=True)
-        assert tables == doc["channel"]["aux"]
-        aux = AuxChannels(tables=tuple(np.asarray(t) for t in tables))
+        sc, aux = load_scenario(path, with_aux=True)
+        assert isinstance(aux, AuxChannels)
+        assert quantizers_to_dict(aux) == {"aux": doc["channel"]["aux"]}
         out = tmp_path / "rt.json"
         save_scenario(sc, out, aux=aux)
-        sc2, tables2 = load_scenario(out, with_aux=True)
-        reread = AuxChannels(tables=tuple(np.asarray(t) for t in tables2))
+        sc2, reread = load_scenario(out, with_aux=True)
         np.testing.assert_allclose(reread.tables[0], aux.tables[0], atol=0)
         assert scenario_to_dict(sc2, reread) == scenario_to_dict(sc, aux)
+
+    def test_only_a_discrete_scenario_embeds_quantizers(self, tmp_path):
+        sc = _hash_scenarios()["gaussian"]
+        q = QuantizerSetGaussian(B=tuple(0.5 * np.linalg.inv(s) for s in sc.Sigma))
+        with pytest.raises(ScenarioError, match="only a discrete scenario embeds"):
+            save_scenario(sc, tmp_path / "sc.json", aux=q)
 
     def test_subset_bits_guard_when_the_scenario_is_built(self):
         assert scenario_from_dict(_wide_gaussian_doc(23)).num_relays == 23

@@ -1,0 +1,107 @@
+"""Property tests of the scenario and quantizer file formats, under one
+fixed Hypothesis profile (derandomized, no deadline, at most 100 examples
+per kind).
+
+* Any one field of the golden Gaussian and discrete scenario and quantizer
+  documents, replaced by null, a string, a number, [] or {}, makes ``main``
+  exit 0 or 2, never 3, and no output holds a NaN.
+* A save/load round trip of a random scenario, with or without embedded
+  quantization tables, writes identical bytes and keeps ``scenario_sha256``.
+
+Shape errors (ragged arrays, lists of the wrong length) are out of scope:
+each mutation replaces a whole field by a value of another JSON type.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ocran.cli import main
+from ocran.core import load_scenario, save_scenario, scenario_sha256
+from ocran.verify import random_aux, random_factorizing_scenario, random_gaussian_scenario
+
+from test_cli import discrete_doc, golden_gaussian_doc
+
+FIXED_PROFILE = settings(derandomize=True, deadline=None, max_examples=100, database=None)
+
+WRONG_TYPES = st.one_of(st.none(), st.text(), st.integers(), st.floats(),
+                        st.just([]), st.just({}))
+
+
+def golden_docs(kind: str) -> dict:
+    """The golden scenario and quantizer documents of one channel kind; the
+    discrete scenario embeds its quantization tables too."""
+    if kind == "gaussian":
+        return {"scenario": golden_gaussian_doc(), "quantizers": {"B": [[[[0.5, 0.0]]]]}}
+    doc = discrete_doc()
+    return {"scenario": doc, "quantizers": {"aux": doc["channel"]["aux"]}}
+
+
+def field_paths(doc: dict, prefix=()):
+    """The path of every field of every JSON object in ``doc``."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
+
+
+def fields(kind: str) -> list:
+    return [(where, path) for where, doc in golden_docs(kind).items()
+            for path in field_paths(doc)]
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "discrete"])
+@FIXED_PROFILE
+@given(data=st.data())
+def test_a_field_of_a_wrong_type_exits_0_or_2(kind, data):
+    where, path = data.draw(st.sampled_from(fields(kind)), label="field")
+    value = data.draw(WRONG_TYPES, label="value")
+    docs = golden_docs(kind)
+    entry = docs[where]
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        for name, doc in docs.items():
+            (tmp / f"{name}.json").write_text(json.dumps(doc))
+        out = tmp / "region.csv"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(["region", "--scenario", str(tmp / "scenario.json"),
+                       "--quantizers", str(tmp / "quantizers.json"), "--out", str(out)])
+        assert rc in (0, 2), stderr.getvalue()
+        written = [p.read_text() for p in tmp.glob("region.csv*")]
+        assert (rc == 0) == bool(written)
+        for text in [stdout.getvalue(), *written]:
+            assert "nan" not in text.lower()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "discrete", "discrete with aux"])
+@FIXED_PROFILE
+@given(seed=st.integers(0, 2**32 - 1), users=st.integers(1, 3), relays=st.integers(1, 3),
+       timeshare=st.integers(1, 2))
+def test_save_load_round_trip_is_byte_identical(kind, seed, users, relays, timeshare):
+    rng = np.random.default_rng(seed)
+    aux = None
+    if kind == "gaussian":
+        sc = random_gaussian_scenario(rng, users, relays)
+    else:
+        sc = random_factorizing_scenario(rng, users, relays, num_timeshare=timeshare)
+        if kind == "discrete with aux":
+            aux = random_aux(rng, sc)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = pathlib.Path(tmp, "first.json"), pathlib.Path(tmp, "second.json")
+        save_scenario(sc, first, aux)
+        loaded, loaded_aux = load_scenario(first, with_aux=True)
+        assert (loaded_aux is None) == (aux is None)
+        save_scenario(loaded, second, loaded_aux)
+        assert second.read_bytes() == first.read_bytes()
+    assert scenario_sha256(loaded) == scenario_sha256(sc)

@@ -10,10 +10,10 @@ from ocran.cli import main
 from ocran.core import (
     ScenarioError,
     SubsetPair,
-    _complex_matrix_to_json,
     enumerate_constraint_pairs,
     indices_of,
     load_scenario,
+    quantizers_to_dict,
     save_scenario,
 )
 from ocran.gaussian import (
@@ -260,7 +260,7 @@ class TestRegion:
         path = tmp_path / "sc.json"
         save_scenario(sc, path)
         quant = tmp_path / "q.json"
-        quant.write_text(json.dumps({"B": [_complex_matrix_to_json(b) for b in q.B]}))
+        quant.write_text(json.dumps(quantizers_to_dict(q)))
         sc = load_scenario(path)
         region = region_gaussian(sc, q)
         for pair in enumerate_constraint_pairs(2, 3):
