@@ -98,6 +98,16 @@ def _jsonable(x):
     return x
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written (a directory,
+    a missing parent, no permission) is a ScenarioError that names it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ScenarioError(f"{path}: not a writable output path ({exc.strerror or exc})") from exc
+
+
 class _Emitter:
     """Routes payloads to --out files or stdout and records the manifest."""
 
@@ -109,8 +119,7 @@ class _Emitter:
 
     def write_text(self, text: str, path: str | None) -> None:
         if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_file(path, text)
             self.outputs.append(path)
         else:
             sys.stdout.write(text)
@@ -131,9 +140,7 @@ class _Emitter:
         }
         text = json.dumps(manifest, sort_keys=True)
         if self.outputs:
-            path = self.outputs[0] + ".manifest.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            _write_file(self.outputs[0] + ".manifest.json", text + "\n")
         else:
             print(text, file=sys.stderr)
 
@@ -454,7 +461,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, FileNotFoundError) as exc:  # ScenarioError, CapacityError
+    except ValueError as exc:  # ScenarioError, CapacityError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # any other error is internal: exit 3, no traceback

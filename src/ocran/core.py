@@ -453,6 +453,15 @@ def _numbers(value, name: str, dtype=float, vector: bool = False) -> np.ndarray:
     return arr
 
 
+def _sizes(value, name: str) -> tuple:
+    """The integers of the JSON list ``value``; a fractional entry, which an
+    integer conversion would truncate, is a ScenarioError."""
+    sizes = _numbers(value, name, int, vector=True)
+    if not np.array_equal(sizes, _numbers(value, name, vector=True)):
+        raise ScenarioError(f"{name}: must be integers")
+    return tuple(sizes.tolist())
+
+
 def _complex_matrix(rows, name: str) -> np.ndarray:
     """A row-major complex matrix of [re, im] pairs."""
     arr = _numbers(rows, name)
@@ -498,8 +507,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if kind != "discrete":
         raise ScenarioError(f"channel.kind: unknown kind {kind!r}")
     alphabets = payload("alphabets")
-    x_sizes, y_sizes = (tuple(_numbers(_field(alphabets, a, "channel.alphabets."),
-                                       f"channel.alphabets.{a}", int, vector=True).tolist())
+    x_sizes, y_sizes = (_sizes(_field(alphabets, a, "channel.alphabets."), f"channel.alphabets.{a}")
                         for a in "XY")
     flat = _numbers(payload("channel"), "channel.channel")
     if flat.size != int(np.prod(y_sizes)) * int(np.prod(x_sizes)):

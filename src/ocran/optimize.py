@@ -59,7 +59,6 @@ STAIRCASE_SOFTENING = 0.05
 # logits per unit of a discrete table parameter; SLSQP starts from an identity
 # Hessian, and at 12 it needs about a quarter fewer iterations than at 1
 SOFTMAX_SCALE = 12.0
-MC_BATCH = 100_000  # Monte Carlo samples drawn at a time
 
 
 def _check_weights(weights, num_users: int) -> np.ndarray:
@@ -787,45 +786,25 @@ def mc_mutual_information(
         signal = np.linalg.qr(signal, mode="r")
     signal_map = signal @ marg_factor
     noise_map = la.psd_sqrt(lam_cond).T @ marg_factor
-    (x_re, x_im), (z_re, z_im) = (_real_form(m / math.sqrt(2.0)) for m in (signal_map, noise_map))
 
-    # Each batch draws all of x, real parts then imaginary, then all of z,
-    # in row chunks of at most SAMPLER_BLOCK products into one reused buffer
-    # (the chunks consume the generator's normals in the order of one draw
-    # per part), and adds each chunk at once into two per-sample
-    # accumulators: u, the argument of the marginal form, and the
-    # conditional form.  Both start at 0, and 0.0 + a == a.
+    # Each sample is one row [x_re | x_im | z_re | z_im] of d standard
+    # normals, and u is that row times the stacked real map.  The rows are
+    # drawn in chunks of SAMPLER_BLOCK // d, row slices of one (samples, d)
+    # draw into one reused buffer, so the samples do not depend on the chunk
+    # size; only each chunk's sum and sum of squares are kept.
+    real_map = np.vstack([*_real_form(signal_map), *_real_form(noise_map)]) / math.sqrt(2.0)
+    d = real_map.shape[0]
+    rows = max(1, SAMPLER_BLOCK // d)
     rng = np.random.default_rng(seed)
-    width = x_re.shape[1]
-    rows = max(1, SAMPLER_BLOCK // width)
-    cap = min(MC_BATCH, samples)
-    u_buf, cond_buf, sq_buf = np.empty((cap, width)), np.empty(cap), np.empty(cap)
-    draw_buf, prod_buf = np.empty((2, rows * width))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        n = min(MC_BATCH, samples - done)
-        u, cond, sq = u_buf[:n], cond_buf[:n], sq_buf[:n]
-        u.fill(0.0)
-        cond.fill(0.0)
-        for m, dim, noise in ((x_re, dim_x, False), (x_im, dim_x, False),
-                              (z_re, dim_z, True), (z_im, dim_z, True)):
-            for start in range(0, n, rows):
-                k = min(rows, n - start)
-                r = slice(start, start + k)
-                draw = rng.standard_normal(out=draw_buf[:k * dim].reshape(k, dim))
-                u[r] += np.matmul(draw, m, out=prod_buf[:k * width].reshape(k, width))
-                if noise:
-                    cond[r] += _row_sqnorm(draw)
-        cond *= 0.5
+    buf = np.empty((min(rows, samples), d))
+    total = total_sq = 0.0
+    for start in range(0, samples, rows):
+        draw = rng.standard_normal(out=buf[:min(rows, samples - start)])
         # the per-sample value (logdet_gap - quad_cond + quad_marg) / LN2
-        vals = np.subtract(logdet_gap, cond, out=cond)
-        vals += np.einsum("ij,ij->i", u, u, out=sq)
-        vals /= la.LN2
+        vals = (logdet_gap - 0.5 * _row_sqnorm(draw[:, 2 * dim_x:])
+                + _row_sqnorm(draw @ real_map)) / la.LN2
         total += float(vals.sum())
-        total_sq += float(np.multiply(vals, vals, out=sq).sum())
-        done += n
+        total_sq += float(vals @ vals)
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
     return McEstimate(

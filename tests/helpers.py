@@ -162,11 +162,12 @@ def mc_mutual_information_one_shot(
     samples: int,
     seed: int,
 ) -> tuple[float, float]:
-    """(estimate, std_error) of the MC estimator with fresh draw arrays and
-    whole-batch products, in batches of ``optimize.MC_BATCH`` samples; an
-    input wider than the observation is drawn through the triangular factor
-    of its map.  Expects a nonempty relay complement and quantizers inside
-    the boundary."""
+    """(estimate, std_error) of the MC estimator from one (samples, d) draw:
+    each row is [x_re | x_im | z_re | z_im], the whitened input's real and
+    imaginary parts then the noise's, and the sums are taken over row slices
+    of ``optimize.SAMPLER_BLOCK // d`` samples; an input wider than the
+    observation is drawn through the triangular factor of its map.  Expects a
+    nonempty relay complement and quantizers inside the boundary."""
     relays_c = pair.relays_complement(sc.num_relays)
     lam_cond = la.block_diag([la.hermitian_part(np.linalg.inv(q.B[k - 1])) for k in relays_c])
     h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
@@ -179,21 +180,20 @@ def mc_mutual_information_one_shot(
         signal = np.linalg.qr(signal, mode="r")
     signal_map = signal @ marg_factor
     noise_map = la.psd_sqrt(lam_cond).T @ marg_factor
-    (x_re, x_im), (z_re, z_im) = (_real_form(m / math.sqrt(2.0)) for m in (signal_map, noise_map))
-    rng = np.random.default_rng(seed)
+    real_map = np.vstack([*_real_form(signal_map), *_real_form(noise_map)]) / math.sqrt(2.0)
+    dim_x, d = signal.shape[0], real_map.shape[0]
+    draw = np.random.default_rng(seed).standard_normal((samples, d))
+    z = draw[:, 2 * dim_x:]
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < samples:
-        n = min(optimize.MC_BATCH, samples - done)
-        x = rng.standard_normal((2, n, signal.shape[0]))
-        z = rng.standard_normal((2, n, lam_cond.shape[0]))
-        quad_marg = _row_sqnorm(x[0] @ x_re + x[1] @ x_im + z[0] @ z_re + z[1] @ z_im)
-        quad_cond = 0.5 * (_row_sqnorm(z[0]) + _row_sqnorm(z[1]))
+    rows = max(1, optimize.SAMPLER_BLOCK // d)
+    for start in range(0, samples, rows):
+        r = slice(start, start + rows)
+        quad_marg = _row_sqnorm(draw[r] @ real_map)
+        quad_cond = 0.5 * _row_sqnorm(z[r])
         vals = (logdet_gap - quad_cond + quad_marg) / la.LN2
         total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += n
+        total_sq += float(vals @ vals)
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
     return mean, math.sqrt(var / samples)

@@ -311,6 +311,18 @@ def test_unreadable_file_is_validation_error_naming_it(tmp_path, capsys, flag, c
     assert f"error: {files[flag]}: not a readable JSON file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["directory", "under-a-file", "missing-parent"])
+def test_unwritable_out_path_is_validation_error_naming_it(tmp_path, capsys, target):
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    out = {"directory": tmp_path,
+           "under-a-file": tmp_path / "sc.json" / "sum.json",
+           "missing-parent": tmp_path / "missing" / "sum.json"}[target]
+    assert main(["sumrate", "--scenario", scenario, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {out}: not a writable output path" in err
+    assert "Traceback" not in err and "internal error" not in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_extreme_points_nonfinite_rsum_is_validation_error(tmp_path, capsys, value):
     scenario = write_json(tmp_path / "sc.json", discrete_doc())

@@ -366,6 +366,22 @@ class TestScenarioIO:
         with pytest.raises(CapacityError, match="L \\+ K = 25"):
             scenario_from_dict(_wide_gaussian_doc(24))
 
+    @pytest.mark.parametrize("axis, sizes", [("X", [2.7]), ("Y", [2.5]), ("X", [2.0000001])])
+    def test_fractional_alphabet_size_names_field(self, axis, sizes):
+        # an integer conversion would read 2.7 as 2 and run the scenario
+        doc = _discrete_doc()
+        doc["channel"]["alphabets"][axis] = sizes
+        with pytest.raises(ScenarioError, match=f"channel.alphabets.{axis}: must be integers"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("size", [2, 2.0, "2"])
+    def test_integral_alphabet_size_reads_as_an_integer(self, size):
+        doc = _discrete_doc()
+        doc["channel"]["alphabets"]["Y"] = [size]
+        sc = scenario_from_dict(doc)
+        assert sc.output_sizes == (2,) and type(sc.output_sizes[0]) is int
+        assert scenario_to_dict(sc) == scenario_to_dict(scenario_from_dict(_discrete_doc()))
+
     def test_unnormalized_time_share_names_field(self, tmp_path):
         doc = _minimal_gaussian_doc()
         doc["time_share"] = [0.9]

@@ -827,13 +827,12 @@ class TestMonteCarlo:
         assert a == b
 
     def test_streamed_blocks_match_the_one_shot_estimator(self, monkeypatch):
-        # 25_001 samples in batches of 7_000 end on a partial batch.  Each
-        # part of a batch (x real, x imaginary, z real, z imaginary) is drawn
-        # in row chunks of SAMPLER_BLOCK // (2 dim_z) rows, so at the wider
-        # observations a chunk boundary falls inside a batch for every part,
-        # with an input wider than the observation (drawn in its rank) and
-        # with one that is not
-        monkeypatch.setattr(optimize, "MC_BATCH", 7_000)
+        # Each sample is one row of d = 2(min(dim_x, dim_z) + dim_z) normals,
+        # drawn in chunks of SAMPLER_BLOCK // d rows.  At a block of 2^12 a
+        # chunk boundary falls inside the 25_001 samples, which end on a
+        # partial chunk, with an input wider than the observation (drawn in
+        # its rank) and with one that is not
+        monkeypatch.setattr(optimize, "SAMPLER_BLOCK", 1 << 12)
         rng = np.random.default_rng(5)
         scenarios = [lambda nu=nu, nr=nr: random_gaussian_scenario(rng, nu, nr, max_antennas=4)
                      for nu, nr in ((1, 1), (2, 2), (2, 3), (2, 3))]
@@ -848,19 +847,39 @@ class TestMonteCarlo:
             for s_mask in range((1 << sc.num_relays) - 1):
                 pair = SubsetPair(users=users, relays=indices_of(s_mask))
                 dim_z = sum(sc.relay_antennas[k - 1] for k in pair.relays_complement(sc.num_relays))
-                rows = optimize.SAMPLER_BLOCK // (2 * dim_z)
-                if rows < 7_000 and 7_000 % rows != 0:
+                rows = optimize.SAMPLER_BLOCK // (2 * (min(dim_x, dim_z) + dim_z))
+                if rows < 25_001 and 25_001 % rows != 0:
                     splits.add(dim_x > dim_z)
                 est = mc_mutual_information(sc, q, pair, samples=25_001, seed=s_mask)
                 ref = mc_mutual_information_one_shot(sc, q, pair, 25_001, s_mask)
                 assert (est.estimate, est.std_error) == ref
         assert splits == {True, False}
 
-    def test_memory_does_not_grow_with_the_batch_products(self):
-        # 4 + 4 complex dimensions: two users and two relays of 2 antennas.
-        # One batch of draws alone takes 12.8 MB.  The estimator holds u
-        # (6.4 MB), two per-sample vectors (0.8 MB each) and one chunk of
-        # draws and one of products (0.5 MB each): 8.7 MB traced
+    def test_chunk_size_keeps_the_samples(self, monkeypatch):
+        # chunks of 2^16 // d and 2^10 // d rows are row slices of the same
+        # draw; only the float sums are grouped by chunk, so the estimates
+        # agree to rounding, far inside their standard error
+        rng = np.random.default_rng(16)
+        for nu, nr in ((1, 1), (2, 2), (2, 3)):
+            sc = random_gaussian_scenario(rng, nu, nr, max_antennas=3)
+            q = random_quantizers(rng, sc)
+            pair = SubsetPair(users=tuple(range(1, nu + 1)), relays=())
+            estimates = []
+            for block in (1 << 16, 1 << 10):
+                monkeypatch.setattr(optimize, "SAMPLER_BLOCK", block)
+                estimates.append(mc_mutual_information(sc, q, pair, samples=20_001, seed=nr))
+            wide, narrow = estimates
+            assert narrow.estimate == pytest.approx(wide.estimate, rel=1e-12, abs=0)
+            assert narrow.std_error == pytest.approx(wide.std_error, rel=1e-9, abs=0)
+            assert wide.std_error > 1e-4
+
+    def test_memory_holds_one_chunk_whatever_the_sample_count(self):
+        # 4 + 4 complex dimensions: two users and two relays of 2 antennas,
+        # so d = 16 normals a sample.  The estimator holds one chunk of
+        # 2^16 / 16 = 4,096 rows: its draws (0.5 MB), their product u
+        # (4,096 x 8, 0.26 MB) and a few per-row vectors (33 kB each), about
+        # 0.85 MB traced for any sample count.  One row per sample for all
+        # 300,000 samples would take 38 MB
         eye = np.eye(2)
         rng = np.random.default_rng(8)
         sc = GaussianScenario(
@@ -877,13 +896,14 @@ class TestMonteCarlo:
         q = QuantizerSetGaussian(B=(0.5 * eye, 0.5 * eye))
         pair = SubsetPair(users=(1, 2), relays=())
         peak = traced_peak_mb(lambda: mc_mutual_information(sc, q, pair, samples=300_000, seed=0))
-        assert peak < 12.8
+        assert peak < 1.5
 
     @staticmethod
-    def unwhitened(sc, q, pair, samples, seed, batch):
+    def unwhitened(sc, q, pair, samples, seed):
         """The estimator in the observation's own coordinates: both quadratic
-        forms through the inverse covariances, real and imaginary parts
-        drawn by separate calls."""
+        forms through the inverse covariances, from one (samples, d) draw
+        whose columns are split into the real and imaginary parts of the
+        input, then of the noise."""
         relays_c = pair.relays_complement(sc.num_relays)
         lam_cond = la.block_diag([la.hermitian_part(np.linalg.inv(q.B[k - 1])) for k in relays_c])
         h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
@@ -897,28 +917,24 @@ class TestMonteCarlo:
         if signal.shape[0] > signal.shape[1]:
             signal = np.linalg.qr(signal, mode="r")
         cond_root = la.psd_sqrt(lam_cond)
-        rng = np.random.default_rng(seed)
+        dim_x, dim_z = signal.shape[0], cond_root.shape[0]
+        draw = np.random.default_rng(seed).standard_normal((samples, 2 * (dim_x + dim_z)))
+        x_re, x_im, z_re, z_im = np.split(draw, np.cumsum([dim_x, dim_x, dim_z]), axis=1)
 
-        def circular(m, n):
-            re = rng.standard_normal((n, m.shape[0]))
-            im = rng.standard_normal((n, m.shape[0]))
+        def circular(re, im, m):
             return (re + 1j * im) / math.sqrt(2.0) @ m
 
         def quad(v, m):
             return np.real(np.einsum("ni,ij,nj->n", v.conj(), m, v))
 
-        vals = []
-        for start in range(0, samples, batch):
-            n = min(batch, samples - start)
-            signal_part = circular(signal, n)
-            noise = circular(cond_root.T, n)
-            u = signal_part + noise
-            vals.append((gap - quad(noise, cond_inv) + quad(u, marg_inv)) / math.log(2.0))
-        vals = np.concatenate(vals)
+        noise = circular(z_re, z_im, cond_root.T)
+        u = circular(x_re, x_im, signal) + noise
+        vals = (gap - quad(noise, cond_inv) + quad(u, marg_inv)) / math.log(2.0)
         return vals.mean(), vals.std() / math.sqrt(samples)
 
-    def test_whitened_matches_unwhitened_estimator(self, monkeypatch):
-        monkeypatch.setattr(optimize, "MC_BATCH", 7_000)
+    def test_whitened_matches_unwhitened_estimator(self):
+        # at least 4 normals a sample, so the estimator draws the 25,000
+        # samples in two or more chunks of at most 2^16 // 4 = 16,384 rows
         rng = np.random.default_rng(21)
         checked = 0
         for trial in range(6):
@@ -927,7 +943,7 @@ class TestMonteCarlo:
             for users, relays in (((1, 2), ()), ((1,), (2,)), ((2,), (1,))):
                 pair = SubsetPair(users=users, relays=relays)
                 est = mc_mutual_information(sc, q, pair, samples=25_000, seed=trial)
-                mean, std_error = self.unwhitened(sc, q, pair, 25_000, trial, 7_000)
+                mean, std_error = self.unwhitened(sc, q, pair, 25_000, trial)
                 assert est.estimate == pytest.approx(mean, abs=1e-12, rel=0)
                 assert est.std_error == pytest.approx(std_error, abs=1e-12, rel=0)
                 checked += 1

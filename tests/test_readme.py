@@ -1,14 +1,18 @@
-"""README's library entry points must import and run, and its command
-table and ``verify`` paragraph must name the CLI's commands and suites, so a
-deleted or renamed public name, command or suite, or a changed signature,
-fails here rather than in a reader's session."""
+"""README's library entry points must import and run, its command table and
+``verify`` paragraph must name the CLI's commands and suites, and every
+module attribute it names must exist, so a deleted or renamed public name,
+constant, command or suite, or a changed signature, fails here rather than in
+a reader's session."""
 
 import argparse
+import importlib
 import pathlib
+import pkgutil
 import re
 
 import numpy as np
 
+import ocran
 from ocran.cli import build_parser
 from ocran.core import save_scenario
 from ocran.verify import SUITE_NAMES, random_gaussian_scenario
@@ -59,3 +63,15 @@ def test_verify_paragraph_names_every_suite():
     paragraph = text.split("`verify` runs five seeded suites", 1)[1].split("\n\n", 1)[0]
     for name in SUITE_NAMES:
         assert f"`{name}`" in paragraph
+
+
+def test_named_module_attributes_exist():
+    # every backticked `module.NAME` or `ocran.module.NAME` whose module is
+    # one of the package's, such as `core.SAMPLER_BLOCK`
+    modules = {m.name for m in pkgutil.iter_modules(ocran.__path__)}
+    text = README.read_text(encoding="utf-8")
+    named = {(module, name) for module, name in re.findall(r"`(?:ocran\.)?(\w+)\.(\w+)`", text)
+             if module in modules}
+    assert ("core", "SAMPLER_BLOCK") in named and len(named) >= 5
+    for module, name in sorted(named):
+        assert hasattr(importlib.import_module(f"ocran.{module}"), name), f"{module}.{name}"
