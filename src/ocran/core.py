@@ -42,8 +42,7 @@ MAX_CODEWORDS = 1 << 20
 # the codebook has one codeword, so the two guards above never bind)
 MAX_BLOCKLENGTH = 10_000
 # entries per block of the Monte Carlo samplers' draws (codebook letters, or
-# the MC estimator's normal draws and their products); a block holds at
-# least one row
+# the MC estimator's exponential draws); a block holds at least one row
 SAMPLER_BLOCK = 1 << 16
 SPAWN_CHUNK = 256  # SeedSequence children alive at a time in spawn_seeds
 

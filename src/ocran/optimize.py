@@ -719,16 +719,6 @@ class McEstimate:
     samples: int
 
 
-def _real_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real matrices (P, Q) with a @ P + b @ Q = [Re | Im] of (a + ib) @ m,
-    for real row blocks a and b."""
-    return np.hstack([m.real, m.imag]), np.hstack([-m.imag, m.real])
-
-
-def _row_sqnorm(v: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", v, v)
-
-
 def mc_mutual_information(
     sc: GaussianScenario,
     q: QuantizerSetGaussian,
@@ -739,11 +729,14 @@ def mc_mutual_information(
     """Monte Carlo estimate of I(X_T; U_{S^c} | X_{T^c}) in bits.
 
     Realizes each quantizer as the additive test channel U_k = Y_k + Z_k with
-    Z_k ~ CN(0, B_k^{-1} - Sigma_k), draws inputs and noises, and averages the
-    exact Gaussian log-density ratio (so the estimator is unbiased for the
-    analytic value).  Every B_k with k outside S must be strictly inside
-    (0, Sigma_k^{-1}); boundary quantizers have no finite test channel.
-    More than MAX_SAMPLER_DRAWS normal draws, samples * 2(min(dim_x, dim_z)
+    Z_k ~ CN(0, B_k^{-1} - Sigma_k) and averages the exact Gaussian
+    log-density ratio of the observation with and without the input (so the
+    estimator is unbiased for the analytic value).  Each sample of that ratio
+    is the log-det gap plus a Hermitian form in the whitened input and noise,
+    drawn from the form's spectrum as sum_j lambda_j E_j with E_j ~ Exp(1).
+    Every B_k with k outside S must be strictly inside (0, Sigma_k^{-1});
+    boundary quantizers have no finite test channel.  More than
+    MAX_SAMPLER_DRAWS exponential draws, samples * (min(dim_x, dim_z)
     + dim_z), raise CapacityError before any is drawn.
     """
     if samples < 2:
@@ -765,44 +758,48 @@ def mc_mutual_information(
     k_t_root = la.psd_sqrt(sc.input_covariance(pair.users))
     dim_z = lam_cond.shape[0]
     dim_x = min(k_t_root.shape[0], dim_z)  # the input is drawn in the signal's rank, below
-    if (draws := samples * 2 * (dim_x + dim_z)) > MAX_SAMPLER_DRAWS:
-        raise CapacityError(f"{draws} normal draws exceed the sampler guard")
+    if (draws := samples * (dim_x + dim_z)) > MAX_SAMPLER_DRAWS:
+        raise CapacityError(f"{draws} exponential draws exceed the sampler guard")
     lam_marg = la.hermitian_part(h_t @ (k_t_root @ k_t_root) @ h_t.conj().T + lam_cond)
-    logdet_gap = (la.logdet2(lam_marg) - la.logdet2(lam_cond)) * la.LN2  # nats
+    logdet_gap = la.logdet2(lam_marg) - la.logdet2(lam_cond)  # bits
 
     # Whitened coordinates.  The centred observation given x_T is the noise
     # lam_cond^{1/2} z with z ~ CN(0, I), whose quadratic form under
     # lam_cond^{-1} is ||z||^2.  The marginal form u^H lam_marg^{-1} u is
     # ||u^T conj(L)||^2 for the Cholesky factor L L^H = lam_marg^{-1}, and
     # u^T conj(L) = x^T signal_map + z^T noise_map for x ~ CN(0, I), the
-    # input before K_T^{1/2}.  A CN(0, I) row is (a + ib) / sqrt(2) with a, b
-    # standard normal rows, so the maps act on a and b as real matrices.
-    # Only u - H_Tc x_Tc enters, so the interferers' inputs are never drawn.
-    # x^T G for G = K_T^{1/2 T} H_T^T is CN(0, G^H G) = CN(0, R^H R) with
-    # G = QR, so a wider input is drawn as the dim_z entries that multiply R.
+    # input before K_T^{1/2}.  Only u - H_Tc x_Tc enters, so the interferers'
+    # inputs never do.  x^T G for G = K_T^{1/2 T} H_T^T is
+    # CN(0, G^H G) = CN(0, R^H R) with G = QR, so a wider input enters as
+    # the dim_z entries that multiply R.
     marg_factor = np.linalg.cholesky(np.linalg.inv(lam_marg)).conj()
     signal = k_t_root.T @ h_t.T
     if signal.shape[0] > dim_x:
         signal = np.linalg.qr(signal, mode="r")
-    signal_map = signal @ marg_factor
-    noise_map = la.psd_sqrt(lam_cond).T @ marg_factor
+    stacked = np.vstack([signal @ marg_factor, la.psd_sqrt(lam_cond).T @ marg_factor])
 
-    # Each sample is one row [x_re | x_im | z_re | z_im] of d standard
-    # normals, and u is that row times the stacked real map.  The rows are
-    # drawn in chunks of SAMPLER_BLOCK // d, row slices of one (samples, d)
-    # draw into one reused buffer, so the samples do not depend on the chunk
-    # size; only each chunk's sum and sum of squares are kept.
-    real_map = np.vstack([*_real_form(signal_map), *_real_form(noise_map)]) / math.sqrt(2.0)
-    d = real_map.shape[0]
+    # For v = (x, z) the log-density ratio is logdet_gap + ||v^T A||^2 - ||z||^2
+    # with A the stacked maps: a Hermitian form in conj(v) ~ CN(0, I) whose
+    # matrix M = A A^H - diag(0, I) has d = dim_x + dim_z rows.  By the
+    # spectral theorem it is sum_j lambda_j |a_j|^2 for a ~ CN(0, I), and
+    # |a_j|^2 ~ Exp(1), so a sample is one row of d standard exponentials
+    # times M's eigenvalues.  The rows are drawn in chunks of
+    # SAMPLER_BLOCK // d, row slices of one (samples, d) draw into one reused
+    # buffer, so the samples do not depend on the chunk size; only each
+    # chunk's sum and sum of squares are kept.
+    form = stacked @ stacked.conj().T
+    form[dim_x:, dim_x:] -= np.eye(dim_z)
+    coef = np.linalg.eigvalsh(form) / la.LN2
+    d = coef.size
     rows = max(1, SAMPLER_BLOCK // d)
     rng = np.random.default_rng(seed)
     buf = np.empty((min(rows, samples), d))
+    out = np.empty(buf.shape[0])
     total = total_sq = 0.0
     for start in range(0, samples, rows):
-        draw = rng.standard_normal(out=buf[:min(rows, samples - start)])
-        # the per-sample value (logdet_gap - quad_cond + quad_marg) / LN2
-        vals = (logdet_gap - 0.5 * _row_sqnorm(draw[:, 2 * dim_x:])
-                + _row_sqnorm(draw @ real_map)) / la.LN2
+        n = min(rows, samples - start)
+        vals = np.dot(rng.standard_exponential(out=buf[:n]), coef, out=out[:n])
+        vals += logdet_gap
         total += float(vals.sum())
         total_sq += float(vals @ vals)
     mean = total / samples

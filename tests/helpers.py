@@ -18,8 +18,7 @@ from ocran import optimize, verify
 from ocran.core import CodebookEnsemble, RateRegion, SubsetPair
 from ocran.discrete import DiscreteEvaluator
 from ocran.gaussian import GaussianScenario, QuantizerSetGaussian
-from ocran.optimize import (IMPROVE_TOL, _GaussianObjective, _layout, _pack_hermitian, _real_form,
-                            _row_sqnorm, _unpack_flat)
+from ocran.optimize import IMPROVE_TOL, _GaussianObjective, _layout, _pack_hermitian, _unpack_flat
 
 TIE_TOL = 1e-6
 
@@ -155,6 +154,35 @@ def codebook_marginal_one_shot(ens: CodebookEnsemble, trials: int) -> tuple[np.n
     return empirical, 0.5 * np.abs(empirical - target).sum(axis=1)
 
 
+def whitened_form(
+    sc: GaussianScenario,
+    q: QuantizerSetGaussian,
+    pair: SubsetPair,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(logdet_gap in bits, M, signal_map) of the MC estimator: the whitened
+    input and noise v = (x, z) ~ CN(0, I) enter each sample's log-density
+    ratio as the Hermitian form of M = A A^H - diag(0, I) with
+    A = [signal_map; noise_map]; an input wider than the observation is
+    taken through the triangular factor of its map.  Expects a nonempty
+    relay complement and quantizers inside the boundary."""
+    relays_c = pair.relays_complement(sc.num_relays)
+    lam_cond = la.block_diag([la.hermitian_part(np.linalg.inv(q.B[k - 1])) for k in relays_c])
+    h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
+    k_t_root = la.psd_sqrt(sc.input_covariance(pair.users))
+    lam_marg = la.hermitian_part(h_t @ (k_t_root @ k_t_root) @ h_t.conj().T + lam_cond)
+    logdet_gap = la.logdet2(lam_marg) - la.logdet2(lam_cond)
+    marg_factor = np.linalg.cholesky(np.linalg.inv(lam_marg)).conj()
+    signal = k_t_root.T @ h_t.T
+    if signal.shape[0] > signal.shape[1]:
+        signal = np.linalg.qr(signal, mode="r")
+    signal_map = signal @ marg_factor
+    stacked = np.vstack([signal_map, la.psd_sqrt(lam_cond).T @ marg_factor])
+    form = stacked @ stacked.conj().T
+    dim_x = signal.shape[0]
+    form[dim_x:, dim_x:] -= np.eye(form.shape[0] - dim_x)
+    return logdet_gap, form, signal_map
+
+
 def mc_mutual_information_one_shot(
     sc: GaussianScenario,
     q: QuantizerSetGaussian,
@@ -162,36 +190,19 @@ def mc_mutual_information_one_shot(
     samples: int,
     seed: int,
 ) -> tuple[float, float]:
-    """(estimate, std_error) of the MC estimator from one (samples, d) draw:
-    each row is [x_re | x_im | z_re | z_im], the whitened input's real and
-    imaginary parts then the noise's, and the sums are taken over row slices
-    of ``optimize.SAMPLER_BLOCK // d`` samples; an input wider than the
-    observation is drawn through the triangular factor of its map.  Expects a
-    nonempty relay complement and quantizers inside the boundary."""
-    relays_c = pair.relays_complement(sc.num_relays)
-    lam_cond = la.block_diag([la.hermitian_part(np.linalg.inv(q.B[k - 1])) for k in relays_c])
-    h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
-    k_t_root = la.psd_sqrt(sc.input_covariance(pair.users))
-    lam_marg = la.hermitian_part(h_t @ (k_t_root @ k_t_root) @ h_t.conj().T + lam_cond)
-    logdet_gap = (la.logdet2(lam_marg) - la.logdet2(lam_cond)) * la.LN2
-    marg_factor = np.linalg.cholesky(np.linalg.inv(lam_marg)).conj()
-    signal = k_t_root.T @ h_t.T
-    if signal.shape[0] > signal.shape[1]:
-        signal = np.linalg.qr(signal, mode="r")
-    signal_map = signal @ marg_factor
-    noise_map = la.psd_sqrt(lam_cond).T @ marg_factor
-    real_map = np.vstack([*_real_form(signal_map), *_real_form(noise_map)]) / math.sqrt(2.0)
-    dim_x, d = signal.shape[0], real_map.shape[0]
-    draw = np.random.default_rng(seed).standard_normal((samples, d))
-    z = draw[:, 2 * dim_x:]
+    """(estimate, std_error) of the MC estimator from one (samples, d) draw
+    of standard exponentials, d the rows of ``whitened_form``'s M, each row
+    dotted with M's eigenvalues; the sums are taken over row slices of
+    ``optimize.SAMPLER_BLOCK // d`` samples."""
+    logdet_gap, form, _ = whitened_form(sc, q, pair)
+    coef = np.linalg.eigvalsh(form) / la.LN2
+    d = coef.size
+    draw = np.random.default_rng(seed).standard_exponential((samples, d))
     total = 0.0
     total_sq = 0.0
     rows = max(1, optimize.SAMPLER_BLOCK // d)
     for start in range(0, samples, rows):
-        r = slice(start, start + rows)
-        quad_marg = _row_sqnorm(draw[r] @ real_map)
-        quad_cond = 0.5 * _row_sqnorm(z[r])
-        vals = (logdet_gap - quad_cond + quad_marg) / la.LN2
+        vals = draw[start:start + rows] @ coef + logdet_gap
         total += float(vals.sum())
         total_sq += float(vals @ vals)
     mean = total / samples

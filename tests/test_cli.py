@@ -396,8 +396,9 @@ def test_codebook_check_blocklength_at_its_cap_runs(tmp_path, capsys):
 
 
 def test_mc_check_samples_above_the_sampler_guard_exit_2(tmp_path, capsys):
-    # 10^12 samples of one input and one noise dimension are 4 * 10^12
-    # normal draws against the guard of 5 * 10^7; checked before any is drawn
+    # 10^12 samples of one input and one noise dimension are 2 * 10^12
+    # exponential draws against the guard of 5 * 10^7; checked before any is
+    # drawn
     scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
     quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
     out = tmp_path / "mc.json"
@@ -408,24 +409,24 @@ def test_mc_check_samples_above_the_sampler_guard_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
-    assert "4000000000000 normal draws exceed the sampler guard" in captured.err
+    assert "2000000000000 exponential draws exceed the sampler guard" in captured.err
 
 
 def test_mc_check_guard_counts_the_draws_in_the_signals_rank(tmp_path, capsys, monkeypatch):
     # two single-antenna users through one single-antenna relay: 1000
-    # samples draw 1000 * 2(min(2, 1) + 1) = 4000 normals, not 6000
+    # samples draw 1000 * (min(2, 1) + 1) = 2000 exponentials, not 3000
     scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc(users=2))
     quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
     out = tmp_path / "mc.json"
     argv = ["mc-check", "--scenario", scenario, "--quantizers", quant,
             "--samples", "1000", "--out", str(out)]
-    monkeypatch.setattr(optimize, "MAX_SAMPLER_DRAWS", 3_999)
+    monkeypatch.setattr(optimize, "MAX_SAMPLER_DRAWS", 1_999)
     assert main(argv) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json", "sc.json"]
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "4000 normal draws exceed the sampler guard" in captured.err
-    monkeypatch.setattr(optimize, "MAX_SAMPLER_DRAWS", 4_000)
+    assert "2000 exponential draws exceed the sampler guard" in captured.err
+    monkeypatch.setattr(optimize, "MAX_SAMPLER_DRAWS", 2_000)
     assert main(argv) == 0
     assert json.loads(out.read_text())["samples"] == 1000
 

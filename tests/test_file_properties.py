@@ -5,11 +5,12 @@ per kind).
 * Any one field of the golden Gaussian and discrete scenario and quantizer
   documents, replaced by null, a string, a number, [] or {}, makes ``main``
   exit 0 or 2, never 3, and no output holds a NaN.
+* A ``B`` array of the golden Gaussian quantizer document that is ragged
+  or of the wrong size (matrix count, rows, columns or [re, im] width)
+  makes ``mc-check`` and ``region`` exit 2, write no output file and print
+  nothing to stdout.
 * A save/load round trip of a random scenario, with or without embedded
   quantization tables, writes identical bytes and keeps ``scenario_sha256``.
-
-Shape errors (ragged arrays, lists of the wrong length) are out of scope:
-each mutation replaces a whole field by a value of another JSON type.
 """
 
 import contextlib
@@ -82,6 +83,34 @@ def test_a_field_of_a_wrong_type_exits_0_or_2(kind, data):
         assert (rc == 0) == bool(written)
         for text in [stdout.getvalue(), *written]:
             assert "nan" not in text.lower()
+
+
+def is_golden_shape(b) -> bool:
+    """Whether ``b`` has the shape of the golden ``B``: one 1 x 1 matrix of one [re, im] pair."""
+    return len(b) == 1 and len(b[0]) == 1 and len(b[0][0]) == 1 and len(b[0][0][0]) == 2
+
+
+# each level 0-3 long and drawn on its own, so sibling lists may differ in length
+MISSHAPEN_B = st.lists(st.lists(st.lists(st.lists(st.floats(-2.0, 2.0), max_size=3), max_size=3),
+                                max_size=3), max_size=3).filter(lambda b: not is_golden_shape(b))
+
+
+@pytest.mark.parametrize("command", ["mc-check", "region"])
+@FIXED_PROFILE
+@given(b=MISSHAPEN_B)
+def test_a_misshapen_quantizer_array_exits_2(command, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        (tmp / "scenario.json").write_text(json.dumps(golden_gaussian_doc()))
+        (tmp / "quantizers.json").write_text(json.dumps({"B": b}))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main([command, "--scenario", str(tmp / "scenario.json"),
+                       "--quantizers", str(tmp / "quantizers.json"), "--out", str(tmp / "out")])
+        assert rc == 2, stderr.getvalue()
+        assert sorted(p.name for p in tmp.iterdir()) == ["quantizers.json", "scenario.json"]
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue().startswith("error:")
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "discrete", "discrete with aux"])
