@@ -1012,8 +1012,7 @@ class TestMonteCarlo:
         assert abs(est.estimate - analytic) <= 0.02 * analytic
 
     @pytest.mark.parametrize("user_dims, relay_dims", [((3, 2), (2,)), ((1,), (2, 1))])
-    def test_draws_one_exponential_per_rank_and_observation_entry(self, monkeypatch, user_dims,
-                                                                  relay_dims):
+    def test_draws_one_exponential_per_entry(self, monkeypatch, user_dims, relay_dims):
         # samples * (min(dim_x, dim_z) + dim_z) exponentials: (5, 2) draws
         # 2 + 2 per sample, (1, 3) draws 1 + 3
         sc = antenna_scenario(np.random.default_rng(16), user_dims, relay_dims)
