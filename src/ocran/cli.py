@@ -15,8 +15,9 @@ captured warnings; an exception instead becomes an exit code and an error
 line.  Data goes to stdout or to the --out path; warnings and the run
 manifest (when not written next to --out) go to stderr.
 
-Exit codes: 0 success, 1 failed verification property, 2 validation error,
-3 numeric failure or any other internal error.  Emitted rate values are
+Exit codes: 0 success, 1 failed verification property, 2 validation error
+(``ScenarioError``, ``CapacityError``), 3 numeric failure or any other
+internal error, a plain ``ValueError`` included.  Emitted rate values are
 finite or the literal ``-inf``; a NaN anywhere is treated as a numeric
 failure.
 """
@@ -223,12 +224,20 @@ def cmd_boundary(args, sc, emit):
     emit.write_text("\n".join(lines) + "\n", args.out)
 
 
+def _flag_list(text: str, flag: str, convert) -> tuple:
+    """The comma-separated values of ``flag``, each read by ``convert``."""
+    try:
+        return tuple(convert(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ScenarioError(f"{flag}: must be comma-separated {convert.__name__}s ({exc})") from exc
+
+
 def cmd_optimize(args, sc, emit):
     weights = None
     if args.objective == "weighted":
         if not args.weights:
             raise ScenarioError("weighted objective needs --weights")
-        weights = tuple(float(w) for w in args.weights.split(","))
+        weights = _flag_list(args.weights, "--weights", float)
     elif args.weights is not None:
         raise ScenarioError("--weights needs --objective weighted")
     if args.restarts < 1 or args.iters < 1:
@@ -245,7 +254,7 @@ def cmd_optimize(args, sc, emit):
         if weights is not None:
             raise ScenarioError("discrete search supports only the sum-rate objective")
         if args.aux_sizes:
-            sizes = tuple(int(v) for v in args.aux_sizes.split(","))
+            sizes = _flag_list(args.aux_sizes, "--aux-sizes", int)
         else:
             sizes = tuple(n + 1 for n in sc.output_sizes)
         res = optimize_discrete_aux(sc, sizes, args.restarts, args.iters, args.seed)
@@ -461,7 +470,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:  # ScenarioError, CapacityError
+    except (ScenarioError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # any other error is internal: exit 3, no traceback

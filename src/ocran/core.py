@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
+import orjson
 
 PMF_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
@@ -474,11 +475,14 @@ def _complex_json(matrices) -> list:
 
 
 def _read_json(path):
-    """The JSON document in file ``path``; a failed read names the path."""
+    """The JSON document in file ``path``, parsed as strict JSON (RFC 8259)
+    by orjson: ``NaN``, ``Infinity``, a number beyond a double's range, an
+    unpaired surrogate escape or a byte order mark fails the parse.  A
+    failed read names the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, encoding or nesting
+        with open(path, "rb") as fh:
+            return orjson.loads(fh.read())
+    except (OSError, ValueError) as exc:  # bad JSON, encoding or nesting
         raise ScenarioError(f"{path}: not a readable JSON file ({exc})") from exc
 
 

@@ -135,22 +135,6 @@ class GaussianScenario(Scenario):
     def input_covariance(self, users) -> np.ndarray:
         return la.block_diag([self.Kin[l - 1] for l in sorted(users)])
 
-    def drop_relay(self, relay: int) -> "GaussianScenario":
-        """Scenario with one relay (and its fronthaul link) removed."""
-        if self.num_relays < 2:
-            raise ScenarioError("cannot drop the only relay")
-        keep = [k for k in range(1, self.num_relays + 1) if k != relay]
-        return GaussianScenario(
-            num_users=self.num_users,
-            num_relays=self.num_relays - 1,
-            fronthaul=tuple(self.fronthaul[k - 1] for k in keep),
-            time_share=self.time_share,
-            H=tuple(self.H[k - 1] for k in keep),
-            Sigma=tuple(self.Sigma[k - 1] for k in keep),
-            Kin=self.Kin,
-            power=self.power,
-        )
-
 
 @dataclass(frozen=True)
 class QuantizerSetGaussian:
@@ -386,21 +370,6 @@ def weighted_means(mats, weights) -> tuple[np.ndarray, np.ndarray]:
     arith = la.hermitian_part(_weighted_sum(mats, w))
     harm = la.hermitian_part(np.linalg.inv(_weighted_sum(np.linalg.inv(mats), w)))
     return arith, harm
-
-
-def weighted_arithmetic_mean(mats, weights) -> np.ndarray:
-    """sum_i w_i A_i for PD matrices A_i and nonnegative weights summing to 1."""
-    return weighted_means(*_one_mean_input(mats, weights))[0][0]
-
-
-def weighted_harmonic_mean(mats, weights) -> np.ndarray:
-    """(sum_i w_i A_i^{-1})^{-1} for PD matrices A_i."""
-    return weighted_means(*_one_mean_input(mats, weights))[1][0]
-
-
-def _one_mean_input(mats, weights) -> tuple[np.ndarray, np.ndarray]:
-    # np.stack rejects an empty list and matrices of different shapes
-    return np.stack([la.as_complex(m) for m in mats])[None], np.asarray(weights, dtype=float)[None]
 
 
 def _weighted_sum(mats: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -58,7 +58,7 @@ def _polytope(ev: Evaluator, r_sum=None) -> tuple[np.ndarray, float, float, np.n
     g(S) = R_sum + C_S - b_S for every relay set S, indexed by bitmask, so
     g({}) = R_sum - I(U_all; X_all | Q)."""
     bounds = ev.subset_bounds()
-    jd = max(0.0, float(bounds.min()))
+    jd = jd_sum_rate(ev)
     r = jd if r_sum is None else float(r_sum)
     if not math.isfinite(r):  # every comparison against NaN or +-inf is vacuous
         raise ScenarioError(f"r_sum must be finite, got {r_sum!r}")
@@ -87,7 +87,7 @@ def jd_subset_bounds(ev: Evaluator) -> np.ndarray:
 def jd_sum_rate(ev: Evaluator) -> float:
     """Largest sum-rate allowed by the joint-decompression-decoding bounds
     (the smallest subset bound), floored at 0."""
-    return _polytope(ev)[1]
+    return max(0.0, float(ev.subset_bounds().min()))
 
 
 def g_function(ev: Evaluator, r_sum: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Helpers shared by the tests: finite-difference checks of the Gaussian
 sum-rate objective's branch gradients, the inverse of the packed Hermitian
-parameterization, the additive test channel of a quantizer, one-shot
+parameterization, the additive test channel of a quantizer, a Gaussian
+scenario less one relay, the weighted matrix means of one stack, one-shot
 references of the two Monte Carlo samplers, a traced-memory probe and the
 faults and NaNs that the failure-path tests of the ``verify`` suites inject."""
 
@@ -15,9 +16,9 @@ import numpy as np
 
 from ocran import _linalg as la
 from ocran import optimize, verify
-from ocran.core import CodebookEnsemble, RateRegion, SubsetPair
+from ocran.core import CodebookEnsemble, RateRegion, ScenarioError, SubsetPair
 from ocran.discrete import DiscreteEvaluator
-from ocran.gaussian import GaussianScenario, QuantizerSetGaussian
+from ocran.gaussian import GaussianScenario, QuantizerSetGaussian, weighted_means
 from ocran.optimize import IMPROVE_TOL, _GaussianObjective, _layout, _pack_hermitian, _unpack_flat
 
 TIE_TOL = 1e-6
@@ -121,6 +122,32 @@ def b_from_test_channel(sigma, qn) -> tuple[np.ndarray, np.ndarray]:
     b = la.hermitian_part(b)
     mmse = la.hermitian_part(sigma - sigma @ b @ sigma)
     return b, mmse
+
+
+def drop_relay(sc: GaussianScenario, relay: int) -> GaussianScenario:
+    """Scenario with one relay (and its fronthaul link) removed."""
+    if sc.num_relays < 2:
+        raise ScenarioError("cannot drop the only relay")
+    keep = [k for k in range(1, sc.num_relays + 1) if k != relay]
+    return replace(sc, num_relays=sc.num_relays - 1,
+                   fronthaul=tuple(sc.fronthaul[k - 1] for k in keep),
+                   H=tuple(sc.H[k - 1] for k in keep), Sigma=tuple(sc.Sigma[k - 1] for k in keep))
+
+
+def weighted_arithmetic_mean(mats, weights) -> np.ndarray:
+    """sum_i w_i A_i for PD matrices A_i and nonnegative weights summing to 1,
+    through the stacked kernel ``gaussian.weighted_means`` on a stack of one."""
+    return weighted_means(*_one_mean_input(mats, weights))[0][0]
+
+
+def weighted_harmonic_mean(mats, weights) -> np.ndarray:
+    """(sum_i w_i A_i^{-1})^{-1} for PD matrices A_i, as above."""
+    return weighted_means(*_one_mean_input(mats, weights))[1][0]
+
+
+def _one_mean_input(mats, weights) -> tuple[np.ndarray, np.ndarray]:
+    # np.stack rejects an empty list and matrices of different shapes
+    return np.stack([la.as_complex(m) for m in mats])[None], np.asarray(weights, dtype=float)[None]
 
 
 def traced_peak_mb(fn: Callable[[], object]) -> float:

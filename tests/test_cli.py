@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import orjson
 import pytest
 
 import ocran
@@ -159,14 +160,15 @@ class TestRegionCommand:
 
     def test_scenario_file_is_parsed_once(self, tmp_path, monkeypatch):
         scenario = write_json(tmp_path / "sc.json", discrete_doc())
+        source = {pathlib.Path(scenario).read_bytes(): scenario}
         parsed = []
-        load = json.load
+        loads = orjson.loads
 
-        def counted(fh, **kwargs):
-            parsed.append(fh.name)
-            return load(fh, **kwargs)
+        def counted(data):
+            parsed.append(source.get(data, data))
+            return loads(data)
 
-        monkeypatch.setattr(json, "load", counted)
+        monkeypatch.setattr(orjson, "loads", counted)
         assert main(["region", "--scenario", scenario]) == 0
         assert parsed == [scenario]
 
@@ -309,6 +311,50 @@ def test_unreadable_file_is_validation_error_naming_it(tmp_path, capsys, flag, c
                  "--out", str(out)]) == 2
     assert not out.exists()
     assert f"error: {files[flag]}: not a readable JSON file" in capsys.readouterr().err
+
+
+BOM = b"\xef\xbb\xbf"
+# outside strict JSON (RFC 8259); Python's json module reads all but the byte order mark
+STRICT_JSON_TOKENS = {"nan": b"NaN", "infinity": b"Infinity", "minus-infinity": b"-Infinity",
+                      "overflow": b"1e400", "unpaired-surrogate": b'"\\ud800"', "bom": BOM}
+STRICT_JSON_ENTRIES = {"scenario": ("fronthaul", 0), "quantizers": ("B", 0, 0, 0, 0)}
+
+
+@pytest.mark.parametrize("where", sorted(STRICT_JSON_ENTRIES))
+@pytest.mark.parametrize("token", sorted(STRICT_JSON_TOKENS))
+def test_token_outside_strict_json_is_an_unreadable_file(tmp_path, capsys, where, token):
+    docs = {"scenario": golden_gaussian_doc(), "quantizers": {"B": [[[[0.5, 0.0]]]]}}
+    entry = docs[where]
+    for key in STRICT_JSON_ENTRIES[where][:-1]:
+        entry = entry[key]
+    entry[STRICT_JSON_ENTRIES[where][-1]] = "TOKEN"
+    files = {name: write_json(tmp_path / f"{name}.json", doc) for name, doc in docs.items()}
+    path = pathlib.Path(files[where])
+    text = path.read_bytes()
+    if token == "bom":  # a valid document behind a byte order mark
+        path.write_bytes(BOM + text.replace(b'"TOKEN"', b"1.0"))
+    else:
+        path.write_bytes(text.replace(b'"TOKEN"', STRICT_JSON_TOKENS[token]))
+    out = tmp_path / "out.data"
+    assert main(["region", "--scenario", files["scenario"], "--quantizers", files["quantizers"],
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"error: {files[where]}: not a readable JSON file" in capsys.readouterr().err
+
+
+def test_nan_under_an_ignored_key_exits_2(tmp_path, capsys):
+    # the whole file is parsed as strict JSON, also the fields the schema ignores
+    doc = golden_gaussian_doc()
+    doc["comment"] = math.nan
+    scenario = write_json(tmp_path / "sc.json", doc)
+    assert main(["region", "--scenario", scenario]) == 2
+    assert f"error: {scenario}: not a readable JSON file" in capsys.readouterr().err
+
+
+def test_integer_beyond_64_bits_reads_as_a_float(tmp_path, capsys):
+    scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc() | {"users": 2 ** 64})
+    assert main(["region", "--scenario", scenario]) == 2
+    assert "error: users: must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("target", ["directory", "under-a-file", "missing-parent"])
@@ -670,6 +716,21 @@ class TestOptimizeCommand:
         assert rc == 2
         assert not out.exists()
         assert "restarts and max_iters must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,flag,value", [
+        ("gaussian", "--weights", "1,a"),
+        ("discrete", "--aux-sizes", "2,x"),
+    ])
+    def test_unparsable_flag_list_exit_2_naming_the_flag(self, tmp_path, capsys, kind, flag,
+                                                         value):
+        doc = golden_gaussian_doc() if kind == "gaussian" else discrete_doc(with_aux=False)
+        scenario = write_json(tmp_path / "sc.json", doc)
+        out = tmp_path / "opt.json"
+        objective = ["--objective", "weighted"] if flag == "--weights" else []
+        rc = main(["optimize", "--scenario", scenario, *objective, flag, value, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert f"error: {flag}: must be comma-separated" in capsys.readouterr().err
 
     def test_discrete_weighted_objective_exit_2(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "sc.json", discrete_doc(with_aux=False))
@@ -1034,6 +1095,21 @@ def test_internal_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch)
     assert main(["swz-check", "--scenario", scenario]) == 3
     err = capsys.readouterr().err
     assert "TypeError: Object of type bool is not JSON serializable" in err
+    assert "Traceback" not in err
+
+
+def test_plain_value_error_is_internal_and_exits_3(tmp_path, capsys, monkeypatch):
+    # exit 2 is for ScenarioError and CapacityError; any other ValueError is a bug
+    from ocran import cli
+
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "cmd_sumrate", broken)
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    assert main(["sumrate", "--scenario", scenario]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: ValueError: operands could not be broadcast together" in err
     assert "Traceback" not in err
 
 

@@ -11,12 +11,18 @@ per kind).
   nothing to stdout.
 * A save/load round trip of a random scenario, with or without embedded
   quantization tables, writes identical bytes and keeps ``scenario_sha256``.
+* Any list of finite doubles and 64-bit integers written by ``json.dumps``
+  reads back through the file parser as ``json.loads`` reads it, each
+  double bit for bit, so the parser moves no number of a scenario and no
+  ``scenario_sha256``.
 """
 
 import contextlib
 import io
 import json
 import pathlib
+import struct
+import sys
 import tempfile
 
 import numpy as np
@@ -25,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocran.cli import main
-from ocran.core import load_scenario, save_scenario, scenario_sha256
+from ocran.core import _read_json, load_scenario, save_scenario, scenario_sha256
 from ocran.verify import random_aux, random_factorizing_scenario, random_gaussian_scenario
 
 from test_cli import discrete_doc, golden_gaussian_doc
@@ -134,3 +140,25 @@ def test_save_load_round_trip_is_byte_identical(kind, seed, users, relays, times
         save_scenario(loaded, second, loaded_aux)
         assert second.read_bytes() == first.read_bytes()
     assert scenario_sha256(loaded) == scenario_sha256(sc)
+
+
+# subnormals, signed zeros and the largest doubles, in every drawn list
+EDGE_DOUBLES = [5e-324, -5e-324, sys.float_info.min * (1 - 2 ** -52), 0.0, -0.0,
+                sys.float_info.max, -sys.float_info.max]
+
+
+def bits(value):
+    """A number as its type and its bits: a double's IEEE 754 bytes, an integer itself."""
+    return (float, struct.pack("<d", value)) if type(value) is float else (type(value), value)
+
+
+@FIXED_PROFILE
+@given(numbers=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                  st.integers(-2 ** 63, 2 ** 64 - 1)), max_size=50))
+def test_the_parser_reads_every_number_as_json_does(numbers):
+    text = json.dumps(numbers + EDGE_DOUBLES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "numbers.json")
+        path.write_text(text)
+        parsed = _read_json(path)
+    assert [bits(v) for v in parsed] == [bits(v) for v in json.loads(text)]

@@ -26,13 +26,12 @@ from ocran.gaussian import (
     matrix_lemma_holds,
     rate_constraint_gaussian,
     region_gaussian,
-    weighted_arithmetic_mean,
-    weighted_harmonic_mean,
     weighted_means,
 )
 from ocran.verify import random_gaussian_scenario, random_pd, random_quantizers
 
-from helpers import b_from_test_channel
+from helpers import (b_from_test_channel, drop_relay, weighted_arithmetic_mean,
+                     weighted_harmonic_mean)
 
 
 def scalar_scenario(snr=1.0, fronthaul=1.0, num_relays=1, gain=1.0):
@@ -240,11 +239,11 @@ class TestRegion:
         rng = np.random.default_rng(21)
         for _ in range(5):
             sc = random_gaussian_scenario(rng, 2, 2)
-            q_small = random_quantizers(rng, sc.drop_relay(2))
+            q_small = random_quantizers(rng, drop_relay(sc, 2))
             q = QuantizerSetGaussian(B=(q_small.B[0], np.zeros_like(sc.Sigma[1])))
             full = {(t, s): b for t, s, b in region_gaussian(sc, q).csv_rows()}
             dropped = {
-                (t, s): b for t, s, b in region_gaussian(sc.drop_relay(2), q_small).csv_rows()
+                (t, s): b for t, s, b in region_gaussian(drop_relay(sc, 2), q_small).csv_rows()
             }
             for (t_mask, s_mask), bound in dropped.items():
                 # relay 2 silent: charging it only adds its fronthaul capacity

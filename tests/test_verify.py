@@ -10,7 +10,7 @@ import pytest
 from ocran import _linalg as la
 from ocran import verify
 from ocran.core import ScenarioError
-from ocran.gaussian import matrix_lemma_check, weighted_arithmetic_mean, weighted_harmonic_mean
+from ocran.gaussian import matrix_lemma_check
 from ocran.verify import (
     _lemma_draws,
     matrix_lemma_cases,
@@ -20,7 +20,8 @@ from ocran.verify import (
     suite_mc,
 )
 
-from helpers import inject_suite_fault, inject_suite_nan
+from helpers import (inject_suite_fault, inject_suite_nan, weighted_arithmetic_mean,
+                     weighted_harmonic_mean)
 
 
 def per_matrix_case(dim, count, head, mats, weights):
