@@ -2,8 +2,8 @@
 
 All matrices are complex128 internally; real symmetric inputs are accepted
 and embedded with zero imaginary part.  log-determinants are base 2 and go
-through Cholesky when the argument is comfortably positive definite, with an
-eigenvalue fallback that clips at EIG_CLIP.
+through Cholesky only: every argument is positive definite, and one that
+cannot be factorized raises LinAlgError instead of being clipped.
 
 The helpers work matrix by matrix on stacks (..., n, n) as well, so one
 numpy call covers many small matrices.  Validation of a stack is opt-in
@@ -17,7 +17,6 @@ import numpy as np
 
 HERM_TOL = 1e-10
 PD_TOL = 1e-12  # require_pd rejects a smallest eigenvalue at or below this
-EIG_CLIP = 1e-14
 LN2 = float(np.log(2.0))
 
 
@@ -83,26 +82,16 @@ def psd_inv_sqrt(m) -> np.ndarray:
 
 
 def logdet2(m):
-    """log2 det of a Hermitian positive (semi)definite matrix, as a float;
-    for a stack, an array with one entry per matrix.
+    """log2 det of a Hermitian positive definite matrix, as a float; for a
+    stack, an array with one entry per matrix.
 
-    Tries Cholesky on the symmetrized argument; on failure falls back to
-    eigenvalues clipped at EIG_CLIP (so a numerically singular argument gives
-    a large negative value instead of NaN).  In a stack only the matrices
-    whose Cholesky fails take the fallback.
+    One Cholesky of the symmetrized argument (of the whole stack); an
+    argument that is not numerically positive definite raises
+    ``np.linalg.LinAlgError``.
     """
     a = hermitian_part(m)
-    if a.shape[-1] == 0:
-        return 0.0 if a.ndim == 2 else np.zeros(a.shape[:-2])
-    try:
-        chol = np.linalg.cholesky(a)
-        out = 2.0 * np.sum(np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
-    except np.linalg.LinAlgError:
-        if a.ndim > 2:
-            flat = a.reshape((-1,) + a.shape[-2:])
-            return np.array([logdet2(x) for x in flat]).reshape(a.shape[:-2])
-        lam = np.clip(np.linalg.eigvalsh(a), EIG_CLIP, None)
-        out = np.sum(np.log2(lam))
+    chol = np.linalg.cholesky(a)
+    out = 2.0 * np.sum(np.log2(np.real(np.diagonal(chol, axis1=-2, axis2=-1))), axis=-1)
     return float(out) if a.ndim == 2 else out
 
 

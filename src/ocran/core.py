@@ -512,7 +512,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     alphabets = payload("alphabets")
     x_sizes, y_sizes = (_sizes(_field(alphabets, a, "channel.alphabets."), f"channel.alphabets.{a}")
                         for a in "XY")
-    flat = _numbers(payload("channel"), "channel.channel")
+    flat = _numbers(payload("channel"), "channel.channel", vector=True)
     if flat.size != int(np.prod(y_sizes)) * int(np.prod(x_sizes)):
         raise ScenarioError("channel.channel: length does not match alphabets")
     # wire order is (Y_1..Y_K, X_1..X_L) row-major; internal order puts X first

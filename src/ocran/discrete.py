@@ -424,9 +424,9 @@ class DiscreteEvaluator:
 
     def __init__(self, sc: DiscreteScenario, p: np.ndarray, h_u_given_y):
         self.sc = sc
-        # a pmf by construction; the clipped copy keeps p's memory order,
-        # which sets every reduction's summation order
-        self.p = np.clip(p, 0.0, None)
+        # a contraction of validated pmf tables, so nonnegative: kept as a
+        # read-only view, whose memory order sets every reduction's order
+        self.p = p.view()
         self.p.setflags(write=False)
         self.h_u_given_y = h_u_given_y
         self._p_u_q: list[np.ndarray] | None = None  # _u_marginals(0)

@@ -38,7 +38,8 @@ from .core import (
 # feasibility margin: eigenvalues of Sigma^{1/2} B Sigma^{1/2} live in [0, 1];
 # at 1 the fronthaul rate diverges, so projections cap at 1 - QUANT_CAP_MARGIN.
 QUANT_CAP_MARGIN = 1e-9
-QUANT_EIG_TOL = 1e-10
+QUANT_EIG_TOL = 1e-10  # slack of the range test in normalized_spectrum
+BOUNDARY_TOL = 1e-12  # a normalized eigenvalue this close to 0 or 1 is on the boundary
 LEMMA_TOL = 1e-10  # slack of the log2 det comparison in matrix_lemma_holds
 
 
@@ -90,7 +91,7 @@ class GaussianScenario(Scenario):
         sigma = []
         for k, s in enumerate(self.Sigma, start=1):
             s = _hermitian(s, f"Sigma[{k}]")
-            if la.min_eig(s) <= 1e-12:
+            if la.min_eig(s) <= la.PD_TOL:
                 raise ScenarioError(f"Sigma[{k}] is not positive definite")
             sigma.append(s)
         kin = []
@@ -147,7 +148,7 @@ class QuantizerSetGaussian:
                                             for k, b in enumerate(self.B, start=1)))
 
     def validate(self, sc: GaussianScenario) -> list[np.ndarray]:
-        """Check 0 <= B_k <= Sigma_k^{-1} via eigenvalues of Sigma^{1/2} B Sigma^{1/2};
+        """Check 0 <= B_k <= Sigma_k^{-1} with ``normalized_spectrum``;
         return those normalized spectra, one per relay."""
         if len(self.B) != sc.num_relays:
             raise ScenarioError("quantizer count must equal the number of relays")
@@ -155,40 +156,44 @@ class QuantizerSetGaussian:
         for k, (b, s) in enumerate(zip(self.B, sc.Sigma), start=1):
             if b.shape != s.shape:
                 raise ScenarioError(f"B[{k}] has shape {b.shape}, expected {s.shape}")
-            root = la.psd_sqrt(s)
-            lam = np.linalg.eigvalsh(la.hermitian_part(root @ b @ root))
-            if lam.min() < -QUANT_EIG_TOL or lam.max() > 1.0 + QUANT_EIG_TOL:
-                raise ScenarioError(
-                    f"B[{k}] violates 0 <= B <= Sigma^-1 "
-                    f"(normalized eigenvalues in [{lam.min():.3e}, {lam.max():.3e}])"
-                )
-            spectra.append(lam)
+            spectra.append(normalized_spectrum(s, b, f"B[{k}]"))
         return spectra
+
+
+def normalized_spectrum(sigma: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """The eigenvalues of the normalized quantizer Sigma^{1/2} B Sigma^{1/2},
+    for a Hermitian PD Sigma and a Hermitian B of its shape.  The one check
+    of 0 <= B <= Sigma^{-1}: a ScenarioError naming ``name`` when they leave
+    [-QUANT_EIG_TOL, 1 + QUANT_EIG_TOL]."""
+    root = la.psd_sqrt(sigma)
+    lam = np.linalg.eigvalsh(la.hermitian_part(root @ b @ root))
+    if lam.min() < -QUANT_EIG_TOL or lam.max() > 1.0 + QUANT_EIG_TOL:
+        raise ScenarioError(
+            f"{name} violates 0 <= B <= Sigma^-1 "
+            f"(normalized eigenvalues in [{lam.min():.3e}, {lam.max():.3e}])"
+        )
+    return lam
 
 
 def fronthaul_mi(sigma, b) -> float:
     """Bits per use spent quantizing one relay's observation:
-    -log2 det(I - Sigma^{1/2} B Sigma^{1/2}).
+    -log2 det(I - Sigma^{1/2} B Sigma^{1/2}), for 0 <= B <= Sigma^{-1}.
 
     Returns +inf when B touches Sigma^{-1} (the test channel becomes
     noiseless and the description rate diverges).
     """
     sigma = _user_matrix(la.require_pd, sigma, "Sigma")
     b = _user_matrix(la.require_hermitian, b, "B")
-    root = la.psd_sqrt(sigma)
-    lam = np.linalg.eigvalsh(la.hermitian_part(root @ b @ root))
-    if lam.min() < -QUANT_EIG_TOL:
-        raise ScenarioError(f"B is not positive semidefinite (min normalized eig {lam.min():.3e})")
-    return float(fronthaul_bits(lam))
+    return float(fronthaul_bits(normalized_spectrum(sigma, b, "B")))
 
 
 def fronthaul_bits(lam):
     """-log2 det(I - W) from the eigenvalues lam of a normalized quantizer
     W = Sigma^{1/2} B Sigma^{1/2}, clipped at 0 (a zero rate is +0.0, never
-    -0.0); +inf where an eigenvalue is within 1e-12 of 1 (B touches
+    -0.0); +inf where an eigenvalue is within BOUNDARY_TOL of 1 (B touches
     Sigma^{-1}).  For a stack (n, d) of eigenvalues, one rate per row."""
     lam = np.clip(lam, 0.0, None)
-    edge = lam.max(axis=-1) > 1.0 - 1e-12
+    edge = lam.max(axis=-1) > 1.0 - BOUNDARY_TOL
     rate = -np.sum(np.log2(1.0 - np.where(edge[..., None], 0.0, lam)), axis=-1) + 0.0
     return np.where(edge, math.inf, rate)
 

@@ -38,6 +38,7 @@ from .core import (MAX_SAMPLER_DRAWS, SAMPLER_BLOCK, CapacityError, RateRegion, 
                    SubsetPair, indices_of, mask_of, max_weighted_rate, spawn_seeds, user_sets)
 from .discrete import AuxChannels, DiscreteScenario, ReducedFactors
 from .gaussian import (
+    BOUNDARY_TOL,
     QUANT_CAP_MARGIN,
     GaussianEvaluator,
     GaussianScenario,
@@ -734,10 +735,11 @@ def mc_mutual_information(
     estimator is unbiased for the analytic value).  Each sample of that ratio
     is the log-det gap plus a Hermitian form in the whitened input and noise,
     drawn from the form's spectrum as sum_j lambda_j E_j with E_j ~ Exp(1).
-    Every B_k with k outside S must be strictly inside (0, Sigma_k^{-1});
-    boundary quantizers have no finite test channel.  More than
-    MAX_SAMPLER_DRAWS exponential draws, samples * (min(dim_x, dim_z)
-    + dim_z), raise CapacityError before any is drawn.
+    Every B_k with k outside S must have a normalized spectrum strictly
+    inside (0, 1), by BOUNDARY_TOL; boundary quantizers have no finite test
+    channel.  More than MAX_SAMPLER_DRAWS exponential draws,
+    samples * (min(dim_x, dim_z) + dim_z), raise CapacityError before any
+    is drawn.
     """
     if samples < 2:
         raise ScenarioError("need at least two samples")
@@ -747,12 +749,12 @@ def mc_mutual_information(
         return McEstimate(estimate=0.0, std_error=0.0, samples=samples)
     cond_blocks = []
     for k in relays_c:
-        b = q.B[k - 1]
-        if np.linalg.eigvalsh(b).min() <= 1e-12 or spectra[k - 1].max() >= 1.0 - 1e-12:
+        lam = spectra[k - 1]
+        if lam.min() <= BOUNDARY_TOL or lam.max() >= 1.0 - BOUNDARY_TOL:
             raise ScenarioError(
                 f"B[{k}] is on the feasibility boundary; no finite test channel exists"
             )
-        cond_blocks.append(la.hermitian_part(np.linalg.inv(b)))  # Sigma_k + Q_k
+        cond_blocks.append(la.hermitian_part(np.linalg.inv(q.B[k - 1])))  # Sigma_k + Q_k
     lam_cond = la.block_diag(cond_blocks)
     h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
     k_t_root = la.psd_sqrt(sc.input_covariance(pair.users))

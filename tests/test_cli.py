@@ -245,6 +245,8 @@ MALFORMED_CASES = [
     ("gaussian", "scenario", ("channel", "power"), None),
     ("gaussian", "scenario", ("users",), "two"),
     ("discrete", "scenario", ("channel", "px"), 5),
+    ("discrete", "scenario", ("channel", "channel"), [[0.81, 0.09, 0.09, 0.01],
+                                                      [0.01, 0.09, 0.09, 0.81]]),
     ("gaussian", "quantizers", ("B",), 5),
     ("discrete", "quantizers", ("aux",), 5),
 ]
@@ -882,6 +884,34 @@ class TestCheckCommands:
         assert payload["analytic_bits"] == pytest.approx(math.log2(1.5), abs=1e-12)
         assert payload["within_3se"] is True
 
+    def test_mc_check_boundary_test_is_scale_free(self, tmp_path, capsys):
+        # Sigma = 10^6 and B = 5e-14: the normalized quantizer is 5e-8,
+        # strictly inside (0, 1), though B itself is below 1e-12
+        doc = golden_gaussian_doc()
+        doc["channel"]["H"] = [[[[[1e4, 0.0]]]]]
+        doc["channel"]["Sigma"] = [[[[1e6, 0.0]]]]
+        scenario = write_json(tmp_path / "sc.json", doc)
+        quant = write_json(tmp_path / "q.json", {"B": [[[[5e-14, 0.0]]]]})
+        rc = main(["mc-check", "--scenario", scenario, "--quantizers", quant,
+                   "--samples", "1000", "--seed", "1"])
+        assert rc == 0, capsys.readouterr().err
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["analytic_bits"] == pytest.approx(math.log2(1.0 + 5e-6), rel=1e-9)
+
+    @pytest.mark.parametrize("b", [0.0, 1.0 - 1e-13])
+    def test_mc_check_boundary_quantizer_outside_s_exits_2(self, tmp_path, capsys, b):
+        scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
+        quant = write_json(tmp_path / "q.json", {"B": [[[[b, 0.0]]]]})
+        out = tmp_path / "mc.json"
+        rc = main(["mc-check", "--scenario", scenario, "--quantizers", quant,
+                   "--samples", "1000", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "B[1] is on the feasibility boundary" in captured.err
+
     @pytest.mark.parametrize("masks", [("--s-mask", "2"), ("--t-mask", "2"), ("--t-mask", "0")])
     def test_mc_check_masks_out_of_range(self, tmp_path, capsys, masks):
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
@@ -1096,6 +1126,22 @@ def test_internal_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert "TypeError: Object of type bool is not JSON serializable" in err
     assert "Traceback" not in err
+
+
+def test_failed_logdet_factorization_exits_3_without_output(tmp_path, capsys, monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+    scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
+    quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
+    out = tmp_path / "region.csv"
+    assert main(["region", "--scenario", scenario, "--quantizers", quant,
+                 "--out", str(out)]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json", "sc.json"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: Matrix is not positive definite")
 
 
 def test_plain_value_error_is_internal_and_exits_3(tmp_path, capsys, monkeypatch):

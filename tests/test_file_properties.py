@@ -1,6 +1,7 @@
 """Property tests of the scenario and quantizer file formats, under one
 fixed Hypothesis profile (derandomized, no deadline, at most 100 examples
-per kind).
+per kind; the scenario-array and relabelling properties, which draw many
+kinds, at most 25).
 
 * Any one field of the golden Gaussian and discrete scenario and quantizer
   documents, replaced by null, a string, a number, [] or {}, makes ``main``
@@ -9,6 +10,13 @@ per kind).
   or of the wrong size (matrix count, rows, columns or [re, im] width)
   makes ``mc-check`` and ``region`` exit 2, write no output file and print
   nothing to stdout.
+* A ragged or mis-sized array in a golden scenario document (an entry of
+  ``channel.H``, all of it, ``Sigma``, ``Kin``, ``px``, ``fronthaul`` or the
+  discrete ``channel``) makes ``region`` exit 2, write no output file and
+  print nothing to stdout.
+* Relabelling the relays and the users of a random scenario, with its
+  quantizers, permutes the (T, S) table of its region to match, within
+  1e-12, for the Gaussian region and both discrete families.
 * A save/load round trip of a random scenario, with or without embedded
   quantization tables, writes identical bytes and keeps ``scenario_sha256``.
 * Any list of finite doubles and 64-bit integers written by ``json.dumps``
@@ -32,11 +40,15 @@ from hypothesis import strategies as st
 
 from ocran.cli import main
 from ocran.core import _read_json, load_scenario, save_scenario, scenario_sha256
-from ocran.verify import random_aux, random_factorizing_scenario, random_gaussian_scenario
+from ocran.discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario
+from ocran.gaussian import GaussianEvaluator, GaussianScenario, QuantizerSetGaussian
+from ocran.verify import (random_aux, random_correlated_scenario, random_factorizing_scenario,
+                          random_gaussian_scenario, random_quantizers)
 
 from test_cli import discrete_doc, golden_gaussian_doc
 
 FIXED_PROFILE = settings(derandomize=True, deadline=None, max_examples=100, database=None)
+FEW_EXAMPLES = settings(FIXED_PROFILE, max_examples=25)
 
 WRONG_TYPES = st.one_of(st.none(), st.text(), st.integers(), st.floats(),
                         st.just([]), st.just({}))
@@ -117,6 +129,108 @@ def test_a_misshapen_quantizer_array_exits_2(command, b):
         assert sorted(p.name for p in tmp.iterdir()) == ["quantizers.json", "scenario.json"]
         assert stdout.getvalue() == ""
         assert stderr.getvalue().startswith("error:")
+
+
+SCENARIO_ARRAYS = [("gaussian", ("channel", "H", 0, 0)), ("gaussian", ("channel", "H")),
+                   ("gaussian", ("channel", "Sigma")), ("gaussian", ("channel", "Kin")),
+                   ("gaussian", ("fronthaul",)), ("discrete", ("channel", "px")),
+                   ("discrete", ("fronthaul",)), ("discrete", ("channel", "channel"))]
+
+# lists of floats and of such lists, at most 12 floats in all, each list 0-3
+# long and drawn on its own, so sibling entries may differ in length and depth
+NESTED_LISTS = st.lists(st.recursive(st.floats(-2.0, 2.0),
+                                     lambda inner: st.lists(inner, max_size=3), max_leaves=12),
+                        max_size=3)
+
+
+def array_shape(value):
+    """The shape of a rectangular nested list, or None for a ragged one."""
+    try:
+        return np.array(value, dtype=float).shape
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("kind, path", SCENARIO_ARRAYS)
+@FEW_EXAMPLES
+@given(data=st.data())
+def test_a_misshapen_scenario_array_exits_2(kind, path, data):
+    docs = golden_docs(kind)
+    entry = docs["scenario"]
+    for key in path[:-1]:
+        entry = entry[key]
+    golden = array_shape(entry[path[-1]])
+    entry[path[-1]] = data.draw(NESTED_LISTS.filter(lambda v: array_shape(v) != golden),
+                                label="array")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        for name, doc in docs.items():
+            (tmp / f"{name}.json").write_text(json.dumps(doc))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main(["region", "--scenario", str(tmp / "scenario.json"),
+                       "--quantizers", str(tmp / "quantizers.json"), "--out", str(tmp / "out")])
+        assert rc == 2, stderr.getvalue()
+        assert sorted(p.name for p in tmp.iterdir()) == ["quantizers.json", "scenario.json"]
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue().startswith("error:")
+
+
+def relabel_masks(perm, count: int) -> np.ndarray:
+    """For each bitmask of the relabelled items, the bitmask of the same
+    items under their old labels: new item i is old item perm[i]."""
+    masks = np.arange(1 << count)
+    return sum(((masks >> i) & 1) << old for i, old in enumerate(perm))
+
+
+def relabel_gaussian(sc, q, users, relays):
+    """The Gaussian scenario and quantizers relabelled so that user i is the
+    old user users[i] and relay k the old relay relays[k], counted from 0."""
+    sc = GaussianScenario(
+        num_users=sc.num_users, num_relays=sc.num_relays, time_share=sc.time_share,
+        fronthaul=tuple(sc.fronthaul[k] for k in relays),
+        H=tuple(tuple(sc.H[k][l] for l in users) for k in relays),
+        Sigma=tuple(sc.Sigma[k] for k in relays),
+        Kin=tuple(sc.Kin[l] for l in users), power=tuple(sc.power[l] for l in users))
+    return sc, QuantizerSetGaussian(B=tuple(q.B[k] for k in relays))
+
+
+def relabel_discrete(sc, aux, users, relays):
+    """The discrete scenario and aux tables relabelled as in ``relabel_gaussian``."""
+    axes = list(users) + [sc.num_users + k for k in relays]
+    sc = DiscreteScenario(
+        num_users=sc.num_users, num_relays=sc.num_relays, time_share=sc.time_share,
+        fronthaul=tuple(sc.fronthaul[k] for k in relays),
+        px=tuple(sc.px[l] for l in users), channel=sc.channel.transpose(axes))
+    return sc, AuxChannels(tables=tuple(aux.tables[k] for k in relays))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "discrete factorizing", "discrete correlated"])
+@FEW_EXAMPLES
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), num_users=st.integers(1, 3),
+       num_relays=st.integers(1, 3))
+def test_relabelling_permutes_the_region(kind, data, seed, num_users, num_relays):
+    users = data.draw(st.permutations(range(num_users)), label="users")
+    relays = data.draw(st.permutations(range(num_relays)), label="relays")
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        sc = random_gaussian_scenario(rng, num_users, num_relays)
+        q = random_quantizers(rng, sc)
+        pairs = [[GaussianEvaluator.from_quantizers(*args).region()
+                  for args in ((sc, q), relabel_gaussian(sc, q, users, relays))]]
+    else:
+        draw = random_factorizing_scenario if kind.endswith("factorizing") else \
+            random_correlated_scenario
+        sc = draw(rng, num_users, num_relays)
+        aux = random_aux(rng, sc)
+        evs = [DiscreteEvaluator.from_aux(*args)
+               for args in ((sc, aux), relabel_discrete(sc, aux, users, relays))]
+        pairs = [[ev.region(which) for ev in evs] for which in ("thm1", "thm3")]
+    t_old = relabel_masks(users, num_users)[1:] - 1
+    s_old = relabel_masks(relays, num_relays)
+    for region, relabelled in pairs:
+        np.testing.assert_allclose(relabelled.bounds, region.bounds[np.ix_(t_old, s_old)],
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "discrete", "discrete with aux"])

@@ -70,8 +70,19 @@ class TestFronthaulMi:
             fronthaul_mi(np.diag([1.0, 0.0]), np.eye(2) / 2)
 
     def test_rejects_negative_quantizer(self):
-        with pytest.raises(ScenarioError, match="not positive semidefinite"):
+        with pytest.raises(ScenarioError, match=r"B violates 0 <= B <= Sigma\^-1"):
             fronthaul_mi([[1.0]], [[-0.5]])
+
+    def test_rejects_a_quantizer_above_the_inverse_noise(self):
+        with pytest.raises(ScenarioError, match=r"B violates 0 <= B <= Sigma\^-1"):
+            fronthaul_mi([[1.0]], [[2.0]])
+        # normalized eigenvalues 0.5 and 3, in a basis that is not Sigma's
+        sigma = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+        rot = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
+        inv_root = la.psd_inv_sqrt(sigma)
+        b = la.hermitian_part(inv_root @ (rot * [0.5, 3.0]) @ rot.conj().T @ inv_root)
+        with pytest.raises(ScenarioError, match=r"in \[5\.000e-01, 3\.000e\+00\]"):
+            fronthaul_mi(sigma, b)
 
     def test_rate_from_eigenvalues_is_never_negative_zero(self):
         assert math.copysign(1.0, fronthaul_bits(np.zeros(2))) == 1.0
@@ -272,7 +283,7 @@ class TestRegion:
         assert [r["bound_bits"] for r in payload["subset_bounds"]] == rows
         assert payload["sum_rate_bits"] == region.sum_rate_bound()
 
-    def test_subset_bounds_equal_per_pair_bounds(self, monkeypatch):
+    def test_subset_bounds_equal_per_pair_bounds(self):
         rng = np.random.default_rng(24)
         cases = []
         for _ in range(30):
@@ -303,17 +314,6 @@ class TestRegion:
         region = GaussianEvaluator.from_quantizers(*boundary).region()
         assert all((b == -math.inf) == bool(s & 0b10) for _, s, b in region.csv_rows())
 
-        # a failed stacked factorization falls back to logdet2 per matrix
-        cholesky = np.linalg.cholesky
-
-        def no_stacks(a):
-            if np.ndim(a) > 2:
-                raise np.linalg.LinAlgError("stacked")
-            return cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", no_stacks)
-        for sc, q in cases:
-            check(sc, q)
 
     @staticmethod
     def per_relay_region(sc, q) -> list[float]:
@@ -547,9 +547,13 @@ class TestStackedMatrixLemmas:
         with pytest.raises(ValueError, match="square matrix"):
             matrix_lemma_check(stack, stack, stack)
 
-    def test_stacked_logdet_takes_the_fallback_per_matrix(self):
+    def test_stacked_logdet_matches_per_matrix_and_raises_off_pd(self):
         rng = np.random.default_rng(5)
-        m = np.stack([random_pd(rng, 3), np.diag([1.0, 0.0, 4.0]), random_pd(rng, 3)])
+        m = np.stack([random_pd(rng, 3) for _ in range(3)])
         values = la.logdet2(m)
         assert [float(v) for v in values] == [la.logdet2(x) for x in m]
-        assert values[1] == pytest.approx(2.0 + math.log2(la.EIG_CLIP))
+        for bad in (np.diag([1.0, 0.0, 4.0]), np.diag([1.0, -1e-3, 4.0])):
+            with pytest.raises(np.linalg.LinAlgError):
+                la.logdet2(bad)
+            with pytest.raises(np.linalg.LinAlgError):
+                la.logdet2(np.stack([m[0], bad, m[2]]))
