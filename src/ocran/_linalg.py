@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 HERM_TOL = 1e-10
-PD_TOL = 1e-12  # require_pd rejects a smallest eigenvalue at or below this
+PD_TOL = 1e-12  # require_pd rejects A unless A - PD_TOL I has a Cholesky factor
 LN2 = float(np.log(2.0))
 
 
@@ -54,10 +54,19 @@ def min_eig(m):
     return float(lo) if a.ndim == 2 else lo
 
 
+def has_cholesky(a: np.ndarray) -> bool:
+    """Whether a Hermitian a, or each of a stack, has a finite Cholesky factor."""
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(a)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def require_pd(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """The Hermitian part of m, positive definite beyond PD_TOL."""
     a = require_hermitian(m, name=name, stacked=stacked)
-    lo = min_eig(a)
-    if np.any(lo <= PD_TOL):
+    if not has_cholesky(a - PD_TOL * np.eye(a.shape[-1])):
+        lo = min_eig(a)
         where = "" if a.ndim == 2 else f" at stack index {np.argmin(lo)}"
         raise ValueError(
             f"{name} is not positive definite (min eigenvalue {np.min(lo):.3e}{where})"

@@ -201,7 +201,7 @@ class RateRegion:
                 for s_mask, b in enumerate(row)]
 
 
-def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
+def max_weighted_rate(region: RateRegion, weights: Sequence[float], tie_break: bool = True):
     """Maximize sum_l w_l R_l over the region intersected with R >= 0, which
     depends only on each user set's tightest bound c_T = min_S b_{T,S}.
 
@@ -214,9 +214,9 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
     R_2 <= c_2, R_1 + R_2 <= c_12, and the rates are one of its corners,
     exactly.  Three or more: c_T is not always submodular, so two HiGHS LPs
     over the c_T rows solve it, holding them to LP_FEAS_TOL, well inside
-    TIE_SLACK and MEMBERSHIP_TOL.  Raises ArithmeticError when the region is
-    unbounded or an LP solve fails: that is a numeric failure, not an empty
-    region.
+    TIE_SLACK and MEMBERSHIP_TOL; without ``tie_break`` only the first runs
+    and its optimum is the rates.  Raises ArithmeticError when the region is
+    unbounded or an LP solve fails: a numeric failure, not an empty region.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (region.num_users,):
@@ -250,6 +250,8 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float]):
     if not res.success:
         raise ArithmeticError(f"weighted-rate LP failed: {res.message}")
     best = float(-res.fun) + 0.0  # an optimum of 0 is +0.0, never -0.0
+    if not tie_break:
+        return best, np.clip(res.x, 0.0, None)
     # second stage: push the remaining slack onto zero-weight users
     res2 = linprog(
         -np.ones(region.num_users),

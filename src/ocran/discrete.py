@@ -27,16 +27,19 @@ Every other discrete bound reads it: one (T, S) pair (``bound``), a region
 The successive Wyner-Ziv rates there are differences of the same entropy
 vectors (``DiscreteEvaluator.u_entropies``), so that layer computes no
 entropy of its own.
-``ReducedFactors.sum_rate_jacobian`` gives the gradients of the sum-rate
-bounds in the quantization tables, for the discrete optimizer.
+Only the discrete optimizer's search reads ``ReducedFactors.sum_rate_pass``,
+which gives the sum-rate bounds and their gradients in the quantization
+tables from shared logs, one pass per iterate.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from string import ascii_lowercase, ascii_uppercase
+from typing import Callable
 
 import numpy as np
 
@@ -299,7 +302,8 @@ class ReducedFactors:
 
     The order contracts relays by increasing |U_k|/|Y_k|, which minimizes
     every intermediate tensor at once.  MAX_JOINT_ENTRIES caps the largest
-    of them and p(q, x, u), the tensors this path actually builds."""
+    of them and p(q, x, u), the tensors this path actually builds, and 2^K
+    times p(q, x, u), a bound on ``sum_rate_pass``'s arrays."""
 
     def __init__(self, sc: DiscreteScenario, aux_sizes):
         l, k, nq = sc.num_users, sc.num_relays, sc.num_timeshare
@@ -317,6 +321,7 @@ class ReducedFactors:
         pqx = np.asarray(sc.time_share)[:, None]
         for t in sc.px:
             pqx = (pqx[:, :, None] * t[:, None, :]).reshape(nq, -1)
+        self._pqx = pqx
         # channel axes (X_1..X_L, Y_1..Y_K) -> (Y in contraction order, X flattened)
         ch = sc.channel.reshape((pqx.shape[1],) + tuple(y_sizes))
         ch = ch.transpose(tuple(1 + i for i in self.order) + (0,))
@@ -328,69 +333,90 @@ class ReducedFactors:
         )
         self._shape = (nq,) + sc.input_sizes + tuple(aux_sizes[i] for i in self.order)
         self._perm = tuple(range(1 + l)) + tuple(1 + l + position[i] for i in range(k))
-        self._unperm = (0,) + tuple(1 + int(a) for a in np.argsort(self._perm))
 
-    def chain(self, tables) -> list[np.ndarray]:
-        """The contraction of p(q, y, x) with the tables, relay by relay in
-        ``order``: p(q, y, x) and then each step's result, whose relay
-        output axis has left the front and whose table column axis has
-        joined the back."""
+    def chain(self, tables, first=None) -> list[np.ndarray]:
+        """The contraction of ``first`` (p(q, y, x) by default) with the
+        tables, relay by relay in ``order``: ``first`` and then each step's
+        result, whose relay output axis has left the front and whose table
+        column axis has joined the back."""
         nq = self.pqyx.shape[0]
-        steps = [self.pqyx]
+        steps = [self.pqyx if first is None else first]
         for i in self.order:
             a = tables[i]
             # (Q, Y_i, rest) -> (Q, rest, U_i)
             steps.append(np.matmul(steps[-1].reshape(nq, a.shape[1], -1).transpose(0, 2, 1), a))
         return steps
 
-    def evaluator(self, tables, chain=None) -> "DiscreteEvaluator":
+    def evaluator(self, tables) -> "DiscreteEvaluator":
         """Evaluator of the quantization tables p(u_k|y_k,q), given in relay
-        order with the aux sizes these factors were built for; ``chain``,
-        when given, is ``self.chain(tables)``, already run."""
-        h = tuple(
-            float((p * _row_entropies(table)).sum()) for p, table in zip(self.pqy, tables)
-        )
-        t = (self.chain(tables) if chain is None else chain)[-1]
+        order with the aux sizes these factors were built for."""
+        h = tuple(float((p * -(t * _log2(t)).sum(axis=-1)).sum()) for p, t in zip(self.pqy, tables))
+        t = self.chain(tables)[-1]
         t = t.reshape(self._shape).transpose(self._perm)
         return DiscreteEvaluator(self.sc, t, h)
 
-    def sum_rate_jacobian(self, ev: "DiscreteEvaluator", tables,
-                          chain=None) -> list[np.ndarray]:
-        """The gradients of the joint-decoding sum-rate bounds b_S of
-        ``ev = evaluator(tables)`` in the table entries: per relay k, a
-        (2^K, |Q|, |Y_k|, |U_k|) array, row S by bitmask, each exact up to a
-        constant per table row, which no move that keeps the rows summing to
-        1 sees.
+    @functools.cached_property
+    def _pass_constants(self):
+        """H(X | Q), "relay k is in S" by (S, k), the lattice steps below the
+        full mask (mask, parent, axis of the relay only the parent has), and
+        p(q, y) in ``pqyx``'s layout."""
+        k, q = len(self.pqy), np.asarray(self.sc.time_share)
+        steps = tuple((m, m | m + 1, 2 + self.order.index((~m & m + 1).bit_length() - 1))
+                      for m in reversed(range((1 << k) - 1)))
+        return (float(q @ _log2(q) - self._pqx.ravel() @ _log2(self._pqx).ravel()),
+                (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float), steps,
+                self.pqyx.sum(axis=-1, keepdims=True))
 
-        Given Q, b_S = C_S + sum_{k in S} H(U_k|Y_k) + H(U_{S^c}) + H(X)
-        - H(X, U).  The reduced joint is linear in each table:
-        p(q, x, u) = sum_{y_k} F_k(q, x, u_{-k}, y_k) p(u_k|y_k, q), so the
-        gradient of the entropy of a marginal p_A is -sum_{x, u_{-k}} F_k
-        log2 p_A, up to the row constant.  The pre-table factors F_k meet the
-        log-marginals backwards through ``chain`` (``self.chain(tables)``,
-        run here when not given), unformed; the marginals p(q, u_m) are
-        those ``ev.subset_bounds`` kept."""
-        nq, rows = self.pqyx.shape[0], 1 << len(tables)
-        p = ev.p
-        if p.size * rows > MAX_JOINT_ENTRIES:
-            raise CapacityError(f"sum-rate Jacobian would hold {p.size * rows} entries")
-        # row S: log2 p(q, x, u) - log2 p(q, u_{S^c}), so the marginals of
-        # the masks m = S^c in reversed order
-        margins = np.empty((rows, nq) + (1,) * self.sc.num_users + p.shape[1 + self.sc.num_users:])
-        for m, marginal in enumerate(ev._u_marginals(0)):
-            margins[m] = marginal
-        adjoint = (_log2(p) - _log2(margins)[::-1]).transpose(self._unperm)
-        ts = self.chain(tables) if chain is None else chain
+    def sum_rate_pass(self, tables, logs) -> tuple[np.ndarray, Callable[[], list[np.ndarray]]]:
+        """The search's pass over tables p(u_k|y_k,q) (relay order; ``logs``
+        is log2 of each): the sum-rate bounds b_S by bitmask S, and a call
+        that gives their gradients in the tables from the same logs, per
+        relay a (2^K, |Q|, |Y_k|, |U_k|) array, exact up to a constant per
+        table row.  b_S = C_S + sum_{k in S} H(U_k|Y_k) + H(U_{S^c}) + H(X)
+        - H(X, U) given Q; each p(q, u_m) is summed from its lattice parent,
+        and log2 of all of them gives H(U_m, Q) in one product with p(q, u).
+        As p(q, x, u) = sum_{y_k} F_k(q, x, u_{-k}, y_k) p(u_k|y_k, q), row S
+        of the adjoint, log2 p(q, x, u) - log2 p(q, u_{S^c}), meets the
+        pre-table factors F_k backwards through ``chain``, unformed."""
+        h_x_given_q, in_s, steps, pqy_all = self._pass_constants
+        rows = in_s.shape[0]
+        if (size := math.prod(self._shape) * rows) > MAX_JOINT_ENTRIES:
+            raise CapacityError(f"sum-rate Jacobian would hold {size} entries")
+        ts = self.chain(tables)
+        # axes Q, X flattened, U in contraction order
+        p = ts[-1].reshape(self._pqx.shape + self._shape[1 + self.sc.num_users:])
+        lattice = [None] * (rows - 1) + [p.sum(axis=1, keepdims=True)]
+        margins = np.empty((rows,) + lattice[-1].shape)
+        margins[-1] = lattice[-1]
+        for m, parent, axis in steps:
+            margins[m] = lattice[m] = lattice[parent].sum(axis=axis, keepdims=True)
+        log_p, log_m = _log2(p), _log2(margins)
+        h_u = log_m.reshape(rows, -1) @ -lattice[-1].ravel()  # H(U_m, Q)
+        weighted = [py[..., None] * log for py, log in zip(self.pqy, logs)]
+        minus_h_u_given_y = np.array([w.ravel() @ a.ravel() for w, a in zip(weighted, tables)])
+        bounds = (h_u[::-1] + (h_x_given_q + float(p.ravel() @ log_p.ravel()))
+                  + in_s @ (np.asarray(self.sc.fronthaul) - minus_h_u_given_y))
+
+        def jacobian():
+            # log2 p(q, u_{S^c}) meets sum_x F_k; log2 p(q, x, u) is one row
+            grads = [a - b for a, b in zip(
+                self._pull_back(ts, log_p[None], tables),
+                self._pull_back(self.chain(tables, pqy_all), log_m[::-1], tables))]
+            for k, w in enumerate(weighted):  # H(U_k | Y_k) for the relay sets S that hold k
+                grads[k] -= in_s[:, k, None, None, None] * w
+            return grads
+
+        return bounds, jacobian
+
+    def _pull_back(self, ts, adjoint, tables) -> list[np.ndarray]:
+        """Rows of the adjoint of a ``chain``'s last step, as table gradients."""
         grads = [None] * len(tables)
         for j in reversed(range(len(tables))):
             a = tables[self.order[j]]
-            # t_{j+1} = t_j @ a, so the adjoint of t_j is the adjoint of t_{j+1} @ a^T
-            adjoint = adjoint.reshape((rows,) + ts[j + 1].shape)
-            grads[self.order[j]] = ts[j].reshape(nq, a.shape[1], -1) @ adjoint
-            adjoint = (adjoint @ a.transpose(0, 2, 1)).transpose(0, 1, 3, 2)
-        masks = np.arange(rows)
-        for k, a in enumerate(tables):  # H(U_k | Y_k) for the relay sets S that hold k
-            grads[k] -= (masks >> k & 1)[:, None, None, None] * (self.pqy[k][..., None] * _log2(a))
+            adjoint = adjoint.reshape(adjoint.shape[:1] + ts[j + 1].shape)
+            grads[self.order[j]] = ts[j].reshape(a.shape[0], a.shape[1], -1) @ adjoint
+            if j:  # t_{j+1} = t_j @ a, so the adjoint of t_j is the adjoint of t_{j+1} @ a^T
+                adjoint = (adjoint @ a.transpose(0, 2, 1)).transpose(0, 1, 3, 2)
         return grads
 
 
@@ -403,11 +429,6 @@ def _contraction_order(aux_sizes, y_sizes) -> tuple[int, ...]:
 def _log2(p: np.ndarray) -> np.ndarray:
     """log2 p, with 0 where p is 0 (0 log 0 = 0)."""
     return np.log2(np.where(p > 0, p, 1.0))
-
-
-def _row_entropies(table: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each distribution along the last axis."""
-    return -(table * _log2(table)).sum(axis=-1)
 
 
 class DiscreteEvaluator:
@@ -429,7 +450,6 @@ class DiscreteEvaluator:
         self.p = p.view()
         self.p.setflags(write=False)
         self.h_u_given_y = h_u_given_y
-        self._p_u_q: list[np.ndarray] | None = None  # _u_marginals(0)
         self._h_u: dict[int, np.ndarray] = {}  # u_entropies by kept
         self._bounds: dict[tuple[int, str], np.ndarray] = {}  # subset_bounds by (T, family)
 
@@ -439,30 +459,20 @@ class DiscreteEvaluator:
         aux.check_compatible(sc)
         return ReducedFactors(sc, aux.aux_sizes).evaluator(aux.tables)
 
-    def _u_marginals(self, kept: int):
-        """p(U_m, X_kept, Q) for every relay bitmask m, each one reduction of
-        the one marginal p(U, X_kept, Q) and kept on every axis of ``p``
-        (size 1 where summed out).  At kept = 0 they hold no X axis and are
-        kept, as a list, for ``ReducedFactors.sum_rate_jacobian``."""
-        if kept == 0 and self._p_u_q is not None:
-            return self._p_u_q
-        l, k = self.sc.num_users, self.sc.num_relays
-        drop = tuple(1 + i for i in range(l) if not kept >> i & 1)
-        base = self.p.sum(axis=drop, keepdims=True) if drop else self.p
-        outs = (tuple(1 + l + i for i in range(k) if not m >> i & 1) for m in range(1 << k))
-        marginals = (base.sum(axis=out, keepdims=True) if out else base for out in outs)
-        if kept == 0:
-            self._p_u_q = marginals = list(marginals)
-        return marginals
-
     def u_entropies(self, kept: int = 0) -> np.ndarray:
         """H(U_m, X_kept, Q) for every relay bitmask m, with X_kept the
-        inputs of the users in bitmask ``kept``; reversed, it is indexed by
-        the complement S^c of the relay set S.  Formed once per ``kept`` and
-        kept read-only; ``ocran.sumrate`` forms the successive Wyner-Ziv
-        rates from these vectors."""
+        inputs of the users in bitmask ``kept``, each marginal one reduction
+        of p(U, X_kept, Q); reversed, it is indexed by the complement S^c of
+        the relay set S.  Formed once per ``kept`` and kept read-only;
+        ``ocran.sumrate`` forms the successive Wyner-Ziv rates from these
+        vectors."""
         if kept not in self._h_u:
-            h = np.array([_entropy(p) for p in self._u_marginals(kept)])
+            l, k = self.sc.num_users, self.sc.num_relays
+            drop = tuple(1 + i for i in range(l) if not kept >> i & 1)
+            base = self.p.sum(axis=drop, keepdims=True) if drop else self.p
+            outs = (tuple(1 + l + i for i in range(k) if not m >> i & 1) for m in range(1 << k))
+            h = np.array([_entropy(base.sum(axis=out, keepdims=True) if out else base)
+                          for out in outs])
             h.setflags(write=False)
             self._h_u[kept] = h
         return self._h_u[kept]

@@ -348,7 +348,7 @@ def matrix_lemma_holds(a, b, c) -> np.ndarray:
     c = la.require_pd(c, name="C", stacked=True)
     if a.shape != b.shape or a.shape != c.shape:
         raise ValueError("A, B and C must have the same shape")
-    if np.any(la.min_eig(b - a) < -la.HERM_TOL):
+    if not la.has_cholesky(b - a + la.HERM_TOL * np.eye(a.shape[-1])):
         raise ValueError("precondition B >= A violated")
     c_root = la.psd_sqrt(c)
     eye = np.eye(c.shape[-1])

@@ -482,14 +482,15 @@ def gaussian_upper_bound(sc: GaussianScenario, q: QuantizerSetGaussian, lam) -> 
 
 
 def _epigraph_solve(point: Callable, rows: Callable, jac: Callable, objective: Callable,
-                    cover: np.ndarray, c: np.ndarray, x0: np.ndarray, bounds, max_iters: int):
+                    rates: Callable, cover: np.ndarray, c: np.ndarray, x0: np.ndarray, bounds,
+                    max_iters: int):
     """One SLSQP solve of max c.R s.t. cover R <= rows(point(x)), over the
-    parameters x and the rate columns R, from x0 with R at the rates
-    ``objective`` gives there.  ``point(x)`` evaluates x once for ``rows``
-    (the row values), ``jac`` (their gradients in x) and ``objective`` (a
-    point's value and rates that reach it); ``bounds`` are SLSQP's, x first.
-    Returns the best iterate by value as (point, value, rates), the
-    best-so-far trace and SLSQP's result (multipliers, status)."""
+    parameters x and the rate columns R, from x0 with R at ``rates`` there.
+    ``point(x)`` evaluates x once for ``rows`` (the row values), ``jac``
+    (their gradients in x), ``objective`` (a point's value) and ``rates``
+    (rates that reach it); ``bounds`` are SLSQP's, x first.  Returns the best
+    iterate by value as (point, value), the best-so-far trace and SLSQP's
+    result (multipliers, status)."""
     from scipy.optimize import minimize
 
     size = x0.size
@@ -519,12 +520,12 @@ def _epigraph_solve(point: Callable, rows: Callable, jac: Callable, objective: C
             return
         seen = z[:size].tobytes()
         p = at(z)
-        value, rates = objective(p)
+        value = objective(p)
         if best is None or value > best[1]:
-            best = (p, value, rates)
+            best = (p, value)
         trace.append(best[1])
 
-    z0 = np.append(x0, objective(at(x0))[1])
+    z0 = np.append(x0, rates(at(x0)))
     record(z0)
     neg_c = np.append(np.zeros(size), -c)
     res = minimize(lambda z: -float(c @ z[size:]), z0, jac=lambda z: neg_c, method="SLSQP",
@@ -557,25 +558,27 @@ def _certified_solve(obj: _GaussianObjective, weights=None) -> GaussianOptResult
         c, rate_low = np.asarray(weights, dtype=float), 0.0
         cover = np.repeat(user_sets(sc.num_users), subsets, axis=0)
 
-    def objective(p) -> tuple[float, np.ndarray]:
-        """The objective at p and the rates that reach it."""
+    def solve(p, tie_break: bool = True) -> tuple[float, np.ndarray]:
+        """The objective at p and rates that reach it, by the tie rule if ``tie_break``."""
         if weights is None:
             value = float(obj.branch_values(p).min())
             return value, np.array([value])
         bounds = obj.row_values(p, t_sets).reshape(-1, subsets)
-        return max_weighted_rate(RateRegion(sc.num_users, bounds), c)
+        return max_weighted_rate(RateRegion(sc.num_users, bounds), c, tie_break)
 
-    (p, value, rates), trace, res = _epigraph_solve(
+    (p, value), trace, res = _epigraph_solve(
         obj.smooth_at, lambda p: obj.row_values(p, t_sets),
-        lambda p: obj.pull_back(p, obj.row_gradients(p, t_sets)), objective, cover, c,
+        lambda p: obj.pull_back(p, obj.row_gradients(p, t_sets)),
+        lambda p: solve(p, tie_break=False)[0], lambda p: solve(p)[1], cover, c,
         _pack_hermitian([np.eye(d) for d in sc.relay_antennas]),
         [(None, None)] * size + [(rate_low, None)] * c.size, SOLVE_MAX_ITERS)
 
     zero = obj.smooth_at(np.zeros(size))
-    zero_value, zero_rates = objective(zero)
+    zero_value = solve(zero, tie_break=False)[0]
     if zero_value >= value:
-        p, value, rates = zero, zero_value, zero_rates
+        p, value = zero, zero_value
         trace.append(value)
+    rates = solve(p)[1]
     certificate = _FrankWolfeBound(obj, p, t_sets)
     lam = _covering(res.multipliers, cover, c)
     if lam is None:
@@ -624,13 +627,17 @@ class _SoftmaxTables:
         self.parts = [slice(end - math.prod(shape), end) for end, shape in zip(ends, self.shapes)]
         self.size = int(ends[-1])
 
-    def tables(self, theta: np.ndarray) -> tuple[np.ndarray, ...]:
-        out = []
+    def tables(self, theta: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The tables and log2 of their entries, from the log-softmax."""
+        tables, logs = [], []
         for part, shape in zip(self.parts, self.shapes):
             logits = SOFTMAX_SCALE * theta[part].reshape(shape)
-            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-            out.append(e / e.sum(axis=-1, keepdims=True))
-        return tuple(out)
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            total = e.sum(axis=-1, keepdims=True)
+            tables.append(e / total)
+            logs.append((shifted - np.log(total)) / la.LN2)
+        return tuple(tables), tuple(logs)
 
     def parameters(self, tables) -> np.ndarray:
         """Parameters of tables with positive entries."""
@@ -651,9 +658,10 @@ def optimize_discrete_aux(sc: DiscreteScenario, cardinalities, restarts: int = 4
     sum-rate: the best of ``restarts`` epigraph solves
     (``_epigraph_solve``) of max t s.t. t <= b_S for every relay set S,
     each capped at ``max_iters`` SLSQP iterations, over tables whose rows
-    are softmax of free parameters (``_SoftmaxTables``).  The b_S come from
-    ``DiscreteEvaluator.subset_bounds`` and their gradients from
-    ``ReducedFactors.sum_rate_jacobian``.
+    are softmax of free parameters (``_SoftmaxTables``).  Each iterate is one
+    ``ReducedFactors.sum_rate_pass`` (the b_S, and their gradients where
+    SLSQP asks for them); each start's returned tables are valued once by
+    ``DiscreteEvaluator``.
 
     Start 0 is the staircase quantizer u = floor(y |U| / |Y|), softened so
     that softmax reaches it; further starts draw Dirichlet rows from seeds
@@ -668,17 +676,11 @@ def optimize_discrete_aux(sc: DiscreteScenario, cardinalities, restarts: int = 4
     params = _SoftmaxTables([(sc.num_timeshare, y, u) for y, u in zip(sc.output_sizes, card)])
 
     def point(theta):
-        tables = params.tables(theta)
-        chain = factors.chain(tables)
-        return tables, chain, factors.evaluator(tables, chain)
-
-    def jac(p):
-        tables, chain, ev = p
-        return params.pull_back(tables, factors.sum_rate_jacobian(ev, tables, chain))
+        tables, logs = params.tables(theta)
+        return (tables, *factors.sum_rate_pass(tables, logs))
 
     def objective(p):
-        value = jd_sum_rate(p[2])
-        return value, np.array([value])
+        return max(0.0, float(p[1].min()))  # jd_sum_rate of the pass's rows
 
     def start(index: int) -> np.ndarray:
         if index == 0:
@@ -697,10 +699,12 @@ def optimize_discrete_aux(sc: DiscreteScenario, cardinalities, restarts: int = 4
     cover = np.ones((1 << sc.num_relays, 1))
     solves = []
     for i in range(restarts):
-        ((tables, _, ev), value, _), trace, res = _epigraph_solve(
-            point, lambda p: p[2].subset_bounds(), jac, objective, cover, np.ones(1), start(i),
+        ((tables, _, _), _), trace, res = _epigraph_solve(
+            point, lambda p: p[1], lambda p: params.pull_back(p[0], p[2]()), objective,
+            lambda p: np.array([objective(p)]), cover, np.ones(1), start(i),
             [(None, None)] * (params.size + 1), max_iters)
-        solves.append((tables, ev.subset_bounds(), value, trace, res))  # not its chain or joint
+        ev = factors.evaluator(tables)
+        solves.append((tables, ev.subset_bounds(), jd_sum_rate(ev), trace, res))
     best = max(range(restarts), key=lambda i: (solves[i][2], -i))
     tables, bounds, value, trace, res = solves[best]
     active = tuple(int(s) for s in np.flatnonzero(bounds <= bounds.min() + ACTIVE_TOL))

@@ -512,6 +512,33 @@ class TestStackedMatrixLemmas:
         with pytest.raises(ValueError, match="precondition B >= A"):
             matrix_lemma_holds(a, b, c)
 
+    @staticmethod
+    def with_smallest(lam, dim=3, seed=9):
+        """A Hermitian matrix with the spectrum (lam, 1, 2, ...) in a random basis."""
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        return la.hermitian_part((u * np.arange(dim, dtype=float).clip(lam, None)) @ u.conj().T)
+
+    @pytest.mark.parametrize("lam, passes", [(2e-12, True), (5e-13, False), (0.0, False)])
+    def test_pd_is_decided_at_pd_tol(self, lam, passes):
+        stack = np.stack([np.eye(3), 2.0 * np.eye(3), self.with_smallest(lam), np.eye(3)])
+        if passes:
+            la.require_pd(stack, stacked=True)
+            return
+        lo = la.min_eig(stack)
+        message = f"S is not positive definite (min eigenvalue {np.min(lo):.3e} at stack index 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            la.require_pd(stack, name="S", stacked=True)
+
+    def test_b_ge_a_is_decided_at_herm_tol(self):
+        a, _, c = self.triples()
+        v = np.linalg.eigh(a[3])[1][:, :1]
+        b = a + v @ v.conj().T  # rank-one B - A
+        assert matrix_lemma_holds(a, b, c).all()
+        b[3] = a[3] - 2e-10 * (v @ v.conj().T)  # min eig(B - A) = -2e-10
+        with pytest.raises(ValueError, match="^precondition B >= A violated$"):
+            matrix_lemma_holds(a, b, c)
+
     def test_means_match_per_matrix_functions(self):
         mats, weights = self.means_input()
         arith, harm = weighted_means(mats, weights)

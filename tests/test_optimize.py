@@ -503,6 +503,48 @@ class TestWeightedSolve:
         keys = [(id(ev), users) for ev, users in calls]
         assert keys and len(keys) == len(set(keys))
 
+    def test_iterates_are_valued_by_the_value_lp_alone(self, monkeypatch):
+        # three users: the weighted rate of a region takes a value LP and a
+        # tie-break LP; iterates need only the value, and the tie-break runs at
+        # the start (its rates) and at the returned point, so the result is
+        # the one every iterate's tie-break gave
+        import scipy.optimize
+
+        sc, w = random_weighted_instance(np.random.default_rng(83), 3, 3, {}, None)
+        calls = []
+        linprog = scipy.optimize.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        tie_breaks = []
+
+        def asking(region, c, tie_break=True):
+            tie_breaks.append(tie_break)
+            return max_weighted_rate(region, c, tie_break)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting)
+        monkeypatch.setattr(optimize, "max_weighted_rate", asking)
+        res = weighted(sc, w)
+        lean = len(calls)
+        assert tie_breaks.count(True) == 2 and lean == 19  # the previous solve took 34
+        # the same solve with both LPs on every call
+        monkeypatch.setattr(optimize, "max_weighted_rate",
+                            lambda region, c, tie_break=True: max_weighted_rate(region, c))
+        calls.clear()
+        both = weighted(sc, w)
+        assert lean <= len(calls) // 2 + 1
+        for got, want in zip(res.quantizers.B, both.quantizers.B):
+            np.testing.assert_array_equal(got, want)
+        assert (res.objective, res.gap, res.active, res.trace) == (
+            both.objective, both.gap, both.active, both.trace)
+        # the values before iterates took one LP; the certificate's gap reads
+        # 9.5e-11 with one BLAS thread and 1.6e-10 with more
+        assert res.objective == pytest.approx(2.325401070135908, abs=1e-12, rel=0)
+        assert res.gap == pytest.approx(1.3e-10, abs=1e-9, rel=0)
+        assert res.active == ((1, 0), (5, 0), (5, 1), (7, 1), (7, 7))
+
     def test_single_user_weighted_rate_is_the_sum_rate(self):
         rng = np.random.default_rng(83)
         for _ in range(2):
@@ -675,6 +717,7 @@ class TestDiscreteOptimizer:
 
     @pytest.mark.parametrize("num_timeshare", [1, 2])
     def test_sum_rate_jacobian_matches_central_differences(self, num_timeshare):
+        # the Jacobian of the search's pass, against differences of its rows
         rng = np.random.default_rng(20 + num_timeshare)
         for _ in range(3):
             sc = random_correlated_scenario(rng, 2, 2, output_sizes=(3, 2),
@@ -685,17 +728,52 @@ class TestDiscreteOptimizer:
             theta = rng.normal(size=params.size)
 
             def rows(x):
-                return factors.evaluator(params.tables(x)).subset_bounds()
+                return factors.sum_rate_pass(*params.tables(x))[0]
 
             def jacobian(x):
-                tables = params.tables(x)
-                return params.pull_back(tables, factors.sum_rate_jacobian(
-                    factors.evaluator(tables), tables))
+                tables, logs = params.tables(x)
+                return params.pull_back(tables, factors.sum_rate_pass(tables, logs)[1]())
 
             for s in range(1 << sc.num_relays):
                 field = ScalarField(value=lambda x: float(rows(x)[s]),
                                     gradient=lambda x: jacobian(x)[s])
                 assert finite_diff_check(field, theta, h=1e-6).max_rel_error < 1e-6
+
+    def test_builds_one_evaluator_per_start(self, monkeypatch):
+        # iterates are valued by ReducedFactors.sum_rate_pass; only each
+        # start's returned tables get a DiscreteEvaluator
+        built = []
+        init = DiscreteEvaluator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiscreteEvaluator, "__init__", counting)
+        sc = random_correlated_scenario(np.random.default_rng(45), 2, 2)
+        for restarts in (1, 3):
+            built.clear()
+            optimize_discrete_aux(sc, (2, 3), restarts=restarts, max_iters=30, seed=1)
+            assert len(built) <= restarts
+
+    @staticmethod
+    def binary_entropy(p):
+        return 0.0 if p in (0.0, 1.0) else -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+    @pytest.mark.parametrize("fronthaul", [0.3, 0.8])
+    @pytest.mark.parametrize("eps", [0.05, 0.11, 0.2, 0.3])
+    def test_bsc_reaches_mrs_gerbers_lemma(self, eps, fronthaul):
+        # one relay seeing X through a BSC(eps), X uniform: the sum-rate is
+        # max I(X; U) s.t. I(Y; U) <= C, which Mrs. Gerber's Lemma puts at
+        # 1 - h(eps * d) with h(d) = 1 - C, reached by U = Y through a BSC(d)
+        lo, hi = 0.0, 0.5  # h^-1(1 - C) by bisection; h increases on [0, 1/2]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if self.binary_entropy(mid) < 1.0 - fronthaul else (lo, mid)
+        d = 0.5 * (lo + hi)
+        optimum = 1.0 - self.binary_entropy(eps * (1 - d) + (1 - eps) * d)
+        res = optimize_discrete_aux(self._bsc_scenario(fronthaul, eps), (2,))
+        assert res.objective == pytest.approx(optimum, abs=1e-9, rel=0)
 
     def test_objectives_reach_the_vertex_search_references(self):
         # the references are the objectives of the vertex-move search that

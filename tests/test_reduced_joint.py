@@ -239,16 +239,27 @@ def test_sum_rate_bounds_take_2_to_the_k_plus_2_entropies(instance, monkeypatch)
 
 def test_region_keeps_only_the_marginals_given_q(instance):
     # thm1 reduces p(U_m, X_{T^c}, Q) and p(U_m, X, Q) for every user set T;
-    # only the 2^K marginals given Q alone, with no X axis, stay on the evaluator
+    # none of those marginals stays on the evaluator, only their entropies,
+    # read-only vectors of 2^K entries (the search's pass keeps its own)
     sc, aux, _ = instance
     ev = DiscreteEvaluator.from_aux(sc, aux)
     ev.region("thm1")
-    held = [v for v in vars(ev).values() if isinstance(v, list)]
-    assert held == [ev._p_u_q] and len(ev._p_u_q) == 1 << sc.num_relays
-    x_axes = range(1, 1 + sc.num_users)  # the axes of p are Q, X_1..X_L, U_1..U_K
-    assert all(p.shape[i] == 1 for p in ev._p_u_q for i in x_axes)
-    assert sum(p.size for p in ev._p_u_q) == sc.num_timeshare * np.prod(
-        [1 + u for u in aux.aux_sizes])
+    held = [v for v in vars(ev).values() if isinstance(v, (list, np.ndarray)) and v is not ev.p]
+    assert held == []
+    vectors = [v for d in vars(ev).values() if isinstance(d, dict) for v in d.values()]
+    assert vectors and all(v.shape == (1 << sc.num_relays,) for v in vectors)
+    assert not any(v.flags.writeable for v in vectors)
+
+
+def test_sum_rate_pass_rows_are_the_evaluator_bounds(instance):
+    # the search's pass and the evaluator write b_S in different float
+    # orders; the pass's gradients have one row per relay set
+    sc, aux, _ = instance
+    factors = discrete.ReducedFactors(sc, aux.aux_sizes)
+    rows, jacobian = factors.sum_rate_pass(aux.tables, [discrete._log2(t) for t in aux.tables])
+    expected = DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
+    np.testing.assert_allclose(rows, expected, atol=1e-12, rtol=0)
+    assert [g.shape for g in jacobian()] == [(1 << sc.num_relays,) + t.shape for t in aux.tables]
 
 
 def test_successive_wyner_ziv(instance):
