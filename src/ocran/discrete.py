@@ -26,10 +26,10 @@ Every other discrete bound reads it: one (T, S) pair (``bound``), a region
 ``ocran.sumrate`` the set function g(S) and the separate-decompression test.
 The successive Wyner-Ziv rates there are differences of the same entropy
 vectors (``DiscreteEvaluator.u_entropies``), so that layer computes no
-entropy of its own.
-Only the discrete optimizer's search reads ``ReducedFactors.sum_rate_pass``,
-which gives the sum-rate bounds and their gradients in the quantization
-tables from shared logs, one pass per iterate.
+entropy of its own.  Only the discrete optimizer's search reads
+``ReducedFactors.sum_rate_pass``: the sum-rate bounds and their gradients
+from shared logs.  Both walk one subset lattice (``_lattice``) for their 2^K
+marginals, about prod_k (1 + |U_k|) entries: 3^K for binary U, not 4^K.
 """
 
 from __future__ import annotations
@@ -357,14 +357,12 @@ class ReducedFactors:
 
     @functools.cached_property
     def _pass_constants(self):
-        """H(X | Q), "relay k is in S" by (S, k), the lattice steps below the
-        full mask (mask, parent, axis of the relay only the parent has), and
-        p(q, y) in ``pqyx``'s layout."""
+        """H(X | Q), "relay k is in S" by (S, k), each relay's axis in the
+        pass's p(q, 1, u) for ``_lattice``, and p(q, y) in ``pqyx``'s layout."""
         k, q = len(self.pqy), np.asarray(self.sc.time_share)
-        steps = tuple((m, m | m + 1, 2 + self.order.index((~m & m + 1).bit_length() - 1))
-                      for m in reversed(range((1 << k) - 1)))
         return (float(q @ _log2(q) - self._pqx.ravel() @ _log2(self._pqx).ravel()),
-                (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float), steps,
+                (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(float),
+                tuple(2 + self.order.index(j) for j in range(k)),
                 self.pqyx.sum(axis=-1, keepdims=True))
 
     def sum_rate_pass(self, tables, logs) -> tuple[np.ndarray, Callable[[], list[np.ndarray]]]:
@@ -373,25 +371,23 @@ class ReducedFactors:
         that gives their gradients in the tables from the same logs, per
         relay a (2^K, |Q|, |Y_k|, |U_k|) array, exact up to a constant per
         table row.  b_S = C_S + sum_{k in S} H(U_k|Y_k) + H(U_{S^c}) + H(X)
-        - H(X, U) given Q; each p(q, u_m) is summed from its lattice parent,
+        - H(X, U) given Q; ``_lattice`` walks each p(q, u_m) down from p(q, u),
         and log2 of all of them gives H(U_m, Q) in one product with p(q, u).
         As p(q, x, u) = sum_{y_k} F_k(q, x, u_{-k}, y_k) p(u_k|y_k, q), row S
         of the adjoint, log2 p(q, x, u) - log2 p(q, u_{S^c}), meets the
         pre-table factors F_k backwards through ``chain``, unformed."""
-        h_x_given_q, in_s, steps, pqy_all = self._pass_constants
+        h_x_given_q, in_s, u_axes, pqy_all = self._pass_constants
         rows = in_s.shape[0]
         if (size := math.prod(self._shape) * rows) > MAX_JOINT_ENTRIES:
             raise CapacityError(f"sum-rate Jacobian would hold {size} entries")
         ts = self.chain(tables)
         # axes Q, X flattened, U in contraction order
         p = ts[-1].reshape(self._pqx.shape + self._shape[1 + self.sc.num_users:])
-        lattice = [None] * (rows - 1) + [p.sum(axis=1, keepdims=True)]
-        margins = np.empty((rows,) + lattice[-1].shape)
-        margins[-1] = lattice[-1]
-        for m, parent, axis in steps:
-            margins[m] = lattice[m] = lattice[parent].sum(axis=axis, keepdims=True)
+        margins = np.empty((rows, p.shape[0], 1) + p.shape[2:])
+        for m, marginal in _lattice(p.sum(axis=1, keepdims=True), u_axes):
+            margins[m] = marginal
         log_p, log_m = _log2(p), _log2(margins)
-        h_u = log_m.reshape(rows, -1) @ -lattice[-1].ravel()  # H(U_m, Q)
+        h_u = log_m.reshape(rows, -1) @ -margins[-1].ravel()  # H(U_m, Q)
         weighted = [py[..., None] * log for py, log in zip(self.pqy, logs)]
         minus_h_u_given_y = np.array([w.ravel() @ a.ravel() for w, a in zip(weighted, tables)])
         bounds = (h_u[::-1] + (h_x_given_q + float(p.ravel() @ log_p.ravel()))
@@ -431,6 +427,16 @@ def _log2(p: np.ndarray) -> np.ndarray:
     return np.log2(np.where(p > 0, p, 1.0))
 
 
+def _lattice(top: np.ndarray, axes, mask: int | None = None):
+    """(m, marginal of ``top`` on relay bitmask m) for every m under ``mask``
+    (default: all relays), depth first, each summed over relay j's axis
+    ``axes[j]`` (kept, size 1) from its parent m | m + 1; one path is alive."""
+    mask = (1 << len(axes)) - 1 if mask is None else mask
+    yield mask, top
+    for j in range((~mask & mask + 1).bit_length() - 1):  # the trailing ones of mask
+        yield from _lattice(top.sum(axis=axes[j], keepdims=True), axes, mask & ~(1 << j))
+
+
 class DiscreteEvaluator:
     """Every rate bound of one (scenario, quantizer) pair, written in
     entropies.  Built once per pair and shared, with its caches, by every
@@ -461,18 +467,17 @@ class DiscreteEvaluator:
 
     def u_entropies(self, kept: int = 0) -> np.ndarray:
         """H(U_m, X_kept, Q) for every relay bitmask m, with X_kept the
-        inputs of the users in bitmask ``kept``, each marginal one reduction
-        of p(U, X_kept, Q); reversed, it is indexed by the complement S^c of
-        the relay set S.  Formed once per ``kept`` and kept read-only;
-        ``ocran.sumrate`` forms the successive Wyner-Ziv rates from these
-        vectors."""
+        inputs of the users in bitmask ``kept``, one entropy per marginal of a
+        ``_lattice`` walk from p(U, X_kept, Q); reversed, it is indexed by the
+        complement S^c of the relay set S.  Formed once per ``kept``, read-only,
+        for the bounds and ``ocran.sumrate``'s successive Wyner-Ziv rates."""
         if kept not in self._h_u:
             l, k = self.sc.num_users, self.sc.num_relays
             drop = tuple(1 + i for i in range(l) if not kept >> i & 1)
             base = self.p.sum(axis=drop, keepdims=True) if drop else self.p
-            outs = (tuple(1 + l + i for i in range(k) if not m >> i & 1) for m in range(1 << k))
-            h = np.array([_entropy(base.sum(axis=out, keepdims=True) if out else base)
-                          for out in outs])
+            h = np.empty(1 << k)
+            for m, marginal in _lattice(base, range(1 + l, 1 + l + k)):
+                h[m] = _entropy(marginal)
             h.setflags(write=False)
             self._h_u[kept] = h
         return self._h_u[kept]

@@ -46,6 +46,8 @@ from ocran.sumrate import (
 )
 from ocran.verify import random_aux, random_correlated_scenario, random_factorizing_scenario
 
+from helpers import traced_peak_mb
+
 TOL = 1e-12
 
 
@@ -260,6 +262,51 @@ def test_sum_rate_pass_rows_are_the_evaluator_bounds(instance):
     expected = DiscreteEvaluator.from_aux(sc, aux).subset_bounds()
     np.testing.assert_allclose(rows, expected, atol=1e-12, rtol=0)
     assert [g.shape for g in jacobian()] == [(1 << sc.num_relays,) + t.shape for t in aux.tables]
+
+
+def per_mask_entropies(ev, kept):
+    """H(U_m, X_kept, Q) by relay bitmask m, each marginal summed from the
+    whole p(U, X_kept, Q): the oracle for the lattice walk."""
+    l, k = ev.sc.num_users, ev.sc.num_relays
+    drop = tuple(1 + i for i in range(l) if not kept >> i & 1)
+    base = ev.p.sum(axis=drop, keepdims=True) if drop else ev.p
+    outs = (tuple(1 + l + i for i in range(k) if not m >> i & 1) for m in range(1 << k))
+    return np.array([discrete._entropy(base.sum(axis=out, keepdims=True) if out else base)
+                     for out in outs])
+
+
+@pytest.mark.parametrize("num_relays", range(1, 11))
+def test_lattice_entropies_match_per_mask_reductions(num_relays):
+    rng = np.random.default_rng(3500 + num_relays)
+    for make, num_users, nq in itertools.product(
+            (random_factorizing_scenario, random_correlated_scenario), (1, 2), (1, 2)):
+        sc = make(rng, num_users, num_relays, num_timeshare=nq)
+        ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (2,) * num_relays))
+        for kept in range(1 << num_users):
+            np.testing.assert_allclose(ev.u_entropies(kept), per_mask_entropies(ev, kept),
+                                       atol=TOL, rtol=0)
+
+
+def test_lattice_yields_each_relay_set_once():
+    # relay j on axis axes[j], in an order other than the array's
+    top = np.random.default_rng(35).random((2, 3, 4, 5, 6))
+    axes = (3, 1, 4, 2)
+    seen = []
+    for m, marginal in discrete._lattice(top, axes):
+        seen.append(m)
+        out = tuple(a for j, a in enumerate(axes) if not m >> j & 1)
+        assert marginal.shape == tuple(1 if a in out else n for a, n in enumerate(top.shape))
+        np.testing.assert_allclose(marginal, top.sum(axis=out, keepdims=True), atol=TOL, rtol=0)
+    assert sorted(seen) == list(range(16))
+
+
+def test_lattice_holds_one_path_of_marginals():
+    # one path of marginals and the entropy's temporaries peak near 3.5 times p;
+    # all 2^12 marginals alive at once would be about 130 times p
+    rng = np.random.default_rng(12)
+    sc = random_factorizing_scenario(rng, 1, 12)
+    ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (2,) * 12))
+    assert traced_peak_mb(lambda: ev.u_entropies(1)) * 2.0 ** 20 < 6 * ev.p.nbytes
 
 
 def test_successive_wyner_ziv(instance):
