@@ -737,13 +737,13 @@ def mc_mutual_information(
     Z_k ~ CN(0, B_k^{-1} - Sigma_k) and averages the exact Gaussian
     log-density ratio of the observation with and without the input (so the
     estimator is unbiased for the analytic value).  Each sample of that ratio
-    is the log-det gap plus a Hermitian form in the whitened input and noise,
-    drawn from the form's spectrum as sum_j lambda_j E_j with E_j ~ Exp(1).
-    Every B_k with k outside S must have a normalized spectrum strictly
-    inside (0, 1), by BOUNDARY_TOL; boundary quantizers have no finite test
-    channel.  More than MAX_SAMPLER_DRAWS exponential draws,
-    samples * (min(dim_x, dim_z) + dim_z), raise CapacityError before any
-    is drawn.
+    is the log-det gap plus sum_j rho_j (E'_j - E_j) / ln 2 over the
+    canonical correlations rho_j of input and observation, with E_j, E'_j ~
+    Exp(1): one row of 2 * min(dim_x, dim_z) exponentials.  Every B_k with k
+    outside S must have a normalized spectrum strictly inside (0, 1), by
+    BOUNDARY_TOL; boundary quantizers have no finite test channel.  More
+    than MAX_SAMPLER_DRAWS exponential draws, samples * 2 * min(dim_x,
+    dim_z), raise CapacityError before any is drawn.
     """
     if samples < 2:
         raise ScenarioError("need at least two samples")
@@ -762,41 +762,24 @@ def mc_mutual_information(
     lam_cond = la.block_diag(cond_blocks)
     h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
     k_t_root = la.psd_sqrt(sc.input_covariance(pair.users))
-    dim_z = lam_cond.shape[0]
-    dim_x = min(k_t_root.shape[0], dim_z)  # the input is drawn in the signal's rank, below
-    if (draws := samples * (dim_x + dim_z)) > MAX_SAMPLER_DRAWS:
+    d = 2 * min(k_t_root.shape[0], lam_cond.shape[0])
+    if (draws := samples * d) > MAX_SAMPLER_DRAWS:
         raise CapacityError(f"{draws} exponential draws exceed the sampler guard")
     lam_marg = la.hermitian_part(h_t @ (k_t_root @ k_t_root) @ h_t.conj().T + lam_cond)
     logdet_gap = la.logdet2(lam_marg) - la.logdet2(lam_cond)  # bits
 
-    # Whitened coordinates.  The centred observation given x_T is the noise
-    # lam_cond^{1/2} z with z ~ CN(0, I), whose quadratic form under
-    # lam_cond^{-1} is ||z||^2.  The marginal form u^H lam_marg^{-1} u is
-    # ||u^T conj(L)||^2 for the Cholesky factor L L^H = lam_marg^{-1}, and
-    # u^T conj(L) = x^T signal_map + z^T noise_map for x ~ CN(0, I), the
-    # input before K_T^{1/2}.  Only u - H_Tc x_Tc enters, so the interferers'
-    # inputs never do.  x^T G for G = K_T^{1/2 T} H_T^T is
-    # CN(0, G^H G) = CN(0, R^H R) with G = QR, so a wider input enters as
-    # the dim_z entries that multiply R.
+    # Whitened by the Cholesky factor L L^H = lam_marg^{-1}, the input's map
+    # K_T^{1/2 T} H_T^T conj(L) has as singular values the canonical
+    # correlations rho_j of input and observation.  Only u - H_Tc x_Tc
+    # enters, so the interferers' inputs never do.  The log-density ratio
+    # has the law of logdet_gap + sum_j rho_j (E'_j - E_j) / ln 2 for
+    # independent E_j, E'_j ~ Exp(1): one row of d exponentials times coef.
+    # The rows are drawn in chunks of SAMPLER_BLOCK // d, row slices of one
+    # (samples, d) draw into one reused buffer, so the samples do not depend
+    # on the chunk size; only each chunk's sum and sum of squares are kept.
     marg_factor = np.linalg.cholesky(np.linalg.inv(lam_marg)).conj()
-    signal = k_t_root.T @ h_t.T
-    if signal.shape[0] > dim_x:
-        signal = np.linalg.qr(signal, mode="r")
-    stacked = np.vstack([signal @ marg_factor, la.psd_sqrt(lam_cond).T @ marg_factor])
-
-    # For v = (x, z) the log-density ratio is logdet_gap + ||v^T A||^2 - ||z||^2
-    # with A the stacked maps: a Hermitian form in conj(v) ~ CN(0, I) whose
-    # matrix M = A A^H - diag(0, I) has d = dim_x + dim_z rows.  By the
-    # spectral theorem it is sum_j lambda_j |a_j|^2 for a ~ CN(0, I), and
-    # |a_j|^2 ~ Exp(1), so a sample is one row of d standard exponentials
-    # times M's eigenvalues.  The rows are drawn in chunks of
-    # SAMPLER_BLOCK // d, row slices of one (samples, d) draw into one reused
-    # buffer, so the samples do not depend on the chunk size; only each
-    # chunk's sum and sum of squares are kept.
-    form = stacked @ stacked.conj().T
-    form[dim_x:, dim_x:] -= np.eye(dim_z)
-    coef = np.linalg.eigvalsh(form) / la.LN2
-    d = coef.size
+    rho = np.linalg.svd(k_t_root.T @ h_t.T @ marg_factor, compute_uv=False)
+    coef = np.concatenate([-rho, rho[::-1]]) / la.LN2  # ascending
     rows = max(1, SAMPLER_BLOCK // d)
     rng = np.random.default_rng(seed)
     buf = np.empty((min(rows, samples), d))

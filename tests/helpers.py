@@ -181,6 +181,26 @@ def codebook_marginal_one_shot(ens: CodebookEnsemble, trials: int) -> tuple[np.n
     return empirical, 0.5 * np.abs(empirical - target).sum(axis=1)
 
 
+def whitened_parts(
+    sc: GaussianScenario,
+    q: QuantizerSetGaussian,
+    pair: SubsetPair,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(logdet_gap in bits, signal, marg_factor, lam_cond) of the MC
+    estimator: the input's map K_T^{1/2 T} H_T^T, the conjugated Cholesky
+    factor of lam_marg^{-1} and the conditional covariance, formed as the
+    estimator forms them.  Expects a nonempty relay complement and
+    quantizers inside the boundary."""
+    relays_c = pair.relays_complement(sc.num_relays)
+    lam_cond = la.block_diag([la.hermitian_part(np.linalg.inv(q.B[k - 1])) for k in relays_c])
+    h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
+    k_t_root = la.psd_sqrt(sc.input_covariance(pair.users))
+    lam_marg = la.hermitian_part(h_t @ (k_t_root @ k_t_root) @ h_t.conj().T + lam_cond)
+    logdet_gap = la.logdet2(lam_marg) - la.logdet2(lam_cond)
+    marg_factor = np.linalg.cholesky(np.linalg.inv(lam_marg)).conj()
+    return logdet_gap, k_t_root.T @ h_t.T, marg_factor, lam_cond
+
+
 def whitened_form(
     sc: GaussianScenario,
     q: QuantizerSetGaussian,
@@ -192,14 +212,7 @@ def whitened_form(
     A = [signal_map; noise_map]; an input wider than the observation is
     taken through the triangular factor of its map.  Expects a nonempty
     relay complement and quantizers inside the boundary."""
-    relays_c = pair.relays_complement(sc.num_relays)
-    lam_cond = la.block_diag([la.hermitian_part(np.linalg.inv(q.B[k - 1])) for k in relays_c])
-    h_t = np.vstack([sc.channel_to_users(k, pair.users) for k in relays_c])
-    k_t_root = la.psd_sqrt(sc.input_covariance(pair.users))
-    lam_marg = la.hermitian_part(h_t @ (k_t_root @ k_t_root) @ h_t.conj().T + lam_cond)
-    logdet_gap = la.logdet2(lam_marg) - la.logdet2(lam_cond)
-    marg_factor = np.linalg.cholesky(np.linalg.inv(lam_marg)).conj()
-    signal = k_t_root.T @ h_t.T
+    logdet_gap, signal, marg_factor, lam_cond = whitened_parts(sc, q, pair)
     if signal.shape[0] > signal.shape[1]:
         signal = np.linalg.qr(signal, mode="r")
     signal_map = signal @ marg_factor
@@ -218,11 +231,14 @@ def mc_mutual_information_one_shot(
     seed: int,
 ) -> tuple[float, float]:
     """(estimate, std_error) of the MC estimator from one (samples, d) draw
-    of standard exponentials, d the rows of ``whitened_form``'s M, each row
-    dotted with M's eigenvalues; the sums are taken over row slices of
+    of standard exponentials, d = 2 min(dim_x, dim_z), each row dotted with
+    -rho and then +rho in ascending order, rho the singular values of the
+    whitened signal map (not taken through its triangular factor, which
+    moves rho by rounding); the sums are taken over row slices of
     ``optimize.SAMPLER_BLOCK // d`` samples."""
-    logdet_gap, form, _ = whitened_form(sc, q, pair)
-    coef = np.linalg.eigvalsh(form) / la.LN2
+    logdet_gap, signal, marg_factor, _ = whitened_parts(sc, q, pair)
+    rho = np.linalg.svd(signal @ marg_factor, compute_uv=False)
+    coef = np.concatenate([-rho, rho[::-1]]) / la.LN2
     d = coef.size
     draw = np.random.default_rng(seed).standard_exponential((samples, d))
     total = 0.0
