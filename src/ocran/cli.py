@@ -282,8 +282,6 @@ def cmd_sumrate(args, sc, emit):
 
 
 def cmd_extreme_points(args, sc, emit):
-    if sc.num_relays > 6:
-        raise CapacityError("extreme-points enumerates K! orderings; K <= 6 required")
     if args.rsum is not None and not math.isfinite(args.rsum):
         raise ScenarioError(f"--rsum must be a finite number, got {args.rsum!r}")
     lines = ["ordering,k,relay,C_tilde_bits"]

@@ -63,6 +63,25 @@ def check_finite(values, name: str) -> None:
         raise ScenarioError(f"{name} must be finite (no NaN or infinity)")
 
 
+def pmf_table(t, name: str, axes: tuple[str, ...], rows: int | None = None) -> np.ndarray:
+    """``t`` as a finite, read-only float table with the named ``axes``
+    (``rows`` entries on the first, when given), holding pmfs along its
+    nonempty last axis: the one check of every law a scenario, quantizer or
+    codebook ensemble reads."""
+    t = np.array(t, dtype=float, order="C")
+    if t.ndim != len(axes) or t.shape[-1] < 1 or rows not in (None, t.shape[0]):
+        raise ScenarioError(f"{name} must have shape ({', '.join(axes)})")
+    check_finite(t, name)
+    if np.any(t < 0):
+        raise ScenarioError(f"{name} has negative entries")
+    sums = t.sum(axis=-1)
+    if sums.size and np.max(np.abs(sums - 1.0)) > PMF_TOL:
+        raise ScenarioError(f"{name} must be a pmf over {axes[-1]}, summing to 1 "
+                            f"within {PMF_TOL:g}")
+    t.setflags(write=False)
+    return t
+
+
 def mask_of(indices: Iterable[int]) -> int:
     """Bitmask of a set of 1-based indices (index 1 -> LSB)."""
     m = 0
@@ -293,14 +312,9 @@ class Scenario:
         check_finite(fh, "fronthaul")
         if any(c < 0 for c in fh):
             raise ScenarioError("fronthaul capacities must be nonnegative")
-        ts = tuple(float(p) for p in self.time_share)
-        check_finite(ts, "time_share")
-        if len(ts) < 1 or any(p < 0 for p in ts):
-            raise ScenarioError("time_share must be a nonempty pmf")
-        if abs(sum(ts) - 1.0) > PMF_TOL:
-            raise ScenarioError(f"time_share sums to {sum(ts)!r}, not 1")
         object.__setattr__(self, "fronthaul", fh)
-        object.__setattr__(self, "time_share", ts)
+        object.__setattr__(self, "time_share",
+                           tuple(pmf_table(self.time_share, "time_share", ("|Q|",)).tolist()))
 
     @property
     def num_timeshare(self) -> int:
@@ -325,11 +339,7 @@ class CodebookEnsemble:
             raise ScenarioError("blocklength must be positive")
         if not (math.isfinite(self.rate) and self.rate >= 0):
             raise ScenarioError("rate must be finite and nonnegative")
-        pmf = np.array(self.input_pmf, dtype=float, order="C")
-        if pmf.ndim != 2 or pmf.shape[1] < 1:
-            raise ScenarioError("input_pmf must be a (|Q|, |X|) table")
-        if np.any(pmf < 0) or np.max(np.abs(pmf.sum(axis=1) - 1.0)) > PMF_TOL:
-            raise ScenarioError("input_pmf rows must be pmfs")
+        pmf = pmf_table(self.input_pmf, "input_pmf", ("|Q|", "|X|"))
         seq = np.array(self.time_seq, dtype=np.int64, order="C")
         if seq.shape != (self.blocklength,):
             raise ScenarioError("time_seq length must equal blocklength")
@@ -341,7 +351,6 @@ class CodebookEnsemble:
                 f"codebook would have 2^{self.blocklength * self.rate:g} codewords, "
                 f"more than {MAX_CODEWORDS}"
             )
-        pmf.setflags(write=False)
         seq.setflags(write=False)
         object.__setattr__(self, "input_pmf", pmf)
         object.__setattr__(self, "time_seq", seq)

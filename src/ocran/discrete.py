@@ -45,13 +45,12 @@ import numpy as np
 
 from .core import (
     CapacityError,
-    PMF_TOL,
     RateRegion,
     Scenario,
     ScenarioError,
     SubsetPair,
-    check_finite,
     mask_of,
+    pmf_table,
     subset_sums,
 )
 
@@ -88,25 +87,22 @@ class DiscreteScenario(Scenario):
         super().__post_init__()
         if len(self.px) != self.num_users:
             raise ScenarioError("px must have one table per user")
-        tables = tuple(_pmf_table(t, f"px[{l}]", ("|Q|", f"|X_{l}|"), self.num_timeshare)
+        tables = tuple(pmf_table(t, f"px[{l}]", ("|Q|", f"|X_{l}|"), self.num_timeshare)
                        for l, t in enumerate(self.px, start=1))
-        ch = np.array(self.channel, dtype=float, order="C")
+        ch = np.asarray(self.channel)
         x_sizes = tuple(t.shape[1] for t in tables)
         if ch.ndim != self.num_users + self.num_relays or ch.shape[: self.num_users] != x_sizes:
             raise ScenarioError(
                 f"channel tensor must have axes (X_1..X_{self.num_users}, "
                 f"Y_1..Y_{self.num_relays}); got shape {ch.shape}"
             )
-        y_total = ch[(0,) * self.num_users].size
-        if self.num_timeshare * int(np.prod(x_sizes)) * y_total > MAX_JOINT_ENTRIES:
+        x_total, y_total = int(np.prod(x_sizes)), ch[(0,) * self.num_users].size
+        if self.num_timeshare * x_total * y_total > MAX_JOINT_ENTRIES:
             raise CapacityError("scenario tensor exceeds the dense-size guard")
-        check_finite(ch, "channel")
-        flat = ch.reshape(int(np.prod(x_sizes)), y_total)
-        if np.any(flat < 0) or np.max(np.abs(flat.sum(axis=1) - 1.0)) > PMF_TOL:
-            raise ScenarioError("channel tensor rows p(.|x) must be pmfs")
-        ch.setflags(write=False)
+        # the rows p(.|x) as a view of the caller's tensor: pmf_table copies it once
+        rows = pmf_table(ch.reshape(x_total, y_total), "channel", ("|X|", "|Y|"))
         object.__setattr__(self, "px", tables)
-        object.__setattr__(self, "channel", ch)
+        object.__setattr__(self, "channel", rows.reshape(ch.shape))
 
     @property
     def input_sizes(self) -> tuple[int, ...]:
@@ -126,7 +122,7 @@ class AuxChannels:
 
     def __post_init__(self):
         object.__setattr__(self, "tables", tuple(
-            _pmf_table(t, f"aux[{k}]", ("|Q|", f"|Y_{k}|", f"|U_{k}|"))
+            pmf_table(t, f"aux[{k}]", ("|Q|", f"|Y_{k}|", f"|U_{k}|"))
             for k, t in enumerate(self.tables, start=1)))
 
     @property
@@ -212,23 +208,6 @@ def _nonnegative(val: float, name: str) -> float:
     if val < -NEGATIVE_INFO_TOL:
         raise ArithmeticError(f"{name} is {val:.3e} bits, negative beyond rounding")
     return max(0.0, val)
-
-
-def _pmf_table(t, name: str, axes: tuple[str, ...], rows: int | None = None) -> np.ndarray:
-    """``t`` as a finite, read-only float table with the named ``axes``
-    (``rows`` entries on the first, when given), holding pmfs along its
-    nonempty last axis."""
-    t = np.array(t, dtype=float, order="C")
-    if t.ndim != len(axes) or t.shape[-1] < 1 or rows not in (None, t.shape[0]):
-        raise ScenarioError(f"{name} must have shape ({', '.join(axes)})")
-    check_finite(t, name)
-    if np.any(t < 0):
-        raise ScenarioError(f"{name} has negative entries")
-    sums = t.sum(axis=-1)
-    if sums.size and np.max(np.abs(sums - 1.0)) > PMF_TOL:
-        raise ScenarioError(f"{name} is not normalized along its distribution axis")
-    t.setflags(write=False)
-    return t
 
 
 def _letters(n: int) -> str:

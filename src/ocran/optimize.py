@@ -82,36 +82,29 @@ class _Layout(NamedTuple):
     """Index arrays of the packed parameterization of Hermitian blocks of
     given dimensions, stored row-major one after another in a flat vector."""
 
-    diag: np.ndarray  # flat positions of the diagonal entries
+    take: np.ndarray  # place of each packed coordinate in the flat vector as floats
     upper: np.ndarray  # flat positions of the upper-triangle entries, row by row
     lower: np.ndarray  # flat positions of their mirror images
-    diag_src: np.ndarray  # packed coordinates of the diagonal entries
-    re_src: np.ndarray  # packed coordinates of Re of the upper entries
-    im_src: np.ndarray  # packed coordinates of Im of the upper entries
-    take: np.ndarray  # place of each packed coordinate in the flat vector as floats
     scale: np.ndarray  # packed gradient factors: 1 on the diagonal, 2 off it
     bounds: tuple[tuple[int, int], ...]  # each block's slice of the flat vector
 
 
 @functools.lru_cache(maxsize=None)
 def _layout(dims: tuple[int, ...]) -> _Layout:
-    diag, upper, lower, on_diag, bounds = [], [], [], [], []
+    take, upper, lower, scale, bounds = [], [], [], [], []
     base = 0
     for d in dims:
         rows, cols = np.triu_indices(d, 1)
-        diag.append(base + np.arange(d) * (d + 1))
-        upper.append(base + rows * d + cols)
+        up = base + rows * d + cols
+        # per block: the diagonal's real parts, then (re, im) of each upper entry
+        take += [2 * (base + np.arange(d) * (d + 1)), np.stack([2 * up, 2 * up + 1], 1).ravel()]
+        upper.append(up)
         lower.append(base + cols * d + rows)
-        on_diag += [True] * d + [False] * (2 * rows.size)
+        scale += [1.0] * d + [2.0] * (2 * rows.size)
         bounds.append((base, base + d * d))
         base += d * d
-    diag, upper, lower = (np.concatenate(v) for v in (diag, upper, lower))
-    on_diag = np.array(on_diag)
-    diag_src, off = np.flatnonzero(on_diag), np.flatnonzero(~on_diag)
-    take = np.empty(on_diag.size, dtype=np.intp)
-    take[diag_src], take[off[0::2]], take[off[1::2]] = 2 * diag, 2 * upper, 2 * upper + 1
-    layout = _Layout(diag, upper, lower, diag_src, off[0::2], off[1::2], take,
-                     np.where(on_diag, 1.0, 2.0), tuple(bounds))
+    layout = _Layout(*(np.concatenate(v) for v in (take, upper, lower)), np.array(scale),
+                     tuple(bounds))
     for arr in layout[:-1]:
         arr.setflags(write=False)  # shared by every caller through the cache
     return layout
@@ -134,10 +127,8 @@ def _unpack_flat(x: np.ndarray, lay: _Layout) -> np.ndarray:
     """The Hermitian blocks of packed x, row-major one after another (or of
     each row of a stack of packed vectors)."""
     flat = np.zeros(x.shape[:-1] + (lay.bounds[-1][1],), dtype=np.complex128)
-    flat[..., lay.diag] = x[..., lay.diag_src]
-    re, im = x[..., lay.re_src], x[..., lay.im_src]
-    flat[..., lay.upper] = re + 1j * im
-    flat[..., lay.lower] = re - 1j * im
+    flat.view(np.float64)[..., lay.take] = x
+    flat[..., lay.lower] = flat[..., lay.upper].conj()
     return flat
 
 

@@ -145,6 +145,8 @@ def extreme_points(ev: Evaluator,
     ordering, in lexicographic order, from one formation of the bounds.
 
     ``r_sum`` defaults to the joint-decoding sum-rate."""
+    if ev.sc.num_relays > 6:
+        raise CapacityError("extreme-points enumerates K! orderings; K <= 6 required")
     return _extreme_points(ev, r_sum, permutations(range(1, ev.sc.num_relays + 1)))
 
 

@@ -591,6 +591,10 @@ class TestCodebookSampler:
         with pytest.raises(ScenarioError, match="blocklength"):
             CodebookEnsemble(rate=1.0, blocklength=0, input_pmf=np.array([[1.0]]),
                              time_seq=np.zeros(0, dtype=int), seed=0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ScenarioError, match="input_pmf"):
+                CodebookEnsemble(rate=1.0, blocklength=2, input_pmf=np.array([[bad, 1.0]]),
+                                 time_seq=np.zeros(2, dtype=int), seed=0)
 
     # (rate, blocklength, input_pmf, time_seq, trials): fewer trials than one
     # block; a block count with a remainder; more codewords than a block

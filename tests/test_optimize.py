@@ -908,11 +908,11 @@ class TestMonteCarlo:
         assert a == b
 
     def test_streamed_blocks_match_the_one_shot_estimator(self, monkeypatch):
-        # Each sample is one row of d = min(dim_x, dim_z) + dim_z exponentials,
+        # Each sample is one row of d = 2 min(dim_x, dim_z) exponentials,
         # drawn in chunks of SAMPLER_BLOCK // d rows.  At a block of 2^12 a
         # chunk boundary falls inside the 25_001 samples, which end on a
-        # partial chunk, with an input wider than the observation (drawn in
-        # its rank) and with one that is not
+        # partial chunk, with an input wider than the observation and with
+        # one that is not
         monkeypatch.setattr(optimize, "SAMPLER_BLOCK", 1 << 12)
         rng = np.random.default_rng(5)
         scenarios = [lambda nu=nu, nr=nr: random_gaussian_scenario(rng, nu, nr, max_antennas=4)
@@ -928,7 +928,7 @@ class TestMonteCarlo:
             for s_mask in range((1 << sc.num_relays) - 1):
                 pair = SubsetPair(users=users, relays=indices_of(s_mask))
                 dim_z = sum(sc.relay_antennas[k - 1] for k in pair.relays_complement(sc.num_relays))
-                rows = optimize.SAMPLER_BLOCK // (min(dim_x, dim_z) + dim_z)
+                rows = optimize.SAMPLER_BLOCK // (2 * min(dim_x, dim_z))
                 if rows < 25_001 and 25_001 % rows != 0:
                     splits.add(dim_x > dim_z)
                 est = mc_mutual_information(sc, q, pair, samples=25_001, seed=s_mask)

@@ -653,3 +653,13 @@ def test_size_guards_raise_capacity_error():
         ev = DiscreteEvaluator.from_aux(sc, constant_aux(sc))
         with pytest.raises(CapacityError, match="required"):
             call(ev)
+
+
+def test_all_orderings_guard_lives_in_extreme_points():
+    # K = 7 would enumerate 5,040 orderings; one ordering stays unguarded
+    rng = np.random.default_rng(3)
+    sc = random_gaussian_scenario(rng, 1, 7, max_antennas=1)
+    ev = GaussianEvaluator.from_quantizers(sc, random_quantizers(rng, sc))
+    with pytest.raises(CapacityError, match="K <= 6 required"):
+        extreme_points(ev)
+    assert extreme_point(ev, jd_sum_rate(ev), range(1, 8)).shape == (7,)
