@@ -132,7 +132,7 @@ class _Emitter:
     def finish(self) -> None:
         manifest = {
             "command": self.args.command,
-            "scenario_path": self.args.scenario,
+            "scenario_path": getattr(self.args, "scenario", None),
             "scenario_sha256": self.scenario_hash,
             "seed": getattr(self.args, "seed", None),
             "version": __version__,
@@ -242,14 +242,11 @@ def cmd_optimize(args, sc, emit):
         raise ScenarioError("--weights needs --objective weighted")
     if args.restarts < 1 or args.iters < 1:
         raise ScenarioError("restarts and max_iters must be positive")
-    bound = gap = None  # the discrete search carries no certificate
     if isinstance(sc, GaussianScenario):
         if args.aux_sizes is not None:
             raise ScenarioError("--aux-sizes applies to discrete scenarios only")
         res = optimize_gaussian_quantizers(sc, weights)
         active = [{"T_mask": t, "S_mask": s} for t, s in res.active]
-        quantizers = quantizers_to_dict(res.quantizers)
-        bound, gap = res.upper_bound, res.gap
     else:
         if weights is not None:
             raise ScenarioError("discrete search supports only the sum-rate objective")
@@ -259,15 +256,14 @@ def cmd_optimize(args, sc, emit):
             sizes = tuple(n + 1 for n in sc.output_sizes)
         res = optimize_discrete_aux(sc, sizes, args.restarts, args.iters, args.seed)
         active = [{"S_mask": s} for s in res.active]
-        quantizers = quantizers_to_dict(res.aux)
     payload = {
         "objective_bits": res.objective,
-        "upper_bound_bits": bound,
-        "gap_bits": gap,
+        "upper_bound_bits": res.upper_bound,
+        "gap_bits": res.gap,
         "converged": res.converged,
         "trace_bits": list(res.trace),
         "active_constraints": active,
-        "quantizers": quantizers,
+        "quantizers": quantizers_to_dict(res.quantizers),
     }
     emit.write_json(payload, args.out)
 
@@ -377,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, help, kind="any"):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--scenario", required=kind is not None, help="scenario JSON path")
+        if kind is not None:
+            p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default=None, help="output path (manifest lands next to it)")
         p.add_argument("--threads", type=int, choices=(1,), default=1,
                        help="accepted for existing command lines; ocran runs on one thread")

@@ -221,8 +221,6 @@ def check_conditional_independence(sc: DiscreteScenario) -> bool:
     """True iff p(y_1..y_K|x) factorizes into prod_k p(y_k|x) within
     INDEPENDENCE_TOL."""
     l, k = sc.num_users, sc.num_relays
-    if k == 1:
-        return True
     letters = _letters(l + k)
     xs, ys = letters[:l], letters[l:]
     marginals = []

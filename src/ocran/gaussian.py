@@ -203,7 +203,6 @@ class _RelayGroup(NamedTuple):
 
     relays: np.ndarray  # their 0-based indices
     h: np.ndarray  # (n, d, N): each relay's channel to all users' N antennas
-    h_conj: np.ndarray  # conj(h); its swapped last axes are the H_k^H
     outside: np.ndarray  # (2^K, n): relay i of the group lies outside relay set S
 
 
@@ -224,7 +223,7 @@ class ScenarioTerms:
         for d in np.unique(dims):
             relays = np.flatnonzero(dims == d)
             h = np.stack([sc.channel_to_users(k + 1, self.full_users) for k in relays])
-            self.groups.append(_RelayGroup(relays, h, h.conj(), outside[:, relays]))
+            self.groups.append(_RelayGroup(relays, h, outside[:, relays]))
         # each relay's place among the groups' relays, taken in group order
         self.order = np.argsort(np.concatenate([g.relays for g in self.groups]))
         self._users = {}
@@ -241,7 +240,7 @@ class ScenarioTerms:
     def merge(self, stacks) -> np.ndarray:
         """One stack per group, all of one entry shape, as one array in
         relay order."""
-        return stacks[0] if len(stacks) == 1 else np.concatenate(stacks)[self.order]
+        return np.concatenate(stacks)[self.order]
 
     def users(self, users: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the users' antennas among all users', and K_T^{1/2}."""
@@ -268,7 +267,7 @@ class GaussianEvaluator:
         self.terms = terms
         self.sc = terms.sc
         self.full_users = terms.full_users
-        self.gfull = terms.merge([la.hermitian_part(g.h_conj.swapaxes(-1, -2) @ bg @ g.h)
+        self.gfull = terms.merge([la.hermitian_part(g.h.conj().swapaxes(-1, -2) @ bg @ g.h)
                                   for g, bg in zip(terms.groups, b)])
         # -inf where a relay in S has an infinite fronthaul rate
         self.charged = subset_sums(np.subtract(self.sc.fronthaul, mi))
@@ -291,8 +290,7 @@ class GaussianEvaluator:
         increasing k; formed once per T."""
         if users not in self._stacks:
             idx, k_root = self.terms.users(users)
-            g = self.gfull if users == self.full_users else self.gfull[:, idx[:, None], idx]
-            a = subset_sums(g)[:0:-1]  # subset_sums is indexed by the relay set outside S
+            a = subset_sums(self.gfull[:, idx[:, None], idx])[:0:-1]  # by the relays outside S
             self._stacks[users] = np.eye(idx.size) + k_root @ a @ k_root
         return self._stacks[users]
 

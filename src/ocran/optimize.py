@@ -250,6 +250,7 @@ class _GaussianObjective:
         p = self.at(x)
         users = users or self.terms.full_users
         idx, k_root = self.terms.users(users)
+        # a slice, not idx: idx changed the rows' last bit on mixed-antenna scenarios
         cols = slice(None) if users == self.terms.full_users else idx
         stack = p.evaluator.branch_stack(users)
         masks = np.atleast_1d(s_masks)
@@ -261,8 +262,8 @@ class _GaussianObjective:
             inner = k_root @ np.linalg.inv(stack[masks[kept]]) @ k_root
             for g, ri, pos in zip(self.terms.groups, self.sig_root_inv, self.positions):
                 r, i = np.nonzero(g.outside[masks[kept]])  # row of inner, relay in the group
-                h, h_conj = g.h[i][..., cols], g.h_conj[i][..., cols]
-                h_inner_h = h @ inner[r] @ h_conj.swapaxes(-1, -2) / la.LN2
+                h = g.h[i][..., cols]
+                h_inner_h = h @ inner[r] @ h.conj().swapaxes(-1, -2) / la.LN2
                 ri_i = ri[i]
                 rows[kept[r, None, None], pos[i]] = la.hermitian_part(ri_i @ h_inner_h @ ri_i)
         grads = _pack_flat(rows, self.layout) * self.layout.scale
@@ -369,17 +370,19 @@ def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, max_iters: int):
 
 
 @dataclass(frozen=True)
-class GaussianOptResult:
-    """A certified optimum: gap = upper_bound - objective <= GAP_TOL bits,
-    so ``converged`` is True; ``active`` holds the tight (T, S) mask pairs."""
+class OptResult:
+    """Either search's result.  ``active`` holds the tight constraints: (T, S)
+    mask pairs for the Gaussian solve, relay-subset masks for the discrete
+    search.  A Gaussian result is certified, gap = upper_bound - objective <=
+    GAP_TOL bits, so ``converged`` is True; a discrete one leaves both None."""
 
-    quantizers: QuantizerSetGaussian
+    quantizers: QuantizerSetGaussian | AuxChannels
     objective: float
     converged: bool
     trace: tuple[float, ...]
-    active: tuple[tuple[int, int], ...]
-    upper_bound: float
-    gap: float
+    active: tuple[tuple[int, int], ...] | tuple[int, ...]
+    upper_bound: float | None = None
+    gap: float | None = None
 
 
 class _FrankWolfeBound:
@@ -526,7 +529,7 @@ def _epigraph_solve(point: Callable, rows: Callable, jac: Callable, objective: C
     return best, trace, res
 
 
-def _certified_solve(obj: _GaussianObjective, weights=None) -> GaussianOptResult:
+def _certified_solve(obj: _GaussianObjective, weights=None) -> OptResult:
     """One epigraph solve (``_epigraph_solve``), over packed Hermitian A_k
     and rate columns R, from A_k = I (W = I/2), of max c.R s.t.
     cover R <= b_{T,S}(W(A)) on the (T, S) rows.  The sum-rate (``weights``
@@ -585,26 +588,17 @@ def _certified_solve(obj: _GaussianObjective, weights=None) -> GaussianOptResult
                               f"{GAP_TOL:.0e} ({res.message})")
     tight = np.flatnonzero(obj.row_values(p, t_sets) <= cover @ rates + ACTIVE_TOL)
     active = tuple((mask_of(t_sets[i // subsets]), int(i % subsets)) for i in tight)
-    return GaussianOptResult(quantizers=obj.quantizers(p), objective=value, converged=True,
-                             trace=tuple(trace), active=active, upper_bound=bound, gap=gap)
+    return OptResult(quantizers=obj.quantizers(p), objective=value, converged=True,
+                     trace=tuple(trace), active=active, upper_bound=bound, gap=gap)
 
 
-def optimize_gaussian_quantizers(sc: GaussianScenario, weights=None) -> GaussianOptResult:
+def optimize_gaussian_quantizers(sc: GaussianScenario, weights=None) -> OptResult:
     """Quantization matrices maximizing the sum-rate (``weights`` None) or
     the weighted rate w.R, from one certified solve (``_certified_solve``).
     Deterministic."""
     if weights is not None:
         weights = _check_weights(weights, sc.num_users)
     return _certified_solve(_GaussianObjective(sc), weights)
-
-
-@dataclass(frozen=True)
-class DiscreteOptResult:
-    aux: AuxChannels
-    objective: float
-    converged: bool
-    trace: tuple[float, ...]
-    active: tuple[int, ...]  # relay-subset masks tight at the optimum
 
 
 class _SoftmaxTables:
@@ -644,7 +638,7 @@ class _SoftmaxTables:
 
 
 def optimize_discrete_aux(sc: DiscreteScenario, cardinalities, restarts: int = 4,
-                          max_iters: int = 120, seed: int = 0) -> DiscreteOptResult:
+                          max_iters: int = 120, seed: int = 0) -> OptResult:
     """Quantization tables p(u_k|y_k,q) maximizing the joint-decoding
     sum-rate: the best of ``restarts`` epigraph solves
     (``_epigraph_solve``) of max t s.t. t <= b_S for every relay set S,
@@ -699,8 +693,8 @@ def optimize_discrete_aux(sc: DiscreteScenario, cardinalities, restarts: int = 4
     best = max(range(restarts), key=lambda i: (solves[i][2], -i))
     tables, bounds, value, trace, res = solves[best]
     active = tuple(int(s) for s in np.flatnonzero(bounds <= bounds.min() + ACTIVE_TOL))
-    return DiscreteOptResult(aux=AuxChannels(tables=tables), objective=value,
-                             converged=bool(res.success), trace=tuple(trace), active=active)
+    return OptResult(quantizers=AuxChannels(tables=tables), objective=value,
+                     converged=bool(res.success), trace=tuple(trace), active=active)
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +767,7 @@ def mc_mutual_information(
     coef = np.concatenate([-rho, rho[::-1]]) / la.LN2  # ascending
     rows = max(1, SAMPLER_BLOCK // d)
     rng = np.random.default_rng(seed)
+    # reused across chunks: fresh arrays per chunk raised the traced peak from 0.76 to 1.0 MiB
     buf = np.empty((min(rows, samples), d))
     out = np.empty(buf.shape[0])
     total = total_sq = 0.0

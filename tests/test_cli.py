@@ -1106,7 +1106,8 @@ class TestRunPath:
                                       "verify"]
         assert written[0] == written[1]
 
-    @pytest.mark.parametrize("argv", [["region", "--seed", "1"], ["optimize", "--format", "json"]])
+    @pytest.mark.parametrize("argv", [["region", "--seed", "1"], ["optimize", "--format", "json"],
+                                      ["verify", "--suite", "swz"]])
     def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, argv):
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
         with pytest.raises(SystemExit) as exc:

@@ -102,6 +102,8 @@ class TestGaussianOptimizer:
         res = optimize_gaussian_quantizers(sc)
         assert res.objective == pytest.approx(golden_rate(1.0, 1.0), abs=1e-4)
         res.quantizers.validate(sc)
+        assert isinstance(res, optimize.OptResult)
+        assert res.gap <= optimize.GAP_TOL
 
     def test_methods_agree_on_golden_case(self):
         sc = scalar_scenario(snr=4.0, fronthaul=0.5)
@@ -685,6 +687,8 @@ class TestDiscreteOptimizer:
         target = cmi(j, {"X1"}, {"Y1"}, {"Q"})
         res = optimize_discrete_aux(sc, (2,), restarts=2, seed=1)
         assert res.objective == pytest.approx(target, abs=1e-3)
+        assert isinstance(res, optimize.OptResult)
+        assert res.upper_bound is None and res.gap is None
 
     def test_zero_fronthaul(self):
         sc = self._bsc_scenario(0.0)
@@ -706,7 +710,7 @@ class TestDiscreteOptimizer:
         sc = random_correlated_scenario(rng, 1, 2)
         res = optimize_discrete_aux(sc, (3, 3), restarts=1, max_iters=1, seed=1)
         assert not res.converged
-        for table in res.aux.tables:
+        for table in res.quantizers.tables:
             np.testing.assert_allclose(table.sum(axis=-1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("card, cfg", [((2,), {}), ((0, 2), {}), ((2, 2), {"restarts": 0})])
