@@ -39,6 +39,7 @@ from . import __version__
 from .core import (
     CapacityError,
     CodebookEnsemble,
+    Evaluator,
     MAX_BLOCKLENGTH,
     RateRegion,
     ScenarioError,
@@ -54,7 +55,7 @@ from .core import (
 from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, region_discrete
 from .gaussian import GaussianEvaluator, GaussianScenario, QuantizerSetGaussian, region_gaussian
 from .optimize import mc_mutual_information, optimize_discrete_aux, optimize_gaussian_quantizers
-from .sumrate import extreme_points, jd_subset_bounds, jd_sum_rate, swz_equals_jd
+from .sumrate import check_orderings, extreme_points, jd_subset_bounds, jd_sum_rate, swz_equals_jd
 from .verify import SUITE_NAMES, run_suites
 
 EXIT_OK = 0
@@ -166,7 +167,7 @@ def _quantizers(args, sc) -> QuantizerSetGaussian | AuxChannels:
     return args.scenario_aux
 
 
-def _evaluator(args, sc) -> GaussianEvaluator | DiscreteEvaluator:
+def _evaluator(args, sc) -> Evaluator:
     """The evaluator of the fixed quantizers that ``_quantizers`` reads."""
     q = _quantizers(args, sc)
     if isinstance(sc, GaussianScenario):
@@ -280,6 +281,7 @@ def cmd_sumrate(args, sc, emit):
 def cmd_extreme_points(args, sc, emit):
     if args.rsum is not None and not math.isfinite(args.rsum):
         raise ScenarioError(f"--rsum must be a finite number, got {args.rsum!r}")
+    check_orderings(args.command, sc.num_relays)
     lines = ["ordering,k,relay,C_tilde_bits"]
     for pi, point in extreme_points(_evaluator(args, sc), args.rsum):
         label = "-".join(str(k) for k in pi)
@@ -289,6 +291,7 @@ def cmd_extreme_points(args, sc, emit):
 
 
 def cmd_swz_check(args, sc, emit):
+    check_orderings(args.command, sc.num_relays)
     cmp_res = swz_equals_jd(_evaluator(args, sc))
     payload = {
         "jd_sum_rate": cmp_res.jd_sum_rate,

@@ -187,13 +187,6 @@ class RateRegion:
         bounds.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
 
-    @classmethod
-    def from_subset_bounds(cls, sc: "Scenario", subset_bounds) -> "RateRegion":
-        """Every (T, S) bound of ``sc``, from ``subset_bounds(users)``: the
-        bounds of user set T over relay-set bitmasks, called once per T."""
-        rows = [subset_bounds(indices_of(t_mask)) for t_mask in range(1, 1 << sc.num_users)]
-        return cls(sc.num_users, np.stack(rows))
-
     def contains(self, rates: Sequence[float]) -> bool:
         """Every rate sum is within its tightest bound, up to MEMBERSHIP_TOL;
         NaN rates never are."""
@@ -218,6 +211,75 @@ class RateRegion:
         """(T mask, S mask, bound) rows, by increasing T mask then S mask."""
         return [(t_mask, s_mask, b) for t_mask, row in enumerate(self.bounds.tolist(), start=1)
                 for s_mask, b in enumerate(row)]
+
+
+class Evaluator:
+    """Every rate bound of one (scenario, quantizer) pair, written once in
+    entropy vectors, each given Q, that a subclass supplies for its scenario
+    kind: ``_u_entropies(kept)``, ``_h_x`` = (H(X), H(X, U)) and each relay's
+    ``h_u_given_y`` = H(U_k | Y_k).  A shift of relay k's entropies shared
+    by every term that holds U_k cancels in every bound.  Built once per
+    pair and shared, with its caches, by every bound and chain ordering."""
+
+    def __init__(self, sc: Scenario, h_u_given_y):
+        self.sc = sc
+        self.h_u_given_y = h_u_given_y
+        self._h_u: dict[int, np.ndarray] = {}  # u_entropies by kept
+        self._bounds: dict[tuple[int, str], np.ndarray] = {}  # subset_bounds by (T, family)
+
+    def u_entropies(self, kept: int = 0) -> np.ndarray:
+        """H(U_m, X_kept, Q) for every relay bitmask m, with X_kept the inputs
+        of the users in bitmask ``kept``; reversed, it is indexed by S^c.
+        Formed once per ``kept`` and read-only."""
+        if kept not in self._h_u:
+            h = self._u_entropies(kept)
+            h.setflags(write=False)
+            self._h_u[kept] = h
+        return self._h_u[kept]
+
+    @functools.cached_property
+    def charge(self) -> np.ndarray:
+        """C_S + sum_{k in S} H(U_k|Y_k) by relay bitmask S, in increasing k."""
+        return subset_sums(np.add(self.sc.fronthaul, self.h_u_given_y))
+
+    def subset_bounds(self, users: tuple[int, ...] | None = None,
+                      family: str = "thm3") -> np.ndarray:
+        """The bound of user set T (default: all users) for every relay set
+        S, indexed by bitmask, with every entropy given Q.  thm3:
+        C_S + sum_{k in S} H(U_k|Y_k) + H(U_{S^c}|X_{T^c}) - H(U|X); thm1:
+        sum_{k in S} [C_k + H(U_k|Y_k) - H(U_k|X)] + H(U_{S^c}|X_{T^c})
+        - H(U_{S^c}|X).  At T = all users the thm3 bounds are the joint-decoding
+        sum-rate bounds; their S = {} entry is I(U; X | Q), in ``cmi``'s order.
+        Formed once per (T, family) and kept read-only."""
+        if family not in ("thm1", "thm3"):
+            raise ValueError(f"unknown constraint family {family!r}")
+        full = (1 << self.sc.num_users) - 1
+        key = (full if users is None else mask_of(users), family)
+        if key not in self._bounds:
+            h_tc = self.u_entropies(full ^ key[0])  # given X_{T^c} and Q
+            if family == "thm3":
+                h_xq, h_all = self._h_x
+                bounds = h_tc[::-1] + h_xq - h_all - h_tc[0] + self.charge
+            else:
+                h_x = self.u_entropies(full)  # h_x[0] = H(X, Q)
+                # I(U_k; Y_k | X, Q) and I(X_T; U_{S^c} | X_{T^c}, Q), in cmi's order
+                i_uy = h_x[1 << np.arange(self.sc.num_relays)] - h_x[0] - self.h_u_given_y
+                info = h_x[0] + h_tc[::-1] - h_x[::-1] - h_tc[0]
+                bounds = subset_sums(np.subtract(self.sc.fronthaul, i_uy)) + info
+            bounds.setflags(write=False)
+            self._bounds[key] = bounds
+        return self._bounds[key]
+
+    def bound(self, pair: SubsetPair, family: str = "thm3") -> float:
+        """Bound of one (T, S) pair in the 'thm1' or 'thm3' family."""
+        return float(self.subset_bounds(pair.users, family)[pair.s_mask])
+
+    def region(self, family: str = "thm3") -> RateRegion:
+        """All (T, S) bounds of one family, one ``subset_bounds`` per T;
+        negative bounds are kept as-is."""
+        rows = [self.subset_bounds(indices_of(t_mask), family)
+                for t_mask in range(1, 1 << self.sc.num_users)]
+        return RateRegion(self.sc.num_users, np.stack(rows))
 
 
 def max_weighted_rate(region: RateRegion, weights: Sequence[float], tie_break: bool = True):

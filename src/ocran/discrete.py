@@ -19,17 +19,18 @@ Two constraint families are evaluated:
   conditionally independent given the user inputs,
 * ``"thm3"`` - the general inner bound (no independence needed).
 
-Both are written once, in ``DiscreteEvaluator.subset_bounds``: the bounds of
-one user set T over every relay set S, from entropies of the reduced joint.
-Every other discrete bound reads it: one (T, S) pair (``bound``), a region
-(``region_discrete``), the joint-decoding sum-rate bounds, and in
-``ocran.sumrate`` the set function g(S) and the separate-decompression test.
-The successive Wyner-Ziv rates there are differences of the same entropy
-vectors (``DiscreteEvaluator.u_entropies``), so that layer computes no
-entropy of its own.  Only the discrete optimizer's search reads
-``ReducedFactors.sum_rate_pass``: the sum-rate bounds and their gradients
-from shared logs.  Both walk one subset lattice (``_lattice``) for their 2^K
-marginals, about prod_k (1 + |U_k|) entries: 3^K for binary U, not 4^K.
+Both are written once, in ``core.Evaluator.subset_bounds``: the bounds of
+one user set T over every relay set S, from entropy vectors, which
+``DiscreteEvaluator`` takes from the reduced joint.  Every other discrete
+bound reads it: one (T, S) pair (``bound``), a region (``region_discrete``),
+the joint-decoding sum-rate bounds, and in ``ocran.sumrate`` the set
+function g(S) and the separate-decompression test.  The successive
+Wyner-Ziv rates there are differences of the same entropy vectors
+(``u_entropies``), so that layer computes no entropy of its own.  Only the
+discrete optimizer's search reads ``ReducedFactors.sum_rate_pass``: the
+sum-rate bounds and their gradients from shared logs.  Both walk one
+subset lattice (``_lattice``) for their 2^K marginals, about
+prod_k (1 + |U_k|) entries: 3^K for binary U, not 4^K.
 """
 
 from __future__ import annotations
@@ -43,16 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    CapacityError,
-    RateRegion,
-    Scenario,
-    ScenarioError,
-    SubsetPair,
-    mask_of,
-    pmf_table,
-    subset_sums,
-)
+from .core import CapacityError, Evaluator, RateRegion, Scenario, ScenarioError, pmf_table
 
 MAX_JOINT_ENTRIES = 10_000_000
 # an information quantity below -NEGATIVE_INFO_TOL bits is a numeric failure
@@ -414,27 +406,20 @@ def _lattice(top: np.ndarray, axes, mask: int | None = None):
         yield from _lattice(top.sum(axis=axes[j], keepdims=True), axes, mask & ~(1 << j))
 
 
-class DiscreteEvaluator:
-    """Every rate bound of one (scenario, quantizer) pair, written in
-    entropies.  Built once per pair and shared, with its caches, by every
-    bound and chain ordering evaluated on it.
-
-    ``p`` is the reduced p(q, x, u), read-only, with axes Q, X_1..X_L,
-    U_1..U_K; sets of users and relays are bitmasks.  The only quantity that
-    involves the relay outputs is H(U_S | Y_S, C, Q).  Each relay quantizes
-    its own output, so U_S depends on the rest of the system only through
-    (Y_S, Q), and that entropy is the sum of the per-relay constants
-    ``h_u_given_y[k-1]`` = H(U_k | Y_k, Q)."""
+class DiscreteEvaluator(Evaluator):
+    """The ``Evaluator`` of a discrete scenario, whose entropies are read
+    from the reduced p(q, x, u), ``p``, read-only, with axes Q, X_1..X_L,
+    U_1..U_K.  The only quantity that involves the relay outputs is
+    H(U_S | Y_S, C, Q).  Each relay quantizes its own output, so U_S depends
+    on the rest of the system only through (Y_S, Q), and that entropy is the
+    sum of the per-relay constants ``h_u_given_y[k-1]`` = H(U_k | Y_k, Q)."""
 
     def __init__(self, sc: DiscreteScenario, p: np.ndarray, h_u_given_y):
-        self.sc = sc
+        super().__init__(sc, h_u_given_y)
         # a contraction of validated pmf tables, so nonnegative: kept as a
         # read-only view, whose memory order sets every reduction's order
         self.p = p.view()
         self.p.setflags(write=False)
-        self.h_u_given_y = h_u_given_y
-        self._h_u: dict[int, np.ndarray] = {}  # u_entropies by kept
-        self._bounds: dict[tuple[int, str], np.ndarray] = {}  # subset_bounds by (T, family)
 
     @classmethod
     def from_aux(cls, sc: DiscreteScenario, aux: AuxChannels) -> "DiscreteEvaluator":
@@ -442,66 +427,22 @@ class DiscreteEvaluator:
         aux.check_compatible(sc)
         return ReducedFactors(sc, aux.aux_sizes).evaluator(aux.tables)
 
-    def u_entropies(self, kept: int = 0) -> np.ndarray:
-        """H(U_m, X_kept, Q) for every relay bitmask m, with X_kept the
-        inputs of the users in bitmask ``kept``, one entropy per marginal of a
-        ``_lattice`` walk from p(U, X_kept, Q); reversed, it is indexed by the
-        complement S^c of the relay set S.  Formed once per ``kept``, read-only,
-        for the bounds and ``ocran.sumrate``'s successive Wyner-Ziv rates."""
-        if kept not in self._h_u:
-            l, k = self.sc.num_users, self.sc.num_relays
-            drop = tuple(1 + i for i in range(l) if not kept >> i & 1)
-            base = self.p.sum(axis=drop, keepdims=True) if drop else self.p
-            h = np.empty(1 << k)
-            for m, marginal in _lattice(base, range(1 + l, 1 + l + k)):
-                h[m] = _entropy(marginal)
-            h.setflags(write=False)
-            self._h_u[kept] = h
-        return self._h_u[kept]
+    def _u_entropies(self, kept: int) -> np.ndarray:
+        """H(U_m, X_kept, Q) for every relay bitmask m, one entropy per
+        marginal of a ``_lattice`` walk from p(U, X_kept, Q)."""
+        l, k = self.sc.num_users, self.sc.num_relays
+        drop = tuple(1 + i for i in range(l) if not kept >> i & 1)
+        base = self.p.sum(axis=drop, keepdims=True) if drop else self.p
+        h = np.empty(1 << k)
+        for m, marginal in _lattice(base, range(1 + l, 1 + l + k)):
+            h[m] = _entropy(marginal)
+        return h
 
     @functools.cached_property
     def _h_x(self) -> tuple[float, float]:
         """H(X, Q) and H(X, U, Q), which thm3 reads beside ``u_entropies``."""
         u_axes = tuple(range(1 + self.sc.num_users, self.p.ndim))
         return _entropy(self.p.sum(axis=u_axes)), _entropy(self.p)
-
-    def subset_bounds(self, users: tuple[int, ...] | None = None,
-                      family: str = "thm3") -> np.ndarray:
-        """The bound of user set T (default: all users) for every relay set
-        S, indexed by bitmask, with every entropy given Q.  thm3:
-        C_S + sum_{k in S} H(U_k|Y_k) + H(U_{S^c}|X_{T^c}) - H(U|X); thm1:
-        sum_{k in S} [C_k + H(U_k|Y_k) - H(U_k|X)] + H(U_{S^c}|X_{T^c})
-        - H(U_{S^c}|X).  At T = all users the thm3 bounds are the joint-decoding
-        sum-rate bounds; their S = {} entry is I(U; X | Q), in ``cmi``'s order.
-        Formed once per (T, family) and kept read-only."""
-        if family not in ("thm1", "thm3"):
-            raise ValueError(f"unknown constraint family {family!r}")
-        full = (1 << self.sc.num_users) - 1
-        key = (full if users is None else mask_of(users), family)
-        if key not in self._bounds:
-            h_tc = self.u_entropies(full ^ key[0])  # given X_{T^c} and Q
-            if family == "thm3":
-                h_xq, h_all = self._h_x
-                bounds = (h_tc[::-1] + h_xq - h_all - h_tc[0]
-                          + subset_sums(np.add(self.sc.fronthaul, self.h_u_given_y)))
-            else:
-                h_x = self.u_entropies(full)  # h_x[0] = H(X, Q)
-                # I(U_k; Y_k | X, Q) and I(X_T; U_{S^c} | X_{T^c}, Q), in cmi's order
-                i_uy = h_x[1 << np.arange(self.sc.num_relays)] - h_x[0] - self.h_u_given_y
-                info = h_x[0] + h_tc[::-1] - h_x[::-1] - h_tc[0]
-                bounds = subset_sums(np.subtract(self.sc.fronthaul, i_uy)) + info
-            bounds.setflags(write=False)
-            self._bounds[key] = bounds
-        return self._bounds[key]
-
-    def bound(self, pair: SubsetPair, family: str = "thm3") -> float:
-        """Bound of one (T, S) pair in the 'thm1' or 'thm3' family."""
-        return float(self.subset_bounds(pair.users, family)[pair.s_mask])
-
-    def region(self, family: str = "thm3") -> RateRegion:
-        """All (T, S) bounds of one family, one ``subset_bounds`` per T."""
-        return RateRegion.from_subset_bounds(
-            self.sc, lambda users: self.subset_bounds(users, family))
 
 
 def region_discrete(sc: DiscreteScenario, aux: AuxChannels, which: str = "thm1") -> RateRegion:

@@ -9,8 +9,9 @@ with A = sum_{k not in S} H_{k,T}^H B_k H_{k,T}, K_T the block-diagonal input
 covariance of the users in T, and fronthaul_mi the rate spent describing
 relay k's observation to the processor.  Each B_k is Hermitian with
 0 <= B_k <= Sigma_k^{-1}; B_k = (Sigma_k + Q_k)^{-1} corresponds to an
-additive Gaussian test channel with noise covariance Q_k.
-``GaussianEvaluator`` is the one implementation of this bound.
+additive Gaussian test channel with noise covariance Q_k.  The bound is
+written once, for both scenario kinds, in ``core.Evaluator.subset_bounds``;
+``GaussianEvaluator`` supplies its entropy vectors.
 
 Everything here is over complex matrices; real inputs are embedded with zero
 imaginary part.  Time-sharing is intentionally not exposed: with Gaussian
@@ -27,11 +28,13 @@ import numpy as np
 
 from . import _linalg as la
 from .core import (
+    Evaluator,
     RateRegion,
     Scenario,
     ScenarioError,
     SubsetPair,
     check_finite,
+    indices_of,
     subset_sums,
 )
 
@@ -251,29 +254,27 @@ class ScenarioTerms:
         return self._users[users]
 
 
-class GaussianEvaluator:
-    """Every bound of the Gaussian region for one quantizer set, from the
-    B_k and each relay's fronthaul rate, ``fronthaul_bits`` of the spectrum
-    that ``QuantizerSetGaussian.validate`` returns.  H_k^H B_k H_k is formed
-    once per relay, in one batched product per antenna group of ``terms``;
-    the charge sum_{k in S} [C_k - fronthaul rate_k] once per relay set S;
-    and K_T^{1/2} once per user set, in ``terms``, which every evaluator of
+class GaussianEvaluator(Evaluator):
+    """The ``Evaluator`` of one Gaussian quantizer set, whose entropies are
+    in B-normalized form: each relay's entropy less log2 det(pi e B_k^{-1}).
+    So ``u_entropies(kept)[m]`` is log2 det(I + K_T^{1/2} A K_T^{1/2}), with
+    A = sum_{k in m} H_{k,T}^H B_k H_{k,T} over the users T outside ``kept``;
+    H(X) = H(X, U) = 0; and ``h_u_given_y[k-1]`` = log2 det(I - W_k) is minus
+    relay k's fronthaul rate.  H_k^H B_k H_k is formed once per relay, in one
+    batched product per antenna group of ``terms``, which every evaluator of
     one scenario may share."""
+
+    _h_x = (0.0, 0.0)
 
     def __init__(self, terms: ScenarioTerms, b, mi):
         """``b`` holds one (n, d, d) stack of the B_k per group of ``terms``,
         ``mi`` each relay's fronthaul rate (+inf where B_k touches
-        Sigma_k^{-1})."""
+        Sigma_k^{-1}, so the bound of every S that holds it is -inf)."""
+        super().__init__(terms.sc, np.negative(mi))
         self.terms = terms
-        self.sc = terms.sc
-        self.full_users = terms.full_users
         self.gfull = terms.merge([la.hermitian_part(g.h.conj().swapaxes(-1, -2) @ bg @ g.h)
                                   for g, bg in zip(terms.groups, b)])
-        # -inf where a relay in S has an infinite fronthaul rate
-        self.charged = subset_sums(np.subtract(self.sc.fronthaul, mi))
-        # branch_stack and subset_bounds by user set T
-        self._stacks: dict[tuple[int, ...], np.ndarray] = {}
-        self._bounds: dict[tuple[int, ...], np.ndarray] = {}
+        self._stacks: dict[tuple[int, ...], np.ndarray] = {}  # branch_stack by user set T
 
     @classmethod
     def from_quantizers(cls, sc: GaussianScenario, q: QuantizerSetGaussian) -> "GaussianEvaluator":
@@ -301,24 +302,11 @@ class GaussianEvaluator:
         B_k = Sigma_k^{-1}."""
         return np.concatenate((la.logdet2(self.branch_stack(users)), [0.0]))
 
-    def subset_bounds(self, users: tuple[int, ...] | None = None) -> np.ndarray:
-        """The bound of user set T (by default all users, the sum-rate) for
-        every relay subset, indexed by subset bitmask; formed once per T and
-        kept read-only."""
-        users = users or self.full_users
-        if users not in self._bounds:
-            self._bounds[users] = self.charged + self.info_terms(users)
-            self._bounds[users].setflags(write=False)
-        return self._bounds[users]
-
-    def bound(self, pair: SubsetPair) -> float:
-        """One constraint bound, in bits."""
-        return float(self.subset_bounds(pair.users)[pair.s_mask])
-
-    def region(self) -> RateRegion:
-        """Every (T, S) bound, one stacked log-det per user set T; negative
-        bounds are kept as-is."""
-        return RateRegion.from_subset_bounds(self.sc, self.subset_bounds)
+    def _u_entropies(self, kept: int) -> np.ndarray:
+        """``info_terms`` of the users outside ``kept`` (none: 0), by the relays in m."""
+        full = (1 << self.sc.num_users) - 1
+        users = indices_of(full ^ kept)
+        return self.info_terms(users)[::-1] if users else np.zeros(1 << self.sc.num_relays)
 
 
 def rate_constraint_gaussian(

@@ -2,14 +2,13 @@
 behind the fronthaul polytope, its per-ordering extreme points, and the
 time-shared successive Wyner-Ziv scheme that dominates each extreme point.
 
-Every function takes the evaluator ``ev`` of one (scenario, quantizer) pair
-and forms its subset bounds b_S = ``ev.subset_bounds()`` at most once per
-call: g(S) = R_sum + C_S - b_S is one vector, I(U_all; X_all | Q) is b_{},
-and separate decompression asks R_sum <= b_{} and b_S >= b_{} for every S.
-The functions that read only b_S and the fronthaul take either evaluator
-(``Evaluator``).  The Wyner-Ziv functions take a ``DiscreteEvaluator``: their
-rates are differences of the 2^K entropies H(U_m, Q) and H(U_m, X_all, Q)
-that the bounds already took, so this layer computes no entropy of its own.
+Every function takes the evaluator ``ev`` of one (scenario, quantizer) pair,
+a ``core.Evaluator`` of either scenario kind, and forms its subset bounds
+b_S = ``ev.subset_bounds()`` at most once per call: g(S) = R_sum + C_S - b_S
+is one vector, I(U_all; X_all | Q) is b_{}, and separate decompression asks
+R_sum <= b_{} and b_S >= b_{} for every S.  The Wyner-Ziv rates are
+differences of the 2^K entropies H(U_m, Q) and H(U_m, X_all, Q) that the
+bounds already took, so this layer computes no entropy of its own.
 
 Ordering conventions
 --------------------
@@ -37,11 +36,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .core import CapacityError, ScenarioError, mask_of, subset_sums
-from .discrete import DiscreteEvaluator, _nonnegative
-from .gaussian import GaussianEvaluator
-
-Evaluator = DiscreteEvaluator | GaussianEvaluator
+from .core import CapacityError, Evaluator, ScenarioError, mask_of, subset_sums
+from .discrete import _nonnegative
 
 INVARIANT_TOL = 1e-9
 ALPHA_DENOM_TOL = 1e-12
@@ -49,6 +45,16 @@ ALPHA_DENOM_TOL = 1e-12
 # arithmetic (a relay with |U_k| = 1 early in the chain, or R_sum = I(U; X)),
 # rounding must not decide the pivot or turn 1e-16 into an idle share
 PIVOT_TOL = 1e-12
+# the command of each K! enumeration: the largest K it takes and its
+# refusal, which the CLI makes before it builds an evaluator
+ORDERING_GUARDS = {"extreme-points": (6, "extreme-points enumerates K! orderings"),
+                   "swz-check": (8, "all-orderings comparison is factorial")}
+
+
+def check_orderings(command: str, num_relays: int) -> None:
+    limit, what = ORDERING_GUARDS[command]
+    if num_relays > limit:
+        raise CapacityError(f"{what}; K <= {limit} required")
 
 
 def _polytope(ev: Evaluator, r_sum=None) -> tuple[np.ndarray, float, float, np.ndarray]:
@@ -79,8 +85,7 @@ def jd_subset_bounds(ev: Evaluator) -> np.ndarray:
     """Per-relay-subset sum-rate bounds of joint decompression-decoding,
     indexed by subset bitmask:
     sum_{s in S} C_s - I(Y_S;U_S|X_all,U_{S^c},Q) + I(U_{S^c};X_all|Q),
-    the thm3 bound at T = all users (the Gaussian bound of all users for a
-    ``GaussianEvaluator``)."""
+    the thm3 bound at T = all users."""
     return ev.subset_bounds()
 
 
@@ -145,8 +150,7 @@ def extreme_points(ev: Evaluator,
     ordering, in lexicographic order, from one formation of the bounds.
 
     ``r_sum`` defaults to the joint-decoding sum-rate."""
-    if ev.sc.num_relays > 6:
-        raise CapacityError("extreme-points enumerates K! orderings; K <= 6 required")
+    check_orderings("extreme-points", ev.sc.num_relays)
     return _extreme_points(ev, r_sum, permutations(range(1, ev.sc.num_relays + 1)))
 
 
@@ -190,7 +194,7 @@ def _extreme_point(chain: list[float], pi: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def swz_required_fronthaul(ev: DiscreteEvaluator, ordering) -> tuple[np.ndarray, float]:
+def swz_required_fronthaul(ev: Evaluator, ordering) -> tuple[np.ndarray, float]:
     """Fronthaul needed by plain successive Wyner-Ziv decoding in the given
     decode order: relay pi(k) needs I(U_{pi(k)}; Y_{pi(k)} | U_{pi(1..k-1)}, Q).
 
@@ -204,7 +208,7 @@ def swz_required_fronthaul(ev: DiscreteEvaluator, ordering) -> tuple[np.ndarray,
     return req, float(ev.subset_bounds()[0])
 
 
-def _wyner_ziv_rate(ev: DiscreteEvaluator, relay: int, side) -> float:
+def _wyner_ziv_rate(ev: Evaluator, relay: int, side) -> float:
     """I(U_k; Y_k | U_side, Q) of relay k given the codewords of the relays
     ``side``: H(U_side, U_k, Q) - H(U_side, Q) - H(U_k | Y_k, Q), from the
     evaluator's entropies H(U_m, Q).  Rounding dust down to
@@ -234,7 +238,7 @@ class OrderingResult:
     scheme_sum_rate: float
 
 
-def swz_dominating_point(ev: DiscreteEvaluator, r_sum: float, ordering) -> OrderingResult:
+def swz_dominating_point(ev: Evaluator, r_sum: float, ordering) -> OrderingResult:
     """Time-shared successive Wyner-Ziv point dominating one extreme point.
 
     Requires r_sum <= jd_sum_rate(ev) (otherwise the fronthaul polytope
@@ -255,7 +259,7 @@ def swz_dominating_point(ev: DiscreteEvaluator, r_sum: float, ordering) -> Order
 
 
 def _swz_dominating_point(
-    ev: DiscreteEvaluator, g: np.ndarray, r_sum: float, pi: tuple[int, ...]
+    ev: Evaluator, g: np.ndarray, r_sum: float, pi: tuple[int, ...]
 ) -> OrderingResult:
     kk = ev.sc.num_relays
     chain = _chain_g(g, pi)
@@ -317,14 +321,13 @@ class SumRateComparison:
         return bool(self.gap <= INVARIANT_TOL)
 
 
-def swz_equals_jd(ev: DiscreteEvaluator) -> SumRateComparison:
+def swz_equals_jd(ev: Evaluator) -> SumRateComparison:
     """Compare the joint-decoding sum-rate against the best time-shared
     successive Wyner-Ziv construction over all K! chain orderings.
 
     The gap jd - best is expected to be <= 1e-9 (the construction dominates);
     ties between orderings resolve to the lexicographically smallest."""
-    if ev.sc.num_relays > 8:
-        raise CapacityError("all-orderings comparison is factorial; K <= 8 required")
+    check_orderings("swz-check", ev.sc.num_relays)
     _, target, _, g = _polytope(ev)
     results = []
     best = -math.inf

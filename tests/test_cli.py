@@ -14,6 +14,7 @@ import ocran
 from ocran import optimize
 from ocran.cli import build_parser, fmt_bits, main
 from ocran.core import enumerate_constraint_pairs, load_scenario, quantizers_to_dict, save_scenario
+from ocran.discrete import DiscreteEvaluator
 from ocran.gaussian import GaussianEvaluator, QuantizerSetGaussian
 from ocran.sumrate import extreme_points, g_function, jd_sum_rate
 from ocran.verify import (random_aux, random_factorizing_scenario, random_gaussian_scenario,
@@ -835,6 +836,38 @@ class TestSumRateCommands:
                      "--out", str(out)]) == 2
         assert not out.exists()
         assert "infinite fronthaul" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,kind,num_relays,limit", [
+        ("extreme-points", "discrete", 7, 6),
+        ("extreme-points", "gaussian", 7, 6),
+        ("swz-check", "discrete", 9, 8),
+    ])
+    def test_factorial_guard_refuses_before_building_the_evaluator(
+            self, tmp_path, capsys, monkeypatch, command, kind, num_relays, limit):
+        rng = np.random.default_rng(num_relays)
+        path = tmp_path / "sc.json"
+        argv = [command, "--scenario", str(path), "--out", str(tmp_path / "out.data")]
+        if kind == "discrete":
+            sc = random_factorizing_scenario(rng, 1, num_relays)
+            save_scenario(sc, path, random_aux(rng, sc, (1,) * num_relays))
+            evaluator = DiscreteEvaluator
+        else:
+            sc = random_gaussian_scenario(rng, 1, num_relays, max_antennas=1)
+            save_scenario(sc, path)
+            quant = quantizers_to_dict(random_quantizers(rng, sc))
+            argv += ["--quantizers", write_json(tmp_path / "q.json", quant)]
+            evaluator = GaussianEvaluator
+        built = []
+
+        def refused(self, *args, **kwargs):
+            built.append(1)
+
+        monkeypatch.setattr(evaluator, "__init__", refused)
+        rc = main(argv)
+        assert built == []
+        assert rc == 2
+        assert f"K <= {limit} required" in capsys.readouterr().err
+        assert not (tmp_path / "out.data").exists()
 
     def test_gaussian_sumrate(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())

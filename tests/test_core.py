@@ -9,6 +9,7 @@ from ocran.core import (
     SAMPLER_BLOCK,
     CapacityError,
     CodebookEnsemble,
+    Evaluator,
     RateRegion,
     ScenarioError,
     SubsetPair,
@@ -25,8 +26,8 @@ from ocran.core import (
     scenario_to_dict,
     spawn_seeds,
 )
-from ocran.discrete import AuxChannels
-from ocran.gaussian import QuantizerSetGaussian
+from ocran.discrete import AuxChannels, DiscreteEvaluator
+from ocran.gaussian import GaussianEvaluator, QuantizerSetGaussian
 from ocran.verify import random_factorizing_scenario, random_gaussian_scenario
 
 from helpers import codebook_marginal_one_shot, traced_peak_mb
@@ -319,6 +320,16 @@ def _discrete_doc():
             "channel": [0.9, 0.1, 0.1, 0.9],
         },
     }
+
+
+def test_both_evaluators_read_the_one_bound_formula():
+    # the bound, its cache and the region are written once, on core.Evaluator;
+    # a subclass that defines one of them again would hold a second copy
+    shared = {"subset_bounds", "bound", "region", "_bounds", "charge"}
+    assert shared - {"_bounds"} <= set(vars(Evaluator))
+    for kind in (DiscreteEvaluator, GaussianEvaluator):
+        assert issubclass(kind, Evaluator)
+        assert not shared & set(vars(kind)), kind.__name__
 
 
 class TestScenarioIO:

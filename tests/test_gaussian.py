@@ -28,10 +28,11 @@ from ocran.gaussian import (
     region_gaussian,
     weighted_means,
 )
+from ocran.sumrate import swz_required_fronthaul
 from ocran.verify import random_gaussian_scenario, random_pd, random_quantizers
 
 from helpers import (b_from_test_channel, drop_relay, weighted_arithmetic_mean,
-                     weighted_harmonic_mean)
+                     weighted_harmonic_mean, whitened_parts)
 
 
 def scalar_scenario(snr=1.0, fronthaul=1.0, num_relays=1, gain=1.0):
@@ -283,38 +284,6 @@ class TestRegion:
         assert [r["bound_bits"] for r in payload["subset_bounds"]] == rows
         assert payload["sum_rate_bits"] == region.sum_rate_bound()
 
-    def test_subset_bounds_equal_per_pair_bounds(self):
-        rng = np.random.default_rng(24)
-        cases = []
-        for _ in range(30):
-            sc = random_gaussian_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
-            cases.append((sc, random_quantizers(rng, sc)))
-        sc = random_gaussian_scenario(rng, 2, 3)
-        cases.append((sc, QuantizerSetGaussian(B=tuple(np.zeros_like(s) for s in sc.Sigma))))
-        b = list(random_quantizers(rng, sc).B)
-        b[1] = np.linalg.inv(sc.Sigma[1])  # boundary quantizer on relay 2
-        boundary = (sc, QuantizerSetGaussian(B=tuple(b)))
-        cases.append(boundary)
-
-        def per_pair(ev):
-            return [ev.bound(SubsetPair(users=ev.full_users, relays=indices_of(s)))
-                    for s in range(1 << ev.sc.num_relays)]
-
-        def check(sc, q):
-            ev = GaussianEvaluator.from_quantizers(sc, q)
-            assert list(ev.subset_bounds()) == per_pair(ev)
-            region = ev.region()
-            pairs = enumerate_constraint_pairs(sc.num_users, sc.num_relays)
-            assert region.bounds.ravel().tolist() == [ev.bound(p) for p in pairs]
-
-        for sc, q in cases:
-            check(sc, q)
-        vals = GaussianEvaluator.from_quantizers(*boundary).subset_bounds()
-        assert all((vals[s] == -math.inf) == bool(s & 0b10) for s in range(vals.size))
-        region = GaussianEvaluator.from_quantizers(*boundary).region()
-        assert all((b == -math.inf) == bool(s & 0b10) for _, s, b in region.csv_rows())
-
-
     @staticmethod
     def per_relay_region(sc, q) -> list[float]:
         """Every (T, S) bound written relay by relay: hermitian_part(h^H B h)
@@ -421,6 +390,57 @@ class TestRegion:
         for mats, message in cases:
             with pytest.raises(ValueError, match=message):
                 GaussianEvaluator.from_quantizers(sc, QuantizerSetGaussian(B=mats))
+
+
+class TestEntropyVectors:
+    """The evaluator's B-normalized entropy vectors against the covariance
+    form of the same differential entropies, relay k's shifted by
+    -log2 det(pi e B_k^{-1}): Cov(U_m | X_{T^c}) = H_{m,T} K_T H_{m,T}^H
+    + (+)_{k in m} B_k^{-1}, where B_k^{-1} = Sigma_k + Q_k, as the Monte
+    Carlo oracle forms it (``whitened_parts``, whose log-det gap is
+    log2 det Cov(U_m | X_{T^c}) - log2 det (+)_{k in m} B_k^{-1})."""
+
+    @staticmethod
+    def instances(count):
+        rng = np.random.default_rng(41)
+        for _ in range(count):
+            sc = random_gaussian_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+            q = random_quantizers(rng, sc)
+            yield sc, q, GaussianEvaluator.from_quantizers(sc, q)
+
+    @staticmethod
+    def covariance_form(sc, q, users, relays) -> tuple[float, float]:
+        """The shifted log2 det Cov(U_relays | X of the other users), and the
+        size of the log-dets it subtracts, which scales its rounding."""
+        if not relays:
+            return 0.0, 0.0
+        others = tuple(k for k in range(1, sc.num_relays + 1) if k not in relays)
+        gap, _, _, shift = whitened_parts(sc, q, SubsetPair(users, others))
+        return gap, abs(gap) + 2 * abs(la.logdet2(shift))
+
+    def test_u_entropies_match_the_covariance_form(self):
+        for sc, q, ev in self.instances(200):
+            full = (1 << sc.num_users) - 1
+            for kept in range(full):  # every kept but all users
+                users = indices_of(full ^ kept)
+                h = ev.u_entropies(kept)
+                for m in range(1 << sc.num_relays):
+                    expected, scale = self.covariance_form(sc, q, users, indices_of(m))
+                    assert abs(h[m] - expected) <= 1e-12 * scale
+            assert not ev.u_entropies(full).any()
+
+    def test_wyner_ziv_rate_matches_the_covariance_form(self):
+        # I(U_K; Y_K | U_1..U_{K-1}) = h(U_1..U_K) - h(U_1..U_{K-1}) - h(U_K | Y_K),
+        # with h(U_K | Y_K) = log2 det(pi e Q_K) and Q_K = B_K^{-1} - Sigma_K
+        for sc, q, ev in self.instances(200):
+            relays = tuple(range(1, sc.num_relays + 1))
+            users = tuple(range(1, sc.num_users + 1))
+            (with_k, s1), (side, s2) = (self.covariance_form(sc, q, users, r)
+                                        for r in (relays, relays[:-1]))
+            b_inv = np.linalg.inv(q.B[-1])
+            noise = la.logdet2(b_inv - sc.Sigma[-1]) - la.logdet2(b_inv)
+            rate = swz_required_fronthaul(ev, relays)[0][-1]
+            assert abs(rate - (with_k - side - noise)) <= 1e-12 * (s1 + s2 + abs(noise))
 
 
 class TestMatrixLemmas:

@@ -3,9 +3,13 @@
 Every AuxChannels entry point evaluates its bounds from the reduced joint and
 the per-relay constants H(U_k | Y_k, Q).  Here each quantity is written out
 again with ``cmi`` on the dense joint of ``build_joint``, which keeps the
-relay outputs, and the two must agree within 1e-12."""
+relay outputs, and the two must agree within 1e-12.  The contract of the
+one bound formula, that every bound and region reads ``subset_bounds``, is
+checked here for Gaussian evaluators too."""
 
+import functools
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +25,7 @@ from ocran.core import (
     save_scenario,
 )
 from ocran.discrete import (
+    AuxChannels,
     DiscreteEvaluator,
     aux_axis,
     build_joint,
@@ -29,6 +34,7 @@ from ocran.discrete import (
     relay_axis,
     user_axis,
 )
+from ocran.gaussian import GaussianEvaluator, QuantizerSetGaussian, region_gaussian
 from ocran.optimize import optimize_discrete_aux
 from ocran.sumrate import (
     ALPHA_DENOM_TOL,
@@ -44,7 +50,8 @@ from ocran.sumrate import (
     swz_equals_jd,
     swz_required_fronthaul,
 )
-from ocran.verify import random_aux, random_correlated_scenario, random_factorizing_scenario
+from ocran.verify import (random_aux, random_correlated_scenario, random_factorizing_scenario,
+                          random_gaussian_scenario, random_quantizers)
 
 from helpers import traced_peak_mb
 
@@ -207,13 +214,46 @@ def test_separate_decompression(instance):
         assert sd_achievable(ev, r_sum) == dense.sd_achievable(r_sum, 1e-9)
 
 
-def test_every_bound_reads_subset_bounds(instance):
-    sc, aux, _ = instance
-    ev = DiscreteEvaluator.from_aux(sc, aux)
-    for family in ("thm1", "thm3"):
+def gaussian_cases():
+    """Gaussian (name, scenario, quantizers, mask of the relays on the
+    boundary B_k = Sigma_k^{-1}): random quantizers, zero quantizers, and
+    relay 2 on the boundary."""
+    rng = np.random.default_rng(24)
+    cases = []
+    for i in range(30):
+        sc = random_gaussian_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+        cases.append((f"gaussian-{i}", sc, random_quantizers(rng, sc), 0))
+    sc = random_gaussian_scenario(rng, 2, 3)
+    zero = QuantizerSetGaussian(B=tuple(np.zeros_like(s) for s in sc.Sigma))
+    cases.append(("gaussian-zero", sc, zero, 0))
+    b = list(random_quantizers(rng, sc).B)
+    b[1] = np.linalg.inv(sc.Sigma[1])
+    cases.append(("gaussian-boundary", sc, QuantizerSetGaussian(B=tuple(b)), 0b10))
+    return cases
+
+
+BOUND_CASES = [(name, sc, aux, 0) for name, sc, aux in INSTANCES] + gaussian_cases()
+
+
+@pytest.mark.parametrize("case", BOUND_CASES, ids=[name for name, *_ in BOUND_CASES])
+def test_every_bound_reads_subset_bounds(case):
+    # one formula for both scenario kinds: every bound, region and region
+    # function reads subset_bounds, and a bound is -inf exactly where S
+    # holds a relay on the boundary
+    _, sc, q, boundary = case
+    if isinstance(q, AuxChannels):
+        ev, families = DiscreteEvaluator.from_aux(sc, q), ("thm1", "thm3")
+        region_of = functools.partial(region_discrete, sc, q)
+    else:
+        ev, families = GaussianEvaluator.from_quantizers(sc, q), ("thm3",)
+        region_of = lambda family: region_gaussian(sc, q)
+    full = tuple(range(1, sc.num_users + 1))
+    assert ev.subset_bounds().tolist() == ev.subset_bounds(full, "thm3").tolist()
+    assert ev.region().bounds.tolist() == ev.region("thm3").bounds.tolist()
+    for family in families:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # thm1 on correlated outputs
-            rows = region_discrete(sc, aux, family).bounds.ravel().tolist()
+            rows = region_of(family).bounds.ravel().tolist()
         vectors = []
         for t_mask in range(1, 1 << sc.num_users):
             users = indices_of(t_mask)
@@ -221,7 +261,9 @@ def test_every_bound_reads_subset_bounds(instance):
             for s_mask, value in enumerate(vector):
                 assert ev.bound(SubsetPair(users, indices_of(s_mask)), family) == value
             vectors += vector.tolist()
-        assert rows == vectors == ev.region(family).bounds.ravel().tolist()
+        region = ev.region(family)
+        assert rows == vectors == region.bounds.ravel().tolist()
+        assert all((b == -math.inf) == bool(s & boundary) for _, s, b in region.csv_rows())
 
 
 def test_sum_rate_bounds_take_2_to_the_k_plus_2_entropies(instance, monkeypatch):

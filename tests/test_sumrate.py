@@ -21,7 +21,7 @@ from ocran.sumrate import (
     swz_equals_jd,
     swz_required_fronthaul,
 )
-from ocran import discrete
+from ocran import core, discrete
 from ocran.cli import main
 from ocran.core import save_scenario
 from ocran.discrete import region_discrete
@@ -415,16 +415,17 @@ class TestSharedEvaluator:
 
     @staticmethod
     def count_bound_formations(monkeypatch):
-        # formations, not calls: the evaluator keeps each bound vector, and
-        # each formation sums its per-relay terms over the relay sets once
+        # formations, not calls: the evaluator keeps each bound vector and
+        # the charge that its thm3 formations read, and sums the per-relay
+        # terms over the relay sets once for that charge
         calls = []
-        original = discrete.subset_sums
+        original = core.subset_sums
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(discrete, "subset_sums", counting)
+        monkeypatch.setattr(core, "subset_sums", counting)
         return calls
 
     def test_swz_equals_jd_forms_the_bounds_once(self, monkeypatch):
