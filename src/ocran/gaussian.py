@@ -325,9 +325,9 @@ def matrix_lemma_holds(a, b, c) -> np.ndarray:
     """For stacks (n, d, d) of Hermitian PD A, B, C with B >= A: check
     |I + BC| >= |I + AC| matrix by matrix.
 
-    Determinants are compared through log2 det of the symmetrized products
-    I + C^{1/2} M C^{1/2}; the comparison allows slack LEMMA_TOL.  Each check
-    is made once for the whole stack and raises if any matrix fails it.
+    Determinants are compared as log2 det(I + L^H M L) = log2 det(I + MC),
+    C = L L^H by Cholesky, with slack LEMMA_TOL.  Each check is made once for
+    the whole stack and raises if any matrix fails it.
     """
     a = la.require_pd(a, name="A", stacked=True)
     b = la.require_pd(b, name="B", stacked=True)
@@ -336,10 +336,9 @@ def matrix_lemma_holds(a, b, c) -> np.ndarray:
         raise ValueError("A, B and C must have the same shape")
     if not la.has_cholesky(b - a + la.HERM_TOL * np.eye(a.shape[-1])):
         raise ValueError("precondition B >= A violated")
-    c_root = la.psd_sqrt(c)
+    factor = np.linalg.cholesky(c)
     eye = np.eye(c.shape[-1])
-    lhs = la.logdet2(eye + c_root @ b @ c_root)
-    rhs = la.logdet2(eye + c_root @ a @ c_root)
+    lhs, rhs = (la.logdet2(eye + factor.conj().swapaxes(-1, -2) @ m @ factor) for m in (b, a))
     return lhs >= rhs - LEMMA_TOL
 
 

@@ -16,12 +16,13 @@ the same epigraph solve (``_epigraph_solve``) from several starts, over
 softmax-parametrized tables, and carries no certificate; only this search
 takes restarts, an iteration cap and a seed.
 
-A point costs a few stacked numpy calls, not one per relay: the map W(A),
-fronthaul rates and B_k take one call per antenna-count group of relays
-(``ScenarioTerms``), and several branch gradients one stacked inverse and
-one batched product per group.  Each element sees the float operations of a
-loop over relays and branches, in the same order, so results do not depend
-on the grouping.
+Every question about the branches takes a point, built once from packed A
+(``smooth_at``) or from packed W (``at``, which clips W).  A point costs a
+few stacked numpy calls, not one per relay: the map W(A), fronthaul rates
+and B_k take one call per antenna-count group of relays (``ScenarioTerms``),
+and several branch gradients one stacked inverse and one batched product
+per group.  Each element sees the float operations of a loop over relays
+and branches, in the same order, so results do not depend on the grouping.
 """
 
 from __future__ import annotations
@@ -150,9 +151,10 @@ class _GaussianObjective:
     """The Gaussian region's branches and their gradients over packed
     normalized quantizers.
 
-    Each question takes packed parameters x or a point from ``at(x)``; loops
-    that ask several questions about one x pass the point, so x is projected
-    and evaluated once.  Per-relay work runs on the scenario's relay groups
+    Each question takes a point: ``at(x)`` is the one entry from packed W
+    (through its eigenvalue clip) and ``smooth_at(a)`` the one from packed
+    A, so a point is projected and evaluated once however many questions it
+    answers.  Per-relay work runs on the scenario's relay groups
     (``ScenarioTerms``), one stacked numpy call per group."""
 
     def __init__(self, sc: GaussianScenario):
@@ -168,13 +170,11 @@ class _GaussianObjective:
     def project(self, ws) -> list[np.ndarray]:
         return [la.clip_eigenvalues(w, 0.0, 1.0 - QUANT_CAP_MARGIN) for w in ws]
 
-    def at(self, x) -> _Point:
-        """The point of packed normalized quantizers x: each W_k is clipped
-        onto 0 <= W_k <= (1 - QUANT_CAP_MARGIN) I and taken through
-        A_k = (W_k (I - W_k)^{-1})^{1/2} to ``smooth_at``, whose packed W is
-        the clipped x up to rounding; a point is returned as is."""
-        if isinstance(x, _Point):
-            return x
+    def at(self, x: np.ndarray) -> _Point:
+        """The point of packed normalized quantizers x, the only entry from
+        packed W: each W_k is clipped onto 0 <= W_k <= (1 - QUANT_CAP_MARGIN) I
+        and taken through A_k = (W_k (I - W_k)^{-1})^{1/2} to ``smooth_at``,
+        whose packed W is the clipped x up to rounding."""
         flat = _unpack_flat(x, self.layout)
         for pos, w in zip(self.positions, self.project([flat[pos] for pos in self.positions])):
             lam, v = np.linalg.eigh(w)
@@ -218,16 +218,16 @@ class _GaussianObjective:
     def _b(self, ws) -> list[np.ndarray]:
         return [la.hermitian_part(ri @ w @ ri) for ri, w in zip(self.sig_root_inv, ws)]
 
-    def quantizers(self, x) -> QuantizerSetGaussian:
-        return QuantizerSetGaussian(B=tuple(self.terms.unstack(self._b(self.at(x).ws))))
+    def quantizers(self, p: _Point) -> QuantizerSetGaussian:
+        return QuantizerSetGaussian(B=tuple(self.terms.unstack(self._b(p.ws))))
 
-    def branch_values(self, x, users=None) -> np.ndarray:
+    def branch_values(self, p: _Point, users=None) -> np.ndarray:
         """The bound of user set T (by default all users, the sum-rate) for
         every relay subset (index = subset bitmask)."""
-        return self.at(x).evaluator.subset_bounds(users)
+        return p.evaluator.subset_bounds(users)
 
-    def value(self, x) -> float:
-        return float(self.branch_values(x).min())
+    def value(self, p: _Point) -> float:
+        return float(self.branch_values(p).min())
 
     def row_values(self, p: _Point, t_sets) -> np.ndarray:
         """The bounds of the (T, S) rows of the user sets, S by bitmask."""
@@ -238,22 +238,20 @@ class _GaussianObjective:
         masks = np.arange(1 << self.sc.num_relays)
         return np.vstack([self._branch_gradient(p, masks, users) for users in t_sets])
 
-    def _branch_gradient(self, x, s_masks, users=None) -> np.ndarray:
-        """Gradient of the (T, S) branch of user set T (by default all
-        users), one row per relay-set bitmask in ``s_masks`` (one vector for
-        a single mask): the fronthaul charge for relays in S (shared by
-        every branch at one point) and the log-det term, through the inverse
-        of the evaluator's branch matrix and the T columns of each relay's
+    def _branch_gradient(self, p: _Point, masks: np.ndarray, users=None) -> np.ndarray:
+        """Gradients of the (T, S) branches of user set T (by default all
+        users) at ``p``, one row per relay-set bitmask in the integer array
+        ``masks``: the fronthaul charge for relays in S (shared by every
+        branch at one point) and the log-det term, through the inverse of
+        the evaluator's branch matrix and the T columns of each relay's
         channel, for the rest.  The branch matrices are inverted as one
         stack, and each group's (S, k not in S) pairs are multiplied out as
         one batch."""
-        p = self.at(x)
         users = users or self.terms.full_users
         idx, k_root = self.terms.users(users)
         # a slice, not idx: idx changed the rows' last bit on mixed-antenna scenarios
         cols = slice(None) if users == self.terms.full_users else idx
         stack = p.evaluator.branch_stack(users)
-        masks = np.atleast_1d(s_masks)
         rows = np.empty((masks.size, self.layout.bounds[-1][1]), dtype=np.complex128)
         for pos, charge in zip(self.positions, p.charge_grads):
             rows[:, pos] = charge
@@ -266,15 +264,14 @@ class _GaussianObjective:
                 h_inner_h = h @ inner[r] @ h.conj().swapaxes(-1, -2) / la.LN2
                 ri_i = ri[i]
                 rows[kept[r, None, None], pos[i]] = la.hermitian_part(ri_i @ h_inner_h @ ri_i)
-        grads = _pack_flat(rows, self.layout) * self.layout.scale
-        return grads if np.ndim(s_masks) else grads[0]
+        return _pack_flat(rows, self.layout) * self.layout.scale
 
-    def softmin(self, x, tau: float, gradient: bool = True) -> tuple[float, np.ndarray | None]:
+    def softmin(self, p: _Point, tau: float,
+                gradient: bool = True) -> tuple[float, np.ndarray | None]:
         """Smooth lower envelope -tau log2 sum_S 2^{-v_S/tau} of the subset
         branches and its gradient (a concave surrogate of the hard min); with
         ``gradient=False`` the value alone, and None.  No optimizer path
         calls it; bench/tracing.py still wraps it by name."""
-        p = self.at(x)
         vals = self.branch_values(p)
         lo = float(vals.min())
         scaled = np.exp(-(vals - lo) * la.LN2 / tau)
@@ -555,7 +552,7 @@ def _certified_solve(obj: _GaussianObjective, weights=None) -> OptResult:
     def solve(p, tie_break: bool = True) -> tuple[float, np.ndarray]:
         """The objective at p and rates that reach it, by the tie rule if ``tie_break``."""
         if weights is None:
-            value = float(obj.branch_values(p).min())
+            value = obj.value(p)
             return value, np.array([value])
         bounds = obj.row_values(p, t_sets).reshape(-1, subsets)
         return max_weighted_rate(RateRegion(sc.num_users, bounds), c, tie_break)

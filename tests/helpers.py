@@ -40,7 +40,7 @@ def pack_gradient(mats) -> np.ndarray:
 
 def tie_gap(obj: _GaussianObjective, x) -> float:
     """Gap between the two smallest subset branches at x."""
-    vals = np.sort(obj.branch_values(x))
+    vals = np.sort(obj.branch_values(obj.at(x)))
     return float(vals[1] - vals[0]) if vals.size > 1 else math.inf
 
 
@@ -54,7 +54,7 @@ def active_gradient(obj: _GaussianObjective, x) -> np.ndarray:
     p = obj.at(x)
     vals = obj.branch_values(p)
     active = int(np.flatnonzero(vals <= vals.min() + IMPROVE_TOL)[0])
-    return obj._branch_gradient(p, active)
+    return obj._branch_gradient(p, np.array([active]))[0]
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def sum_rate_field(sc) -> ScalarField:
     packed quantizer parameters."""
     obj = _GaussianObjective(sc)
     return ScalarField(
-        value=obj.value,
+        value=lambda x: obj.value(obj.at(x)),
         gradient=lambda x: active_gradient(obj, x),
         tie_gap=lambda x: tie_gap(obj, x),
     )

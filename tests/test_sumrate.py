@@ -21,7 +21,7 @@ from ocran.sumrate import (
     swz_equals_jd,
     swz_required_fronthaul,
 )
-from ocran import core, discrete
+from ocran import discrete
 from ocran.cli import main
 from ocran.core import save_scenario
 from ocran.discrete import region_discrete
@@ -414,41 +414,39 @@ class TestSharedEvaluator:
         assert len(calls) == 1
 
     @staticmethod
-    def count_bound_formations(monkeypatch):
-        # formations, not calls: the evaluator keeps each bound vector and
-        # the charge that its thm3 formations read, and sums the per-relay
-        # terms over the relay sets once for that charge
+    def count_bound_formations(ev):
+        """The keys of the bound vectors that ``ev`` forms from now on:
+        formations, not calls, since each formed vector is stored once in
+        the evaluator's bound cache."""
         calls = []
-        original = core.subset_sums
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        class Counting(dict):
+            def __setitem__(self, key, value):
+                calls.append(key)
+                super().__setitem__(key, value)
 
-        monkeypatch.setattr(core, "subset_sums", counting)
+        ev._bounds = Counting(ev._bounds)
         return calls
 
-    def test_swz_equals_jd_forms_the_bounds_once(self, monkeypatch):
+    def test_swz_equals_jd_forms_the_bounds_once(self):
         # g is one vector R_sum + C_S - b_S, formed once for all K! orderings
-        calls = self.count_bound_formations(monkeypatch)
         rng = np.random.default_rng(34)
         for num_relays in (1, 2, 3, 4):
             sc = random_factorizing_scenario(rng, 1, num_relays)
             ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
-            calls.clear()
+            calls = self.count_bound_formations(ev)
             assert len(swz_equals_jd(ev).results) == math.factorial(num_relays)
             assert len(calls) == 1
 
-    def test_extreme_points_form_the_bounds_once(self, monkeypatch):
+    def test_extreme_points_form_the_bounds_once(self):
         # the default r_sum, the joint-decoding sum-rate, comes from the same
         # formation of the bounds as g, which the evaluator keeps for the
         # next call
-        calls = self.count_bound_formations(monkeypatch)
         rng = np.random.default_rng(35)
         for num_relays in (1, 2, 3, 4):
             sc = random_factorizing_scenario(rng, 1, num_relays)
             ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
-            calls.clear()
+            calls = self.count_bound_formations(ev)
             for r_sum in (None, 0.0):
                 assert len(extreme_points(ev, r_sum)) == math.factorial(num_relays)
             assert len(calls) == 1
