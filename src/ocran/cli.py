@@ -12,7 +12,7 @@ embedded quantization tables, if any, ride along on the parsed arguments.
 function of the parsed subcommand up in this module at call time.  When
 that function returns, ``main`` writes the run manifest and prints the
 captured warnings; an exception instead becomes an exit code and an error
-line.  Data goes to stdout or to the --out path; warnings and the run
+line, followed by the warnings captured before it.  Data goes to stdout or to the --out path; warnings and the run
 manifest (when not written next to --out) go to stderr.
 
 Exit codes: 0 success, 1 failed verification property, 2 validation error
@@ -220,8 +220,8 @@ def cmd_boundary(args, sc, emit):
                 f"{fmt_bits(w[0])},{fmt_bits(w[1])},{fmt_bits(rates[0])},{fmt_bits(rates[1])}"
             )
     else:
-        print("warning: region is empty (some bound is negative); no boundary points",
-              file=sys.stderr)
+        warnings.warn("region is empty (some bound is negative); no boundary points",
+                      RuntimeWarning)
     emit.write_text("\n".join(lines) + "\n", args.out)
 
 
@@ -450,6 +450,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    caught = []
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -462,8 +463,6 @@ def main(argv=None) -> int:
             command = globals()["cmd_" + args.command.replace("-", "_")]
             code = command(args, sc, emit) or EXIT_OK
             emit.finish()
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
         return code
     except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numeric failure: {exc}", file=sys.stderr)
@@ -474,6 +473,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # any other error is internal: exit 3, no traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:  # a failed run still shows what it warned of before failing
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -570,15 +570,13 @@ def _certified_solve(obj: _GaussianObjective, weights=None) -> OptResult:
         p, value = zero, zero_value
         trace.append(value)
     rates = solve(p)[1]
-    certificate = _FrankWolfeBound(obj, p, t_sets)
     lam = _covering(res.multipliers, cover, c)
     if lam is None:
         lam = _covering(np.ones(cover.shape[0]), cover, c)
-    bound = certificate(lam)[0]
-    if not bound - value <= GAP_TOL:
-        # where some W_k is singular, A_k = 0 and the multipliers do not
-        # see the sign of G_k on its null space
-        bound = certificate.least(lam, value + GAP_TOL, cover, c)
+    # h(lam) when the covered multipliers certify; cutting planes otherwise,
+    # since where some W_k is singular, A_k = 0 and the multipliers do not
+    # see the sign of G_k on its null space
+    bound = _FrankWolfeBound(obj, p, t_sets).least(lam, value + GAP_TOL, cover, c)
     gap = bound - value
     if not gap <= GAP_TOL:
         raise ArithmeticError(f"Gaussian solve is not certified: the gap {gap:.3e} bits exceeds "

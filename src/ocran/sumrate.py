@@ -314,7 +314,6 @@ class SumRateComparison:
     best_sum_rate: float
     best_ordering: tuple[int, ...]
     gap: float
-    results: tuple[OrderingResult, ...]
 
     @property
     def equal(self) -> bool:
@@ -326,22 +325,15 @@ def swz_equals_jd(ev: Evaluator) -> SumRateComparison:
     successive Wyner-Ziv construction over all K! chain orderings.
 
     The gap jd - best is expected to be <= 1e-9 (the construction dominates);
-    ties between orderings resolve to the lexicographically smallest."""
+    ties between orderings resolve to the lexicographically smallest.  Only
+    the running best is kept; ``swz_dominating_point`` gives any one
+    ordering's result."""
     check_orderings("swz-check", ev.sc.num_relays)
     _, target, _, g = _polytope(ev)
-    results = []
-    best = -math.inf
-    best_pi = None
+    best, best_pi = -math.inf, None
     for pi in permutations(range(1, ev.sc.num_relays + 1)):
-        res = _swz_dominating_point(ev, g, target, pi)
-        results.append(res)
-        if res.scheme_sum_rate > best + INVARIANT_TOL:
-            best = res.scheme_sum_rate
-            best_pi = pi
-    return SumRateComparison(
-        jd_sum_rate=target,
-        best_sum_rate=best,
-        best_ordering=best_pi,
-        gap=float(target - best),
-        results=tuple(results),
-    )
+        rate = _swz_dominating_point(ev, g, target, pi).scheme_sum_rate
+        if rate > best + INVARIANT_TOL:
+            best, best_pi = rate, pi
+    return SumRateComparison(jd_sum_rate=target, best_sum_rate=best,
+                             best_ordering=best_pi, gap=float(target - best))

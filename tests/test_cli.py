@@ -573,6 +573,30 @@ class TestBoundaryCommand:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert all(line.split(",")[2:] == ["0", "0"] for line in rows)
 
+    def test_empty_region_warns_once_and_writes_the_header(self, tmp_path, capsys):
+        # a quantizer whose description needs fronthaul the relay lacks
+        # makes a bound negative, so not even the zero rates are achievable
+        scenario = write_json(tmp_path / "sc.json", self._two_user_doc(fronthaul=0.0))
+        quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
+        out = tmp_path / "bnd.csv"
+        rc = main(["boundary", "--scenario", scenario, "--quantizers", quant, "--points", "3",
+                   "--out", str(out)])
+        assert rc == 0
+        assert out.read_text() == "w1,w2,R1_bits,R2_bits\n"
+        assert capsys.readouterr().err == (
+            "warning: region is empty (some bound is negative); no boundary points\n")
+
+    def test_empty_region_warning_survives_a_failed_write(self, tmp_path, capsys):
+        scenario = write_json(tmp_path / "sc.json", self._two_user_doc(fronthaul=0.0))
+        quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
+        rc = main(["boundary", "--scenario", scenario, "--quantizers", quant, "--points", "3",
+                   "--out", str(tmp_path)])  # a directory: the write fails
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"error: {tmp_path}: not a writable output path")
+        assert err[1:] == [
+            "warning: region is empty (some bound is negative); no boundary points"]
+
     def test_wrong_user_count(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
         rc = main(["boundary", "--scenario", scenario])

@@ -360,10 +360,10 @@ def test_successive_wyner_ziv(instance):
         req_dense, total_dense = dense.required(pi)
         np.testing.assert_allclose(req, req_dense, atol=TOL, rtol=0)
         assert total == pytest.approx(total_dense, abs=TOL, rel=0)
-    cmp_res = swz_equals_jd(ev)
-    for res in cmp_res.results:
-        point, pivot, alpha, fronthaul, rate, denom = dense.ordering_result(
-            cmp_res.jd_sum_rate, res.ordering)
+    r_sum = jd_sum_rate(ev)
+    for pi in orderings(sc):
+        res = swz_dominating_point(ev, r_sum, pi)
+        point, pivot, alpha, fronthaul, rate, denom = dense.ordering_result(r_sum, pi)
         np.testing.assert_allclose(res.extreme_point, point, atol=TOL, rtol=0)
         # a prefix g that is 0 up to rounding (a relay with |U_k| = 1 first)
         # counts as 0 on both sides, so the pivot is no tie

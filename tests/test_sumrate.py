@@ -10,6 +10,7 @@ from ocran.discrete import (AuxChannels, DiscreteEvaluator, DiscreteScenario, bu
                             identity_aux)
 from ocran.gaussian import GaussianEvaluator, QuantizerSetGaussian
 from ocran.sumrate import (
+    INVARIANT_TOL,
     check_supermodular,
     extreme_point,
     extreme_points,
@@ -21,12 +22,14 @@ from ocran.sumrate import (
     swz_equals_jd,
     swz_required_fronthaul,
 )
-from ocran import discrete
+from ocran import discrete, sumrate
 from ocran.cli import main
 from ocran.core import save_scenario
 from ocran.discrete import region_discrete
 from ocran.verify import (random_aux, random_correlated_scenario, random_factorizing_scenario,
                           random_gaussian_scenario, random_quantizers)
+
+from helpers import traced_peak_mb
 
 
 def noiseless_single(fronthaul=0.5):
@@ -428,14 +431,31 @@ class TestSharedEvaluator:
         ev._bounds = Counting(ev._bounds)
         return calls
 
-    def test_swz_equals_jd_forms_the_bounds_once(self):
+    @staticmethod
+    def record_orderings(monkeypatch):
+        """The per-ordering results that ``swz_equals_jd`` walks through from
+        now on, in its order; it keeps none of them itself."""
+        results = []
+        original = sumrate._swz_dominating_point
+
+        def recording(*args):
+            results.append(original(*args))
+            return results[-1]
+
+        monkeypatch.setattr(sumrate, "_swz_dominating_point", recording)
+        return results
+
+    def test_swz_equals_jd_forms_the_bounds_once(self, monkeypatch):
         # g is one vector R_sum + C_S - b_S, formed once for all K! orderings
         rng = np.random.default_rng(34)
+        results = self.record_orderings(monkeypatch)
         for num_relays in (1, 2, 3, 4):
             sc = random_factorizing_scenario(rng, 1, num_relays)
             ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
             calls = self.count_bound_formations(ev)
-            assert len(swz_equals_jd(ev).results) == math.factorial(num_relays)
+            results.clear()
+            swz_equals_jd(ev)
+            assert len(results) == math.factorial(num_relays)
             assert len(calls) == 1
 
     def test_extreme_points_form_the_bounds_once(self):
@@ -471,27 +491,45 @@ class TestSharedEvaluator:
         for (_, a), (_, b) in zip(default, points):
             np.testing.assert_array_equal(a, b)
 
-    def test_swz_results_match_dominating_point(self):
+    def test_swz_results_match_dominating_point(self, monkeypatch):
         ev = DiscreteEvaluator.from_aux(*self.instance())
+        results = self.record_orderings(monkeypatch)
         cmp_res = swz_equals_jd(ev)
+        monkeypatch.undo()  # swz_dominating_point records no more
         assert cmp_res.jd_sum_rate == jd_sum_rate(ev)
-        for res in cmp_res.results:
+        assert [res.ordering for res in results] == list(itertools.permutations((1, 2, 3)))
+        best, best_pi = -math.inf, None
+        for res in results:
             alone = swz_dominating_point(ev, cmp_res.jd_sum_rate, res.ordering)
             np.testing.assert_array_equal(res.extreme_point, alone.extreme_point)
             np.testing.assert_array_equal(res.scheme_fronthaul, alone.scheme_fronthaul)
             assert (res.ordering, res.pivot_index, res.idle_fraction, res.scheme_sum_rate) == (
                 alone.ordering, alone.pivot_index, alone.idle_fraction, alone.scheme_sum_rate)
+            # a later ordering is better only beyond the tie tolerance
+            if alone.scheme_sum_rate > best + INVARIANT_TOL:
+                best, best_pi = alone.scheme_sum_rate, alone.ordering
+        assert (cmp_res.best_ordering, cmp_res.best_sum_rate) == (best_pi, best)
+        assert cmp_res.gap == cmp_res.jd_sum_rate - best
 
     def test_results_are_python_floats(self):
         ev = DiscreteEvaluator.from_aux(*self.instance())
         cmp_res = swz_equals_jd(ev)
-        assert any(0.0 < res.idle_fraction < 1.0 for res in cmp_res.results)
+        results = [swz_dominating_point(ev, cmp_res.jd_sum_rate, pi)
+                   for pi in itertools.permutations((1, 2, 3))]
+        assert any(0.0 < res.idle_fraction < 1.0 for res in results)
         assert type(cmp_res.best_sum_rate) is float
-        for res in cmp_res.results:
-            alone = swz_dominating_point(ev, cmp_res.jd_sum_rate, res.ordering)
-            for value in (res.idle_fraction, res.scheme_sum_rate,
-                          alone.idle_fraction, alone.scheme_sum_rate):
+        for res in results:
+            for value in (res.idle_fraction, res.scheme_sum_rate):
                 assert type(value) is float
+
+    def test_swz_equals_jd_keeps_no_per_ordering_results(self):
+        # the walk over the 720 orderings holds only its running best: a
+        # list of every ordering's result peaked at 342 KB here
+        rng = np.random.default_rng(6)
+        sc = random_factorizing_scenario(rng, 1, 6)
+        ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (2,) * 6))
+        swz_equals_jd(ev)  # forms the bounds and entropies the walk reads
+        assert traced_peak_mb(lambda: swz_equals_jd(ev)) * 2.0 ** 10 < 64
 
     def test_subset_bounds_are_the_thm3_rows_at_all_users(self):
         rng = np.random.default_rng(33)
