@@ -176,12 +176,11 @@ def _evaluator(args, sc) -> Evaluator:
 
 
 def _scenario_region(args, sc) -> RateRegion:
+    """The region of ``--which``; thm1 and thm3 agree on the Gaussian class."""
     q = _quantizers(args, sc)
     if isinstance(sc, GaussianScenario):
-        if args.which is not None:
-            raise ScenarioError("--which applies to discrete scenarios only")
         return region_gaussian(sc, q)
-    return region_discrete(sc, q, args.which or "thm1")
+    return region_discrete(sc, q, args.which)
 
 
 def cmd_region(args, sc, emit):
@@ -234,20 +233,13 @@ def _flag_list(text: str, flag: str, convert) -> tuple:
 
 
 def cmd_optimize(args, sc, emit):
-    weights = None
-    if args.objective == "weighted":
-        if not args.weights:
-            raise ScenarioError("weighted objective needs --weights")
-        weights = _flag_list(args.weights, "--weights", float)
-    elif args.weights is not None:
-        raise ScenarioError("--weights needs --objective weighted")
+    weights = None if args.weights is None else _flag_list(args.weights, "--weights", float)
     if args.restarts < 1 or args.iters < 1:
         raise ScenarioError("restarts and max_iters must be positive")
     if isinstance(sc, GaussianScenario):
         if args.aux_sizes is not None:
             raise ScenarioError("--aux-sizes applies to discrete scenarios only")
         res = optimize_gaussian_quantizers(sc, weights)
-        active = [{"T_mask": t, "S_mask": s} for t, s in res.active]
     else:
         if weights is not None:
             raise ScenarioError("discrete search supports only the sum-rate objective")
@@ -256,14 +248,13 @@ def cmd_optimize(args, sc, emit):
         else:
             sizes = tuple(n + 1 for n in sc.output_sizes)
         res = optimize_discrete_aux(sc, sizes, args.restarts, args.iters, args.seed)
-        active = [{"S_mask": s} for s in res.active]
     payload = {
         "objective_bits": res.objective,
         "upper_bound_bits": res.upper_bound,
         "gap_bits": res.gap,
         "converged": res.converged,
         "trace_bits": list(res.trace),
-        "active_constraints": active,
+        "active_constraints": [{"T_mask": t, "S_mask": s} for t, s in res.active],
         "quantizers": quantizers_to_dict(res.quantizers),
     }
     emit.write_json(payload, args.out)
@@ -271,10 +262,9 @@ def cmd_optimize(args, sc, emit):
 
 def cmd_sumrate(args, sc, emit):
     ev = _evaluator(args, sc)
-    payload = {"sum_rate_bits": jd_sum_rate(ev)}
-    if isinstance(ev, GaussianEvaluator):
-        payload["subset_bounds"] = [{"S_mask": s, "bound_bits": float(b)}
-                                    for s, b in enumerate(jd_subset_bounds(ev))]
+    payload = {"sum_rate_bits": jd_sum_rate(ev),
+               "subset_bounds": [{"S_mask": s, "bound_bits": float(b)}
+                                 for s, b in enumerate(jd_subset_bounds(ev))]}
     emit.write_json(payload, args.out)
 
 
@@ -387,20 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("region", "evaluate every (T, S) constraint bound")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--quantizers", help="JSON with Gaussian B matrices or discrete aux tables")
-    p.add_argument("--which", choices=("thm1", "thm3"),
-                   help="constraint family for discrete scenarios (default thm1)")
+    p.add_argument("--which", choices=("thm1", "thm3"), default="thm1",
+                   help="constraint family; Gaussian regions are the same under both")
 
     p = command("boundary", "two-user weighted-rate boundary sweep")
     p.add_argument("--quantizers")
-    p.add_argument("--which", choices=("thm1", "thm3"),
-                   help="constraint family for discrete scenarios (default thm1)")
+    p.add_argument("--which", choices=("thm1", "thm3"), default="thm1",
+                   help="constraint family; Gaussian regions are the same under both")
     p.add_argument("--points", type=int, default=33, help="weights swept, at least 2")
 
     p = command("optimize", "search quantizers for the best objective")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the discrete search's random starts (Gaussian: unused)")
-    p.add_argument("--objective", choices=("sum", "weighted"), default="sum")
-    p.add_argument("--weights", help="comma-separated user weights (--objective weighted only)")
+    p.add_argument("--weights", help="comma-separated user weights: maximize w.R (Gaussian only)")
     p.add_argument("--restarts", type=int, default=4,
                    help="starts of the discrete search (Gaussian: one certified solve)")
     p.add_argument("--iters", type=int, default=120,

@@ -368,16 +368,16 @@ def _softmin_polish(obj: _GaussianObjective, x0: np.ndarray, max_iters: int):
 
 @dataclass(frozen=True)
 class OptResult:
-    """Either search's result.  ``active`` holds the tight constraints: (T, S)
-    mask pairs for the Gaussian solve, relay-subset masks for the discrete
-    search.  A Gaussian result is certified, gap = upper_bound - objective <=
+    """Either search's result.  ``active`` holds the tight constraints as
+    (T, S) mask pairs; the sum-rate searches report T = all users, 2^L - 1.
+    A Gaussian result is certified, gap = upper_bound - objective <=
     GAP_TOL bits, so ``converged`` is True; a discrete one leaves both None."""
 
     quantizers: QuantizerSetGaussian | AuxChannels
     objective: float
     converged: bool
     trace: tuple[float, ...]
-    active: tuple[tuple[int, int], ...] | tuple[int, ...]
+    active: tuple[tuple[int, int], ...]
     upper_bound: float | None = None
     gap: float | None = None
 
@@ -687,7 +687,8 @@ def optimize_discrete_aux(sc: DiscreteScenario, cardinalities, restarts: int = 4
         solves.append((tables, ev.subset_bounds(), jd_sum_rate(ev), trace, res))
     best = max(range(restarts), key=lambda i: (solves[i][2], -i))
     tables, bounds, value, trace, res = solves[best]
-    active = tuple(int(s) for s in np.flatnonzero(bounds <= bounds.min() + ACTIVE_TOL))
+    full = (1 << sc.num_users) - 1
+    active = tuple((full, int(s)) for s in np.flatnonzero(bounds <= bounds.min() + ACTIVE_TOL))
     return OptResult(quantizers=AuxChannels(tables=tables), objective=value,
                      converged=bool(res.success), trace=tuple(trace), active=active)
 

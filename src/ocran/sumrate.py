@@ -243,10 +243,11 @@ def swz_dominating_point(ev: Evaluator, r_sum: float, ordering) -> OrderingResul
 
     Requires r_sum <= jd_sum_rate(ev) (otherwise the fronthaul polytope
     is empty and the construction is meaningless); a larger r_sum, beyond
-    INVARIANT_TOL, raises ``ScenarioError``.  Relays before the pivot position
-    stay silent; the pivot relay is active only a (1 - idle_fraction) share
-    of the time; later chain relays are always active.  Decoding runs through
-    the chain in reverse.
+    INVARIANT_TOL, raises ``ScenarioError``, and so does an infinite g
+    (``_finite``).  Relays before the pivot position stay silent; the pivot
+    relay is active only a (1 - idle_fraction) share of the time; later
+    chain relays are always active.  Decoding runs through the chain in
+    reverse.
     """
     pi = _check_ordering(ordering, ev.sc.num_relays)
     _, jd, r_sum, g = _polytope(ev, r_sum)
@@ -255,7 +256,7 @@ def swz_dominating_point(ev: Evaluator, r_sum: float, ordering) -> OrderingResul
             f"r_sum = {r_sum!r} exceeds the joint-decoding sum-rate {jd!r}; "
             "the fronthaul polytope is empty"
         )
-    return _swz_dominating_point(ev, g, r_sum, pi)
+    return _swz_dominating_point(ev, _finite(g), r_sum, pi)
 
 
 def _swz_dominating_point(
@@ -330,6 +331,7 @@ def swz_equals_jd(ev: Evaluator) -> SumRateComparison:
     ordering's result."""
     check_orderings("swz-check", ev.sc.num_relays)
     _, target, _, g = _polytope(ev)
+    _finite(g)
     best, best_pi = -math.inf, None
     for pi in permutations(range(1, ev.sc.num_relays + 1)):
         rate = _swz_dominating_point(ev, g, target, pi).scheme_sum_rate

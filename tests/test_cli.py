@@ -614,15 +614,25 @@ class TestBoundaryCommand:
         assert f"--points must be at least 2, got {points}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["region", "boundary"])
-    def test_which_on_a_gaussian_scenario_exit_2(self, tmp_path, capsys, command):
-        scenario = write_json(tmp_path / "sc.json", self._two_user_doc())
-        quant = write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})
-        out = tmp_path / "out.csv"
-        rc = main([command, "--scenario", scenario, "--quantizers", quant, "--which", "thm3",
-                   "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert "--which applies to discrete scenarios only" in capsys.readouterr().err
+    def test_which_on_a_gaussian_scenario_writes_the_same_bytes(self, tmp_path, command):
+        # the Gaussian channels are in the capacity class, where thm1 and thm3
+        # agree; their bounds are bit-equal, so --which changes no byte
+        rng = np.random.default_rng(7)
+        sc = random_gaussian_scenario(rng, 2, 2)
+        q = random_quantizers(rng, sc)
+        path = tmp_path / "sc.json"
+        save_scenario(sc, path)
+        quant = write_json(tmp_path / "q.json", quantizers_to_dict(q))
+        ev = GaussianEvaluator.from_quantizers(load_scenario(path), q)
+        assert np.array_equal(ev.region("thm1").bounds, ev.region("thm3").bounds)
+        points = ["--points", "5"] if command == "boundary" else []
+        written = []
+        for which in ([], ["--which", "thm1"], ["--which", "thm3"]):
+            out = tmp_path / f"{command}{len(written)}.csv"
+            assert main([command, "--scenario", str(path), "--quantizers", quant, *which, *points,
+                         "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1] == written[2]
 
 
 class TestOptimizeCommand:
@@ -659,16 +669,15 @@ class TestOptimizeCommand:
         monkeypatch.setattr(optimize, "GAP_TOL", -1.0)
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc(fronthaul=1.0))
         out = tmp_path / "opt.json"
-        for objective in (["--objective", "sum"], ["--objective", "weighted", "--weights", "1"]):
-            assert main(["optimize", "--scenario", scenario, *objective, "--out", str(out)]) == 3
+        for weights in ([], ["--weights", "1"]):
+            assert main(["optimize", "--scenario", scenario, *weights, "--out", str(out)]) == 3
             assert "not certified" in capsys.readouterr().err
             assert not out.exists()
 
     def test_weighted_is_certified_and_discrete_is_not(self, tmp_path):
         gaussian = write_json(tmp_path / "g.json", golden_gaussian_doc(fronthaul=1.0, users=2))
         out = tmp_path / "opt.json"
-        rc = main(["optimize", "--scenario", gaussian, "--objective", "weighted",
-                   "--weights", "0.3,0.7", "--out", str(out)])
+        rc = main(["optimize", "--scenario", gaussian, "--weights", "0.3,0.7", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["converged"] is True
@@ -681,14 +690,6 @@ class TestOptimizeCommand:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["upper_bound_bits"] is None and payload["gap_bits"] is None
-
-    def test_weights_without_the_weighted_objective_exit_2(self, tmp_path, capsys):
-        scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
-        out = tmp_path / "opt.json"
-        rc = main(["optimize", "--scenario", scenario, "--weights", "1", "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert "--weights needs --objective weighted" in capsys.readouterr().err
 
     def test_aux_sizes_on_a_gaussian_scenario_exit_2(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc(fronthaul=1.0))
@@ -720,6 +721,21 @@ class TestOptimizeCommand:
         payload = json.loads(out.read_text())
         assert payload["objective_bits"] > 0.0
         assert len(payload["quantizers"]["aux"]) == 2
+
+    def test_discrete_active_constraints_name_every_user(self, tmp_path):
+        # the sum-rate search's tight rows are (T, S) pairs at T = all users,
+        # as the Gaussian sum-rate solve reports them
+        rng = np.random.default_rng(12)
+        sc = random_factorizing_scenario(rng, 2, 2)
+        path = tmp_path / "sc.json"
+        save_scenario(sc, path)
+        out = tmp_path / "opt.json"
+        assert main(["optimize", "--scenario", str(path), "--restarts", "1", "--iters", "5",
+                     "--out", str(out)]) == 0
+        active = json.loads(out.read_text())["active_constraints"]
+        assert active and all(row["T_mask"] == 0b11 for row in active)
+        assert [row["S_mask"] for row in active] == sorted({row["S_mask"] for row in active})
+        assert all(0 <= row["S_mask"] < 0b100 for row in active)
 
 
     def test_discrete_writes_no_warning(self, tmp_path, capsys):
@@ -753,8 +769,7 @@ class TestOptimizeCommand:
         doc = golden_gaussian_doc() if kind == "gaussian" else discrete_doc(with_aux=False)
         scenario = write_json(tmp_path / "sc.json", doc)
         out = tmp_path / "opt.json"
-        objective = ["--objective", "weighted"] if flag == "--weights" else []
-        rc = main(["optimize", "--scenario", scenario, *objective, flag, value, "--out", str(out)])
+        rc = main(["optimize", "--scenario", scenario, flag, value, "--out", str(out)])
         assert rc == 2
         assert not out.exists()
         assert f"error: {flag}: must be comma-separated" in capsys.readouterr().err
@@ -762,8 +777,7 @@ class TestOptimizeCommand:
     def test_discrete_weighted_objective_exit_2(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "sc.json", discrete_doc(with_aux=False))
         out = tmp_path / "opt.json"
-        rc = main(["optimize", "--scenario", scenario, "--objective", "weighted",
-                   "--weights", "1", "--out", str(out)])
+        rc = main(["optimize", "--scenario", scenario, "--weights", "1", "--out", str(out)])
         assert rc == 2
         assert not out.exists()
         assert "supports only the sum-rate objective" in capsys.readouterr().err
@@ -784,8 +798,7 @@ class TestOptimizeCommand:
     def test_unusable_weights_are_validation_errors(self, tmp_path, capsys, weights):
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
         out = tmp_path / "opt.json"
-        rc = main(["optimize", "--scenario", scenario, "--objective", "weighted",
-                   f"--weights={weights}", "--out", str(out)])
+        rc = main(["optimize", "--scenario", scenario, f"--weights={weights}", "--out", str(out)])
         assert rc == 2
         assert not out.exists()
         err = capsys.readouterr().err
@@ -800,6 +813,13 @@ class TestSumRateCommands:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["sum_rate_bits"] >= 0.0
+        # the same payload as a Gaussian sumrate: every b_S, and their
+        # minimum floored at 0
+        ev = DiscreteEvaluator.from_aux(*load_scenario(scenario, with_aux=True))
+        bounds = ev.subset_bounds()
+        assert payload["subset_bounds"] == [{"S_mask": s, "bound_bits": float(b)}
+                                            for s, b in enumerate(bounds)]
+        assert payload["sum_rate_bits"] == max(0.0, float(bounds.min()))
 
     def test_swz_check(self, tmp_path, capsys):
         scenario = write_json(tmp_path / "sc.json", discrete_doc())
@@ -1164,7 +1184,8 @@ class TestRunPath:
         assert written[0] == written[1]
 
     @pytest.mark.parametrize("argv", [["region", "--seed", "1"], ["optimize", "--format", "json"],
-                                      ["verify", "--suite", "swz"]])
+                                      ["verify", "--suite", "swz"],
+                                      ["optimize", "--objective", "sum"]])
     def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, argv):
         scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
         with pytest.raises(SystemExit) as exc:
@@ -1229,8 +1250,7 @@ def test_failed_weighted_rate_lp_exits_3(tmp_path, capsys, monkeypatch):
     # three-user iterates with the LP
     scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc(fronthaul=1.0, users=3))
     out = tmp_path / "opt.json"
-    rc = main(["optimize", "--scenario", scenario, "--objective", "weighted",
-               "--weights", "1,2,3", "--out", str(out)])
+    rc = main(["optimize", "--scenario", scenario, "--weights", "1,2,3", "--out", str(out)])
     assert rc == 3
     assert "weighted-rate LP failed: forced failure" in capsys.readouterr().err
     assert not out.exists()

@@ -1,14 +1,15 @@
-"""README's library entry points must import and run, its command table and
-``verify`` paragraph must name the CLI's commands and suites, and every
-module attribute it names must exist, so a deleted or renamed public name,
-constant, command or suite, or a changed signature, fails here rather than in
-a reader's session."""
+"""README's library entry points must import and run, its shell examples
+must parse, its command table and ``verify`` paragraph must name the CLI's
+commands and suites, and every module attribute it names must exist, so a
+deleted or renamed public name, constant, command, flag or suite, or a
+changed signature, fails here rather than in a reader's session."""
 
 import argparse
 import importlib
 import pathlib
 import pkgutil
 import re
+import shlex
 
 import numpy as np
 
@@ -48,6 +49,20 @@ def test_library_entry_points_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(entry_point_block(), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_shell_examples_parse():
+    # every `ocran ...` line of a sh block, comments dropped
+    text = README.read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+             for line in block.splitlines() if line.startswith("ocran ")]
+    assert len(lines) >= 3
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit as exc:
+            raise AssertionError(f"README example does not parse: {line}") from exc
 
 
 def test_command_table_names_every_subcommand():

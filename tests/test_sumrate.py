@@ -675,7 +675,10 @@ def test_relay_on_the_boundary_empties_the_fronthaul_polytope():
         warnings.simplefilter("error")
         assert np.isinf(g_function(ev, jd_sum_rate(ev))).any()
         for call in (lambda: check_supermodular(ev, jd_sum_rate(ev)),
-                     lambda: extreme_points(ev), lambda: extreme_point(ev, 0.0, (2, 1))):
+                     lambda: extreme_points(ev), lambda: extreme_point(ev, 0.0, (2, 1)),
+                     lambda: swz_equals_jd(ev),
+                     lambda: swz_dominating_point(ev, jd_sum_rate(ev), (1, 2)),
+                     lambda: swz_dominating_point(ev, jd_sum_rate(ev), (2, 1))):
             with pytest.raises(ScenarioError, match="fronthaul polytope is empty"):
                 call()
 
