@@ -196,9 +196,9 @@ def cmi(j: JointPmf, a, b, c=()) -> float:
 
 def _nonnegative(val: float, name: str) -> float:
     """An information quantity, with rounding dust in [-NEGATIVE_INFO_TOL, 0)
-    read as 0."""
-    if val < -NEGATIVE_INFO_TOL:
-        raise ArithmeticError(f"{name} is {val:.3e} bits, negative beyond rounding")
+    read as 0; a NaN raises, as a more negative value does."""
+    if not val >= -NEGATIVE_INFO_TOL:
+        raise ArithmeticError(f"{name} is {val:.3e} bits, NaN or negative beyond rounding")
     return max(0.0, val)
 
 

@@ -6,9 +6,12 @@ Every function takes the evaluator ``ev`` of one (scenario, quantizer) pair,
 a ``core.Evaluator`` of either scenario kind, and forms its subset bounds
 b_S = ``ev.subset_bounds()`` at most once per call: g(S) = R_sum + C_S - b_S
 is one vector, I(U_all; X_all | Q) is b_{}, and separate decompression asks
-R_sum <= b_{} and b_S >= b_{} for every S.  The Wyner-Ziv rates are
-differences of the 2^K entropies H(U_m, Q) and H(U_m, X_all, Q) that the
-bounds already took, so this layer computes no entropy of its own.
+R_sum <= b_{} and b_S >= b_{} for every S.  One walk over chain orderings
+forms g, refuses an empty polytope once (R_sum above its cap, then an
+infinite g) and gives each ordering's extreme point or dominating scheme.
+The Wyner-Ziv rates are differences of the 2^K entropies H(U_m, Q) and
+H(U_m, X_all, Q) that the bounds already took, so this layer computes no
+entropy of its own.
 
 Ordering conventions
 --------------------
@@ -141,7 +144,7 @@ def extreme_point(ev: Evaluator, r_sum: float, ordering) -> np.ndarray:
     The result is indexed by relay (position k-1 holds relay k's fronthaul)
     and telescopes to g+(all relays).  An r_sum above I(U_all; X_all | Q),
     beyond INVARIANT_TOL, raises ``ScenarioError``: the polytope is empty."""
-    return _extreme_points(ev, r_sum, [_check_ordering(ordering, ev.sc.num_relays)])[0][1]
+    return next(_walk(ev, r_sum, [_check_ordering(ordering, ev.sc.num_relays)])[1])[1]
 
 
 def extreme_points(ev: Evaluator,
@@ -151,33 +154,35 @@ def extreme_points(ev: Evaluator,
 
     ``r_sum`` defaults to the joint-decoding sum-rate."""
     check_orderings("extreme-points", ev.sc.num_relays)
-    return _extreme_points(ev, r_sum, permutations(range(1, ev.sc.num_relays + 1)))
+    return list(_walk(ev, r_sum, permutations(range(1, ev.sc.num_relays + 1)))[1])
 
 
-def _extreme_points(ev: Evaluator, r_sum: float | None, orderings):
-    """(pi, extreme point) for each chain ordering pi, from one g at r_sum
-    (None: the joint-decoding sum-rate).  An r_sum above I(U_all; X_all | Q)
-    = b_{} raises: the S = {} row of the fronthaul polytope then asks for
-    0 >= g({}) = r_sum - I(U_all; X_all | Q) > 0, so the polytope is empty;
-    so does an infinite g (``_finite``)."""
-    bounds, _, r_sum, g = _polytope(ev, r_sum)
-    if r_sum > bounds[0] + INVARIANT_TOL:
-        raise ScenarioError(f"r_sum = {r_sum!r} exceeds I(U; X | Q) = {float(bounds[0])!r}; "
+def _walk(ev: Evaluator, r_sum: float | None, orderings, schemes: bool = False):
+    """(R_sum, an iterator giving each of ``orderings`` as (pi, extreme
+    point), or with ``schemes`` as its OrderingResult) at r_sum (None: the
+    joint-decoding sum-rate).  R_sum is capped by b_{} = I(U; X | Q) for a
+    point, as the S = {} row asks 0 >= g({}) = r_sum - b_{}, and by the
+    joint-decoding sum-rate for a scheme."""
+    bounds, jd, r_sum, g = _polytope(ev, r_sum)
+    cap, name = ((jd, "the joint-decoding sum-rate") if schemes
+                 else (float(bounds[0]), "I(U; X | Q) ="))
+    if r_sum > cap + INVARIANT_TOL:
+        raise ScenarioError(f"r_sum = {r_sum!r} exceeds {name} {cap!r}; "
                             "the fronthaul polytope is empty")
     _finite(g)
-    return [(pi, _extreme_point(_chain_g(g, pi), pi)) for pi in orderings]
+    chains = ((pi, [float(g[mask_of(pi[:k])]) for k in range(len(pi) + 1)]) for pi in orderings)
+    if schemes:
+        return r_sum, (_ordering_result(ev, chain, r_sum, pi) for pi, chain in chains)
+    return r_sum, ((pi, _extreme_point(chain, pi)) for pi, chain in chains)
 
 
 def _check_ordering(ordering, num_relays: int) -> tuple[int, ...]:
-    pi = tuple(int(k) for k in ordering)
+    # a fractional entry, which int() would truncate, reads as 0, no relay;
+    # so do NaN and inf, which int() refuses with a ValueError or OverflowError
+    pi = tuple(int(k) if float(k).is_integer() else 0 for k in ordering)
     if sorted(pi) != list(range(1, num_relays + 1)):
         raise ScenarioError(f"ordering must be a permutation of 1..{num_relays}")
     return pi
-
-
-def _chain_g(g: np.ndarray, pi: tuple[int, ...]) -> list[float]:
-    """g along the prefix chain of pi: entry k is g({pi(1..k)}), entry 0 is g(empty)."""
-    return [float(g[mask_of(pi[:k])]) for k in range(len(pi) + 1)]
 
 
 def _extreme_point(chain: list[float], pi: tuple[int, ...]) -> np.ndarray:
@@ -185,11 +190,9 @@ def _extreme_point(chain: list[float], pi: tuple[int, ...]) -> np.ndarray:
     out = np.zeros(len(pi))
     for k in range(1, len(pi) + 1):
         inc = max(0.0, chain[k]) - max(0.0, chain[k - 1])
-        if inc < -INVARIANT_TOL:
-            raise ArithmeticError(
-                f"g+ decreased along the chain at position {k} ({inc:.3e}); "
-                "this contradicts the chain monotonicity of g"
-            )
+        if not inc >= -INVARIANT_TOL:
+            raise ArithmeticError(f"g+ decreased along the chain at position {k} ({inc:.3e}); "
+                                  "this contradicts the chain monotonicity of g")
         out[pi[k - 1] - 1] = max(0.0, inc)
     return out
 
@@ -249,21 +252,12 @@ def swz_dominating_point(ev: Evaluator, r_sum: float, ordering) -> OrderingResul
     chain relays are always active.  Decoding runs through the chain in
     reverse.
     """
-    pi = _check_ordering(ordering, ev.sc.num_relays)
-    _, jd, r_sum, g = _polytope(ev, r_sum)
-    if r_sum > jd + INVARIANT_TOL:
-        raise ScenarioError(
-            f"r_sum = {r_sum!r} exceeds the joint-decoding sum-rate {jd!r}; "
-            "the fronthaul polytope is empty"
-        )
-    return _swz_dominating_point(ev, _finite(g), r_sum, pi)
+    return next(_walk(ev, r_sum, [_check_ordering(ordering, ev.sc.num_relays)], schemes=True)[1])
 
 
-def _swz_dominating_point(
-    ev: Evaluator, g: np.ndarray, r_sum: float, pi: tuple[int, ...]
-) -> OrderingResult:
+def _ordering_result(ev: Evaluator, chain: list[float], r_sum: float, pi) -> OrderingResult:
+    """Ordering pi's result from its prefix chain g({pi(1..k)}), k = 0..K."""
     kk = ev.sc.num_relays
-    chain = _chain_g(g, pi)
     c_tilde = _extreme_point(chain, pi)
     pivot = next((k for k in range(1, kk + 1) if chain[k] > PIVOT_TOL), None)
     alpha, c_prime, r_bar = 1.0, np.zeros(kk), 0.0
@@ -296,15 +290,14 @@ def _swz_dominating_point(
 
 
 def _check_ordering_result(res: OrderingResult, r_sum: float, g_plus_full: float) -> None:
-    if abs(res.extreme_point.sum() - g_plus_full) > 1e-12 + 1e-12 * abs(g_plus_full):
+    # each test is written so that a NaN fails it
+    if not abs(res.extreme_point.sum() - g_plus_full) <= 1e-12 + 1e-12 * abs(g_plus_full):
         raise ArithmeticError("extreme point does not telescope to g+(all relays)")
-    if np.any(res.scheme_fronthaul > res.extreme_point + INVARIANT_TOL):
+    if not np.all(res.scheme_fronthaul <= res.extreme_point + INVARIANT_TOL):
         raise ArithmeticError("constructed scheme needs more fronthaul than the extreme point")
-    if res.scheme_sum_rate < r_sum - INVARIANT_TOL:
-        raise ArithmeticError(
-            f"constructed scheme sum-rate {res.scheme_sum_rate!r} fell below "
-            f"the target {r_sum!r}"
-        )
+    if not res.scheme_sum_rate >= r_sum - INVARIANT_TOL:
+        raise ArithmeticError(f"constructed scheme sum-rate {res.scheme_sum_rate!r} fell below "
+                              f"the target {r_sum!r}")
 
 
 @dataclass(frozen=True)
@@ -330,12 +323,10 @@ def swz_equals_jd(ev: Evaluator) -> SumRateComparison:
     the running best is kept; ``swz_dominating_point`` gives any one
     ordering's result."""
     check_orderings("swz-check", ev.sc.num_relays)
-    _, target, _, g = _polytope(ev)
-    _finite(g)
+    target, results = _walk(ev, None, permutations(range(1, ev.sc.num_relays + 1)), schemes=True)
     best, best_pi = -math.inf, None
-    for pi in permutations(range(1, ev.sc.num_relays + 1)):
-        rate = _swz_dominating_point(ev, g, target, pi).scheme_sum_rate
-        if rate > best + INVARIANT_TOL:
-            best, best_pi = rate, pi
+    for res in results:
+        if res.scheme_sum_rate > best + INVARIANT_TOL:
+            best, best_pi = res.scheme_sum_rate, res.ordering
     return SumRateComparison(jd_sum_rate=target, best_sum_rate=best,
                              best_ordering=best_pi, gap=float(target - best))

@@ -11,6 +11,7 @@ from ocran.discrete import (
     DiscreteEvaluator,
     DiscreteScenario,
     JointPmf,
+    _nonnegative,
     build_joint,
     check_conditional_independence,
     cmi,
@@ -171,6 +172,12 @@ class TestCmi:
         else:
             with pytest.raises(ArithmeticError, match="negative beyond rounding"):
                 value()
+
+    def test_nan_raises(self):
+        # max(0.0, nan) is 0.0, so only a test that a NaN fails keeps it out
+        with pytest.raises(ArithmeticError, match="NaN or negative beyond rounding"):
+            _nonnegative(float("nan"), "conditional mutual information")
+        assert _nonnegative(-NEGATIVE_INFO_TOL, "dust") == 0.0
 
     def test_chain_rule(self):
         rng = np.random.default_rng(8)

@@ -436,13 +436,13 @@ class TestSharedEvaluator:
         """The per-ordering results that ``swz_equals_jd`` walks through from
         now on, in its order; it keeps none of them itself."""
         results = []
-        original = sumrate._swz_dominating_point
+        original = sumrate._ordering_result
 
         def recording(*args):
             results.append(original(*args))
             return results[-1]
 
-        monkeypatch.setattr(sumrate, "_swz_dominating_point", recording)
+        monkeypatch.setattr(sumrate, "_ordering_result", recording)
         return results
 
     def test_swz_equals_jd_forms_the_bounds_once(self, monkeypatch):
@@ -632,6 +632,63 @@ def test_r_sum_above_the_joint_decoding_sum_rate_is_rejected():
         swz_dominating_point(ev, 0.1, (1, 2, 3))
     res = swz_dominating_point(ev, jd, (1, 2, 3))
     assert res.scheme_sum_rate >= jd - 1e-9
+
+
+def test_each_walk_keeps_its_own_cap():
+    # I(U; X | Q) caps an extreme point, the joint-decoding sum-rate a
+    # scheme; between the two only the scheme is refused
+    rng = np.random.default_rng(0)
+    sc = random_factorizing_scenario(rng, 1, 2)
+    ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
+    jd, ceiling = jd_sum_rate(ev), float(jd_subset_bounds(ev)[0])
+    assert jd + 1e-3 < ceiling
+    r_sum = (jd + ceiling) / 2
+    assert extreme_point(ev, r_sum, (2, 1)).shape == (2,)
+    assert len(extreme_points(ev, r_sum)) == 2
+    with pytest.raises(ScenarioError, match="exceeds the joint-decoding sum-rate"):
+        swz_dominating_point(ev, r_sum, (2, 1))
+    above = ceiling + 1e-3
+    for call in (lambda: extreme_point(ev, above, (2, 1)), lambda: extreme_points(ev, above)):
+        with pytest.raises(ScenarioError, match=r"exceeds I\(U; X \| Q\) = "):
+            call()
+    with pytest.raises(ScenarioError, match="exceeds the joint-decoding sum-rate"):
+        swz_dominating_point(ev, above, (2, 1))
+
+
+def test_fractional_ordering_is_rejected():
+    # int() would truncate (1.7, 2.2) to the ordering (1, 2), and refuse
+    # NaN and inf with errors that are no ScenarioError
+    rng = np.random.default_rng(0)
+    sc = random_factorizing_scenario(rng, 1, 2)
+    ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
+    for call in (lambda: extreme_point(ev, 0.0, (1.7, 2.2)),
+                 lambda: swz_required_fronthaul(ev, (2.9, 1.0)),
+                 lambda: swz_dominating_point(ev, jd_sum_rate(ev), (2.5, 1.5)),
+                 lambda: extreme_point(ev, 0.0, (float("nan"), 1)),
+                 lambda: swz_required_fronthaul(ev, (float("inf"), 1))):
+        with pytest.raises(ScenarioError, match="ordering must be a permutation"):
+            call()
+    # integral entries of any number type are relays
+    np.testing.assert_array_equal(extreme_point(ev, 0.0, (2.0, np.int64(1))),
+                                  extreme_point(ev, 0.0, (2, 1)))
+
+
+def test_nan_ordering_result_fails_its_checks():
+    # NaN comparisons are False, so each check is written as "not holds"
+    nan = float("nan")
+
+    def result(point, fronthaul, rate):
+        return sumrate.OrderingResult(ordering=(1, 2), extreme_point=np.array(point),
+                                      pivot_index=1, idle_fraction=0.0,
+                                      scheme_fronthaul=np.array(fronthaul), scheme_sum_rate=rate)
+
+    sumrate._check_ordering_result(result([0.5, 0.5], [0.5, 0.5], 1.0), 1.0, 1.0)
+    for point, fronthaul, rate in (([nan, nan], [nan, nan], nan),
+                                   ([nan, 0.0], [0.0, 0.0], 1.0),
+                                   ([0.5, 0.5], [nan, 0.0], 1.0),
+                                   ([0.5, 0.5], [0.5, 0.5], nan)):
+        with pytest.raises(ArithmeticError):
+            sumrate._check_ordering_result(result(point, fronthaul, rate), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("entry", list(_r_sum_entry_points()))
