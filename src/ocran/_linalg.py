@@ -117,7 +117,8 @@ def block_diag(blocks) -> np.ndarray:
 
 
 def clip_eigenvalues(m, lo: float, hi: float) -> np.ndarray:
-    """Project a Hermitian matrix onto {lo*I <= M <= hi*I} by eigenvalue clipping."""
+    """Project a Hermitian matrix onto {lo*I <= M <= hi*I} by eigenvalue clipping.
+    No optimizer path calls it; bench/tracing.py still wraps it by name."""
     a = hermitian_part(m)
     lam, v = np.linalg.eigh(a)
     lam = np.clip(lam, lo, hi)

@@ -243,7 +243,7 @@ def cmd_optimize(args, sc, emit):
     else:
         if weights is not None:
             raise ScenarioError("discrete search supports only the sum-rate objective")
-        if args.aux_sizes:
+        if args.aux_sizes is not None:
             sizes = _flag_list(args.aux_sizes, "--aux-sizes", int)
         else:
             sizes = tuple(n + 1 for n in sc.output_sizes)
@@ -443,6 +443,8 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            if getattr(args, "seed", 0) < 0:
+                raise ScenarioError(f"--seed: must be a nonnegative integer, got {args.seed}")
             sc = args.scenario_aux = None
             if args.kind is not None:
                 sc, args.scenario_aux = load_scenario(args.scenario, with_aux=True)

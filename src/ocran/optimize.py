@@ -17,7 +17,7 @@ softmax-parametrized tables, and carries no certificate; only this search
 takes restarts, an iteration cap and a seed.
 
 Every question about the branches takes a point, built once from packed A
-(``smooth_at``) or from packed W (``at``, which clips W).  A point costs a
+(``smooth_at``) or from packed W (``at``, which caps W).  A point costs a
 few stacked numpy calls, not one per relay: the map W(A), fronthaul rates
 and B_k take one call per antenna-count group of relays (``ScenarioTerms``),
 and several branch gradients one stacked inverse and one batched product
@@ -27,7 +27,6 @@ and branches, in the same order, so results do not depend on the grouping.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -90,7 +89,6 @@ class _Layout(NamedTuple):
     bounds: tuple[tuple[int, int], ...]  # each block's slice of the flat vector
 
 
-@functools.lru_cache(maxsize=None)
 def _layout(dims: tuple[int, ...]) -> _Layout:
     take, upper, lower, scale, bounds = [], [], [], [], []
     base = 0
@@ -104,11 +102,8 @@ def _layout(dims: tuple[int, ...]) -> _Layout:
         scale += [1.0] * d + [2.0] * (2 * rows.size)
         bounds.append((base, base + d * d))
         base += d * d
-    layout = _Layout(*(np.concatenate(v) for v in (take, upper, lower)), np.array(scale),
-                     tuple(bounds))
-    for arr in layout[:-1]:
-        arr.setflags(write=False)  # shared by every caller through the cache
-    return layout
+    return _Layout(*(np.concatenate(v) for v in (take, upper, lower)), np.array(scale),
+                   tuple(bounds))
 
 
 def _pack_flat(flat: np.ndarray, lay: _Layout) -> np.ndarray:
@@ -152,8 +147,8 @@ class _GaussianObjective:
     normalized quantizers.
 
     Each question takes a point: ``at(x)`` is the one entry from packed W
-    (through its eigenvalue clip) and ``smooth_at(a)`` the one from packed
-    A, so a point is projected and evaluated once however many questions it
+    (through its eigenvalue cap) and ``smooth_at(a)`` the one from packed
+    A, so a point is formed and evaluated once however many questions it
     answers.  Per-relay work runs on the scenario's relay groups
     (``ScenarioTerms``), one stacked numpy call per group."""
 
@@ -168,17 +163,18 @@ class _GaussianObjective:
         self.sig_root_inv = [la.psd_inv_sqrt(s) for s in self.terms.stack(sc.Sigma)]
 
     def project(self, ws) -> list[np.ndarray]:
+        """No optimizer path calls it; bench/tracing.py still wraps it by name."""
         return [la.clip_eigenvalues(w, 0.0, 1.0 - QUANT_CAP_MARGIN) for w in ws]
 
     def at(self, x: np.ndarray) -> _Point:
         """The point of packed normalized quantizers x, the only entry from
-        packed W: each W_k is clipped onto 0 <= W_k <= (1 - QUANT_CAP_MARGIN) I
-        and taken through A_k = (W_k (I - W_k)^{-1})^{1/2} to ``smooth_at``,
-        whose packed W is the clipped x up to rounding."""
+        packed W: each W_k has its eigenvalues clipped to [0, 1 - QUANT_CAP_MARGIN]
+        and goes through A_k = (W_k (I - W_k)^{-1})^{1/2} to ``smooth_at``, whose
+        packed W is x's eigenvalue clip up to rounding."""
         flat = _unpack_flat(x, self.layout)
-        for pos, w in zip(self.positions, self.project([flat[pos] for pos in self.positions])):
-            lam, v = np.linalg.eigh(w)
-            lam = np.clip(lam, 0.0, 1.0 - QUANT_CAP_MARGIN)  # the clip's rounding
+        for pos in self.positions:
+            lam, v = np.linalg.eigh(flat[pos])
+            lam = np.clip(lam, 0.0, 1.0 - QUANT_CAP_MARGIN)
             flat[pos] = (v * np.sqrt(lam / (1.0 - lam))[..., None, :]) @ v.conj().swapaxes(-1, -2)
         return self.smooth_at(_pack_flat(flat, self.layout))
 
@@ -451,7 +447,7 @@ def gaussian_upper_bound(sc: GaussianScenario, q: QuantizerSetGaussian, lam) -> 
     max_B min_S b_S(B), from any feasible quantizers q and any weights
     ``lam`` on the relay subsets (index = bitmask; nonnegative, summing
     to 1).  Normalized quantizers W_k = Sigma_k^{1/2} B_k Sigma_k^{1/2} are
-    capped at 1 - 1e-9, as in the projection, so fronthaul rates stay finite.
+    capped at 1 - 1e-9, as ``at`` caps them, so fronthaul rates stay finite.
 
     Each branch b_S is concave in the W_k, so g = sum_S lam_S b_S is too, and
     the optimum is at most max g over 0 <= W_k <= I.  Concavity bounds g by

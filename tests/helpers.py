@@ -48,9 +48,9 @@ def active_gradient(obj: _GaussianObjective, x) -> np.ndarray:
     """Gradient of the active branch (smallest-bitmask argmin) of the
     sum-rate objective with respect to the packed parameters.
 
-    Valid where the projection is inactive, i.e. every W_k strictly inside
-    0 < W < I; near a subset tie the objective is kinked and the returned
-    branch gradient is one-sided."""
+    Valid where the eigenvalue cap of ``at`` is inactive, i.e. every W_k
+    strictly inside 0 < W < I; near a subset tie the objective is kinked
+    and the returned branch gradient is one-sided."""
     p = obj.at(x)
     vals = obj.branch_values(p)
     active = int(np.flatnonzero(vals <= vals.min() + IMPROVE_TOL)[0])

@@ -763,6 +763,7 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("kind,flag,value", [
         ("gaussian", "--weights", "1,a"),
         ("discrete", "--aux-sizes", "2,x"),
+        ("discrete", "--aux-sizes", ""),
     ])
     def test_unparsable_flag_list_exit_2_naming_the_flag(self, tmp_path, capsys, kind, flag,
                                                          value):
@@ -1191,6 +1192,29 @@ class TestRunPath:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--scenario", scenario])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,kind,extra", [
+    ("optimize", "discrete", ["--restarts", "1", "--iters", "2"]),
+    ("optimize", "gaussian", []),
+    ("mc-check", "gaussian", ["--samples", "1000"]),
+    ("codebook-check", "discrete", ["--trials", "100"]),
+    ("verify", None, ["--suite", "swz", "--instances", "1"]),
+])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command, kind, extra):
+    # each run would succeed at seed 0
+    argv = [command, *extra, "--seed", "-1", "--out", str(tmp_path / "out")]
+    if kind == "gaussian":
+        argv += ["--scenario", write_json(tmp_path / "sc.json", golden_gaussian_doc())]
+        if command == "mc-check":
+            argv += ["--quantizers", write_json(tmp_path / "q.json", {"B": [[[[0.5, 0.0]]]]})]
+    elif kind == "discrete":
+        argv += ["--scenario", write_json(tmp_path / "sc.json", discrete_doc())]
+    assert main(argv) == 2
+    assert not (tmp_path / "out").exists()
+    assert "error: --seed: must be a nonnegative integer, got -1" in capsys.readouterr().err
+    argv[argv.index("-1")] = "0"
+    assert main(argv) == 0
 
 
 def test_internal_error_exits_3_without_traceback(tmp_path, capsys, monkeypatch):

@@ -652,22 +652,45 @@ class TestObjective:
                 for s, row in zip(masks, rows):
                     np.testing.assert_array_equal(row, obj._branch_gradient(p, np.array([s]))[0])
 
-    def test_at_projects_once_and_keeps_the_packed_projection(self, monkeypatch):
+    def test_at_decomposes_once_and_keeps_the_packed_projection(self, monkeypatch):
         rng = np.random.default_rng(14)
         sc = random_gaussian_scenario(rng, 2, 3)
         obj = _GaussianObjective(sc)
         raw = rng.normal(size=sum(d * d for d in sc.relay_antennas))
         calls = []
-        original = la.clip_eigenvalues
+        original = np.linalg.eigh
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(la, "clip_eigenvalues", counting)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
         p = obj.at(raw)
-        assert len(calls) == len(set(sc.relay_antennas))  # one per antenna-count group
+        groups = len(set(sc.relay_antennas))
+        assert groups == 2
+        assert len(calls) == 2 * groups  # per antenna-count group: at's and smooth_at's
         np.testing.assert_array_equal(p.x, _pack_hermitian(obj.terms.unstack(p.ws)))
+
+    @pytest.mark.parametrize("spectra, tol", [("inside", 1e-14), ("raw", 1e-10)])
+    def test_at_equals_at_of_the_clipped_point(self, spectra, tol):
+        # the cap in ``at`` is a map of eigenvalues, so clipping first moves
+        # only the last bits: raw normal spectra reach the cap, where A_k has
+        # norm about 3e4
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            sc = random_gaussian_scenario(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                                          max_antennas=3)
+            obj = _GaussianObjective(sc)
+            if spectra == "inside":
+                ws = []
+                for d in sc.relay_antennas:
+                    v, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                    ws.append((v * rng.uniform(0.05, 0.95, d)) @ v.conj().T)
+                x = _pack_hermitian(ws)
+            else:
+                x = rng.normal(size=sum(d * d for d in sc.relay_antennas))
+            clipped = _pack_hermitian(obj.project(unpack_hermitian(x, sc.relay_antennas)))
+            assert np.max(np.abs(obj.at(x).x - obj.at(clipped).x)) <= tol
 
 
 class TestDiscreteOptimizer:
