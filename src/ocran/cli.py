@@ -12,7 +12,10 @@ embedded quantization tables, if any, ride along on the parsed arguments.
 function of the parsed subcommand up in this module at call time.  When
 that function returns, ``main`` writes the run manifest and prints the
 captured warnings; an exception instead becomes an exit code and an error
-line, followed by the warnings captured before it.  Data goes to stdout or to the --out path; warnings and the run
+line, followed by the warnings captured before it.  The command runs on
+one BLAS thread: ``main`` sets numpy's and scipy's OpenBLAS pools to 1, so
+that output bytes do not depend on the caller's pool, and gives the caller
+its thread counts back on return.  Data goes to stdout or to the --out path; warnings and the run
 manifest (when not written next to --out) go to stderr.
 
 Exit codes: 0 success, 1 failed verification property, 2 validation error
@@ -25,10 +28,14 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
+import glob
+import importlib.util
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -67,6 +74,10 @@ EXIT_NUMERIC = 3
 # means the command takes no scenario
 KINDS = {"any": (DiscreteScenario, GaussianScenario),
          "discrete": DiscreteScenario, "gaussian": GaussianScenario}
+# the thread-count entry points ({} is get or set) of the OpenBLAS that each
+# package's wheel ships in <package>.libs beside it; numpy's has 64-bit ints
+BLAS_POOLS = {"numpy": "scipy_openblas_{}_num_threads64_",
+              "scipy": "scipy_openblas_{}_num_threads"}
 
 
 def fmt_bits(x: float) -> str:
@@ -269,8 +280,8 @@ def cmd_sumrate(args, sc, emit):
 
 
 def cmd_extreme_points(args, sc, emit):
-    if args.rsum is not None and not math.isfinite(args.rsum):
-        raise ScenarioError(f"--rsum must be a finite number, got {args.rsum!r}")
+    if args.rsum is not None and not (math.isfinite(args.rsum) and args.rsum >= 0.0):
+        raise ScenarioError(f"--rsum must be a finite nonnegative number, got {args.rsum!r}")
     check_orderings(args.command, sc.num_relays)
     lines = ["ordering,k,relay,C_tilde_bits"]
     for pi, point in extreme_points(_evaluator(args, sc), args.rsum):
@@ -437,12 +448,54 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _blas_pool(package: str):
+    """(get, set) of the thread count of the OpenBLAS beside ``package``, or
+    None when there is none to be found."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or spec.origin is None:
+        return None
+    libs = os.path.join(os.path.dirname(spec.origin), os.pardir, f"{package}.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)  # the copy that the package loads, not a second one
+        get, put = (getattr(lib, BLAS_POOLS[package].format(verb), None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@functools.cache
+def _blas_pools() -> tuple[tuple, tuple[str, ...]]:
+    """The (get, set) pairs of numpy's and scipy's BLAS pools and the
+    packages without one, looked up once per process."""
+    pools = {package: _blas_pool(package) for package in BLAS_POOLS}
+    return (tuple(pool for pool in pools.values() if pool is not None),
+            tuple(package for package, pool in pools.items() if pool is None))
+
+
+def _one_blas_thread() -> list[tuple]:
+    """Set each BLAS pool to one thread and return (set, former count) pairs
+    that restore the caller's pools.  SLSQP's path follows the last bits of
+    BLAS reductions, whose order changes with the thread count, so output
+    bytes hold only on a fixed pool; a BLAS that cannot be set is warned of."""
+    pools, missing = _blas_pools()
+    for package in missing:
+        warnings.warn(f"cannot set {package}'s BLAS to one thread; "
+                      "output bytes may depend on its thread count")
+    restore = [(put, get()) for get, put in pools]
+    for put, _ in restore:
+        put(1)
+    return restore
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    caught = []
+    caught, restore = [], []
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            restore = _one_blas_thread()
             if getattr(args, "seed", 0) < 0:
                 raise ScenarioError(f"--seed: must be a nonnegative integer, got {args.seed}")
             sc = args.scenario_aux = None
@@ -465,6 +518,8 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     finally:  # a failed run still shows what it warned of before failing
+        for put, count in restore:
+            put(count)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
 

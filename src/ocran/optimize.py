@@ -442,32 +442,6 @@ def _covering(y: np.ndarray, cover: np.ndarray, weights: np.ndarray) -> np.ndarr
     return y / ratio if ratio > 0.0 else None
 
 
-def gaussian_upper_bound(sc: GaussianScenario, q: QuantizerSetGaussian, lam) -> float:
-    """An upper bound, in bits, on the Gaussian sum-rate optimum
-    max_B min_S b_S(B), from any feasible quantizers q and any weights
-    ``lam`` on the relay subsets (index = bitmask; nonnegative, summing
-    to 1).  Normalized quantizers W_k = Sigma_k^{1/2} B_k Sigma_k^{1/2} are
-    capped at 1 - 1e-9, as ``at`` caps them, so fronthaul rates stay finite.
-
-    Each branch b_S is concave in the W_k, so g = sum_S lam_S b_S is too, and
-    the optimum is at most max g over 0 <= W_k <= I.  Concavity bounds g by
-    its linearization at q, whose largest value over the feasible set puts
-    each V_k on the positive eigenspace of G_k (the Frank-Wolfe gap):
-
-        max g <= g(W) + sum_k [tr (G_k)_+ - tr G_k W_k],
-        G_k = sum_S lam_S grad_{W_k} b_S.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (1 << sc.num_relays,) or not np.isfinite(lam).all() or np.any(lam < 0) \
-            or abs(lam.sum() - 1.0) > 1e-9:
-        raise ValueError("lam must be nonnegative and sum to 1, one weight per relay subset")
-    q.validate(sc)
-    obj = _GaussianObjective(sc)
-    # the bound holds at every feasible point; at q clipped below I, rates are finite
-    p = obj.at(_pack_hermitian([r @ b @ r for r, b in zip(map(la.psd_sqrt, sc.Sigma), q.B)]))
-    return _FrankWolfeBound(obj, p, [obj.terms.full_users])(lam)[0]
-
-
 def _epigraph_solve(point: Callable, rows: Callable, jac: Callable, objective: Callable,
                     rates: Callable, cover: np.ndarray, c: np.ndarray, x0: np.ndarray, bounds,
                     max_iters: int):

@@ -5,26 +5,20 @@ time-shared successive Wyner-Ziv scheme that dominates each extreme point.
 Every function takes the evaluator ``ev`` of one (scenario, quantizer) pair,
 a ``core.Evaluator`` of either scenario kind, and forms its subset bounds
 b_S = ``ev.subset_bounds()`` at most once per call: g(S) = R_sum + C_S - b_S
-is one vector, I(U_all; X_all | Q) is b_{}, and separate decompression asks
-R_sum <= b_{} and b_S >= b_{} for every S.  One walk over chain orderings
+is one vector and I(U_all; X_all | Q) is b_{}.  One walk over chain orderings
 forms g, refuses an empty polytope once (R_sum above its cap, then an
 infinite g) and gives each ordering's extreme point or dominating scheme.
 The Wyner-Ziv rates are differences of the 2^K entropies H(U_m, Q) and
 H(U_m, X_all, Q) that the bounds already took, so this layer computes no
 entropy of its own.
 
-Ordering conventions
---------------------
+Ordering convention
+-------------------
 
-Two permutations of the relays appear and they are *not* the same object:
-
-* a *chain ordering* pi builds prefixes {pi(1)}, {pi(1),pi(2)}, ... of the
-  set function g; extreme points and the dominance construction use it, and
-  the matching decode order of the successive scheme is pi reversed
-  (the last relay of the chain is decompressed first);
-* a *decode ordering* as taken by :func:`swz_required_fronthaul` lists relays
-  in the order their quantization codewords are recovered, each with all
-  previously recovered codewords as side information.
+A *chain ordering* pi builds prefixes {pi(1)}, {pi(1),pi(2)}, ... of the set
+function g; extreme points and the dominance construction use it, and the
+successive scheme decodes along the chain reversed (the last relay of the
+chain is decompressed first).
 
 All rates are in bits.  K! enumerations keep lexicographic order so reported
 tie-breaks are deterministic.  Bad input raises ``ScenarioError``, and an
@@ -63,7 +57,8 @@ def check_orderings(command: str, num_relays: int) -> None:
 def _polytope(ev: Evaluator, r_sum=None) -> tuple[np.ndarray, float, float, np.ndarray]:
     """(b_S, the joint-decoding sum-rate, R_sum, g) from one formation of
     the subset bounds b_S.  The sum-rate is min_S b_S floored at 0; R_sum is
-    ``r_sum`` or, when that is None, the sum-rate; and
+    ``r_sum``, which must be finite and nonnegative, or, when that is None,
+    the sum-rate; and
     g(S) = R_sum + C_S - b_S for every relay set S, indexed by bitmask, so
     g({}) = R_sum - I(U_all; X_all | Q)."""
     bounds = ev.subset_bounds()
@@ -71,6 +66,8 @@ def _polytope(ev: Evaluator, r_sum=None) -> tuple[np.ndarray, float, float, np.n
     r = jd if r_sum is None else float(r_sum)
     if not math.isfinite(r):  # every comparison against NaN or +-inf is vacuous
         raise ScenarioError(f"r_sum must be finite, got {r_sum!r}")
+    if r < 0.0:
+        raise ScenarioError(f"r_sum must be nonnegative, got {r_sum!r}")
     return bounds, jd, r, r + subset_sums(np.asarray(ev.sc.fronthaul)) - bounds
 
 
@@ -103,20 +100,6 @@ def g_function(ev: Evaluator, r_sum: float) -> np.ndarray:
     = R_sum + C_S - b_S for every relay set S, indexed by bitmask.  Its
     positive part max(g, 0) defines the fronthaul polytope."""
     return _polytope(ev, r_sum)[3]
-
-
-def sd_achievable(ev: Evaluator, r_sum: float) -> bool:
-    """Feasibility of separate decompression-then-decoding at sum-rate r_sum:
-    r_sum <= I(X_all; U_all | Q) and, for every relay subset S,
-    sum_{s in S} C_s >= I(U_S; Y_S | U_{S^c}, Q).  In the subset bounds b_S
-    these read r_sum <= b_{} and b_S >= b_{} for every S, since
-    b_S - b_{} = C_S - I(U_S; Y_S | U_{S^c}, Q).
-
-    The propositions' strict inequalities are tested non-strictly with
-    tolerance INVARIANT_TOL because achievable regions are closures."""
-    bounds, _, r_sum, _ = _polytope(ev, r_sum)
-    floor = bounds[0] - INVARIANT_TOL
-    return bool(r_sum <= bounds[0] + INVARIANT_TOL and np.all(bounds >= floor))
 
 
 def check_supermodular(ev: Evaluator, r_sum: float) -> tuple[bool, float]:
@@ -195,20 +178,6 @@ def _extreme_point(chain: list[float], pi: tuple[int, ...]) -> np.ndarray:
                                   "this contradicts the chain monotonicity of g")
         out[pi[k - 1] - 1] = max(0.0, inc)
     return out
-
-
-def swz_required_fronthaul(ev: Evaluator, ordering) -> tuple[np.ndarray, float]:
-    """Fronthaul needed by plain successive Wyner-Ziv decoding in the given
-    decode order: relay pi(k) needs I(U_{pi(k)}; Y_{pi(k)} | U_{pi(1..k-1)}, Q).
-
-    Returns (per-relay requirements indexed by relay, successive-decoding
-    sum-rate sum_l I(X_l; U_all | X_1..X_{l-1}, Q)).  By the chain rule that
-    sum is I(X_all; U_all | Q), the S = {} subset bound."""
-    pi = _check_ordering(ordering, ev.sc.num_relays)
-    req = np.zeros(ev.sc.num_relays)
-    for k in range(1, ev.sc.num_relays + 1):
-        req[pi[k - 1] - 1] = _wyner_ziv_rate(ev, pi[k - 1], pi[: k - 1])
-    return req, float(ev.subset_bounds()[0])
 
 
 def _wyner_ziv_rate(ev: Evaluator, relay: int, side) -> float:

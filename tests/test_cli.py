@@ -1,4 +1,5 @@
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import orjson
 import pytest
 
 import ocran
-from ocran import optimize
+from ocran import cli, optimize
 from ocran.cli import build_parser, fmt_bits, main
 from ocran.core import enumerate_constraint_pairs, load_scenario, quantizers_to_dict, save_scenario
 from ocran.discrete import DiscreteEvaluator
@@ -372,7 +373,7 @@ def test_unwritable_out_path_is_validation_error_naming_it(tmp_path, capsys, tar
     assert "Traceback" not in err and "internal error" not in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_extreme_points_nonfinite_rsum_is_validation_error(tmp_path, capsys, value):
     scenario = write_json(tmp_path / "sc.json", discrete_doc())
     out = tmp_path / "ext.csv"
@@ -1309,3 +1310,90 @@ def test_console_entry_point(tmp_path):
     # manifest goes to stderr when no --out is given
     manifest = json.loads(proc.stderr.strip().splitlines()[-1])
     assert manifest["command"] == "region"
+
+
+def openblas_pools():
+    """(get, set) of the thread count of each OpenBLAS beside numpy and
+    scipy, found through ctypes as the benchmark's machine record finds them."""
+    import glob
+
+    import scipy
+
+    pools = []
+    for pkg, suffix in ((np, "64_"), (scipy, "")):
+        libs = pathlib.Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(glob.glob(str(libs / "*openblas*"))):
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            pools.append((get, put))
+    assert len(pools) == 2
+    return pools
+
+
+def test_main_runs_on_one_blas_thread_and_restores_the_pool(tmp_path, monkeypatch):
+    pools = openblas_pools()
+    before = [get() for get, _ in pools]
+    seen = []
+    cmd_sumrate = cli.cmd_sumrate
+
+    def watched(*args):
+        seen.append([get() for get, _ in pools])
+        return cmd_sumrate(*args)
+
+    monkeypatch.setattr(cli, "cmd_sumrate", watched)
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    try:
+        for _, put in pools:
+            put(2)
+        assert main(["sumrate", "--scenario", scenario, "--out", str(tmp_path / "s.json")]) == 0
+        assert seen == [[1, 1]]
+        assert [get() for get, _ in pools] == [2, 2]
+    finally:
+        for (_, put), count in zip(pools, before):
+            put(count)
+
+
+def test_a_blas_pool_that_cannot_be_set_is_warned_of(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_blas_pools", lambda: ((), ("numpy", "scipy")))
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    assert main(["sumrate", "--scenario", scenario, "--out", str(tmp_path / "s.json")]) == 0
+    err = capsys.readouterr().err
+    for package in ("numpy", "scipy"):
+        assert f"warning: cannot set {package}'s BLAS to one thread" in err
+
+
+def test_optimize_bytes_do_not_depend_on_the_blas_pool(tmp_path):
+    # OpenBLAS caps its pool at the cores it may use
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one core: OpenBLAS runs one thread whatever OPENBLAS_NUM_THREADS says")
+    from test_optimize import load_bench_instances
+
+    instances, _ = load_bench_instances()
+    # the seed-1 gaussian-opt opt-0 and verify-small dopt-3 ops of the benchmark
+    ops = {
+        "opt-0": (instances.optimize_instance(instances.instance_rng(1, 4, 0)).scenario,
+                  ("--restarts", "2", "--iters", "10", "--seed", "1")),
+        "dopt-3": (instances.discrete_instance(instances.instance_rng(1, 5, 3), False,
+                                               x_sizes=(2, 2), y_sizes=(3, 3),
+                                               u_sizes=(3, 3)).scenario,
+                   ("--restarts", "4", "--iters", "120", "--seed", "1")),
+    }
+    src = str(pathlib.Path(ocran.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in ("1", "2"):
+        argvs = [["optimize", "--scenario", write_json(tmp_path / f"{tag}.json", doc), *args,
+                  "--out", str(tmp_path / f"{tag}.{threads}.json")]
+                 for tag, (doc, args) in ops.items()]
+        script = ("import sys; from ocran.cli import main; "
+                  f"sys.exit(max(main(argv) for argv in {argvs!r}))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = {tag: (tmp_path / f"{tag}.{threads}.json").read_bytes() for tag in ops}
+    for tag in ops:
+        assert outputs["1"][tag] == outputs["2"][tag], tag

@@ -28,7 +28,7 @@ from ocran.gaussian import (
     region_gaussian,
     weighted_means,
 )
-from ocran.sumrate import swz_required_fronthaul
+from ocran.sumrate import _wyner_ziv_rate
 from ocran.verify import random_gaussian_scenario, random_pd, random_quantizers
 
 from helpers import (b_from_test_channel, drop_relay, weighted_arithmetic_mean,
@@ -439,7 +439,7 @@ class TestEntropyVectors:
                                         for r in (relays, relays[:-1]))
             b_inv = np.linalg.inv(q.B[-1])
             noise = la.logdet2(b_inv - sc.Sigma[-1]) - la.logdet2(b_inv)
-            rate = swz_required_fronthaul(ev, relays)[0][-1]
+            rate = _wyner_ziv_rate(ev, relays[-1], relays[:-1])
             assert abs(rate - (with_k - side - noise)) <= 1e-12 * (s1 + s2 + abs(noise))
 
 

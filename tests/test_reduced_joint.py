@@ -39,16 +39,15 @@ from ocran.optimize import optimize_discrete_aux
 from ocran.sumrate import (
     ALPHA_DENOM_TOL,
     PIVOT_TOL,
+    _wyner_ziv_rate,
     check_supermodular,
     extreme_point,
     extreme_points,
     g_function,
     jd_subset_bounds,
     jd_sum_rate,
-    sd_achievable,
     swz_dominating_point,
     swz_equals_jd,
-    swz_required_fronthaul,
 )
 from ocran.verify import (random_aux, random_correlated_scenario, random_factorizing_scenario,
                           random_gaussian_scenario, random_quantizers)
@@ -120,15 +119,6 @@ class Dense:
         u_s = self.u(relays)
         return (r_sum + cmi(self.j, u_s, self.y(relays), (self.u_all - u_s) | {"Q"})
                 - cmi(self.j, self.u_all, self.x_all, {"Q"}))
-
-    def sd_achievable(self, r_sum, tol):
-        if r_sum > cmi(self.j, self.u_all, self.x_all, {"Q"}) + tol:
-            return False
-        return all(
-            sum(self.sc.fronthaul[k - 1] for k in indices_of(s))
-            >= cmi(self.j, self.u(indices_of(s)), self.y(indices_of(s)),
-                   (self.u_all - self.u(indices_of(s))) | {"Q"}) - tol
-            for s in range(1, 1 << self.sc.num_relays))
 
     def jd_sum_rate(self):
         users = tuple(range(1, self.sc.num_users + 1))
@@ -203,15 +193,6 @@ def test_sum_rate_and_g(instance):
         g = g_function(ev, r)
         for s_mask in range(1 << sc.num_relays):
             assert g[s_mask] == pytest.approx(dense.g(r, indices_of(s_mask)), abs=TOL, rel=0)
-
-
-def test_separate_decompression(instance):
-    sc, aux, joint = instance
-    dense = Dense(sc, joint)
-    i_ux = cmi(joint, dense.u_all, dense.x_all, {"Q"})
-    ev = DiscreteEvaluator.from_aux(sc, aux)
-    for r_sum in (0.0, 0.5 * i_ux, i_ux + 1e-3):
-        assert sd_achievable(ev, r_sum) == dense.sd_achievable(r_sum, 1e-9)
 
 
 def gaussian_cases():
@@ -356,10 +337,12 @@ def test_successive_wyner_ziv(instance):
     dense = Dense(sc, joint)
     ev = DiscreteEvaluator.from_aux(sc, aux)
     for pi in orderings(sc):
-        req, total = swz_required_fronthaul(ev, pi)
         req_dense, total_dense = dense.required(pi)
-        np.testing.assert_allclose(req, req_dense, atol=TOL, rtol=0)
-        assert total == pytest.approx(total_dense, abs=TOL, rel=0)
+        for k, relay in enumerate(pi):
+            assert _wyner_ziv_rate(ev, relay, pi[:k]) == pytest.approx(req_dense[relay - 1],
+                                                                       abs=TOL, rel=0)
+        # by the chain rule the successive sum-rate is I(X; U | Q), the S = {} bound
+        assert jd_subset_bounds(ev)[0] == pytest.approx(total_dense, abs=TOL, rel=0)
     r_sum = jd_sum_rate(ev)
     for pi in orderings(sc):
         res = swz_dominating_point(ev, r_sum, pi)
@@ -400,11 +383,9 @@ def test_entry_points_never_build_the_dense_joint(monkeypatch, tmp_path):
         DiscreteEvaluator.from_aux(sc, aux).bound(pair, family)
     jd_subset_bounds(ev)
     g_function(ev, r_sum)
-    sd_achievable(ev, r_sum)
     check_supermodular(ev, r_sum)
     extreme_point(ev, r_sum, pi)
     extreme_points(ev)
-    swz_required_fronthaul(ev, pi)
     swz_dominating_point(ev, r_sum, pi)
     swz_equals_jd(ev)
     optimize_discrete_aux(sc, (2, 2, 2, 2), restarts=1, max_iters=1)

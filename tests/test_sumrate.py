@@ -11,16 +11,15 @@ from ocran.discrete import (AuxChannels, DiscreteEvaluator, DiscreteScenario, bu
 from ocran.gaussian import GaussianEvaluator, QuantizerSetGaussian
 from ocran.sumrate import (
     INVARIANT_TOL,
+    _wyner_ziv_rate,
     check_supermodular,
     extreme_point,
     extreme_points,
     g_function,
     jd_subset_bounds,
     jd_sum_rate,
-    sd_achievable,
     swz_dominating_point,
     swz_equals_jd,
-    swz_required_fronthaul,
 )
 from ocran import discrete, sumrate
 from ocran.cli import main
@@ -75,32 +74,6 @@ class TestJdSumRate:
                 max(0.0, min(bounds)), abs=1e-12
             )
             np.testing.assert_allclose(jd_subset_bounds(ev), bounds, atol=1e-12)
-
-
-class TestSeparateDecoding:
-    def test_separate_decoding_never_beats_joint(self):
-        rng = np.random.default_rng(20)
-        for _ in range(20):
-            sc = random_correlated_scenario(rng, 2, 2)
-            aux = random_aux(rng, sc, (2, 2))
-            j = build_joint(sc, aux)
-            ceiling = cmi(j, {"X1", "X2"}, {"U1", "U2"}, {"Q"})
-            r = float(rng.uniform(0.0, ceiling + 0.2))
-            ev = DiscreteEvaluator.from_aux(sc, aux)
-            if sd_achievable(ev, r):
-                assert r <= jd_sum_rate(ev) + 1e-9
-
-    def test_big_fronthaul_makes_jd_rate_separately_decodable(self):
-        rng = np.random.default_rng(21)
-        sc = random_correlated_scenario(rng, 1, 2, fronthaul_range=(5.0, 6.0))
-        ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (2, 2)))
-        assert sd_achievable(ev, jd_sum_rate(ev))
-
-    def test_zero_fronthaul_blocks_decompression(self):
-        rng = np.random.default_rng(22)
-        sc = random_correlated_scenario(rng, 1, 2, fronthaul_range=(0.0, 0.0))
-        ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (3, 3)))
-        assert not sd_achievable(ev, 0.1)
 
 
 class TestGFunction:
@@ -203,18 +176,19 @@ class TestSwzFronthaul:
     def test_constant_aux(self):
         rng = np.random.default_rng(9)
         sc = random_correlated_scenario(rng, 1, 2)
-        req, rate = swz_required_fronthaul(DiscreteEvaluator.from_aux(sc, constant_aux(sc)),
-                                           (1, 2))
-        np.testing.assert_allclose(req, 0.0, atol=1e-12)
-        assert rate == pytest.approx(0.0, abs=1e-12)
+        ev = DiscreteEvaluator.from_aux(sc, constant_aux(sc))
+        for relay, side in ((1, ()), (2, (1,))):
+            assert _wyner_ziv_rate(ev, relay, side) == pytest.approx(0.0, abs=1e-12)
+        assert jd_subset_bounds(ev)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_relay(self):
         sc = noiseless_single()
         aux = identity_aux(sc)
-        req, rate = swz_required_fronthaul(DiscreteEvaluator.from_aux(sc, aux), (1,))
+        ev = DiscreteEvaluator.from_aux(sc, aux)
         j = build_joint(sc, aux)
-        assert req[0] == pytest.approx(cmi(j, {"U1"}, {"Y1"}, {"Q"}), abs=1e-12)
-        assert rate == pytest.approx(1.0, abs=1e-12)
+        assert _wyner_ziv_rate(ev, 1, ()) == pytest.approx(cmi(j, {"U1"}, {"Y1"}, {"Q"}),
+                                                           abs=1e-12)
+        assert jd_subset_bounds(ev)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_side_information_helps(self):
         rng = np.random.default_rng(10)
@@ -222,18 +196,24 @@ class TestSwzFronthaul:
             sc = random_correlated_scenario(rng, 1, 2)
             aux = random_aux(rng, sc, (2, 2))
             j = build_joint(sc, aux)
-            req, _ = swz_required_fronthaul(DiscreteEvaluator.from_aux(sc, aux), (1, 2))
+            rate = _wyner_ziv_rate(DiscreteEvaluator.from_aux(sc, aux), 2, (1,))
             unconditional = cmi(j, {"U2"}, {"Y2"}, {"Q"})
-            assert req[1] <= unconditional + 1e-12
+            assert rate <= unconditional + 1e-12
 
     def test_chain_rule_consistency(self):
+        # decoding every relay in turn describes I(U; Y | Q) in all, and
+        # delivers I(X; U | Q), the S = {} bound
         rng = np.random.default_rng(11)
         for _ in range(10):
             sc = random_correlated_scenario(rng, 2, 2)
             aux = random_aux(rng, sc, (2, 2))
-            _, rate = swz_required_fronthaul(DiscreteEvaluator.from_aux(sc, aux), (1, 2))
+            ev = DiscreteEvaluator.from_aux(sc, aux)
             j = build_joint(sc, aux)
-            assert rate == pytest.approx(
+            described = _wyner_ziv_rate(ev, 1, ()) + _wyner_ziv_rate(ev, 2, (1,))
+            assert described == pytest.approx(
+                cmi(j, {"U1", "U2"}, {"Y1", "Y2"}, {"Q"}), abs=1e-12
+            )
+            assert jd_subset_bounds(ev)[0] == pytest.approx(
                 cmi(j, {"X1", "X2"}, {"U1", "U2"}, {"Q"}), abs=1e-12
             )
 
@@ -325,12 +305,11 @@ class TestDominatingPoint:
                             else:
                                 t2[slot] = t[q]
                     tables.append(t2)
-                req, sum_rate = swz_required_fronthaul(
-                    DiscreteEvaluator.from_aux(sc2, AuxChannels(tables=tuple(tables))),
-                    tuple(reversed(pi)),
-                )
+                ev2 = DiscreteEvaluator.from_aux(sc2, AuxChannels(tables=tuple(tables)))
+                # decoded along the chain reversed: the later chain relays are side information
+                req = [_wyner_ziv_rate(ev2, k, pi[pi.index(k) + 1:]) for k in (1, 2)]
                 np.testing.assert_allclose(req, res.scheme_fronthaul, atol=1e-10)
-                assert sum_rate == pytest.approx(res.scheme_sum_rate, abs=1e-10)
+                assert jd_subset_bounds(ev2)[0] == pytest.approx(res.scheme_sum_rate, abs=1e-10)
 
     def test_invariants_on_random_instances(self):
         rng = np.random.default_rng(14)
@@ -615,7 +594,6 @@ def _r_sum_entry_points():
         "extreme_points": extreme_points,
         "g_function": g_function,
         "swz_dominating_point": lambda ev, r: swz_dominating_point(ev, r, (2, 1)),
-        "sd_achievable": sd_achievable,
         "check_supermodular": check_supermodular,
     }
 
@@ -662,10 +640,8 @@ def test_fractional_ordering_is_rejected():
     sc = random_factorizing_scenario(rng, 1, 2)
     ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
     for call in (lambda: extreme_point(ev, 0.0, (1.7, 2.2)),
-                 lambda: swz_required_fronthaul(ev, (2.9, 1.0)),
                  lambda: swz_dominating_point(ev, jd_sum_rate(ev), (2.5, 1.5)),
-                 lambda: extreme_point(ev, 0.0, (float("nan"), 1)),
-                 lambda: swz_required_fronthaul(ev, (float("inf"), 1))):
+                 lambda: extreme_point(ev, 0.0, (float("nan"), 1))):
         with pytest.raises(ScenarioError, match="ordering must be a permutation"):
             call()
     # integral entries of any number type are relays
@@ -703,6 +679,18 @@ def test_nonfinite_r_sum_is_rejected(entry, value):
     call(ev, 0.1)  # a finite rate still goes through
 
 
+def test_negative_r_sum_is_rejected():
+    # a negative target is no rate, though the polytope of g = r_sum + C_S - b_S
+    # would still have extreme points
+    rng = np.random.default_rng(0)
+    sc = random_factorizing_scenario(rng, 1, 2)
+    ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
+    for call in _r_sum_entry_points().values():
+        with pytest.raises(ScenarioError, match="r_sum must be nonnegative"):
+            call(ev, -1.0)
+        call(ev, 0.0)
+
+
 def test_bad_input_raises_scenario_error():
     # each is bad input, not a size guard: a ScenarioError (exit 2 in the CLI)
     rng = np.random.default_rng(0)
@@ -711,7 +699,6 @@ def test_bad_input_raises_scenario_error():
     ceiling = float(jd_subset_bounds(ev)[0])  # I(U; X | Q)
     bad = {
         "non-finite r_sum": lambda: g_function(ev, float("nan")),
-        "non-permutation ordering": lambda: swz_required_fronthaul(ev, (1, 1, 2)),
         "r_sum above I(U; X | Q)": lambda: extreme_points(ev, ceiling + 1e-3),
         "r_sum above the joint-decoding sum-rate": lambda: swz_dominating_point(
             ev, jd_sum_rate(ev) + 1e-3, (1, 2, 3)),
