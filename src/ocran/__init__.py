@@ -1,7 +1,7 @@
 """Rate regions for cloud radio access networks whose relays quantize and
 forward without knowing the users' codebooks.
 
-Subpackages:
+Modules; each library name is imported from its module:
 
 * :mod:`ocran.core` - scenarios, subset algebra, rate regions, codebook sampler
 * :mod:`ocran.gaussian` - Gaussian MIMO log-det region and matrix lemmas
@@ -14,30 +14,3 @@ Subpackages:
 """
 
 __version__ = "0.1.0"
-
-from .core import (
-    CapacityError,
-    CodebookEnsemble,
-    RateRegion,
-    Scenario,
-    ScenarioError,
-    SubsetPair,
-    enumerate_constraint_pairs,
-    load_scenario,
-    sample_codebook_marginal,
-    save_scenario,
-)
-
-__all__ = [
-    "CapacityError",
-    "CodebookEnsemble",
-    "RateRegion",
-    "Scenario",
-    "ScenarioError",
-    "SubsetPair",
-    "enumerate_constraint_pairs",
-    "load_scenario",
-    "sample_codebook_marginal",
-    "save_scenario",
-    "__version__",
-]

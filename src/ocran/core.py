@@ -527,11 +527,14 @@ def _numbers(value, name: str, dtype=float, vector: bool = False) -> np.ndarray:
 
 
 def _sizes(value, name: str) -> tuple:
-    """The integers of the JSON list ``value``; a fractional entry, which an
-    integer conversion would truncate, is a ScenarioError."""
+    """The alphabet sizes of the JSON list ``value``; a fractional entry,
+    which an integer conversion would truncate, or one below 1 is a
+    ScenarioError."""
     sizes = _numbers(value, name, int, vector=True)
     if not np.array_equal(sizes, _numbers(value, name, vector=True)):
         raise ScenarioError(f"{name}: must be integers")
+    if (sizes < 1).any():
+        raise ScenarioError(f"{name}: must be positive integers")
     return tuple(sizes.tolist())
 
 

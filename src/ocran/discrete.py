@@ -24,7 +24,7 @@ one user set T over every relay set S, from entropy vectors, which
 ``DiscreteEvaluator`` takes from the reduced joint.  Every other discrete
 bound reads it: one (T, S) pair (``bound``), a region (``region_discrete``),
 the joint-decoding sum-rate bounds, and in ``ocran.sumrate`` the set
-function g(S) and the separate-decompression test.  The successive
+function g(S) of the fronthaul polytope.  The successive
 Wyner-Ziv rates there are differences of the same entropy vectors
 (``u_entropies``), so that layer computes no entropy of its own.  Only the
 discrete optimizer's search reads ``ReducedFactors.sum_rate_pass``: the

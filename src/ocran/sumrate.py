@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -93,31 +93,6 @@ def jd_sum_rate(ev: Evaluator) -> float:
     """Largest sum-rate allowed by the joint-decompression-decoding bounds
     (the smallest subset bound), floored at 0."""
     return max(0.0, float(ev.subset_bounds().min()))
-
-
-def g_function(ev: Evaluator, r_sum: float) -> np.ndarray:
-    """Set function g(S) = R_sum + I(U_S;Y_S|U_{S^c},Q) - I(U_all;X_all|Q)
-    = R_sum + C_S - b_S for every relay set S, indexed by bitmask.  Its
-    positive part max(g, 0) defines the fronthaul polytope."""
-    return _polytope(ev, r_sum)[3]
-
-
-def check_supermodular(ev: Evaluator, r_sum: float) -> tuple[bool, float]:
-    """Exhaustively verify supermodularity of max(g, 0):
-    g+(S+i+j) + g+(S) >= g+(S+i) + g+(S+j) for all S and i != j outside S.
-
-    Returns (all inequalities hold within 1e-10, worst slack).  An infinite
-    g raises ``ScenarioError``: the fronthaul polytope is empty."""
-    kk = ev.sc.num_relays
-    if kk > 12:
-        raise CapacityError("supermodularity check is exhaustive; K <= 12 required")
-    gp = np.maximum(_finite(g_function(ev, r_sum)), 0.0)
-    masks = np.arange(1 << kk)
-    worst = 0.0 if kk == 1 else math.inf  # K = 1: nothing to check
-    for i, j in combinations([1 << k for k in range(kk)], 2):
-        m = masks[(masks & (i | j)) == 0]  # every S with i and j outside it
-        worst = min(worst, float((gp[m | i | j] + gp[m] - gp[m | i] - gp[m | j]).min()))
-    return worst >= -1e-10, worst
 
 
 def extreme_point(ev: Evaluator, r_sum: float, ordering) -> np.ndarray:

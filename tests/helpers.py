@@ -1,7 +1,8 @@
 """Helpers shared by the tests: finite-difference checks of the Gaussian
 sum-rate objective's branch gradients, the inverse of the packed Hermitian
 parameterization, the additive test channel of a quantizer, a Gaussian
-scenario less one relay, the weighted matrix means of one stack, one-shot
+scenario less one relay, the sum-rate set function g and its exhaustive
+supermodularity check, the weighted matrix means of one stack, one-shot
 references of the two Monte Carlo samplers, a traced-memory probe and the
 faults and NaNs that the failure-path tests of the ``verify`` suites inject."""
 
@@ -10,13 +11,14 @@ from __future__ import annotations
 import math
 import tracemalloc
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
 from ocran import _linalg as la
-from ocran import optimize, verify
-from ocran.core import CodebookEnsemble, RateRegion, ScenarioError, SubsetPair
+from ocran import optimize, sumrate, verify
+from ocran.core import CodebookEnsemble, Evaluator, RateRegion, ScenarioError, SubsetPair
 from ocran.discrete import DiscreteEvaluator
 from ocran.gaussian import GaussianScenario, QuantizerSetGaussian, weighted_means
 from ocran.optimize import IMPROVE_TOL, _GaussianObjective, _layout, _pack_hermitian, _unpack_flat
@@ -132,6 +134,30 @@ def drop_relay(sc: GaussianScenario, relay: int) -> GaussianScenario:
     return replace(sc, num_relays=sc.num_relays - 1,
                    fronthaul=tuple(sc.fronthaul[k - 1] for k in keep),
                    H=tuple(sc.H[k - 1] for k in keep), Sigma=tuple(sc.Sigma[k - 1] for k in keep))
+
+
+def g_function(ev: Evaluator, r_sum: float) -> np.ndarray:
+    """Set function g(S) = R_sum + I(U_S;Y_S|U_{S^c},Q) - I(U_all;X_all|Q)
+    = R_sum + C_S - b_S for every relay set S, indexed by bitmask, as the
+    sum-rate layer forms it.  Its positive part max(g, 0) defines the
+    fronthaul polytope."""
+    return sumrate._polytope(ev, r_sum)[3]
+
+
+def check_supermodular(ev: Evaluator, r_sum: float) -> tuple[bool, float]:
+    """Exhaustively verify supermodularity of max(g, 0):
+    g+(S+i+j) + g+(S) >= g+(S+i) + g+(S+j) for all S and i != j outside S.
+
+    Returns (all inequalities hold within 1e-10, worst slack).  An infinite
+    g raises ``ScenarioError``: the fronthaul polytope is empty."""
+    kk = ev.sc.num_relays
+    gp = np.maximum(sumrate._finite(g_function(ev, r_sum)), 0.0)
+    masks = np.arange(1 << kk)
+    worst = 0.0 if kk == 1 else math.inf  # K = 1: nothing to check
+    for i, j in combinations([1 << k for k in range(kk)], 2):
+        m = masks[(masks & (i | j)) == 0]  # every S with i and j outside it
+        worst = min(worst, float((gp[m | i | j] + gp[m] - gp[m | i] - gp[m | j]).min()))
+    return worst >= -1e-10, worst
 
 
 def weighted_arithmetic_mean(mats, weights) -> np.ndarray:

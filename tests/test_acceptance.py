@@ -15,7 +15,6 @@ from ocran.core import spawn_seeds
 from ocran.discrete import DiscreteEvaluator
 from ocran.gaussian import GaussianScenario, region_gaussian
 from ocran.optimize import optimize_gaussian_quantizers
-from ocran.sumrate import check_supermodular
 from ocran.verify import (
     random_aux,
     random_correlated_scenario,
@@ -29,7 +28,7 @@ from ocran.verify import (
     suite_swz,
 )
 
-from helpers import ScalarField, finite_diff_check, sum_rate_field
+from helpers import ScalarField, check_supermodular, finite_diff_check, sum_rate_field
 
 
 def scalar_scenario(snr, fronthaul):

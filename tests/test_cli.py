@@ -17,11 +17,11 @@ from ocran.cli import build_parser, fmt_bits, main
 from ocran.core import enumerate_constraint_pairs, load_scenario, quantizers_to_dict, save_scenario
 from ocran.discrete import DiscreteEvaluator
 from ocran.gaussian import GaussianEvaluator, QuantizerSetGaussian
-from ocran.sumrate import extreme_points, g_function, jd_sum_rate
+from ocran.sumrate import extreme_points, jd_sum_rate
 from ocran.verify import (random_aux, random_factorizing_scenario, random_gaussian_scenario,
                           random_quantizers)
 
-from helpers import inject_suite_fault, inject_suite_nan
+from helpers import g_function, inject_suite_fault, inject_suite_nan
 
 
 def write_json(path, doc):

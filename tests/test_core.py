@@ -385,6 +385,16 @@ class TestScenarioIO:
         with pytest.raises(ScenarioError, match=f"channel.alphabets.{axis}: must be integers"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("x_sizes, y_sizes, field", [([-2], [-2], "X"), ([2], [0], "Y")])
+    def test_nonpositive_alphabet_size_names_field(self, x_sizes, y_sizes, field):
+        # (-2) * (-2) matches the 4 channel entries, and a reshape would then
+        # read -2 as an unknown dimension
+        doc = _discrete_doc()
+        doc["channel"]["alphabets"] = {"X": x_sizes, "Y": y_sizes}
+        with pytest.raises(ScenarioError,
+                           match=f"channel.alphabets.{field}: must be positive integers"):
+            scenario_from_dict(doc)
+
     @pytest.mark.parametrize("size", [2, 2.0, "2"])
     def test_integral_alphabet_size_reads_as_an_integer(self, size):
         doc = _discrete_doc()

@@ -738,6 +738,18 @@ class TestDiscreteOptimizer:
         for table in res.quantizers.tables:
             np.testing.assert_allclose(table.sum(axis=-1), 1.0, atol=1e-12)
 
+    def test_objective_is_the_evaluators_value_of_the_traced_best(self):
+        # the trace holds the search's own sum_rate_pass values, the objective
+        # DiscreteEvaluator's value of the returned tables: they may differ
+        # in the last bits, either way
+        rng = np.random.default_rng(46)
+        for i in range(6):
+            sc = random_correlated_scenario(rng, 2, 2, output_sizes=(3, 2))
+            res = optimize_discrete_aux(sc, (2, 2), restarts=2, max_iters=40, seed=i)
+            assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
+            assert res.objective == jd_sum_rate(DiscreteEvaluator.from_aux(sc, res.quantizers))
+            assert abs(res.objective - res.trace[-1]) <= 1e-12
+
     @pytest.mark.parametrize("card, cfg", [((2,), {}), ((0, 2), {}), ((2, 2), {"restarts": 0})])
     def test_validation_is_a_scenario_error(self, card, cfg):
         sc = random_correlated_scenario(np.random.default_rng(3), 1, 2)

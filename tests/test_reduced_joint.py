@@ -40,10 +40,8 @@ from ocran.sumrate import (
     ALPHA_DENOM_TOL,
     PIVOT_TOL,
     _wyner_ziv_rate,
-    check_supermodular,
     extreme_point,
     extreme_points,
-    g_function,
     jd_subset_bounds,
     jd_sum_rate,
     swz_dominating_point,
@@ -52,7 +50,7 @@ from ocran.sumrate import (
 from ocran.verify import (random_aux, random_correlated_scenario, random_factorizing_scenario,
                           random_gaussian_scenario, random_quantizers)
 
-from helpers import traced_peak_mb
+from helpers import g_function, traced_peak_mb
 
 TOL = 1e-12
 
@@ -382,8 +380,6 @@ def test_entry_points_never_build_the_dense_joint(monkeypatch, tmp_path):
     for family in ("thm1", "thm3"):
         DiscreteEvaluator.from_aux(sc, aux).bound(pair, family)
     jd_subset_bounds(ev)
-    g_function(ev, r_sum)
-    check_supermodular(ev, r_sum)
     extreme_point(ev, r_sum, pi)
     extreme_points(ev)
     swz_dominating_point(ev, r_sum, pi)
