@@ -81,11 +81,10 @@ BLAS_POOLS = {"numpy": "scipy_openblas_{}_num_threads64_",
 
 
 def fmt_bits(x: float) -> str:
-    """Fixed formatting for rate values in CSV output; never NaN."""
+    """Fixed formatting for rate values in CSV output (``inf`` and ``-inf``
+    as such); never NaN."""
     if math.isnan(x):
         raise ArithmeticError("NaN rate value")
-    if math.isinf(x):
-        return "-inf" if x < 0 else "inf"
     return f"{x:.12g}"
 
 

@@ -34,13 +34,14 @@ TIE_SLACK = 1e-10  # weighted value a point may give up to the optimum in the we
 # itself is the problem, not the numerics.
 MAX_SUBSET_BITS = 24
 
-# cap on trials * codewords per position in the codebook sampler.  The sampler
-# streams its draws in blocks, so this bounds run time, not memory.
+# cap on blocklength * trials * codewords, the uniforms the codebook sampler
+# draws.  The sampler streams its draws in blocks, so this bounds run time,
+# not memory.
 MAX_SAMPLER_DRAWS = 50_000_000
 MAX_CODEWORDS = 1 << 20
 # cap on the positions of the codebook-check experiment: each is one sampling
-# loop and one row of its per-position tables, whatever the rate (at rate 0
-# the codebook has one codeword, so the two guards above never bind)
+# loop and one row of its per-position tables, whatever the rate (one trial
+# of a one-codeword codebook passes the draws guard up to 5 * 10^7 positions)
 MAX_BLOCKLENGTH = 10_000
 # entries per block of the Monte Carlo samplers' draws (codebook letters, or
 # the MC estimator's exponential draws); a block holds at least one row
@@ -172,9 +173,11 @@ class RateRegion:
     nonempty user set T and each relay set S, as one read-only table:
     ``bounds[t_mask - 1, s_mask]``, of shape (2^L - 1, 2^K).
 
-    Bounds may be negative (the region is then empty once intersected with
-    the nonnegative orthant); membership always intersects with the orthant
-    implicitly through the caller supplying nonnegative rates.
+    Each bound is finite or -inf (a Gaussian relay whose B_k is Sigma_k^{-1});
+    +inf is refused.  Bounds may be negative (the region is then empty once
+    intersected with the nonnegative orthant); membership always intersects
+    with the orthant implicitly through the caller supplying nonnegative
+    rates.
     """
 
     num_users: int
@@ -184,6 +187,8 @@ class RateRegion:
         bounds = np.array(self.bounds, dtype=float)
         if bounds.ndim != 2 or bounds.shape[0] != (1 << self.num_users) - 1:
             raise ValueError(f"bounds must have shape (2^L - 1, 2^K), got {bounds.shape}")
+        if np.isposinf(bounds).any():
+            raise ValueError("bounds must be finite or -inf")
         bounds.setflags(write=False)
         object.__setattr__(self, "bounds", bounds)
 
@@ -287,8 +292,8 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float], tie_break: b
     depends only on each user set's tightest bound c_T = min_S b_{T,S}.
 
     Returns (value, rates) or (0.0, zeros) when the region collapses to the
-    origin or is empty; +inf bounds are dropped, and with none left the
-    value and every rate are +inf.  Tie rule: among points within TIE_SLACK
+    origin or is empty; every c_T is finite or -inf (``RateRegion``), so
+    the optimum is finite.  Tie rule: among points within TIE_SLACK
     of the optimal value, take the largest total rate, so zero-weight users
     land on the boundary; two users choose among corners only, then by the
     larger R_1.  Two users: the region is the polygon R_1 <= c_1,
@@ -296,22 +301,17 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float], tie_break: b
     exactly.  Three or more: c_T is not always submodular, so two HiGHS LPs
     over the c_T rows solve it, holding them to LP_FEAS_TOL, well inside
     TIE_SLACK and MEMBERSHIP_TOL; without ``tie_break`` only the first runs
-    and its optimum is the rates.  Raises ArithmeticError when the region is
-    unbounded or an LP solve fails: a numeric failure, not an empty region.
+    and its optimum is the rates.  Raises ArithmeticError when an LP solve
+    fails: a numeric failure, not an empty region.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (region.num_users,):
         raise ValueError("weight vector length must equal the number of users")
     c = region.bounds.min(axis=1)
-    kept = ~np.isposinf(c)
-    if not kept.any():
-        return math.inf, np.full(region.num_users, math.inf)
     if np.any(c < 0):
         return 0.0, np.zeros(region.num_users)
     if region.num_users == 2:
         c1, c2, c12 = c.tolist()
-        if c12 == math.inf and math.inf in (c1, c2):
-            raise ArithmeticError("the two-user region is unbounded: no largest weighted rate")
         m1, m2 = min(c1, c12), min(c2, c12)
         corners = np.array([[0.0, 0.0], [m1, 0.0], [m1, min(c2, c12 - m1)],
                             [min(c1, c12 - m2), m2], [0.0, m2]])
@@ -326,7 +326,7 @@ def max_weighted_rate(region: RateRegion, weights: Sequence[float], tie_break: b
     from scipy.optimize import linprog
 
     tols = {"primal_feasibility_tolerance": LP_FEAS_TOL, "dual_feasibility_tolerance": LP_FEAS_TOL}
-    a_ub, b_ub = user_sets(region.num_users)[kept], c[kept]
+    a_ub, b_ub = user_sets(region.num_users), c
     res = linprog(-w, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs", options=tols)
     if not res.success:
         raise ArithmeticError(f"weighted-rate LP failed: {res.message}")
@@ -439,10 +439,9 @@ def sample_codebook_marginal(ens: CodebookEnsemble, trials: int) -> CodebookMarg
     codebook is distributed like the memoryless input law, per position."""
     if trials < 1:
         raise ScenarioError("trials must be positive")
-    ncw = ens.num_codewords
-    if trials * ncw > MAX_SAMPLER_DRAWS:
-        raise CapacityError(f"trials * codewords = {trials * ncw} exceeds the sampler guard")
-    n = ens.blocklength
+    ncw, n = ens.num_codewords, ens.blocklength
+    if (draws := n * trials * ncw) > MAX_SAMPLER_DRAWS:
+        raise CapacityError(f"blocklength * trials * codewords = {draws} exceeds the sampler guard")
     alphabet = ens.input_pmf.shape[1]
     rng = np.random.default_rng(ens.seed)
     # message index is uniform and independent of the codebook contents

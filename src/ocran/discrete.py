@@ -211,16 +211,11 @@ def _letters(n: int) -> str:
 
 def check_conditional_independence(sc: DiscreteScenario) -> bool:
     """True iff p(y_1..y_K|x) factorizes into prod_k p(y_k|x) within
-    INDEPENDENCE_TOL."""
-    l, k = sc.num_users, sc.num_relays
-    letters = _letters(l + k)
-    xs, ys = letters[:l], letters[l:]
-    marginals = []
-    for i in range(k):
-        keep = tuple(range(l)) + (l + i,)
-        marginals.append(sc.channel.sum(axis=tuple(j for j in range(l + k) if j not in keep)))
-    subscripts = ",".join(xs + ys[i] for i in range(k)) + "->" + xs + ys
-    product = np.einsum(subscripts, *marginals, optimize=True)
+    INDEPENDENCE_TOL: the product of the relays' laws p(y_k|x), each kept
+    on the channel's axes, broadcasts to the channel's shape."""
+    relays = range(sc.num_users, sc.channel.ndim)
+    product = math.prod(sc.channel.sum(axis=tuple(j for j in relays if j != k), keepdims=True)
+                        for k in relays)
     return float(np.max(np.abs(sc.channel - product))) <= INDEPENDENCE_TOL
 
 

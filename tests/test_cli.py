@@ -421,9 +421,9 @@ def test_codebook_check_blocklength_below_one_exit_2(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("rate", ["0", "1e-6"])
 def test_codebook_check_blocklength_above_its_cap_exit_2(tmp_path, capsys, rate):
-    # at rate 0 the codebook holds one codeword, so no codeword or draw
-    # guard binds; the cap is checked before the time-sharing sequence of
-    # that length is drawn (drawing it would exit 3 with a MemoryError)
+    # at rate 0 the codebook holds one codeword, so no codeword guard
+    # binds; the cap is checked before the time-sharing sequence of that
+    # length is drawn (drawing it would exit 3 with a MemoryError)
     scenario = write_json(tmp_path / "sc.json", discrete_doc())
     out = tmp_path / "cb.json"
     argv = ["codebook-check", "--scenario", scenario, "--blocklength", "10000000000000",
@@ -443,6 +443,15 @@ def test_codebook_check_blocklength_at_its_cap_runs(tmp_path, capsys):
             "--rate", "0", "--trials", "1", "--out", str(out)]
     assert main(argv) == 0
     assert len(json.loads(out.read_text())["tv_per_position"]) == 10000
+
+
+def test_codebook_check_user_outside_the_users_exit_2(tmp_path, capsys):
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    for user in ("0", "2"):
+        assert main(["codebook-check", "--scenario", scenario, "--user", user]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --user must be in 1..1" in captured.err
 
 
 def test_mc_check_samples_above_the_sampler_guard_exit_2(tmp_path, capsys):
@@ -510,6 +519,30 @@ def test_sampler_counts_below_their_minimum_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert message in err
+
+
+def test_gaussian_sumrate_without_quantizers_exit_2(tmp_path, capsys):
+    scenario = write_json(tmp_path / "sc.json", golden_gaussian_doc())
+    assert main(["sumrate", "--scenario", scenario]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: sumrate needs --quantizers with the B matrices" in captured.err
+
+
+def test_discrete_optimize_beyond_the_jacobian_guard_exit_2(tmp_path, capsys):
+    # 12 relays: 2^12 sum-rate bounds of a 1.1e6-entry reduced joint
+    scenario = tmp_path / "sc.json"
+    save_scenario(random_factorizing_scenario(np.random.default_rng(0), 1, 12), scenario)
+    assert main(["optimize", "--scenario", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: sum-rate Jacobian would hold 4353564672 entries" in captured.err
+
+
+def test_fmt_bits_writes_infinities_as_words_and_refuses_nan():
+    assert (fmt_bits(math.inf), fmt_bits(-math.inf)) == ("inf", "-inf")
+    with pytest.raises(ArithmeticError, match="NaN rate value"):
+        fmt_bits(math.nan)
 
 
 class TestBoundaryCommand:

@@ -21,6 +21,8 @@ from ocran.discrete import (
 from ocran.sumrate import _wyner_ziv_rate
 from ocran.verify import random_aux, random_correlated_scenario, random_factorizing_scenario
 
+from helpers import traced_peak_mb
+
 
 def shared_noise_scenario(flip=0.5):
     """Y1 = Y2 = X xor Z with Z ~ Bernoulli(flip): outputs share their noise."""
@@ -370,6 +372,18 @@ class TestScenarioGuards:
         )
         with pytest.raises(CapacityError):
             build_joint(sc, big)
+
+    def test_dense_size_guard_refuses_before_copying_the_channel(self):
+        # 2 * 10^7 entries: a copy of the read-only broadcast would be 160 MB
+        from ocran.core import CapacityError
+
+        def build():
+            with pytest.raises(CapacityError, match="exceeds the dense-size guard"):
+                DiscreteScenario(num_users=1, num_relays=7, fronthaul=(1.0,) * 7,
+                                 time_share=(1.0,), px=(np.array([[0.5, 0.5]]),),
+                                 channel=np.broadcast_to(1e-7, (2,) + (10,) * 7))
+
+        assert traced_peak_mb(build) < 1.0
 
     def test_unnormalized_channel_rejected(self):
         ch = np.array([[0.9, 0.2], [0.1, 0.9]])

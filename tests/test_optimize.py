@@ -386,6 +386,39 @@ class TestSolverGate:
             for b in res.quantizers.B:
                 assert np.max(np.abs(b)) <= 1e-6
 
+    @pytest.mark.parametrize("seed,num_users,num_relays,weights",
+                             [(1, 1, 2, None), (3, 2, 2, (1.0, 2.0))])
+    def test_uniform_start_certifies_when_the_multipliers_cover_nothing(
+            self, monkeypatch, seed, num_users, num_relays, weights):
+        # zeroed SLSQP multipliers cover no weight, so the certificate
+        # starts from uniform ones and still certifies the same objective
+        import scipy.optimize
+
+        def scenario():
+            return random_gaussian_scenario(np.random.default_rng(seed), num_users, num_relays)
+
+        expected = optimize_gaussian_quantizers(scenario(), weights)
+        solve, covering, starts = scipy.optimize.minimize, optimize._covering, []
+
+        def without_multipliers(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.multipliers = np.zeros_like(res.multipliers)
+            return res
+
+        def recording(y, cover, c):
+            lam = covering(y, cover, c)
+            starts.append((y.copy(), lam))
+            return lam
+
+        monkeypatch.setattr(scipy.optimize, "minimize", without_multipliers)
+        monkeypatch.setattr(optimize, "_covering", recording)
+        res = optimize_gaussian_quantizers(scenario(), weights)
+        (zeros, none), (ones, lam) = starts[:2]
+        assert not zeros.any() and none is None
+        assert np.all(ones == 1.0) and lam is not None
+        assert res.objective == expected.objective
+        assert res.gap <= optimize.GAP_TOL
+
     def test_uncertified_solve_raises(self, monkeypatch):
         monkeypatch.setattr(optimize, "GAP_TOL", -1.0)
         with pytest.raises(ArithmeticError, match="not certified"):
