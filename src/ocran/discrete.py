@@ -30,7 +30,8 @@ Wyner-Ziv rates there are differences of the same entropy vectors
 discrete optimizer's search reads ``ReducedFactors.sum_rate_pass``: the
 sum-rate bounds and their gradients from shared logs.  Both walk one
 subset lattice (``_lattice``) for their 2^K marginals, about
-prod_k (1 + |U_k|) entries: 3^K for binary U, not 4^K.
+prod_k (1 + |U_k|) entries: 3^K for binary U, not 4^K; the evaluator takes
+their entropies in batches, one array pass each (``_entropies``).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from string import ascii_lowercase, ascii_uppercase
 from typing import Callable
 
@@ -47,6 +49,9 @@ import numpy as np
 from .core import CapacityError, Evaluator, RateRegion, Scenario, ScenarioError, pmf_table
 
 MAX_JOINT_ENTRIES = 10_000_000
+# entries of the marginals whose entropies one array pass takes together:
+# a batch's buffer and temporaries stay a few times 32 KB
+ENTROPY_BATCH = 4096
 # an information quantity below -NEGATIVE_INFO_TOL bits is a numeric failure
 NEGATIVE_INFO_TOL = 1e-9
 # largest entry-wise distance of a channel from the product of its marginals
@@ -173,9 +178,38 @@ class JointPmf:
 
 def _entropy(p: np.ndarray) -> float:
     """H in bits of a marginal pmf tensor."""
-    # a total a few ulps off 1 would give a point mass H != 0
-    nz = p[p > 0] / p.sum()
-    return float(-(nz * np.log2(nz)).sum())
+    return float(_entropies([(0, p)], np.empty(1))[0])
+
+
+def _entropies(marginals, out: np.ndarray) -> np.ndarray:
+    """``out``, with out[i] = H in bits of p for each (i, p) of the iterable
+    ``marginals``, taken in batches of up to ENTROPY_BATCH entries, one array
+    pass each (``_batch_entropies``); a larger marginal is a batch of its
+    own.  Only one batch of marginals is held at a time."""
+    batch, keys, size = [], [], 0
+    for key, p in marginals:
+        if size + p.size > ENTROPY_BATCH and batch:
+            out[keys] = _batch_entropies(batch)
+            batch, keys, size = [], [], 0
+        batch.append(p)
+        keys.append(key)
+        size += p.size
+    if batch:
+        out[keys] = _batch_entropies(batch)
+    return out
+
+
+def _batch_entropies(batch) -> np.ndarray:
+    """H in bits of each pmf tensor of ``batch``, from one buffer that holds
+    them end to end and is worked on in place.  Each is normalized by its
+    own total (a total a few ulps off 1 would give a point mass H != 0),
+    and 0 log 0 = 0."""
+    buf = np.concatenate(batch, axis=None)
+    sizes = [p.size for p in batch]
+    starts = list(accumulate(sizes[:-1], initial=0))
+    buf /= np.repeat(np.add.reduceat(buf, starts), sizes)
+    buf *= _log2(buf)
+    return -np.add.reduceat(buf, starts)
 
 
 def cmi(j: JointPmf, a, b, c=()) -> float:
@@ -423,21 +457,18 @@ class DiscreteEvaluator(Evaluator):
         return ReducedFactors(sc, aux.aux_sizes).evaluator(aux.tables)
 
     def _u_entropies(self, kept: int) -> np.ndarray:
-        """H(U_m, X_kept, Q) for every relay bitmask m, one entropy per
-        marginal of a ``_lattice`` walk from p(U, X_kept, Q)."""
+        """H(U_m, X_kept, Q) for every relay bitmask m, from the marginals of
+        a ``_lattice`` walk from p(U, X_kept, Q), in batches (``_entropies``)."""
         l, k = self.sc.num_users, self.sc.num_relays
         drop = tuple(1 + i for i in range(l) if not kept >> i & 1)
         base = self.p.sum(axis=drop, keepdims=True) if drop else self.p
-        h = np.empty(1 << k)
-        for m, marginal in _lattice(base, range(1 + l, 1 + l + k)):
-            h[m] = _entropy(marginal)
-        return h
+        return _entropies(_lattice(base, range(1 + l, 1 + l + k)), np.empty(1 << k))
 
     @functools.cached_property
     def _h_x(self) -> tuple[float, float]:
         """H(X, Q) and H(X, U, Q), which thm3 reads beside ``u_entropies``."""
         u_axes = tuple(range(1 + self.sc.num_users, self.p.ndim))
-        return _entropy(self.p.sum(axis=u_axes)), _entropy(self.p)
+        return tuple(_entropies(enumerate((self.p.sum(axis=u_axes), self.p)), np.empty(2)).tolist())
 
 
 def region_discrete(sc: DiscreteScenario, aux: AuxChannels, which: str = "thm1") -> RateRegion:

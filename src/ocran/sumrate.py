@@ -7,10 +7,10 @@ a ``core.Evaluator`` of either scenario kind, and forms its subset bounds
 b_S = ``ev.subset_bounds()`` at most once per call: g(S) = R_sum + C_S - b_S
 is one vector and I(U_all; X_all | Q) is b_{}.  One walk over chain orderings
 forms g, refuses an empty polytope once (R_sum above its cap, then an
-infinite g) and gives each ordering's extreme point or dominating scheme.
-The Wyner-Ziv rates are differences of the 2^K entropies H(U_m, Q) and
-H(U_m, X_all, Q) that the bounds already took, so this layer computes no
-entropy of its own.
+infinite g) and gives the orderings' extreme points or dominating schemes,
+ORDERING_BLOCK orderings to one array pass.  The Wyner-Ziv rates are
+differences of the 2^K entropies H(U_m, Q) and H(U_m, X_all, Q) that the
+bounds already took, so this layer computes no entropy of its own.
 
 Ordering convention
 -------------------
@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
-from .core import CapacityError, Evaluator, ScenarioError, mask_of, subset_sums
-from .discrete import _nonnegative
+from .core import CapacityError, Evaluator, ScenarioError, subset_sums
+from .discrete import NEGATIVE_INFO_TOL, _nonnegative
 
 INVARIANT_TOL = 1e-9
 ALPHA_DENOM_TOL = 1e-12
@@ -42,6 +42,9 @@ ALPHA_DENOM_TOL = 1e-12
 # arithmetic (a relay with |U_k| = 1 early in the chain, or R_sum = I(U; X)),
 # rounding must not decide the pivot or turn 1e-16 into an idle share
 PIVOT_TOL = 1e-12
+# chain orderings per array pass of the walk: at K = 8 one block's arrays
+# peak near 64 KiB, where all 40,320 orderings at once would take tens of MB
+ORDERING_BLOCK = 64
 # the command of each K! enumeration: the largest K it takes and its
 # refusal, which the CLI makes before it builds an evaluator
 ORDERING_GUARDS = {"extreme-points": (6, "extreme-points enumerates K! orderings"),
@@ -102,7 +105,7 @@ def extreme_point(ev: Evaluator, r_sum: float, ordering) -> np.ndarray:
     The result is indexed by relay (position k-1 holds relay k's fronthaul)
     and telescopes to g+(all relays).  An r_sum above I(U_all; X_all | Q),
     beyond INVARIANT_TOL, raises ``ScenarioError``: the polytope is empty."""
-    return next(_walk(ev, r_sum, [_check_ordering(ordering, ev.sc.num_relays)])[1])[1]
+    return next(_walk(ev, r_sum, [_check_ordering(ordering, ev.sc.num_relays)])[1])[1][0]
 
 
 def extreme_points(ev: Evaluator,
@@ -112,15 +115,21 @@ def extreme_points(ev: Evaluator,
 
     ``r_sum`` defaults to the joint-decoding sum-rate."""
     check_orderings("extreme-points", ev.sc.num_relays)
-    return list(_walk(ev, r_sum, permutations(range(1, ev.sc.num_relays + 1)))[1])
+    blocks = _walk(ev, r_sum, permutations(range(1, ev.sc.num_relays + 1)))[1]
+    return [(tuple(pi), point) for orderings, points in blocks
+            for pi, point in zip(orderings.tolist(), points)]
 
 
 def _walk(ev: Evaluator, r_sum: float | None, orderings, schemes: bool = False):
-    """(R_sum, an iterator giving each of ``orderings`` as (pi, extreme
-    point), or with ``schemes`` as its OrderingResult) at r_sum (None: the
-    joint-decoding sum-rate).  R_sum is capped by b_{} = I(U; X | Q) for a
-    point, as the S = {} row asks 0 >= g({}) = r_sum - b_{}, and by the
-    joint-decoding sum-rate for a scheme."""
+    """(R_sum, an iterator over ``orderings`` in blocks of up to
+    ORDERING_BLOCK, one array pass each) at r_sum (None: the joint-decoding
+    sum-rate).  A block is (pi, points): its orderings as an (n, K) array
+    of relays and their extreme points, indexed by relay; with ``schemes``
+    it is (pi, points, pivot, alpha, fronthaul, rate), the OrderingResult
+    fields of each ordering, pivot 0 where there is none (``_schemes``).
+    R_sum is capped by b_{} = I(U; X | Q) for a point, as the S = {} row
+    asks 0 >= g({}) = r_sum - b_{}, and by the joint-decoding sum-rate for
+    a scheme."""
     bounds, jd, r_sum, g = _polytope(ev, r_sum)
     cap, name = ((jd, "the joint-decoding sum-rate") if schemes
                  else (float(bounds[0]), "I(U; X | Q) ="))
@@ -128,10 +137,11 @@ def _walk(ev: Evaluator, r_sum: float | None, orderings, schemes: bool = False):
         raise ScenarioError(f"r_sum = {r_sum!r} exceeds {name} {cap!r}; "
                             "the fronthaul polytope is empty")
     _finite(g)
-    chains = ((pi, [float(g[mask_of(pi[:k])]) for k in range(len(pi) + 1)]) for pi in orderings)
+    orderings = iter(orderings)
+    blocks = map(np.array, iter(lambda: list(islice(orderings, ORDERING_BLOCK)), []))
     if schemes:
-        return r_sum, (_ordering_result(ev, chain, r_sum, pi) for pi, chain in chains)
-    return r_sum, ((pi, _extreme_point(chain, pi)) for pi, chain in chains)
+        return r_sum, (_schemes(ev, g, r_sum, pi) for pi in blocks)
+    return r_sum, ((pi, _points(g, pi)[2]) for pi in blocks)
 
 
 def _check_ordering(ordering, num_relays: int) -> tuple[int, ...]:
@@ -143,26 +153,29 @@ def _check_ordering(ordering, num_relays: int) -> tuple[int, ...]:
     return pi
 
 
-def _extreme_point(chain: list[float], pi: tuple[int, ...]) -> np.ndarray:
-    """The extreme point of ordering pi from its prefix chain of g."""
-    out = np.zeros(len(pi))
-    for k in range(1, len(pi) + 1):
-        inc = max(0.0, chain[k]) - max(0.0, chain[k - 1])
-        if not inc >= -INVARIANT_TOL:
-            raise ArithmeticError(f"g+ decreased along the chain at position {k} ({inc:.3e}); "
-                                  "this contradicts the chain monotonicity of g")
-        out[pi[k - 1] - 1] = max(0.0, inc)
-    return out
+def _plus(x: np.ndarray) -> np.ndarray:
+    """max(0.0, x) entrywise, as Python's max gives it: -0.0 reads +0.0,
+    which np.maximum(0.0, x) does not promise."""
+    return np.where(x > 0.0, x, 0.0)
 
 
-def _wyner_ziv_rate(ev: Evaluator, relay: int, side) -> float:
-    """I(U_k; Y_k | U_side, Q) of relay k given the codewords of the relays
-    ``side``: H(U_side, U_k, Q) - H(U_side, Q) - H(U_k | Y_k, Q), from the
-    evaluator's entropies H(U_m, Q).  Rounding dust down to
-    -NEGATIVE_INFO_TOL reads 0; a more negative value raises."""
-    h, m = ev.u_entropies(), mask_of(side)
-    return _nonnegative(h[m | 1 << (relay - 1)] - h[m] - ev.h_u_given_y[relay - 1],
-                        "Wyner-Ziv rate I(U_k; Y_k | U_side, Q)")
+def _points(g: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(masks, chain, points) of the orderings pi, an (n, K) array of relays:
+    row i's prefix masks {pi_i(1..k)} and g there for k = 0..K, and its
+    extreme point, where relay pi_i(k) gets g+(first k) - g+(first k-1)."""
+    masks = np.zeros((pi.shape[0], pi.shape[1] + 1), dtype=np.int64)
+    np.cumsum(1 << (pi - 1), axis=1, out=masks[:, 1:])
+    chain = g[masks]
+    g_plus = _plus(chain)
+    inc = g_plus[:, 1:] - g_plus[:, :-1]
+    if not (rises := inc >= -INVARIANT_TOL).all():
+        row, k = np.argwhere(~rises)[0]
+        raise ArithmeticError(f"g+ decreased along the chain at position {k + 1} "
+                              f"({inc[row, k]:.3e}); "
+                              "this contradicts the chain monotonicity of g")
+    points = np.zeros(pi.shape)
+    points[np.arange(pi.shape[0])[:, None], pi - 1] = _plus(inc)
+    return masks, chain, points
 
 
 @dataclass(frozen=True)
@@ -196,52 +209,71 @@ def swz_dominating_point(ev: Evaluator, r_sum: float, ordering) -> OrderingResul
     chain relays are always active.  Decoding runs through the chain in
     reverse.
     """
-    return next(_walk(ev, r_sum, [_check_ordering(ordering, ev.sc.num_relays)], schemes=True)[1])
+    pi = _check_ordering(ordering, ev.sc.num_relays)
+    _, points, pivot, alpha, fronthaul, rate = next(_walk(ev, r_sum, [pi], schemes=True)[1])
+    return OrderingResult(ordering=pi, extreme_point=points[0], pivot_index=int(pivot[0]) or None,
+                          idle_fraction=float(alpha[0]), scheme_fronthaul=fronthaul[0],
+                          scheme_sum_rate=float(rate[0]))
 
 
-def _ordering_result(ev: Evaluator, chain: list[float], r_sum: float, pi) -> OrderingResult:
-    """Ordering pi's result from its prefix chain g({pi(1..k)}), k = 0..K."""
-    kk = ev.sc.num_relays
-    c_tilde = _extreme_point(chain, pi)
-    pivot = next((k for k in range(1, kk + 1) if chain[k] > PIVOT_TOL), None)
-    alpha, c_prime, r_bar = 1.0, np.zeros(kk), 0.0
-    if pivot is not None:
-        # per-relay description rates conditioned on the later chain relays
-        for k in range(pivot, kk + 1):
-            c_prime[pi[k - 1] - 1] = _wyner_ziv_rate(ev, pi[k - 1], pi[k:])
-        denom = c_prime[pi[pivot - 1] - 1]
-        g_before = chain[pivot - 1] if abs(chain[pivot - 1]) > PIVOT_TOL else 0.0
-        alpha = 1.0 if denom < ALPHA_DENOM_TOL else min(1.0, max(0.0, -g_before / denom))
-        c_prime[pi[pivot - 1] - 1] = (1.0 - alpha) * denom
-        # I(X; U_A | Q) - alpha I(X; U_pivot | U_L, Q) with A the active relays
-        # (the pivot and later) and L the later ones, in cmi's term order
-        h, hx = ev.u_entropies(), ev.u_entropies((1 << ev.sc.num_users) - 1)
-        active, later = mask_of(pi[pivot - 1:]), mask_of(pi[pivot:])
-        i_active = _nonnegative(hx[0] + h[active] - hx[active] - h[0], "I(X; U_A | Q)")
-        i_pivot = _nonnegative(hx[later] + h[active] - hx[active] - h[later],
-                               "I(X; U_pivot | U_L, Q)")
-        r_bar = i_active - alpha * i_pivot
-    result = OrderingResult(
-        ordering=pi,
-        extreme_point=c_tilde,
-        pivot_index=pivot,
-        idle_fraction=float(alpha),
-        scheme_fronthaul=c_prime,
-        scheme_sum_rate=float(r_bar),
-    )
-    _check_ordering_result(result, r_sum, max(0.0, chain[kk]))
-    return result
+def _schemes(ev: Evaluator, g: np.ndarray, r_sum: float, pi: np.ndarray):
+    """(pi, points, pivot, alpha, fronthaul, rate) of the orderings pi, an
+    (n, K) array of relays: per row the extreme point, the 1-based pivot
+    (0: none), the idle share, and the fronthaul and sum-rate of the
+    dominating scheme, all indexed by relay like the points."""
+    masks, chain, points = _points(g, pi)
+    rows = np.arange(pi.shape[0])
+    h, hx = ev.u_entropies(), ev.u_entropies((1 << ev.sc.num_users) - 1)
+    later = masks[:, -1:] - masks  # the relays after chain position k, k = 0..K
+    above = chain[:, 1:] > PIVOT_TOL
+    found, at = above.any(axis=1), above.argmax(axis=1)  # at: the pivot's 0-based position
+    # per-relay description rates from the pivot on, each I(U_k; Y_k | U_side, Q)
+    # conditioned on the later chain relays
+    active = found[:, None] & (np.arange(pi.shape[1]) >= at[:, None])
+    wz = h[later[:, :-1]] - h[later[:, 1:]] - np.asarray(ev.h_u_given_y)[pi - 1]
+    _check_nonnegative(wz[active], "Wyner-Ziv rate I(U_k; Y_k | U_side, Q)")
+    wz = np.where(active, _plus(wz), 0.0)
+    denom = wz[rows, at]
+    g_before = chain[rows, at]
+    g_before = np.where(np.abs(g_before) > PIVOT_TOL, g_before, 0.0)
+    alpha = np.ones(pi.shape[0])
+    np.divide(-g_before, denom, out=alpha, where=found & (denom >= ALPHA_DENOM_TOL))
+    alpha = np.where(alpha > 0.0, np.minimum(alpha, 1.0), 0.0)
+    wz[rows, at] = np.where(found, (1.0 - alpha) * denom, 0.0)
+    fronthaul = np.zeros(pi.shape)
+    fronthaul[rows[:, None], pi - 1] = wz
+    # I(X; U_A | Q) - alpha I(X; U_pivot | U_L, Q) with A the active relays
+    # (the pivot and later) and L the later ones, in cmi's term order
+    a, l = later[rows, at], later[rows, at + 1]
+    i_active = hx[0] + h[a] - hx[a] - h[0]
+    i_pivot = hx[l] + h[a] - hx[a] - h[l]
+    _check_nonnegative(i_active[found], "I(X; U_A | Q)")
+    _check_nonnegative(i_pivot[found], "I(X; U_pivot | U_L, Q)")
+    rate = np.where(found, _plus(i_active) - alpha * _plus(i_pivot), 0.0)
+    _check_schemes(points, _plus(chain[:, -1]), fronthaul, rate, r_sum)
+    return pi, points, np.where(found, at + 1, 0), alpha, fronthaul, rate
 
 
-def _check_ordering_result(res: OrderingResult, r_sum: float, g_plus_full: float) -> None:
+def _check_nonnegative(values: np.ndarray, name: str) -> None:
+    """``_nonnegative``'s check on each of ``values``, raising on the first
+    that fails it."""
+    if not (ok := values >= -NEGATIVE_INFO_TOL).all():
+        _nonnegative(float(values[~ok][0]), name)
+
+
+def _check_schemes(points, g_plus_full, fronthaul, rate, r_sum: float) -> None:
+    """The invariants of a block of schemes: each extreme point telescopes
+    to g+(all relays), each scheme's fronthaul lies below its point and its
+    sum-rate reaches r_sum."""
     # each test is written so that a NaN fails it
-    if not abs(res.extreme_point.sum() - g_plus_full) <= 1e-12 + 1e-12 * abs(g_plus_full):
+    if not np.all(np.abs(points.sum(axis=1) - g_plus_full)
+                  <= 1e-12 + 1e-12 * np.abs(g_plus_full)):
         raise ArithmeticError("extreme point does not telescope to g+(all relays)")
-    if not np.all(res.scheme_fronthaul <= res.extreme_point + INVARIANT_TOL):
+    if not np.all(fronthaul <= points + INVARIANT_TOL):
         raise ArithmeticError("constructed scheme needs more fronthaul than the extreme point")
-    if not res.scheme_sum_rate >= r_sum - INVARIANT_TOL:
-        raise ArithmeticError(f"constructed scheme sum-rate {res.scheme_sum_rate!r} fell below "
-                              f"the target {r_sum!r}")
+    if not (reaches := rate >= r_sum - INVARIANT_TOL).all():
+        raise ArithmeticError(f"constructed scheme sum-rate {float(rate[~reaches][0])!r} "
+                              f"fell below the target {r_sum!r}")
 
 
 @dataclass(frozen=True)
@@ -267,10 +299,14 @@ def swz_equals_jd(ev: Evaluator) -> SumRateComparison:
     the running best is kept; ``swz_dominating_point`` gives any one
     ordering's result."""
     check_orderings("swz-check", ev.sc.num_relays)
-    target, results = _walk(ev, None, permutations(range(1, ev.sc.num_relays + 1)), schemes=True)
+    target, blocks = _walk(ev, None, permutations(range(1, ev.sc.num_relays + 1)), schemes=True)
     best, best_pi = -math.inf, None
-    for res in results:
-        if res.scheme_sum_rate > best + INVARIANT_TOL:
-            best, best_pi = res.scheme_sum_rate, res.ordering
+    for pi, *_, rate in blocks:
+        # scanned in order: a later ordering is better only beyond the tie tolerance
+        i = 0
+        while (ahead := np.flatnonzero(rate[i:] > best + INVARIANT_TOL)).size:
+            i += int(ahead[0])
+            best, best_pi = float(rate[i]), tuple(pi[i].tolist())
+            i += 1
     return SumRateComparison(jd_sum_rate=target, best_sum_rate=best,
                              best_ordering=best_pi, gap=float(target - best))

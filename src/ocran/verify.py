@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg as la
-from .core import (CodebookEnsemble, ScenarioError, SubsetPair, indices_of,
-                   sample_codebook_marginal, spawn_seeds)
+from .core import (MAX_SAMPLER_DRAWS, CapacityError, CodebookEnsemble, ScenarioError, SubsetPair,
+                   indices_of, sample_codebook_marginal, spawn_seeds)
 from .discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario
 from .gaussian import (
     GaussianEvaluator,
@@ -31,6 +31,9 @@ from .sumrate import swz_equals_jd
 # suite ``name`` is the function ``suite_<name>`` of this module
 SUITE_NAMES = ("class_equivalence", "swz", "mc", "codebook", "matrix_lemmas")
 LEMMA_BLOCK = 1000  # matrix_lemmas instances drawn before their stacks are checked
+# the codebook suite's largest draw is 4 positions x trials x 16 codewords,
+# so its trial count (``instances``) may be at most this
+CODEBOOK_MAX_TRIALS = MAX_SAMPLER_DRAWS // (4 * 16)
 MC_SAMPLES = 1_000_000  # Monte Carlo draws per mc instance
 
 
@@ -359,6 +362,9 @@ def run_suites(names=None, seed: int = 0, instances: int | None = None) -> list[
     if instances is not None and instances < 1:
         raise ScenarioError(f"instances must be at least 1, got {instances}")
     names = tuple(names) if names else SUITE_NAMES
+    if "codebook" in names and instances is not None and instances > CODEBOOK_MAX_TRIALS:
+        raise CapacityError(f"instances = {instances} is too large for the codebook suite, "
+                            f"whose trial count it sets: at most {CODEBOOK_MAX_TRIALS}")
     counts = () if instances is None else (instances,)
     reports = []
     for name in names:

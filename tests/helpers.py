@@ -2,24 +2,27 @@
 sum-rate objective's branch gradients, the inverse of the packed Hermitian
 parameterization, the additive test channel of a quantizer, a Gaussian
 scenario less one relay, the sum-rate set function g and its exhaustive
-supermodularity check, the weighted matrix means of one stack, one-shot
-references of the two Monte Carlo samplers, a traced-memory probe and the
-faults and NaNs that the failure-path tests of the ``verify`` suites inject."""
+supermodularity check, the scalar per-ordering reference of the sum-rate
+layer (``ScalarOrderings``) and its Wyner-Ziv rate, the weighted matrix
+means of one stack, one-shot references of the two Monte Carlo samplers, a
+traced-memory probe and the faults and NaNs that the failure-path tests of
+the ``verify`` suites inject."""
 
 from __future__ import annotations
 
 import math
 import tracemalloc
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable
 
 import numpy as np
 
 from ocran import _linalg as la
 from ocran import optimize, sumrate, verify
-from ocran.core import CodebookEnsemble, Evaluator, RateRegion, ScenarioError, SubsetPair
-from ocran.discrete import DiscreteEvaluator
+from ocran.core import (CodebookEnsemble, Evaluator, RateRegion, ScenarioError, SubsetPair,
+                        mask_of)
+from ocran.discrete import DiscreteEvaluator, _nonnegative
 from ocran.gaussian import GaussianScenario, QuantizerSetGaussian, weighted_means
 from ocran.optimize import IMPROVE_TOL, _GaussianObjective, _layout, _pack_hermitian, _unpack_flat
 
@@ -158,6 +161,72 @@ def check_supermodular(ev: Evaluator, r_sum: float) -> tuple[bool, float]:
         m = masks[(masks & (i | j)) == 0]  # every S with i and j outside it
         worst = min(worst, float((gp[m | i | j] + gp[m] - gp[m | i] - gp[m | j]).min()))
     return worst >= -1e-10, worst
+
+
+def wyner_ziv_rate(ev: Evaluator, relay: int, side) -> float:
+    """I(U_k; Y_k | U_side, Q) of relay k given the codewords of the relays
+    ``side``: H(U_side, U_k, Q) - H(U_side, Q) - H(U_k | Y_k, Q), from the
+    evaluator's entropies H(U_m, Q).  Rounding dust down to
+    -NEGATIVE_INFO_TOL reads 0; a more negative value raises."""
+    h, m = ev.u_entropies(), mask_of(side)
+    return _nonnegative(h[m | 1 << (relay - 1)] - h[m] - ev.h_u_given_y[relay - 1],
+                        "Wyner-Ziv rate I(U_k; Y_k | U_side, Q)")
+
+
+class ScalarOrderings:
+    """The chain orderings of the sum-rate layer one Python call at a time:
+    the per-ordering code that ``sumrate._walk`` replaced by array passes
+    over blocks of orderings, kept as the scalar reference that the library
+    must match bit for bit.  g is formed once, as the library forms it, at
+    r_sum (None: the joint-decoding sum-rate); the caps and the invariant
+    checks are the library's own and are not repeated here."""
+
+    def __init__(self, ev: Evaluator, r_sum: float | None = None):
+        self.ev = ev
+        _, _, self.r_sum, self.g = sumrate._polytope(ev, r_sum)
+
+    def chain(self, pi) -> list[float]:
+        """g({pi(1..k)}) for k = 0..K."""
+        return [float(self.g[mask_of(pi[:k])]) for k in range(len(pi) + 1)]
+
+    def extreme_point(self, pi) -> np.ndarray:
+        chain, out = self.chain(pi), np.zeros(len(pi))
+        for k in range(1, len(pi) + 1):
+            out[pi[k - 1] - 1] = max(0.0, max(0.0, chain[k]) - max(0.0, chain[k - 1]))
+        return out
+
+    def ordering_result(self, pi) -> sumrate.OrderingResult:
+        ev, kk, chain = self.ev, len(pi), self.chain(pi)
+        pivot = next((k for k in range(1, kk + 1) if chain[k] > sumrate.PIVOT_TOL), None)
+        alpha, c_prime, r_bar = 1.0, np.zeros(kk), 0.0
+        if pivot is not None:
+            for k in range(pivot, kk + 1):
+                c_prime[pi[k - 1] - 1] = wyner_ziv_rate(ev, pi[k - 1], pi[k:])
+            denom = c_prime[pi[pivot - 1] - 1]
+            g_before = chain[pivot - 1] if abs(chain[pivot - 1]) > sumrate.PIVOT_TOL else 0.0
+            alpha = (1.0 if denom < sumrate.ALPHA_DENOM_TOL
+                     else min(1.0, max(0.0, -g_before / denom)))
+            c_prime[pi[pivot - 1] - 1] = (1.0 - alpha) * denom
+            h, hx = ev.u_entropies(), ev.u_entropies((1 << ev.sc.num_users) - 1)
+            active, later = mask_of(pi[pivot - 1:]), mask_of(pi[pivot:])
+            i_active = _nonnegative(hx[0] + h[active] - hx[active] - h[0], "I(X; U_A | Q)")
+            i_pivot = _nonnegative(hx[later] + h[active] - hx[active] - h[later],
+                                   "I(X; U_pivot | U_L, Q)")
+            r_bar = i_active - alpha * i_pivot
+        return sumrate.OrderingResult(ordering=tuple(pi), extreme_point=self.extreme_point(pi),
+                                      pivot_index=pivot, idle_fraction=float(alpha),
+                                      scheme_fronthaul=c_prime, scheme_sum_rate=float(r_bar))
+
+    def swz_equals_jd(self) -> sumrate.SumRateComparison:
+        """The comparison over every ordering in lexicographic order, with
+        the library's tie rule; meant for r_sum None."""
+        best, best_pi = -math.inf, None
+        for pi in permutations(range(1, self.ev.sc.num_relays + 1)):
+            rate = self.ordering_result(pi).scheme_sum_rate
+            if rate > best + sumrate.INVARIANT_TOL:
+                best, best_pi = rate, pi
+        return sumrate.SumRateComparison(jd_sum_rate=self.r_sum, best_sum_rate=best,
+                                         best_ordering=best_pi, gap=float(self.r_sum - best))
 
 
 def weighted_arithmetic_mean(mats, weights) -> np.ndarray:

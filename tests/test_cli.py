@@ -1128,6 +1128,20 @@ class TestVerifyCommand:
         assert not out.exists()
         assert "instances must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["codebook", "all"])
+    def test_too_many_codebook_instances_name_the_flag(self, tmp_path, capsys, suite):
+        # 4 positions x 781,251 trials x 16 codewords exceed the sampler
+        # guard of 5e7 draws; the refusal names --instances and its limit,
+        # before any suite runs
+        out = tmp_path / "verify.json"
+        rc = main(["verify", "--suite", suite, "--instances", "781251", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "instances = 781251 is too large for the codebook suite" in err
+        assert "at most 781250" in err
+        assert "blocklength * trials * codewords" not in err
+
 
 class TestRunPath:
     """What main does for every command: the scenario-kind check, one

@@ -18,10 +18,9 @@ from ocran.discrete import (
     identity_aux,
     region_discrete,
 )
-from ocran.sumrate import _wyner_ziv_rate
 from ocran.verify import random_aux, random_correlated_scenario, random_factorizing_scenario
 
-from helpers import traced_peak_mb
+from helpers import traced_peak_mb, wyner_ziv_rate
 
 
 def shared_noise_scenario(flip=0.5):
@@ -168,7 +167,7 @@ class TestCmi:
             ev = DiscreteEvaluator.from_aux(sc, constant_aux(sc))
             h = ev.u_entropies() - np.array([0.0, shift])  # H(Q), H(U_1, Q) - shift
             ev.u_entropies = lambda kept=0: h
-            value = lambda: _wyner_ziv_rate(ev, 1, ())
+            value = lambda: wyner_ziv_rate(ev, 1, ())
         if shift <= NEGATIVE_INFO_TOL:
             assert value() == 0.0
         else:

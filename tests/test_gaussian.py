@@ -28,11 +28,10 @@ from ocran.gaussian import (
     region_gaussian,
     weighted_means,
 )
-from ocran.sumrate import _wyner_ziv_rate
 from ocran.verify import random_gaussian_scenario, random_pd, random_quantizers
 
 from helpers import (b_from_test_channel, drop_relay, weighted_arithmetic_mean,
-                     weighted_harmonic_mean, whitened_parts)
+                     weighted_harmonic_mean, whitened_parts, wyner_ziv_rate)
 
 
 def scalar_scenario(snr=1.0, fronthaul=1.0, num_relays=1, gain=1.0):
@@ -439,7 +438,7 @@ class TestEntropyVectors:
                                         for r in (relays, relays[:-1]))
             b_inv = np.linalg.inv(q.B[-1])
             noise = la.logdet2(b_inv - sc.Sigma[-1]) - la.logdet2(b_inv)
-            rate = _wyner_ziv_rate(ev, relays[-1], relays[:-1])
+            rate = wyner_ziv_rate(ev, relays[-1], relays[:-1])
             assert abs(rate - (with_k - side - noise)) <= 1e-12 * (s1 + s2 + abs(noise))
 
 

@@ -11,7 +11,6 @@ from ocran.discrete import (AuxChannels, DiscreteEvaluator, DiscreteScenario, bu
 from ocran.gaussian import GaussianEvaluator, QuantizerSetGaussian
 from ocran.sumrate import (
     INVARIANT_TOL,
-    _wyner_ziv_rate,
     extreme_point,
     extreme_points,
     jd_subset_bounds,
@@ -26,7 +25,8 @@ from ocran.discrete import region_discrete
 from ocran.verify import (random_aux, random_correlated_scenario, random_factorizing_scenario,
                           random_gaussian_scenario, random_quantizers)
 
-from helpers import check_supermodular, g_function, traced_peak_mb
+from helpers import (ScalarOrderings, check_supermodular, g_function, traced_peak_mb,
+                     wyner_ziv_rate)
 
 
 def noiseless_single(fronthaul=0.5):
@@ -176,7 +176,7 @@ class TestSwzFronthaul:
         sc = random_correlated_scenario(rng, 1, 2)
         ev = DiscreteEvaluator.from_aux(sc, constant_aux(sc))
         for relay, side in ((1, ()), (2, (1,))):
-            assert _wyner_ziv_rate(ev, relay, side) == pytest.approx(0.0, abs=1e-12)
+            assert wyner_ziv_rate(ev, relay, side) == pytest.approx(0.0, abs=1e-12)
         assert jd_subset_bounds(ev)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_relay(self):
@@ -184,7 +184,7 @@ class TestSwzFronthaul:
         aux = identity_aux(sc)
         ev = DiscreteEvaluator.from_aux(sc, aux)
         j = build_joint(sc, aux)
-        assert _wyner_ziv_rate(ev, 1, ()) == pytest.approx(cmi(j, {"U1"}, {"Y1"}, {"Q"}),
+        assert wyner_ziv_rate(ev, 1, ()) == pytest.approx(cmi(j, {"U1"}, {"Y1"}, {"Q"}),
                                                            abs=1e-12)
         assert jd_subset_bounds(ev)[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -194,7 +194,7 @@ class TestSwzFronthaul:
             sc = random_correlated_scenario(rng, 1, 2)
             aux = random_aux(rng, sc, (2, 2))
             j = build_joint(sc, aux)
-            rate = _wyner_ziv_rate(DiscreteEvaluator.from_aux(sc, aux), 2, (1,))
+            rate = wyner_ziv_rate(DiscreteEvaluator.from_aux(sc, aux), 2, (1,))
             unconditional = cmi(j, {"U2"}, {"Y2"}, {"Q"})
             assert rate <= unconditional + 1e-12
 
@@ -207,7 +207,7 @@ class TestSwzFronthaul:
             aux = random_aux(rng, sc, (2, 2))
             ev = DiscreteEvaluator.from_aux(sc, aux)
             j = build_joint(sc, aux)
-            described = _wyner_ziv_rate(ev, 1, ()) + _wyner_ziv_rate(ev, 2, (1,))
+            described = wyner_ziv_rate(ev, 1, ()) + wyner_ziv_rate(ev, 2, (1,))
             assert described == pytest.approx(
                 cmi(j, {"U1", "U2"}, {"Y1", "Y2"}, {"Q"}), abs=1e-12
             )
@@ -305,7 +305,7 @@ class TestDominatingPoint:
                     tables.append(t2)
                 ev2 = DiscreteEvaluator.from_aux(sc2, AuxChannels(tables=tuple(tables)))
                 # decoded along the chain reversed: the later chain relays are side information
-                req = [_wyner_ziv_rate(ev2, k, pi[pi.index(k) + 1:]) for k in (1, 2)]
+                req = [wyner_ziv_rate(ev2, k, pi[pi.index(k) + 1:]) for k in (1, 2)]
                 np.testing.assert_allclose(req, res.scheme_fronthaul, atol=1e-10)
                 assert jd_subset_bounds(ev2)[0] == pytest.approx(res.scheme_sum_rate, abs=1e-10)
 
@@ -409,30 +409,35 @@ class TestSharedEvaluator:
         return calls
 
     @staticmethod
-    def record_orderings(monkeypatch):
-        """The per-ordering results that ``swz_equals_jd`` walks through from
-        now on, in its order; it keeps none of them itself."""
-        results = []
-        original = sumrate._ordering_result
+    def record_blocks(monkeypatch):
+        """The blocks that ``sumrate._walk`` gives its caller from now on, in
+        its order, each (pi, points, ...) as the walk yields it; the caller
+        keeps none of them itself."""
+        blocks = []
+        original = sumrate._walk
 
-        def recording(*args):
-            results.append(original(*args))
-            return results[-1]
+        def recording(*args, **kwargs):
+            r_sum, walk = original(*args, **kwargs)
+            return r_sum, (blocks.append(block) or block for block in walk)
 
-        monkeypatch.setattr(sumrate, "_ordering_result", recording)
-        return results
+        monkeypatch.setattr(sumrate, "_walk", recording)
+        return blocks
 
     def test_swz_equals_jd_forms_the_bounds_once(self, monkeypatch):
-        # g is one vector R_sum + C_S - b_S, formed once for all K! orderings
+        # g is one vector R_sum + C_S - b_S, formed once for all K! orderings,
+        # and the walk takes each ordering once, in lexicographic order
         rng = np.random.default_rng(34)
-        results = self.record_orderings(monkeypatch)
-        for num_relays in (1, 2, 3, 4):
+        blocks = self.record_blocks(monkeypatch)
+        for num_relays in (1, 2, 3, 4, 5):
             sc = random_factorizing_scenario(rng, 1, num_relays)
-            ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc))
+            ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (2,) * num_relays))
             calls = self.count_bound_formations(ev)
-            results.clear()
+            blocks.clear()
             swz_equals_jd(ev)
-            assert len(results) == math.factorial(num_relays)
+            walked = [tuple(pi) for block in blocks for pi in block[0].tolist()]
+            assert walked == list(itertools.permutations(range(1, num_relays + 1)))
+            assert len(walked) == math.factorial(num_relays)
+            assert len(blocks) == -(-len(walked) // sumrate.ORDERING_BLOCK)
             assert len(calls) == 1
 
     def test_extreme_points_form_the_bounds_once(self):
@@ -470,17 +475,19 @@ class TestSharedEvaluator:
 
     def test_swz_results_match_dominating_point(self, monkeypatch):
         ev = DiscreteEvaluator.from_aux(*self.instance())
-        results = self.record_orderings(monkeypatch)
+        blocks = self.record_blocks(monkeypatch)
         cmp_res = swz_equals_jd(ev)
         monkeypatch.undo()  # swz_dominating_point records no more
         assert cmp_res.jd_sum_rate == jd_sum_rate(ev)
-        assert [res.ordering for res in results] == list(itertools.permutations((1, 2, 3)))
+        rows = [(tuple(pi), *row) for pis, *fields in blocks
+                for pi, *row in zip(pis.tolist(), *fields)]
+        assert [row[0] for row in rows] == list(itertools.permutations((1, 2, 3)))
         best, best_pi = -math.inf, None
-        for res in results:
-            alone = swz_dominating_point(ev, cmp_res.jd_sum_rate, res.ordering)
-            np.testing.assert_array_equal(res.extreme_point, alone.extreme_point)
-            np.testing.assert_array_equal(res.scheme_fronthaul, alone.scheme_fronthaul)
-            assert (res.ordering, res.pivot_index, res.idle_fraction, res.scheme_sum_rate) == (
+        for pi, point, pivot, alpha, fronthaul, rate in rows:
+            alone = swz_dominating_point(ev, cmp_res.jd_sum_rate, pi)
+            np.testing.assert_array_equal(point, alone.extreme_point)
+            np.testing.assert_array_equal(fronthaul, alone.scheme_fronthaul)
+            assert (pi, int(pivot) or None, alpha, rate) == (
                 alone.ordering, alone.pivot_index, alone.idle_fraction, alone.scheme_sum_rate)
             # a later ordering is better only beyond the tie tolerance
             if alone.scheme_sum_rate > best + INVARIANT_TOL:
@@ -508,6 +515,15 @@ class TestSharedEvaluator:
         swz_equals_jd(ev)  # forms the bounds and entropies the walk reads
         assert traced_peak_mb(lambda: swz_equals_jd(ev)) * 2.0 ** 10 < 64
 
+    def test_swz_equals_jd_at_k8_holds_one_block(self):
+        # 40,320 orderings in blocks of ORDERING_BLOCK: one block's arrays
+        # are alive at a time, where all of them would take megabytes
+        rng = np.random.default_rng(8)
+        sc = random_factorizing_scenario(rng, 1, 8)
+        ev = DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, (2,) * 8))
+        swz_equals_jd(ev)  # forms the bounds and entropies the walk reads
+        assert traced_peak_mb(lambda: swz_equals_jd(ev)) * 2.0 ** 10 < 96
+
     def test_subset_bounds_are_the_thm3_rows_at_all_users(self):
         rng = np.random.default_rng(33)
         for make in (random_factorizing_scenario, random_correlated_scenario):
@@ -525,8 +541,9 @@ class TestPivotTolerance:
 
     def test_contraction_order_moves_neither_pivot_nor_idle_share(self, monkeypatch):
         # |U_1| = 1 and fronthaul so large that R_sum = I(U; X): g is 0 on the
-        # empty set and on {1} in exact arithmetic
-        rng = np.random.default_rng(0)
+        # empty set and on {1} in exact arithmetic; seed 1, as seed 0 rounds
+        # g({}) to exactly 0 in every contraction order
+        rng = np.random.default_rng(1)
         sc = random_correlated_scenario(rng, 1, 3, (2,), (2, 3, 2), fronthaul_range=(4.0, 5.0))
         aux = random_aux(rng, sc, (1, 3, 2))
         ev = DiscreteEvaluator.from_aux(sc, aux)
@@ -584,6 +601,53 @@ class TestGaussianEvaluator:
             assert jd_sum_rate(ev) == max(0.0, float(bounds.min()))
             np.testing.assert_array_equal(
                 g_function(ev, 0.25), 0.25 + subset_sums(np.asarray(ev.sc.fronthaul)) - bounds)
+
+
+class TestScalarReference:
+    """The walk's array passes against ``ScalarOrderings``, the per-ordering
+    code they replaced: every number bit for bit, the sign of a zero too."""
+
+    @staticmethod
+    def evaluators(count):
+        """Discrete (|U_k| of 1 to 3, so some prefix g is 0 up to rounding)
+        and Gaussian evaluators with K <= 6."""
+        for seed in spawn_seeds(2050, count):
+            rng = np.random.default_rng(seed)
+            num_users, num_relays = int(rng.integers(1, 3)), int(rng.integers(1, 7))
+            if rng.random() < 0.3:
+                sc = random_gaussian_scenario(rng, num_users, num_relays, max_antennas=1)
+                yield GaussianEvaluator.from_quantizers(sc, random_quantizers(rng, sc))
+                continue
+            make = random_factorizing_scenario if rng.random() < 0.5 else random_correlated_scenario
+            sc = make(rng, num_users, num_relays, fronthaul_range=(0.1, 4.0 * rng.random() + 0.2))
+            aux_sizes = tuple(int(u) for u in rng.integers(1, 4, size=num_relays))
+            yield DiscreteEvaluator.from_aux(sc, random_aux(rng, sc, aux_sizes))
+
+    @staticmethod
+    def same(a, b) -> bool:
+        return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+    def test_the_walk_matches_the_scalar_reference_bit_for_bit(self):
+        kinds = set()
+        for ev in self.evaluators(30):
+            kinds.add((type(ev).__name__, ev.sc.num_relays > 4))
+            orderings = list(itertools.permutations(range(1, ev.sc.num_relays + 1)))
+            points = ScalarOrderings(ev, 0.0)
+            for (pi, point), ref in zip(extreme_points(ev, 0.0), orderings, strict=True):
+                assert pi == ref and self.same(point, points.extreme_point(pi))
+            schemes = ScalarOrderings(ev)
+            for pi in orderings[::max(1, len(orderings) // 40)]:
+                res, ref = swz_dominating_point(ev, schemes.r_sum, pi), schemes.ordering_result(pi)
+                assert (res.ordering, res.pivot_index) == (ref.ordering, ref.pivot_index)
+                for field in ("extreme_point", "idle_fraction", "scheme_fronthaul",
+                              "scheme_sum_rate"):
+                    assert self.same(getattr(res, field), getattr(ref, field)), (pi, field)
+            got, want = swz_equals_jd(ev), schemes.swz_equals_jd()
+            assert got.best_ordering == want.best_ordering
+            assert all(self.same(getattr(got, f), getattr(want, f))
+                       for f in ("jd_sum_rate", "best_sum_rate", "gap"))
+        # both kinds, and discrete walks of more than one block
+        assert {("DiscreteEvaluator", True), ("GaussianEvaluator", False)} <= kinds
 
 
 def _r_sum_entry_points():
@@ -653,18 +717,28 @@ def test_nan_ordering_result_fails_its_checks():
     # NaN comparisons are False, so each check is written as "not holds"
     nan = float("nan")
 
-    def result(point, fronthaul, rate):
-        return sumrate.OrderingResult(ordering=(1, 2), extreme_point=np.array(point),
-                                      pivot_index=1, idle_fraction=0.0,
-                                      scheme_fronthaul=np.array(fronthaul), scheme_sum_rate=rate)
+    def check(point, fronthaul, rate):
+        # a block of one ordering, whose g+(all relays) is 1
+        sumrate._check_schemes(np.array([point]), np.array([1.0]), np.array([fronthaul]),
+                               np.array([rate]), 1.0)
 
-    sumrate._check_ordering_result(result([0.5, 0.5], [0.5, 0.5], 1.0), 1.0, 1.0)
+    check([0.5, 0.5], [0.5, 0.5], 1.0)
     for point, fronthaul, rate in (([nan, nan], [nan, nan], nan),
                                    ([nan, 0.0], [0.0, 0.0], 1.0),
                                    ([0.5, 0.5], [nan, 0.0], 1.0),
                                    ([0.5, 0.5], [0.5, 0.5], nan)):
         with pytest.raises(ArithmeticError):
-            sumrate._check_ordering_result(result(point, fronthaul, rate), 1.0, 1.0)
+            check(point, fronthaul, rate)
+    # one failing ordering fails its block
+    with pytest.raises(ArithmeticError, match="fell below the target"):
+        sumrate._check_schemes(np.full((2, 2), 0.5), np.ones(2), np.full((2, 2), 0.5),
+                               np.array([1.0, nan]), 1.0)
+    # rounding dust in an information quantity reads 0; a NaN or a more
+    # negative value raises
+    sumrate._check_nonnegative(np.array([0.0, -1e-10]), "I")
+    for values in ([0.0, nan], [-1e-8, 0.0]):
+        with pytest.raises(ArithmeticError, match="NaN or negative beyond rounding"):
+            sumrate._check_nonnegative(np.array(values), "I")
 
 
 @pytest.mark.parametrize("entry", list(_r_sum_entry_points()))
