@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
@@ -131,10 +130,6 @@ class SubsetPair:
         object.__setattr__(self, "relays", tuple(sorted(set(self.relays))))
         if not self.users:
             raise ValueError("constraint user set must be nonempty")
-
-    @property
-    def t_mask(self) -> int:
-        return mask_of(self.users)
 
     @property
     def s_mask(self) -> int:
@@ -473,7 +468,8 @@ def sample_codebook_marginal(ens: CodebookEnsemble, trials: int) -> CodebookMarg
 # ---------------------------------------------------------------------------
 # scenario and quantizer files (canonical, versioned JSON)
 # ---------------------------------------------------------------------------
-# The only code that reads or writes either document.
+# The only code that reads either document; of the two, it writes only the
+# quantizer document.
 #
 # {
 #   "schema": 1,
@@ -597,31 +593,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
                             channel=np.ascontiguousarray(tensor), **common)
 
 
-def scenario_to_dict(sc: Scenario, aux=None) -> dict:
-    """The canonical document of ``sc``; discrete quantization tables
-    ``aux`` ride along in its channel payload."""
-    from .gaussian import GaussianScenario
-
-    if isinstance(sc, GaussianScenario):
-        channel = {"kind": "gaussian", "H": [_complex_json(row) for row in sc.H],
-                   "Sigma": _complex_json(sc.Sigma), "Kin": _complex_json(sc.Kin),
-                   "power": list(sc.power)}
-    else:
-        k, l = sc.num_relays, sc.num_users
-        wire = np.moveaxis(sc.channel, list(range(l, l + k)), list(range(k)))
-        channel = {"kind": "discrete",
-                   "alphabets": {"X": list(sc.input_sizes), "Y": list(sc.output_sizes)},
-                   "px": [t.tolist() for t in sc.px],
-                   "channel": np.ascontiguousarray(wire).ravel().tolist()}
-    if aux is not None:
-        if channel["kind"] != "discrete":
-            raise ScenarioError("only a discrete scenario embeds quantization tables")
-        channel.update(quantizers_to_dict(aux))
-    return {"schema": 1, "users": sc.num_users, "relays": sc.num_relays,
-            "fronthaul": list(sc.fronthaul), "time_share": list(sc.time_share),
-            "channel": channel}
-
-
 def quantizers_from_dict(doc, sc: Scenario, where: str = ""):
     """The quantizers of scenario ``sc`` in a parsed quantizer document whose
     fields are named ``where`` + field: ``QuantizerSetGaussian`` or
@@ -659,14 +630,6 @@ def load_scenario(path, with_aux: bool = False):
 def load_quantizers(path, sc: Scenario):
     """Load the quantizers of scenario ``sc`` from a quantizer file."""
     return quantizers_from_dict(_read_json(path), sc, f"{path}: ")
-
-
-def save_scenario(sc: Scenario, path, aux=None) -> None:
-    """Write the canonical JSON document; discrete quantization tables ride
-    along in the channel payload when ``aux`` is given."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(sc, aux), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def scenario_sha256(sc: Scenario) -> str:

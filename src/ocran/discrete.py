@@ -134,15 +134,6 @@ class AuxChannels:
                 raise ScenarioError(f"aux[{k}] does not match the scenario alphabets")
 
 
-def identity_aux(sc: DiscreteScenario) -> AuxChannels:
-    """Copy channels U_k = Y_k (no quantization)."""
-    tables = []
-    for size in sc.output_sizes:
-        eye = np.broadcast_to(np.eye(size), (sc.num_timeshare, size, size))
-        tables.append(np.ascontiguousarray(eye))
-    return AuxChannels(tables=tuple(tables))
-
-
 class JointPmf:
     """Dense joint pmf with labeled axes and cached subset entropies."""
 

@@ -51,6 +51,7 @@ ACTIVE_TOL = 1e-9
 IMPROVE_TOL = 1e-12
 STEP_TOL = 1e-8  # the Gaussian searches stop once their step falls below it
 GAP_TOL = 1e-6  # bits; a Gaussian solve whose certified gap exceeds it raises
+START_TIE_TOL = 1e-12  # bits; discrete starts this close to the best tie, and the first wins
 SOLVE_FTOL = 1e-14  # SLSQP's stopping tolerance on the change of the objective
 SOLVE_MAX_ITERS = 500
 CUT_ITERS = 100  # cutting planes that may refine the certificate's row weights
@@ -615,8 +616,10 @@ def optimize_discrete_aux(sc: DiscreteScenario, cardinalities, restarts: int = 4
 
     Start 0 is the staircase quantizer u = floor(y |U| / |Y|), softened so
     that softmax reaches it; further starts draw Dirichlet rows from seeds
-    spawned from ``seed``.  ``converged`` is the chosen start's SLSQP
-    success."""
+    spawned from ``seed``.  The chosen start is the first whose value lies
+    within ``START_TIE_TOL`` bits of the best, so rounding does not choose
+    among starts that reach the same optimum.  ``converged`` is the chosen
+    start's SLSQP success."""
     card = tuple(int(u) for u in cardinalities)
     if len(card) != sc.num_relays or any(u < 1 for u in card):
         raise ScenarioError("need one positive cardinality per relay")
@@ -655,7 +658,8 @@ def optimize_discrete_aux(sc: DiscreteScenario, cardinalities, restarts: int = 4
             [(None, None)] * (params.size + 1), max_iters)
         ev = factors.evaluator(tables)
         solves.append((tables, ev.subset_bounds(), jd_sum_rate(ev), trace, res))
-    best = max(range(restarts), key=lambda i: (solves[i][2], -i))
+    top = max(s[2] for s in solves)
+    best = next(i for i, s in enumerate(solves) if s[2] >= top - START_TIE_TOL)
     tables, bounds, value, trace, res = solves[best]
     full = (1 << sc.num_users) - 1
     active = tuple((full, int(s)) for s in np.flatnonzero(bounds <= bounds.min() + ACTIVE_TOL))

@@ -1,15 +1,17 @@
 """Helpers shared by the tests: finite-difference checks of the Gaussian
 sum-rate objective's branch gradients, the inverse of the packed Hermitian
 parameterization, the additive test channel of a quantizer, a Gaussian
-scenario less one relay, the sum-rate set function g and its exhaustive
-supermodularity check, the scalar per-ordering reference of the sum-rate
-layer (``ScalarOrderings``) and its Wyner-Ziv rate, the weighted matrix
-means of one stack, one-shot references of the two Monte Carlo samplers, a
-traced-memory probe and the faults and NaNs that the failure-path tests of
-the ``verify`` suites inject."""
+scenario less one relay, the scenario-file writer, the copy channels U = Y
+of a discrete scenario (``identity_aux``), the sum-rate set function g and
+its exhaustive supermodularity check, the scalar per-ordering reference of
+the sum-rate layer (``ScalarOrderings``) and its Wyner-Ziv rate, the
+weighted matrix means of one stack, one-shot references of the two Monte
+Carlo samplers, a traced-memory probe and the faults and NaNs that the
+failure-path tests of the ``verify`` suites inject."""
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 from dataclasses import dataclass, replace
@@ -22,7 +24,7 @@ from ocran import _linalg as la
 from ocran import optimize, sumrate, verify
 from ocran.core import (CodebookEnsemble, Evaluator, RateRegion, ScenarioError, SubsetPair,
                         mask_of)
-from ocran.discrete import DiscreteEvaluator, _nonnegative
+from ocran.discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, _nonnegative
 from ocran.gaussian import GaussianScenario, QuantizerSetGaussian, weighted_means
 from ocran.optimize import IMPROVE_TOL, _GaussianObjective, _layout, _pack_hermitian, _unpack_flat
 
@@ -137,6 +139,48 @@ def drop_relay(sc: GaussianScenario, relay: int) -> GaussianScenario:
     return replace(sc, num_relays=sc.num_relays - 1,
                    fronthaul=tuple(sc.fronthaul[k - 1] for k in keep),
                    H=tuple(sc.H[k - 1] for k in keep), Sigma=tuple(sc.Sigma[k - 1] for k in keep))
+
+
+def _pairs(m) -> list:
+    """A complex matrix as nested rows of [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def scenario_to_dict(sc, aux=None) -> dict:
+    """The scenario document of ``sc``, written from README's file schema
+    and not from the reader's code; discrete tables ``aux`` ride along in
+    the channel payload.  The wire order of a discrete channel is
+    (Y_1..Y_K, X_1..X_L), row-major; ``sc.channel`` holds the X axes first."""
+    if isinstance(sc, GaussianScenario):
+        channel = {"kind": "gaussian", "H": [[_pairs(m) for m in row] for row in sc.H],
+                   "Sigma": [_pairs(m) for m in sc.Sigma], "Kin": [_pairs(m) for m in sc.Kin],
+                   "power": np.asarray(sc.power, dtype=float).tolist()}
+    else:
+        l, k = sc.num_users, sc.num_relays
+        wire = np.transpose(sc.channel, [*range(l, l + k), *range(l)])
+        channel = {"kind": "discrete",
+                   "alphabets": {"X": list(sc.input_sizes), "Y": list(sc.output_sizes)},
+                   "px": [np.asarray(t).tolist() for t in sc.px],
+                   "channel": wire.ravel().tolist()}
+    if aux is not None:
+        channel["aux"] = [np.asarray(t).tolist() for t in aux.tables]
+    return {"schema": 1, "users": sc.num_users, "relays": sc.num_relays,
+            "fronthaul": np.asarray(sc.fronthaul, dtype=float).tolist(),
+            "time_share": np.asarray(sc.time_share, dtype=float).tolist(), "channel": channel}
+
+
+def save_scenario(sc, path, aux=None) -> None:
+    """Write the scenario document of ``sc`` (and ``aux``) to file ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(scenario_to_dict(sc, aux), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def identity_aux(sc: DiscreteScenario) -> AuxChannels:
+    """Copy channels U_k = Y_k (no quantization)."""
+    return AuxChannels(tables=tuple(np.broadcast_to(np.eye(size), (sc.num_timeshare, size, size))
+                                    for size in sc.output_sizes))
 
 
 def g_function(ev: Evaluator, r_sum: float) -> np.ndarray:

@@ -14,14 +14,14 @@ import pytest
 import ocran
 from ocran import cli, optimize
 from ocran.cli import build_parser, fmt_bits, main
-from ocran.core import enumerate_constraint_pairs, load_scenario, quantizers_to_dict, save_scenario
+from ocran.core import enumerate_constraint_pairs, load_scenario, mask_of, quantizers_to_dict
 from ocran.discrete import DiscreteEvaluator
 from ocran.gaussian import GaussianEvaluator, QuantizerSetGaussian
 from ocran.sumrate import extreme_points, jd_sum_rate
 from ocran.verify import (random_aux, random_factorizing_scenario, random_gaussian_scenario,
                           random_quantizers)
 
-from helpers import g_function, inject_suite_fault, inject_suite_nan
+from helpers import g_function, inject_suite_fault, inject_suite_nan, save_scenario
 
 
 def write_json(path, doc):
@@ -117,12 +117,12 @@ class TestRegionCommand:
         pairs = enumerate_constraint_pairs(3, 2)
         bounds = [ev.bound(p) for p in pairs]
         lines = ["T_mask,S_mask,bound_bits"] + [
-            f"{p.t_mask},{p.s_mask},{fmt_bits(b)}" for p, b in zip(pairs, bounds)]
+            f"{mask_of(p.users)},{p.s_mask},{fmt_bits(b)}" for p, b in zip(pairs, bounds)]
         assert out.read_text() == "\n".join(lines) + "\n"
         summary = {
             "num_constraints": len(pairs),
             "sum_rate_bound_bits": max(0.0, min(b for p, b in zip(pairs, bounds)
-                                                if p.t_mask == 0b111)),
+                                                if mask_of(p.users) == 0b111)),
             "per_user_max_bits": [max(0.0, min(b for p, b in zip(pairs, bounds) if l in p.users))
                                   for l in (1, 2, 3)],
         }

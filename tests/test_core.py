@@ -20,17 +20,15 @@ from ocran.core import (
     max_weighted_rate,
     quantizers_to_dict,
     sample_codebook_marginal,
-    save_scenario,
     scenario_from_dict,
     scenario_sha256,
-    scenario_to_dict,
     spawn_seeds,
 )
 from ocran.discrete import AuxChannels, DiscreteEvaluator
-from ocran.gaussian import GaussianEvaluator, QuantizerSetGaussian
+from ocran.gaussian import GaussianEvaluator
 from ocran.verify import random_factorizing_scenario, random_gaussian_scenario
 
-from helpers import codebook_marginal_one_shot, traced_peak_mb
+from helpers import codebook_marginal_one_shot, save_scenario, scenario_to_dict, traced_peak_mb
 
 
 class TestSubsetPairs:
@@ -52,7 +50,7 @@ class TestSubsetPairs:
 
     def test_deterministic_order(self):
         pairs = enumerate_constraint_pairs(2, 2)
-        masks = [(p.t_mask, p.s_mask) for p in pairs]
+        masks = [(mask_of(p.users), p.s_mask) for p in pairs]
         assert masks == sorted(masks)
         assert masks[0] == (1, 0)
 
@@ -348,12 +346,6 @@ class TestScenarioIO:
         sc2, reread = load_scenario(out, with_aux=True)
         np.testing.assert_allclose(reread.tables[0], aux.tables[0], atol=0)
         assert scenario_to_dict(sc2, reread) == scenario_to_dict(sc, aux)
-
-    def test_only_a_discrete_scenario_embeds_quantizers(self, tmp_path):
-        sc = _hash_scenarios()["gaussian"]
-        q = QuantizerSetGaussian(B=tuple(0.5 * np.linalg.inv(s) for s in sc.Sigma))
-        with pytest.raises(ScenarioError, match="only a discrete scenario embeds"):
-            save_scenario(sc, tmp_path / "sc.json", aux=q)
 
     def test_subset_bits_guard_when_the_scenario_is_built(self):
         assert scenario_from_dict(_wide_gaussian_doc(23)).num_relays == 23

@@ -15,12 +15,11 @@ from ocran.discrete import (
     build_joint,
     check_conditional_independence,
     cmi,
-    identity_aux,
     region_discrete,
 )
 from ocran.verify import random_aux, random_correlated_scenario, random_factorizing_scenario
 
-from helpers import traced_peak_mb, wyner_ziv_rate
+from helpers import identity_aux, traced_peak_mb, wyner_ziv_rate
 
 
 def shared_noise_scenario(flip=0.5):

@@ -39,12 +39,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocran.cli import main
-from ocran.core import _read_json, load_scenario, save_scenario, scenario_sha256
+from ocran.core import _read_json, load_scenario, scenario_sha256
 from ocran.discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario
 from ocran.gaussian import GaussianEvaluator, GaussianScenario, QuantizerSetGaussian
 from ocran.verify import (random_aux, random_correlated_scenario, random_factorizing_scenario,
                           random_gaussian_scenario, random_quantizers)
 
+from helpers import save_scenario
 from test_cli import discrete_doc, golden_gaussian_doc
 
 FIXED_PROFILE = settings(derandomize=True, deadline=None, max_examples=100, database=None)

@@ -13,8 +13,8 @@ from ocran.core import (
     enumerate_constraint_pairs,
     indices_of,
     load_scenario,
+    mask_of,
     quantizers_to_dict,
-    save_scenario,
 )
 from ocran.gaussian import (
     GaussianEvaluator,
@@ -30,7 +30,7 @@ from ocran.gaussian import (
 )
 from ocran.verify import random_gaussian_scenario, random_pd, random_quantizers
 
-from helpers import (b_from_test_channel, drop_relay, weighted_arithmetic_mean,
+from helpers import (b_from_test_channel, drop_relay, save_scenario, weighted_arithmetic_mean,
                      weighted_harmonic_mean, whitened_parts, wyner_ziv_rate)
 
 
@@ -274,7 +274,7 @@ class TestRegion:
         sc = load_scenario(path)
         region = region_gaussian(sc, q)
         for pair in enumerate_constraint_pairs(2, 3):
-            assert rate_constraint_gaussian(sc, q, pair) == region.bounds[pair.t_mask - 1,
+            assert rate_constraint_gaussian(sc, q, pair) == region.bounds[mask_of(pair.users) - 1,
                                                                          pair.s_mask]
         rows = region.bounds[0b11 - 1].tolist()
         assert list(GaussianEvaluator.from_quantizers(sc, q).subset_bounds()) == rows

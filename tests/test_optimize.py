@@ -13,7 +13,7 @@ from ocran import optimize
 from ocran.cli import main
 from ocran.core import ScenarioError, SubsetPair, indices_of, max_weighted_rate, scenario_from_dict
 from ocran.discrete import (AuxChannels, DiscreteEvaluator, DiscreteScenario, ReducedFactors,
-                            build_joint, cmi, identity_aux)
+                            build_joint, cmi)
 from ocran.gaussian import (
     GaussianEvaluator,
     GaussianScenario,
@@ -34,8 +34,8 @@ from ocran.verify import (random_correlated_scenario, random_gaussian_scenario, 
 from ocran.sumrate import jd_sum_rate
 
 import discrete_references
-from helpers import (ScalarField, finite_diff_check, mc_mutual_information_one_shot, pack_gradient,
-                     sum_rate_field, traced_peak_mb, unpack_hermitian, whitened_form)
+from helpers import (ScalarField, finite_diff_check, identity_aux, mc_mutual_information_one_shot,
+                     pack_gradient, sum_rate_field, traced_peak_mb, unpack_hermitian, whitened_form)
 
 
 def scalar_scenario(snr=1.0, fronthaul=1.0):
@@ -782,6 +782,29 @@ class TestDiscreteOptimizer:
             assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
             assert res.objective == jd_sum_rate(DiscreteEvaluator.from_aux(sc, res.quantizers))
             assert abs(res.objective - res.trace[-1]) <= 1e-12
+
+    def test_the_first_of_tied_starts_is_chosen(self, monkeypatch):
+        # the four starts reach one optimum within rounding; lifting the
+        # last start's value 1e-15 above the best must not make it the choice
+        sc = self._bsc_scenario(0.5)
+
+        def search(lift: bool):
+            values = []
+
+            def valued(ev):
+                values.append(jd_sum_rate(ev))
+                return max(values) + 1e-15 if lift and len(values) == 4 else values[-1]
+
+            monkeypatch.setattr(optimize, "jd_sum_rate", valued)
+            return optimize_discrete_aux(sc, (2,), restarts=4), values
+
+        plain, values = search(False)
+        assert max(values) - min(values) < optimize.START_TIE_TOL
+        lifted, _ = search(True)
+        assert lifted.objective == plain.objective
+        assert lifted.trace == plain.trace
+        for a, b in zip(lifted.quantizers.tables, plain.quantizers.tables):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("card, cfg", [((2,), {}), ((0, 2), {}), ((2, 2), {"restarts": 0})])
     def test_validation_is_a_scenario_error(self, card, cfg):

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from ocran.cli import main
-from ocran.core import load_quantizers, load_scenario, quantizers_to_dict, save_scenario
+from ocran.core import load_quantizers, load_scenario, quantizers_to_dict
 from ocran.discrete import region_discrete
 from ocran.gaussian import region_gaussian
 from ocran.verify import (random_aux, random_factorizing_scenario, random_gaussian_scenario,
                           random_quantizers)
+from helpers import save_scenario
 from precision_reference import GaussianLongDoubleReference, LongDoubleReference
 
 FAMILIES = ("thm1", "thm3")

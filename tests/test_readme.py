@@ -15,8 +15,9 @@ import numpy as np
 
 import ocran
 from ocran.cli import build_parser
-from ocran.core import save_scenario
 from ocran.verify import SUITE_NAMES, random_gaussian_scenario
+
+from helpers import save_scenario
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 

@@ -22,7 +22,7 @@ from ocran.core import (
     SubsetPair,
     enumerate_constraint_pairs,
     indices_of,
-    save_scenario,
+    mask_of,
 )
 from ocran.discrete import (
     AuxChannels,
@@ -49,7 +49,7 @@ from ocran.sumrate import (
 from ocran.verify import (random_aux, random_correlated_scenario, random_factorizing_scenario,
                           random_gaussian_scenario, random_quantizers)
 
-from helpers import g_function, traced_peak_mb, wyner_ziv_rate
+from helpers import g_function, save_scenario, traced_peak_mb, wyner_ziv_rate
 
 TOL = 1e-12
 
@@ -168,7 +168,7 @@ def test_region_bounds(instance):
             warnings.simplefilter("ignore", RuntimeWarning)  # thm1 on correlated outputs
             region = region_discrete(sc, aux, family)
         for pair in enumerate_constraint_pairs(sc.num_users, sc.num_relays):
-            value = region.bounds[pair.t_mask - 1, pair.s_mask]
+            value = region.bounds[mask_of(pair.users) - 1, pair.s_mask]
             assert value == pytest.approx(dense.bound(pair, family), abs=TOL, rel=0)
     ev = DiscreteEvaluator.from_aux(sc, aux)
     for pair in enumerate_constraint_pairs(sc.num_users, sc.num_relays):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from ocran.core import CapacityError, ScenarioError, mask_of, spawn_seeds, subset_sums
-from ocran.discrete import (AuxChannels, DiscreteEvaluator, DiscreteScenario, build_joint, cmi,
-                            identity_aux)
+from ocran.discrete import AuxChannels, DiscreteEvaluator, DiscreteScenario, build_joint, cmi
 from ocran.gaussian import GaussianEvaluator, QuantizerSetGaussian
 from ocran.sumrate import (
     INVARIANT_TOL,
@@ -20,13 +19,12 @@ from ocran.sumrate import (
 )
 from ocran import discrete, sumrate
 from ocran.cli import main
-from ocran.core import save_scenario
 from ocran.discrete import region_discrete
 from ocran.verify import (random_aux, random_correlated_scenario, random_factorizing_scenario,
                           random_gaussian_scenario, random_quantizers)
 
-from helpers import (ScalarOrderings, check_supermodular, g_function, traced_peak_mb,
-                     wyner_ziv_rate)
+from helpers import (ScalarOrderings, check_supermodular, g_function, identity_aux, save_scenario,
+                     traced_peak_mb, wyner_ziv_rate)
 
 
 def noiseless_single(fronthaul=0.5):
