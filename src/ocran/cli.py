@@ -89,19 +89,14 @@ def fmt_bits(x: float) -> str:
 
 
 def _jsonable(x):
-    """Recursively convert payloads to JSON-safe values (inf -> string)."""
+    """A payload of dicts, lists or tuples (made lists), floats (numpy's
+    float64 among them) and str, int, bool or None, made JSON-safe: NaN is
+    refused, -inf and +inf (only a verify suite's worst gap) become strings."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
+    if isinstance(x, float):
         if math.isnan(x):
             raise ArithmeticError("NaN value in output")
         if math.isinf(x):

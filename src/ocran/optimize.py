@@ -51,7 +51,7 @@ ACTIVE_TOL = 1e-9
 IMPROVE_TOL = 1e-12
 STEP_TOL = 1e-8  # the Gaussian searches stop once their step falls below it
 GAP_TOL = 1e-6  # bits; a Gaussian solve whose certified gap exceeds it raises
-START_TIE_TOL = 1e-12  # bits; discrete starts this close to the best tie, and the first wins
+START_TIE_TOL = 1e-12  # bits; discrete starts this close to the best tie; the first converged wins
 SOLVE_FTOL = 1e-14  # SLSQP's stopping tolerance on the change of the objective
 SOLVE_MAX_ITERS = 500
 CUT_ITERS = 100  # cutting planes that may refine the certificate's row weights
@@ -616,10 +616,10 @@ def optimize_discrete_aux(sc: DiscreteScenario, cardinalities, restarts: int = 4
 
     Start 0 is the staircase quantizer u = floor(y |U| / |Y|), softened so
     that softmax reaches it; further starts draw Dirichlet rows from seeds
-    spawned from ``seed``.  The chosen start is the first whose value lies
-    within ``START_TIE_TOL`` bits of the best, so rounding does not choose
-    among starts that reach the same optimum.  ``converged`` is the chosen
-    start's SLSQP success."""
+    spawned from ``seed``.  Of the starts within ``START_TIE_TOL`` bits of
+    the best, the first whose SLSQP run converged is chosen, else the first,
+    so rounding does not choose among starts that reach the same optimum.
+    ``converged`` is the chosen start's SLSQP success."""
     card = tuple(int(u) for u in cardinalities)
     if len(card) != sc.num_relays or any(u < 1 for u in card):
         raise ScenarioError("need one positive cardinality per relay")
@@ -659,8 +659,8 @@ def optimize_discrete_aux(sc: DiscreteScenario, cardinalities, restarts: int = 4
         ev = factors.evaluator(tables)
         solves.append((tables, ev.subset_bounds(), jd_sum_rate(ev), trace, res))
     top = max(s[2] for s in solves)
-    best = next(i for i, s in enumerate(solves) if s[2] >= top - START_TIE_TOL)
-    tables, bounds, value, trace, res = solves[best]
+    tied = [s for s in solves if s[2] >= top - START_TIE_TOL]
+    tables, bounds, value, trace, res = next((s for s in tied if s[4].success), tied[0])
     full = (1 << sc.num_users) - 1
     active = tuple((full, int(s)) for s in np.flatnonzero(bounds <= bounds.min() + ACTIVE_TOL))
     return OptResult(quantizers=AuxChannels(tables=tables), objective=value,
@@ -690,15 +690,14 @@ def mc_mutual_information(
 
     Realizes each quantizer as the additive test channel U_k = Y_k + Z_k with
     Z_k ~ CN(0, B_k^{-1} - Sigma_k) and averages the exact Gaussian
-    log-density ratio of the observation with and without the input (so the
-    estimator is unbiased for the analytic value).  Each sample of that ratio
-    is the log-det gap plus sum_j rho_j (E'_j - E_j) / ln 2 over the
-    canonical correlations rho_j of input and observation, with E_j, E'_j ~
-    Exp(1): one row of 2 * min(dim_x, dim_z) exponentials.  Every B_k with k
-    outside S must have a normalized spectrum strictly inside (0, 1), by
-    BOUNDARY_TOL; boundary quantizers have no finite test channel.  More
-    than MAX_SAMPLER_DRAWS exponential draws, samples * 2 * min(dim_x,
-    dim_z), raise CapacityError before any is drawn.
+    log-density ratio of the observation with and without the input.  Each
+    sample is the covariance-form log-det gap plus sum_j rho_j (E'_j - E_j)
+    / ln 2 (rho_j the canonical correlations, E_j, E'_j ~ Exp(1)), of mean 0:
+    the estimate centres on that log-det by construction, so it tests the
+    sampler's law.  Every B_k with k outside S must have a normalized
+    spectrum strictly inside (0, 1), by BOUNDARY_TOL; boundary quantizers
+    have no finite test channel.  More than MAX_SAMPLER_DRAWS exponential
+    draws, samples * 2 * min(dim_x, dim_z), raise CapacityError first.
     """
     if samples < 2:
         raise ScenarioError("need at least two samples")

@@ -545,6 +545,22 @@ def test_fmt_bits_writes_infinities_as_words_and_refuses_nan():
         fmt_bits(math.nan)
 
 
+def test_payloads_refuse_nan_and_write_infinities_as_words(tmp_path, capsys, monkeypatch):
+    payload = {"a": [1.0, (-math.inf, np.float64(2.5))], "b": {"c": True, "d": None, "e": 3}}
+    assert cli._jsonable(payload) == {"a": [1.0, ["-inf", 2.5]],
+                                      "b": {"c": True, "d": None, "e": 3}}
+    payload["b"]["f"] = [{"g": (0.0, math.nan)}]
+    with pytest.raises(ArithmeticError, match="NaN value in output"):
+        cli._jsonable(payload)
+
+    monkeypatch.setattr(cli, "cmd_sumrate", lambda args, sc, emit: emit.write_json(payload, args.out))
+    scenario = write_json(tmp_path / "sc.json", discrete_doc())
+    out = tmp_path / "sum.json"
+    assert main(["sumrate", "--scenario", scenario, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("numeric failure: NaN value in output")
+
+
 class TestBoundaryCommand:
     def _two_user_doc(self, fronthaul=1.0):
         return {

@@ -10,7 +10,6 @@ import pytest
 
 from ocran import _linalg as la
 from ocran import optimize
-from ocran.cli import main
 from ocran.core import ScenarioError, SubsetPair, indices_of, max_weighted_rate, scenario_from_dict
 from ocran.discrete import (AuxChannels, DiscreteEvaluator, DiscreteScenario, ReducedFactors,
                             build_joint, cmi)
@@ -804,6 +803,27 @@ class TestDiscreteOptimizer:
         assert lifted.objective == plain.objective
         assert lifted.trace == plain.trace
         for a, b in zip(lifted.quantizers.tables, plain.quantizers.tables):
+            assert np.array_equal(a, b)
+
+    def test_the_first_converged_tied_start_is_chosen(self, monkeypatch):
+        # the four starts tie; start 0 reports no SLSQP success, so start 1,
+        # the first tied start that converged, gives the result
+        sc = self._bsc_scenario(0.5)
+        solve, solves = optimize._epigraph_solve, []
+
+        def first_fails(*args):
+            best, trace, res = solve(*args)
+            if not solves:
+                res = type(res)({**res, "success": False})
+            solves.append((best[0][0], trace, res.success))
+            return best, trace, res
+
+        monkeypatch.setattr(optimize, "_epigraph_solve", first_fails)
+        res = optimize_discrete_aux(sc, (2,), restarts=4)
+        assert [s[2] for s in solves] == [False, True, True, True]
+        assert res.converged
+        assert res.trace == tuple(solves[1][1]) != tuple(solves[0][1])
+        for a, b in zip(res.quantizers.tables, solves[1][0], strict=True):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("card, cfg", [((2,), {}), ((0, 2), {}), ((2, 2), {"restarts": 0})])
